@@ -97,9 +97,11 @@ def divisors(n: int) -> list[int]:
 
 
 def int_valuation(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer."""
+    """Exponent of p in a nonzero integer; p must be at least 2."""
     if n == 0:
         raise ValueError("valuation of zero is undefined")
+    if p < 2:
+        raise ValueError(f"valuation needs a base of at least 2, got {p}")
     v = 0
     n = abs(n)
     while n % p == 0:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from . import ratlinalg
+from .arith import is_prime
 from .dynamics import (
     AnalyticMap,
     DiophantineParams,
@@ -68,6 +69,13 @@ def _rational(value: Any, path: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(path, f"not a rational: {value!r}") from exc
     raise DocumentError(path, f"expected int or 'n/d' string, got {type(value).__name__}")
+
+
+def _prime(value: Any, path: str) -> int:
+    """A prime from a document field or flag; anything else is a document error."""
+    if isinstance(value, bool) or not isinstance(value, int) or not is_prime(value):
+        raise DocumentError(path, f"expected a prime, got {value!r}")
+    return value
 
 
 def _encode_rational(x: Fraction):
@@ -148,7 +156,7 @@ def parse_map_document(data: Any, truncation: int | None = None) -> MapDocument:
             parsed.append((tuple(exps), Fraction(num, den)))
         series.append(MultiSeries(n, trunc, parsed))
     prime = data.get("prime")
-    if prime is not None and (not isinstance(prime, int) or prime < 3):
+    if prime is not None and _prime(prime, "prime") == 2:
         raise DocumentError("prime", "expected an odd prime")
     precision = data.get("precision", DEFAULT_PRECISION)
     if not isinstance(precision, int) or precision < 1:
@@ -164,6 +172,8 @@ def parse_map_document(data: Any, truncation: int | None = None) -> MapDocument:
             [_rational(x, f"symplectic_form[{i}][{j}]") for j, x in enumerate(row)]
             for i, row in enumerate(raw)
         ]
+        if not any(x for row in form for x in row):
+            raise DocumentError("symplectic_form", "must not be all zero")
     try:
         amap = AnalyticMap(SeriesTuple(series), fixed_locus_dim=r)
     except PadicDynError as exc:
@@ -433,9 +443,7 @@ def cmd_vanishing(args) -> dict:
         raise DocumentError("coefficients/units", "expected lists of rationals")
     a = [_rational(x, f"coefficients[{i}]") for i, x in enumerate(raw_a)]
     b = [_rational(x, f"units[{i}]") for i, x in enumerate(raw_b)]
-    prime = args.prime or data.get("prime")
-    if not isinstance(prime, int):
-        raise DocumentError("prime", "expected an integer prime")
+    prime = args.prime or _prime(data.get("prime"), "prime")
     precision = args.precision or data.get("precision", DEFAULT_PRECISION)
     inst = VanishingSumInstance(a, b, prime, precision)
     report = vanishing_exponents(inst, args.smax)
@@ -541,6 +549,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else USAGE_EXIT
     started = time.perf_counter()
     try:
+        if args.prime is not None:
+            _prime(args.prime, "--prime")
         report = _COMMANDS[args.command](args)
         payload = {
             "schema_version": SCHEMA_VERSION,

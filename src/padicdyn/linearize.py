@@ -19,7 +19,19 @@ small-divisor bound |w|_{rho-delta} <= C1 |g|_rho rho^beta / delta^beta.
 Before iterating, the map is rescaled by the smallest power of the working
 prime that makes the nonlinearity p-adically small; the conjugacy is
 mapped back to the original coordinates afterwards, so both routes agree
-coefficient for coefficient.
+coefficient for coefficient.  Within a window the residual has order
+>= low and only layers low..high of (Dh o Lambda)^(-1) times the residual
+are kept, so that series-matrix inverse is computed through degree
+high - low only.
+
+Both routes obtain h^(-1) the same way: k = h^(-1) satisfies
+k o f = Lambda o k, and with k = id + kappa each layer kappa_d solves the
+homological equation against the running remainder f - Lambda +
+kappa_<d o f - Lambda kappa_<d, with the same divisors.  Each step composes
+one homogeneous layer with the sparse map f.  If any resonance
+lambda^I = lambda_j exists up to the working degree, that solution is only
+unique up to resonant terms, and the compositional inverse of h is computed
+by series reversion (SeriesTuple.invert) instead.
 
 Maps with a positive-dimensional fixed locus are first normalized: a shear
 removes the head-tail linear coupling, then interpolation projectors built
@@ -36,7 +48,12 @@ from typing import Sequence
 
 from . import ratlinalg
 from .arith import factorize, fraction_valuation, is_prime
-from .dynamics import AnalyticMap, DiophantineParams, choose_prime
+from .dynamics import (
+    AnalyticMap,
+    DiophantineParams,
+    choose_prime,
+    enumerate_resonances,
+)
 from .errors import (
     DomainError,
     EigenvalueVariationError,
@@ -228,12 +245,41 @@ def _check_normalized(f: AnalyticMap, lams: Sequence[Fraction]) -> SeriesTuple:
 
 
 def denominator_primes_of(h: SeriesTuple) -> frozenset[int]:
+    denominators = {
+        coeff.denominator
+        for comp in h.components
+        for _, coeff in comp.terms()
+        if coeff.denominator > 1
+    }
     primes: set[int] = set()
-    for comp in h.components:
-        for _, coeff in comp.terms():
-            if coeff.denominator > 1:
-                primes.update(factorize(coeff.denominator))
+    for den in denominators:
+        primes.update(factorize(den))
     return frozenset(primes)
+
+
+def _conjugacy_inverse(
+    h: SeriesTuple, fmap: SeriesTuple, lams: Sequence[Fraction], r: int
+) -> SeriesTuple:
+    """h^(-1) for a conjugacy h with fmap o h = h o Lambda through h.trunc.
+
+    Solves k o fmap = Lambda o k layer by layer for k = id + kappa; see the
+    module docstring.  Resonant eigenvalues fall back to series reversion.
+    """
+    degree = h.trunc
+    if enumerate_resonances(lams, r, degree):
+        return h.invert()
+    k = SeriesTuple.identity(h.nvars, degree)
+    remainder = fmap - SeriesTuple.diagonal(lams, degree)
+    for d in range(2, degree + 1):
+        layer = remainder.layer_tuple(d)
+        if layer.is_zero():
+            continue
+        kappa = solve_homological(-layer, lams, r)
+        k = k + kappa
+        remainder = remainder + kappa.compose(fmap) - SeriesTuple(
+            [comp.scale(lam) for comp, lam in zip(kappa.components, lams)]
+        )
+    return k
 
 
 def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
@@ -285,7 +331,7 @@ def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
         raise AssertionError("conjugacy residual failed to vanish")
     return ConjugacyResult(
         h=h,
-        h_inverse=h.invert(),
+        h_inverse=_conjugacy_inverse(h, fmap, lams, r),
         verified_degree=degree,
         residual=residual,
         denominator_primes=denominator_primes_of(h),
@@ -432,11 +478,19 @@ def linearize_newton(
             jac = [
                 [entry.as_polynomial(high) for entry in row] for row in hd.jacobian()
             ]
+            # the residual has order >= low and only layers up to high are
+            # kept, so the inverse is needed through degree high - low only
             jac_scaled = [
-                [SeriesTuple([entry]).compose_diagonal(lams)[0] for entry in row]
+                [
+                    SeriesTuple([entry.truncated(high - low)]).compose_diagonal(lams)[0]
+                    for entry in row
+                ]
                 for row in jac
             ]
-            jac_inv = _series_matrix_inverse(jac_scaled, high)
+            jac_inv = [
+                [entry.as_polynomial(high) for entry in row]
+                for row in _series_matrix_inverse(jac_scaled, high - low)
+            ]
             g = _series_matrix_vector(jac_inv, residual)
             g_window = SeriesTuple(
                 [
@@ -496,7 +550,7 @@ def linearize_newton(
         raise AssertionError("conjugacy residual failed to vanish after rescaling back")
     result = ConjugacyResult(
         h=h_original,
-        h_inverse=h_original.invert(),
+        h_inverse=_conjugacy_inverse(h_original, fmap, lams, r),
         verified_degree=degree,
         residual=residual,
         denominator_primes=denominator_primes_of(h_original),

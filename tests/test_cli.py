@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end."""
 
 import json
+import threading
 
 from padicdyn.cli import run
 
@@ -40,6 +41,18 @@ def symplectic_document():
             [0, -1, 0, 0],
         ],
     }
+
+
+def run_bounded(tmp_path, arguments, seconds=30):
+    """run_to_file in a worker thread; fails instead of hanging past the bound."""
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(run_to_file(tmp_path, arguments)), daemon=True
+    )
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"{arguments[0]} did not finish within {seconds} s"
+    return result[0]
 
 
 def run_to_file(tmp_path, arguments, name="out.json"):
@@ -93,6 +106,15 @@ class TestAnalyze:
         assert code == 1
         assert data["error"]["kind"] == "document"
         assert "exponents" in data["error"]["location"]
+
+    def test_all_zero_symplectic_form_exit_one(self, tmp_path):
+        document = symplectic_document()
+        document["symplectic_form"] = [[0] * 4 for _ in range(4)]
+        doc = write_json(tmp_path, "map.json", document)
+        code, data = run_to_file(tmp_path, ["analyze", doc])
+        assert code == 1
+        assert data["error"]["kind"] == "document"
+        assert data["error"]["location"] == "symplectic_form"
 
     def test_usage_error_exit_one(self):
         assert run(["analyze"]) == 1
@@ -247,6 +269,27 @@ class TestProbe:
         assert code == 0
         assert data["report"]["mode"] == "orbit"
         assert data["report"]["points_used"] == 8
+
+
+class TestPrimeArguments:
+    def test_non_primes_rejected_in_bounded_time(self, tmp_path):
+        doc = write_json(tmp_path, "map.json", doubling_document())
+        composite = write_json(tmp_path, "composite.json", dict(doubling_document(), prime=9))
+        vanishing = write_json(
+            tmp_path, "inst.json", {"coefficients": [3, -2], "units": [2, 3], "prime": 1}
+        )
+        cases = [
+            (["vanishing", vanishing, "--smax", "10"], "prime"),
+            (["orbit", doc, "--start", "3", "--prime", "1"], "--prime"),
+            (["orbit", doc, "--start", "3", "--prime", "0"], "--prime"),
+            (["newton", doc, "--degree", "4", "--prime", "9"], "--prime"),
+            (["orbit", composite, "--start", "3"], "prime"),
+        ]
+        for arguments, location in cases:
+            code, data = run_bounded(tmp_path, arguments)
+            assert code == 1, arguments
+            assert data["error"]["kind"] == "document"
+            assert data["error"]["location"] == location
 
 
 class TestVanishing:

@@ -23,6 +23,7 @@ from padicdyn.linearize import (
     solve_homological,
 )
 from padicdyn.series import MultiSeries, SeriesTuple
+from test_acceptance import fixture_suite
 
 
 def build_map(component_terms, trunc, r=0):
@@ -36,6 +37,10 @@ def build_map(component_terms, trunc, r=0):
 
 def doubling_map(trunc):
     return build_map([[((1,), 2), ((2,), 1)]], trunc)
+
+
+def newton_route(f, degree):
+    return linearize_newton(f, degree, DiophantineParams(1, 0), prime=7)[0]
 
 
 class TestSolveHomological:
@@ -111,9 +116,34 @@ class TestOrderByOrder:
         assert result.verified_degree == 8
 
     def test_inverse_composes_to_identity(self):
-        result = linearize_order_by_order(doubling_map(8), 8)
-        comp = result.h.compose(result.h_inverse)
-        assert comp.agrees_through(SeriesTuple.identity(1, 8), 8)
+        degree = 10
+        for name, f in fixture_suite(degree).items():
+            for route in (linearize_order_by_order, newton_route):
+                result = route(f, degree)
+                comp = result.h.compose(result.h_inverse)
+                assert comp.agrees_through(SeriesTuple.identity(f.n, degree), degree), name
+
+    def test_resonant_inverse_is_series_reversion(self):
+        # lambda^I = lambda_j makes k o f = Lambda o k solvable only up to
+        # resonant terms, so h^(-1) must come from series reversion.  The
+        # first map (resonance x^3 in component 2) defeats the Newton
+        # window update, so Newton is checked on the second (x^4).
+        head = [((1, 0), 2), ((2, 0), 1)]
+        cases = [
+            (
+                build_map([head, [((0, 1), 8), ((2, 0), 1), ((3, 0), -1)]], 6),
+                (linearize_order_by_order,),
+            ),
+            (
+                build_map([head, [((0, 1), 16), ((2, 0), 12), ((4, 0), -7)]], 6),
+                (linearize_order_by_order, newton_route),
+            ),
+        ]
+        for f, routes in cases:
+            for route in routes:
+                result = route(f, 6)
+                assert result.h.compose(result.h_inverse) == SeriesTuple.identity(2, 6)
+                assert result.h_inverse == result.h.invert()
 
     def test_normalization_h_in_ar(self):
         f = build_map([[((1, 0), 1), ((0, 2), 1)], [((0, 1), -2), ((0, 2), 1)]], 6, r=1)

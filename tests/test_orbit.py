@@ -1,6 +1,7 @@
 """Unit tests for neighbourhood iteration, vanishing sums, and density probes."""
 
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,23 @@ class TestVanishingSum:
     def test_rejects_non_unit(self):
         with pytest.raises(DomainError):
             VanishingSumInstance([1], [5], prime=5)
+
+    def test_prime_below_two_raises(self):
+        # the valuation loop never ends for p = 1 unless the base is checked,
+        # so the attempt runs in a worker bounded by a join timeout
+        outcome = []
+
+        def attempt():
+            try:
+                VanishingSumInstance([1], [2], prime=1)
+            except ValueError:
+                outcome.append("rejected")
+
+        worker = threading.Thread(target=attempt, daemon=True)
+        worker.start()
+        worker.join(30)
+        assert not worker.is_alive(), "prime 1 did not finish within 30 s"
+        assert outcome == ["rejected"]
 
 
 class TestSeparatingPolynomial:
