@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -86,6 +87,29 @@ def factorize(n: int) -> dict[int, int]:
             stack.append(d)
             stack.append(m // d)
     return out
+
+
+def prime_support(numbers: Iterable[int]) -> frozenset[int]:
+    """The primes dividing any of the given positive integers.
+
+    Each distinct number is first stripped of the primes already found, and
+    only a leftover cofactor above 1 is factorized, so denominators that
+    share their primes (all powers of k, say) cost one factorization.
+    Stripping squares the divisor each round, so a power p**e takes about
+    log2(e) gcds.
+    """
+    primes: set[int] = set()
+    radical = 1
+    for n in sorted(set(numbers)):
+        g = math.gcd(n, radical)
+        while g > 1:
+            n //= g
+            g = math.gcd(n, g * g)
+        if n > 1:
+            found = factorize(n)
+            primes.update(found)
+            radical *= math.prod(found)
+    return frozenset(primes)
 
 
 def divisors(n: int) -> list[int]:

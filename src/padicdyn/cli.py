@@ -78,6 +78,17 @@ def _prime(value: Any, path: str) -> int:
     return value
 
 
+def _at_least(value: int, minimum: int, path: str) -> None:
+    """An integer flag checked against its range; below it is a document error."""
+    if value < minimum:
+        raise DocumentError(path, f"expected an integer >= {minimum}, got {value}")
+
+
+# smallest accepted value of each integer flag; --degree depends on the command
+_FLAG_MINIMUMS = {"steps": 0, "points": 1, "smax": 1, "level": 1}
+_DEGREE_MINIMUMS = {"analyze": 2, "linearize": 2, "newton": 2, "eisenstein": 0, "probe": 1}
+
+
 def _encode_rational(x: Fraction):
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -551,6 +562,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         if args.prime is not None:
             _prime(args.prime, "--prime")
+        minimums = dict(_FLAG_MINIMUMS, degree=_DEGREE_MINIMUMS.get(args.command, 0))
+        for name, minimum in minimums.items():
+            value = getattr(args, name, None)
+            if value is not None:
+                _at_least(value, minimum, f"--{name}")
         report = _COMMANDS[args.command](args)
         payload = {
             "schema_version": SCHEMA_VERSION,

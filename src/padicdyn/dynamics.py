@@ -416,11 +416,13 @@ def choose_prime(f: AnalyticMap, eigenvalues: Sequence[Fraction] | None = None, 
             lams = list(rational_eigenvalues(jacobian_at_origin(f)).eigenvalues)
         except IrrationalEigenvalueError:
             lams = []
+    if any(lam == 0 for lam in lams):
+        raise DomainError("a zero eigenvalue is a unit at no prime")
     coeffs = [c for comp in f.components for _, c in comp.terms()]
     p = start if start % 2 == 1 else start + 1
     while True:
         if is_prime(p):
-            ok = all(lam != 0 and fraction_valuation(lam, p) == 0 for lam in lams)
+            ok = all(fraction_valuation(lam, p) == 0 for lam in lams)
             ok = ok and all(fraction_valuation(c, p) >= 0 for c in coeffs if c)
             if ok:
                 return p

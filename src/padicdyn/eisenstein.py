@@ -16,6 +16,14 @@ vanishing order was wrong, and raises DivisionFailureError.
 When F' is a unit at the seed (s = 0), plain quadratic Hensel lifting is
 used instead; the pivot machinery stays available behind method="pivot".
 
+Both routes compute only what each step reads.  The pivot induction needs
+one layer of F(phi) per degree, so the last product of its Horner
+evaluation forms that layer alone.  A Hensel step needs 1/F'(phi) only
+through the new degree minus the order of F(phi), so the slope is
+evaluated and inverted at that cap.  The dropped terms never reach a kept
+coefficient, so the outputs are those of full evaluations, and the final
+check of F(phi) through degree + s still runs over the whole series.
+
 Denominator support reports the primes dividing any coefficient
 denominator, certifying that the series lives in Z[1/N][[x]] up to the
 computed degree.
@@ -27,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import factorize
+from .arith import prime_support
 from .errors import DivisionFailureError, DomainError
-from .series import MultiSeries, SeriesTuple
+from .series import MultiSeries, SeriesTuple, _mul
 
 Exponents = tuple[int, ...]
 
@@ -99,6 +107,24 @@ class XPolynomial:
             acc = acc * work + self.coefficient_series(k, trunc)
         return acc
 
+    def evaluate_layer(self, phi: MultiSeries, degree: int) -> dict[Exponents, Fraction]:
+        """Homogeneous degree part of F(x, phi(x)).
+
+        The same Horner scheme as evaluate, but the last product computes
+        only the layer it is asked for; the lower layers of F(x, phi) are
+        never formed.
+        """
+        if phi.nvars != self.nvars:
+            raise DomainError("variable count mismatch")
+        constant = self.coefficient_series(0, degree)
+        if self.x_degree == 0:
+            return constant.layer(degree)
+        work = phi.truncated(degree) if phi.trunc > degree else phi.as_polynomial(degree)
+        acc = self.coefficient_series(self.x_degree, degree)
+        for k in range(self.x_degree - 1, 0, -1):
+            acc = acc * work + self.coefficient_series(k, degree)
+        return (_mul(acc, work, degree, low=degree) + constant).layer(degree)
+
     def to_terms(self) -> list[tuple[list[int], int, Fraction]]:
         out = []
         for k in sorted(self.coeffs):
@@ -158,9 +184,7 @@ def detect_vanishing_order(relation: XPolynomial, seed: MultiSeries) -> int:
 
 def _derivative_layer(relation: XPolynomial, seed: MultiSeries, s: int) -> dict[Exponents, Fraction]:
     """Homogeneous degree-s part of F'(phi_{s+1}): the division pivot form."""
-    derivative = relation.derivative_in_x_big()
-    seed_low = seed.truncated(s) if seed.trunc > s else seed
-    return derivative.evaluate(seed_low, s).layer(s)
+    return relation.derivative_in_x_big().evaluate_layer(seed, s)
 
 
 def _valuation_key(exps: Exponents) -> tuple[int, ...]:
@@ -205,6 +229,8 @@ def coefficients_up_to(spec: AlgebraicSeriesSpec, degree: int, method: str = "au
     """
     if method not in ("auto", "hensel", "pivot"):
         raise DomainError(f"unknown method {method!r}")
+    if degree < 0:
+        raise DomainError(f"degree must be non-negative, got {degree}")
     if degree < spec.seed.trunc:
         return spec.seed.truncated(degree)
     if method == "hensel" and spec.vanishing_order != 0:
@@ -220,7 +246,15 @@ def coefficients_up_to(spec: AlgebraicSeriesSpec, degree: int, method: str = "au
 
 
 def _hensel(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
-    """Quadratic lifting phi <- phi - F(phi) / F'(phi), doubling the contact order."""
+    """Quadratic lifting phi <- phi - F(phi) / F'(phi), doubling the contact order.
+
+    A step from a root through degree prev to one through known reads the
+    slope inverse only through known - ord F(phi): F(phi) has order at
+    least prev + 1, and the product F(phi) / F'(phi) is kept through known
+    alone, so the higher orders of 1/F'(phi) never reach a kept term.  The
+    slope is evaluated and inverted at that cap and promoted back to
+    known, which leaves every step's output unchanged.
+    """
     derivative = spec.relation.derivative_in_x_big()
     known = spec.seed.trunc
     phi = spec.seed
@@ -228,18 +262,29 @@ def _hensel(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
         known = min(2 * known + 1, degree)
         work = phi.as_polynomial(known)
         value = spec.relation.evaluate(work, known)
-        slope = derivative.evaluate(work, known)
-        phi = work - value * slope.inverse()
+        order = value.lowest_degree()
+        if order is None:
+            phi = work
+            continue
+        slope = derivative.evaluate(work, known - order)
+        phi = work - value * slope.inverse().as_polynomial(known)
     return phi.truncated(degree)
 
 
 def _pivot_induction(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
+    """Graded induction phi_(d) = -F(phi_d)_(d+s) / F'(phi_{s+1})_(s).
+
+    Each degree reads one layer of F(x, phi): its Horner evaluation runs
+    through degree d + s, and the last product forms layer d + s alone
+    (XPolynomial.evaluate_layer).  That layer is the same as in a full
+    evaluation, so the output is unchanged, while a step costs about one
+    layer of the last product instead of the whole series.
+    """
     s = spec.vanishing_order
     divisor = _derivative_layer(spec.relation, spec.seed, s)
     phi = spec.seed
     for d in range(spec.seed.trunc + 1, degree + 1):
-        work = phi.as_polynomial(d + s)
-        numerator = spec.relation.evaluate(work, d + s).layer(d + s)
+        numerator = spec.relation.evaluate_layer(phi, d + s)
         if not numerator:
             phi = phi.as_polynomial(d)
             continue
@@ -258,12 +303,8 @@ class DenominatorSupport:
 def denominator_support(phi: MultiSeries | SeriesTuple) -> DenominatorSupport:
     """Primes dividing any coefficient denominator, and their squarefree product."""
     comps = phi.components if isinstance(phi, SeriesTuple) else (phi,)
-    primes: set[int] = set()
-    for comp in comps:
-        for _, coeff in comp.terms():
-            if coeff.denominator > 1:
-                primes.update(factorize(coeff.denominator))
+    primes = prime_support(coeff.denominator for comp in comps for _, coeff in comp.terms())
     product = 1
     for p in sorted(primes):
         product *= p
-    return DenominatorSupport(primes=frozenset(primes), squarefree_product=product)
+    return DenominatorSupport(primes=primes, squarefree_product=product)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratlinalg
-from .arith import factorize, fraction_valuation, is_prime
+from .arith import fraction_valuation, is_prime, prime_support
 from .dynamics import (
     AnalyticMap,
     DiophantineParams,
@@ -125,9 +125,6 @@ class RatPow:
         if self.exponent.denominator != 1:
             raise DomainError("irrational value; exponent is not an integer")
         return self.coeff * self.base ** int(self.exponent)
-
-    def __float__(self) -> float:
-        return float(self.coeff) * float(self.base) ** float(self.exponent)
 
     def __repr__(self) -> str:
         if self.exponent == 0 or self.base == 1:
@@ -245,16 +242,7 @@ def _check_normalized(f: AnalyticMap, lams: Sequence[Fraction]) -> SeriesTuple:
 
 
 def denominator_primes_of(h: SeriesTuple) -> frozenset[int]:
-    denominators = {
-        coeff.denominator
-        for comp in h.components
-        for _, coeff in comp.terms()
-        if coeff.denominator > 1
-    }
-    primes: set[int] = set()
-    for den in denominators:
-        primes.update(factorize(den))
-    return frozenset(primes)
+    return prime_support(coeff.denominator for comp in h.components for _, coeff in comp.terms())
 
 
 def _conjugacy_inverse(

@@ -265,6 +265,8 @@ class MultiSeries:
 
     def truncated(self, new_trunc: int) -> "MultiSeries":
         """Discard all terms above new_trunc; never extends the cap."""
+        if new_trunc < 0:
+            raise DomainError("truncation degree must be non-negative")
         if new_trunc >= self.trunc:
             return self if new_trunc == self.trunc else MultiSeries._raw(
                 self.nvars, self.trunc, self._layers
@@ -384,7 +386,13 @@ class MultiSeries:
 _ZERO = Fraction(0)
 
 
-def _mul(a: MultiSeries, b: MultiSeries, trunc: int) -> MultiSeries:
+def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSeries:
+    """Product truncated at trunc, computing only the layers of degree >= low.
+
+    With low > 0 the layers below low are absent from the result, not
+    zero: callers that need one graded layer of a product (the pivot
+    induction) pass low = trunc and read that layer alone.
+    """
     if a.is_zero() or b.is_zero():
         return MultiSeries.zero(a.nvars, trunc)
     if a.term_count() > b.term_count():
@@ -405,10 +413,11 @@ def _mul(a: MultiSeries, b: MultiSeries, trunc: int) -> MultiSeries:
     packed_b = {d: pack(terms) for d, terms in ints_b.items() if d <= trunc}
     acc: dict[int, dict[int, int]] = {}
     for da, terms_a in packed_a.items():
-        for db, terms_b in packed_b.items():
-            d = da + db
-            if d > trunc:
+        for db in range(max(low - da, 0), trunc - da + 1):
+            terms_b = packed_b.get(db)
+            if terms_b is None:
                 continue
+            d = da + db
             out = acc.setdefault(d, {})
             get = out.get
             for ea, ca in terms_a:

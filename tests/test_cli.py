@@ -43,6 +43,20 @@ def symplectic_document():
     }
 
 
+def sqrt_document():
+    """X^2 - (1 + x) with seed 1: the square root of 1 + x."""
+    return {
+        "num_vars": 1,
+        "relation": [
+            {"exponents": [0], "x_power": 2, "numerator": 1},
+            {"exponents": [0], "x_power": 0, "numerator": -1},
+            {"exponents": [1], "x_power": 0, "numerator": -1},
+        ],
+        "seed": [{"exponents": [0], "numerator": 1}],
+        "seed_degree": 0,
+    }
+
+
 def run_bounded(tmp_path, arguments, seconds=30):
     """run_to_file in a worker thread; fails instead of hanging past the bound."""
     result = []
@@ -163,20 +177,7 @@ class TestNewton:
 
 class TestEisenstein:
     def test_sqrt_document(self, tmp_path):
-        doc = write_json(
-            tmp_path,
-            "sqrt.json",
-            {
-                "num_vars": 1,
-                "relation": [
-                    {"exponents": [0], "x_power": 2, "numerator": 1},
-                    {"exponents": [0], "x_power": 0, "numerator": -1},
-                    {"exponents": [1], "x_power": 0, "numerator": -1},
-                ],
-                "seed": [{"exponents": [0], "numerator": 1}],
-                "seed_degree": 0,
-            },
-        )
+        doc = write_json(tmp_path, "sqrt.json", sqrt_document())
         code, data = run_to_file(tmp_path, ["eisenstein", doc, "--degree", "6"])
         assert code == 0
         assert data["report"]["denominator_primes"] == [2]
@@ -219,6 +220,16 @@ class TestOrbit:
         code, data = run_to_file(tmp_path, ["orbit", doc, "--start", "3", "--prime", "3"])
         assert code == 2
         assert data["error"]["kind"] == "IntegralityError"
+
+    def test_zero_eigenvalue_without_prime_exit_two(self, tmp_path):
+        squaring = write_json(
+            tmp_path,
+            "square.json",
+            {"dimension": 1, "components": [[{"exponents": [2], "numerator": 1}]]},
+        )
+        code, data = run_bounded(tmp_path, ["orbit", squaring, "--start", "3"])
+        assert code == 2
+        assert data["error"]["kind"] == "DomainError"
 
 
 class TestProbe:
@@ -290,6 +301,43 @@ class TestPrimeArguments:
             assert code == 1, arguments
             assert data["error"]["kind"] == "document"
             assert data["error"]["location"] == location
+
+
+class TestIntegerArguments:
+    def test_out_of_range_flags_rejected_in_bounded_time(self, tmp_path):
+        doc = write_json(tmp_path, "map.json", doubling_document())
+        sqrt = write_json(tmp_path, "sqrt.json", sqrt_document())
+        vanishing = write_json(
+            tmp_path, "inst.json", {"coefficients": [3, -2], "units": [2, 3], "prime": 5}
+        )
+        cases = [
+            (["orbit", doc, "--start", "3", "--steps", "-5"], "--steps"),
+            (["orbit", doc, "--start", "3", "--level", "0"], "--level"),
+            (["analyze", doc, "--degree", "-3"], "--degree"),
+            (["eisenstein", sqrt, "--degree", "-3"], "--degree"),
+            (["linearize", doc, "--degree", "1"], "--degree"),
+            (["newton", doc, "--degree", "1"], "--degree"),
+            (["probe", doc, "--start", "3", "--points", "0"], "--points"),
+            (["probe", doc, "--start", "3", "--degree", "0"], "--degree"),
+            (["vanishing", vanishing, "--smax", "0"], "--smax"),
+        ]
+        for arguments, location in cases:
+            code, data = run_bounded(tmp_path, arguments)
+            assert code == 1, arguments
+            assert data["error"]["kind"] == "document"
+            assert data["error"]["location"] == location
+
+    def test_smallest_values_accepted(self, tmp_path):
+        doc = write_json(tmp_path, "map.json", doubling_document())
+        sqrt = write_json(tmp_path, "sqrt.json", sqrt_document())
+        cases = [
+            ["orbit", doc, "--start", "3", "--steps", "0", "--level", "1"],
+            ["eisenstein", sqrt, "--degree", "0"],
+            ["linearize", doc, "--degree", "2"],
+        ]
+        for arguments in cases:
+            code, _ = run_bounded(tmp_path, arguments)
+            assert code == 0, arguments
 
 
 class TestVanishing:

@@ -10,6 +10,7 @@ from padicdyn.arith import factorize, int_valuation
 from padicdyn.dynamics import (
     AnalyticMap,
     Resonance,
+    choose_prime,
     enumerate_resonances,
     jacobian_at_origin,
     rational_eigenvalues,
@@ -43,6 +44,18 @@ class TestAnalyticMap:
     def test_accepts_fixed_locus(self):
         f = poly_map([[((1, 0), 1), ((0, 2), 1)], [((0, 1), -2)]], 4, r=1)
         assert f.fixed_locus_dim == 1
+
+
+class TestChoosePrime:
+    def test_smallest_odd_prime_with_unit_eigenvalues(self):
+        # eigenvalues 3 and 1/5, coefficient 1/7: 3, 5 and 7 are excluded
+        f = poly_map([[((1, 0), 3), ((2, 0), Fraction(1, 7))], [((0, 1), Fraction(1, 5))]], 4)
+        assert choose_prime(f) == 11
+
+    def test_zero_eigenvalue_rejected(self):
+        # x -> x^2: no prime makes the eigenvalue 0 a unit
+        with pytest.raises(DomainError):
+            choose_prime(poly_map([[((2,), 1)]], 4))
 
 
 class TestJacobian:

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn.errors import DomainError
 from padicdyn.series import (
     MultiSeries,
     SeriesTuple,
+    _mul,
     gauss_norm,
     in_subspace_ar,
     invert_tuple,
@@ -72,6 +75,40 @@ class TestMul:
                         naive[key] = naive.get(key, Fraction(0)) + ca * cb
             for key, val in naive.items():
                 assert prod.coefficient(key) == val
+
+
+@st.composite
+def series_pairs(draw):
+    """Two random series in 1-3 variables, a truncation and a lower bound."""
+    nvars = draw(st.integers(1, 3))
+    trunc = draw(st.integers(0, 7))
+    term = st.tuples(
+        st.tuples(*[st.integers(0, trunc)] * nvars),
+        st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    )
+    a = MultiSeries(nvars, trunc, draw(st.lists(term, max_size=12)))
+    b = MultiSeries(nvars, trunc, draw(st.lists(term, max_size=12)))
+    return a, b, trunc, draw(st.integers(0, trunc + 1))
+
+
+class TestMulLowerBound:
+    @settings(max_examples=200, deadline=None)
+    @given(series_pairs())
+    def test_equals_the_upper_layers_of_the_full_product(self, case):
+        a, b, trunc, low = case
+        full = a * b
+        part = _mul(a, b, trunc, low=low)
+        assert part.trunc == full.trunc
+        for d in range(trunc + 1):
+            assert part.layer(d) == (full.layer(d) if d >= low else {})
+
+    def test_single_layer_of_a_dense_product(self):
+        x = MultiSeries.variable(0, 1, 40)
+        a = (1 + x).inverse()
+        b = (1 - x).inverse()
+        part = _mul(a, b, 40, low=40)
+        assert part.layer(40) == (a * b).layer(40) == {(40,): Fraction(1)}
+        assert part.lowest_degree() == 40
 
 
 class TestCompose:
@@ -228,6 +265,10 @@ class TestCalculusHelpers:
     def test_eval(self):
         phi = MultiSeries(2, 4, [((2, 0), Fraction(1)), ((0, 1), Fraction(1, 2))])
         assert phi.eval([Fraction(3), Fraction(4)]) == 11
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(DomainError):
+            univariate([1, 1], 5).truncated(-1)
 
     def test_inverse_series(self):
         phi = univariate([1, 1], 5)  # 1 + x
