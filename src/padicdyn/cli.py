@@ -72,9 +72,9 @@ def _rational(value: Any, path: str) -> Fraction:
 
 
 def _prime(value: Any, path: str) -> int:
-    """A prime from a document field or flag; anything else is a document error."""
-    if isinstance(value, bool) or not isinstance(value, int) or not is_prime(value):
-        raise DocumentError(path, f"expected a prime, got {value!r}")
+    """An odd prime from a document field or flag; anything else is a document error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value == 2 or not is_prime(value):
+        raise DocumentError(path, f"expected an odd prime, got {value!r}")
     return value
 
 
@@ -94,14 +94,6 @@ def _encode_rational(x: Fraction):
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _encode_series(phi: MultiSeries) -> list[dict]:
-    return phi.to_records()
-
-
-def _encode_tuple(tup: SeriesTuple) -> list[list[dict]]:
-    return tup.to_records()
-
-
 def _encode_matrix(m) -> list[list]:
     return [[_encode_rational(x) for x in row] for row in m]
 
@@ -112,13 +104,11 @@ class MapDocument:
     def __init__(
         self,
         analytic_map: AnalyticMap,
-        variables: list[str],
         prime: int | None,
         precision: int,
         symplectic_form: list[list[Fraction]] | None,
     ) -> None:
         self.map = analytic_map
-        self.variables = variables
         self.prime = prime
         self.precision = precision
         self.symplectic_form = symplectic_form
@@ -167,8 +157,8 @@ def parse_map_document(data: Any, truncation: int | None = None) -> MapDocument:
             parsed.append((tuple(exps), Fraction(num, den)))
         series.append(MultiSeries(n, trunc, parsed))
     prime = data.get("prime")
-    if prime is not None and _prime(prime, "prime") == 2:
-        raise DocumentError("prime", "expected an odd prime")
+    if prime is not None:
+        _prime(prime, "prime")
     precision = data.get("precision", DEFAULT_PRECISION)
     if not isinstance(precision, int) or precision < 1:
         raise DocumentError("precision", "expected a positive integer")
@@ -189,7 +179,7 @@ def parse_map_document(data: Any, truncation: int | None = None) -> MapDocument:
         amap = AnalyticMap(SeriesTuple(series), fixed_locus_dim=r)
     except PadicDynError as exc:
         raise DocumentError("components", str(exc)) from exc
-    return MapDocument(amap, list(variables), prime, precision, form)
+    return MapDocument(amap, prime, precision, form)
 
 
 def _load_json(path: str) -> Any:
@@ -266,15 +256,15 @@ def cmd_analyze(args) -> dict:
 
 def _conjugacy_report(result, change: SeriesTuple | None) -> dict:
     report = {
-        "h": _encode_tuple(result.h),
-        "h_inverse": _encode_tuple(result.h_inverse),
+        "h": result.h.to_records(),
+        "h_inverse": result.h_inverse.to_records(),
         "verified_degree": result.verified_degree,
         "residual_zero": result.residual.is_zero(),
         "denominator_primes": sorted(result.denominator_primes),
         "eigenvalues": [_encode_rational(x) for x in result.eigenvalues],
     }
     if change is not None:
-        report["normalizing_change"] = _encode_tuple(change)
+        report["normalizing_change"] = change.to_records()
     return report
 
 
@@ -284,7 +274,6 @@ def _prepare_linearizable(doc: MapDocument, degree: int):
         f = AnalyticMap(
             SeriesTuple([c.as_polynomial(degree) for c in f.components]),
             f.fixed_locus_dim,
-            f.base_point,
         )
     normalized, change = normalize_fixed_locus(f)
     identity = SeriesTuple.identity(f.n, f.trunc)
@@ -374,7 +363,7 @@ def cmd_eisenstein(args) -> dict:
     return {
         "vanishing_order": spec.vanishing_order,
         "pivot_monomial": list(spec.pivot_monomial),
-        "coefficients": _encode_series(phi),
+        "coefficients": phi.to_records(),
         "degree": depth,
         "denominator_primes": sorted(support.primes),
         "squarefree_product": support.squarefree_product,

@@ -63,10 +63,6 @@ class EigenData:
 
     eigenvalues: tuple[Fraction, ...]
     semisimple: bool
-    resonances: tuple[Resonance, ...] | None = None
-    relation_basis: tuple[tuple[int, ...], ...] | None = None
-    rank: int | None = None
-    torsion_free: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,6 @@ class RelationLattice:
     """
 
     basis: tuple[tuple[int, ...], ...]
-    small_basis: tuple[tuple[int, ...], ...]
     complement: tuple[tuple[int, ...], ...]
     unsigned_kernel: tuple[tuple[int, ...], ...]
     rank: int
@@ -100,16 +95,14 @@ class AnalyticMap:
     Attributes:
         components:       the defining series tuple, one per coordinate
         fixed_locus_dim:  declared dimension r of the fixed locus
-        base_point:       chart coordinates of the fixed point (the origin)
     """
 
-    __slots__ = ("components", "fixed_locus_dim", "base_point")
+    __slots__ = ("components", "fixed_locus_dim")
 
     def __init__(
         self,
         components: SeriesTuple | Sequence[MultiSeries],
         fixed_locus_dim: int = 0,
-        base_point: Sequence[Fraction] | None = None,
     ) -> None:
         comps = components if isinstance(components, SeriesTuple) else SeriesTuple(components)
         n = comps.nvars
@@ -132,7 +125,6 @@ class AnalyticMap:
                     )
         self.components = comps
         self.fixed_locus_dim = r
-        self.base_point = tuple(Fraction(c) for c in base_point) if base_point else (Fraction(0),) * n
 
     @property
     def n(self) -> int:
@@ -144,9 +136,6 @@ class AnalyticMap:
 
     def __repr__(self) -> str:
         return f"AnalyticMap(n={self.n}, r={self.fixed_locus_dim}, trunc={self.trunc})"
-
-    def truncated(self, new_trunc: int) -> "AnalyticMap":
-        return AnalyticMap(self.components.truncated(new_trunc), self.fixed_locus_dim, self.base_point)
 
 
 def jacobian_at_origin(f: AnalyticMap | SeriesTuple) -> list[list[Fraction]]:
@@ -300,14 +289,8 @@ def enumerate_resonances(
     return out
 
 
-def relation_lattice(
-    eigenvalues: Sequence[Fraction], exponent_bound: int = 64
-) -> RelationLattice:
-    """Exact multiplicative-relation lattice via prime-factorization linear algebra.
-
-    ``exponent_bound`` only caps which basis vectors are echoed in
-    ``small_basis``; the lattice itself is computed in full.
-    """
+def relation_lattice(eigenvalues: Sequence[Fraction]) -> RelationLattice:
+    """Exact multiplicative-relation lattice via prime-factorization linear algebra."""
     lams = [Fraction(x) for x in eigenvalues]
     if any(x == 0 for x in lams):
         raise DomainError("eigenvalues must be nonzero")
@@ -334,11 +317,8 @@ def relation_lattice(
         for i in odd[1:]:
             basis[i] = [a - b for a, b in zip(basis[i], basis[anchor])]
         basis[anchor] = [2 * a for a in basis[anchor]]
-    basis_t = tuple(tuple(vec) for vec in basis)
-    small = tuple(vec for vec in basis_t if vec and max(abs(x) for x in vec) <= exponent_bound)
     return RelationLattice(
-        basis=basis_t,
-        small_basis=small,
+        basis=tuple(tuple(vec) for vec in basis),
         complement=tuple(tuple(vec) for vec in complement),
         unsigned_kernel=tuple(tuple(vec) for vec in kernel),
         rank=n - len(kernel),

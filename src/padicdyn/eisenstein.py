@@ -17,8 +17,9 @@ When F' is a unit at the seed (s = 0), plain quadratic Hensel lifting is
 used instead; the pivot machinery stays available behind method="pivot".
 
 Both routes compute only what each step reads.  The pivot induction needs
-one layer of F(phi) per degree, so the last product of its Horner
-evaluation forms that layer alone.  A Hensel step needs 1/F'(phi) only
+one layer of F(phi) per degree, so it calls XPolynomial.evaluate with a
+lower bound low equal to that degree: the last product of the Horner
+evaluation then forms that layer alone.  A Hensel step needs 1/F'(phi) only
 through the new degree minus the order of F(phi), so the slope is
 evaluated and inverted at that cap.  The dropped terms never reach a kept
 coefficient, so the outputs are those of full evaluations, and the final
@@ -74,11 +75,6 @@ class XPolynomial:
             poly[key] = poly.get(key, Fraction(0)) + Fraction(c)
         return cls(nvars, coeffs)
 
-    def degree_in_x_big(self) -> int:
-        return max(
-            (sum(e) for poly in self.coeffs.values() for e in poly), default=0
-        )
-
     @property
     def x_degree(self) -> int:
         return max(self.coeffs)
@@ -97,40 +93,21 @@ class XPolynomial:
         poly = self.coeffs.get(k, {})
         return MultiSeries(self.nvars, trunc, poly.items())
 
-    def evaluate(self, phi: MultiSeries, trunc: int) -> MultiSeries:
-        """Horner evaluation F(x, phi(x)) truncated at the given degree."""
+    def evaluate(self, phi: MultiSeries, trunc: int, low: int = 0) -> MultiSeries:
+        """Horner evaluation F(x, phi(x)) truncated at the given degree.
+
+        With low > 0 the last Horner product forms only its layers of
+        degree >= low, so only those layers of the result are layers of
+        F(x, phi); callers read them with .layer().
+        """
         if phi.nvars != self.nvars:
             raise DomainError("variable count mismatch")
         work = phi.truncated(trunc) if phi.trunc > trunc else phi.as_polynomial(trunc)
         acc = self.coefficient_series(self.x_degree, trunc)
         for k in range(self.x_degree - 1, -1, -1):
-            acc = acc * work + self.coefficient_series(k, trunc)
+            product = _mul(acc, work, trunc, low) if k == 0 and low else acc * work
+            acc = product + self.coefficient_series(k, trunc)
         return acc
-
-    def evaluate_layer(self, phi: MultiSeries, degree: int) -> dict[Exponents, Fraction]:
-        """Homogeneous degree part of F(x, phi(x)).
-
-        The same Horner scheme as evaluate, but the last product computes
-        only the layer it is asked for; the lower layers of F(x, phi) are
-        never formed.
-        """
-        if phi.nvars != self.nvars:
-            raise DomainError("variable count mismatch")
-        constant = self.coefficient_series(0, degree)
-        if self.x_degree == 0:
-            return constant.layer(degree)
-        work = phi.truncated(degree) if phi.trunc > degree else phi.as_polynomial(degree)
-        acc = self.coefficient_series(self.x_degree, degree)
-        for k in range(self.x_degree - 1, 0, -1):
-            acc = acc * work + self.coefficient_series(k, degree)
-        return (_mul(acc, work, degree, low=degree) + constant).layer(degree)
-
-    def to_terms(self) -> list[tuple[list[int], int, Fraction]]:
-        out = []
-        for k in sorted(self.coeffs):
-            for e in sorted(self.coeffs[k]):
-                out.append((list(e), k, self.coeffs[k][e]))
-        return out
 
 
 @dataclass(frozen=True)
@@ -184,7 +161,7 @@ def detect_vanishing_order(relation: XPolynomial, seed: MultiSeries) -> int:
 
 def _derivative_layer(relation: XPolynomial, seed: MultiSeries, s: int) -> dict[Exponents, Fraction]:
     """Homogeneous degree-s part of F'(phi_{s+1}): the division pivot form."""
-    return relation.derivative_in_x_big().evaluate_layer(seed, s)
+    return relation.derivative_in_x_big().evaluate(seed, s, low=s).layer(s)
 
 
 def _valuation_key(exps: Exponents) -> tuple[int, ...]:
@@ -276,15 +253,15 @@ def _pivot_induction(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
 
     Each degree reads one layer of F(x, phi): its Horner evaluation runs
     through degree d + s, and the last product forms layer d + s alone
-    (XPolynomial.evaluate_layer).  That layer is the same as in a full
-    evaluation, so the output is unchanged, while a step costs about one
-    layer of the last product instead of the whole series.
+    (XPolynomial.evaluate with low = d + s).  That layer is the same as in
+    a full evaluation, so the output is unchanged, while a step costs about
+    one layer of the last product instead of the whole series.
     """
     s = spec.vanishing_order
     divisor = _derivative_layer(spec.relation, spec.seed, s)
     phi = spec.seed
     for d in range(spec.seed.trunc + 1, degree + 1):
-        numerator = spec.relation.evaluate_layer(phi, d + s)
+        numerator = spec.relation.evaluate(phi, d + s, low=d + s).layer(d + s)
         if not numerator:
             phi = phi.as_polynomial(d)
             continue

@@ -19,10 +19,15 @@ small-divisor bound |w|_{rho-delta} <= C1 |g|_rho rho^beta / delta^beta.
 Before iterating, the map is rescaled by the smallest power of the working
 prime that makes the nonlinearity p-adically small; the conjugacy is
 mapped back to the original coordinates afterwards, so both routes agree
-coefficient for coefficient.  Within a window the residual has order
->= low and only layers low..high of (Dh o Lambda)^(-1) times the residual
-are kept, so that series-matrix inverse is computed through degree
-high - low only.
+coefficient for coefficient.  The rescaling and its inverse are the same
+conjugation x -> g(c x) / c, a diagonal substitution and a scaling.
+
+Within a window the residual has order >= low and is kept through degree
+high, so g = (Dh o Lambda)^(-1) times the residual needs that series-matrix
+inverse only through degree high - low, and g has its support in layers
+low..high.  The correction e solving the
+homological equation against g keeps that support, and since Dh has a
+constant term, Dh e formed at cap high again lies in layers low..high.
 
 Both routes obtain h^(-1) the same way: k = h^(-1) satisfies
 k o f = Lambda o k, and with k = id + kappa each layer kappa_d solves the
@@ -211,8 +216,13 @@ def solve_homological(
     return SeriesTuple(out)
 
 
-def _diagonal_part(f: AnalyticMap) -> list[Fraction]:
-    """Eigenvalues read off a diagonal linear part; error if not diagonal."""
+def _normalized_eigenvalues(f: AnalyticMap) -> list[Fraction]:
+    """Eigenvalues of a map in normalized coordinates; error if it is not.
+
+    The linear part must be diagonal with nonzero eigenvalues, equal to one
+    along the fixed locus, and f - Lambda must vanish to second transverse
+    order.
+    """
     m = f.components.linear_matrix()
     if not ratlinalg.is_diagonal(m):
         raise DomainError(
@@ -224,21 +234,14 @@ def _diagonal_part(f: AnalyticMap) -> list[Fraction]:
     r = f.fixed_locus_dim
     if any(lams[i] != 1 for i in range(r)):
         raise DomainError("eigenvalues along the fixed locus must equal one")
-    return lams
-
-
-def _check_normalized(f: AnalyticMap, lams: Sequence[Fraction]) -> SeriesTuple:
-    """Verify f - Lambda vanishes to second transverse order; return it."""
-    n, trunc, r = f.n, f.trunc, f.fixed_locus_dim
-    lam_tuple = SeriesTuple.diagonal(lams, trunc)
-    phi = f.components - lam_tuple
+    phi = f.components - SeriesTuple.diagonal(lams, f.trunc)
     for j, comp in enumerate(phi.components):
         if not in_subspace_ar(comp, r):
             raise DomainError(
                 f"component {j} of f - Lambda has transverse order < 2; "
                 "apply the fixed-locus normalizations first"
             )
-    return phi
+    return lams
 
 
 def denominator_primes_of(h: SeriesTuple) -> frozenset[int]:
@@ -270,6 +273,23 @@ def _conjugacy_inverse(
     return k
 
 
+def _verified_conjugacy(
+    h: SeriesTuple, fmap: SeriesTuple, lams: Sequence[Fraction], r: int
+) -> ConjugacyResult:
+    """Check fmap o h = h o Lambda through h.trunc and assemble the result."""
+    residual = fmap.compose(h) - h.compose_diagonal(lams)
+    if not residual.is_zero():
+        raise AssertionError("conjugacy residual failed to vanish")
+    return ConjugacyResult(
+        h=h,
+        h_inverse=_conjugacy_inverse(h, fmap, lams, r),
+        verified_degree=h.trunc,
+        residual=residual,
+        denominator_primes=denominator_primes_of(h),
+        eigenvalues=tuple(lams),
+    )
+
+
 def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
     """Solve f o h = h o Lambda one graded layer at a time, exactly.
 
@@ -297,8 +317,7 @@ def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
             denominator_primes=frozenset(),
             eigenvalues=tuple(Fraction(1) for _ in range(n)),
         )
-    lams = _diagonal_part(f)
-    _check_normalized(f, lams)
+    lams = _normalized_eigenvalues(f)
     r = f.fixed_locus_dim
     fmap = f.components.truncated(degree)
     h = SeriesTuple.identity(n, degree)
@@ -314,17 +333,7 @@ def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
         layer = residual.layer_tuple(d)
         w = solve_homological(layer, lams, r)
         h = h + SeriesTuple([comp.as_polynomial(degree) for comp in w.components])
-    residual = fmap.compose(h) - h.compose_diagonal(lams)
-    if not residual.is_zero():
-        raise AssertionError("conjugacy residual failed to vanish")
-    return ConjugacyResult(
-        h=h,
-        h_inverse=_conjugacy_inverse(h, fmap, lams, r),
-        verified_degree=degree,
-        residual=residual,
-        denominator_primes=denominator_primes_of(h),
-        eigenvalues=tuple(lams),
-    )
+    return _verified_conjugacy(h, fmap, lams, r)
 
 
 def _series_matrix_vector(mat: list[list[MultiSeries]], vec: SeriesTuple) -> SeriesTuple:
@@ -428,8 +437,7 @@ def linearize_newton(
             prime=prime if prime is not None else 3,
         )
         return result, trace
-    lams = _diagonal_part(f)
-    _check_normalized(f, lams)
+    lams = _normalized_eigenvalues(f)
     if prime is None:
         prime = choose_prime(f, lams)
     elif not is_prime(prime) or prime == 2:
@@ -438,7 +446,7 @@ def linearize_newton(
     fmap = f.components.truncated(degree)
     scale_exp = _rescale_exponent(fmap, lams, prime)
     u = Fraction(1, prime**scale_exp)
-    scaled = _rescale_map(fmap, scale_exp, prime)
+    scaled = _rescale_map(fmap, 1 / u)
 
     h = SeriesTuple.identity(n, degree)
     iterations: list[NewtonIteration] = []
@@ -479,38 +487,22 @@ def linearize_newton(
                 [entry.as_polynomial(high) for entry in row]
                 for row in _series_matrix_inverse(jac_scaled, high - low)
             ]
-            g = _series_matrix_vector(jac_inv, residual)
-            g_window = SeriesTuple(
+            # g already holds only the window layers low..high (see the
+            # module docstring); its cap is raised to degree because the
+            # norm bound's horizon is read from it
+            g = SeriesTuple(
                 [
-                    sum(
-                        (
-                            _layer_poly(comp, d, degree)
-                            for d in range(low, high + 1)
-                        ),
-                        MultiSeries.zero(n, degree),
-                    )
-                    for comp in g.components
+                    comp.as_polynomial(degree)
+                    for comp in _series_matrix_vector(jac_inv, residual)
                 ]
             )
-            e = solve_homological(g_window, lams, r)
+            e = solve_homological(g, lams, r)
             if bound_cert is None:
-                bound_cert = check_norm_bound(
-                    g_window, e, lams, rho, delta, params, prime
-                )
-            delta_tuple = _series_matrix_vector(
-                [[entry.as_polynomial(degree) for entry in row] for row in jac],
-                e,
-            )
-            delta_window = SeriesTuple(
-                [
-                    sum(
-                        (_layer_poly(comp, d, degree) for d in range(low, high + 1)),
-                        MultiSeries.zero(n, degree),
-                    )
-                    for comp in delta_tuple.components
-                ]
-            )
-            h = h + delta_window
+                bound_cert = check_norm_bound(g, e, lams, rho, delta, params, prime)
+            # e inherits the window support of g, and Dh has a constant
+            # term, so Dh e formed at cap high has its layers in low..high
+            correction = _series_matrix_vector(jac, e.truncated(high))
+            h = h + SeriesTuple([comp.as_polynomial(degree) for comp in correction])
             guard += 1
             if guard > high:
                 raise AssertionError("Newton window refinement failed to converge")
@@ -532,18 +524,7 @@ def linearize_newton(
             index += 1
         low = 2 * low
 
-    h_original = _rescale_map(h, -scale_exp, prime)
-    residual = fmap.compose(h_original) - h_original.compose_diagonal(lams)
-    if not residual.is_zero():
-        raise AssertionError("conjugacy residual failed to vanish after rescaling back")
-    result = ConjugacyResult(
-        h=h_original,
-        h_inverse=_conjugacy_inverse(h_original, fmap, lams, r),
-        verified_degree=degree,
-        residual=residual,
-        denominator_primes=denominator_primes_of(h_original),
-        eigenvalues=tuple(lams),
-    )
+    result = _verified_conjugacy(_rescale_map(h, u), fmap, lams, r)
     trace = NewtonTrace(
         iterations=tuple(iterations),
         radii=tuple(radii),
@@ -555,13 +536,6 @@ def linearize_newton(
         else None,
     )
     return result, trace
-
-
-def _layer_poly(comp: MultiSeries, d: int, trunc: int) -> MultiSeries:
-    lay = comp.layer(d)
-    if not lay:
-        return MultiSeries.zero(comp.nvars, trunc)
-    return MultiSeries(comp.nvars, trunc, lay.items())
 
 
 def _rescale_exponent(fmap: SeriesTuple, lams: Sequence[Fraction], prime: int) -> int:
@@ -580,20 +554,9 @@ def _rescale_exponent(fmap: SeriesTuple, lams: Sequence[Fraction], prime: int) -
     return k
 
 
-def _rescale_map(g: SeriesTuple, scale_exp: int, prime: int) -> SeriesTuple:
-    """Conjugation by x -> u x with u = p**(-scale_exp): degree-d terms scale
-    by p**(scale_exp (d-1))."""
-    if scale_exp == 0:
-        return g
-    out = []
-    for comp in g.components:
-        terms = []
-        for exps, coeff in comp.terms():
-            d = sum(exps)
-            factor = Fraction(prime) ** (scale_exp * (d - 1))
-            terms.append((exps, coeff * factor))
-        out.append(MultiSeries(comp.nvars, comp.trunc, terms))
-    return SeriesTuple(out)
+def _rescale_map(g: SeriesTuple, c: Fraction) -> SeriesTuple:
+    """The conjugate x -> g(c x) / c: degree-d terms scale by c**(d - 1)."""
+    return SeriesTuple([comp.scale(1 / c) for comp in g.compose_diagonal([c] * g.nvars)])
 
 
 def check_norm_bound(
@@ -714,7 +677,7 @@ def normalize_mod_if2(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
     h = SeriesTuple(comps)
     h_inv = h.invert()
     g = h_inv.compose(f.components.compose(h))
-    g_map = AnalyticMap(g, r, f.base_point)
+    g_map = AnalyticMap(g, r)
     g_head, _ = _transverse_linear_blocks(g - SeriesTuple.identity(n, trunc), r)
     if not all(entry.is_zero() for row in g_head for entry in row):
         raise AssertionError("shear failed to remove the head-tail coupling")
@@ -850,7 +813,7 @@ def diagonalize_normal_part(
         comps.append(acc)
     change = SeriesTuple(comps)
     g = change.invert().compose(f.components.compose(change))
-    g_map = AnalyticMap(g, r, f.base_point)
+    g_map = AnalyticMap(g, r)
     # the transverse block must now be the constant diagonal
     _, g_tail = _transverse_linear_blocks(g - SeriesTuple.identity(n, trunc), r)
     for i in range(t):

@@ -33,10 +33,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ]
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((a[i][k] * v[k] for k in range(len(v))), Fraction(0)) for i in range(len(a))]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 

@@ -122,10 +122,6 @@ class MultiSeries:
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls._raw(nvars, trunc, {1: {exps: Fraction(1)}})
 
-    @classmethod
-    def monomial(cls, coeff, exps: Sequence[int], trunc: int) -> "MultiSeries":
-        return cls(len(exps), trunc, [(tuple(exps), _as_coeff(coeff))])
-
     # -- views -----------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:

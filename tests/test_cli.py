@@ -302,6 +302,26 @@ class TestPrimeArguments:
             assert data["error"]["kind"] == "document"
             assert data["error"]["location"] == location
 
+    def test_two_rejected_in_bounded_time(self, tmp_path):
+        doc = write_json(tmp_path, "map.json", doubling_document())
+        at_two = write_json(tmp_path, "two.json", dict(doubling_document(), prime=2))
+        vanishing = write_json(
+            tmp_path, "inst.json", {"coefficients": [3, -2], "units": [3, 5], "prime": 2}
+        )
+        cases = [
+            (["newton", doc, "--degree", "4", "--prime", "2"], "--prime"),
+            (["orbit", doc, "--start", "3", "--prime", "2"], "--prime"),
+            (["analyze", doc, "--prime", "2"], "--prime"),
+            (["vanishing", vanishing, "--smax", "10"], "prime"),
+            (["linearize", at_two, "--degree", "4"], "prime"),
+        ]
+        for arguments, location in cases:
+            code, data = run_bounded(tmp_path, arguments)
+            assert code == 1, arguments
+            assert data["error"]["kind"] == "document"
+            assert data["error"]["location"] == location
+            assert "odd prime" in data["error"]["message"]
+
 
 class TestIntegerArguments:
     def test_out_of_range_flags_rejected_in_bounded_time(self, tmp_path):

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn import ratlinalg
 from padicdyn.arith import factorize, int_valuation
 from padicdyn.dynamics import (
     AnalyticMap,
     Resonance,
+    _rational_roots_monic,
     choose_prime,
     enumerate_resonances,
     jacobian_at_origin,
@@ -264,3 +267,63 @@ class TestSymplecticScaling:
             assert report.holds
             lhs = ratlinalg.det(ratlinalg.mat_mul(ratlinalg.mat_mul(ratlinalg.transpose(m), sigma), m))
             assert lhs == Fraction(-2) ** 4 * ratlinalg.det(sigma)
+
+
+class TestAgainstSympy:
+    """Differential tests against sympy's factorization and root finding (test-only)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(1, 10**12),
+            # products of two primes above the trial-division bound go to Pollard rho
+            st.tuples(
+                st.sampled_from([100003, 1000003, 999999937]),
+                st.sampled_from([100019, 1000033, 2**31 - 1]),
+                st.integers(1, 10**4),
+            ).map(lambda t: t[0] * t[1] * t[2]),
+        )
+    )
+    def test_factorize_matches_factorint(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert factorize(n) == {int(p): e for p, e in sympy.factorint(n).items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-12, 12), st.integers(1, 6)).map(lambda t: Fraction(*t)),
+            min_size=0,
+            max_size=4,
+        ),
+        st.none() | st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+    )
+    def test_rational_roots_match_all_roots(self, roots, quadratic):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(1, x, domain="QQ")
+        for root in roots:
+            poly *= sympy.Poly(x - sympy.Rational(root.numerator, root.denominator), x)
+        if quadratic is not None:
+            # x^2 + b x + c: irrational or complex roots for most draws
+            poly *= sympy.Poly(x**2 + quadratic[0] * x + quadratic[1], x)
+        if poly.degree() < 1:
+            return
+        monic = [
+            Fraction(int(c.p), int(c.q)) for c in reversed(poly.monic().all_coeffs())
+        ]
+        reference = poly.all_roots()
+        got = _rational_roots_monic(monic)
+        if all(r.is_Rational for r in reference):
+            assert got is not None
+            assert sorted(got) == sorted(Fraction(int(r.p), int(r.q)) for r in reference)
+        else:
+            assert got is None
+
+    def test_irrational_roots_give_none(self):
+        # x^2 - 2, x^2 + 1 and (x - 1/2)(x^3 - 3)
+        for monic in (
+            [Fraction(-2), Fraction(0), Fraction(1)],
+            [Fraction(1), Fraction(0), Fraction(1)],
+            [Fraction(3, 2), Fraction(-3), Fraction(0), Fraction(-1, 2), Fraction(1)],
+        ):
+            assert _rational_roots_monic(monic) is None

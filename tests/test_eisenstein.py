@@ -282,7 +282,7 @@ class TestLayerOnlyPivotInduction:
         phi = MultiSeries(nvars, 4, [((a, b)[:nvars], c) for a, b, c in phi_terms])
         if phi.trunc < degree:
             phi = phi.as_polynomial(degree)
-        assert relation.evaluate_layer(phi, degree) == relation.evaluate(phi, degree).layer(degree)
+        assert relation.evaluate(phi, degree, low=degree).layer(degree) == relation.evaluate(phi, degree).layer(degree)
 
 
 class TestAgainstSympy:

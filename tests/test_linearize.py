@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn.dynamics import AnalyticMap, DiophantineParams
 from padicdyn.errors import (
@@ -340,6 +342,44 @@ class TestNewton:
         result, _ = linearize_newton(f, 6, DiophantineParams(1, 0), prime=3)
         direct = linearize_order_by_order(f, 6)
         assert result.h.agrees_through(direct.h, 6)
+
+
+class TestNewtonMatchesOrderByOrder:
+    """Newton and order-by-order give the same h on random non-resonant maps.
+
+    Eigenvalues from +-{2, 3, 5} admit no relation lambda^I = lambda_j with
+    |I| >= 2, so both routes run to the end; coefficients with 7 or 49 in
+    the denominator make the working prime 7 rescale by more than one step.
+    """
+
+    MONOMIALS = [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.sampled_from([2, 3, 5, -2, -3, -5]), min_size=2, max_size=2),
+        st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.sampled_from(MONOMIALS),
+                st.sampled_from([-14, -7, -3, -1, 1, 2, 7]),
+                st.sampled_from([1, 1, 7, 49]),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(8, 10),
+    )
+    def test_routes_agree_and_invert(self, lams, nonlinear, degree):
+        comps = [[((1, 0), lams[0])], [((0, 1), lams[1])]]
+        for j, exps, num, den in nonlinear:
+            comps[j].append((exps, Fraction(num, den)))
+        f = build_map(comps, degree)
+        direct = linearize_order_by_order(f, degree)
+        newton = newton_route(f, degree)
+        assert newton.h == direct.h
+        identity = SeriesTuple.identity(2, degree)
+        for result in (direct, newton):
+            assert result.h.compose(result.h_inverse) == identity
 
 
 class TestRatPow:

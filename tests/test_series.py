@@ -1,5 +1,6 @@
 """Unit tests for the truncated series algebra and Gauss norms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -179,6 +180,43 @@ class TestInvertTuple:
         g = SeriesTuple([univariate([0, 0, 1], 3)])
         with pytest.raises(DomainError):
             invert_tuple(g)
+
+
+class TestInvertAgainstSympy:
+    """g o g.invert() = x through the truncation, composed by sympy (test-only)."""
+
+    @pytest.mark.parametrize("nvars, trunc, seed", [(1, 9, 1), (1, 9, 2), (2, 6, 3), (2, 6, 4)])
+    def test_composition_is_identity(self, nvars, trunc, seed):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(f"x0:{nvars}")
+        rng = random.Random(seed)
+        monomials = [e for e in itertools.product(range(4), repeat=nvars) if 2 <= sum(e) <= 3]
+        comps = []
+        for i in range(nvars):
+            terms = [(e, Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for e in rng.sample(monomials, 2)]
+            # diagonal entries and one coupling below them: the linear part is invertible
+            terms.append((tuple(int(j == i) for j in range(nvars)), Fraction(rng.choice([-3, -1, 2, 5]))))
+            if i > 0:
+                terms.append((tuple(int(j == 0) for j in range(nvars)), Fraction(1)))
+            comps.append(MultiSeries(nvars, trunc, terms))
+        g = SeriesTuple(comps)
+
+        def as_sympy(phi):
+            return sum(
+                (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x**e for x, e in zip(xs, exps)])
+                 for exps, c in phi.terms()),
+                sympy.Integer(0),
+            )
+
+        inverse = [as_sympy(c) for c in g.invert()]
+        for i, comp in enumerate(g):
+            composed = sympy.expand(as_sympy(comp).subs(dict(zip(xs, inverse)), simultaneous=True))
+            kept = {
+                exps: c
+                for exps, c in sympy.Poly(composed, *xs).terms()
+                if 0 < sum(exps) <= trunc
+            }
+            assert kept == {tuple(1 if j == i else 0 for j in range(nvars)): 1}, i
 
 
 class TestGaussNorm:
