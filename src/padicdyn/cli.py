@@ -53,6 +53,9 @@ from .series import MultiSeries, SeriesTuple
 SCHEMA_VERSION = "1"
 DEFAULT_PRECISION = 32
 DEFAULT_TRUNCATION = 8
+# exact orbit points of a nonlinear map can grow in height geometrically per
+# step; probe refuses a point with a coordinate taller than this many bits
+PROBE_MAX_BITS = 2**16
 
 USAGE_EXIT = 1
 OBSTRUCTION_EXIT = 2
@@ -416,11 +419,21 @@ def cmd_probe(args) -> dict:
             "kernel": [[_encode_rational(c) for c in vec] for vec in est.probe.kernel],
             "monomials": [list(mn) for mn in est.probe.monomials],
         }
-    points = []
-    current = tuple(start)
-    for _ in range(args.points):
-        points.append(current)
-        current = f.components.eval(current)
+    points = [tuple(start)]
+    while True:
+        tallest = max(
+            max(x.numerator.bit_length(), x.denominator.bit_length()) for x in points[-1]
+        )
+        if tallest > PROBE_MAX_BITS:
+            raise DocumentError(
+                "--points",
+                f"orbit point {len(points) - 1} (the start is point 0) has a coordinate of "
+                f"{tallest} bits, above the ceiling of {PROBE_MAX_BITS}; "
+                f"ask for at most {len(points) - 1} points",
+            )
+        if len(points) == args.points:
+            break
+        points.append(f.components.eval(points[-1]))
     probe = relation_probe(points, degree)
     return {
         "mode": "orbit",

@@ -139,15 +139,12 @@ def iterate_in_neighbourhood(
         point = _evaluate_residues(coeff_residues, point, modulus)
         orbit.append(point)
 
-    stays = True
-    constant = True
+    valuations = [[_residue_valuation(x, p, precision) for x in pt] for pt in orbit]
+    stays = all(v >= s for vals in valuations for v in vals)
     level_mod = p**s
-    for pt in orbit:
-        for x, x0 in zip(pt, orbit[0]):
-            if _residue_valuation(x, p, precision) < s:
-                stays = False
-            if (x - x0) % level_mod:
-                constant = False
+    constant = all(
+        (x - x0) % level_mod == 0 for pt in orbit for x, x0 in zip(pt, orbit[0])
+    )
 
     checked = skipped = 0
     if unit_jacobian:
@@ -164,7 +161,8 @@ def iterate_in_neighbourhood(
             checked += 1
 
     points = tuple(
-        tuple(_residue_to_padic(x, p, precision) for x in pt) for pt in orbit
+        tuple(_residue_to_padic(x, v, p, precision) for x, v in zip(pt, vals))
+        for pt, vals in zip(orbit, valuations)
     )
     return OrbitResult(
         points=points,
@@ -178,39 +176,40 @@ def iterate_in_neighbourhood(
 
 
 def _evaluate_residues(coeff_residues, point: tuple[int, ...], modulus: int) -> tuple[int, ...]:
-    powers: list[list[int]] = []
-    for x in point:
-        powers.append([1, x % modulus])
+    """The map at a point whose coordinates are already reduced mod modulus.
+
+    Powers are cached reduced; each term and each component sum is formed
+    over the integers and reduced once per component.
+    """
+    powers = [[1, x] for x in point]
     out = []
     for terms in coeff_residues:
         total = 0
         for exps, c in terms:
             value = c
-            for i, e in enumerate(exps):
+            for cache, e in zip(powers, exps):
                 if e:
-                    cache = powers[i]
                     while len(cache) <= e:
                         cache.append(cache[-1] * cache[1] % modulus)
-                    value = value * cache[e] % modulus
-            total = (total + value) % modulus
-        out.append(total)
+                    value *= cache[e]
+            total += value
+        out.append(total % modulus)
     return tuple(out)
 
 
 def _residue_valuation(x: int, p: int, precision: int) -> int:
-    if x % p**precision == 0:
-        return precision
-    return int_valuation(x, p)
+    """Valuation of x, capped at precision; requires |x| < p**precision."""
+    return precision if x == 0 else int_valuation(x, p)
 
 
 def _pair_valuation(a: tuple[int, ...], b: tuple[int, ...], p: int, precision: int) -> int:
     return min(_residue_valuation(x - y, p, precision) for x, y in zip(a, b))
 
 
-def _residue_to_padic(x: int, p: int, precision: int) -> PAdic:
-    if x % p**precision == 0:
+def _residue_to_padic(x: int, v: int, p: int, precision: int) -> PAdic:
+    """The residue x mod p**precision, of valuation v, as a p-adic."""
+    if v == precision:
         return PAdic(p, precision, 0, 0)
-    v = int_valuation(x, p)
     return PAdic(p, v, x // p**v, precision - v)
 
 

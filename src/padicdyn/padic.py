@@ -13,7 +13,9 @@ and its ``precision`` is zero.
 
 Only odd primes are accepted: the logarithm's convergence condition
 |x| < |p|**(1/(p-1)) then reduces to "u = 1 mod p", which keeps the whole
-module free of case analysis at p = 2.
+module free of case analysis at p = 2.  Each prime is validated once per
+process: a prime that passed the primality test is remembered, while 2,
+1 and composites are rejected on every call.
 """
 
 from __future__ import annotations
@@ -25,10 +27,16 @@ from .errors import DomainError, PrecisionError
 
 INFINITY = float("inf")
 
+_ODD_PRIMES: set[int] = set()
+
 
 def _check_prime(p: int) -> None:
+    """Reject anything but an odd prime; each accepted prime is tested once."""
+    if p in _ODD_PRIMES:
+        return
     if p == 2 or not is_prime(p):
         raise DomainError(f"{p} is not an odd prime")
+    _ODD_PRIMES.add(p)
 
 
 class PAdic:
@@ -38,38 +46,32 @@ class PAdic:
 
     def __init__(self, prime: int, valuation, unit_digits: int, precision) -> None:
         _check_prime(prime)
-        object.__setattr__(self, "prime", prime)
         if unit_digits == 0:
             # exact zero (valuation infinite) or inexact zero O(p**bound)
             if valuation == INFINITY:
-                object.__setattr__(self, "valuation", INFINITY)
-                object.__setattr__(self, "precision", INFINITY)
+                precision = INFINITY
             else:
-                bound = int(valuation) + max(int(precision), 0)
-                object.__setattr__(self, "valuation", bound)
-                object.__setattr__(self, "precision", 0)
-            object.__setattr__(self, "unit_digits", 0)
-            return
-        if precision <= 0:
+                valuation = int(valuation) + max(int(precision), 0)
+                precision = 0
+            unit_digits = 0
+        elif precision <= 0:
             # nothing known beyond "lies in p**(valuation) Z_p"
-            object.__setattr__(self, "valuation", int(valuation + precision))
-            object.__setattr__(self, "unit_digits", 0)
-            object.__setattr__(self, "precision", 0)
-            return
-        shift = 0
-        u = unit_digits % prime**precision
-        if u == 0:
-            object.__setattr__(self, "valuation", int(valuation + precision))
-            object.__setattr__(self, "unit_digits", 0)
-            object.__setattr__(self, "precision", 0)
-            return
-        while u % prime == 0:
-            u //= prime
-            shift += 1
-        precision = precision - shift
-        object.__setattr__(self, "valuation", int(valuation + shift))
-        object.__setattr__(self, "unit_digits", u % prime**precision)
-        object.__setattr__(self, "precision", precision)
+            valuation, unit_digits, precision = int(valuation + precision), 0, 0
+        else:
+            unit_digits %= prime**precision
+            if unit_digits == 0:
+                valuation, precision = int(valuation + precision), 0
+            else:
+                # dividing out p**shift leaves the unit below p**(precision - shift)
+                shift = 0
+                while unit_digits % prime == 0:
+                    unit_digits //= prime
+                    shift += 1
+                valuation, precision = int(valuation + shift), precision - shift
+        _set_prime(self, prime)
+        _set_valuation(self, valuation)
+        _set_unit_digits(self, unit_digits)
+        _set_precision(self, precision)
 
     def __setattr__(self, name, value):
         raise AttributeError("PAdic values are immutable")
@@ -292,6 +294,13 @@ class PAdic:
 
     def __hash__(self):
         raise TypeError("PAdic values compare at precision and are unhashable")
+
+
+# the slot descriptors' setters, which bypass the raising __setattr__
+_set_prime = PAdic.prime.__set__
+_set_valuation = PAdic.valuation.__set__
+_set_unit_digits = PAdic.unit_digits.__set__
+_set_precision = PAdic.precision.__set__
 
 
 def padic_log(u: PAdic) -> PAdic:

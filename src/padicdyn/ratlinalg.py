@@ -1,13 +1,18 @@
 """Small exact linear algebra over the rationals: rref, kernel, det, inverse.
 
-Matrices are plain lists of lists of Fraction.  Everything is fraction-free
-in spirit but plain Gaussian elimination in practice; the dimensions in
-this package are tiny.
+Matrices are plain lists of lists of Fraction.  Row reduction is
+fraction-free: each row is cleared of denominators once, eliminated with
+integer row operations r_i <- (a/g) r_i - (b/g) r_piv (g = gcd(a, b)) and
+kept primitive by dividing out the gcd of its entries, and Fractions are
+formed only at the end, when each pivot row is divided by its pivot.  The
+reduced row echelon form is unique, so this gives the same rationals as
+elimination over Q without reducing a Fraction at every step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DomainError
@@ -39,7 +44,7 @@ def transpose(a: Matrix) -> Matrix:
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the pivot column indices."""
-    m = [list(map(Fraction, row)) for row in rows]
+    m = [_primitive_integer_row(row) for row in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
@@ -54,17 +59,33 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        a = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            b = m[i][c]
+            if i != r and b:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                m[i] = _primitive([ag * x - bg * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    echelon = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    echelon += [[Fraction(0)] * ncols for _ in range(r, nrows)]
+    return echelon, pivots
+
+
+def _primitive_integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators, divided by its content."""
+    row = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
@@ -117,7 +138,7 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def inverse(rows: Sequence[Sequence[Fraction]]) -> Matrix:
     n = len(rows)
-    aug = [list(map(Fraction, row)) + identity(n)[i] for i, row in enumerate(rows)]
+    aug = [list(row) + unit for row, unit in zip(rows, identity(n))]
     echelon, pivots = rref(aug)
     if pivots != list(range(n)):
         raise DomainError("matrix is singular")

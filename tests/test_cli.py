@@ -1,9 +1,13 @@
 """End-to-end tests of the command line front end."""
 
 import json
+import shlex
 import threading
+from pathlib import Path
 
-from padicdyn.cli import run
+from padicdyn.cli import PROBE_MAX_BITS, run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_json(tmp_path, name, payload):
@@ -55,6 +59,22 @@ def sqrt_document():
         "seed": [{"exponents": [0], "numerator": 1}],
         "seed_degree": 0,
     }
+
+
+def readme_map_document():
+    """The example map document of the README's "Map documents" section."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("### Map documents", 1)[1].split("```json", 1)[1]
+    return json.loads(block.split("```", 1)[0])
+
+
+def readme_command(subcommand, document):
+    """The README's example line for a subcommand, run on the given document."""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith(f"padicdyn {subcommand} "):
+            words = shlex.split(line.split("#", 1)[0])
+            return [document if w == "map.json" else w for w in words[1:]]
+    raise AssertionError(f"README has no padicdyn {subcommand} example")
 
 
 def run_bounded(tmp_path, arguments, seconds=30):
@@ -232,6 +252,15 @@ class TestOrbit:
         assert data["error"]["kind"] == "DomainError"
 
 
+    def test_readme_example(self, tmp_path):
+        doc = write_json(tmp_path, "map.json", readme_map_document())
+        arguments = readme_command("orbit", doc)
+        assert arguments[arguments.index("--start") + 1] == "3,3"
+        code, data = run_bounded(tmp_path, arguments)
+        assert code == 0, data
+        assert data["report"]["stays_in_neighbourhood"]
+
+
 class TestProbe:
     def test_dependent_diagonal(self, tmp_path):
         doc = write_json(
@@ -280,6 +309,47 @@ class TestProbe:
         assert code == 0
         assert data["report"]["mode"] == "orbit"
         assert data["report"]["points_used"] == 8
+
+
+    def test_readme_example(self, tmp_path):
+        doc = write_json(tmp_path, "map.json", readme_map_document())
+        code, data = run_bounded(tmp_path, readme_command("probe", doc))
+        assert code == 0, data
+        assert data["report"]["mode"] == "orbit"
+        assert data["report"]["points_used"] == 60
+
+    def test_tall_orbit_points_rejected_in_bounded_time(self, tmp_path):
+        # (2x + y^2/7 + 3xy, -3y + 5x^2 + xy^2/3): heights grow about 2.7x per step
+        doc = write_json(
+            tmp_path,
+            "tall.json",
+            {
+                "dimension": 2,
+                "components": [
+                    [
+                        {"exponents": [1, 0], "numerator": 2},
+                        {"exponents": [0, 2], "numerator": 1, "denominator": 7},
+                        {"exponents": [1, 1], "numerator": 3},
+                    ],
+                    [
+                        {"exponents": [0, 1], "numerator": -3},
+                        {"exponents": [2, 0], "numerator": 5},
+                        {"exponents": [1, 2], "numerator": 1, "denominator": 3},
+                    ],
+                ],
+            },
+        )
+        arguments = ["probe", doc, "--start", "1,1", "--degree", "3", "--points"]
+        code, data = run_bounded(tmp_path, arguments + ["30"])
+        assert code == 1
+        error = data["error"]
+        assert error["kind"] == "document"
+        assert error["location"] == "--points"
+        assert "orbit point 11 " in error["message"]
+        assert str(PROBE_MAX_BITS) in error["message"]
+        code, data = run_bounded(tmp_path, arguments + ["11"])
+        assert code == 0, data
+        assert data["report"]["points_used"] == 11
 
 
 class TestPrimeArguments:

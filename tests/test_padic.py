@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from padicdyn.errors import DomainError
+from padicdyn.errors import DomainError, PrecisionError
 from padicdyn.padic import INFINITY, PAdic, padic_exp, padic_log, stabilizing_exponent
 
 
@@ -55,6 +57,111 @@ class TestFromRational:
                 assert x.lift() % 5**10 == Fraction(num, den) % 5**10 or x.is_zero() or (
                     PAdic.from_rational(Fraction(num, den), 5, 12) - Fraction(num, den)
                 ).is_zero()
+
+
+class TestConstructor:
+    def test_rejected_primes_stay_rejected_after_valid_primes(self):
+        for p in (3, 5, 7, 101):
+            PAdic(p, 0, 1, 4)
+            PAdic(p, 0, 1, 4)
+        for bad in (9, 2, 1, 9, 2, 1):
+            with pytest.raises(DomainError):
+                PAdic(bad, 0, 1, 4)
+
+    def test_immutable(self):
+        x = PAdic(5, 0, 1, 4)
+        with pytest.raises(AttributeError):
+            x.valuation = 3
+        assert (x.prime, x.valuation, x.unit_digits, x.precision) == (5, 0, 1, 4)
+
+
+def _integer_valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _reference(p, value, cap):
+    """(valuation, unit_digits, precision) of a rational known modulo p**cap."""
+    if cap == INFINITY:
+        return (INFINITY, 0, INFINITY)
+    if value == 0:
+        return (cap, 0, 0)
+    v = _integer_valuation(value.numerator, p) - _integer_valuation(value.denominator, p)
+    if v >= cap:
+        return (cap, 0, 0)
+    unit = value / Fraction(p) ** v
+    modulus = p ** (cap - v)
+    return (v, unit.numerator * pow(unit.denominator, -1, modulus) % modulus, cap - v)
+
+
+def _fields(x):
+    return (x.valuation, x.unit_digits, x.precision)
+
+
+@st.composite
+def _elements(draw, p):
+    kind = draw(st.sampled_from(["unit", "unit", "unit", "inexact zero", "exact zero"]))
+    valuation = draw(st.integers(-3, 3))
+    if kind == "exact zero":
+        return PAdic.zero(p)
+    if kind == "inexact zero":
+        return PAdic(p, valuation, 0, 0)
+    return PAdic(p, valuation, draw(st.integers(1, p**8)), draw(st.integers(1, 8)))
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two elements of Q_p; often the second cancels leading digits of the first."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    a = draw(_elements(p))
+    kind = draw(st.sampled_from(["free", "cancel sum", "cancel difference"]))
+    if kind == "free" or a.unit_digits == 0:
+        return p, a, draw(_elements(p))
+    k = draw(st.integers(1, a.precision))
+    lead = -a.unit_digits if kind == "cancel sum" else a.unit_digits
+    unit = lead + p**k * draw(st.integers(0, p**8))
+    return p, a, PAdic(p, a.valuation, unit, draw(st.integers(1, 8)))
+
+
+class TestAgainstIntegerReference:
+    """+, -, *, / against exact lifts reduced modulo the absolute precision p**N."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_operand_pairs(), st.sampled_from("+-*/"))
+    @example((5, PAdic(5, 0, 126, 4), PAdic(5, 0, 1, 4)), "-")  # three digits cancel
+    @example((3, PAdic(3, 1, 0, 0), PAdic(3, -1, 2, 5)), "+")  # inexact zero operand
+    @example((7, PAdic(7, 0, 3, 2), PAdic(7, 0, 3, 2)), "-")  # complete cancellation
+    def test_matches_reference(self, case, op):
+        p, a, b = case
+        lift_a, lift_b = a.lift(), b.lift()
+        abs_a = INFINITY if a.is_exact_zero() else a.valuation + a.precision
+        abs_b = INFINITY if b.is_exact_zero() else b.valuation + b.precision
+        if op in "+-":
+            result = a + b if op == "+" else a - b
+            value = lift_a + lift_b if op == "+" else lift_a - lift_b
+            expected = _reference(p, value, min(abs_a, abs_b))
+        elif op == "*":
+            result = a * b
+            if a.is_exact_zero() or b.is_exact_zero():
+                expected = _reference(p, Fraction(0), INFINITY)
+            else:
+                cap = a.valuation + b.valuation + min(a.precision, b.precision)
+                expected = _reference(p, lift_a * lift_b, cap)
+        else:
+            if b.unit_digits == 0:
+                with pytest.raises(PrecisionError):
+                    a / b
+                return
+            result = a / b
+            if a.is_exact_zero():
+                expected = _reference(p, Fraction(0), INFINITY)
+            else:
+                cap = a.valuation - b.valuation + min(a.precision, b.precision)
+                expected = _reference(p, lift_a / lift_b, cap)
+        assert _fields(result) == expected
 
 
 class TestArithmetic:
