@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import DomainError
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -36,6 +38,22 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+_ODD_PRIMES: set[int] = set()
+
+
+def check_odd_prime(p: int) -> None:
+    """Reject anything but an odd prime with DomainError.
+
+    Each accepted prime is tested once per process; 2, 1 and composites
+    are rejected on every call.
+    """
+    if p in _ODD_PRIMES:
+        return
+    if p == 2 or not is_prime(p):
+        raise DomainError(f"{p} is not an odd prime")
+    _ODD_PRIMES.add(p)
 
 
 def _pollard_rho(n: int) -> int:

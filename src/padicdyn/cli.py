@@ -4,7 +4,8 @@ Subcommands: analyze, linearize, newton, eisenstein, orbit, probe, vanishing.
 Input documents are UTF-8 JSON; reports are JSON (default) or plain text,
 deterministic for fixed inputs and flags up to the timing field.  Exit
 codes: 0 on success, 2 on a mathematical obstruction (resonance,
-irrational eigenvalue, torsion, ...), 1 on a usage or document error.
+irrational eigenvalue, torsion, ...) or a result too tall to write out
+(HeightCeilingError), 1 on a usage or document error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .eisenstein import (
     coefficients_up_to,
     denominator_support,
 )
-from .errors import DocumentError, PadicDynError
+from .errors import DocumentError, HeightCeilingError, PadicDynError
 from .linearize import (
     linearize_newton,
     linearize_order_by_order,
@@ -56,6 +57,10 @@ DEFAULT_TRUNCATION = 8
 # exact orbit points of a nonlinear map can grow in height geometrically per
 # step; probe refuses a point with a coordinate taller than this many bits
 PROBE_MAX_BITS = 2**16
+# Python refuses to write an integer of more than 4300 decimal digits as text
+# (sys.get_int_max_str_digits); a report refuses rationals above this many
+# bits, which stay below that limit
+ENCODE_MAX_BITS = 14_000
 
 USAGE_EXIT = 1
 OBSTRUCTION_EXIT = 2
@@ -94,6 +99,12 @@ _DEGREE_MINIMUMS = {"analyze": 2, "linearize": 2, "newton": 2, "eisenstein": 0, 
 
 def _encode_rational(x: Fraction):
     x = Fraction(x)
+    tallest = max(x.numerator.bit_length(), x.denominator.bit_length())
+    if tallest > ENCODE_MAX_BITS:
+        raise HeightCeilingError(
+            f"a rational of {tallest} bits is above the report ceiling of "
+            f"{ENCODE_MAX_BITS} bits; ask for a lower degree or fewer points"
+        )
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -64,6 +64,10 @@ class DivisionFailureError(PadicDynError):
     """Graded division by the pivot form failed (bad seed or vanishing order)."""
 
 
+class HeightCeilingError(PadicDynError):
+    """An exact result is too tall to be written out in decimal."""
+
+
 class DocumentError(PadicDynError):
     """A JSON input document is malformed.
 

@@ -32,11 +32,16 @@ constant term, Dh e formed at cap high again lies in layers low..high.
 Both routes obtain h^(-1) the same way: k = h^(-1) satisfies
 k o f = Lambda o k, and with k = id + kappa each layer kappa_d solves the
 homological equation against the running remainder f - Lambda +
-kappa_<d o f - Lambda kappa_<d, with the same divisors.  Each step composes
-one homogeneous layer with the sparse map f.  If any resonance
-lambda^I = lambda_j exists up to the working degree, that solution is only
-unique up to resonant terms, and the compositional inverse of h is computed
-by series reversion (SeriesTuple.invert) instead.
+kappa_<d o f - Lambda kappa_<d, with the same divisors.  Each step adds
+kappa_d o f = sum_I kappa_(d,I) f^I, a linear combination over the monomial
+powers f^I of degree d.  One power table serves every layer and component:
+it is built degree by degree as f^I = f^(I - e_j) f_j from the sparse map
+f, holds integers over one denominator per entry, and keeps one degree at
+a time.  The combination is summed in integers over a common denominator,
+so each output coefficient becomes one Fraction (series._layer_composer).
+If any resonance lambda^I = lambda_j exists up to the working degree, that
+solution is only unique up to resonant terms, and the compositional inverse
+of h is computed by series reversion (SeriesTuple.invert) instead.
 
 Maps with a positive-dimensional fixed locus are first normalized: a shear
 removes the head-tail linear coupling, then interpolation projectors built
@@ -52,7 +57,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratlinalg
-from .arith import fraction_valuation, is_prime, prime_support
+from .arith import check_odd_prime, fraction_valuation, prime_support
 from .dynamics import (
     AnalyticMap,
     DiophantineParams,
@@ -70,6 +75,7 @@ from .series import (
     GaussNorm,
     MultiSeries,
     SeriesTuple,
+    _layer_composer,
     gauss_norm,
     in_subspace_ar,
     tuple_gauss_norm,
@@ -261,15 +267,18 @@ def _conjugacy_inverse(
         return h.invert()
     k = SeriesTuple.identity(h.nvars, degree)
     remainder = fmap - SeriesTuple.diagonal(lams, degree)
+    compose = _layer_composer(fmap)
     for d in range(2, degree + 1):
         layer = remainder.layer_tuple(d)
         if layer.is_zero():
             continue
         kappa = solve_homological(-layer, lams, r)
         k = k + kappa
-        remainder = remainder + kappa.compose(fmap) - SeriesTuple(
-            [comp.scale(lam) for comp, lam in zip(kappa.components, lams)]
-        )
+        # layer d of the remainder is now solved and never read again, so
+        # only the layers of kappa o fmap above d (where Lambda kappa has
+        # none) are added
+        if d < degree:
+            remainder = remainder + compose(kappa, d + 1)
     return k
 
 
@@ -440,8 +449,8 @@ def linearize_newton(
     lams = _normalized_eigenvalues(f)
     if prime is None:
         prime = choose_prime(f, lams)
-    elif not is_prime(prime) or prime == 2:
-        raise DomainError(f"{prime} is not an odd prime")
+    else:
+        check_odd_prime(prime)
 
     fmap = f.components.truncated(degree)
     scale_exp = _rescale_exponent(fmap, lams, prime)

@@ -27,7 +27,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from . import ratlinalg
-from .arith import fraction_valuation, int_valuation
+from .arith import check_odd_prime, fraction_valuation, int_valuation
 from .dynamics import (
     AnalyticMap,
     RelationLattice,
@@ -41,7 +41,7 @@ from .errors import (
     PrecisionError,
     TorsionError,
 )
-from .padic import PAdic, padic_log, stabilizing_exponent
+from .padic import INFINITY, PAdic, padic_log, stabilizing_exponent
 from .series import MultiSeries
 
 
@@ -54,6 +54,7 @@ class Neighbourhood:
     dim: int
 
     def __post_init__(self):
+        check_odd_prime(self.prime)
         if self.level < 1:
             raise DomainError("neighbourhood level must be at least 1")
 
@@ -612,7 +613,7 @@ def _padic_kernel_basis(rows: list[list[PAdic]], ncols: int) -> list[list[PAdic]
         if r == nrows:
             break
     prime = rows[0][0].prime
-    prec = max(int(x.precision) for x in rows[0] if x.precision != float("inf"))
+    prec = max(int(x.precision) for x in rows[0] if x.precision != INFINITY)
     one = PAdic.from_rational(1, prime, max(prec, 1))
     zero = PAdic.zero(prime)
     free = [c for c in range(ncols) if c not in pivots]

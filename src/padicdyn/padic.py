@@ -22,21 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import divisors, int_valuation, is_prime
+from .arith import check_odd_prime, divisors, int_valuation
 from .errors import DomainError, PrecisionError
 
 INFINITY = float("inf")
-
-_ODD_PRIMES: set[int] = set()
-
-
-def _check_prime(p: int) -> None:
-    """Reject anything but an odd prime; each accepted prime is tested once."""
-    if p in _ODD_PRIMES:
-        return
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"{p} is not an odd prime")
-    _ODD_PRIMES.add(p)
 
 
 class PAdic:
@@ -45,7 +34,7 @@ class PAdic:
     __slots__ = ("prime", "valuation", "unit_digits", "precision")
 
     def __init__(self, prime: int, valuation, unit_digits: int, precision) -> None:
-        _check_prime(prime)
+        check_odd_prime(prime)
         if unit_digits == 0:
             # exact zero (valuation infinite) or inexact zero O(p**bound)
             if valuation == INFINITY:
@@ -86,7 +75,7 @@ class PAdic:
     @classmethod
     def from_rational(cls, value, prime: int, precision: int) -> "PAdic":
         """Image of a rational in Q_p truncated to `precision` digits."""
-        _check_prime(prime)
+        check_odd_prime(prime)
         if precision <= 0:
             raise DomainError("precision must be positive")
         value = Fraction(value)
@@ -192,8 +181,18 @@ class PAdic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        return self._signed_sum(other, 1)
+
+    __radd__ = __add__
+
+    def _signed_sum(self, other: "PAdic", sign: int) -> "PAdic":
+        """self + sign * other for sign = 1 or -1.
+
+        Negation keeps valuation and precision, so a difference needs no
+        negated copy of other: its digits enter the sum with a minus sign.
+        """
         if self.is_exact_zero():
-            return other
+            return other if sign > 0 else -other
         if other.is_exact_zero():
             return self
         cap = min(self._abs_precision(), other._abs_precision())
@@ -202,13 +201,12 @@ class PAdic:
             return PAdic(self.prime, cap, 0, 0)
         modulus = self.prime ** int(cap - lo)
         total = 0
-        for x in (self, other):
-            if x.unit_digits:
-                total += x.unit_digits * self.prime ** int(x.valuation - lo)
+        if self.unit_digits:
+            total += self.unit_digits * self.prime ** int(self.valuation - lo)
+        if other.unit_digits:
+            total += sign * other.unit_digits * self.prime ** int(other.valuation - lo)
         total %= modulus
         return PAdic(self.prime, lo, total, int(cap - lo))
-
-    __radd__ = __add__
 
     def __neg__(self):
         if self.unit_digits == 0:
@@ -220,7 +218,7 @@ class PAdic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._signed_sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -7,8 +7,10 @@ operation truncates at the minimum truncation degree of its operands, so
 precision can only shrink, never silently grow.
 
 Multiplication clears denominators once per operand and convolves integer
-coefficients; composition is a Horner scheme over the variables.  Both are
-exact.
+coefficients; composition is a Horner scheme over the variables, except for
+a stream of homogeneous layers composed with one fixed inner map, which
+reads a shared table of the inner map's monomial powers (_layer_composer).
+All are exact.
 
 Gauss norms sup |a_I|_p rho^|I| are returned as exact data: the p-adic
 valuation of the extremal coefficient, its degree, and the norm value as a
@@ -395,18 +397,10 @@ def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSerie
         a, b = b, a
     den_a, ints_a = a._int_layers()
     den_b, ints_b = b._int_layers()
-    # pack exponent tuples into one integer per monomial: coordinates never
-    # exceed the total degree, so base trunc + 1 admits carry-free addition
     base = trunc + 1
     weights = [base**i for i in range(a.nvars)]
-
-    def pack(layer_terms):
-        return [
-            (sum(w * e for w, e in zip(weights, exps)), c) for exps, c in layer_terms
-        ]
-
-    packed_a = {d: pack(terms) for d, terms in ints_a.items() if d <= trunc}
-    packed_b = {d: pack(terms) for d, terms in ints_b.items() if d <= trunc}
+    packed_a = {d: _pack(terms, weights) for d, terms in ints_a.items() if d <= trunc}
+    packed_b = {d: _pack(terms, weights) for d, terms in ints_b.items() if d <= trunc}
     acc: dict[int, dict[int, int]] = {}
     for da, terms_a in packed_a.items():
         for db in range(max(low - da, 0), trunc - da + 1):
@@ -422,19 +416,28 @@ def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSerie
                     out[key] = get(key, 0) + ca * cb
     den = den_a * den_b
     layers: dict[int, dict[Exponents, Fraction]] = {}
-    nvars = a.nvars
     for d, out in acc.items():
-        lay = {}
-        for key, n in out.items():
-            if n:
-                exps = []
-                for _ in range(nvars):
-                    key, e = divmod(key, base)
-                    exps.append(e)
-                lay[tuple(exps)] = Fraction(n, den)
+        lay = {_unpack(key, base, a.nvars): Fraction(n, den) for key, n in out.items() if n}
         if lay:
             layers[d] = lay
     return MultiSeries._raw(a.nvars, trunc, layers)
+
+
+def _pack(terms: Iterable[tuple[Exponents, int]], weights: list[int]) -> list[tuple[int, int]]:
+    """Exponent tuples packed into one integer each, with weights base**i.
+
+    Coordinates never exceed the total degree, so with base = trunc + 1 the
+    keys of a product are the sums of the keys, carry-free.
+    """
+    return [(sum(w * e for w, e in zip(weights, exps)), c) for exps, c in terms]
+
+
+def _unpack(key: int, base: int, nvars: int) -> Exponents:
+    exps = []
+    for _ in range(nvars):
+        key, e = divmod(key, base)
+        exps.append(e)
+    return tuple(exps)
 
 
 def _compose_rec(
@@ -466,6 +469,90 @@ def _compose_rec(
         if j in buckets:
             acc = acc + _compose_rec(buckets[j], var - 1, comps, inner_nvars, trunc)
     return acc
+
+
+def _layer_composer(inner: "SeriesTuple"):
+    """compose(layer, low): layer o inner in degrees >= low, for homogeneous
+    layers given in non-decreasing degree d.
+
+    layer o inner = sum_I c_I inner^I over the monomials I of degree d, so
+    the monomial powers inner^I are tabulated degree by degree, as
+    inner^I = inner^(I - e_j) inner_j with j the last variable of I: the
+    baby-step table of Brent and Kung's composition.  The table is shared
+    by every component and every layer, and only the current degree is
+    kept.  An entry is integers over one denominator, (den, {deg: {key:
+    numerator}}) with exponents packed as in _mul, so a layer costs integer
+    products and one Fraction per output coefficient.
+    """
+    n, trunc = inner.nvars, inner.trunc
+    if len(inner) != n:
+        raise DomainError("the inner map must be square")
+    if any(g.constant_term() for g in inner):
+        raise DomainError("non-zero constant term in composition argument")
+    base = trunc + 1
+    weights = [base**i for i in range(n)]
+    factors = []
+    for g in inner:
+        den, ints = g._int_layers()
+        factors.append((den, [(d, _pack(terms, weights)) for d, terms in ints.items()]))
+    table = {(0,) * n: (1, {0: {0: 1}})}
+    table_degree = 0
+
+    def extend():
+        nonlocal table, table_degree
+        nxt = {}
+        for exps, (den, layers) in table.items():
+            last = max((i for i, e in enumerate(exps) if e), default=0)
+            for j in range(last, n):
+                fden, flayers = factors[j]
+                out = {}
+                for da, terms_a in layers.items():
+                    for db, terms_b in flayers:
+                        if da + db > trunc:
+                            continue
+                        lay = out.setdefault(da + db, {})
+                        get = lay.get
+                        for ka, ca in terms_a.items():
+                            for kb, cb in terms_b:
+                                key = ka + kb
+                                lay[key] = get(key, 0) + ca * cb
+                step = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+                nxt[step] = (den * fden, {d: {k: c for k, c in lay.items() if c} for d, lay in out.items()})
+        table = nxt
+        table_degree += 1
+
+    def compose(layer: "SeriesTuple", low: int) -> "SeriesTuple":
+        degree = layer.lowest_degree()
+        if degree is None or degree < table_degree or any(set(c._layers) - {degree} for c in layer):
+            raise DomainError("layers must be homogeneous, nonzero and of non-decreasing degree")
+        while table_degree < degree:
+            extend()
+        out = []
+        for comp in layer:
+            terms = comp._layers.get(degree, {})
+            common = 1
+            for exps, c in terms.items():
+                common = lcm(common, c.denominator * table[exps][0])
+            acc: dict[int, dict[int, int]] = {}
+            for exps, c in terms.items():
+                den, layers = table[exps]
+                mult = c.numerator * (common // (c.denominator * den))
+                for d, lay in layers.items():
+                    if d < low:
+                        continue
+                    dacc = acc.setdefault(d, {})
+                    get = dacc.get
+                    for key, v in lay.items():
+                        dacc[key] = get(key, 0) + mult * v
+            layers_out = {}
+            for d, dacc in acc.items():
+                lay = {_unpack(key, base, n): Fraction(v, common) for key, v in dacc.items() if v}
+                if lay:
+                    layers_out[d] = lay
+            out.append(MultiSeries._raw(n, trunc, layers_out))
+        return SeriesTuple(out)
+
+    return compose
 
 
 class SeriesTuple:

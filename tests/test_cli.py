@@ -5,7 +5,7 @@ import shlex
 import threading
 from pathlib import Path
 
-from padicdyn.cli import PROBE_MAX_BITS, run
+from padicdyn.cli import ENCODE_MAX_BITS, PROBE_MAX_BITS, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -58,6 +58,25 @@ def sqrt_document():
         ],
         "seed": [{"exponents": [0], "numerator": 1}],
         "seed_degree": 0,
+    }
+
+
+def tall_orbit_document():
+    """(2x + y^2/7 + 3xy, -3y + 5x^2 + xy^2/3): heights grow about 2.7x per step."""
+    return {
+        "dimension": 2,
+        "components": [
+            [
+                {"exponents": [1, 0], "numerator": 2},
+                {"exponents": [0, 2], "numerator": 1, "denominator": 7},
+                {"exponents": [1, 1], "numerator": 3},
+            ],
+            [
+                {"exponents": [0, 1], "numerator": -3},
+                {"exponents": [2, 0], "numerator": 5},
+                {"exponents": [1, 2], "numerator": 1, "denominator": 3},
+            ],
+        ],
     }
 
 
@@ -319,26 +338,7 @@ class TestProbe:
         assert data["report"]["points_used"] == 60
 
     def test_tall_orbit_points_rejected_in_bounded_time(self, tmp_path):
-        # (2x + y^2/7 + 3xy, -3y + 5x^2 + xy^2/3): heights grow about 2.7x per step
-        doc = write_json(
-            tmp_path,
-            "tall.json",
-            {
-                "dimension": 2,
-                "components": [
-                    [
-                        {"exponents": [1, 0], "numerator": 2},
-                        {"exponents": [0, 2], "numerator": 1, "denominator": 7},
-                        {"exponents": [1, 1], "numerator": 3},
-                    ],
-                    [
-                        {"exponents": [0, 1], "numerator": -3},
-                        {"exponents": [2, 0], "numerator": 5},
-                        {"exponents": [1, 2], "numerator": 1, "denominator": 3},
-                    ],
-                ],
-            },
-        )
+        doc = write_json(tmp_path, "tall.json", tall_orbit_document())
         arguments = ["probe", doc, "--start", "1,1", "--degree", "3", "--points"]
         code, data = run_bounded(tmp_path, arguments + ["30"])
         assert code == 1
@@ -350,6 +350,24 @@ class TestProbe:
         code, data = run_bounded(tmp_path, arguments + ["11"])
         assert code == 0, data
         assert data["report"]["points_used"] == 11
+
+    def test_tall_kernel_is_a_typed_error(self, tmp_path):
+        # the points stay below PROBE_MAX_BITS, but the kernel does not fit
+        # Python's 4300-digit integer-to-text limit
+        doc = write_json(tmp_path, "tall.json", tall_orbit_document())
+        code, data = run_bounded(
+            tmp_path, ["probe", doc, "--start", "1,1", "--points", "9", "--degree", "3"]
+        )
+        assert code == 2, data
+        assert data["error"]["kind"] == "HeightCeilingError"
+        assert str(ENCODE_MAX_BITS) in data["error"]["message"]
+        text = tmp_path / "out.txt"
+        code = run(
+            ["probe", doc, "--start", "1,1", "--points", "9", "--degree", "3",
+             "--format", "text", "--out", str(text)]
+        )
+        assert code == 2
+        assert "HeightCeilingError" in text.read_text(encoding="utf-8")
 
 
 class TestPrimeArguments:

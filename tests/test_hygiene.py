@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+no library module converts to float except for padic.INFINITY."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,29 @@ def test_the_guard_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Sequence\n\ndef f(x: 'Sequence[int]'):\n    return x\n")
     used = referenced_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in used] == ["os"]
+
+
+def float_calls(tree):
+    """(line, target) of each float(...) call; target names the assigned
+    variable when the call is the whole right-hand side of an assignment."""
+    targets = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            targets[id(node.value)] = node.targets[0].id
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield node.lineno, targets.get(id(node))
+
+
+def test_no_float_outside_infinity():
+    found = [
+        (path.name, target, line)
+        for path in sorted(SOURCE.glob("*.py"))
+        for line, target in float_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert [(name, target) for name, target, _ in found] == [("padic.py", "INFINITY")], found
+
+
+def test_the_guard_sees_a_float_call():
+    tree = ast.parse('INFINITY = float("inf")\nx = max(1, float(2))\n')
+    assert list(float_calls(tree)) == [(1, "INFINITY"), (2, None)]

@@ -1,5 +1,6 @@
 """Unit tests for the conjugacy solvers, normalizations, and norm bounds."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn.dynamics import AnalyticMap, DiophantineParams
+from padicdyn.dynamics import AnalyticMap, DiophantineParams, enumerate_resonances
 from padicdyn.errors import (
     DomainError,
     NotSemisimpleError,
@@ -380,6 +381,66 @@ class TestNewtonMatchesOrderByOrder:
         identity = SeriesTuple.identity(2, degree)
         for result in (direct, newton):
             assert result.h.compose(result.h_inverse) == identity
+
+
+@st.composite
+def normalized_maps(draw):
+    """(components, r) of a random normalized map in 3-4 variables.
+
+    The tail eigenvalues come from +-{2, 3, 5}, so lambda^I = lambda_j has
+    no solution with |I| >= 2 and h^(-1) comes from the power table.  Every
+    nonlinear term has transverse degree >= 2, with 7 or 49 in some
+    denominators.
+    """
+    n = draw(st.integers(3, 4))
+    r = draw(st.integers(0, 1))
+    tail = draw(st.lists(st.sampled_from([2, 3, 5, -2, -3, -5]), min_size=n - r, max_size=n - r))
+    lams = [1] * r + tail
+    comps = [[(tuple(int(i == j) for i in range(n)), lams[j])] for j in range(n)]
+    monomials = [
+        exps
+        for exps in itertools.product(range(4), repeat=n)
+        if 2 <= sum(exps) <= 3 and sum(exps[r:]) >= 2
+    ]
+    nonlinear = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.sampled_from(monomials),
+                st.sampled_from([-7, -3, -1, 1, 2, 7]),
+                st.sampled_from([1, 7, 49]),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    for j, exps, num, den in nonlinear:
+        comps[j].append((exps, Fraction(num, den)))
+    return comps, r
+
+
+class TestInverseFromPowerTable:
+    """h^(-1) from the power table equals series reversion at degree 12.
+
+    Both routes must give the same h and h^(-1), so h o h^(-1) = id is
+    composed once; a dense degree-12 composition in four variables takes
+    seconds.
+    """
+
+    @settings(max_examples=6, deadline=None)
+    @given(normalized_maps())
+    def test_inverse_matches_reversion(self, data):
+        comps, r = data
+        degree = 12
+        f = build_map(comps, degree, r=r)
+        lams = [Fraction(comps[j][0][1]) for j in range(f.n)]
+        assert not enumerate_resonances(lams, r, degree)
+        direct = linearize_order_by_order(f, degree)
+        newton = newton_route(f, degree)
+        assert newton.h == direct.h
+        assert newton.h_inverse == direct.h_inverse
+        assert direct.h_inverse == direct.h.invert()
+        assert direct.h.compose(direct.h_inverse) == SeriesTuple.identity(f.n, degree)
 
 
 class TestRatPow:

@@ -112,6 +112,11 @@ class TestNeighbourhoodMembership:
         with pytest.raises(DomainError):
             Neighbourhood(prime=5, level=0, dim=1)
 
+    def test_prime_must_be_odd_prime(self):
+        for prime in (1, 2, 9):
+            with pytest.raises(DomainError):
+                Neighbourhood(prime, 1, 2)
+
 
 class TestVanishingSum:
     def test_planted_solution(self):

@@ -12,6 +12,7 @@ from padicdyn.errors import DomainError
 from padicdyn.series import (
     MultiSeries,
     SeriesTuple,
+    _layer_composer,
     _mul,
     gauss_norm,
     in_subspace_ar,
@@ -144,6 +145,50 @@ class TestCompose:
             lhs = phi.compose(g).compose(k)
             rhs = phi.compose(g.compose(k))
             assert lhs == rhs
+
+
+class TestLayerComposer:
+    """The power-table composition equals Horner composition layer by layer."""
+
+    @staticmethod
+    def homogeneous(rng, nvars, trunc, degree):
+        exps = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+        terms = [
+            (e, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12)))
+            for e in rng.sample(exps, min(3, len(exps)))
+        ]
+        return MultiSeries(nvars, trunc, terms)
+
+    def test_matches_horner_randomized(self):
+        rng = random.Random(17)
+        for nvars in (1, 2, 3):
+            trunc = 7
+            inner = SeriesTuple(
+                [rand_series(rng, nvars, trunc, terms=4, zero_constant=True) for _ in range(nvars)]
+            )
+            compose = _layer_composer(inner)
+            for degree in (1, 2, 2, 4, 7):
+                comps = [self.homogeneous(rng, nvars, trunc, degree) for _ in range(nvars)]
+                if nvars > 1:
+                    comps[-1] = MultiSeries.zero(nvars, trunc)
+                layer = SeriesTuple(comps)
+                low = rng.randint(degree, trunc + 1)
+                fast = compose(layer, low)
+                for comp, exact in zip(fast, layer.compose(inner)):
+                    assert comp.trunc == trunc
+                    for d in range(trunc + 1):
+                        assert comp.layer(d) == (exact.layer(d) if d >= low else {})
+
+    def test_rejects_falling_or_mixed_degrees(self):
+        x, y = MultiSeries.variable(0, 2, 5), MultiSeries.variable(1, 2, 5)
+        compose = _layer_composer(SeriesTuple([x + y * y, y]))
+        compose(SeriesTuple([x * y, y * y]), 2)
+        with pytest.raises(DomainError):
+            compose(SeriesTuple([x, y]), 1)
+        with pytest.raises(DomainError):
+            compose(SeriesTuple([x * y * y, y * y]), 3)
+        with pytest.raises(DomainError):
+            _layer_composer(SeriesTuple([x + 1, y]))
 
 
 class TestInvertTuple:
