@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from . import ratlinalg
-from .arith import is_prime
+from .arith import check_odd_prime
 from .dynamics import (
     AnalyticMap,
     DiophantineParams,
@@ -35,7 +35,7 @@ from .eisenstein import (
     coefficients_up_to,
     denominator_support,
 )
-from .errors import DocumentError, HeightCeilingError, PadicDynError
+from .errors import DocumentError, DomainError, HeightCeilingError, PadicDynError
 from .linearize import (
     linearize_newton,
     linearize_order_by_order,
@@ -81,8 +81,11 @@ def _rational(value: Any, path: str) -> Fraction:
 
 def _prime(value: Any, path: str) -> int:
     """An odd prime from a document field or flag; anything else is a document error."""
-    if isinstance(value, bool) or not isinstance(value, int) or value == 2 or not is_prime(value):
-        raise DocumentError(path, f"expected an odd prime, got {value!r}")
+    try:
+        # a bool, float or string is rejected even where it equals a prime
+        check_odd_prime(value if type(value) is int else 0)
+    except DomainError as exc:
+        raise DocumentError(path, f"expected an odd prime, got {value!r}") from exc
     return value
 
 

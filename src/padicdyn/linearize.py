@@ -34,11 +34,11 @@ k o f = Lambda o k, and with k = id + kappa each layer kappa_d solves the
 homological equation against the running remainder f - Lambda +
 kappa_<d o f - Lambda kappa_<d, with the same divisors.  Each step adds
 kappa_d o f = sum_I kappa_(d,I) f^I, a linear combination over the monomial
-powers f^I of degree d.  One power table serves every layer and component:
-it is built degree by degree as f^I = f^(I - e_j) f_j from the sparse map
-f, holds integers over one denominator per entry, and keeps one degree at
-a time.  The combination is summed in integers over a common denominator,
-so each output coefficient becomes one Fraction (series._layer_composer).
+powers f^I of degree d.  series._layer_composer streams these layers
+through the one composition engine of the series module, a table of the
+powers f^I that every layer and component shares and that keeps one
+degree at a time; every other substitution here (the residuals f o h and
+the reversion below) reads the same engine through SeriesTuple.compose.
 If any resonance lambda^I = lambda_j exists up to the working degree, that
 solution is only unique up to resonant terms, and the compositional inverse
 of h is computed by series reversion (SeriesTuple.invert) instead.
@@ -331,9 +331,9 @@ def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
     fmap = f.components.truncated(degree)
     h = SeriesTuple.identity(n, degree)
     for d in range(2, degree + 1):
-        fd = fmap.truncated(d)
+        # composition truncates at the least cap, here d
         hd = h.truncated(d)
-        residual = fd.compose(hd) - hd.compose_diagonal(lams)
+        residual = fmap.compose(hd) - hd.compose_diagonal(lams)
         low = residual.lowest_degree()
         if low is None or low > d:
             continue
@@ -470,9 +470,8 @@ def linearize_newton(
         bound_cert = None
         guard = 0
         while True:
-            fd = scaled.truncated(high)
             hd = h.truncated(high)
-            residual = fd.compose(hd) - hd.compose_diagonal(lams)
+            residual = scaled.compose(hd) - hd.compose_diagonal(lams)
             res_low = residual.lowest_degree()
             if res_low is None or res_low > high:
                 break
@@ -486,10 +485,7 @@ def linearize_newton(
             # the residual has order >= low and only layers up to high are
             # kept, so the inverse is needed through degree high - low only
             jac_scaled = [
-                [
-                    SeriesTuple([entry.truncated(high - low)]).compose_diagonal(lams)[0]
-                    for entry in row
-                ]
+                list(SeriesTuple([entry.truncated(high - low) for entry in row]).compose_diagonal(lams))
                 for row in jac
             ]
             jac_inv = [
@@ -596,9 +592,8 @@ def check_norm_bound(
     norm_dw = Fraction(0)
     norm_dw_lambda = Fraction(0)
     for row in dw:
-        for entry in row:
+        for entry, scaled in zip(row, SeriesTuple(row).compose_diagonal(lams)):
             norm_dw = max(norm_dw, gauss_norm(entry, inner, prime).value)
-            scaled = SeriesTuple([entry]).compose_diagonal(lams)[0]
             norm_dw_lambda = max(norm_dw_lambda, gauss_norm(scaled, inner, prime).value)
     horizon = max(g.trunc, 2)
     derived = _derived_c1(params, rho, delta, horizon)

@@ -340,6 +340,7 @@ class VanishingSumInstance:
         prime: int,
         precision: int = 24,
     ) -> None:
+        check_odd_prime(prime)
         a = [Fraction(x) for x in a]
         b = [Fraction(x) for x in b]
         if not a or len(a) != len(b):

@@ -7,10 +7,10 @@ operation truncates at the minimum truncation degree of its operands, so
 precision can only shrink, never silently grow.
 
 Multiplication clears denominators once per operand and convolves integer
-coefficients; composition is a Horner scheme over the variables, except for
-a stream of homogeneous layers composed with one fixed inner map, which
-reads a shared table of the inner map's monomial powers (_layer_composer).
-All are exact.
+coefficients.  Composition sums c_I inner^I over one table of the inner
+map's monomial powers (_PowerTable), kept in integers, whether it serves
+one substitution (SeriesTuple.compose) or a stream of homogeneous layers
+(_layer_composer).  All are exact.
 
 Gauss norms sup |a_I|_p rho^|I| are returned as exact data: the p-adic
 valuation of the extremal coefficient, its degree, and the norm value as a
@@ -21,10 +21,10 @@ of log or exp is involved.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .arith import fraction_abs, fraction_valuation, is_prime
+from .arith import fraction_valuation, is_prime
 from .errors import DomainError
 
 Exponents = tuple[int, ...]
@@ -331,19 +331,8 @@ class MultiSeries:
         return total
 
     def compose(self, tail: "SeriesTuple | Sequence[MultiSeries]") -> "MultiSeries":
-        """Substitution self(g_0, ..., g_{n-1}); each g_i must have zero constant term."""
-        comps = tuple(tail.components) if isinstance(tail, SeriesTuple) else tuple(tail)
-        if len(comps) != self.nvars:
-            raise DomainError(f"composition needs {self.nvars} inner series, got {len(comps)}")
-        inner_nvars = comps[0].nvars
-        trunc = min([self.trunc] + [g.trunc for g in comps])
-        for g in comps:
-            if g.nvars != inner_nvars:
-                raise DomainError("inner series disagree on variable count")
-            if g.constant_term():
-                raise DomainError("non-zero constant term in composition argument")
-        flat = {e: c for _, lay in self._layers.items() for e, c in lay.items()}
-        return _compose_rec(flat, self.nvars - 1, comps, inner_nvars, trunc)
+        """Substitution self(g_0, ..., g_{n-1}); see SeriesTuple.compose."""
+        return SeriesTuple([self]).compose(tail)[0]
 
     def inverse(self) -> "MultiSeries":
         """Multiplicative inverse; requires an invertible constant term.
@@ -397,78 +386,121 @@ def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSerie
         a, b = b, a
     den_a, ints_a = a._int_layers()
     den_b, ints_b = b._int_layers()
-    base = trunc + 1
-    weights = [base**i for i in range(a.nvars)]
-    packed_a = {d: _pack(terms, weights) for d, terms in ints_a.items() if d <= trunc}
-    packed_b = {d: _pack(terms, weights) for d, terms in ints_b.items() if d <= trunc}
-    acc: dict[int, dict[int, int]] = {}
-    for da, terms_a in packed_a.items():
+    packed_a = _packed(ints_a, a.nvars, trunc)
+    packed_b = _packed(ints_b, a.nvars, trunc)
+    return _unpacked(_convolve(packed_a, packed_b, trunc, low), den_a * den_b, a.nvars, trunc)
+
+
+_Packed = dict[int, list[tuple[int, int]]]
+_Sums = dict[int, dict[int, int]]
+
+
+def _packed(ints: dict[int, list[tuple[Exponents, int]]], nvars: int, trunc: int) -> _Packed:
+    """Integer layers through trunc, each exponent tuple packed into one
+    integer with weights (trunc + 1)**i.
+
+    Coordinates never exceed the total degree, so the keys of a product are
+    the sums of the keys, carry-free.
+    """
+    weights = [(trunc + 1) ** i for i in range(nvars)]
+    return {
+        d: [(sum(w * e for w, e in zip(weights, exps)), c) for exps, c in terms]
+        for d, terms in ints.items()
+        if d <= trunc
+    }
+
+
+def _convolve(a: _Packed, b: _Packed, trunc: int, low: int = 0) -> _Sums:
+    """The product of two packed operands in degrees low..trunc, as {deg: {key: numerator}}."""
+    acc: _Sums = {}
+    for da, terms_a in a.items():
         for db in range(max(low - da, 0), trunc - da + 1):
-            terms_b = packed_b.get(db)
+            terms_b = b.get(db)
             if terms_b is None:
                 continue
-            d = da + db
-            out = acc.setdefault(d, {})
+            out = acc.setdefault(da + db, {})
             get = out.get
             for ea, ca in terms_a:
                 for eb, cb in terms_b:
                     key = ea + eb
                     out[key] = get(key, 0) + ca * cb
-    den = den_a * den_b
+    return acc
+
+
+def _unpacked(acc: _Sums, den: int, nvars: int, trunc: int) -> MultiSeries:
+    """The series acc / den."""
+    base = trunc + 1
     layers: dict[int, dict[Exponents, Fraction]] = {}
     for d, out in acc.items():
-        lay = {_unpack(key, base, a.nvars): Fraction(n, den) for key, n in out.items() if n}
+        lay = {}
+        for key, n in out.items():
+            if n:
+                exps = []
+                for _ in range(nvars):
+                    key, e = divmod(key, base)
+                    exps.append(e)
+                lay[tuple(exps)] = Fraction(n, den)
         if lay:
             layers[d] = lay
-    return MultiSeries._raw(a.nvars, trunc, layers)
+    return MultiSeries._raw(nvars, trunc, layers)
 
 
-def _pack(terms: Iterable[tuple[Exponents, int]], weights: list[int]) -> list[tuple[int, int]]:
-    """Exponent tuples packed into one integer each, with weights base**i.
+def _parent(exps: Exponents) -> tuple[int, Exponents]:
+    """(j, I - e_j) for the last variable j of a nonzero monomial I."""
+    j = max(i for i, e in enumerate(exps) if e)
+    return j, exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
 
-    Coordinates never exceed the total degree, so with base = trunc + 1 the
-    keys of a product are the sums of the keys, carry-free.
+
+class _PowerTable:
+    """The monomial powers inner^I of a fixed inner map, one degree at a time.
+
+    An entry is built as inner^I = inner^(I - e_j) inner_j with j the last
+    variable of I: the baby-step table of Brent and Kung's composition.  It
+    holds packed integer layers over the denominator prod_j den_j^(I_j) of
+    the factors' common denominators, so a table step costs integer
+    products, and a combination sum_I c_I inner^I one Fraction per output
+    coefficient.
     """
-    return [(sum(w * e for w, e in zip(weights, exps)), c) for exps, c in terms]
 
+    def __init__(self, inner: Sequence[MultiSeries], trunc: int) -> None:
+        if any(g.constant_term() for g in inner):
+            raise DomainError("non-zero constant term in composition argument")
+        self.trunc = trunc
+        ints = [g._int_layers() for g in inner]
+        self.dens = [den for den, _ in ints]
+        self.factors = [_packed(layers, inner[0].nvars, trunc) for _, layers in ints]
+        self.entries: dict[Exponents, _Packed] = {(0,) * len(inner): {0: [(0, 1)]}}
+        self.degree = 0
 
-def _unpack(key: int, base: int, nvars: int) -> Exponents:
-    exps = []
-    for _ in range(nvars):
-        key, e = divmod(key, base)
-        exps.append(e)
-    return tuple(exps)
+    def den(self, exps: Exponents) -> int:
+        return prod(den**e for den, e in zip(self.dens, exps))
 
+    def common(self, terms: Iterable[tuple[Exponents, Fraction]]) -> int:
+        """A common denominator of the products c_I inner^I over terms."""
+        return lcm(1, *(c.denominator * self.den(exps) for exps, c in terms))
 
-def _compose_rec(
-    flat: dict[Exponents, Fraction],
-    var: int,
-    comps: tuple[MultiSeries, ...],
-    inner_nvars: int,
-    trunc: int,
-) -> MultiSeries:
-    if not flat:
-        return MultiSeries.zero(inner_nvars, trunc)
-    if var < 0:
-        value = flat.get(next(iter(flat)))
-        return MultiSeries.constant(value, inner_nvars, trunc)
-    buckets: dict[int, dict[Exponents, Fraction]] = {}
-    for exps, c in flat.items():
-        j = exps[var]
-        if j > trunc:
-            continue
-        cleared = exps[:var] + (0,) + exps[var + 1 :]
-        buckets.setdefault(j, {})[cleared] = c
-    if not buckets:
-        return MultiSeries.zero(inner_nvars, trunc)
-    g = comps[var]
-    jmax = max(buckets)
-    acc = _compose_rec(buckets.get(jmax, {}), var - 1, comps, inner_nvars, trunc)
-    for j in range(jmax - 1, -1, -1):
-        acc = acc * g
-        if j in buckets:
-            acc = acc + _compose_rec(buckets[j], var - 1, comps, inner_nvars, trunc)
-    return acc
+    def extend(self, monomials: Iterable[Exponents]) -> None:
+        """Move the table up one degree, to the entries of the given monomials."""
+        entries = {}
+        for exps in monomials:
+            j, lower = _parent(exps)
+            product = _convolve(self.entries[lower], self.factors[j], self.trunc)
+            entries[exps] = {d: list(lay.items()) for d, lay in product.items()}
+        self.entries = entries
+        self.degree += 1
+
+    def combine(self, terms: dict[Exponents, Fraction], common: int, acc: _Sums, low: int = 0) -> None:
+        """Add common * sum_I c_I inner^I over terms of the current degree,
+        in the degrees >= low, to the accumulator acc."""
+        for exps, c in terms.items():
+            mult = c.numerator * (common // (c.denominator * self.den(exps)))
+            for d, lay in self.entries[exps].items():
+                if d < low:
+                    continue
+                dacc = acc.setdefault(d, {})
+                get = dacc.get
+                for key, v in lay:
+                    dacc[key] = get(key, 0) + mult * v
 
 
 def _layer_composer(inner: "SeriesTuple"):
@@ -476,80 +508,28 @@ def _layer_composer(inner: "SeriesTuple"):
     layers given in non-decreasing degree d.
 
     layer o inner = sum_I c_I inner^I over the monomials I of degree d, so
-    the monomial powers inner^I are tabulated degree by degree, as
-    inner^I = inner^(I - e_j) inner_j with j the last variable of I: the
-    baby-step table of Brent and Kung's composition.  The table is shared
-    by every component and every layer, and only the current degree is
-    kept.  An entry is integers over one denominator, (den, {deg: {key:
-    numerator}}) with exponents packed as in _mul, so a layer costs integer
-    products and one Fraction per output coefficient.
+    one _PowerTable of inner, shared by every component and every layer,
+    moves up over all monomials of each degree as the layers ask for it.
     """
     n, trunc = inner.nvars, inner.trunc
     if len(inner) != n:
         raise DomainError("the inner map must be square")
-    if any(g.constant_term() for g in inner):
-        raise DomainError("non-zero constant term in composition argument")
-    base = trunc + 1
-    weights = [base**i for i in range(n)]
-    factors = []
-    for g in inner:
-        den, ints = g._int_layers()
-        factors.append((den, [(d, _pack(terms, weights)) for d, terms in ints.items()]))
-    table = {(0,) * n: (1, {0: {0: 1}})}
-    table_degree = 0
-
-    def extend():
-        nonlocal table, table_degree
-        nxt = {}
-        for exps, (den, layers) in table.items():
-            last = max((i for i, e in enumerate(exps) if e), default=0)
-            for j in range(last, n):
-                fden, flayers = factors[j]
-                out = {}
-                for da, terms_a in layers.items():
-                    for db, terms_b in flayers:
-                        if da + db > trunc:
-                            continue
-                        lay = out.setdefault(da + db, {})
-                        get = lay.get
-                        for ka, ca in terms_a.items():
-                            for kb, cb in terms_b:
-                                key = ka + kb
-                                lay[key] = get(key, 0) + ca * cb
-                step = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
-                nxt[step] = (den * fden, {d: {k: c for k, c in lay.items() if c} for d, lay in out.items()})
-        table = nxt
-        table_degree += 1
+    table = _PowerTable(inner.components, trunc)
 
     def compose(layer: "SeriesTuple", low: int) -> "SeriesTuple":
         degree = layer.lowest_degree()
-        if degree is None or degree < table_degree or any(set(c._layers) - {degree} for c in layer):
+        if degree is None or degree < table.degree or any(set(c._layers) - {degree} for c in layer):
             raise DomainError("layers must be homogeneous, nonzero and of non-decreasing degree")
-        while table_degree < degree:
-            extend()
+        while table.degree < degree:
+            # every monomial of the next degree is I + e_j for an entry I
+            table.extend({e[:j] + (e[j] + 1,) + e[j + 1 :] for e in table.entries for j in range(n)})
         out = []
         for comp in layer:
             terms = comp._layers.get(degree, {})
-            common = 1
-            for exps, c in terms.items():
-                common = lcm(common, c.denominator * table[exps][0])
-            acc: dict[int, dict[int, int]] = {}
-            for exps, c in terms.items():
-                den, layers = table[exps]
-                mult = c.numerator * (common // (c.denominator * den))
-                for d, lay in layers.items():
-                    if d < low:
-                        continue
-                    dacc = acc.setdefault(d, {})
-                    get = dacc.get
-                    for key, v in lay.items():
-                        dacc[key] = get(key, 0) + mult * v
-            layers_out = {}
-            for d, dacc in acc.items():
-                lay = {_unpack(key, base, n): Fraction(v, common) for key, v in dacc.items() if v}
-                if lay:
-                    layers_out[d] = lay
-            out.append(MultiSeries._raw(n, trunc, layers_out))
+            common = table.common(terms.items())
+            acc: _Sums = {}
+            table.combine(terms, common, acc, low)
+            out.append(_unpacked(acc, common, n, trunc))
         return SeriesTuple(out)
 
     return compose
@@ -640,8 +620,36 @@ class SeriesTuple:
             a.agrees_through(b, degree) for a, b in zip(self.components, other.components)
         )
 
-    def compose(self, inner: "SeriesTuple") -> "SeriesTuple":
-        return SeriesTuple([c.compose(inner) for c in self.components])
+    def compose(self, inner: "SeriesTuple | Sequence[MultiSeries]") -> "SeriesTuple":
+        """Substitution c(g_0, ..., g_{n-1}) into every component c; each g_i
+        must have zero constant term, and the cap is the least of all caps.
+
+        One _PowerTable of the g_i serves every component.  It moves up over
+        the prefix closure (I -> I - e_last(I)) of their joint support, so a
+        sparse outer map computes only the powers it reads; each degree adds
+        one combination per component to that component's accumulator.
+        """
+        comps = tuple(inner)
+        if len(comps) != self.nvars:
+            raise DomainError(f"composition needs {self.nvars} inner series, got {len(comps)}")
+        for g in comps:
+            if g.nvars != comps[0].nvars:
+                raise DomainError("inner series disagree on variable count")
+        trunc = min([self.trunc] + [g.trunc for g in comps])
+        terms = [{d: lay for d, lay in c._layers.items() if d <= trunc} for c in self.components]
+        closure: list[set[Exponents]] = [set() for _ in range(trunc + 2)]  # by degree, one spare
+        for exps in {e for layers in terms for lay in layers.values() for e in lay}:
+            while any(exps) and exps not in closure[sum(exps)]:
+                closure[sum(exps)].add(exps)
+                exps = _parent(exps)[1]
+        table = _PowerTable(comps, trunc)
+        commons = [table.common(t for lay in layers.values() for t in lay.items()) for layers in terms]
+        accs: list[_Sums] = [{} for _ in terms]
+        for d in range(trunc + 1):
+            for layers, common, acc in zip(terms, commons, accs):
+                table.combine(layers.get(d, {}), common, acc)
+            table.extend(closure[d + 1])
+        return SeriesTuple([_unpacked(acc, common, comps[0].nvars, trunc) for acc, common in zip(accs, commons)])
 
     def compose_diagonal(self, factors: Sequence[Fraction]) -> "SeriesTuple":
         """Substitution x_i -> factors[i] * x_i, done by coefficient scaling."""
@@ -654,10 +662,7 @@ class SeriesTuple:
             for d, lay in comp._layers.items():
                 new = {}
                 for exps, c in lay.items():
-                    scale = Fraction(1)
-                    for f, e in zip(facs, exps):
-                        if e:
-                            scale *= f**e
+                    scale = prod(f**e for f, e in zip(facs, exps) if e)
                     if scale:
                         new[exps] = c * scale
                 if new:
@@ -713,12 +718,12 @@ class SeriesTuple:
             minv = ratlinalg.inverse(m)
         except DomainError as exc:
             raise DomainError("singular linear part") from exc
-        u = SeriesTuple([_linear_combination(minv[i], n, trunc) for i in range(n)])
+        unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        u = SeriesTuple([MultiSeries(n, trunc, zip(unit, row)) for row in minv])
         contact = 1
         while contact < trunc:
             contact = min(2 * contact, trunc)
-            scope = self.truncated(contact)
-            residual = scope.compose(u.truncated(contact)) - SeriesTuple.identity(n, contact)
+            residual = self.compose(u.truncated(contact)) - SeriesTuple.identity(n, contact)
             if residual.is_zero():
                 continue
             du = [
@@ -737,14 +742,6 @@ class SeriesTuple:
 
     def to_records(self) -> list[list[dict]]:
         return [c.to_records() for c in self.components]
-
-
-def _linear_combination(coeffs: Sequence[Fraction], nvars: int, trunc: int) -> MultiSeries:
-    terms = []
-    for j, c in enumerate(coeffs):
-        if c:
-            terms.append((tuple(1 if i == j else 0 for i in range(nvars)), Fraction(c)))
-    return MultiSeries(nvars, trunc, terms)
 
 
 def invert_tuple(g: SeriesTuple) -> SeriesTuple:
@@ -789,13 +786,14 @@ def gauss_norm(phi: MultiSeries, rho, prime: int) -> GaussNorm:
         raise DomainError("radius must be positive")
     if not is_prime(prime):
         raise DomainError(f"{prime} is not a prime")
-    best = None  # (value, witness, valuation, degree)
-    for exps, coeff in phi.terms():
-        val = fraction_valuation(coeff, prime)
-        value = fraction_abs(coeff, prime) * rho ** sum(exps)
-        key = (sum(exps),) + tuple(-e for e in exps)
+    best = None  # (value, key, valuation, degree, witness)
+    for d, lay in phi._layers.items():
+        # rho^d is common to the layer: its least valuation wins, graded-lex first
+        val, key, exps = min((fraction_valuation(c, prime), tuple(-e for e in exps), exps) for exps, c in lay.items())
+        value = rho**d * Fraction(prime) ** -val
+        key = (d,) + key
         if best is None or value > best[0] or (value == best[0] and key < best[1]):
-            best = (value, key, val, sum(exps), exps)
+            best = (value, key, val, d, exps)
     if best is None:
         return GaussNorm(Fraction(0), None, None, None, prime, rho)
     return GaussNorm(best[0], best[2], best[3], best[4], prime, rho)

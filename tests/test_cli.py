@@ -5,7 +5,11 @@ import shlex
 import threading
 from pathlib import Path
 
-from padicdyn.cli import ENCODE_MAX_BITS, PROBE_MAX_BITS, run
+import pytest
+
+from padicdyn.arith import check_odd_prime
+from padicdyn.cli import ENCODE_MAX_BITS, PROBE_MAX_BITS, _prime, run
+from padicdyn.errors import DocumentError, DomainError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -409,6 +413,20 @@ class TestPrimeArguments:
             assert data["error"]["kind"] == "document"
             assert data["error"]["location"] == location
             assert "odd prime" in data["error"]["message"]
+
+
+    def test_accepts_exactly_the_library_odd_primes(self):
+        for value in range(-5, 60):
+            try:
+                check_odd_prime(value)
+            except DomainError:
+                with pytest.raises(DocumentError, match="expected an odd prime"):
+                    _prime(value, "prime")
+            else:
+                assert _prime(value, "prime") == value
+        for value in (True, "3", 3.0, None):
+            with pytest.raises(DocumentError, match="expected an odd prime"):
+                _prime(value, "--prime")
 
 
 class TestIntegerArguments:

@@ -1,12 +1,16 @@
-"""Source hygiene: every name a library module imports is used in it, and
-no library module converts to float except for padic.INFINITY."""
+"""Source hygiene: every name a library module imports is used in it, no
+library module converts to float except for padic.INFINITY, and every
+entry point the benchmark tracer wraps still exists."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "padicdyn"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "padicdyn"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -83,3 +87,17 @@ def test_no_float_outside_infinity():
 def test_the_guard_sees_a_float_call():
     tree = ast.parse('INFINITY = float("inf")\nx = max(1, float(2))\n')
     assert list(float_calls(tree)) == [(1, "INFINITY"), (2, None)]
+
+
+def test_every_traced_entry_point_resolves():
+    # a renamed entry point would otherwise be reported as 0 calls
+    # executed from its source, so nothing is written under perfbench/
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(tracer))
+    missing = []
+    for _, module, path, _ in tracer.TARGETS:
+        importlib.import_module(module)
+        if tracer._resolve(module, path) is None:
+            missing.append(f"{module}:{path}")
+    assert not missing, f"traced entry points not found: {', '.join(missing)}"

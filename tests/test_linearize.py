@@ -443,6 +443,26 @@ class TestInverseFromPowerTable:
         assert direct.h.compose(direct.h_inverse) == SeriesTuple.identity(f.n, degree)
 
 
+class TestDenseInverse:
+    """A map whose h and h^(-1) are dense in four variables at degree 12:
+    (2x1 + x2x3x4/7 - 3x1x2x3/7, -3x2 + 2x1x3x4/49 - 7x1^2x2, 5x3 + x1x2x4/7,
+    -5x4 - x1x2^2/49 + 2x3x4^2/7)."""
+
+    def test_reversion_and_round_trip(self):
+        f = build_map(
+            [
+                [((1, 0, 0, 0), 2), ((0, 1, 1, 1), Fraction(1, 7)), ((1, 1, 1, 0), Fraction(-3, 7))],
+                [((0, 1, 0, 0), -3), ((1, 0, 1, 1), Fraction(2, 49)), ((2, 1, 0, 0), -7)],
+                [((0, 0, 1, 0), 5), ((1, 1, 0, 1), Fraction(1, 7))],
+                [((0, 0, 0, 1), -5), ((1, 2, 0, 0), Fraction(-1, 49)), ((0, 0, 1, 2), Fraction(2, 7))],
+            ],
+            12,
+        )
+        result = linearize_order_by_order(f, 12)
+        assert result.h.invert() == result.h_inverse
+        assert result.h.compose(result.h_inverse) == SeriesTuple.identity(4, 12)
+
+
 class TestRatPow:
     def test_integer_exponent_collapse(self):
         x = RatPow(Fraction(3, 4), Fraction(1, 2), Fraction(2))

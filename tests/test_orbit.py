@@ -165,6 +165,11 @@ class TestVanishingSum:
         with pytest.raises(DomainError):
             VanishingSumInstance([1], [5], prime=5)
 
+    @pytest.mark.parametrize("prime", [1, 0, -3, 2, 9])
+    def test_rejects_all_but_odd_primes(self, prime):
+        with pytest.raises(DomainError, match="is not an odd prime"):
+            VanishingSumInstance([3, -2], [7, 11], prime=prime)
+
     def test_prime_below_two_raises(self):
         # the valuation loop never ends for p = 1 unless the base is checked,
         # so the attempt runs in a worker bounded by a join timeout
@@ -173,7 +178,7 @@ class TestVanishingSum:
         def attempt():
             try:
                 VanishingSumInstance([1], [2], prime=1)
-            except ValueError:
+            except DomainError:
                 outcome.append("rejected")
 
         worker = threading.Thread(target=attempt, daemon=True)

@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padicdyn.arith import fraction_abs, fraction_valuation
 from padicdyn.errors import DomainError
 from padicdyn.series import (
     MultiSeries,
@@ -227,6 +228,24 @@ class TestInvertTuple:
             invert_tuple(g)
 
 
+def as_sympy(sympy, xs, phi):
+    """The stored terms of phi as a sympy polynomial in the symbols xs."""
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x**e for x, e in zip(xs, exps)])
+         for exps, c in phi.terms()),
+        sympy.Integer(0),
+    )
+
+
+def sympy_terms(sympy, xs, expr, trunc):
+    """{exponents: Fraction} of an expanded sympy expression through total degree trunc."""
+    return {
+        exps: Fraction(int(c.p), int(c.q))
+        for exps, c in sympy.Poly(sympy.expand(expr), *xs).terms()
+        if c and sum(exps) <= trunc
+    }
+
+
 class TestInvertAgainstSympy:
     """g o g.invert() = x through the truncation, composed by sympy (test-only)."""
 
@@ -245,23 +264,78 @@ class TestInvertAgainstSympy:
                 terms.append((tuple(int(j == 0) for j in range(nvars)), Fraction(1)))
             comps.append(MultiSeries(nvars, trunc, terms))
         g = SeriesTuple(comps)
-
-        def as_sympy(phi):
-            return sum(
-                (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x**e for x, e in zip(xs, exps)])
-                 for exps, c in phi.terms()),
-                sympy.Integer(0),
-            )
-
-        inverse = [as_sympy(c) for c in g.invert()]
+        inverse = [as_sympy(sympy, xs, c) for c in g.invert()]
         for i, comp in enumerate(g):
-            composed = sympy.expand(as_sympy(comp).subs(dict(zip(xs, inverse)), simultaneous=True))
+            composed = sympy.expand(as_sympy(sympy, xs, comp).subs(dict(zip(xs, inverse)), simultaneous=True))
             kept = {
                 exps: c
                 for exps, c in sympy.Poly(composed, *xs).terms()
                 if 0 < sum(exps) <= trunc
             }
             assert kept == {tuple(1 if j == i else 0 for j in range(nvars)): 1}, i
+
+
+@st.composite
+def compositions(draw):
+    """(outer tuple, inner series) for a substitution checked against sympy.
+
+    The outer map has 1-3 variables, a constant term and terms above the
+    inner cap allowed, and components that may be zero or have disjoint
+    supports; the inner series have their own variable count and caps.
+    """
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    outer_trunc = draw(st.integers(0, 5))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+    def series(nvars, trunc, low):
+        exps = st.tuples(*[st.integers(0, trunc)] * nvars).filter(lambda e: low <= sum(e))
+        return MultiSeries(nvars, trunc, draw(st.lists(st.tuples(exps, coeff), max_size=4)))
+
+    outer = SeriesTuple([series(m, outer_trunc, 0) for _ in range(draw(st.integers(1, 3)))])
+    inner_trunc = draw(st.integers(1, 5))
+    inner = [series(n, inner_trunc, 1) for _ in range(m)]
+    if draw(st.booleans()):
+        inner[0] = inner[0].truncated(draw(st.integers(0, inner_trunc)))
+    return outer, inner
+
+
+# an outer constant term, disjoint supports, a zero component, 3 inner
+# variables for 2 outer ones, and an outer term of degree 3 above the cap 2
+EVERY_CASE = (
+    SeriesTuple([
+        MultiSeries(2, 4, [((0, 0), 3), ((2, 0), 1)]),
+        MultiSeries(2, 4, [((0, 1), 2), ((1, 2), -1)]),
+        MultiSeries.zero(2, 4),
+    ]),
+    [
+        MultiSeries(3, 2, [((1, 0, 0), 1), ((0, 1, 1), 2)]),
+        MultiSeries(3, 2, [((0, 0, 1), Fraction(1, 2)), ((2, 0, 0), -1)]),
+    ],
+)
+
+
+class TestComposeAgainstSympy:
+    """Substitution equals sympy's expansion truncated at the cap (test-only)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(compositions())
+    @example(EVERY_CASE)
+    def test_matches_truncated_substitution(self, case):
+        sympy = pytest.importorskip("sympy")
+        outer, inner = case
+        xs = sympy.symbols(f"x0:{outer.nvars}")
+        ys = sympy.symbols(f"y0:{inner[0].nvars}")
+        trunc = min([outer.trunc] + [g.trunc for g in inner])
+        images = dict(zip(xs, [as_sympy(sympy, ys, g) for g in inner]))
+        expected = [
+            sympy_terms(sympy, ys, as_sympy(sympy, xs, c).subs(images, simultaneous=True), trunc)
+            for c in outer
+        ]
+        singles = [c.compose(inner) for c in outer]
+        for comp, single, want in zip(outer.compose(inner), singles, expected):
+            assert comp.trunc == single.trunc == trunc
+            assert comp.nvars == single.nvars == inner[0].nvars
+            assert dict(comp.terms()) == dict(single.terms()) == want
 
 
 class TestGaussNorm:
@@ -298,6 +372,24 @@ class TestGaussNorm:
             nb = gauss_norm(b, rho, p)
             nab = gauss_norm(a * b, rho, p)
             assert nab.value == na.value * nb.value
+
+    def test_matches_termwise_maximum(self):
+        # oracle: |a_I|_p rho^|I| for every term, graded-lex first among ties
+        rng = random.Random(25)
+        for _ in range(100):
+            p = rng.choice((2, 3, 5))
+            rho = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            phi = rand_series(rng, 3, 5, terms=8)
+            best = None
+            for exps, c in phi.terms():
+                value = fraction_abs(c, p) * rho ** sum(exps)
+                if best is None or value > best[0]:
+                    best = (value, exps, fraction_valuation(c, p), sum(exps))
+            norm = gauss_norm(phi, rho, p)
+            if best is None:
+                assert (norm.value, norm.witness) == (0, None)
+            else:
+                assert (norm.value, norm.witness, norm.valuation, norm.degree) == best
 
     def test_ultrametric_randomized(self):
         rng = random.Random(23)
