@@ -131,6 +131,24 @@ class MapDocument:
         self.symplectic_form = symplectic_form
 
 
+def _term_record(record: Any, where: str, n: int) -> tuple[tuple[int, ...], Fraction]:
+    """(exponents, coefficient) of a term record over n variables."""
+    if not isinstance(record, dict):
+        raise DocumentError(where, "expected a term record")
+    exps = record.get("exponents")
+    if not isinstance(exps, list) or len(exps) != n or any(
+        not isinstance(e, int) or e < 0 for e in exps
+    ):
+        raise DocumentError(f"{where}.exponents", f"expected {n} non-negative integers")
+    num = record.get("numerator")
+    if not isinstance(num, int):
+        raise DocumentError(f"{where}.numerator", "expected an integer")
+    den = record.get("denominator", 1)
+    if not isinstance(den, int) or den == 0:
+        raise DocumentError(f"{where}.denominator", "expected a nonzero integer")
+    return tuple(exps), Fraction(num, den)
+
+
 def parse_map_document(data: Any, truncation: int | None = None) -> MapDocument:
     if not isinstance(data, dict):
         raise DocumentError("$", "document must be a JSON object")
@@ -155,23 +173,7 @@ def parse_map_document(data: Any, truncation: int | None = None) -> MapDocument:
     for i, terms in enumerate(components):
         if not isinstance(terms, list):
             raise DocumentError(f"components[{i}]", "expected a list of term records")
-        parsed = []
-        for t, record in enumerate(terms):
-            where = f"components[{i}][{t}]"
-            if not isinstance(record, dict):
-                raise DocumentError(where, "expected a term record")
-            exps = record.get("exponents")
-            if not isinstance(exps, list) or len(exps) != n or any(
-                not isinstance(e, int) or e < 0 for e in exps
-            ):
-                raise DocumentError(f"{where}.exponents", f"expected {n} non-negative integers")
-            num = record.get("numerator")
-            if not isinstance(num, int):
-                raise DocumentError(f"{where}.numerator", "expected an integer")
-            den = record.get("denominator", 1)
-            if not isinstance(den, int) or den == 0:
-                raise DocumentError(f"{where}.denominator", "expected a nonzero integer")
-            parsed.append((tuple(exps), Fraction(num, den)))
+        parsed = [_term_record(record, f"components[{i}][{t}]", n) for t, record in enumerate(terms)]
         series.append(MultiSeries(n, trunc, parsed))
     prime = data.get("prime")
     if prime is not None:
@@ -354,25 +356,21 @@ def cmd_eisenstein(args) -> dict:
     terms = []
     for t, record in enumerate(raw_terms):
         where = f"relation[{t}]"
-        if not isinstance(record, dict):
-            raise DocumentError(where, "expected a term record")
-        exps = record.get("exponents")
-        if not isinstance(exps, list) or len(exps) != nvars:
-            raise DocumentError(f"{where}.exponents", f"expected {nvars} integers")
+        exps, coeff = _term_record(record, where, nvars)
         xpow = record.get("x_power", 0)
         if not isinstance(xpow, int) or xpow < 0:
             raise DocumentError(f"{where}.x_power", "expected a non-negative integer")
-        num = record.get("numerator")
-        den = record.get("denominator", 1)
-        if not isinstance(num, int) or not isinstance(den, int) or den == 0:
-            raise DocumentError(where, "expected integer numerator and nonzero denominator")
-        terms.append((tuple(exps), xpow, Fraction(num, den)))
+        terms.append((exps, xpow, coeff))
     relation = XPolynomial.from_terms(nvars, terms)
     seed_records = data.get("seed", [])
+    if not isinstance(seed_records, list):
+        raise DocumentError("seed", "expected a list of term records")
     seed_degree = data.get("seed_degree", 0)
     if not isinstance(seed_degree, int) or seed_degree < 0:
         raise DocumentError("seed_degree", "expected a non-negative integer")
-    seed = MultiSeries.from_records(seed_records, nvars, seed_degree)
+    seed = MultiSeries(
+        nvars, seed_degree, [_term_record(record, f"seed[{t}]", nvars) for t, record in enumerate(seed_records)]
+    )
     depth = args.degree if args.degree is not None else DEFAULT_TRUNCATION
     spec = AlgebraicSeriesSpec.build(relation, seed)
     phi = coefficients_up_to(spec, depth)

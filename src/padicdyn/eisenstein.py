@@ -16,14 +16,17 @@ vanishing order was wrong, and raises DivisionFailureError.
 When F' is a unit at the seed (s = 0), plain quadratic Hensel lifting is
 used instead; the pivot machinery stays available behind method="pivot".
 
-Both routes compute only what each step reads.  The pivot induction needs
-one layer of F(phi) per degree, so it calls XPolynomial.evaluate with a
-lower bound low equal to that degree: the last product of the Horner
-evaluation then forms that layer alone.  A Hensel step needs 1/F'(phi) only
-through the new degree minus the order of F(phi), so the slope is
-evaluated and inverted at that cap.  The dropped terms never reach a kept
-coefficient, so the outputs are those of full evaluations, and the final
-check of F(phi) through degree + s still runs over the whole series.
+XPolynomial.evaluate sums a_k phi^k over powers built by squaring, and with
+a lower bound low forms only the layers from low up.  Both routes compute
+only what each step reads.  The pivot induction needs one layer of F(phi)
+per degree, so it evaluates with low equal to that degree, and phi grows
+by one layer per degree without copying.  A Hensel step reads F(phi) only
+above the previous degree, and 1/F'(phi) only through the new degree minus
+the order of F(phi); the slope inverse continues the previous step's
+Newton doubling.  The dropped terms never reach a kept coefficient, and a
+truncated inverse is unique, so the outputs are those of full evaluations;
+the final check of F(phi) through degree + s still runs over the whole
+series.
 
 Denominator support reports the primes dividing any coefficient
 denominator, certifying that the series lives in Z[1/N][[x]] up to the
@@ -38,7 +41,7 @@ from typing import Sequence
 
 from .arith import prime_support
 from .errors import DivisionFailureError, DomainError
-from .series import MultiSeries, SeriesTuple, _mul
+from .series import MultiSeries, SeriesTuple, _inverse_from, _mul
 
 Exponents = tuple[int, ...]
 
@@ -94,20 +97,41 @@ class XPolynomial:
         return MultiSeries(self.nvars, trunc, poly.items())
 
     def evaluate(self, phi: MultiSeries, trunc: int, low: int = 0) -> MultiSeries:
-        """Horner evaluation F(x, phi(x)) truncated at the given degree.
+        """F(x, phi(x)) = sum_k a_k phi^k truncated at the given degree.
 
-        With low > 0 the last Horner product forms only its layers of
-        degree >= low, so only those layers of the result are layers of
-        F(x, phi); callers read them with .layer().
+        The powers are built as phi^k = phi^(k//2) phi^(k - k//2), so every
+        even power, phi^2 first, is a square.  With low > 0 only the layers
+        of degree >= low are formed, and the layers below low are absent
+        from the result, a_0's included: each a_k phi^k is formed from low
+        up, and the top power phi^m, read by a_m phi^m alone, from
+        low - deg(a_m) up.  Callers read the kept layers with .layer().
+        Unbounded products go through MultiSeries.__mul__, where
+        perfbench/tracer.py counts series products.
         """
         if phi.nvars != self.nvars:
             raise DomainError("variable count mismatch")
-        work = phi.truncated(trunc) if phi.trunc > trunc else phi.as_polynomial(trunc)
-        acc = self.coefficient_series(self.x_degree, trunc)
-        for k in range(self.x_degree - 1, -1, -1):
-            product = _mul(acc, work, trunc, low) if k == 0 and low else acc * work
-            acc = product + self.coefficient_series(k, trunc)
-        return acc
+        work = phi.truncated(trunc) if phi.trunc >= trunc else phi.as_polynomial(trunc)
+
+        def product(a: MultiSeries, b: MultiSeries, floor: int) -> MultiSeries:
+            return _mul(a, b, trunc, floor) if floor else a * b
+
+        coeffs = {k: self.coefficient_series(k, trunc) for k in sorted(self.coeffs)}
+        coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+        needed, pending = set(), [k for k in coeffs if k > 1]
+        while pending:
+            k = pending.pop()
+            if k > 1 and k not in needed:
+                needed.add(k)
+                pending += [k // 2, k - k // 2]
+        top = max(coeffs, default=0)
+        powers = {0: MultiSeries.one(self.nvars, trunc), 1: work}
+        for k in sorted(needed):
+            floor = max(low - coeffs[top].degree(), 0) if k == top else 0
+            powers[k] = product(powers[k // 2], powers[k - k // 2], floor)
+        total = MultiSeries.zero(self.nvars, trunc)
+        for k, coeff in coeffs.items():
+            total = total + product(coeff, powers[k], low)
+        return total
 
 
 @dataclass(frozen=True)
@@ -225,49 +249,52 @@ def coefficients_up_to(spec: AlgebraicSeriesSpec, degree: int, method: str = "au
 def _hensel(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
     """Quadratic lifting phi <- phi - F(phi) / F'(phi), doubling the contact order.
 
-    A step from a root through degree prev to one through known reads the
-    slope inverse only through known - ord F(phi): F(phi) has order at
-    least prev + 1, and the product F(phi) / F'(phi) is kept through known
-    alone, so the higher orders of 1/F'(phi) never reach a kept term.  The
-    slope is evaluated and inverted at that cap and promoted back to
-    known, which leaves every step's output unchanged.
+    A step from a root through degree prev to one through known reads
+    F(phi) only above prev: its layers through prev vanish by construction,
+    so it is evaluated with low = prev + 1, and the final check in
+    coefficients_up_to still covers them.  The step reads the slope inverse
+    only through known - ord F(phi), since the product F(phi) / F'(phi) is
+    kept through known alone; the slope is evaluated at that cap.  Its
+    inverse continues the previous step's by Newton doubling: the previous
+    slope agrees with this one through the previous cap, and a truncated
+    inverse is unique, so one doubling pass per step gives the same series
+    as a fresh inverse (Brent and Kung, J. ACM 25, 1978).
     """
     derivative = spec.relation.derivative_in_x_big()
     known = spec.seed.trunc
     phi = spec.seed
+    inverse = None
     while known < degree:
-        known = min(2 * known + 1, degree)
+        prev, known = known, min(2 * known + 1, degree)
         work = phi.as_polynomial(known)
-        value = spec.relation.evaluate(work, known)
+        value = spec.relation.evaluate(work, known, low=prev + 1)
         order = value.lowest_degree()
         if order is None:
             phi = work
             continue
         slope = derivative.evaluate(work, known - order)
-        phi = work - value * slope.inverse().as_polynomial(known)
+        inverse = slope.inverse() if inverse is None else _inverse_from(slope, inverse)
+        phi = work - value * inverse.as_polynomial(known)
     return phi.truncated(degree)
 
 
 def _pivot_induction(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
     """Graded induction phi_(d) = -F(phi_d)_(d+s) / F'(phi_{s+1})_(s).
 
-    Each degree reads one layer of F(x, phi): its Horner evaluation runs
-    through degree d + s, and the last product forms layer d + s alone
-    (XPolynomial.evaluate with low = d + s).  That layer is the same as in
-    a full evaluation, so the output is unchanged, while a step costs about
-    one layer of the last product instead of the whole series.
+    Each degree reads one layer of F(x, phi): XPolynomial.evaluate with
+    low = d + s forms layer d + s alone, the same as in a full evaluation,
+    so a step costs about one layer of each product instead of the whole
+    series.  phi grows by its new layer without copying (MultiSeries._grown):
+    the old layer dicts are shared, and its cached integer view grows with
+    it instead of being rebuilt.
     """
     s = spec.vanishing_order
     divisor = _derivative_layer(spec.relation, spec.seed, s)
     phi = spec.seed
     for d in range(spec.seed.trunc + 1, degree + 1):
         numerator = spec.relation.evaluate(phi, d + s, low=d + s).layer(d + s)
-        if not numerator:
-            phi = phi.as_polynomial(d)
-            continue
         negated = {e: -c for e, c in numerator.items()}
-        layer = _divide_forms(negated, divisor, spec.pivot_monomial)
-        phi = phi.as_polynomial(d) + MultiSeries(phi.nvars, d, layer.items())
+        phi = phi._grown(_divide_forms(negated, divisor, spec.pivot_monomial))
     return phi
 
 

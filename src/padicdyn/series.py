@@ -7,10 +7,12 @@ operation truncates at the minimum truncation degree of its operands, so
 precision can only shrink, never silently grow.
 
 Multiplication clears denominators once per operand and convolves integer
-coefficients.  Composition sums c_I inner^I over one table of the inner
-map's monomial powers (_PowerTable), kept in integers, whether it serves
-one substitution (SeriesTuple.compose) or a stream of homogeneous layers
-(_layer_composer).  All are exact.
+coefficients; a square (both operands the same object) visits each
+unordered pair of terms once, at about half the cost.  Composition sums
+c_I inner^I over one table of the inner map's monomial powers
+(_PowerTable), kept in integers, whether it serves one substitution
+(SeriesTuple.compose) or a stream of homogeneous layers (_layer_composer).
+All are exact.
 
 Gauss norms sup |a_I|_p rho^|I| are returned as exact data: the p-adic
 valuation of the extremal coefficient, its degree, and the norm value as a
@@ -262,14 +264,13 @@ class MultiSeries:
         return result
 
     def truncated(self, new_trunc: int) -> "MultiSeries":
-        """Discard all terms above new_trunc; never extends the cap."""
+        """Discard all terms above new_trunc; never extends the cap.  The
+        kept layer dicts are shared."""
         if new_trunc < 0:
             raise DomainError("truncation degree must be non-negative")
         if new_trunc >= self.trunc:
-            return self if new_trunc == self.trunc else MultiSeries._raw(
-                self.nvars, self.trunc, self._layers
-            )
-        layers = {d: dict(lay) for d, lay in self._layers.items() if d <= new_trunc}
+            return self
+        layers = {d: lay for d, lay in self._layers.items() if d <= new_trunc}
         return MultiSeries._raw(self.nvars, new_trunc, layers)
 
     def as_polynomial(self, trunc: int) -> "MultiSeries":
@@ -277,11 +278,40 @@ class MultiSeries:
 
         Only meaningful when the stored terms are the whole object, e.g.
         parsed polynomial input; raising the cap on a genuinely truncated
-        series would fabricate zero coefficients.
+        series would fabricate zero coefficients.  The layer dicts and a
+        cached integer view are shared, not copied: no instance changes
+        them after construction.
         """
         if trunc < (self.degree() or 0):
             raise DomainError("as_polynomial cannot drop stored terms")
-        return MultiSeries._raw(self.nvars, trunc, {d: dict(lay) for d, lay in self._layers.items()})
+        out = MultiSeries._raw(self.nvars, trunc, self._layers)
+        out._ints = self._ints
+        return out
+
+    def _grown(self, layer: dict[Exponents, Fraction]) -> "MultiSeries":
+        """This polynomial with a new top layer, homogeneous of degree
+        trunc + 1, at that cap.
+
+        The layer map is copied shallowly and its layer dicts are shared.  A
+        cached integer view grows by the new layer; when the common
+        denominator grows, the old numerators are rescaled once by
+        new_den / den instead of a new lcm pass.
+        """
+        degree = self.trunc + 1
+        layer = {e: c for e, c in layer.items() if c}
+        layers = dict(self._layers)
+        if layer:
+            layers[degree] = layer
+        out = MultiSeries._raw(self.nvars, degree, layers)
+        if self._ints is not None:
+            den, ints = self._ints
+            new_den = lcm(den, *(c.denominator for c in layer.values()))
+            scale = new_den // den
+            ints = {d: [(e, v * scale) for e, v in lay] for d, lay in ints.items()} if scale > 1 else dict(ints)
+            if layer:
+                ints[degree] = [(e, c.numerator * (new_den // c.denominator)) for e, c in layer.items()]
+            out._ints = (new_den, ints)
+        return out
 
     # -- calculus and substitution ------------------------------------------
 
@@ -337,21 +367,13 @@ class MultiSeries:
     def inverse(self) -> "MultiSeries":
         """Multiplicative inverse; requires an invertible constant term.
 
-        Newton doubling y <- y (2 - self y): each pass doubles the number
-        of correct orders, so log(trunc) multiplications suffice.
+        Newton doubling from the inverse of the constant term; see
+        _inverse_from.
         """
         c0 = self.constant_term()
         if not c0:
             raise DomainError("series inverse needs a unit constant term")
-        n, trunc = self.nvars, self.trunc
-        y = MultiSeries.constant(1 / c0, n, 0)
-        correct = 0
-        while correct < trunc:
-            correct = min(2 * correct + 1, trunc)
-            scope = self.truncated(correct)
-            y = y.as_polynomial(correct)
-            y = y * (MultiSeries.constant(2, n, correct) - scope * y)
-        return y
+        return _inverse_from(self, MultiSeries.constant(1 / c0, self.nvars, 0))
 
     # -- serialization ----------------------------------------------------
 
@@ -373,15 +395,42 @@ class MultiSeries:
 _ZERO = Fraction(0)
 
 
+def _inverse_from(s: MultiSeries, y: MultiSeries) -> MultiSeries:
+    """1/s through s.trunc by Newton doubling, continued from y, the inverse
+    of s through y.trunc; a y with a higher cap is truncated.
+
+    A pass from correct to new = min(2 correct + 1, trunc) forms the error
+    e = s y - 1, whose layers through correct vanish, in the degrees above
+    correct alone, and sets y <- y - y e.  The product y e has no layer
+    through correct either, so y keeps its layers and gains the new ones:
+    each pass costs about half of the two full products of y (2 - s y).
+    """
+    correct, trunc = y.trunc, s.trunc
+    while correct < trunc:
+        new = min(2 * correct + 1, trunc)
+        error = _mul(s, y, new, correct + 1)
+        step = _mul(y, error, new, correct + 1)
+        layers = dict(y._layers)
+        for d, lay in step._layers.items():
+            layers[d] = {e: -c for e, c in lay.items()}
+        y = MultiSeries._raw(s.nvars, new, layers)
+        correct = new
+    return y.truncated(trunc)
+
+
 def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSeries:
     """Product truncated at trunc, computing only the layers of degree >= low.
 
     With low > 0 the layers below low are absent from the result, not
     zero: callers that need one graded layer of a product (the pivot
-    induction) pass low = trunc and read that layer alone.
+    induction) pass low = trunc and read that layer alone.  A square (a is
+    b) is packed once and visits each unordered pair of terms once.
     """
     if a.is_zero() or b.is_zero():
         return MultiSeries.zero(a.nvars, trunc)
+    if a is b:
+        den, ints = a._int_layers()
+        return _unpacked(_square(_packed(ints, a.nvars, trunc), trunc, low), den * den, a.nvars, trunc)
     if a.term_count() > b.term_count():
         a, b = b, a
     den_a, ints_a = a._int_layers()
@@ -424,6 +473,34 @@ def _convolve(a: _Packed, b: _Packed, trunc: int, low: int = 0) -> _Sums:
                 for eb, cb in terms_b:
                     key = ea + eb
                     out[key] = get(key, 0) + ca * cb
+    return acc
+
+
+def _square(a: _Packed, trunc: int, low: int = 0) -> _Sums:
+    """_convolve(a, a, trunc, low) with each unordered pair of terms visited
+    once: the off-diagonal products are formed once and doubled."""
+    acc: _Sums = {}
+    for da, terms_a in a.items():
+        if low <= 2 * da <= trunc:
+            out = acc.setdefault(2 * da, {})
+            get = out.get
+            for i, (ea, ca) in enumerate(terms_a):
+                out[ea + ea] = get(ea + ea, 0) + ca * ca
+                twice = ca << 1
+                for eb, cb in terms_a[i + 1 :]:
+                    key = ea + eb
+                    out[key] = get(key, 0) + twice * cb
+        for db in range(max(low - da, da + 1), trunc - da + 1):
+            terms_b = a.get(db)
+            if terms_b is None:
+                continue
+            out = acc.setdefault(da + db, {})
+            get = out.get
+            for ea, ca in terms_a:
+                twice = ca << 1
+                for eb, cb in terms_b:
+                    key = ea + eb
+                    out[key] = get(key, 0) + twice * cb
     return acc
 
 
@@ -655,14 +732,20 @@ class SeriesTuple:
         """Substitution x_i -> factors[i] * x_i, done by coefficient scaling."""
         if len(factors) != self.nvars:
             raise DomainError("diagonal size mismatch")
-        facs = [Fraction(f) for f in factors]
+        # powers[i][e] = factors[i]**e, built once for every exponent up to the cap
+        powers = []
+        for f in map(Fraction, factors):
+            row = [Fraction(1)]
+            for _ in range(self.trunc):
+                row.append(row[-1] * f)
+            powers.append(row)
         out = []
         for comp in self.components:
             layers: dict[int, dict[Exponents, Fraction]] = {}
             for d, lay in comp._layers.items():
                 new = {}
                 for exps, c in lay.items():
-                    scale = prod(f**e for f, e in zip(facs, exps) if e)
+                    scale = prod(row[e] for row, e in zip(powers, exps) if e)
                     if scale:
                         new[exps] = c * scale
                 if new:

@@ -164,6 +164,24 @@ class TestAnalyze:
         assert data["error"]["kind"] == "document"
         assert "exponents" in data["error"]["location"]
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (5, "components[1][0]: expected a term record"),
+            ({"exponents": [0, -1], "numerator": 1}, "components[1][0].exponents: expected 2 non-negative integers"),
+            ({"exponents": [0, 1], "numerator": "1"}, "components[1][0].numerator: expected an integer"),
+            ({"exponents": [0, 1], "numerator": 1, "denominator": 0}, "components[1][0].denominator: expected a nonzero integer"),
+        ],
+    )
+    def test_term_record_messages(self, tmp_path, record, message):
+        document = doubling_document()
+        document["dimension"] = 2
+        document["components"] = [[{"exponents": [1, 0], "numerator": 2}], [record]]
+        code, data = run_to_file(tmp_path, ["analyze", write_json(tmp_path, "bad.json", document)])
+        assert code == 1
+        assert data["error"]["kind"] == "document"
+        assert data["error"]["message"] == message
+
     def test_all_zero_symplectic_form_exit_one(self, tmp_path):
         document = symplectic_document()
         document["symplectic_form"] = [[0] * 4 for _ in range(4)]
@@ -230,6 +248,32 @@ class TestEisenstein:
         }
         assert coeffs[(1,)] == (1, 2)
         assert coeffs[(2,)] == (-1, 8)
+
+    @pytest.mark.parametrize(
+        "field, value, location",
+        [
+            ("relation exponents", ["a"], "relation[0].exponents"),
+            ("relation x_power", -1, "relation[0].x_power"),
+            ("relation record", 7, "relation[0]"),
+            ("seed denominator", 0, "seed[0].denominator"),
+            ("seed exponents", [0, 0], "seed[0].exponents"),
+            ("seed", "x", "seed"),
+        ],
+    )
+    def test_malformed_document_exit_one_in_bounded_time(self, tmp_path, field, value, location):
+        document = sqrt_document()
+        if field == "seed":
+            document["seed"] = value
+        elif field == "relation record":
+            document["relation"][0] = value
+        else:
+            part, key = field.split()
+            document[part][0][key] = value
+        doc = write_json(tmp_path, "bad.json", document)
+        code, data = run_bounded(tmp_path, ["eisenstein", doc, "--degree", "6"])
+        assert code == 1
+        assert data["error"]["kind"] == "document"
+        assert data["error"]["location"] == location
 
 
 class TestOrbit:

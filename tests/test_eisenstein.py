@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicdyn import eisenstein
 from padicdyn.arith import factorize, prime_support
 from padicdyn.eisenstein import (
     AlgebraicSeriesSpec,
@@ -15,7 +16,7 @@ from padicdyn.eisenstein import (
     denominator_support,
     detect_vanishing_order,
 )
-from padicdyn.errors import DomainError
+from padicdyn.errors import DivisionFailureError, DomainError
 from padicdyn.series import MultiSeries
 
 
@@ -283,6 +284,138 @@ class TestLayerOnlyPivotInduction:
         if phi.trunc < degree:
             phi = phi.as_polynomial(degree)
         assert relation.evaluate(phi, degree, low=degree).layer(degree) == relation.evaluate(phi, degree).layer(degree)
+
+
+def horner(relation, phi, trunc):
+    """Reference F(x, phi) by Horner's rule, through the ring operations."""
+    work = phi.truncated(trunc) if phi.trunc >= trunc else phi.as_polynomial(trunc)
+    acc = relation.coefficient_series(relation.x_degree, trunc)
+    for k in range(relation.x_degree - 1, -1, -1):
+        acc = acc * work + relation.coefficient_series(k, trunc)
+    return acc
+
+
+class TestEvaluateByPowers:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 2),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4), st.integers(-5, 5)),
+            max_size=8,
+        ),
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 5)),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-5, 5)), max_size=6),
+        st.integers(0, 6),
+        st.integers(0, 7),
+    )
+    def test_keeps_exactly_the_layers_from_low(self, nvars, rel_terms, lead, phi_terms, degree, low):
+        # at most 8 drawn terms of size <= 5 cannot cancel the coefficient 41,
+        # so the relation is nonzero; its monomial may be non-constant
+        a, b, top = lead
+        terms = [((a_, b_)[:nvars], k, c) for a_, b_, k, c in rel_terms] + [((a, b)[:nvars], top, 41)]
+        relation = XPolynomial.from_terms(nvars, terms)
+        phi = MultiSeries(nvars, 4, [((a_, b_)[:nvars], c) for a_, b_, c in phi_terms])
+        full = relation.evaluate(phi, degree)
+        assert full == horner(relation, phi, degree)
+        part = relation.evaluate(phi, degree, low=low)
+        assert part.trunc == full.trunc
+        for d in range(degree + 1):
+            assert part.layer(d) == (full.layer(d) if d >= low else {})
+
+
+def relation_from(nvars, coeffs):
+    """XPolynomial from {X-power: [(x-exponents, coefficient)]}."""
+    return XPolynomial.from_terms(nvars, [(e, k, Fraction(c)) for k, poly in coeffs.items() for e, c in poly])
+
+
+# non-constant leading coefficient and nonzero a_(m-1); the root through 1
+# is a simple root, so Hensel lifting starts from the seed 1
+ROUTE_CASES = {
+    "quadratic-1d": (1, {2: [((0,), 1), ((1,), 1)], 1: [((1,), 1)], 0: [((0,), -1)]}),
+    "quadratic-1d-irrational": (1, {2: [((0,), 1), ((1,), 1)], 1: [((1,), 1)], 0: [((0,), -1), ((1,), -1)]}),
+    "cubic-1d": (1, {3: [((0,), 1), ((1,), -1)], 2: [((1,), 1)], 0: [((0,), -1), ((1,), -1)]}),
+    "quadratic-2d": (2, {2: [((0, 0), 1), ((1, 1), 1)], 1: [((1, 0), 1), ((0, 1), 2)], 0: [((0, 0), -1), ((1, 0), 1)]}),
+    "quartic-2d": (2, {4: [((0, 0), 1), ((1, 0), 1), ((0, 2), 1)], 3: [((1, 0), 1), ((0, 1), -1)], 0: [((0, 0), -1), ((0, 1), -1)]}),
+}
+
+
+class TestRouteAgreement:
+    """Hensel, pivot and sympy agree on relations with a non-constant
+    leading coefficient (test-only sympy)."""
+
+    @pytest.mark.parametrize(
+        "name, degree",
+        # Hensel caps 1, 3, 7, 15, 20 and 1, 3, 7, 15, 31; 1, 3, 7, 12 in two variables
+        [("quadratic-1d", 20), ("quadratic-1d-irrational", 31), ("quadratic-1d-irrational", 20),
+         ("cubic-1d", 20), ("quadratic-2d", 12), ("quartic-2d", 12)],
+    )
+    def test_hensel_pivot_and_sympy_agree(self, monkeypatch, name, degree):
+        sympy = pytest.importorskip("sympy")
+        nvars, coeffs = ROUTE_CASES[name]
+        relation = relation_from(nvars, coeffs)
+        spec = AlgebraicSeriesSpec.build(relation, MultiSeries.constant(1, nvars, 0))
+        assert spec.vanishing_order == 0
+        carried = []
+        inverse_from = eisenstein._inverse_from
+        monkeypatch.setattr(eisenstein, "_inverse_from", lambda s, y: carried.append(y.trunc) or inverse_from(s, y))
+        hensel = coefficients_up_to(spec, degree, method="hensel")
+        assert len(carried) >= 3
+        assert hensel == coefficients_up_to(spec, degree, method="pivot")
+        xs = sympy.symbols(f"x0:{nvars}")
+        root = sympy.Poly(
+            sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod([x**e for x, e in zip(xs, exps)])
+                for exps, c in hensel.terms()),
+            *xs, domain="QQ",
+        )
+        value = sympy.Poly(0, *xs, domain="QQ")
+        for k, poly in coeffs.items():
+            a_k = sympy.Poly(sum(c * sympy.prod([x**e for x, e in zip(xs, exps)]) for exps, c in poly), *xs, domain="QQ")
+            value += a_k * root**k
+        assert all(sum(exps) > degree for exps, c in value.terms() if c)
+        if nvars == 1:
+            # the root through 1 of a2 X^2 + a1 X + a0 in closed form
+            x = xs[0]
+            a2, a1, a0 = (sum(c * x**e[0] for e, c in coeffs.get(k, [])) for k in (2, 1, 0))
+            if name.startswith("quadratic"):
+                closed = (-a1 + sympy.sqrt(a1**2 - 4 * a2 * a0)) / (2 * a2)
+                expansion = sympy.Poly(sympy.series(closed, x, 0, degree + 1).removeO(), x, domain="QQ")
+                assert root == expansion
+
+
+class TestFinalCheck:
+    """coefficients_up_to checks F(phi) through degree + s on whatever the
+    route returns."""
+
+    @pytest.mark.parametrize("route, method", [("_hensel", "hensel"), ("_pivot_induction", "pivot")])
+    @pytest.mark.parametrize("where", ["low", "top"])
+    def test_a_perturbed_coefficient_is_caught(self, monkeypatch, route, method, where):
+        spec = kth_root_of_one_plus_x(3)
+        degree = 12
+        original = getattr(eisenstein, route)
+
+        def perturbed(spec, degree):
+            phi = original(spec, degree)
+            d = 1 if where == "low" else degree
+            return phi + MultiSeries(1, phi.trunc, [((d,), Fraction(1, 7))])
+
+        monkeypatch.setattr(eisenstein, route, perturbed)
+        with pytest.raises(DivisionFailureError):
+            coefficients_up_to(spec, degree, method=method)
+
+    def test_perturbed_ramified_root_is_caught(self, monkeypatch):
+        # (X - x)^2 = x^6 (1 + x), s = 3: the top coefficient shows at degree + 3
+        relation = XPolynomial.from_terms(
+            1, [((0,), 2, 1), ((1,), 1, -2), ((2,), 0, 1), ((6,), 0, -1), ((7,), 0, -1)]
+        )
+        spec = AlgebraicSeriesSpec.build(relation, MultiSeries(1, 3, [((1,), Fraction(1)), ((3,), Fraction(1))]))
+        original = eisenstein._pivot_induction
+        monkeypatch.setattr(
+            eisenstein,
+            "_pivot_induction",
+            lambda spec, degree: original(spec, degree) + MultiSeries(1, degree, [((degree,), Fraction(1))]),
+        )
+        with pytest.raises(DivisionFailureError):
+            coefficients_up_to(spec, 20)
 
 
 class TestAgainstSympy:

@@ -101,3 +101,118 @@ def test_every_traced_entry_point_resolves():
         if tracer._resolve(module, path) is None:
             missing.append(f"{module}:{path}")
     assert not missing, f"traced entry points not found: {', '.join(missing)}"
+
+
+# MultiSeries shares its layer map and layer dicts between instances
+# (as_polynomial, truncated, _grown), so no code may change them in place.
+LAYER_CONSTRUCTORS = {"MultiSeries.__init__", "MultiSeries._raw"}
+MUTATING_METHODS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__"}
+
+
+def functions(tree):
+    """(qualified name, node) of every top-level function and method,
+    methods as Class.name; nested functions belong to their parent."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+
+
+def reads_layers(node, aliases):
+    """True when node is a layer map or a layer dict: x._layers, an item or
+    .get of one, or a local name bound to one."""
+    if isinstance(node, ast.Name):
+        return node.id in aliases
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_layers"
+    if isinstance(node, ast.Subscript):
+        return reads_layers(node.value, aliases)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+        return reads_layers(node.func.value, aliases)
+    return False
+
+
+def layer_aliases(function):
+    """Local names bound to a layer map or layer dict: by assignment, or as
+    the loop variable over its .values() or the value of its .items()."""
+    aliases = set()
+    changed = True
+    while changed:
+        before = len(aliases)
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign) and reads_layers(node.value, aliases):
+                aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                it = node.iter
+                if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)):
+                    continue
+                if not reads_layers(it.func.value, aliases):
+                    continue
+                target = node.target
+                if it.func.attr == "values" and isinstance(target, ast.Name):
+                    aliases.add(target.id)
+                elif it.func.attr == "items" and isinstance(target, ast.Tuple) and isinstance(target.elts[1], ast.Name):
+                    aliases.add(target.elts[1].id)
+        changed = len(aliases) != before
+    return aliases
+
+
+def layer_mutations(tree):
+    """(function, line) of each store into, or mutating call on, a layer map
+    or layer dict, and of each rebinding of x._layers, outside the
+    MultiSeries constructors."""
+    for name, function in functions(tree):
+        if name in LAYER_CONSTRUCTORS:
+            continue
+        aliases = layer_aliases(function)
+        for node in ast.walk(function):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                for target in targets:
+                    if (isinstance(target, ast.Subscript) and reads_layers(target.value, aliases)) or (
+                        isinstance(target, ast.Attribute) and target.attr == "_layers"
+                    ):
+                        yield name, node.lineno
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in MUTATING_METHODS and reads_layers(node.func.value, aliases):
+                    yield name, node.lineno
+
+
+def test_no_layer_is_mutated_outside_the_constructors():
+    found = [
+        f"{path.name}:{line} ({name})"
+        for path in MODULES
+        for name, line in layer_mutations(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"shared MultiSeries layers changed in place: {', '.join(found)}"
+
+
+def test_the_guard_sees_a_layer_mutation():
+    source = '''
+class MultiSeries:
+    def __init__(self, layers):
+        self._layers = layers
+        self._layers[0] = {}
+
+    def bad(self, other):
+        self._layers[1] = {}
+        other._layers[2][(2,)] = 1
+        lay = self._layers.get(3, {})
+        lay[(3,)] += 1
+        for d, layer in self._layers.items():
+            layer.pop((d,), None)
+        del self._layers[4]
+        self._layers.get(5).update({})
+        self._layers = {}
+        return [row.clear() for row in other._layers.values()]
+
+    def fine(self):
+        copy = dict(self._layers.get(0, {}))
+        copy[(0,)] = 1
+        copy.update(self._layers)
+        return {d: dict(lay) for d, lay in self._layers.items()}
+'''
+    assert sorted(line for _, line in layer_mutations(ast.parse(source))) == [8, 9, 11, 13, 14, 15, 16, 17]

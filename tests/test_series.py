@@ -94,6 +94,28 @@ def series_pairs(draw):
     return a, b, trunc, draw(st.integers(0, trunc + 1))
 
 
+class TestSquare:
+    """_mul(a, a, ...) takes the square path; an equal copy of a does not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_pairs())
+    @example((MultiSeries.zero(2, 4), None, 4, 0))
+    @example((MultiSeries(1, 6, [((2,), Fraction(-3, 2))]), None, 6, 4))
+    @example((MultiSeries(3, 5, [((1, 0, 2), Fraction(-7, 3))]), None, 5, 5))
+    @example((MultiSeries(2, 5, [((0, 0), -2), ((1, 0), Fraction(-1, 3)), ((1, 1), 5)]), None, 5, 2))
+    def test_equals_the_product_with_an_equal_copy(self, case):
+        a, _, trunc, low = case
+        low = min(low, trunc)
+        copy = MultiSeries(a.nvars, a.trunc, a.terms())
+        assert copy is not a and copy == a
+        assert _mul(a, a, trunc, low) == _mul(a, copy, trunc, low)
+
+    def test_power_of_a_dense_series(self):
+        x = MultiSeries.variable(0, 1, 30)
+        a = (1 - x - x * x).inverse()
+        assert a**5 == a * (a * a) * (a * a)
+
+
 class TestMulLowerBound:
     @settings(max_examples=200, deadline=None)
     @given(series_pairs())
