@@ -57,6 +57,9 @@ DEFAULT_TRUNCATION = 8
 # exact orbit points of a nonlinear map can grow in height geometrically per
 # step; probe refuses a point with a coordinate taller than this many bits
 PROBE_MAX_BITS = 2**16
+# an orbit's work and the size of its report both grow with its
+# (steps + 1) * dimension * precision p-adic digits; orbit refuses more
+ORBIT_MAX_DIGITS = 2**22
 # Python refuses to write an integer of more than 4300 decimal digits as text
 # (sys.get_int_max_str_digits); a report refuses rationals above this many
 # bits, which stay below that limit
@@ -385,11 +388,31 @@ def cmd_eisenstein(args) -> dict:
     }
 
 
+def _check_orbit_work(steps: int, dim: int, precision: int, precision_path: str) -> None:
+    """Refuse an orbit above ORBIT_MAX_DIGITS digits before it is iterated."""
+    if precision < 1 or (steps + 1) * dim * precision <= ORBIT_MAX_DIGITS:
+        return
+    ceiling = f"the ceiling of {ORBIT_MAX_DIGITS} digits"
+    largest = ORBIT_MAX_DIGITS // (dim * precision) - 1
+    if largest < 0:
+        raise DocumentError(
+            precision_path,
+            f"one point of {dim} coordinates at {precision} digits is above {ceiling}; "
+            f"ask for a precision of at most {ORBIT_MAX_DIGITS // dim}",
+        )
+    raise DocumentError(
+        "--steps",
+        f"{steps + 1} points of {dim} coordinates at {precision} digits are above {ceiling}; "
+        f"ask for at most {largest} steps",
+    )
+
+
 def cmd_orbit(args) -> dict:
     doc = parse_map_document(_load_json(args.document))
     f = doc.map
-    prime = args.prime or doc.prime or choose_prime(f)
     precision = args.precision or doc.precision
+    _check_orbit_work(args.steps, f.n, precision, "--precision" if args.precision else "precision")
+    prime = args.prime or doc.prime or choose_prime(f)
     start = _parse_point(args.start, f.n)
     nbhd = Neighbourhood(prime=prime, level=args.level, dim=f.n)
     result = iterate_in_neighbourhood(f, start, args.steps, nbhd, precision=precision)

@@ -41,7 +41,7 @@ from .errors import (
     PrecisionError,
     TorsionError,
 )
-from .padic import INFINITY, PAdic, padic_log, stabilizing_exponent
+from .padic import INFINITY, PAdic, _canonical, padic_log, stabilizing_exponent
 from .series import MultiSeries
 
 
@@ -75,8 +75,15 @@ class OrbitResult:
     isometry_pairs_skipped: int
 
 
-def _coefficient_residues(f: AnalyticMap, prime: int, modulus: int) -> list[list[tuple[tuple[int, ...], int]]]:
-    out = []
+def _coefficient_residues(f: AnalyticMap, prime: int, modulus: int) -> tuple[list, list[int]]:
+    """The map reduced modulo modulus, as (components, top).
+
+    Each component is a list of (factors, coefficient), factors being the
+    (variable, exponent) pairs of the nonzero exponents; top[i] is the
+    largest exponent of variable i in any term.
+    """
+    components = []
+    top = [0] * f.n
     for comp in f.components:
         terms = []
         for exps, coeff in comp.terms():
@@ -86,9 +93,12 @@ def _coefficient_residues(f: AnalyticMap, prime: int, modulus: int) -> list[list
                 )
             num = coeff.numerator % modulus
             den = pow(coeff.denominator % modulus, -1, modulus)
-            terms.append((exps, num * den % modulus))
-        out.append(terms)
-    return out
+            factors = tuple((i, e) for i, e in enumerate(exps) if e)
+            for i, e in factors:
+                top[i] = max(top[i], e)
+            terms.append((factors, num * den % modulus))
+        components.append(terms)
+    return components, top
 
 
 def iterate_in_neighbourhood(
@@ -114,7 +124,7 @@ def iterate_in_neighbourhood(
     if precision < s:
         raise PrecisionError(f"precision {precision} cannot certify level {s}")
     modulus = p**precision
-    coeff_residues = _coefficient_residues(f, p, modulus)
+    components, top = _coefficient_residues(f, p, modulus)
 
     residues: list[int] = []
     for i, x in enumerate(start):
@@ -137,7 +147,7 @@ def iterate_in_neighbourhood(
 
     orbit = [point]
     for _ in range(steps):
-        point = _evaluate_residues(coeff_residues, point, modulus)
+        point = _evaluate_residues(components, top, point, modulus)
         orbit.append(point)
 
     valuations = [[_residue_valuation(x, p, precision) for x in pt] for pt in orbit]
@@ -149,12 +159,12 @@ def iterate_in_neighbourhood(
 
     checked = skipped = 0
     if unit_jacobian:
-        for a, b, fa, fb in zip(orbit, orbit[1:], orbit[1:], orbit[2:]):
-            gap = _pair_valuation(a, b, p, precision)
+        # the gap of each consecutive pair is the image gap of the pair before
+        gaps = [_pair_valuation(a, b, p, precision) for a, b in zip(orbit, orbit[1:])]
+        for gap, image_gap in zip(gaps, gaps[1:]):
             if gap >= precision:
                 skipped += 1
                 continue
-            image_gap = _pair_valuation(fa, fb, p, precision)
             if image_gap != gap:
                 raise AssertionError(
                     "unit-Jacobian map failed to preserve a difference valuation"
@@ -176,23 +186,26 @@ def iterate_in_neighbourhood(
     )
 
 
-def _evaluate_residues(coeff_residues, point: tuple[int, ...], modulus: int) -> tuple[int, ...]:
+def _evaluate_residues(components: list, top: list[int], point: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     """The map at a point whose coordinates are already reduced mod modulus.
 
-    Powers are cached reduced; each term and each component sum is formed
-    over the integers and reduced once per component.
+    Powers are tabled reduced up to each variable's top exponent; each term
+    and each component sum is formed over the integers and reduced once per
+    component.
     """
-    powers = [[1, x] for x in point]
+    powers = []
+    for x, highest in zip(point, top):
+        table = [1, x]
+        for _ in range(highest - 1):
+            table.append(table[-1] * x % modulus)
+        powers.append(table)
     out = []
-    for terms in coeff_residues:
+    for terms in components:
         total = 0
-        for exps, c in terms:
+        for factors, c in terms:
             value = c
-            for cache, e in zip(powers, exps):
-                if e:
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * cache[1] % modulus)
-                    value *= cache[e]
+            for i, e in factors:
+                value *= powers[i][e]
             total += value
         out.append(total % modulus)
     return tuple(out)
@@ -209,9 +222,11 @@ def _pair_valuation(a: tuple[int, ...], b: tuple[int, ...], p: int, precision: i
 
 def _residue_to_padic(x: int, v: int, p: int, precision: int) -> PAdic:
     """The residue x mod p**precision, of valuation v, as a p-adic."""
+    # x < p**precision has exactly v factors of p, so these fields are
+    # canonical, and the neighbourhood has checked the prime
     if v == precision:
-        return PAdic(p, precision, 0, 0)
-    return PAdic(p, v, x // p**v, precision - v)
+        return _canonical(p, precision, 0, 0)
+    return _canonical(p, v, x // p**v, precision - v)
 
 
 @dataclass(frozen=True)
@@ -587,28 +602,42 @@ def relation_probe(points: Sequence[Sequence], degree: int) -> RelationProbe:
 
 
 def _padic_kernel_basis(rows: list[list[PAdic]], ncols: int) -> list[list[PAdic]]:
-    """Kernel over Q_p at working precision, pivoting on maximal norm."""
+    """Kernel over Q_p at working precision, pivoting on maximal norm.
+
+    Gauss-Jordan elimination that keeps only the live columns: once column
+    c is pivoted it is never read again, because the pivot search reads
+    only columns right of c and the basis reads only free columns.  So the
+    work rows hold just the free columns found so far and the columns not
+    yet reached, in their original order, and a pivot step drops column c
+    from every row.  Each kept entry goes through exactly the operations of
+    the full elimination, so the basis is the same.
+    """
     work = [list(row) for row in rows]
     nrows = len(work)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
+        # column c sits after the free columns found so far
+        k = c - r
         best = None
         for i in range(r, nrows):
-            entry = work[i][c]
+            entry = work[i][k]
             if entry.is_zero():
                 continue
-            if best is None or entry.valuation < work[best][c].valuation:
+            if best is None or entry.valuation < work[best][k].valuation:
                 best = i
         if best is None:
             continue
         work[r], work[best] = work[best], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
+        pivot_row = work[r]
+        inv = pivot_row.pop(k)
+        pivot_row = work[r] = [x / inv for x in pivot_row]
         for i in range(nrows):
-            if i != r and not work[i][c].is_zero():
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+            if i != r:
+                row = work[i]
+                factor = row.pop(k)
+                if not factor.is_zero():
+                    work[i] = [x - factor * y for x, y in zip(row, pivot_row)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -619,11 +648,11 @@ def _padic_kernel_basis(rows: list[list[PAdic]], ncols: int) -> list[list[PAdic]
     zero = PAdic.zero(prime)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for k, fc in enumerate(free):
         vec = [zero] * ncols
         vec[fc] = one
         for i, pc in enumerate(pivots):
-            vec[pc] = -work[i][fc]
+            vec[pc] = -work[i][k]
         basis.append(vec)
     return basis
 

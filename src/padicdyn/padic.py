@@ -16,6 +16,21 @@ Only odd primes are accepted: the logarithm's convergence condition
 module free of case analysis at p = 2.  Each prime is validated once per
 process: a prime that passed the primality test is remembered, while 2,
 1 and composites are rejected on every call.
+
+Every element is stored in one canonical form, which ``PAdic(...)``
+establishes from any fields:
+
+* the prime is an odd prime;
+* a nonzero element has an int valuation, an int precision >= 1 and a
+  unit 0 < unit_digits < p**precision prime to p;
+* an inexact zero has an int valuation, unit_digits 0 and precision 0;
+* an exact zero has valuation and precision INFINITY and unit_digits 0.
+
+Arithmetic on canonical operands already knows its result is canonical
+(a product or quotient of units reduced modulo p**precision is a unit;
+a sum strips its own factors of p), so it builds the result with
+``_canonical``, which stores the fields without checking or reducing them
+again.  Only code that has just established the form may call it.
 """
 
 from __future__ import annotations
@@ -68,8 +83,7 @@ class PAdic:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, prime: int, precision: int = 1) -> "PAdic":
-        del precision
+    def zero(cls, prime: int) -> "PAdic":
         return cls(prime, INFINITY, 0, 0)
 
     @classmethod
@@ -171,12 +185,6 @@ class PAdic:
             return PAdic.from_rational(other, self.prime, prec)
         return None
 
-    def _abs_precision(self):
-        """Absolute exponent N with the value known modulo p**N."""
-        if self.is_exact_zero():
-            return INFINITY
-        return self.valuation + self.precision
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -195,24 +203,33 @@ class PAdic:
             return other if sign > 0 else -other
         if other.is_exact_zero():
             return self
-        cap = min(self._abs_precision(), other._abs_precision())
-        lo = min(self.valuation, other.valuation)
+        # neither is an exact zero, so every field below is an int
+        p = self.prime
+        va, vb = self.valuation, other.valuation
+        cap = min(va + self.precision, vb + other.precision)
+        lo = min(va, vb)
         if cap <= lo:
-            return PAdic(self.prime, cap, 0, 0)
-        modulus = self.prime ** int(cap - lo)
+            return _canonical(p, cap, 0, 0)
         total = 0
         if self.unit_digits:
-            total += self.unit_digits * self.prime ** int(self.valuation - lo)
+            total += self.unit_digits * p ** (va - lo)
         if other.unit_digits:
-            total += sign * other.unit_digits * self.prime ** int(other.valuation - lo)
-        total %= modulus
-        return PAdic(self.prime, lo, total, int(cap - lo))
+            total += sign * other.unit_digits * p ** (vb - lo)
+        total %= p ** (cap - lo)
+        if total == 0:
+            return _canonical(p, cap, 0, 0)
+        # dividing out p**shift leaves the unit below p**(cap - lo - shift)
+        shift = 0
+        while total % p == 0:
+            total //= p
+            shift += 1
+        return _canonical(p, lo + shift, total, cap - lo - shift)
 
     def __neg__(self):
         if self.unit_digits == 0:
             return self
         modulus = self.prime**self.precision
-        return PAdic(self.prime, self.valuation, (-self.unit_digits) % modulus, self.precision)
+        return _canonical(self.prime, self.valuation, (-self.unit_digits) % modulus, self.precision)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -221,19 +238,22 @@ class PAdic:
         return self._signed_sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other._signed_sum(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.unit_digits and other.unit_digits:
+            prec = min(self.precision, other.precision)
+            unit = self.unit_digits * other.unit_digits % self.prime**prec
+            return _canonical(self.prime, self.valuation + other.valuation, unit, prec)
         if self.is_exact_zero() or other.is_exact_zero():
             return PAdic.zero(self.prime)
-        if self.unit_digits == 0 or other.unit_digits == 0:
-            return PAdic(self.prime, self.valuation + other.valuation, 0, 0)
-        prec = min(self.precision, other.precision)
-        unit = self.unit_digits * other.unit_digits % self.prime**prec
-        return PAdic(self.prime, self.valuation + other.valuation, unit, prec)
+        return _canonical(self.prime, self.valuation + other.valuation, 0, 0)
 
     __rmul__ = __mul__
 
@@ -246,11 +266,11 @@ class PAdic:
         if self.is_exact_zero():
             return self
         if self.unit_digits == 0:
-            return PAdic(self.prime, self.valuation - other.valuation, 0, 0)
+            return _canonical(self.prime, self.valuation - other.valuation, 0, 0)
         prec = min(self.precision, other.precision)
         modulus = self.prime**prec
         unit = self.unit_digits * pow(other.unit_digits, -1, modulus) % modulus
-        return PAdic(self.prime, self.valuation - other.valuation, unit, prec)
+        return _canonical(self.prime, self.valuation - other.valuation, unit, prec)
 
     def __rtruediv__(self, other):
         coerced = self._coerce(other)
@@ -299,6 +319,19 @@ _set_prime = PAdic.prime.__set__
 _set_valuation = PAdic.valuation.__set__
 _set_unit_digits = PAdic.unit_digits.__set__
 _set_precision = PAdic.precision.__set__
+
+
+def _canonical(prime: int, valuation: int, unit_digits: int, precision: int) -> PAdic:
+    """A PAdic from fields already in canonical form (module docstring).
+
+    Nothing is checked or reduced: the caller has established the form.
+    """
+    x = object.__new__(PAdic)
+    _set_prime(x, prime)
+    _set_valuation(x, valuation)
+    _set_unit_digits(x, unit_digits)
+    _set_precision(x, precision)
+    return x
 
 
 def padic_log(u: PAdic) -> PAdic:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from padicdyn.arith import check_odd_prime
-from padicdyn.cli import ENCODE_MAX_BITS, PROBE_MAX_BITS, _prime, run
+from padicdyn.cli import ENCODE_MAX_BITS, ORBIT_MAX_DIGITS, PROBE_MAX_BITS, _check_orbit_work, _prime, run
 from padicdyn.errors import DocumentError, DomainError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -318,6 +318,35 @@ class TestOrbit:
         assert code == 2
         assert data["error"]["kind"] == "DomainError"
 
+
+    def test_work_ceiling_in_bounded_time(self, tmp_path):
+        # 200000 steps at 64 digits used to run for 14 s and write 59 MB
+        doc = write_json(tmp_path, "map.json", readme_map_document())
+        arguments = ["orbit", doc, "--start", "3,3", "--prime", "3"]
+        largest = ORBIT_MAX_DIGITS // (2 * 64) - 1
+        code, data = run_bounded(tmp_path, arguments + ["--steps", "200000", "--precision", "64"], seconds=10)
+        assert code == 1
+        error = data["error"]
+        assert (error["kind"], error["location"]) == ("document", "--steps")
+        assert error["message"].endswith(f"ask for at most {largest} steps")
+        assert str(ORBIT_MAX_DIGITS) in error["message"]
+        too_precise = str(ORBIT_MAX_DIGITS // 2 + 1)
+        code, data = run_bounded(tmp_path, arguments + ["--steps", "0", "--precision", too_precise], seconds=10)
+        assert code == 1
+        assert data["error"]["location"] == "--precision"
+        assert data["error"]["message"].endswith(f"at most {ORBIT_MAX_DIGITS // 2}")
+
+    def test_work_ceiling_boundary(self):
+        for dim, precision, location in ((2, 64, "--precision"), (3, 96, "precision")):
+            largest = ORBIT_MAX_DIGITS // (dim * precision) - 1
+            _check_orbit_work(largest, dim, precision, location)
+            with pytest.raises(DocumentError) as caught:
+                _check_orbit_work(largest + 1, dim, precision, location)
+            assert caught.value.path == "--steps"
+        _check_orbit_work(0, 2, ORBIT_MAX_DIGITS // 2, "precision")
+        with pytest.raises(DocumentError) as caught:
+            _check_orbit_work(0, 2, ORBIT_MAX_DIGITS // 2 + 1, "precision")
+        assert caught.value.path == "precision"
 
     def test_readme_example(self, tmp_path):
         doc = write_json(tmp_path, "map.json", readme_map_document())

@@ -1,6 +1,8 @@
 """Source hygiene: every name a library module imports is used in it, no
-library module converts to float except for padic.INFINITY, and every
-entry point the benchmark tracer wraps still exists."""
+library module converts to float except for padic.INFINITY, every entry
+point the benchmark tracer wraps still exists, shared series layers are
+never changed in place, and only known call sites build p-adics through
+the unchecked constructor."""
 
 import ast
 import importlib
@@ -216,3 +218,67 @@ class MultiSeries:
         return {d: dict(lay) for d, lay in self._layers.items()}
 '''
     assert sorted(line for _, line in layer_mutations(ast.parse(source))) == [8, 9, 11, 13, 14, 15, 16, 17]
+
+
+# padic._canonical stores its fields without checking them, so each call
+# site must already hold a canonical result (padic module docstring)
+CANONICAL_CALL_SITES = {
+    ("padic.py", "PAdic._signed_sum"),
+    ("padic.py", "PAdic.__neg__"),
+    ("padic.py", "PAdic.__mul__"),
+    ("padic.py", "PAdic.__truediv__"),
+    ("orbit.py", "_residue_to_padic"),
+}
+
+
+def canonical_uses(tree):
+    """(function, line) of each use of _canonical, by name or as an
+    attribute, outside its definition and imports; module-level uses
+    are reported as <module>."""
+    owner = {}
+    for name, function in functions(tree):
+        for node in ast.walk(function):
+            owner[id(node)] = name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "_canonical") or (
+            isinstance(node, ast.Attribute) and node.attr == "_canonical"
+        ):
+            yield owner.get(id(node), "<module>"), node.lineno
+
+
+def test_canonical_is_called_only_at_known_sites():
+    found = {
+        (path.name, name)
+        for path in MODULES
+        for name, _ in canonical_uses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == CANONICAL_CALL_SITES
+
+
+def test_the_guard_sees_a_canonical_call():
+    source = '''
+from .padic import _canonical
+from . import padic
+
+
+def _canonical(prime, valuation, unit_digits, precision):
+    return None
+
+
+class PAdic:
+    def __mul__(self, other):
+        return _canonical(self.prime, 0, 1, 1)
+
+    def lift(self):
+        def inner():
+            return padic._canonical(3, 0, 1, 1)
+        return inner()
+
+
+make = _canonical
+'''
+    assert sorted(canonical_uses(ast.parse(source))) == [
+        ("<module>", 20),
+        ("PAdic.__mul__", 12),
+        ("PAdic.lift", 16),
+    ]

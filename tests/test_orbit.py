@@ -5,6 +5,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from padicdyn.arith import fraction_abs
 from padicdyn.dynamics import AnalyticMap
@@ -16,6 +18,7 @@ from padicdyn.errors import (
 )
 from padicdyn.orbit import (
     Neighbourhood,
+    _padic_kernel_basis,
     VanishingSumInstance,
     closure_dimension_estimate,
     graded_monomials,
@@ -26,6 +29,7 @@ from padicdyn.orbit import (
     union_closure_compare,
     vanishing_exponents,
 )
+from padicdyn.padic import INFINITY, PAdic
 from padicdyn.series import MultiSeries, SeriesTuple
 
 
@@ -99,8 +103,6 @@ class TestIterateInNeighbourhood:
 
 class TestNeighbourhoodMembership:
     def test_contains_padic_points(self):
-        from padicdyn.padic import PAdic
-
         nbhd = Neighbourhood(prime=5, level=2, dim=2)
         inside = (PAdic.from_rational(25, 5, 8), PAdic.from_rational(50, 5, 8))
         outside = (PAdic.from_rational(5, 5, 8), PAdic.from_rational(25, 5, 8))
@@ -239,8 +241,6 @@ class TestInterpolationReduction:
         def g(s):
             return Fraction(2) ** s - Fraction(7) ** s
 
-        from padicdyn.padic import PAdic
-
         direct = PAdic.from_rational(
             Fraction(g(j1) - g(j2), j1 - j2), 5, 12
         )
@@ -313,8 +313,6 @@ class TestRelationProbe:
 
     def test_padic_points_find_relation(self):
         # orbit of (3, 3) under (2x, 4y) at p = 3: y1^2 = 3 y2 on every point
-        from padicdyn.padic import PAdic
-
         points = []
         x, y = Fraction(3), Fraction(3)
         for _ in range(12):
@@ -339,8 +337,6 @@ class TestRelationProbe:
                 assert total.is_zero()
 
     def test_padic_independent_orbit_empty_kernel(self):
-        from padicdyn.padic import PAdic
-
         points = []
         x, y = Fraction(3), Fraction(3)
         for _ in range(10):
@@ -409,3 +405,112 @@ class TestUnionClosure:
         f = build_map([[((1, 0), 2)], [((0, 1), -2)]], 4)
         with pytest.raises(TorsionError):
             union_closure_compare(f, [(1, 1)], range(0, 10, 2), range(1, 10, 2), 2)
+
+
+def full_kernel_basis(rows, ncols):
+    """Gauss-Jordan over Q_p updating every column of every row: the
+    elimination without column pruning, as the reference."""
+    work = [list(row) for row in rows]
+    nrows = len(work)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        best = None
+        for i in range(r, nrows):
+            entry = work[i][c]
+            if entry.is_zero():
+                continue
+            if best is None or entry.valuation < work[best][c].valuation:
+                best = i
+        if best is None:
+            continue
+        work[r], work[best] = work[best], work[r]
+        inv = work[r][c]
+        work[r] = [x / inv for x in work[r]]
+        for i in range(nrows):
+            if i != r and not work[i][c].is_zero():
+                factor = work[i][c]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    prime = rows[0][0].prime
+    prec = max(int(x.precision) for x in rows[0] if x.precision != INFINITY)
+    one = PAdic.from_rational(1, prime, max(prec, 1))
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [PAdic.zero(prime)] * ncols
+        vec[fc] = one
+        for i, pc in enumerate(pivots):
+            vec[pc] = -work[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def basis_fields(basis):
+    return [[(x.valuation, x.unit_digits, x.precision) for x in vec] for vec in basis]
+
+
+@st.composite
+def padic_matrices(draw):
+    """Rows over Q_p with mixed precisions and valuations, inexact and exact
+    zeros, rows that are combinations of earlier rows, an optional column of
+    exact zeros and an optional column that is a multiple of an earlier one
+    (so it turns free while a later column still takes a pivot)."""
+    p = draw(st.sampled_from([3, 5, 7]))
+
+    def entry(unit_only=False):
+        kind = "unit" if unit_only else draw(st.sampled_from(["unit"] * 4 + ["inexact zero", "exact zero"]))
+        if kind == "exact zero":
+            return PAdic.zero(p)
+        valuation = draw(st.integers(0, 2))
+        if kind == "inexact zero":
+            return PAdic(p, valuation, 0, 0)
+        return PAdic(p, valuation, draw(st.integers(1, p**6)), draw(st.integers(1, 6)))
+
+    ncols = draw(st.integers(1, 6))
+    rows = [[entry() for _ in range(ncols)] for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        weights = [entry(unit_only=True) for _ in rows]
+        combined = [sum((w * row[j] for w, row in zip(weights, rows)), PAdic.zero(p)) for j in range(ncols)]
+        rows.insert(draw(st.integers(0, len(rows))), combined)
+    if ncols >= 2 and draw(st.booleans()):
+        source, target = sorted(draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=2, unique=True)))
+        scale = entry(unit_only=True)
+        for row in rows:
+            row[target] = scale * row[source]
+    if draw(st.booleans()):
+        column = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[column] = PAdic.zero(p)
+    assume(any(not x.is_exact_zero() for x in rows[0]))
+    return rows
+
+
+def embedded(p, precision, rows):
+    return [[PAdic.from_rational(x, p, precision) for x in row] for row in rows]
+
+
+class TestPrunedElimination:
+    """_padic_kernel_basis drops pivoted columns; its basis must equal the
+    full elimination entry by entry, precision included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(padic_matrices())
+    # column 1 turns free; the later pivot of valuation 1 divides its inexact
+    # zero to O(5^3), which then lowers the precision of row 0's entry
+    @example(embedded(5, 4, [[1, 2, 3], [1, 2, 8]]))
+    @example(embedded(3, 5, [[0, 1, 2, 0], [0, 2, 4, 0], [0, 1, 5, 3]]))  # exact-zero columns
+    @example(embedded(7, 3, [[1, 2], [2, 4], [3, 6]]))  # dependent rows
+    def test_matches_full_elimination(self, rows):
+        ncols = len(rows[0])
+        got = _padic_kernel_basis(rows, ncols)
+        assert basis_fields(got) == basis_fields(full_kernel_basis(rows, ncols))
+        assert all(isinstance(x, PAdic) for vec in got for x in vec)
+
+    def test_free_column_left_of_a_pivot_keeps_its_updates(self):
+        rows = embedded(5, 4, [[1, 2, 3], [1, 2, 8]])
+        (vec,) = _padic_kernel_basis(rows, 3)
+        # column 1 is free; row 0's entry there, 2, lost a digit to the pivot 5
+        assert basis_fields([vec])[0][0] == (0, 5**3 - 2, 3)

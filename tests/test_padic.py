@@ -1,14 +1,19 @@
 """Unit tests for capped-precision p-adic arithmetic."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padicdyn import orbit, padic
+from padicdyn.arith import is_prime
+from padicdyn.dynamics import AnalyticMap
 from padicdyn.errors import DomainError, PrecisionError
 from padicdyn.padic import INFINITY, PAdic, padic_exp, padic_log, stabilizing_exponent
+from padicdyn.series import MultiSeries, SeriesTuple
 
 
 def embed(value, p=5, prec=4):
@@ -126,42 +131,134 @@ def _operand_pairs(draw):
     return p, a, PAdic(p, a.valuation, unit, draw(st.integers(1, 8)))
 
 
+def _absolute_precision(x):
+    return INFINITY if x.is_exact_zero() else x.valuation + x.precision
+
+
+def _assert_matches_reference(case, op):
+    """a op b, for op in "+-*/", against exact lifts reduced modulo p**N."""
+    p, a, b = case
+    lift_a, lift_b = a.lift(), b.lift()
+    if op in "+-":
+        result = a + b if op == "+" else a - b
+        value = lift_a + lift_b if op == "+" else lift_a - lift_b
+        expected = _reference(p, value, min(_absolute_precision(a), _absolute_precision(b)))
+    elif op == "*":
+        result = a * b
+        if a.is_exact_zero() or b.is_exact_zero():
+            expected = _reference(p, Fraction(0), INFINITY)
+        else:
+            cap = a.valuation + b.valuation + min(a.precision, b.precision)
+            expected = _reference(p, lift_a * lift_b, cap)
+    else:
+        if b.unit_digits == 0:
+            with pytest.raises(PrecisionError):
+                a / b
+            return
+        result = a / b
+        if a.is_exact_zero():
+            expected = _reference(p, Fraction(0), INFINITY)
+        else:
+            cap = a.valuation - b.valuation + min(a.precision, b.precision)
+            expected = _reference(p, lift_a / lift_b, cap)
+    assert _fields(result) == expected
+
+
+REFERENCE_EXAMPLES = [
+    example((5, PAdic(5, 0, 126, 4), PAdic(5, 0, 1, 4)), "-"),  # three digits cancel
+    example((3, PAdic(3, 1, 0, 0), PAdic(3, -1, 2, 5)), "+"),  # inexact zero operand
+    example((7, PAdic(7, 0, 3, 2), PAdic(7, 0, 3, 2)), "-"),  # complete cancellation
+]
+
+
+def _with_reference_examples(test):
+    for add_example in REFERENCE_EXAMPLES:
+        test = add_example(test)
+    return test
+
+
 class TestAgainstIntegerReference:
     """+, -, *, / against exact lifts reduced modulo the absolute precision p**N."""
 
     @settings(max_examples=400, deadline=None)
     @given(_operand_pairs(), st.sampled_from("+-*/"))
-    @example((5, PAdic(5, 0, 126, 4), PAdic(5, 0, 1, 4)), "-")  # three digits cancel
-    @example((3, PAdic(3, 1, 0, 0), PAdic(3, -1, 2, 5)), "+")  # inexact zero operand
-    @example((7, PAdic(7, 0, 3, 2), PAdic(7, 0, 3, 2)), "-")  # complete cancellation
+    @_with_reference_examples
     def test_matches_reference(self, case, op):
-        p, a, b = case
-        lift_a, lift_b = a.lift(), b.lift()
-        abs_a = INFINITY if a.is_exact_zero() else a.valuation + a.precision
-        abs_b = INFINITY if b.is_exact_zero() else b.valuation + b.precision
-        if op in "+-":
-            result = a + b if op == "+" else a - b
-            value = lift_a + lift_b if op == "+" else lift_a - lift_b
-            expected = _reference(p, value, min(abs_a, abs_b))
-        elif op == "*":
-            result = a * b
-            if a.is_exact_zero() or b.is_exact_zero():
-                expected = _reference(p, Fraction(0), INFINITY)
-            else:
-                cap = a.valuation + b.valuation + min(a.precision, b.precision)
-                expected = _reference(p, lift_a * lift_b, cap)
-        else:
-            if b.unit_digits == 0:
-                with pytest.raises(PrecisionError):
-                    a / b
-                return
-            result = a / b
-            if a.is_exact_zero():
-                expected = _reference(p, Fraction(0), INFINITY)
-            else:
-                cap = a.valuation - b.valuation + min(a.precision, b.precision)
-                expected = _reference(p, lift_a / lift_b, cap)
-        assert _fields(result) == expected
+        _assert_matches_reference(case, op)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operand_pairs(), st.integers(-(5**6), 5**6))
+    @example((5, PAdic(5, 0, 1, 4), PAdic(5, 0, 1, 4)), 126)  # three digits cancel
+    @example((3, PAdic(3, 0, 1, 4), PAdic.zero(3)), 0)  # exact zero minus exact zero
+    def test_integer_minus_element(self, case, k):
+        # k - b coerces k to b's precision (at least 1 digit) and subtracts
+        p, _, b = case
+        digits = 1 if b.is_exact_zero() else max(b.precision, 1)
+        k_padic = PAdic.from_rational(k, p, digits)
+        cap = min(_absolute_precision(k_padic), _absolute_precision(b))
+        assert _fields(k - b) == _reference(p, k_padic.lift() - b.lift(), cap)
+        assert _fields(k - b) == _fields(k_padic - b)
+
+
+def _assert_canonical(prime, valuation, unit_digits, precision):
+    """The form padic._canonical may assume: int fields, an odd prime, and
+    either an inexact zero or a unit prime to p reduced below p**precision."""
+    assert all(type(f) is int for f in (prime, valuation, unit_digits, precision))
+    assert prime != 2 and is_prime(prime)
+    if unit_digits == 0:
+        assert precision == 0
+    else:
+        assert precision >= 1
+        assert 0 < unit_digits < prime**precision
+        assert unit_digits % prime != 0
+
+
+@contextmanager
+def checked_canonical():
+    """padic._canonical, wherever it is bound, asserting that every result
+    is canonical; yields the list of the fields it was given."""
+    trusted = padic._canonical
+    calls = []
+
+    def checked(prime, valuation, unit_digits, precision):
+        _assert_canonical(prime, valuation, unit_digits, precision)
+        calls.append((prime, valuation, unit_digits, precision))
+        return trusted(prime, valuation, unit_digits, precision)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(padic, "_canonical", checked)
+        patch.setattr(orbit, "_canonical", checked)
+        yield calls
+
+
+class TestCanonicalConstructor:
+    """Every result built by the unchecked constructor is canonical."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_operand_pairs(), st.sampled_from("+-*/"))
+    @_with_reference_examples
+    def test_arithmetic_on_reference_inputs(self, case, op):
+        with checked_canonical():
+            _assert_matches_reference(case, op)
+            p, a, _ = case
+            assert _fields(-a) == _reference(p, -a.lift(), _absolute_precision(a))
+
+    def test_orbit_and_padic_relation_probe(self):
+        f = AnalyticMap(SeriesTuple([
+            MultiSeries(2, 2, [((1, 0), Fraction(6)), ((0, 2), Fraction(5))]),
+            MultiSeries(2, 2, [((0, 1), Fraction(11)), ((2, 0), Fraction(5))]),
+        ]))
+        nbhd = orbit.Neighbourhood(prime=5, level=1, dim=2)
+
+        def probe():
+            result = orbit.iterate_in_neighbourhood(f, [Fraction(5), Fraction(10)], 30, nbhd, precision=40)
+            found = orbit.relation_probe(result.points, 3)
+            return [[_fields(x) for x in pt] for pt in result.points], [[_fields(x) for x in v] for v in found.kernel]
+
+        with checked_canonical() as calls:
+            checked = probe()
+        assert len(calls) > 1000
+        assert checked == probe()
 
 
 class TestArithmetic:
