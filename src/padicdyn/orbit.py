@@ -629,9 +629,8 @@ def _padic_kernel_basis(rows: list[list[PAdic]], ncols: int) -> list[list[PAdic]
         if best is None:
             continue
         work[r], work[best] = work[best], work[r]
-        pivot_row = work[r]
-        inv = pivot_row.pop(k)
-        pivot_row = work[r] = [x / inv for x in pivot_row]
+        inv = work[r].pop(k)
+        pivot_row = work[r] = [x / inv for x in work[r]]
         for i in range(nrows):
             if i != r:
                 row = work[i]
