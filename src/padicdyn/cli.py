@@ -327,14 +327,10 @@ def cmd_newton(args) -> dict:
                 "index": it.index,
                 "window": list(it.window),
                 "delta_order": it.delta_order,
-                "delta_norm": None
-                if it.delta_norm is None
-                else _encode_rational(it.delta_norm.value),
+                "delta_norm": _encode_rational(it.delta_norm.value),
                 "rho": _encode_rational(it.rho),
-                "bound_satisfied": None if it.bound is None else it.bound.passes,
-                "minimal_c1": None
-                if it.bound is None
-                else {
+                "bound_satisfied": it.bound.passes,
+                "minimal_c1": {
                     "coefficient": _encode_rational(it.bound.minimal_c1.coeff),
                     "base": _encode_rational(it.bound.minimal_c1.base),
                     "exponent": _encode_rational(it.bound.minimal_c1.exponent),

@@ -20,6 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import ratlinalg
 from .arith import (
+    divisors,
     factorize,
     fraction_valuation,
     int_valuation,
@@ -197,8 +198,6 @@ def _rational_roots_monic(coeffs: list[Fraction]) -> list[Fraction] | None:
 def _divisor_candidates(n: int) -> list[int]:
     if n == 0:
         return [1]
-    from .arith import divisors
-
     return divisors(n)
 
 

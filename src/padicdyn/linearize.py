@@ -10,10 +10,14 @@ raises ResonantMonomialError.
 The Newton scheme produces the same conjugacy through quadratically
 growing degree windows: iteration i determines all coefficients of h in
 degrees [2^(i+1), 2^(i+2)), so the correction orders double exactly.  Each
-window is processed with the preconditioned update
-F(h) = (Dh o Lambda) L E, refined within the window until the residual
-clears it.  The trace records Gauss norms of the corrections on the
-shrinking radii 1/2 + 2^(-i-1) and checks them against the
+window [low, high] takes one pass of the preconditioned update
+F(h) = (Dh o Lambda) L E.  The approximate right inverse (Dh o Lambda)^(-1)
+leaves an error of order 2 low - 1 (Zehnder, CPAM 28, 1975), so after the
+pass the residual can lie only in layer high, where h = id + O(2) acts as
+the identity: the order-by-order layer step at degree high closes the
+window, and its check that nothing lies below that layer confirms the
+claim on every window.  The trace records Gauss norms of the corrections
+on the shrinking radii 1/2 + 2^(-i-1) and checks the pass against the
 small-divisor bound |w|_{rho-delta} <= C1 |g|_rho rho^beta / delta^beta.
 
 Before iterating, the map is rescaled by the smallest power of the working
@@ -61,12 +65,14 @@ from .arith import check_odd_prime, fraction_valuation, prime_support
 from .dynamics import (
     AnalyticMap,
     DiophantineParams,
+    _rational_roots_monic,
     choose_prime,
     enumerate_resonances,
 )
 from .errors import (
     DomainError,
     EigenvalueVariationError,
+    IrrationalEigenvalueError,
     NotSemisimpleError,
     ResonantMonomialError,
     SingularBlockError,
@@ -162,20 +168,26 @@ class NormBoundCertificate:
 class NewtonIteration:
     index: int
     window: tuple[int, int]
-    delta_order: int | None
-    delta_norm: GaussNorm | None
+    delta_order: int
+    delta_norm: GaussNorm
     rho: Fraction
-    bound: NormBoundCertificate | None
+    bound: NormBoundCertificate
 
 
 @dataclass(frozen=True)
 class NewtonTrace:
     iterations: tuple[NewtonIteration, ...]
-    radii: tuple[Fraction, ...]
-    bound_params: DiophantineParams
     rescale: Fraction
     prime: int
-    derived_c1: RatPow | None = None
+
+    @property
+    def radii(self) -> tuple[Fraction, ...]:
+        return tuple(it.rho for it in self.iterations)
+
+    @property
+    def derived_c1(self) -> RatPow | None:
+        """The derived constant of the first window's norm bound."""
+        return self.iterations[0].bound.derived_c1 if self.iterations else None
 
 
 def solve_homological(
@@ -299,6 +311,28 @@ def _verified_conjugacy(
     )
 
 
+def _layer_step(
+    h: SeriesTuple, fmap: SeriesTuple, lams: Sequence[Fraction], r: int, d: int
+) -> SeriesTuple:
+    """h with layer d of the residual fmap o h - h o Lambda solved away.
+
+    The residual is formed at cap d and must vanish below d.  Since
+    fmap - Lambda has order >= 2, adding a layer-d term w changes the
+    residual at degree d by Lambda w - w o Lambda alone, so the homological
+    equation solves it.
+    """
+    # composition truncates at the least cap, here d
+    hd = h.truncated(d)
+    residual = fmap.compose(hd) - hd.compose_diagonal(lams)
+    low = residual.lowest_degree()
+    if low is None or low > d:
+        return h
+    if low < d:
+        raise AssertionError(f"residual leaked below the active layer: {low} < {d}")
+    w = solve_homological(residual.layer_tuple(d), lams, r)
+    return h + SeriesTuple([comp.as_polynomial(h.trunc) for comp in w.components])
+
+
 def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
     """Solve f o h = h o Lambda one graded layer at a time, exactly.
 
@@ -331,17 +365,7 @@ def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
     fmap = f.components.truncated(degree)
     h = SeriesTuple.identity(n, degree)
     for d in range(2, degree + 1):
-        # composition truncates at the least cap, here d
-        hd = h.truncated(d)
-        residual = fmap.compose(hd) - hd.compose_diagonal(lams)
-        low = residual.lowest_degree()
-        if low is None or low > d:
-            continue
-        if low < d:
-            raise AssertionError(f"residual leaked below the active layer: {low} < {d}")
-        layer = residual.layer_tuple(d)
-        w = solve_homological(layer, lams, r)
-        h = h + SeriesTuple([comp.as_polynomial(degree) for comp in w.components])
+        h = _layer_step(h, fmap, lams, r, d)
     return _verified_conjugacy(h, fmap, lams, r)
 
 
@@ -439,11 +463,7 @@ def linearize_newton(
     if r == n:
         result = linearize_order_by_order(f, degree)
         trace = NewtonTrace(
-            iterations=(),
-            radii=(),
-            bound_params=params,
-            rescale=Fraction(1),
-            prime=prime if prime is not None else 3,
+            iterations=(), rescale=Fraction(1), prime=prime if prime is not None else 3
         )
         return result, trace
     lams = _normalized_eigenvalues(f)
@@ -459,24 +479,18 @@ def linearize_newton(
 
     h = SeriesTuple.identity(n, degree)
     iterations: list[NewtonIteration] = []
-    radii: list[Fraction] = []
     low = 2
-    index = 0
     while low <= degree:
         high = min(2 * low - 1, degree)
-        rho = Fraction(1, 2) + Fraction(1, 2 ** (index + 1))
-        delta = Fraction(1, 2 ** (index + 2))
-        h_before = h
-        bound_cert = None
-        guard = 0
-        while True:
-            hd = h.truncated(high)
-            residual = scaled.compose(hd) - hd.compose_diagonal(lams)
-            res_low = residual.lowest_degree()
-            if res_low is None or res_low > high:
-                break
+        hd = h.truncated(high)
+        residual = scaled.compose(hd) - hd.compose_diagonal(lams)
+        res_low = residual.lowest_degree()
+        if res_low is not None and res_low <= high:
             if res_low < low:
                 raise AssertionError("Newton residual leaked below its window")
+            index = len(iterations)
+            rho = Fraction(1, 2) + Fraction(1, 2 ** (index + 1))
+            delta = Fraction(1, 2 ** (index + 2))
             # re-promote the jacobian to the window cap: corrections have
             # order >= 2, so the unknown top layer of Dh never enters
             jac = [
@@ -502,44 +516,31 @@ def linearize_newton(
                 ]
             )
             e = solve_homological(g, lams, r)
-            if bound_cert is None:
-                bound_cert = check_norm_bound(g, e, lams, rho, delta, params, prime)
+            bound = check_norm_bound(g, e, lams, rho, delta, params, prime)
             # e inherits the window support of g, and Dh has a constant
             # term, so Dh e formed at cap high has its layers in low..high
             correction = _series_matrix_vector(jac, e.truncated(high))
-            h = h + SeriesTuple([comp.as_polynomial(degree) for comp in correction])
-            guard += 1
-            if guard > high:
-                raise AssertionError("Newton window refinement failed to converge")
-        step = h - h_before
-        order = step.lowest_degree()
-        norm = tuple_gauss_norm(step, rho, prime) if not step.is_zero() else None
-        if not step.is_zero():
+            refined = h + SeriesTuple([comp.as_polynomial(degree) for comp in correction])
+            # (Dh o Lambda)^(-1) is a right inverse up to order 2 low - 1, so
+            # the pass leaves a residual in layer high at most, which the
+            # layer step checks and solves
+            refined = _layer_step(refined, scaled, lams, r, high)
+            step = refined - h
+            h = refined
             iterations.append(
                 NewtonIteration(
                     index=index,
                     window=(low, high),
-                    delta_order=order,
-                    delta_norm=norm,
+                    delta_order=step.lowest_degree(),
+                    delta_norm=tuple_gauss_norm(step, rho, prime),
                     rho=rho,
-                    bound=bound_cert,
+                    bound=bound,
                 )
             )
-            radii.append(rho)
-            index += 1
         low = 2 * low
 
     result = _verified_conjugacy(_rescale_map(h, u), fmap, lams, r)
-    trace = NewtonTrace(
-        iterations=tuple(iterations),
-        radii=tuple(radii),
-        bound_params=params,
-        rescale=u,
-        prime=prime,
-        derived_c1=iterations[0].bound.derived_c1
-        if iterations and iterations[0].bound is not None
-        else None,
-    )
+    trace = NewtonTrace(iterations=tuple(iterations), rescale=u, prime=prime)
     return result, trace
 
 
@@ -754,8 +755,6 @@ def diagonalize_normal_part(
         const_coeffs.append(coeff_series.constant_term())
     roots = _rational_roots(const_coeffs)
     if roots is None:
-        from .errors import IrrationalEigenvalueError
-
         raise IrrationalEigenvalueError("transverse eigenvalues are not rational")
     if tail_eigenvalues is not None and sorted(roots) != sorted(Fraction(x) for x in tail_eigenvalues):
         raise DomainError("declared transverse eigenvalues do not match the block")
@@ -861,8 +860,6 @@ def _series_char_poly(block: list[list[MultiSeries]], trunc: int) -> list[MultiS
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
-    from .dynamics import _rational_roots_monic
-
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
     return _rational_roots_monic(monic)

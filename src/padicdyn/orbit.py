@@ -27,10 +27,11 @@ from math import comb, lcm
 from typing import Sequence
 
 from . import ratlinalg
-from .arith import check_odd_prime, fraction_valuation, int_valuation
+from .arith import check_odd_prime, fraction_abs, fraction_valuation, int_valuation
 from .dynamics import (
     AnalyticMap,
     RelationLattice,
+    _poly_eval,
     jacobian_at_origin,
     rational_eigenvalues,
     relation_lattice,
@@ -75,6 +76,11 @@ class OrbitResult:
     isometry_pairs_skipped: int
 
 
+def _residue(q: Fraction, modulus: int) -> int:
+    """q modulo modulus, for a q whose denominator is prime to modulus."""
+    return q.numerator % modulus * pow(q.denominator % modulus, -1, modulus) % modulus
+
+
 def _coefficient_residues(f: AnalyticMap, prime: int, modulus: int) -> tuple[list, list[int]]:
     """The map reduced modulo modulus, as (components, top).
 
@@ -91,12 +97,10 @@ def _coefficient_residues(f: AnalyticMap, prime: int, modulus: int) -> tuple[lis
                 raise IntegralityError(
                     f"coefficient {coeff} is not {prime}-integral"
                 )
-            num = coeff.numerator % modulus
-            den = pow(coeff.denominator % modulus, -1, modulus)
             factors = tuple((i, e) for i, e in enumerate(exps) if e)
             for i, e in factors:
                 top[i] = max(top[i], e)
-            terms.append((factors, num * den % modulus))
+            terms.append((factors, _residue(coeff, modulus)))
         components.append(terms)
     return components, top
 
@@ -136,7 +140,7 @@ def iterate_in_neighbourhood(
             q = Fraction(x)
             if q != 0 and fraction_valuation(q, p) < 0:
                 raise DomainError(f"coordinate {i} is not integral")
-            value = q.numerator % modulus * pow(q.denominator % modulus, -1, modulus) % modulus
+            value = _residue(q, modulus)
         residues.append(value)
     point = tuple(residues)
     if any(_residue_valuation(x, p, precision) < s for x in point):
@@ -246,10 +250,7 @@ class SeparatingPolynomial:
     verified: bool
 
     def eval(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return _poly_eval(self.coefficients, x)
 
 
 def separating_polynomial(
@@ -270,28 +271,20 @@ def separating_polynomial(
         raise DomainError("units must be pairwise distinct")
     s = max(level, 1)
     while True:
-        residues = [_unit_residue(b, prime, s) for b in bs]
+        modulus = prime**s
+        residues = [_residue(b, modulus) for b in bs]
         if len(set(residues)) == len(residues):
             break
         s += 1
-    modulus = prime**s
     target_residue = residues[target_index]
     coeffs = [1]
     for rep in range(modulus):
         if rep != target_residue:
             coeffs = _poly_mul_linear(coeffs, -rep)
-    poly = SeparatingPolynomial(
-        coefficients=tuple(coeffs),
-        prime=prime,
-        level=s,
-        target_index=target_index,
-        target_abs=Fraction(0),
-        verified=False,
-    )
-    target_abs = _abs(poly.eval(bs[target_index]), prime)
+    target_abs = fraction_abs(_poly_eval(coeffs, bs[target_index]), prime)
     verified = True
     for i, b in enumerate(bs):
-        value = _abs(poly.eval(b), prime)
+        value = fraction_abs(_poly_eval(coeffs, b), prime)
         if i == target_index or residues[i] == target_residue:
             if value != target_abs:
                 verified = False
@@ -307,23 +300,12 @@ def separating_polynomial(
     )
 
 
-def _unit_residue(b: Fraction, prime: int, s: int) -> int:
-    modulus = prime**s
-    return b.numerator % modulus * pow(b.denominator % modulus, -1, modulus) % modulus
-
-
 def _poly_mul_linear(coeffs: list[int], root_negated: int) -> list[int]:
     out = [0] * (len(coeffs) + 1)
     for i, c in enumerate(coeffs):
         out[i] += c * root_negated
         out[i + 1] += c
     return out
-
-
-def _abs(x: Fraction, prime: int) -> Fraction:
-    from .arith import fraction_abs
-
-    return fraction_abs(x, prime)
 
 
 @dataclass(frozen=True)
@@ -417,16 +399,9 @@ def vanishing_exponents(inst: VanishingSumInstance, s_max: int) -> VanishingRepo
         raise DomainError("horizon must be at least 1")
     p, prec = inst.prime, inst.precision
     modulus = p**prec
-    coeff_res = []
-    base_res = []
-    shift = max(0, -min(fraction_valuation(a, p) for a in inst.a))
-    scale = p**shift
-    for a, b in zip(inst.a, inst.b):
-        scaled = a * scale
-        coeff_res.append(
-            scaled.numerator % modulus * pow(scaled.denominator % modulus, -1, modulus) % modulus
-        )
-        base_res.append(_unit_residue(b, p, prec))
+    scale = p ** max(0, -min(fraction_valuation(a, p) for a in inst.a))
+    coeff_res = [_residue(a * scale, modulus) for a in inst.a]
+    base_res = [_residue(b, modulus) for b in inst.b]
     powers = list(base_res)
     found = []
     for s in range(1, s_max + 1):
@@ -436,7 +411,7 @@ def vanishing_exponents(inst: VanishingSumInstance, s_max: int) -> VanishingRepo
         if total == 0 and inst.evaluate(s, 2 * prec).is_zero():
             found.append(s)
         powers = [bp * br % modulus for bp, br in zip(powers, base_res)]
-    abs_values = [_abs(a, p) for a in inst.a]
+    abs_values = [fraction_abs(a, p) for a in inst.a]
     top = max(abs_values)
     leading = tuple(i for i, v in enumerate(abs_values) if v == top)
     separating = separating_polynomial(inst.b, leading[0], 1, p)

@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
+from . import ratlinalg
 from .arith import fraction_valuation, is_prime
 from .errors import DomainError
 
@@ -460,10 +461,15 @@ def _packed(ints: dict[int, list[tuple[Exponents, int]]], nvars: int, trunc: int
 
 
 def _convolve(a: _Packed, b: _Packed, trunc: int, low: int = 0) -> _Sums:
-    """The product of two packed operands in degrees low..trunc, as {deg: {key: numerator}}."""
+    """The product of two packed operands in degrees low..trunc, as {deg: {key: numerator}}.
+
+    Degrees of b above its top layer are never visited, so the cost does
+    not grow with trunc.
+    """
     acc: _Sums = {}
+    top = max(b, default=-1)
     for da, terms_a in a.items():
-        for db in range(max(low - da, 0), trunc - da + 1):
+        for db in range(max(low - da, 0), min(trunc - da, top) + 1):
             terms_b = b.get(db)
             if terms_b is None:
                 continue
@@ -480,6 +486,7 @@ def _square(a: _Packed, trunc: int, low: int = 0) -> _Sums:
     """_convolve(a, a, trunc, low) with each unordered pair of terms visited
     once: the off-diagonal products are formed once and doubled."""
     acc: _Sums = {}
+    top = max(a, default=-1)
     for da, terms_a in a.items():
         if low <= 2 * da <= trunc:
             out = acc.setdefault(2 * da, {})
@@ -490,7 +497,7 @@ def _square(a: _Packed, trunc: int, low: int = 0) -> _Sums:
                 for eb, cb in terms_a[i + 1 :]:
                     key = ea + eb
                     out[key] = get(key, 0) + twice * cb
-        for db in range(max(low - da, da + 1), trunc - da + 1):
+        for db in range(max(low - da, da + 1), min(trunc - da, top) + 1):
             terms_b = a.get(db)
             if terms_b is None:
                 continue
@@ -787,8 +794,6 @@ class SeriesTuple:
         u - Du (self o u - id) is correct through 2k, so log(trunc)
         compositions suffice.
         """
-        from . import ratlinalg
-
         n = self.nvars
         if len(self.components) != n:
             raise DomainError("compositional inverse needs a square tuple")

@@ -275,6 +275,16 @@ class TestEisenstein:
         assert data["error"]["kind"] == "document"
         assert data["error"]["location"] == location
 
+    def test_huge_seed_degree_is_a_typed_error_in_bounded_time(self, tmp_path):
+        # the seed products visit no degree above the seed's top layer, so
+        # a cap of 10^8 costs nothing before the root check fails
+        document = sqrt_document()
+        document["seed_degree"] = 100_000_000
+        doc = write_json(tmp_path, "root.json", document)
+        code, data = run_bounded(tmp_path, ["eisenstein", doc, "--degree", "40"], seconds=10)
+        assert code == 2
+        assert data["error"]["kind"] == "DomainError"
+
 
 class TestOrbit:
     def test_digit_strings(self, tmp_path):

@@ -1,8 +1,8 @@
 """Source hygiene: every name a library module imports is used in it, no
-library module converts to float except for padic.INFINITY, every entry
-point the benchmark tracer wraps still exists, shared series layers are
-never changed in place, and only known call sites build p-adics through
-the unchecked constructor."""
+library module imports inside a function, no library module converts to
+float except for padic.INFINITY, every entry point the benchmark tracer
+wraps still exists, shared series layers are never changed in place, and
+only known call sites build p-adics through the unchecked constructor."""
 
 import ast
 import importlib
@@ -63,6 +63,48 @@ def test_the_guard_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Sequence\n\ndef f(x: 'Sequence[int]'):\n    return x\n")
     used = referenced_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in used] == ["os"]
+
+
+def function_imports(tree):
+    """Line of each import statement inside a function body, at any depth."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines |= {n.lineno for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))}
+    return sorted(lines)
+
+
+def test_no_import_inside_a_function():
+    # the library has no import cycle to break, so every import is at the top
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line in function_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"imports inside functions: {', '.join(found)}"
+
+
+def test_the_guard_sees_a_function_import():
+    source = """
+import os
+from . import series
+
+
+def f():
+    from .arith import divisors
+    return divisors
+
+
+class A:
+    import json
+
+    def g(self):
+        def inner():
+            import math
+            return math
+        return inner
+"""
+    assert function_imports(ast.parse(source)) == [7, 16]
 
 
 def float_calls(tree):

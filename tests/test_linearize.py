@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicdyn import linearize
 from padicdyn.dynamics import AnalyticMap, DiophantineParams, enumerate_resonances
 from padicdyn.errors import (
     DomainError,
@@ -328,8 +329,26 @@ class TestNewton:
 
     def test_radii_decrease(self):
         _, trace = linearize_newton(doubling_map(16), 16, DiophantineParams(1, 0), prime=3)
+        assert trace.radii == tuple(it.rho for it in trace.iterations)
         assert list(trace.radii) == sorted(trace.radii, reverse=True)
         assert all(r > Fraction(1, 2) for r in trace.radii)
+
+    @pytest.mark.parametrize("degree, windows", [(12, 3), (16, 4)])
+    def test_one_window_inverse_per_window(self, monkeypatch, degree, windows):
+        # one preconditioned pass leaves at most layer high, which the
+        # layer step closes without a second window inverse
+        calls = []
+        inverse = linearize._series_matrix_inverse
+
+        def counted(mat, trunc):
+            calls.append(trunc)
+            return inverse(mat, trunc)
+
+        monkeypatch.setattr(linearize, "_series_matrix_inverse", counted)
+        f = fixture_suite(degree)["independent-3d"]
+        _, trace = linearize_newton(f, degree, DiophantineParams(1, 0), prime=7)
+        assert len(trace.iterations) == windows
+        assert len(calls) == windows
 
     def test_rescaling_reported(self):
         f = build_map([[((1,), 2), ((2,), Fraction(1, 3))]], 6)
