@@ -60,6 +60,9 @@ PROBE_MAX_BITS = 2**16
 # an orbit's work and the size of its report both grow with its
 # (steps + 1) * dimension * precision p-adic digits; orbit refuses more
 ORBIT_MAX_DIGITS = 2**22
+# a series in n variables through degree d has C(n + d, n) monomials; analyze,
+# linearize, newton and eisenstein refuse a working degree with more
+SERIES_MAX_MONOMIALS = 2**11
 # Python refuses to write an integer of more than 4300 decimal digits as text
 # (sys.get_int_max_str_digits); a report refuses rationals above this many
 # bits, which stay below that limit
@@ -103,15 +106,55 @@ _FLAG_MINIMUMS = {"steps": 0, "points": 1, "smax": 1, "level": 1}
 _DEGREE_MINIMUMS = {"analyze": 2, "linearize": 2, "newton": 2, "eisenstein": 0, "probe": 1}
 
 
-def _encode_rational(x: Fraction):
-    x = Fraction(x)
+def _series_fits(nvars: int, degree: int) -> bool:
+    """C(nvars + degree, nvars) <= SERIES_MAX_MONOMIALS, found without
+    forming a binomial above the ceiling."""
+    count, top = 1, nvars + degree
+    # C(top, k) grows with k up to min(nvars, degree) <= top / 2
+    for k in range(1, min(nvars, degree) + 1):
+        count = count * (top - k + 1) // k
+        if count > SERIES_MAX_MONOMIALS:
+            return False
+    return True
+
+
+def _check_series_degree(nvars: int, degree: int, path: str) -> None:
+    """Refuse a series working degree above SERIES_MAX_MONOMIALS monomials
+    before any work starts."""
+    if _series_fits(nvars, degree):
+        return
+    largest = 0
+    while _series_fits(nvars, largest + 1):
+        largest += 1
+    raise DocumentError(
+        path,
+        f"{nvars}-variable series through degree {degree} have more than "
+        f"{SERIES_MAX_MONOMIALS} monomials; the largest accepted degree is {largest}",
+    )
+
+
+def _check_height(x: Fraction) -> None:
     tallest = max(x.numerator.bit_length(), x.denominator.bit_length())
     if tallest > ENCODE_MAX_BITS:
         raise HeightCeilingError(
             f"a rational of {tallest} bits is above the report ceiling of "
             f"{ENCODE_MAX_BITS} bits; ask for a lower degree or fewer points"
         )
+
+
+def _encode_rational(x: Fraction):
+    x = Fraction(x)
+    _check_height(x)
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _encode_series(s: MultiSeries | SeriesTuple) -> list:
+    """The term records of a series or a tuple, under the same height
+    ceiling as _encode_rational."""
+    for comp in s.components if isinstance(s, SeriesTuple) else (s,):
+        for _, c in comp.terms():
+            _check_height(c)
+    return s.to_records()
 
 
 def _encode_matrix(m) -> list[list]:
@@ -225,6 +268,7 @@ def cmd_analyze(args) -> dict:
     doc = parse_map_document(_load_json(args.document))
     f = doc.map
     depth = args.degree if args.degree is not None else f.trunc
+    _check_series_degree(f.n, depth, "--degree" if args.degree is not None else "truncation_degree")
     jac = jacobian_at_origin(f)
     eigen = rational_eigenvalues(jac)
     lams = list(eigen.eigenvalues)
@@ -278,20 +322,23 @@ def cmd_analyze(args) -> dict:
 
 def _conjugacy_report(result, change: SeriesTuple | None) -> dict:
     report = {
-        "h": result.h.to_records(),
-        "h_inverse": result.h_inverse.to_records(),
+        "h": _encode_series(result.h),
+        "h_inverse": _encode_series(result.h_inverse),
         "verified_degree": result.verified_degree,
         "residual_zero": result.residual.is_zero(),
         "denominator_primes": sorted(result.denominator_primes),
         "eigenvalues": [_encode_rational(x) for x in result.eigenvalues],
     }
     if change is not None:
-        report["normalizing_change"] = change.to_records()
+        report["normalizing_change"] = _encode_series(change)
     return report
 
 
 def _prepare_linearizable(doc: MapDocument, degree: int):
     f = doc.map
+    # the normalization runs at the document's truncation when that is higher
+    _check_series_degree(f.n, degree, "--degree")
+    _check_series_degree(f.n, f.trunc, "truncation_degree")
     if f.trunc < degree:
         f = AnalyticMap(
             SeriesTuple([c.as_polynomial(degree) for c in f.components]),
@@ -371,13 +418,14 @@ def cmd_eisenstein(args) -> dict:
         nvars, seed_degree, [_term_record(record, f"seed[{t}]", nvars) for t, record in enumerate(seed_records)]
     )
     depth = args.degree if args.degree is not None else DEFAULT_TRUNCATION
+    _check_series_degree(nvars, depth, "--degree")
     spec = AlgebraicSeriesSpec.build(relation, seed)
     phi = coefficients_up_to(spec, depth)
     support = denominator_support(phi)
     return {
         "vanishing_order": spec.vanishing_order,
         "pivot_monomial": list(spec.pivot_monomial),
-        "coefficients": phi.to_records(),
+        "coefficients": _encode_series(phi),
         "degree": depth,
         "denominator_primes": sorted(support.primes),
         "squarefree_product": support.squarefree_product,

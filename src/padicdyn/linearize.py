@@ -15,10 +15,14 @@ F(h) = (Dh o Lambda) L E.  The approximate right inverse (Dh o Lambda)^(-1)
 leaves an error of order 2 low - 1 (Zehnder, CPAM 28, 1975), so after the
 pass the residual can lie only in layer high, where h = id + O(2) acts as
 the identity: the order-by-order layer step at degree high closes the
-window, and its check that nothing lies below that layer confirms the
-claim on every window.  The trace records Gauss norms of the corrections
-on the shrinking radii 1/2 + 2^(-i-1) and checks the pass against the
-small-divisor bound |w|_{rho-delta} <= C1 |g|_rho rho^beta / delta^beta.
+window.  That step forms layer high alone, so it cannot check the claim
+itself.  The next window does: its residual, formed in full through its
+own cap, must vanish below its low, which covers every layer of the
+window before it.  The final check f o h = h o Lambda of the assembled
+result covers every layer, the last window's included.  The trace records
+Gauss norms of the corrections on the shrinking radii 1/2 + 2^(-i-1) and
+checks the pass against the small-divisor bound
+|w|_{rho-delta} <= C1 |g|_rho rho^beta / delta^beta.
 
 Before iterating, the map is rescaled by the smallest power of the working
 prime that makes the nonlinearity p-adically small; the conjugacy is
@@ -316,20 +320,22 @@ def _layer_step(
 ) -> SeriesTuple:
     """h with layer d of the residual fmap o h - h o Lambda solved away.
 
-    The residual is formed at cap d and must vanish below d.  Since
+    The caller guarantees that the residual vanishes below d.  Only layer d
+    of the residual is formed: layer d of fmap o h at cap d, minus the
+    diagonal substitution of h's layer d alone.  The layers below d are
+    never formed, so a step cannot see them; they are checked by the full
+    f o h = h o Lambda check of _verified_conjugacy at the end of either
+    route, and in Newton also by the next window's residual.  Since
     fmap - Lambda has order >= 2, adding a layer-d term w changes the
     residual at degree d by Lambda w - w o Lambda alone, so the homological
     equation solves it.
     """
     # composition truncates at the least cap, here d
     hd = h.truncated(d)
-    residual = fmap.compose(hd) - hd.compose_diagonal(lams)
-    low = residual.lowest_degree()
-    if low is None or low > d:
+    residual = fmap.compose(hd, d) - hd.layer_tuple(d).compose_diagonal(lams)
+    if residual.is_zero():
         return h
-    if low < d:
-        raise AssertionError(f"residual leaked below the active layer: {low} < {d}")
-    w = solve_homological(residual.layer_tuple(d), lams, r)
+    w = solve_homological(residual, lams, r)
     return h + SeriesTuple([comp.as_polynomial(h.trunc) for comp in w.components])
 
 
@@ -523,7 +529,7 @@ def linearize_newton(
             refined = h + SeriesTuple([comp.as_polynomial(degree) for comp in correction])
             # (Dh o Lambda)^(-1) is a right inverse up to order 2 low - 1, so
             # the pass leaves a residual in layer high at most, which the
-            # layer step checks and solves
+            # layer step solves; the next window's residual checks the rest
             refined = _layer_step(refined, scaled, lams, r, high)
             step = refined - h
             h = refined

@@ -43,6 +43,29 @@ from .errors import DomainError, PrecisionError
 INFINITY = float("inf")
 
 
+# below this many digits, _digits peels one digit per divmod
+_DIGITS_BASE = 64
+
+
+def _digits(u: int, prime: int, n: int) -> list[int]:
+    """The n lowest base-prime digits of u >= 0, least significant first.
+
+    Splits u by prime**(n // 2) and converts both halves, so the cost is
+    that of a few divisions of u's size instead of n of them (subquadratic
+    radix conversion: Brent and Zimmermann, Modern Computer Arithmetic,
+    section 1.7).  Short runs peel one digit per divmod.
+    """
+    if n <= _DIGITS_BASE:
+        out = []
+        for _ in range(n):
+            u, d = divmod(u, prime)
+            out.append(d)
+        return out
+    half = n // 2
+    high, low = divmod(u, prime**half)
+    return _digits(low, prime, half) + _digits(high, prime, n - half)
+
+
 class PAdic:
     """One element of Q_p at capped precision.  Immutable."""
 
@@ -122,16 +145,11 @@ class PAdic:
         return Fraction(1, self.prime**v) if v >= 0 else Fraction(self.prime ** (-v))
 
     def digits(self, count: int | None = None) -> list[int]:
-        """Base-p digits of the unit part, least significant first."""
+        """Base-p digits of the unit part, least significant first: count of
+        them (zeros above the unit's own digits), by default precision."""
         if self.unit_digits == 0:
             return []
-        n = count if count is not None else self.precision
-        u = self.unit_digits
-        out = []
-        for _ in range(n):
-            u, d = divmod(u, self.prime)
-            out.append(d)
-        return out
+        return _digits(self.unit_digits, self.prime, count if count is not None else self.precision)
 
     def digit_string(self) -> str:
         """Canonical text form: unit digits LSD-first, then e<valuation>."""

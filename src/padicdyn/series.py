@@ -12,7 +12,12 @@ unordered pair of terms once, at about half the cost.  Composition sums
 c_I inner^I over one table of the inner map's monomial powers
 (_PowerTable), kept in integers, whether it serves one substitution
 (SeriesTuple.compose) or a stream of homogeneous layers (_layer_composer).
-All are exact.
+The product kernel _mul and both substitutions take a lower bound low on
+the output degree: the layers below it are not formed, and in
+SeriesTuple.compose neither are those degrees of the table powers that
+only feed the result.  A caller that needs one graded layer, such as a
+layer step of the linearizing conjugacy, then pays for that layer and for
+the powers the table builds further powers from.  All are exact.
 
 Gauss norms sup |a_I|_p rho^|I| are returned as exact data: the p-adic
 valuation of the extremal coefficient, its degree, and the norm value as a
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from . import ratlinalg
 from .arith import fraction_valuation, is_prime
@@ -563,12 +568,16 @@ class _PowerTable:
         """A common denominator of the products c_I inner^I over terms."""
         return lcm(1, *(c.denominator * self.den(exps) for exps, c in terms))
 
-    def extend(self, monomials: Iterable[Exponents]) -> None:
-        """Move the table up one degree, to the entries of the given monomials."""
+    def extend(self, monomials: Iterable[Exponents], low: int = 0, parents: Container[Exponents] = ()) -> None:
+        """Move the table up one degree, to the entries of the given monomials.
+
+        An entry that is not in parents (no later entry is built from it) is
+        read only by combine, so it is formed in the degrees >= low alone.
+        """
         entries = {}
         for exps in monomials:
             j, lower = _parent(exps)
-            product = _convolve(self.entries[lower], self.factors[j], self.trunc)
+            product = _convolve(self.entries[lower], self.factors[j], self.trunc, 0 if exps in parents else low)
             entries[exps] = {d: list(lay.items()) for d, lay in product.items()}
         self.entries = entries
         self.degree += 1
@@ -704,14 +713,22 @@ class SeriesTuple:
             a.agrees_through(b, degree) for a, b in zip(self.components, other.components)
         )
 
-    def compose(self, inner: "SeriesTuple | Sequence[MultiSeries]") -> "SeriesTuple":
-        """Substitution c(g_0, ..., g_{n-1}) into every component c; each g_i
-        must have zero constant term, and the cap is the least of all caps.
+    def compose(self, inner: "SeriesTuple | Sequence[MultiSeries]", low: int = 0) -> "SeriesTuple":
+        """Substitution c(g_0, ..., g_{n-1}) into every component c, in the
+        degrees >= low; each g_i must have zero constant term, and the cap is
+        the least of all caps.
 
         One _PowerTable of the g_i serves every component.  It moves up over
         the prefix closure (I -> I - e_last(I)) of their joint support, so a
         sparse outer map computes only the powers it reads; each degree adds
         one combination per component to that component's accumulator.
+
+        With low > 0 the layers below low are absent from the result, not
+        zero, as for _mul: callers that need only the top layer (the layer
+        steps of linearize) pass low = cap.  The leaves of the closure, the
+        powers no other power is built from, are then formed in the degrees
+        >= low alone; the powers they are built from are still formed in
+        full.
         """
         comps = tuple(inner)
         if len(comps) != self.nvars:
@@ -722,17 +739,19 @@ class SeriesTuple:
         trunc = min([self.trunc] + [g.trunc for g in comps])
         terms = [{d: lay for d, lay in c._layers.items() if d <= trunc} for c in self.components]
         closure: list[set[Exponents]] = [set() for _ in range(trunc + 2)]  # by degree, one spare
+        parents: set[Exponents] = set()
         for exps in {e for layers in terms for lay in layers.values() for e in lay}:
             while any(exps) and exps not in closure[sum(exps)]:
                 closure[sum(exps)].add(exps)
                 exps = _parent(exps)[1]
+                parents.add(exps)
         table = _PowerTable(comps, trunc)
         commons = [table.common(t for lay in layers.values() for t in lay.items()) for layers in terms]
         accs: list[_Sums] = [{} for _ in terms]
         for d in range(trunc + 1):
             for layers, common, acc in zip(terms, commons, accs):
-                table.combine(layers.get(d, {}), common, acc)
-            table.extend(closure[d + 1])
+                table.combine(layers.get(d, {}), common, acc, low)
+            table.extend(closure[d + 1], low, parents)
         return SeriesTuple([_unpacked(acc, common, comps[0].nvars, trunc) for acc, common in zip(accs, commons)])
 
     def compose_diagonal(self, factors: Sequence[Fraction]) -> "SeriesTuple":

@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 from padicdyn.arith import check_odd_prime
-from padicdyn.cli import ENCODE_MAX_BITS, ORBIT_MAX_DIGITS, PROBE_MAX_BITS, _check_orbit_work, _prime, run
+from padicdyn.cli import (
+    ENCODE_MAX_BITS,
+    ORBIT_MAX_DIGITS,
+    PROBE_MAX_BITS,
+    SERIES_MAX_MONOMIALS,
+    _check_orbit_work,
+    _prime,
+    run,
+)
 from padicdyn.errors import DocumentError, DomainError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -223,6 +231,25 @@ class TestLinearize:
         code, data = run_to_file(tmp_path, ["linearize", doc, "--degree", "4"])
         assert code == 2
         assert data["error"]["kind"] == "ResonantMonomialError"
+
+
+    @pytest.mark.parametrize("command", ["linearize", "newton", "eisenstein"])
+    def test_tall_series_coefficients_are_a_typed_error(self, tmp_path, command):
+        # c = 2^13990 fits the 4300-digit limit of the JSON reader, but the
+        # degree-3 coefficient of h (and the degree-2 one of the root of
+        # X^2 = 1 + c x) carries c^2, which a report cannot write as text
+        tall = 2**13990
+        if command == "eisenstein":
+            document = sqrt_document()
+            document["relation"][2]["numerator"] = -tall
+        else:
+            document = doubling_document()
+            document["components"][0][1]["numerator"] = tall
+        doc = write_json(tmp_path, "tall.json", document)
+        code, data = run_bounded(tmp_path, [command, doc, "--degree", "3"])
+        assert code == 2, data
+        assert data["error"]["kind"] == "HeightCeilingError"
+        assert str(ENCODE_MAX_BITS) in data["error"]["message"]
 
 
 class TestNewton:
@@ -535,6 +562,36 @@ class TestIntegerArguments:
             assert code == 1, arguments
             assert data["error"]["kind"] == "document"
             assert data["error"]["location"] == location
+
+    @pytest.mark.parametrize("command", ["analyze", "linearize", "newton", "eisenstein"])
+    def test_degree_above_the_series_ceiling_refused_in_bounded_time(self, tmp_path, command):
+        document = sqrt_document() if command == "eisenstein" else doubling_document()
+        doc = write_json(tmp_path, "doc.json", document)
+        code, data = run_bounded(tmp_path, [command, doc, "--degree", "100000"], seconds=10)
+        assert code == 1
+        assert data["error"]["kind"] == "document"
+        assert data["error"]["location"] == "--degree"
+        # one variable: C(1 + d, 1) = d + 1 monomials
+        assert data["error"]["message"].endswith(f"largest accepted degree is {SERIES_MAX_MONOMIALS - 1}")
+
+    @pytest.mark.parametrize("command", ["analyze", "linearize"])
+    def test_truncation_above_the_series_ceiling_refused_in_bounded_time(self, tmp_path, command):
+        # both work at the document's truncation: analyze by default, and
+        # linearize where it normalizes the map
+        document = dict(doubling_document(), truncation_degree=100_000)
+        doc = write_json(tmp_path, "doc.json", document)
+        code, data = run_bounded(tmp_path, [command, doc], seconds=10)
+        assert code == 1
+        assert data["error"]["location"] == "truncation_degree"
+
+    def test_series_ceiling_boundary(self, tmp_path):
+        # four variables: C(16, 4) = 1820 and C(17, 4) = 2380 monomials
+        doc = write_json(tmp_path, "map.json", symplectic_document())
+        code, _ = run_bounded(tmp_path, ["analyze", doc, "--degree", "12"])
+        assert code == 0
+        code, data = run_bounded(tmp_path, ["analyze", doc, "--degree", "13"])
+        assert code == 1
+        assert data["error"]["message"].endswith("largest accepted degree is 12")
 
     def test_smallest_values_accepted(self, tmp_path):
         doc = write_json(tmp_path, "map.json", doubling_document())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import linearize
+from padicdyn import linearize, series
 from padicdyn.dynamics import AnalyticMap, DiophantineParams, enumerate_resonances
 from padicdyn.errors import (
     DomainError,
@@ -362,6 +362,76 @@ class TestNewton:
         result, _ = linearize_newton(f, 6, DiophantineParams(1, 0), prime=3)
         direct = linearize_order_by_order(f, 6)
         assert result.h.agrees_through(direct.h, 6)
+
+
+class TestLayerStep:
+    """_layer_step forms layer d of the residual alone."""
+
+    def test_order_by_order_loop_costs_about_one_composition(self, monkeypatch):
+        # counts the term pairs _convolve visits: a work count, not a timing
+        visited = []
+        convolve = series._convolve
+
+        def counted(a, b, trunc, low=0):
+            top = max(b, default=-1)
+            visited.append(
+                sum(
+                    len(terms) * len(b.get(db, ()))
+                    for da, terms in a.items()
+                    for db in range(max(low - da, 0), min(trunc - da, top) + 1)
+                )
+            )
+            return convolve(a, b, trunc, low)
+
+        degree = 12
+        f = fixture_suite(degree)["independent-3d"]
+        lams = linearize._normalized_eigenvalues(f)
+        fmap = f.components.truncated(degree)
+        h = SeriesTuple.identity(f.n, degree)
+        monkeypatch.setattr(series, "_convolve", counted)
+        for d in range(2, degree + 1):
+            h = linearize._layer_step(h, fmap, lams, 0, d)
+        loop = sum(visited)
+        visited.clear()
+        fmap.compose(h)
+        assert loop <= 1.25 * sum(visited)
+
+    @staticmethod
+    def perturb_once(monkeypatch, at):
+        """Make the layer step at degree `at` also add a term of degree 2,
+        below the layer it solves, where the step itself no longer looks."""
+        step = linearize._layer_step
+
+        def perturbed(h, fmap, lams, r, d):
+            h = step(h, fmap, lams, r, d)
+            if d == at:
+                # x2 x3 in the first component: lambda^I = 15 != 2 = lambda_1,
+                # so the residual sees it
+                stray = MultiSeries(h.nvars, h.trunc, [((0, 1, 1), Fraction(1, 5))])
+                h = SeriesTuple([h[0] + stray] + list(h.components[1:]))
+            return h
+
+        monkeypatch.setattr(linearize, "_layer_step", perturbed)
+
+    def test_stray_lower_layer_fails_the_final_check(self, monkeypatch):
+        self.perturb_once(monkeypatch, 3)
+        f = fixture_suite(12)["independent-3d"]
+        with pytest.raises(AssertionError, match="failed to vanish") as caught:
+            linearize_order_by_order(f, 12)
+        assert caught.traceback[-1].name == "_verified_conjugacy"
+
+    @pytest.mark.parametrize(
+        "at, check",
+        [(3, "linearize_newton"), (7, "linearize_newton"), (12, "_verified_conjugacy")],
+    )
+    def test_stray_lower_layer_fails_the_next_newton_check(self, monkeypatch, at, check):
+        # windows [2, 3], [4, 7], [8, 12]: the next window's residual catches
+        # a stray layer, and the final check catches it after the last one
+        self.perturb_once(monkeypatch, at)
+        f = fixture_suite(12)["independent-3d"]
+        with pytest.raises(AssertionError) as caught:
+            linearize_newton(f, 12, DiophantineParams(1, 0), prime=7)
+        assert caught.traceback[-1].name == check
 
 
 class TestNewtonMatchesOrderByOrder:

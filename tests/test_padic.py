@@ -1,6 +1,7 @@
 """Unit tests for capped-precision p-adic arithmetic."""
 
 import random
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -78,6 +79,38 @@ class TestConstructor:
         with pytest.raises(AttributeError):
             x.valuation = 3
         assert (x.prime, x.valuation, x.unit_digits, x.precision) == (5, 0, 1, 4)
+
+
+def _digits_by_divmod(u, p, n):
+    """The n lowest base-p digits of u, one divmod each: the reference."""
+    out = []
+    for _ in range(n):
+        u, d = divmod(u, p)
+        out.append(d)
+    return out
+
+
+class TestDigits:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_digit_loop(self, data):
+        # precisions and counts on both sides of the split threshold, and
+        # counts below and above the precision
+        p = data.draw(st.sampled_from([3, 5, 7, 101]))
+        precision = data.draw(st.integers(1, 400))
+        unit = data.draw(st.integers(1, p**precision - 1).filter(lambda u: u % p))
+        x = PAdic(p, data.draw(st.integers(-3, 3)), unit, precision)
+        count = data.draw(st.none() | st.integers(0, 2 * precision + 70))
+        assert x.digits(count) == _digits_by_divmod(unit, p, precision if count is None else count)
+
+    def test_long_digit_string_in_bounded_time(self):
+        # -1 at p = 3 is 2 in every digit; one divmod per digit took seconds
+        x = PAdic.from_rational(-1, 3, 200_000)
+        started = time.perf_counter()
+        text = x.digit_string()
+        elapsed = time.perf_counter() - started
+        assert text == "-".join(["2"] * 200_000) + "e0"
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def _integer_valuation(n, p):

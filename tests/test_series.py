@@ -299,11 +299,14 @@ class TestInvertAgainstSympy:
 
 @st.composite
 def compositions(draw):
-    """(outer tuple, inner series) for a substitution checked against sympy.
+    """(outer tuple, inner series, low) for a substitution checked against sympy.
 
     The outer map has 1-3 variables, a constant term and terms above the
     inner cap allowed, and components that may be zero or have disjoint
-    supports; the inner series have their own variable count and caps.
+    supports; the inner series have their own variable count and caps.  The
+    first component may hold a monomial I beside I + e_last, whose power is
+    built from inner^I, so one table power is both read and extended.  low
+    runs from 0 to one above the cap.
     """
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     outer_trunc = draw(st.integers(0, 5))
@@ -313,19 +316,25 @@ def compositions(draw):
         exps = st.tuples(*[st.integers(0, trunc)] * nvars).filter(lambda e: low <= sum(e))
         return MultiSeries(nvars, trunc, draw(st.lists(st.tuples(exps, coeff), max_size=4)))
 
-    outer = SeriesTuple([series(m, outer_trunc, 0) for _ in range(draw(st.integers(1, 3)))])
+    outer = [series(m, outer_trunc, 0) for _ in range(draw(st.integers(1, 3)))]
+    if outer_trunc >= 2 and draw(st.booleans()):
+        parent = draw(st.tuples(*[st.integers(0, outer_trunc - 1)] * m).filter(lambda e: 0 < sum(e) < outer_trunc))
+        child = parent[:-1] + (parent[-1] + 1,)
+        outer[0] = outer[0] + MultiSeries(m, outer_trunc, [(parent, draw(coeff)), (child, draw(coeff))])
     inner_trunc = draw(st.integers(1, 5))
     inner = [series(n, inner_trunc, 1) for _ in range(m)]
     if draw(st.booleans()):
         inner[0] = inner[0].truncated(draw(st.integers(0, inner_trunc)))
-    return outer, inner
+    trunc = min([outer_trunc] + [g.trunc for g in inner])
+    return SeriesTuple(outer), inner, draw(st.integers(0, trunc + 1))
 
 
 # an outer constant term, disjoint supports, a zero component, 3 inner
-# variables for 2 outer ones, and an outer term of degree 3 above the cap 2
+# variables for 2 outer ones, an outer term of degree 3 above the cap 2, a
+# term x0 whose power x0^2 is built from it, and only the top layer asked for
 EVERY_CASE = (
     SeriesTuple([
-        MultiSeries(2, 4, [((0, 0), 3), ((2, 0), 1)]),
+        MultiSeries(2, 4, [((0, 0), 3), ((1, 0), 5), ((2, 0), 1)]),
         MultiSeries(2, 4, [((0, 1), 2), ((1, 2), -1)]),
         MultiSeries.zero(2, 4),
     ]),
@@ -333,6 +342,7 @@ EVERY_CASE = (
         MultiSeries(3, 2, [((1, 0, 0), 1), ((0, 1, 1), 2)]),
         MultiSeries(3, 2, [((0, 0, 1), Fraction(1, 2)), ((2, 0, 0), -1)]),
     ],
+    2,
 )
 
 
@@ -344,7 +354,7 @@ class TestComposeAgainstSympy:
     @example(EVERY_CASE)
     def test_matches_truncated_substitution(self, case):
         sympy = pytest.importorskip("sympy")
-        outer, inner = case
+        outer, inner, low = case
         xs = sympy.symbols(f"x0:{outer.nvars}")
         ys = sympy.symbols(f"y0:{inner[0].nvars}")
         trunc = min([outer.trunc] + [g.trunc for g in inner])
@@ -354,10 +364,15 @@ class TestComposeAgainstSympy:
             for c in outer
         ]
         singles = [c.compose(inner) for c in outer]
-        for comp, single, want in zip(outer.compose(inner), singles, expected):
-            assert comp.trunc == single.trunc == trunc
-            assert comp.nvars == single.nvars == inner[0].nvars
+        for comp, single, part, want in zip(outer.compose(inner), singles, outer.compose(inner, low), expected):
+            assert comp.trunc == single.trunc == part.trunc == trunc
+            assert comp.nvars == single.nvars == part.nvars == inner[0].nvars
             assert dict(comp.terms()) == dict(single.terms()) == want
+            # the layers from low up are those of the full substitution, and
+            # none below low is formed
+            assert {d: part.layer(d) for d in range(trunc + 1) if part.layer(d)} == {
+                d: comp.layer(d) for d in range(low, trunc + 1) if comp.layer(d)
+            }
 
 
 class TestGaussNorm:
