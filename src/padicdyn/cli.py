@@ -104,6 +104,7 @@ def _at_least(value: int, minimum: int, path: str) -> None:
 # smallest accepted value of each integer flag; --degree depends on the command
 _FLAG_MINIMUMS = {"steps": 0, "points": 1, "smax": 1, "level": 1}
 _DEGREE_MINIMUMS = {"analyze": 2, "linearize": 2, "newton": 2, "eisenstein": 0, "probe": 1}
+_FLAG_HELP = {"prime": "odd working prime", "precision": "p-adic digits", "degree": "working degree"}
 
 
 def _series_fits(nvars: int, degree: int) -> bool:
@@ -195,7 +196,11 @@ def _term_record(record: Any, where: str, n: int) -> tuple[tuple[int, ...], Frac
     return tuple(exps), Fraction(num, den)
 
 
-def parse_map_document(data: Any, truncation: int | None = None) -> MapDocument:
+def parse_map_document(data: Any, series_at_truncation: bool = False) -> MapDocument:
+    """The parsed document.  For a command that works on series at the
+    truncation degree (analyze by default; linearize and newton, which
+    normalize the map there), series_at_truncation checks that degree
+    against SERIES_MAX_MONOMIALS before any series is built."""
     if not isinstance(data, dict):
         raise DocumentError("$", "document must be a JSON object")
     if "dimension" not in data:
@@ -209,9 +214,11 @@ def parse_map_document(data: Any, truncation: int | None = None) -> MapDocument:
     r = data.get("fixed_locus_dim", 0)
     if not isinstance(r, int) or not 0 <= r <= n:
         raise DocumentError("fixed_locus_dim", f"must be an integer in [0, {n}]")
-    trunc = truncation if truncation is not None else data.get("truncation_degree", DEFAULT_TRUNCATION)
+    trunc = data.get("truncation_degree", DEFAULT_TRUNCATION)
     if not isinstance(trunc, int) or trunc < 1:
         raise DocumentError("truncation_degree", "must be a positive integer")
+    if series_at_truncation:
+        _check_series_degree(n, trunc, "truncation_degree")
     components = data.get("components")
     if not isinstance(components, list) or len(components) != n:
         raise DocumentError("components", f"expected {n} component term lists")
@@ -265,10 +272,11 @@ def _parse_point(text: str, n: int) -> list[Fraction]:
 
 
 def cmd_analyze(args) -> dict:
-    doc = parse_map_document(_load_json(args.document))
+    doc = parse_map_document(_load_json(args.document), series_at_truncation=args.degree is None)
     f = doc.map
     depth = args.degree if args.degree is not None else f.trunc
-    _check_series_degree(f.n, depth, "--degree" if args.degree is not None else "truncation_degree")
+    if args.degree is not None:
+        _check_series_degree(f.n, depth, "--degree")
     jac = jacobian_at_origin(f)
     eigen = rational_eigenvalues(jac)
     lams = list(eigen.eigenvalues)
@@ -336,9 +344,7 @@ def _conjugacy_report(result, change: SeriesTuple | None) -> dict:
 
 def _prepare_linearizable(doc: MapDocument, degree: int):
     f = doc.map
-    # the normalization runs at the document's truncation when that is higher
     _check_series_degree(f.n, degree, "--degree")
-    _check_series_degree(f.n, f.trunc, "truncation_degree")
     if f.trunc < degree:
         f = AnalyticMap(
             SeriesTuple([c.as_polynomial(degree) for c in f.components]),
@@ -350,7 +356,7 @@ def _prepare_linearizable(doc: MapDocument, degree: int):
 
 
 def cmd_linearize(args) -> dict:
-    doc = parse_map_document(_load_json(args.document))
+    doc = parse_map_document(_load_json(args.document), series_at_truncation=True)
     degree = args.degree if args.degree is not None else DEFAULT_TRUNCATION
     f, change = _prepare_linearizable(doc, degree)
     result = linearize_order_by_order(f, degree)
@@ -358,7 +364,7 @@ def cmd_linearize(args) -> dict:
 
 
 def cmd_newton(args) -> dict:
-    doc = parse_map_document(_load_json(args.document))
+    doc = parse_map_document(_load_json(args.document), series_at_truncation=True)
     degree = args.degree if args.degree is not None else DEFAULT_TRUNCATION
     f, change = _prepare_linearizable(doc, degree)
     params = DiophantineParams(_rational(args.c_const, "--c-const"), _rational(args.beta, "--beta"))
@@ -579,35 +585,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_degree=True):
+    def common(p: argparse.ArgumentParser, *flags: str):
+        """The document, --out, --format and the integer flags the command reads."""
         p.add_argument("document", help="path to the JSON input document")
-        p.add_argument("--prime", type=int, default=None, help="odd working prime")
-        p.add_argument("--precision", type=int, default=None, help="p-adic digits")
-        if with_degree:
-            p.add_argument("--degree", type=int, default=None, help="working degree")
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=int, default=None, help=_FLAG_HELP[flag])
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument(
             "--format", choices=("json", "text"), default="json", help="report format"
         )
 
-    common(sub.add_parser("analyze", help="eigenvalues, resonances, relations"))
-    common(sub.add_parser("linearize", help="order-by-order conjugacy"))
+    common(sub.add_parser("analyze", help="eigenvalues, resonances, relations"), "prime", "degree")
+    common(sub.add_parser("linearize", help="order-by-order conjugacy"), "degree")
     newton = sub.add_parser("newton", help="Newton conjugacy with norm trace")
-    common(newton)
+    common(newton, "prime", "degree")
     newton.add_argument("--c-const", default="1", help="diophantine constant C")
     newton.add_argument("--beta", default="0", help="diophantine exponent beta")
-    common(sub.add_parser("eisenstein", help="algebraic series coefficients"))
+    common(sub.add_parser("eisenstein", help="algebraic series coefficients"), "degree")
     orbit = sub.add_parser("orbit", help="iterate inside an invariant neighbourhood")
-    common(orbit, with_degree=False)
+    common(orbit, "prime", "precision")
     orbit.add_argument("--start", required=True, help="comma-separated rational point")
     orbit.add_argument("--steps", type=int, default=10)
     orbit.add_argument("--level", type=int, default=1, help="neighbourhood level s")
     probe = sub.add_parser("probe", help="orbit relation kernel and closure bound")
-    common(probe)
+    common(probe, "degree")
     probe.add_argument("--start", required=True, help="comma-separated rational point")
     probe.add_argument("--points", type=int, default=50)
     vanishing = sub.add_parser("vanishing", help="vanishing exponents of a unit power sum")
-    common(vanishing, with_degree=False)
+    common(vanishing, "prime", "precision")
     vanishing.add_argument("--smax", type=int, default=200, help="exponent horizon")
     return parser
 
@@ -634,14 +639,16 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and write the report; returns the exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors; that slot is reserved for
         # mathematical obstructions here
         return 0 if exc.code in (0, None) else USAGE_EXIT
     started = time.perf_counter()
     try:
-        if args.prime is not None:
+        if unknown:
+            raise DocumentError("arguments", f"{args.command} does not take {' '.join(unknown)}")
+        if getattr(args, "prime", None) is not None:
             _prime(args.prime, "--prime")
         minimums = dict(_FLAG_MINIMUMS, degree=_DEGREE_MINIMUMS.get(args.command, 0))
         for name, minimum in minimums.items():

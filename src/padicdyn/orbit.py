@@ -109,7 +109,7 @@ def iterate_in_neighbourhood(
     f: AnalyticMap,
     start: Sequence[Fraction | PAdic],
     steps: int,
-    neighbourhood: Neighbourhood | None = None,
+    neighbourhood: Neighbourhood,
     precision: int = 32,
 ) -> OrbitResult:
     """Iterate a p-integral map and certify invariance of the polydisc.
@@ -120,8 +120,6 @@ def iterate_in_neighbourhood(
     are checked to be preserved (local isometry evidence); pairs that are
     indistinguishable at the working precision are skipped and counted.
     """
-    if neighbourhood is None:
-        raise DomainError("a neighbourhood (prime, level, dim) is required")
     p, s, n = neighbourhood.prime, neighbourhood.level, neighbourhood.dim
     if n != f.n:
         raise DomainError("neighbourhood dimension does not match the map")

@@ -6,9 +6,12 @@ monomials above the truncation degree are discarded, and every arithmetic
 operation truncates at the minimum truncation degree of its operands, so
 precision can only shrink, never silently grow.
 
-Multiplication clears denominators once per operand and convolves integer
-coefficients; a square (both operands the same object) visits each
-unordered pair of terms once, at about half the cost.  Composition sums
+Each series caches one integer view: its coefficients over one common
+denominator, each exponent tuple packed once into an integer key with
+exponent i in the 16-bit field at bit 16 i.  Keys add carry-free below
+2**16, the cap on every truncation degree, so products convolve the views
+as they are; a square (both operands the same object) visits each
+unordered pair of terms once.  Composition sums
 c_I inner^I over one table of the inner map's monomial powers
 (_PowerTable), kept in integers, whether it serves one substitution
 (SeriesTuple.compose) or a stream of homogeneous layers (_layer_composer).
@@ -27,6 +30,7 @@ of log or exp is involved.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import lcm, prod
 from typing import Container, Iterable, Iterator, Sequence
@@ -36,6 +40,20 @@ from .arith import fraction_valuation, is_prime
 from .errors import DomainError
 
 Exponents = tuple[int, ...]
+
+# every truncation degree is below this cap, the range of one key field
+_KEY_CAP = 1 << 16
+
+
+def _key_fields(nvars: int) -> struct.Struct:
+    """The layout of a packed key: exponent i in the little-endian unsigned
+    16-bit field i, so the key is sum_i e_i 2**(16 i)."""
+    return struct.Struct(f"<{nvars}H")
+
+
+def _numerators(layer: dict[Exponents, Fraction], den: int, pack) -> list[tuple[int, int]]:
+    """A layer of an integer view: (packed key, numerator over den) per term."""
+    return [(int.from_bytes(pack(*e), "little"), c.numerator * (den // c.denominator)) for e, c in layer.items()]
 
 
 def _as_coeff(value) -> Fraction:
@@ -54,8 +72,8 @@ class MultiSeries:
     def __init__(self, nvars: int, trunc: int, terms: Iterable[tuple[Exponents, Fraction]] = ()) -> None:
         if nvars < 1:
             raise DomainError("need at least one variable")
-        if trunc < 0:
-            raise DomainError("truncation degree must be non-negative")
+        if not 0 <= trunc < _KEY_CAP:
+            raise DomainError(f"truncation degree {trunc} is not in [0, {_KEY_CAP - 1}]")
         layers: dict[int, dict[Exponents, Fraction]] = {}
         for exps, coeff in terms:
             exps = tuple(int(e) for e in exps)
@@ -78,6 +96,8 @@ class MultiSeries:
 
     @classmethod
     def _raw(cls, nvars: int, trunc: int, layers: dict[int, dict[Exponents, Fraction]]) -> "MultiSeries":
+        if trunc >= _KEY_CAP:
+            raise DomainError(f"truncation degree {trunc} is not in [0, {_KEY_CAP - 1}]")
         obj = object.__new__(cls)
         obj.nvars = nvars
         obj.trunc = trunc
@@ -86,23 +106,19 @@ class MultiSeries:
         return obj
 
     def _int_layers(self):
-        """Common-denominator integer view, cached: (den, {deg: [(exps, int)]}).
+        """The integer view, cached: (den, {deg: [(key, int)]}) with one
+        common denominator den and the exponents packed by _key_fields.
 
-        Safe to cache because instances are never mutated after construction.
-        """
+        Built once: instances are never mutated after construction, and
+        as_polynomial and _grown pass the view on."""
         cached = self._ints
         if cached is None:
             den = 1
             for lay in self._layers.values():
                 for c in lay.values():
                     den = lcm(den, c.denominator)
-            cached = (
-                den,
-                {
-                    d: [(e, c.numerator * (den // c.denominator)) for e, c in lay.items()]
-                    for d, lay in self._layers.items()
-                },
-            )
+            pack = _key_fields(self.nvars).pack
+            cached = (den, {d: _numerators(lay, den, pack) for d, lay in self._layers.items()})
             self._ints = cached
         return cached
 
@@ -296,11 +312,11 @@ class MultiSeries:
 
     def _grown(self, layer: dict[Exponents, Fraction]) -> "MultiSeries":
         """This polynomial with a new top layer, homogeneous of degree
-        trunc + 1, at that cap.
+        trunc + 1, at that cap, which must stay below 2**16.
 
         The layer map is copied shallowly and its layer dicts are shared.  A
-        cached integer view grows by the new layer; when the common
-        denominator grows, the old numerators are rescaled once by
+        cached integer view grows by the new layer, packed once; when the
+        common denominator grows, the old numerators are rescaled once by
         new_den / den instead of a new lcm pass.
         """
         degree = self.trunc + 1
@@ -313,9 +329,9 @@ class MultiSeries:
             den, ints = self._ints
             new_den = lcm(den, *(c.denominator for c in layer.values()))
             scale = new_den // den
-            ints = {d: [(e, v * scale) for e, v in lay] for d, lay in ints.items()} if scale > 1 else dict(ints)
+            ints = {d: [(k, v * scale) for k, v in lay] for d, lay in ints.items()} if scale > 1 else dict(ints)
             if layer:
-                ints[degree] = [(e, c.numerator * (new_den // c.denominator)) for e, c in layer.items()]
+                ints[degree] = _numerators(layer, new_den, _key_fields(self.nvars).pack)
             out._ints = (new_den, ints)
         return out
 
@@ -430,46 +446,30 @@ def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSerie
     With low > 0 the layers below low are absent from the result, not
     zero: callers that need one graded layer of a product (the pivot
     induction) pass low = trunc and read that layer alone.  A square (a is
-    b) is packed once and visits each unordered pair of terms once.
+    b) visits each unordered pair of terms once.
     """
     if a.is_zero() or b.is_zero():
         return MultiSeries.zero(a.nvars, trunc)
     if a is b:
         den, ints = a._int_layers()
-        return _unpacked(_square(_packed(ints, a.nvars, trunc), trunc, low), den * den, a.nvars, trunc)
+        return _unpacked(_square(ints, trunc, low), den * den, a.nvars, trunc)
     if a.term_count() > b.term_count():
         a, b = b, a
     den_a, ints_a = a._int_layers()
     den_b, ints_b = b._int_layers()
-    packed_a = _packed(ints_a, a.nvars, trunc)
-    packed_b = _packed(ints_b, a.nvars, trunc)
-    return _unpacked(_convolve(packed_a, packed_b, trunc, low), den_a * den_b, a.nvars, trunc)
+    return _unpacked(_convolve(ints_a, ints_b, trunc, low), den_a * den_b, a.nvars, trunc)
 
 
 _Packed = dict[int, list[tuple[int, int]]]
 _Sums = dict[int, dict[int, int]]
 
 
-def _packed(ints: dict[int, list[tuple[Exponents, int]]], nvars: int, trunc: int) -> _Packed:
-    """Integer layers through trunc, each exponent tuple packed into one
-    integer with weights (trunc + 1)**i.
-
-    Coordinates never exceed the total degree, so the keys of a product are
-    the sums of the keys, carry-free.
-    """
-    weights = [(trunc + 1) ** i for i in range(nvars)]
-    return {
-        d: [(sum(w * e for w, e in zip(weights, exps)), c) for exps, c in terms]
-        for d, terms in ints.items()
-        if d <= trunc
-    }
-
-
 def _convolve(a: _Packed, b: _Packed, trunc: int, low: int = 0) -> _Sums:
     """The product of two packed operands in degrees low..trunc, as {deg: {key: numerator}}.
 
-    Degrees of b above its top layer are never visited, so the cost does
-    not grow with trunc.
+    Keys add carry-free, as no coordinate of a term of degree <= trunc
+    reaches 2**16.  Degrees of b above its top layer are never visited, so
+    the cost does not grow with trunc.
     """
     acc: _Sums = {}
     top = max(b, default=-1)
@@ -518,17 +518,11 @@ def _square(a: _Packed, trunc: int, low: int = 0) -> _Sums:
 
 def _unpacked(acc: _Sums, den: int, nvars: int, trunc: int) -> MultiSeries:
     """The series acc / den."""
-    base = trunc + 1
+    fields = _key_fields(nvars)
+    unpack, size = fields.unpack, fields.size
     layers: dict[int, dict[Exponents, Fraction]] = {}
     for d, out in acc.items():
-        lay = {}
-        for key, n in out.items():
-            if n:
-                exps = []
-                for _ in range(nvars):
-                    key, e = divmod(key, base)
-                    exps.append(e)
-                lay[tuple(exps)] = Fraction(n, den)
+        lay = {unpack(key.to_bytes(size, "little")): Fraction(n, den) for key, n in out.items() if n}
         if lay:
             layers[d] = lay
     return MultiSeries._raw(nvars, trunc, layers)
@@ -544,10 +538,11 @@ class _PowerTable:
     """The monomial powers inner^I of a fixed inner map, one degree at a time.
 
     An entry is built as inner^I = inner^(I - e_j) inner_j with j the last
-    variable of I: the baby-step table of Brent and Kung's composition.  It
-    holds packed integer layers over the denominator prod_j den_j^(I_j) of
-    the factors' common denominators, so a table step costs integer
-    products, and a combination sum_I c_I inner^I one Fraction per output
+    variable of I: the baby-step table of Brent and Kung's composition.  The
+    factors are the inner series' cached integer views, and an entry holds
+    packed integer layers over the denominator prod_j den_j^(I_j) of the
+    factors' common denominators, so a table step costs integer products,
+    and a combination sum_I c_I inner^I one Fraction per output
     coefficient.
     """
 
@@ -557,7 +552,7 @@ class _PowerTable:
         self.trunc = trunc
         ints = [g._int_layers() for g in inner]
         self.dens = [den for den, _ in ints]
-        self.factors = [_packed(layers, inner[0].nvars, trunc) for _, layers in ints]
+        self.factors = [layers for _, layers in ints]
         self.entries: dict[Exponents, _Packed] = {(0,) * len(inner): {0: [(0, 1)]}}
         self.degree = 0
 

@@ -303,8 +303,8 @@ class TestEisenstein:
         assert data["error"]["location"] == location
 
     def test_huge_seed_degree_is_a_typed_error_in_bounded_time(self, tmp_path):
-        # the seed products visit no degree above the seed's top layer, so
-        # a cap of 10^8 costs nothing before the root check fails
+        # a seed cap of 10^8 is above the truncation cap of 2**16 - 1, so
+        # the seed itself is refused
         document = sqrt_document()
         document["seed_degree"] = 100_000_000
         doc = write_json(tmp_path, "root.json", document)
@@ -355,6 +355,14 @@ class TestOrbit:
         assert code == 2
         assert data["error"]["kind"] == "DomainError"
 
+
+    def test_truncation_at_the_key_cap_is_a_typed_error_in_bounded_time(self, tmp_path):
+        # exponents are packed in 16-bit fields, so every series has a
+        # truncation degree below 2**16
+        doc = write_json(tmp_path, "map.json", dict(doubling_document(), truncation_degree=2**16))
+        code, data = run_bounded(tmp_path, ["orbit", doc, "--start", "3", "--prime", "3"], seconds=10)
+        assert code == 2
+        assert data["error"]["kind"] == "DomainError"
 
     def test_work_ceiling_in_bounded_time(self, tmp_path):
         # 200000 steps at 64 digits used to run for 14 s and write 59 MB
@@ -537,6 +545,44 @@ class TestPrimeArguments:
         for value in (True, "3", 3.0, None):
             with pytest.raises(DocumentError, match="expected an odd prime"):
                 _prime(value, "--prime")
+
+
+class TestFlags:
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path):
+        doc = write_json(tmp_path, "map.json", doubling_document())
+        sqrt = write_json(tmp_path, "sqrt.json", sqrt_document())
+        cases = [
+            ["analyze", doc, "--precision", "8"],
+            ["linearize", doc, "--prime", "3"],
+            ["linearize", doc, "--precision", "8"],
+            ["newton", doc, "--degree", "4", "--precision", "8"],
+            ["eisenstein", sqrt, "--prime", "3"],
+            ["eisenstein", sqrt, "--precision", "8"],
+            ["probe", doc, "--start", "1", "--prime", "3"],
+            ["probe", doc, "--start", "1", "--precision", "8"],
+        ]
+        for arguments in cases:
+            code, data = run_bounded(tmp_path, arguments)
+            assert code == 1, arguments
+            assert data["error"]["kind"] == "document"
+            assert data["error"]["location"] == "arguments"
+            assert data["error"]["message"].endswith(f"{arguments[0]} does not take {' '.join(arguments[-2:])}")
+
+    def test_the_kept_flags_still_work(self, tmp_path):
+        doc = write_json(tmp_path, "map.json", doubling_document())
+        vanishing = write_json(tmp_path, "inst.json", {"coefficients": [3, -2], "units": [3, 5], "prime": 7})
+        cases = [
+            (["analyze", doc, "--prime", "5"], {"prime": 5}),
+            (["newton", doc, "--degree", "4", "--prime", "5"], {"prime": 5}),
+            (["orbit", doc, "--start", "5", "--steps", "2", "--prime", "5", "--precision", "9"], {"prime": 5, "precision": 9}),
+            (["vanishing", vanishing, "--smax", "10", "--prime", "11", "--precision", "9"], {"prime": 11, "precision": 9}),
+        ]
+        for arguments, flags in cases:
+            code, data = run_bounded(tmp_path, arguments)
+            assert code == 0, (arguments, data)
+            for name, value in flags.items():
+                assert data["arguments"][name] == value
+        assert run_to_file(tmp_path, ["analyze", doc, "--prime", "5"])[1]["report"]["default_prime"] == 5
 
 
 class TestIntegerArguments:

@@ -1,8 +1,10 @@
 """Source hygiene: every name a library module imports is used in it, no
 library module imports inside a function, no library module converts to
 float except for padic.INFINITY, every entry point the benchmark tracer
-wraps still exists, shared series layers are never changed in place, and
-only known call sites build p-adics through the unchecked constructor."""
+wraps still exists, shared series layers are never changed in place, only
+known call sites build p-adics through the unchecked constructor, and only
+the series code that builds, grows and decodes the integer view reads the
+packed exponent key layout."""
 
 import ast
 import importlib
@@ -273,26 +275,25 @@ CANONICAL_CALL_SITES = {
 }
 
 
-def canonical_uses(tree):
-    """(function, line) of each use of _canonical, by name or as an
-    attribute, outside its definition and imports; module-level uses
+def name_uses(tree, name):
+    """(function, line) of each read of name, by name or as an attribute,
+    outside its definition, assignments and imports; module-level reads
     are reported as <module>."""
     owner = {}
-    for name, function in functions(tree):
+    for function_name, function in functions(tree):
         for node in ast.walk(function):
-            owner[id(node)] = name
+            owner[id(node)] = function_name
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Name) and node.id == "_canonical") or (
-            isinstance(node, ast.Attribute) and node.attr == "_canonical"
-        ):
-            yield owner.get(id(node), "<module>"), node.lineno
+        if (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name):
+            if isinstance(node.ctx, ast.Load):
+                yield owner.get(id(node), "<module>"), node.lineno
 
 
 def test_canonical_is_called_only_at_known_sites():
     found = {
         (path.name, name)
         for path in MODULES
-        for name, _ in canonical_uses(ast.parse(path.read_text(encoding="utf-8")))
+        for name, _ in name_uses(ast.parse(path.read_text(encoding="utf-8")), "_canonical")
     }
     assert found == CANONICAL_CALL_SITES
 
@@ -319,8 +320,48 @@ class PAdic:
 
 make = _canonical
 '''
-    assert sorted(canonical_uses(ast.parse(source))) == [
+    assert sorted(name_uses(ast.parse(source), "_canonical")) == [
         ("<module>", 20),
         ("PAdic.__mul__", 12),
         ("PAdic.lift", 16),
     ]
+
+
+# the packed exponent key has one layout and one cap (series module
+# docstring): the layout is read where the integer view is built, grown and
+# decoded, and the cap where a series is created
+KEY_FORMAT_SITES = {
+    "_key_fields": {
+        ("series.py", "MultiSeries._int_layers"),
+        ("series.py", "MultiSeries._grown"),
+        ("series.py", "_unpacked"),
+    },
+    "_KEY_CAP": {("series.py", "MultiSeries.__init__"), ("series.py", "MultiSeries._raw")},
+}
+
+
+def test_the_key_format_is_read_only_at_known_sites():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    for name, sites in KEY_FORMAT_SITES.items():
+        found = {(module, function) for module, tree in trees.items() for function, _ in name_uses(tree, name)}
+        assert found == sites, name
+
+
+def test_the_guard_sees_a_key_format_read():
+    source = '''
+from .series import _key_fields
+_KEY_CAP = 1 << 16
+WIDE = _KEY_CAP * 2
+
+
+class MultiSeries:
+    def _int_layers(self):
+        return _key_fields(self.nvars)
+
+
+def _convolve(a, b):
+    return series._key_fields(2).pack(*a)
+'''
+    tree = ast.parse(source)
+    assert sorted(name_uses(tree, "_key_fields")) == [("MultiSeries._int_layers", 9), ("_convolve", 13)]
+    assert list(name_uses(tree, "_KEY_CAP")) == [("<module>", 4)]

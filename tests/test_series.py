@@ -136,6 +136,117 @@ class TestMulLowerBound:
         assert part.lowest_degree() == 40
 
 
+TOP = 2**16 - 1  # the largest truncation degree, and the largest value of a key field
+
+
+def dict_mul(p, q, trunc, low=0):
+    """Reference product of {exponents: coefficient} maps in the degrees low..trunc."""
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if low <= sum(e) <= trunc:
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def dict_pow(p, n, nvars, trunc):
+    result = {(0,) * nvars: Fraction(1)}
+    while n:
+        if n & 1:
+            result = dict_mul(result, p, trunc)
+        p = dict_mul(p, p, trunc)
+        n >>= 1
+    return result
+
+
+def wide_series(rng, nvars, terms=8):
+    """A sparse series at the cap TOP whose terms have total degree near 0,
+    TOP / 2 or TOP, most of it on one coordinate: products of two terms
+    reach coordinates near TOP."""
+    entries = []
+    for _ in range(terms):
+        total = rng.choice((rng.randint(0, 6), rng.randint(TOP // 2 - 6, TOP // 2 + 6), rng.randint(TOP - 6, TOP)))
+        exps = [0] * nvars
+        for _ in range(min(total, rng.randint(0, 6))):
+            exps[rng.randrange(nvars)] += 1
+        exps[rng.randrange(nvars)] += total - sum(exps)
+        entries.append((tuple(exps), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+    return MultiSeries(nvars, TOP, entries)
+
+
+class TestFixedWidthKeys:
+    """Exponents are packed in 16-bit key fields: products, squares and
+    compositions stay exact up to coordinates of 2**16 - 1, and every
+    series refuses a truncation degree of 2**16 or more."""
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_products_near_the_top_field(self, nvars):
+        rng = random.Random(40 + nvars)
+        tallest = 0
+        for _ in range(4):
+            a, b = wide_series(rng, nvars), wide_series(rng, nvars)
+            ta, tb = dict(a.terms()), dict(b.terms())
+            low = rng.choice((0, TOP // 2, TOP - 6))
+            full = dict_mul(ta, tb, TOP)
+            assert dict((a * b).terms()) == full
+            assert dict(_mul(a, b, TOP, low).terms()) == dict_mul(ta, tb, TOP, low)
+            assert dict(_mul(a, a, TOP, low).terms()) == dict_mul(ta, ta, TOP, low)
+            tallest = max([tallest] + [max(e) for e in full])
+        assert tallest >= TOP - 12
+
+    def test_a_product_filling_two_fields(self):
+        x, y = MultiSeries.variable(0, 2, TOP), MultiSeries.variable(1, 2, TOP)
+        a = (x**2) ** 30000 * Fraction(3, 5) + y**5535
+        assert dict((a * a).terms()) == {(60000, 5535): Fraction(6, 5), (0, 11070): Fraction(1)}
+        assert (a * y ** (TOP - 5535)).coefficient((0, TOP)) == 1
+
+    def test_compose_near_the_top_field(self):
+        x, y, z = (MultiSeries.variable(i, 3, TOP) for i in range(3))
+        inner = SeriesTuple([-x, y * Fraction(1, 2), (x * z).scale(Fraction(1, 3))])
+        outer = MultiSeries(
+            3,
+            TOP,
+            [
+                ((60000, 5535, 0), Fraction(1)),
+                ((0, TOP, 0), Fraction(-2, 7)),
+                ((65000, 0, 200), Fraction(5)),
+                ((0, 0, 32767), Fraction(1)),
+                ((1, 1, 1), Fraction(4)),
+            ],
+        )
+        expected = {}
+        for exps, c in outer.terms():
+            term = {(0, 0, 0): c}
+            for g, e in zip(inner, exps):
+                term = dict_mul(term, dict_pow(dict(g.terms()), e, 3, TOP), TOP)
+            for key, v in term.items():
+                expected[key] = expected.get(key, 0) + v
+        result = outer.compose(inner)
+        assert dict(result.terms()) == {e: c for e, c in expected.items() if c}
+        assert result.coefficient((65200, 0, 200)) == Fraction(5, 3**200)
+
+    def test_the_cap_is_checked_where_series_are_created(self):
+        for make in (
+            lambda: MultiSeries(1, 2**16, []),
+            lambda: MultiSeries(3, 2**20, [((1, 0, 0), 1)]),
+            lambda: MultiSeries.zero(2, 2**16),
+            lambda: MultiSeries.variable(0, 2, 2**16),
+            lambda: univariate([0, 1], 5).as_polynomial(2**16),
+            lambda: univariate([0, 1], TOP)._grown({(2**16,): Fraction(1)}),
+        ):
+            with pytest.raises(DomainError):
+                make()
+        assert MultiSeries.variable(0, 2, TOP).trunc == univariate([0, 1], 5).as_polynomial(TOP).trunc == TOP
+
+    def test_a_grown_view_equals_a_fresh_one(self):
+        s = MultiSeries(2, TOP - 1, [((TOP - 1, 0), Fraction(1, 3)), ((1, 2), Fraction(2))])
+        s._int_layers()
+        grown = s._grown({(5535, 60000): Fraction(-2, 7)})
+        assert grown._int_layers() == MultiSeries(2, TOP, grown.terms())._int_layers()
+        assert (grown * grown).coefficient((2, 4)) == 4
+
+
 class TestCompose:
     def test_variable_swap(self):
         phi = MultiSeries.variable(0, 2, 4)
