@@ -578,8 +578,34 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise a DocumentError on
+    "arguments", so they end in the same JSON payload as any document
+    error.  Subcommand parsers are built from the same class."""
+
+    def error(self, message: str):
+        raise DocumentError("arguments", message)
+
+
+def _salvaged(argv: Sequence[str] | None) -> argparse.Namespace:
+    """The command, --out and --format of a command line that did not
+    parse, as far as they can be read; a command that does not exist is
+    None, and so is anything that cannot be read."""
+    loose = _Parser(add_help=False)
+    loose.add_argument("command", nargs="?")
+    loose.add_argument("--out")
+    loose.add_argument("--format")
+    try:
+        args = loose.parse_known_args(argv)[0]
+    except DocumentError:
+        args = argparse.Namespace(command=None, out=None, format=None)
+    if args.command not in _COMMANDS:
+        args.command = None
+    return args
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicdyn",
         description="Exact p-adic analysis of polynomial self-maps near fixed points",
     )
@@ -638,14 +664,15 @@ def _render_text(payload: dict) -> str:
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and write the report; returns the exit code."""
     parser = build_parser()
-    try:
-        args, unknown = parser.parse_known_args(argv)
-    except SystemExit as exc:
-        # argparse uses 2 for usage errors; that slot is reserved for
-        # mathematical obstructions here
-        return 0 if exc.code in (0, None) else USAGE_EXIT
     started = time.perf_counter()
+    args = None
     try:
+        try:
+            args, unknown = parser.parse_known_args(argv)
+        except SystemExit as exc:
+            # --help; a usage error raises DocumentError instead of argparse's
+            # exit 2, a slot reserved for mathematical obstructions here
+            return 0 if exc.code in (0, None) else USAGE_EXIT
         if unknown:
             raise DocumentError("arguments", f"{args.command} does not take {' '.join(unknown)}")
         if getattr(args, "prime", None) is not None:
@@ -668,6 +695,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         }
         exit_code = 0
     except DocumentError as exc:
+        if args is None:
+            # the command line did not parse: the payload still goes to --out
+            args = _salvaged(argv)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

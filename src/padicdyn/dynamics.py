@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import ratlinalg
 from .arith import (
@@ -248,20 +248,6 @@ def rational_eigenvalues(matrix: Sequence[Sequence[Fraction]]) -> EigenData:
     return EigenData(eigenvalues=eigen, semisimple=semisimple)
 
 
-def _tail_multi_indices(size: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """All exponent tuples with lo <= total degree <= hi."""
-
-    def rec(prefix: tuple[int, ...], remaining: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            if sum(prefix) >= lo:
-                yield prefix
-            return
-        for e in range(budget + 1):
-            yield from rec(prefix + (e,), remaining - 1, budget - e)
-
-    yield from rec((), size, hi)
-
-
 def enumerate_resonances(
     eigenvalues: Sequence[Fraction], r: int, max_degree: int
 ) -> list[Resonance]:
@@ -276,14 +262,22 @@ def enumerate_resonances(
         raise DomainError("eigenvalues must be nonzero")
     tail = lams[r:]
     out = []
-    for exps in _tail_multi_indices(n - r, 2, max_degree):
-        value = Fraction(1)
-        for lam, e in zip(tail, exps):
-            if e:
-                value *= lam**e
-        for j, lam in enumerate(lams):
-            if value == lam:
-                out.append(Resonance(exps, j))
+    # (I, lambda^I, last variable of I) over the tail monomials of one degree;
+    # each monomial of the next degree is I + e_j with j >= last(I), once,
+    # and its power is its prefix parent's power times lambda_j
+    level = [((0,) * len(tail), Fraction(1), 0)]
+    for degree in range(1, max_degree + 1):
+        level = [
+            (exps[:j] + (exps[j] + 1,) + exps[j + 1 :], value * tail[j], j)
+            for exps, value, last in level
+            for j in range(last, len(tail))
+        ]
+        if degree < 2:
+            continue
+        for exps, value, _ in level:
+            for j, lam in enumerate(lams):
+                if value == lam:
+                    out.append(Resonance(exps, j))
     out.sort(key=lambda res: (sum(res.monomial), res.monomial, res.component))
     return out
 

@@ -42,11 +42,15 @@ k o f = Lambda o k, and with k = id + kappa each layer kappa_d solves the
 homological equation against the running remainder f - Lambda +
 kappa_<d o f - Lambda kappa_<d, with the same divisors.  Each step adds
 kappa_d o f = sum_I kappa_(d,I) f^I, a linear combination over the monomial
-powers f^I of degree d.  series._layer_composer streams these layers
-through the one composition engine of the series module, a table of the
-powers f^I that every layer and component shares and that keeps one
-degree at a time; every other substitution here (the residuals f o h and
-the reversion below) reads the same engine through SeriesTuple.compose.
+powers f^I of degree d.  series._LayerStream keeps this remainder: it reads
+the one composition engine of the series module, a table of the powers f^I
+that every layer and component shares, builds a power f^I only when a
+kappa_d has the monomial I (from f^(I - e_last(I)), and keeps it), and
+holds the remainder as integer sums with one denominator per degree, so
+only the layer being solved is turned into Fractions.  Since the kappa_d
+hold disjoint degrees, k is assembled from them without a series sum.
+Every other substitution here (the residuals f o h and the reversion
+below) reads the same engine through SeriesTuple.compose.
 If any resonance lambda^I = lambda_j exists up to the working degree, that
 solution is only unique up to resonant terms, and the compositional inverse
 of h is computed by series reversion (SeriesTuple.invert) instead.
@@ -85,7 +89,8 @@ from .series import (
     GaussNorm,
     MultiSeries,
     SeriesTuple,
-    _layer_composer,
+    _disjoint_sum,
+    _LayerStream,
     gauss_norm,
     in_subspace_ar,
     tuple_gauss_norm,
@@ -281,21 +286,24 @@ def _conjugacy_inverse(
     degree = h.trunc
     if enumerate_resonances(lams, r, degree):
         return h.invert()
-    k = SeriesTuple.identity(h.nvars, degree)
-    remainder = fmap - SeriesTuple.diagonal(lams, degree)
-    compose = _layer_composer(fmap)
+    # Lambda is linear, so fmap - Lambda and fmap agree in every layer read
+    # here, the layers of degree >= 2
+    fmap = fmap.truncated(degree)
+    remainder = _LayerStream(fmap, fmap)
+    parts = [SeriesTuple.identity(h.nvars, degree)]
     for d in range(2, degree + 1):
-        layer = remainder.layer_tuple(d)
+        layer = remainder.layer(d)
         if layer.is_zero():
             continue
         kappa = solve_homological(-layer, lams, r)
-        k = k + kappa
+        parts.append(kappa)
         # layer d of the remainder is now solved and never read again, so
         # only the layers of kappa o fmap above d (where Lambda kappa has
         # none) are added
         if d < degree:
-            remainder = remainder + compose(kappa, d + 1)
-    return k
+            remainder.add(kappa, d + 1)
+    # k = id + sum_d kappa_d, each kappa_d homogeneous of its own degree
+    return _disjoint_sum(parts)
 
 
 def _verified_conjugacy(

@@ -13,14 +13,18 @@ exponent i in the 16-bit field at bit 16 i.  Keys add carry-free below
 as they are; a square (both operands the same object) visits each
 unordered pair of terms once.  Composition sums
 c_I inner^I over one table of the inner map's monomial powers
-(_PowerTable), kept in integers, whether it serves one substitution
-(SeriesTuple.compose) or a stream of homogeneous layers (_layer_composer).
-The product kernel _mul and both substitutions take a lower bound low on
-the output degree: the layers below it are not formed, and in
-SeriesTuple.compose neither are those degrees of the table powers that
-only feed the result.  A caller that needs one graded layer, such as a
-layer step of the linearizing conjugacy, then pays for that layer and for
-the powers the table builds further powers from.  All are exact.
+(_PowerTable), kept in integers.  It serves one substitution
+(SeriesTuple.compose), which walks the table up one degree at a time over
+the powers its outer map reads, and a stream of homogeneous layers
+(_LayerStream), which builds a power when a layer first reads it and keeps
+its running sum in integers, one denominator per degree, decoding a degree
+to Fractions only when it is read.  The product kernel _mul and both
+substitutions take a lower bound low on the output degree: the layers
+below it are not formed, and in SeriesTuple.compose neither are those
+degrees of the table powers that only feed the result.  A caller that
+needs one graded layer, such as a layer step of the linearizing
+conjugacy, then pays for that layer and for the powers the table builds
+further powers from.  All are exact.
 
 Gauss norms sup |a_I|_p rho^|I| are returned as exact data: the p-adic
 valuation of the extremal coefficient, its degree, and the norm value as a
@@ -226,8 +230,15 @@ class MultiSeries:
         for d in set(self._layers) | set(other._layers):
             if d > trunc:
                 continue
-            merged = dict(self._layers.get(d, {}))
-            for exps, c in other._layers.get(d, {}).items():
+            # a degree held by one operand alone shares its layer dict
+            if d not in other._layers:
+                layers[d] = self._layers[d]
+                continue
+            if d not in self._layers:
+                layers[d] = other._layers[d]
+                continue
+            merged = dict(self._layers[d])
+            for exps, c in other._layers[d].items():
                 acc = merged.get(exps, _ZERO) + c
                 if acc:
                     merged[exps] = acc
@@ -535,7 +546,7 @@ def _parent(exps: Exponents) -> tuple[int, Exponents]:
 
 
 class _PowerTable:
-    """The monomial powers inner^I of a fixed inner map, one degree at a time.
+    """The monomial powers inner^I of a fixed inner map.
 
     An entry is built as inner^I = inner^(I - e_j) inner_j with j the last
     variable of I: the baby-step table of Brent and Kung's composition.  The
@@ -544,6 +555,12 @@ class _PowerTable:
     factors' common denominators, so a table step costs integer products,
     and a combination sum_I c_I inner^I one Fraction per output
     coefficient.
+
+    The table is read in one of two ways.  SeriesTuple.compose walks it up
+    one degree at a time with extend, over a set of monomials it gives,
+    and keeps that degree's entries alone.  _LayerStream asks for single
+    powers with power, which builds a missing power (and its missing prefix
+    parents) on demand and keeps every power it builds.
     """
 
     def __init__(self, inner: Sequence[MultiSeries], trunc: int) -> None:
@@ -554,7 +571,6 @@ class _PowerTable:
         self.dens = [den for den, _ in ints]
         self.factors = [layers for _, layers in ints]
         self.entries: dict[Exponents, _Packed] = {(0,) * len(inner): {0: [(0, 1)]}}
-        self.degree = 0
 
     def den(self, exps: Exponents) -> int:
         return prod(den**e for den, e in zip(self.dens, exps))
@@ -563,19 +579,35 @@ class _PowerTable:
         """A common denominator of the products c_I inner^I over terms."""
         return lcm(1, *(c.denominator * self.den(exps) for exps, c in terms))
 
+    def _step(self, exps: Exponents, low: int = 0) -> _Packed:
+        """inner^I in the degrees >= low, from the entry of its prefix parent."""
+        j, lower = _parent(exps)
+        product = _convolve(self.entries[lower], self.factors[j], self.trunc, low)
+        return {d: list(lay.items()) for d, lay in product.items()}
+
     def extend(self, monomials: Iterable[Exponents], low: int = 0, parents: Container[Exponents] = ()) -> None:
         """Move the table up one degree, to the entries of the given monomials.
 
         An entry that is not in parents (no later entry is built from it) is
         read only by combine, so it is formed in the degrees >= low alone.
         """
-        entries = {}
-        for exps in monomials:
-            j, lower = _parent(exps)
-            product = _convolve(self.entries[lower], self.factors[j], self.trunc, 0 if exps in parents else low)
-            entries[exps] = {d: list(lay.items()) for d, lay in product.items()}
-        self.entries = entries
-        self.degree += 1
+        self.entries = {exps: self._step(exps, 0 if exps in parents else low) for exps in monomials}
+
+    def power(self, exps: Exponents) -> _Packed:
+        """The entry inner^I, built on first use and then kept.
+
+        A missing entry is built from its prefix parent I - e_last(I); the
+        chain of missing parents is walked down to a kept entry first and
+        then built upwards, so no recursion is needed.
+        """
+        missing = []
+        lower = exps
+        while lower not in self.entries:
+            missing.append(lower)
+            lower = _parent(lower)[1]
+        for mono in reversed(missing):
+            self.entries[mono] = self._step(mono)
+        return self.entries[exps]
 
     def combine(self, terms: dict[Exponents, Fraction], common: int, acc: _Sums, low: int = 0) -> None:
         """Add common * sum_I c_I inner^I over terms of the current degree,
@@ -591,36 +623,79 @@ class _PowerTable:
                     dacc[key] = get(key, 0) + mult * v
 
 
-def _layer_composer(inner: "SeriesTuple"):
-    """compose(layer, low): layer o inner in degrees >= low, for homogeneous
-    layers given in non-decreasing degree d.
+class _LayerStream:
+    """The running sum start + sum_k layer_k o inner, read one degree at a time.
 
-    layer o inner = sum_I c_I inner^I over the monomials I of degree d, so
-    one _PowerTable of inner, shared by every component and every layer,
-    moves up over all monomials of each degree as the layers ask for it.
+    layer o inner = sum_I c_I inner^I over the monomials I of a homogeneous
+    layer, so add reads the powers of that layer's monomials alone, from one
+    _PowerTable of inner shared by every layer and component.  The sum is
+    kept in integers: per component and per degree, numerators over one
+    denominator, which grows to the lcm with the common denominator of each
+    added layer (the old numerators are rescaled then).  layer decodes one
+    degree to Fractions.
     """
-    n, trunc = inner.nvars, inner.trunc
-    if len(inner) != n:
-        raise DomainError("the inner map must be square")
-    table = _PowerTable(inner.components, trunc)
 
-    def compose(layer: "SeriesTuple", low: int) -> "SeriesTuple":
+    def __init__(self, inner: "SeriesTuple", start: "SeriesTuple") -> None:
+        n = inner.nvars
+        if len(inner) != n:
+            raise DomainError("the inner map must be square")
+        if start.nvars != n:
+            raise DomainError("the start must have the inner map's variables")
+        self.table = _PowerTable(inner.components, inner.trunc)
+        self.nvars, self.trunc = n, inner.trunc
+        self.degree = 0
+        self.dens: list[dict[int, int]] = []
+        self.nums: list[_Sums] = []
+        for comp in start:
+            den, ints = comp._int_layers()
+            self.dens.append({d: den for d in ints if d <= self.trunc})
+            self.nums.append({d: dict(lay) for d, lay in ints.items() if d <= self.trunc})
+
+    def add(self, layer: "SeriesTuple", low: int) -> None:
+        """Add layer o inner in the degrees >= low.  The layer must be
+        homogeneous and nonzero, of no lower degree than the layers before."""
         degree = layer.lowest_degree()
-        if degree is None or degree < table.degree or any(set(c._layers) - {degree} for c in layer):
+        if degree is None or degree < self.degree or any(set(c._layers) - {degree} for c in layer):
             raise DomainError("layers must be homogeneous, nonzero and of non-decreasing degree")
-        while table.degree < degree:
-            # every monomial of the next degree is I + e_j for an entry I
-            table.extend({e[:j] + (e[j] + 1,) + e[j + 1 :] for e in table.entries for j in range(n)})
-        out = []
-        for comp in layer:
-            terms = comp._layers.get(degree, {})
+        if len(layer) != len(self.nums):
+            raise DomainError("tuple size mismatch")
+        self.degree = degree
+        table = self.table
+        for comp, dens, nums in zip(layer, self.dens, self.nums):
+            terms = comp._layers.get(degree)
+            if not terms:
+                continue
             common = table.common(terms.items())
-            acc: _Sums = {}
-            table.combine(terms, common, acc, low)
-            out.append(_unpacked(acc, common, n, trunc))
-        return SeriesTuple(out)
+            powers = [
+                (c.numerator * (common // (c.denominator * table.den(exps))), table.power(exps))
+                for exps, c in terms.items()
+            ]
+            for d in range(max(low, degree), self.trunc + 1):
+                parts = [(mult, power[d]) for mult, power in powers if d in power]
+                if not parts:
+                    continue
+                den = dens.get(d, 1)
+                new = lcm(den, common)
+                out = nums.get(d, {})
+                if new != den:
+                    rescale = new // den
+                    out = {key: v * rescale for key, v in out.items()}
+                get = out.get
+                scale = new // common
+                for mult, lay in parts:
+                    mult *= scale
+                    for key, v in lay:
+                        out[key] = get(key, 0) + mult * v
+                dens[d], nums[d] = new, out
 
-    return compose
+    def layer(self, degree: int) -> "SeriesTuple":
+        """Layer degree of the sum: homogeneous components at the inner cap."""
+        return SeriesTuple(
+            [
+                _unpacked({degree: nums.get(degree, {})}, dens.get(degree, 1), self.nvars, self.trunc)
+                for dens, nums in zip(self.dens, self.nums)
+            ]
+        )
 
 
 class SeriesTuple:
@@ -844,6 +919,27 @@ class SeriesTuple:
 
     def to_records(self) -> list[list[dict]]:
         return [c.to_records() for c in self.components]
+
+
+def _disjoint_sum(parts: Sequence[SeriesTuple]) -> SeriesTuple:
+    """The sum of tuples whose components hold pairwise disjoint degrees.
+
+    No coefficient is added: each component of the sum shares the layer
+    dicts of its summands.
+    """
+    if len({len(part) for part in parts}) != 1:
+        raise DomainError("tuple size mismatch")
+    out = []
+    for comps in zip(*(part.components for part in parts)):
+        if len({(c.nvars, c.trunc) for c in comps}) != 1:
+            raise DomainError("summands must share variables and truncation")
+        layers: dict[int, dict[Exponents, Fraction]] = {}
+        for comp in comps:
+            if not layers.keys().isdisjoint(comp._layers):
+                raise DomainError("summands must hold disjoint degrees")
+            layers.update(comp._layers)
+        out.append(MultiSeries._raw(comps[0].nvars, comps[0].trunc, layers))
+    return SeriesTuple(out)
 
 
 def invert_tuple(g: SeriesTuple) -> SeriesTuple:

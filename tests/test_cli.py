@@ -585,6 +585,45 @@ class TestFlags:
         assert run_to_file(tmp_path, ["analyze", doc, "--prime", "5"])[1]["report"]["default_prime"] == 5
 
 
+class TestUsageErrors:
+    """argparse's own usage errors end in the document-error payload."""
+
+    CASES = [
+        (["orbit", "m.json"], "orbit", "required: --start"),
+        (["linearize", "m.json", "--degree", "x"], "linearize", "invalid int value: 'x'"),
+    ]
+
+    def test_written_to_out(self, tmp_path):
+        for arguments, command, message in self.CASES:
+            code, data = run_to_file(tmp_path, arguments)
+            assert code == 1, arguments
+            assert data["command"] == command
+            assert data["error"]["kind"] == "document"
+            assert data["error"]["location"] == "arguments"
+            assert message in data["error"]["message"]
+
+    def test_written_to_stdout(self, capsys):
+        for arguments, command, message in self.CASES:
+            assert run(arguments) == 1
+            captured = capsys.readouterr()
+            data = json.loads(captured.out)
+            assert data["command"] == command
+            assert data["error"]["location"] == "arguments"
+            assert message in data["error"]["message"]
+            assert captured.err == ""
+
+    def test_an_unreadable_command_line_still_answers(self, capsys):
+        for arguments in (["no-such-command", "x"], [], ["orbit", "m.json", "--out"]):
+            assert run(arguments) == 1
+            data = json.loads(capsys.readouterr().out)
+            assert data["command"] is None
+            assert data["error"]["location"] == "arguments"
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["linearize", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: padicdyn linearize")
+
+
 class TestIntegerArguments:
     def test_out_of_range_flags_rejected_in_bounded_time(self, tmp_path):
         doc = write_json(tmp_path, "map.json", doubling_document())

@@ -1,7 +1,9 @@
 """Unit tests for the conjugacy solvers, normalizations, and norm bounds."""
 
+import gc
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -530,6 +532,70 @@ class TestInverseFromPowerTable:
         assert newton.h_inverse == direct.h_inverse
         assert direct.h_inverse == direct.h.invert()
         assert direct.h.compose(direct.h_inverse) == SeriesTuple.identity(f.n, degree)
+
+
+class TestInverseStream:
+    """h^(-1) reads one integer layer stream of fmap."""
+
+    def test_builds_only_the_powers_its_layers_read(self, monkeypatch):
+        f = fixture_suite(12)["symplectic-4d"]
+        result = linearize_order_by_order(f, 12)
+        fmap, lams = f.components, result.eigenvalues
+        streams, added = [], []
+
+        class Recording(series._LayerStream):
+            def __init__(self, inner, start):
+                super().__init__(inner, start)
+                streams.append(self)
+
+            def add(self, layer, low):
+                added.append(layer)
+                super().add(layer, low)
+
+        counts = Counter()
+
+        def counted(name):
+            method = getattr(MultiSeries, name)
+
+            def wrapper(self, other):
+                counts[name] += 1
+                return method(self, other)
+
+            return wrapper
+
+        monkeypatch.setattr(linearize, "_LayerStream", Recording)
+        monkeypatch.setattr(MultiSeries, "__add__", counted("__add__"))
+        monkeypatch.setattr(MultiSeries, "__sub__", counted("__sub__"))
+        k = linearize._conjugacy_inverse(result.h, fmap, lams, f.fixed_locus_dim)
+        monkeypatch.undo()
+        assert k == result.h_inverse
+        # at most the sum that forms fmap - Lambda, once per component
+        assert sum(counts.values()) <= len(fmap), counts
+        # the prefix closure (I -> I - e_last(I)) of the composed supports
+        closure = set()
+        for layer in added:
+            for comp in layer:
+                for exps, _ in comp.terms():
+                    while any(exps) and exps not in closure:
+                        closure.add(exps)
+                        j = max(i for i, e in enumerate(exps) if e)
+                        exps = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+        (stream,) = streams
+        built = set(stream.table.entries) - {(0, 0, 0, 0)}
+        assert built <= closure
+        # every monomial of degree 1..11 in four variables would be 1364
+        assert len(closure) == 255
+
+    def test_the_conjugacy_routes_leave_no_cyclic_garbage(self):
+        f = fixture_suite(12)["independent-3d"]
+        gc.collect()
+        gc.disable()
+        try:
+            linearize_order_by_order(f, 12)
+            linearize_newton(f, 12, DiophantineParams(1, 0), prime=7)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDenseInverse:

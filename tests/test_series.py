@@ -13,7 +13,8 @@ from padicdyn.errors import DomainError
 from padicdyn.series import (
     MultiSeries,
     SeriesTuple,
-    _layer_composer,
+    _disjoint_sum,
+    _LayerStream,
     _mul,
     gauss_norm,
     in_subspace_ar,
@@ -281,8 +282,9 @@ class TestCompose:
             assert lhs == rhs
 
 
-class TestLayerComposer:
-    """The power-table composition equals Horner composition layer by layer."""
+class TestLayerStream:
+    """The integer running sum start + sum_k layer_k o inner equals the
+    Fraction sum of SeriesTuple.compose, layer by layer."""
 
     @staticmethod
     def homogeneous(rng, nvars, trunc, degree):
@@ -293,36 +295,74 @@ class TestLayerComposer:
         ]
         return MultiSeries(nvars, trunc, terms)
 
-    def test_matches_horner_randomized(self):
+    def test_matches_the_fraction_sum_randomized(self):
+        # rational inner coefficients and layers, so each degree's
+        # denominator grows and the numerators kept so far are rescaled
         rng = random.Random(17)
-        for nvars in (1, 2, 3):
-            trunc = 7
-            inner = SeriesTuple(
-                [rand_series(rng, nvars, trunc, terms=4, zero_constant=True) for _ in range(nvars)]
-            )
-            compose = _layer_composer(inner)
-            for degree in (1, 2, 2, 4, 7):
-                comps = [self.homogeneous(rng, nvars, trunc, degree) for _ in range(nvars)]
-                if nvars > 1:
-                    comps[-1] = MultiSeries.zero(nvars, trunc)
-                layer = SeriesTuple(comps)
-                low = rng.randint(degree, trunc + 1)
-                fast = compose(layer, low)
-                for comp, exact in zip(fast, layer.compose(inner)):
-                    assert comp.trunc == trunc
+        for nvars in (1, 2, 3, 4):
+            trunc = 7 if nvars < 4 else 6
+            for _ in range(3):
+                inner = SeriesTuple(
+                    [rand_series(rng, nvars, trunc, terms=4, zero_constant=True) for _ in range(nvars)]
+                )
+                start = SeriesTuple([rand_series(rng, nvars, trunc, terms=5) for _ in range(nvars)])
+                stream = _LayerStream(inner, start)
+                expected = start
+                # non-decreasing degrees, with gaps and repeats
+                degrees = sorted(rng.choice(range(1, trunc + 1)) for _ in range(4))
+                for degree in degrees:
+                    comps = [self.homogeneous(rng, nvars, trunc, degree) for _ in range(nvars)]
+                    if nvars > 1:
+                        comps[rng.randrange(nvars)] = MultiSeries.zero(nvars, trunc)
+                    layer = SeriesTuple(comps)
+                    low = rng.randint(degree, trunc + 1)
+                    stream.add(layer, low)
+                    expected = expected + SeriesTuple(
+                        [
+                            MultiSeries(nvars, trunc, [(e, c) for e, c in comp.terms() if sum(e) >= low])
+                            for comp in layer.compose(inner)
+                        ]
+                    )
                     for d in range(trunc + 1):
-                        assert comp.layer(d) == (exact.layer(d) if d >= low else {})
+                        for comp, exact in zip(stream.layer(d), expected):
+                            assert comp.trunc == trunc
+                            assert set(comp._layers) <= {d}
+                            assert comp.layer(d) == exact.layer(d)
 
     def test_rejects_falling_or_mixed_degrees(self):
         x, y = MultiSeries.variable(0, 2, 5), MultiSeries.variable(1, 2, 5)
-        compose = _layer_composer(SeriesTuple([x + y * y, y]))
-        compose(SeriesTuple([x * y, y * y]), 2)
+        start = SeriesTuple.zero(2, 2, 5)
+        stream = _LayerStream(SeriesTuple([x + y * y, y]), start)
+        stream.add(SeriesTuple([x * y, y * y]), 2)
         with pytest.raises(DomainError):
-            compose(SeriesTuple([x, y]), 1)
+            stream.add(SeriesTuple([x, y]), 1)
         with pytest.raises(DomainError):
-            compose(SeriesTuple([x * y * y, y * y]), 3)
+            stream.add(SeriesTuple([x * y * y, y * y]), 3)
         with pytest.raises(DomainError):
-            _layer_composer(SeriesTuple([x + 1, y]))
+            _LayerStream(SeriesTuple([x + 1, y]), start)
+
+
+class TestSharedLayers:
+    def test_sum_shares_the_degrees_one_operand_holds(self):
+        x, y = MultiSeries.variable(0, 2, 6), MultiSeries.variable(1, 2, 6)
+        a, b = x + x * y, x * y + y**3
+        before = a.layer(2)
+        total = a + b
+        assert total == MultiSeries(2, 6, [((1, 0), 1), ((1, 1), 2), ((0, 3), 1)])
+        assert total._layers[1] is a._layers[1]
+        assert total._layers[3] is b._layers[3]
+        assert total._layers[2] is not a._layers[2] and a.layer(2) == before
+
+    def test_disjoint_sum(self):
+        x, y = MultiSeries.variable(0, 2, 6), MultiSeries.variable(1, 2, 6)
+        low, high = SeriesTuple([x, y]), SeriesTuple([x * y, MultiSeries.zero(2, 6)])
+        total = _disjoint_sum([low, high])
+        assert total == low + high
+        assert total[0]._layers[2] is high[0]._layers[2]
+        with pytest.raises(DomainError):
+            _disjoint_sum([low, low])
+        with pytest.raises(DomainError):
+            _disjoint_sum([low, high.truncated(5)])
 
 
 class TestInvertTuple:
