@@ -22,7 +22,20 @@ window before it.  The final check f o h = h o Lambda of the assembled
 result covers every layer, the last window's included.  The trace records
 Gauss norms of the corrections on the shrinking radii 1/2 + 2^(-i-1) and
 checks the pass against the small-divisor bound
-|w|_{rho-delta} <= C1 |g|_rho rho^beta / delta^beta.
+|w|_{rho-delta} <= C1 |g|_rho rho^beta / delta^beta.  The bound also reads
+the norms of Dw and Dw o Lambda.  They come from one p-adic valuation per
+coefficient of w, since valuations add: the term c x^I of w_i gives
+c I_j lambda^(I - e_j) in (d_j w_i) o Lambda, of valuation
+v(c) + v_p(I_j) + sum_k (I - e_j)_k v(lambda_k).  So neither the Jacobian
+nor its diagonal substitution is formed.
+
+Each run builds one table of the eigenvalue powers lambda^I
+(series._DiagonalPowers), filled from prefix parents,
+lambda^I = lambda^(I - e_last(I)) lambda_last, as the power table of a
+composition is.  The table stands in for the eigenvalue sequence and is
+handed down wherever the eigenvalues go, so the divisors of every
+homological solve, the diagonal substitutions h o Lambda of the residuals
+and the final check all read the same powers.
 
 Before iterating, the map is rescaled by the smallest power of the working
 prime that makes the nonlinearity p-adically small; the conjugacy is
@@ -69,7 +82,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratlinalg
-from .arith import check_odd_prime, fraction_valuation, prime_support
+from .arith import check_odd_prime, fraction_valuation, int_valuation, prime_support
 from .dynamics import (
     AnalyticMap,
     DiophantineParams,
@@ -89,9 +102,9 @@ from .series import (
     GaussNorm,
     MultiSeries,
     SeriesTuple,
+    _DiagonalPowers,
     _disjoint_sum,
     _LayerStream,
-    gauss_norm,
     in_subspace_ar,
     tuple_gauss_norm,
 )
@@ -205,11 +218,15 @@ def solve_homological(
     """The unique w with w o Lambda - Lambda w = g vanishing to second order
     transversally.
 
-    Coefficientwise w_I^(j) = g_I^(j) / (lambda^I - lambda_j); the
+    Coefficientwise w_I^(j) = g_I^(j) / (lambda^I - lambda_j), where
+    lambda^I runs over the transverse variables alone and is read from a
+    _DiagonalPowers table (eigenvalues itself when it is one); the
     normalization (w and its transverse derivatives vanish on the locus) is
-    automatic because w inherits the monomial support of g.
+    automatic because w inherits the monomial support of g.  A vanishing
+    divisor raises ResonantMonomialError for the first component that has
+    one, at its lowest-degree, graded-lex first resonant monomial.
     """
-    lams = [Fraction(x) for x in eigenvalues]
+    lams = _DiagonalPowers.of(eigenvalues)
     n = len(lams)
     if len(g) != n or g.nvars != n:
         raise DomainError("homological data must be square")
@@ -218,33 +235,28 @@ def solve_homological(
             raise DomainError(
                 f"component {j} has a monomial of transverse degree < 2"
             )
-    power_cache: dict[tuple[int, ...], Fraction] = {}
-
-    def lam_power(exps: tuple[int, ...]) -> Fraction:
-        tail = exps[r:]
-        cached = power_cache.get(tail)
-        if cached is None:
-            cached = Fraction(1)
-            for lam, e in zip(lams[r:], tail):
-                if e:
-                    cached *= lam**e
-            power_cache[tail] = cached
-        return cached
-
+    head = (0,) * r
+    power = lams.power
     out = []
     for j, comp in enumerate(g.components):
-        terms = []
-        for exps, coeff in comp.terms():
-            divisor = lam_power(exps) - lams[j]
-            if divisor == 0:
-                raise ResonantMonomialError(exps, j)
-            terms.append((exps, coeff / divisor))
-        out.append(MultiSeries(comp.nvars, comp.trunc, terms))
+        lam = lams[j]
+        layers: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        for d, lay in comp._layers.items():
+            new = {}
+            for exps, coeff in lay.items():
+                divisor = power(head + exps[r:]) - lam
+                if not divisor:
+                    first = next(e for e, _ in comp.terms() if power(head + e[r:]) == lam)
+                    raise ResonantMonomialError(first, j)
+                new[exps] = coeff / divisor
+            layers[d] = new
+        out.append(MultiSeries._raw(comp.nvars, comp.trunc, layers))
     return SeriesTuple(out)
 
 
-def _normalized_eigenvalues(f: AnalyticMap) -> list[Fraction]:
-    """Eigenvalues of a map in normalized coordinates; error if it is not.
+def _normalized_eigenvalues(f: AnalyticMap) -> _DiagonalPowers:
+    """Eigenvalues of a map in normalized coordinates, as the lambda^I table
+    of one conjugacy run; error if the map is not normalized.
 
     The linear part must be diagonal with nonzero eigenvalues, equal to one
     along the fixed locus, and f - Lambda must vanish to second transverse
@@ -268,11 +280,11 @@ def _normalized_eigenvalues(f: AnalyticMap) -> list[Fraction]:
                 f"component {j} of f - Lambda has transverse order < 2; "
                 "apply the fixed-locus normalizations first"
             )
-    return lams
+    return _DiagonalPowers(lams)
 
 
 def denominator_primes_of(h: SeriesTuple) -> frozenset[int]:
-    return prime_support(coeff.denominator for comp in h.components for _, coeff in comp.terms())
+    return prime_support(c.denominator for comp in h.components for lay in comp._layers.values() for c in lay.values())
 
 
 def _conjugacy_inverse(
@@ -575,8 +587,16 @@ def _rescale_exponent(fmap: SeriesTuple, lams: Sequence[Fraction], prime: int) -
 
 
 def _rescale_map(g: SeriesTuple, c: Fraction) -> SeriesTuple:
-    """The conjugate x -> g(c x) / c: degree-d terms scale by c**(d - 1)."""
-    return SeriesTuple([comp.scale(1 / c) for comp in g.compose_diagonal([c] * g.nvars)])
+    """The conjugate x -> g(c x) / c: degree-d terms scale by c**(d - 1),
+    one product per term."""
+    out = []
+    for comp in g.components:
+        layers = {}
+        for d, lay in comp._layers.items():
+            scale = c ** (d - 1)
+            layers[d] = {exps: v * scale for exps, v in lay.items()}
+        out.append(MultiSeries._raw(comp.nvars, comp.trunc, layers))
+    return SeriesTuple(out)
 
 
 def check_norm_bound(
@@ -603,13 +623,9 @@ def check_norm_bound(
     inner = rho - delta
     norm_g = tuple_gauss_norm(g, rho, prime).value
     norm_w = tuple_gauss_norm(w, inner, prime).value
-    dw = w.jacobian()
-    norm_dw = Fraction(0)
-    norm_dw_lambda = Fraction(0)
-    for row in dw:
-        for entry, scaled in zip(row, SeriesTuple(row).compose_diagonal(lams)):
-            norm_dw = max(norm_dw, gauss_norm(entry, inner, prime).value)
-            norm_dw_lambda = max(norm_dw_lambda, gauss_norm(scaled, inner, prime).value)
+    if len(lams) != w.nvars:
+        raise DomainError("diagonal size mismatch")
+    norm_dw, norm_dw_lambda = _derivative_norms(w, lams, inner, prime)
     horizon = max(g.trunc, 2)
     derived = _derived_c1(params, rho, delta, horizon)
     if norm_g == 0:
@@ -637,6 +653,48 @@ def check_norm_bound(
         norm_dw_lambda=norm_dw_lambda,
         rho=rho,
         delta=delta,
+    )
+
+
+def _derivative_norms(
+    w: SeriesTuple, lams: Sequence[Fraction], rho: Fraction, prime: int
+) -> tuple[Fraction, Fraction]:
+    """max_(i,j) |d_j w_i|_rho and max_(i,j) |(d_j w_i) o Lambda|_rho, from
+    one valuation per coefficient of w.
+
+    A term c x^I of w_i gives the term c I_j x^(I - e_j) of d_j w_i, times
+    lambda^(I - e_j) after the diagonal substitution.  No two terms of w_i
+    meet in one monomial of d_j w_i, so each norm is the largest
+    rho^(|I| - 1) p^(-v) over these terms, with the valuations added:
+    v(c I_j lambda^(I - e_j)) = v(c) + v_p(I_j) + sum_k (I - e_j)_k v(lambda_k).
+    Only the least valuation of each degree can reach the maximum.  A term
+    whose lambda-power vanishes (a zero lambda_k with (I - e_j)_k > 0) is
+    absent from the substituted series, as in compose_diagonal.
+    """
+    zero = {k for k, lam in enumerate(lams) if not lam}
+    v_lams = [fraction_valuation(lam, prime) if lam else 0 for lam in lams]
+    v_exps = [0] + [int_valuation(e, prime) for e in range(1, w.trunc + 1)]
+    least: dict[int, int] = {}  # degree of the derivative -> least valuation
+    least_lambda: dict[int, int] = {}
+    for comp in w.components:
+        for d, lay in comp._layers.items():
+            for exps, c in lay.items():
+                v = fraction_valuation(c, prime)
+                v_power = sum(e * vl for e, vl in zip(exps, v_lams))
+                at_zero = sum(exps[k] for k in zero)
+                for j, e in enumerate(exps):
+                    if not e:
+                        continue
+                    v_term = v + v_exps[e]
+                    least[d - 1] = min(v_term, least.get(d - 1, v_term))
+                    # lambda^(I - e_j) is nonzero when no zero lambda_k is left in it
+                    if at_zero == (j in zero):
+                        v_term += v_power - v_lams[j]
+                        least_lambda[d - 1] = min(v_term, least_lambda.get(d - 1, v_term))
+    p = Fraction(prime)
+    return tuple(
+        max((rho**d * p**-v for d, v in table.items()), default=Fraction(0))
+        for table in (least, least_lambda)
     )
 
 

@@ -24,7 +24,10 @@ below it are not formed, and in SeriesTuple.compose neither are those
 degrees of the table powers that only feed the result.  A caller that
 needs one graded layer, such as a layer step of the linearizing
 conjugacy, then pays for that layer and for the powers the table builds
-further powers from.  All are exact.
+further powers from.  A diagonal substitution x_i -> lambda_i x_i scales
+each coefficient by lambda^I, read from a table of those powers
+(_DiagonalPowers) that callers may share between substitutions.  All are
+exact.
 
 Gauss norms sup |a_I|_p rho^|I| are returned as exact data: the p-adic
 valuation of the extremal coefficient, its degree, and the norm value as a
@@ -545,6 +548,58 @@ def _parent(exps: Exponents) -> tuple[int, Exponents]:
     return j, exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
 
 
+class _DiagonalPowers:
+    """The monomial powers lambda^I of the factors of a diagonal map
+    x_i -> lambda_i x_i, each built on first use and then kept.
+
+    It stands in for the factor sequence: len, indexing and iteration give
+    the lambda_i as Fractions, so one table can be handed wherever the
+    eigenvalues go.  SeriesTuple.compose_diagonal and
+    linearize.solve_homological read lambda^I from it with power.  An entry
+    is built as lambda^I = lambda^(I - e_j) lambda_j with j the last
+    variable of I, as _PowerTable builds inner^I: a missing chain of prefix
+    parents is walked down to a kept entry and built upwards, one Fraction
+    product per new entry.
+    """
+
+    __slots__ = ("factors", "entries")
+
+    def __init__(self, factors: Iterable[Fraction]) -> None:
+        self.factors = tuple(Fraction(x) for x in factors)
+        self.entries: dict[Exponents, Fraction] = {(0,) * len(self.factors): Fraction(1)}
+
+    @classmethod
+    def of(cls, factors: "Sequence[Fraction] | _DiagonalPowers") -> "_DiagonalPowers":
+        """factors itself if it is a table, else a new table of them."""
+        return factors if isinstance(factors, cls) else cls(factors)
+
+    def __len__(self) -> int:
+        return len(self.factors)
+
+    def __getitem__(self, index):
+        return self.factors[index]
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return iter(self.factors)
+
+    def power(self, exps: Exponents) -> Fraction:
+        """lambda^I for an exponent tuple I with one entry per factor."""
+        entries = self.entries
+        value = entries.get(exps)
+        if value is not None:
+            return value
+        chain = []
+        while exps not in entries:
+            j, lower = _parent(exps)
+            chain.append((exps, j))
+            exps = lower
+        value = entries[exps]
+        for mono, j in reversed(chain):
+            value = value * self.factors[j]
+            entries[mono] = value
+        return value
+
+
 class _PowerTable:
     """The monomial powers inner^I of a fixed inner map.
 
@@ -824,24 +879,26 @@ class SeriesTuple:
             table.extend(closure[d + 1], low, parents)
         return SeriesTuple([_unpacked(acc, common, comps[0].nvars, trunc) for acc, common in zip(accs, commons)])
 
-    def compose_diagonal(self, factors: Sequence[Fraction]) -> "SeriesTuple":
-        """Substitution x_i -> factors[i] * x_i, done by coefficient scaling."""
+    def compose_diagonal(self, factors: "Sequence[Fraction] | _DiagonalPowers") -> "SeriesTuple":
+        """Substitution x_i -> factors[i] * x_i, done by coefficient scaling.
+
+        The coefficient at x^I is multiplied by lambda^I, read from a
+        _DiagonalPowers table of the factors.  A table passed in is read and
+        grown in place, so calls that share one (every call of a conjugacy
+        run in linearize) form each lambda^I once; a plain sequence gets a
+        table of its own.  Terms whose power vanishes (a zero factor) are
+        dropped.
+        """
         if len(factors) != self.nvars:
             raise DomainError("diagonal size mismatch")
-        # powers[i][e] = factors[i]**e, built once for every exponent up to the cap
-        powers = []
-        for f in map(Fraction, factors):
-            row = [Fraction(1)]
-            for _ in range(self.trunc):
-                row.append(row[-1] * f)
-            powers.append(row)
+        power = _DiagonalPowers.of(factors).power
         out = []
         for comp in self.components:
             layers: dict[int, dict[Exponents, Fraction]] = {}
             for d, lay in comp._layers.items():
                 new = {}
                 for exps, c in lay.items():
-                    scale = prod(row[e] for row, e in zip(powers, exps) if e)
+                    scale = power(exps)
                     if scale:
                         new[exps] = c * scale
                 if new:
@@ -1011,7 +1068,4 @@ def in_subspace_ar(phi: MultiSeries, r: int) -> bool:
     """True iff every monomial has total degree >= 2 in the last nvars - r variables."""
     if not 0 <= r <= phi.nvars:
         raise DomainError(f"fixed-locus dimension {r} out of range")
-    for exps, _ in phi.terms():
-        if sum(exps[r:]) < 2:
-            return False
-    return True
+    return all(sum(exps[r:]) >= 2 for lay in phi._layers.values() for exps in lay)

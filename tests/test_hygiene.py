@@ -4,7 +4,8 @@ float except for padic.INFINITY, every entry point the benchmark tracer
 wraps still exists, shared series layers are never changed in place, only
 known call sites build p-adics through the unchecked constructor, and only
 the series code that builds, grows and decodes the integer view reads the
-packed exponent key layout."""
+packed exponent key layout, and no library function keeps process-wide
+state in a module-level container except the odd-prime memo of arith."""
 
 import ast
 import importlib
@@ -365,3 +366,138 @@ def _convolve(a, b):
     tree = ast.parse(source)
     assert sorted(name_uses(tree, "_key_fields")) == [("MultiSeries._int_layers", 9), ("_convolve", 13)]
     assert list(name_uses(tree, "_KEY_CAP")) == [("<module>", 4)]
+
+
+# A container bound at module level, or in a class body, lives as long as the
+# process, so a library function that writes one keeps state from call to
+# call.  The one such memo is arith's set of accepted odd primes; per-run
+# state, such as the lambda^I table of a conjugacy run, is built by the run
+# and handed down through its arguments.
+MODULE_STATE_WRITES = {("arith.py", "check_odd_prime", "_ODD_PRIMES")}
+MUTABLE_FACTORIES = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
+WRITING_METHODS = MUTATING_METHODS | {"add", "append", "extend", "insert", "remove", "discard", "sort", "reverse"}
+CACHING_DECORATORS = {"cache", "lru_cache"}
+
+
+def builds_container(value):
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in MUTABLE_FACTORIES
+    return False
+
+
+def module_containers(tree):
+    """Names bound to a mutable container at module level or in a top-level
+    class body."""
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    names = set()
+    for body in bodies:
+        for node in body:
+            if isinstance(node, ast.Assign) and builds_container(node.value):
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.AnnAssign) and node.value is not None and builds_container(node.value):
+                if isinstance(node.target, ast.Name):
+                    names.add(node.target.id)
+    return names
+
+
+def state_writes(tree, containers):
+    """(function, name, line) of each write into a named container inside a
+    function: a store, delete or augmented assignment through a subscript or
+    an attribute, a call of a mutating method (also on an item of it), or a
+    global rebinding; a caching decorator is reported under its own name."""
+
+    def container(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in containers:
+            return node.id
+        if isinstance(node, ast.Attribute) and node.attr in containers:
+            return node.attr
+        return None
+
+    for function_name, function in functions(tree):
+        for decorator in function.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+            if name in CACHING_DECORATORS:
+                yield function_name, name, decorator.lineno
+        for node in ast.walk(function):
+            if isinstance(node, ast.Global):
+                for name in node.names:
+                    if name in containers:
+                        yield function_name, name, node.lineno
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                for target in targets:
+                    if isinstance(target, (ast.Subscript, ast.Attribute)) and container(target):
+                        yield function_name, container(target), node.lineno
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in WRITING_METHODS and container(node.func.value):
+                    yield function_name, container(node.func.value), node.lineno
+
+
+def test_module_state_is_written_only_at_known_sites():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    containers = set().union(*(module_containers(tree) for tree in trees.values()))
+    found = {(module, function, name) for module, tree in trees.items() for function, name, _ in state_writes(tree, containers)}
+    assert found == MODULE_STATE_WRITES
+
+
+def test_the_guard_sees_a_module_state_write():
+    source = '''
+import functools
+from collections import defaultdict
+
+CACHE = {}
+SEEN: set[int] = set()
+ORDER = defaultdict(list)
+LIMIT = (1, 2)
+NAMES = [n for n in "ab"]
+
+
+class Table:
+    KEPT = []
+
+    def grow(self, key):
+        Table.KEPT.append(key)
+        self.local = {}
+        self.local[key] = 1
+
+
+def remember(key, value):
+    CACHE[key] = value
+    SEEN.add(key)
+    ORDER[key].append(value)
+    local = {}
+    local[key] = value
+    return LIMIT[0] + CACHE.get(key) + len(NAMES)
+
+
+def reset():
+    global NAMES
+    NAMES = []
+    del CACHE[1]
+    other.CACHE = {}
+
+
+@functools.lru_cache(maxsize=None)
+def cached(x):
+    return x
+'''
+    tree = ast.parse(source)
+    containers = module_containers(tree)
+    assert containers == {"CACHE", "SEEN", "ORDER", "NAMES", "KEPT"}
+    assert sorted(state_writes(tree, containers)) == [
+        ("Table.grow", "KEPT", 16),
+        ("cached", "lru_cache", 37),
+        ("remember", "CACHE", 22),
+        ("remember", "ORDER", 24),
+        ("remember", "SEEN", 23),
+        ("reset", "CACHE", 33),
+        ("reset", "CACHE", 34),
+        ("reset", "NAMES", 31),
+    ]

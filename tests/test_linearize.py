@@ -2,8 +2,10 @@
 
 import gc
 import itertools
+import math
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from padicdyn.errors import (
     SingularBlockError,
 )
 from padicdyn.linearize import (
+    NormBoundCertificate,
     RatPow,
     check_norm_bound,
     diagonalize_normal_part,
@@ -28,7 +31,7 @@ from padicdyn.linearize import (
     normalize_mod_if2,
     solve_homological,
 )
-from padicdyn.series import MultiSeries, SeriesTuple
+from padicdyn.series import MultiSeries, SeriesTuple, gauss_norm, tuple_gauss_norm
 from test_acceptance import fixture_suite
 
 
@@ -90,6 +93,83 @@ class TestSolveHomological:
                 [comp.scale(lam) for comp, lam in zip(w.components, lams)]
             )
             assert lhs == g
+
+    @staticmethod
+    def scan(g, lams, r):
+        """The homological solve as one scan of each component in graded-lex
+        order, with lambda^I formed from powers over the transverse tail."""
+        out = []
+        for j, comp in enumerate(g):
+            terms = []
+            for exps, coeff in comp.terms():
+                divisor = math.prod(lam**e for lam, e in zip(lams[r:], exps[r:])) - lams[j]
+                if divisor == 0:
+                    raise ResonantMonomialError(exps, j)
+                terms.append((exps, coeff / divisor))
+            out.append(MultiSeries(comp.nvars, comp.trunc, terms))
+        return SeriesTuple(out)
+
+    @staticmethod
+    def outcome(solve, g, lams, r):
+        try:
+            return solve(g, lams, r)
+        except ResonantMonomialError as err:
+            return err.monomial, err.component
+
+    def test_resonance_is_named_in_scan_order(self):
+        # lambda = (2, 1/2, 4): x1 x2 and x0^2 x1 are resonant in component 0
+        # (degrees 2 and 3), x0^2 in component 2; the degree-3 layer of
+        # component 0 is stored first, so a solve that reported the first
+        # zero divisor it met would name (2, 1, 0)
+        lams = [Fraction(2), Fraction(1, 2), Fraction(4)]
+        first = MultiSeries(3, 4, [((2, 1, 0), 1), ((1, 1, 1), 3), ((0, 1, 1), -1)])
+        last = MultiSeries(3, 4, [((1, 1, 1), 2), ((2, 0, 0), 5)])
+        g = SeriesTuple([first, MultiSeries(3, 4, [((0, 0, 2), 1)]), last])
+        assert list(first._layers) == [3, 2]
+        assert self.outcome(solve_homological, g, lams, 0) == ((0, 1, 1), 0)
+        g = SeriesTuple([MultiSeries(3, 4, [((1, 1, 1), 3)]), MultiSeries.zero(3, 4), last])
+        assert self.outcome(solve_homological, g, lams, 0) == ((2, 0, 0), 2)
+
+    def test_matches_the_scan_randomized(self):
+        # resonances in several degrees and components, locus eigenvalues
+        # other than one, and layers stored in random order
+        rng = random.Random(1414)
+        pool = [Fraction(x) for x in (1, -1, 2, -2, 3, 4)] + [Fraction(1, 2), Fraction(-1, 3)]
+        resonant = 0
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            r = rng.randint(0, n - 1)
+            lams = [rng.choice(pool) for _ in range(n)]
+            comps = []
+            for _ in range(n):
+                terms = []
+                for _ in range(rng.randint(0, 6)):
+                    exps = tuple(rng.randint(0, 3) for _ in range(n))
+                    if sum(exps[r:]) >= 2 and sum(exps) <= 6:
+                        terms.append((exps, Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+                rng.shuffle(terms)
+                comps.append(MultiSeries(n, 6, terms))
+            g = SeriesTuple(comps)
+            expected = self.outcome(self.scan, g, lams, r)
+            resonant += isinstance(expected, tuple)
+            assert self.outcome(solve_homological, g, lams, r) == expected
+            table = series._DiagonalPowers(lams)
+            assert self.outcome(solve_homological, g, table, r) == expected
+        assert 20 <= resonant <= 130
+
+    def test_the_divisor_reads_the_transverse_tail_alone(self):
+        # lambda_0 = 3 on the locus never enters a divisor
+        lams = [Fraction(3), Fraction(2), Fraction(-5)]
+        g = SeriesTuple(
+            [
+                MultiSeries(3, 5, [((2, 0, 2), 1), ((0, 1, 1), Fraction(2, 7))]),
+                MultiSeries(3, 5, [((1, 2, 0), -3)]),
+                MultiSeries(3, 5, [((3, 1, 1), Fraction(1, 4)), ((0, 0, 3), 2)]),
+            ]
+        )
+        w = solve_homological(g, lams, 1)
+        assert w == self.scan(g, lams, 1)
+        assert w[0].coefficient((2, 0, 2)) == Fraction(1, 25 - 3)
 
 
 class TestOrderByOrder:
@@ -586,6 +666,20 @@ class TestInverseStream:
         # every monomial of degree 1..11 in four variables would be 1364
         assert len(closure) == 255
 
+    def test_one_eigenvalue_table_per_run(self, monkeypatch):
+        made = []
+        init = series._DiagonalPowers.__init__
+
+        def counted(self, factors):
+            made.append(tuple(factors))
+            init(self, factors)
+
+        monkeypatch.setattr(series._DiagonalPowers, "__init__", counted)
+        f = fixture_suite(12)["independent-3d"]
+        linearize_order_by_order(f, 12)
+        linearize_newton(f, 12, DiophantineParams(1, 0), prime=7)
+        assert made == [(2, 3, 5), (2, 3, 5)]
+
     def test_the_conjugacy_routes_leave_no_cyclic_garbage(self):
         f = fixture_suite(12)["independent-3d"]
         gc.collect()
@@ -677,6 +771,96 @@ class TestCheckNormBound:
             observed.append(cert.minimal_c1.as_fraction())
             assert cert.passes
         assert max(observed) <= cert.derived_c1.as_fraction()
+
+
+class TestNormBoundFromValuations:
+    """check_norm_bound reads the derivative norms from valuations; the
+    reference forms the Jacobian of w, its diagonal substitution and one
+    Gauss norm per entry."""
+
+    @staticmethod
+    def reference(g, w, lams, rho, delta, params, prime):
+        inner = rho - delta
+        norm_g = tuple_gauss_norm(g, rho, prime).value
+        norm_w = tuple_gauss_norm(w, inner, prime).value
+        norm_dw = norm_dw_lambda = Fraction(0)
+        for row in w.jacobian():
+            for entry, scaled in zip(row, SeriesTuple(row).compose_diagonal(lams)):
+                norm_dw = max(norm_dw, gauss_norm(entry, inner, prime).value)
+                norm_dw_lambda = max(norm_dw_lambda, gauss_norm(scaled, inner, prime).value)
+        derived = linearize._derived_c1(params, rho, delta, max(g.trunc, 2))
+        if norm_g == 0:
+            minimal, passes = RatPow(0, Fraction(1), params.beta), w.is_zero()
+        else:
+            needed = max(norm_w, norm_dw * inner, norm_dw_lambda * inner)
+            minimal = RatPow(needed / norm_g, delta / rho, params.beta)
+            passes = minimal <= derived
+        return NormBoundCertificate(passes, minimal, derived, norm_g, norm_w, norm_dw, norm_dw_lambda, rho, delta)
+
+    @staticmethod
+    def random_tuple(rng, n, r, trunc):
+        comps = []
+        for _ in range(n):
+            terms = []
+            for _ in range(rng.randint(0, 5)):
+                exps = tuple(rng.randint(0, 6) for _ in range(n))
+                if sum(exps[r:]) >= 2 and sum(exps) <= trunc:
+                    terms.append((exps, Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 9, 25)))))
+            comps.append(MultiSeries(n, trunc, terms))
+        return SeriesTuple(comps)
+
+    def test_every_field_matches_the_jacobian_reference_randomized(self):
+        rng = random.Random(1401)
+        pool = [Fraction(x) for x in (1, -1, 2, 3, 4, 5, 9, -6, 0)] + [Fraction(1, 3), Fraction(-5, 2), Fraction(10, 3)]
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            r = rng.randint(0, n - 1)
+            prime = rng.choice((2, 3, 5))
+            lams = [rng.choice(pool) for _ in range(n)]
+            trunc = rng.randint(2, 9)
+            g = self.random_tuple(rng, n, r, trunc)
+            try:
+                w = solve_homological(g, lams, r)
+            except ResonantMonomialError:
+                w = self.random_tuple(rng, n, r, trunc)
+            if rng.random() < 0.3:
+                w = self.random_tuple(rng, n, r, trunc)
+            rho = rng.choice((Fraction(1), Fraction(3, 4), Fraction(2), Fraction(5, 3)))
+            delta = rho * rng.choice((Fraction(1, 2), Fraction(1, 8), Fraction(2, 3)))
+            params = DiophantineParams(rng.choice((1, Fraction(1, 3), 7)), rng.choice((0, 1, Fraction(3, 2))))
+            cert = check_norm_bound(g, w, lams, rho, delta, params, prime)
+            expected = self.reference(g, w, lams, rho, delta, params, prime)
+            for field in fields(NormBoundCertificate):
+                got, want = getattr(cert, field.name), getattr(expected, field.name)
+                if isinstance(want, RatPow):
+                    got, want = (got.coeff, got.base, got.exponent), (want.coeff, want.base, want.exponent)
+                assert got == want, field.name
+            seen["n", n] += 1
+            seen["r > 0"] += r > 0
+            seen["p divides a lambda"] += any(lam and lam.numerator % prime == 0 for lam in lams)
+            seen["negative valuation"] += any(lam and lam.denominator % prime == 0 for lam in lams)
+            seen["zero lambda"] += Fraction(0) in lams
+            seen["passes"] += cert.passes
+            seen["nonzero dw lambda"] += cert.norm_dw_lambda != 0
+        for n in range(1, 5):
+            assert seen["n", n] >= 30
+        for case in ("r > 0", "p divides a lambda", "negative valuation", "zero lambda", "passes", "nonzero dw lambda"):
+            assert seen[case] >= 20, case
+
+    def test_a_zero_eigenvalue_drops_its_terms(self):
+        # d/dx1 of x0 x1^2 is 2 x0 x1, which lambda_1 = 0 sends to zero;
+        # d/dx0 gives x1^2, sent to lambda_1^2 x1^2 = 0 as well
+        w = SeriesTuple([MultiSeries(2, 4, [((1, 2), 3)]), MultiSeries.zero(2, 4)])
+        lams = [Fraction(2), Fraction(0)]
+        cert = check_norm_bound(w, w, lams, Fraction(1), Fraction(1, 2), DiophantineParams(1, 0), 3)
+        assert cert.norm_dw == Fraction(1, 4) * Fraction(1, 3)
+        assert cert.norm_dw_lambda == 0
+
+    def test_rejects_a_mismatched_eigenvalue_count(self):
+        w = SeriesTuple([MultiSeries(1, 4, [((2,), 1)])])
+        with pytest.raises(DomainError):
+            check_norm_bound(w, w, [Fraction(2), Fraction(3)], Fraction(1), Fraction(1, 2), DiophantineParams(1, 0), 3)
 
 
 def _true_divisor_bound(lams, horizon, prime):

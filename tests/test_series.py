@@ -13,9 +13,11 @@ from padicdyn.errors import DomainError
 from padicdyn.series import (
     MultiSeries,
     SeriesTuple,
+    _DiagonalPowers,
     _disjoint_sum,
     _LayerStream,
     _mul,
+    _parent,
     gauss_norm,
     in_subspace_ar,
     invert_tuple,
@@ -646,9 +648,51 @@ class TestCalculusHelpers:
 
     def test_compose_diagonal_matches_compose(self):
         rng = random.Random(33)
+        lams = [Fraction(2), Fraction(-3, 2)]
+        # one table shared by every call, grown as the calls read it
+        table = _DiagonalPowers(lams)
         for _ in range(10):
             phi = rand_series(rng, 2, 5)
             tup = SeriesTuple([phi, rand_series(rng, 2, 5)])
-            lams = [Fraction(2), Fraction(-3, 2)]
             diag = SeriesTuple.diagonal(lams, 5)
             assert tup.compose_diagonal(lams) == tup.compose(diag)
+            assert tup.compose_diagonal(table) == tup.compose(diag)
+
+
+class TestDiagonalPowers:
+    def test_power_is_the_product_of_factor_powers_randomized(self):
+        rng = random.Random(1402)
+        pool = [Fraction(x) for x in (0, 1, -1, 2, -3, 7)] + [Fraction(2, 9), Fraction(-5, 4)]
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            lams = [rng.choice(pool) for _ in range(n)]
+            table = _DiagonalPowers(lams)
+            for _ in range(25):
+                exps = tuple(rng.randint(0, 6) for _ in range(n))
+                assert table.power(exps) == _product(lams, exps)
+            # the prefix parents built on the way are kept, and right too
+            for exps, value in table.entries.items():
+                assert value == _product(lams, exps)
+                if any(exps):
+                    assert _parent(exps)[1] in table.entries
+
+    def test_stands_in_for_the_factor_sequence(self):
+        table = _DiagonalPowers([2, Fraction(1, 3)])
+        assert len(table) == 2
+        assert list(table) == [Fraction(2), Fraction(1, 3)]
+        assert table[1] == Fraction(1, 3) and table[1:] == (Fraction(1, 3),)
+        assert _DiagonalPowers.of(table) is table
+        assert _DiagonalPowers.of([2, 3]).factors == (Fraction(2), Fraction(3))
+
+    def test_zero_factor_drops_terms(self):
+        tup = SeriesTuple([MultiSeries(2, 4, [((1, 0), 1), ((1, 1), 2), ((0, 2), 3)])])
+        out = tup.compose_diagonal(_DiagonalPowers([5, 0]))
+        assert dict(out[0].terms()) == {(1, 0): Fraction(5)}
+        assert out[0].lowest_degree() == out[0].degree() == 1
+
+
+def _product(lams, exps):
+    value = Fraction(1)
+    for lam, e in zip(lams, exps):
+        value *= lam**e
+    return value
