@@ -152,8 +152,8 @@ def iterate_in_neighbourhood(
         point = _evaluate_residues(components, top, point, modulus)
         orbit.append(point)
 
-    valuations = [[_residue_valuation(x, p, precision) for x in pt] for pt in orbit]
-    stays = all(v >= s for vals in valuations for v in vals)
+    stripped = [[_stripped(x, p, precision) for x in pt] for pt in orbit]
+    stays = all(v >= s for pt in stripped for v, _ in pt)
     level_mod = p**s
     constant = all(
         (x - x0) % level_mod == 0 for pt in orbit for x, x0 in zip(pt, orbit[0])
@@ -174,8 +174,7 @@ def iterate_in_neighbourhood(
             checked += 1
 
     points = tuple(
-        tuple(_residue_to_padic(x, v, p, precision) for x, v in zip(pt, vals))
-        for pt, vals in zip(orbit, valuations)
+        tuple(_residue_to_padic(v, unit, p, precision) for v, unit in pt) for pt in stripped
     )
     return OrbitResult(
         points=points,
@@ -222,13 +221,26 @@ def _pair_valuation(a: tuple[int, ...], b: tuple[int, ...], p: int, precision: i
     return min(_residue_valuation(x - y, p, precision) for x, y in zip(a, b))
 
 
-def _residue_to_padic(x: int, v: int, p: int, precision: int) -> PAdic:
-    """The residue x mod p**precision, of valuation v, as a p-adic."""
-    # x < p**precision has exactly v factors of p, so these fields are
+def _stripped(x: int, p: int, precision: int) -> tuple[int, int]:
+    """(v, unit) with x = p**v * unit and unit prime to p, for a residue
+    0 <= x < p**precision; (precision, 0) for x = 0."""
+    if x == 0:
+        return precision, 0
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
+def _residue_to_padic(v: int, unit: int, p: int, precision: int) -> PAdic:
+    """The residue p**v * unit mod p**precision, as _stripped splits it, as
+    a p-adic."""
+    # unit < p**(precision - v) is prime to p, so these fields are
     # canonical, and the neighbourhood has checked the prime
     if v == precision:
         return _canonical(p, precision, 0, 0)
-    return _canonical(p, v, x // p**v, precision - v)
+    return _canonical(p, v, unit, precision - v)
 
 
 @dataclass(frozen=True)
@@ -532,34 +544,62 @@ def relation_probe(points: Sequence[Sequence], degree: int) -> RelationProbe:
     norm.  An empty kernel is bounded-degree evidence of Zariski density;
     with fewer than C(n + d, d) points a nontrivial kernel is automatic
     and the result is flagged, not an error.
+
+    The degree and the points are checked before any work: the degree is
+    non-negative, and each point has the first point's dimension, at least
+    one.  When the first point has a PAdic coordinate,
+    every coordinate of every point must be a PAdic of one prime;
+    otherwise none may be, and the coordinates are read as Fractions.
+
+    A row holds the point's monomials in graded_monomials order.  The
+    constant is Fraction(1), or in Q_p the 1 at the precision of the
+    point's first coordinate; when that is an exact zero, at the largest
+    finite precision in the point; and at 1 digit when that precision is
+    0 or there is none.  The degree-1 entries are the coordinates, and each
+    later monomial I is one product, row[I - e_j] * x_j with j the last
+    variable in I.  A p-adic product of units reduces modulo the smallest
+    precision and adds valuations, so every order of the factors gives the
+    fields of the product of powers.
     """
     if not points:
         raise DomainError("need at least one point")
+    if degree < 0:
+        raise DomainError("degree must be non-negative")
     nvars = len(points[0])
-    monos = graded_monomials(nvars, degree)
+    if nvars == 0:
+        raise DomainError("points need at least one coordinate")
+    if any(len(pt) != nvars for pt in points):
+        raise DomainError("points differ in dimension")
     padic_mode = any(isinstance(x, PAdic) for x in points[0])
+    if padic_mode:
+        prime = next(x.prime for x in points[0] if isinstance(x, PAdic))
+        if not all(isinstance(x, PAdic) and x.prime == prime for pt in points for x in pt):
+            raise DomainError(f"p-adic points need PAdic coordinates at the one prime {prime}")
+    elif any(isinstance(x, PAdic) for pt in points for x in pt):
+        raise DomainError("a p-adic coordinate in a rational point")
+    monos = graded_monomials(nvars, degree)
+    index = {mono: i for i, mono in enumerate(monos)}
+    # (prefix parent, variable) of each monomial above degree 1
+    steps = []
+    for mono in monos[1 + nvars :]:
+        j = max(i for i, e in enumerate(mono) if e)
+        steps.append((index[mono[:j] + (mono[j] - 1,) + mono[j + 1 :]], j))
     rows = []
     for pt in points:
-        row = []
         if padic_mode:
-            for mono in monos:
-                term = None
-                for v, e in zip(pt, mono):
-                    if e:
-                        term = v**e if term is None else term * v**e
-                row.append(
-                    PAdic.from_rational(1, pt[0].prime, pt[0].precision or 1)
-                    if term is None
-                    else term
-                )
+            prec = pt[0].precision
+            if prec == INFINITY:
+                prec = max((x.precision for x in pt if x.precision != INFINITY), default=0)
+            vals = list(pt)
+            row = [PAdic.from_rational(1, prime, prec or 1)]
         else:
             vals = [Fraction(x) for x in pt]
-            for mono in monos:
-                term = Fraction(1)
-                for v, e in zip(vals, mono):
-                    if e:
-                        term *= v**e
-                row.append(term)
+            row = [Fraction(1)]
+        if degree:
+            # graded_monomials lists the degree-1 block as x_0, ..., x_(n-1)
+            row.extend(vals)
+        for parent, j in steps:
+            row.append(row[parent] * vals[j])
         rows.append(row)
     if padic_mode:
         kernel = _padic_kernel_basis(rows, len(monos))
@@ -583,7 +623,10 @@ def _padic_kernel_basis(rows: list[list[PAdic]], ncols: int) -> list[list[PAdic]
     work rows hold just the free columns found so far and the columns not
     yet reached, in their original order, and a pivot step drops column c
     from every row.  Each kept entry goes through exactly the operations of
-    the full elimination, so the basis is the same.
+    the full elimination, so the basis is the same.  A row update
+    x - factor * y is one PAdic._minus_product, which gives the fields of
+    the two operations without building the product (padic module
+    docstring); every entry stays a canonical PAdic of one prime.
     """
     work = [list(row) for row in rows]
     nrows = len(work)
@@ -609,7 +652,7 @@ def _padic_kernel_basis(rows: list[list[PAdic]], ncols: int) -> list[list[PAdic]
                 row = work[i]
                 factor = row.pop(k)
                 if not factor.is_zero():
-                    work[i] = [x - factor * y for x, y in zip(row, pivot_row)]
+                    work[i] = [x._minus_product(factor, y) for x, y in zip(row, pivot_row)]
         pivots.append(c)
         r += 1
         if r == nrows:

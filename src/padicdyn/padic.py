@@ -31,6 +31,16 @@ Arithmetic on canonical operands already knows its result is canonical
 a sum strips its own factors of p), so it builds the result with
 ``_canonical``, which stores the fields without checking or reducing them
 again.  Only code that has just established the form may call it.
+
+One row update of an elimination, x - a * b, is a single operation,
+``_minus_product``: it hands the product's fields (valuation
+v_a + v_b, unit u_a * u_b, precision N = min(N_a, N_b)) to
+``_signed_sum``, the digit routine of + and -, without reducing the unit
+modulo p**N and without building the product.  Reducing it would change
+the unit by a multiple of p**N, which enters the sum times
+p**(v_a + v_b - lo), lo the lower valuation.  The sum is reduced modulo
+p**(cap - lo), and its absolute precision cap is at most v_a + v_b + N,
+so that modulus divides the change: the fields are those of x - (a * b).
 """
 
 from __future__ import annotations
@@ -207,12 +217,13 @@ class PAdic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._signed_sum(other, 1)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
-    def _signed_sum(self, other: "PAdic", sign: int) -> "PAdic":
-        """self + sign * other for sign = 1 or -1.
+    def _sum(self, other: "PAdic", sign: int) -> "PAdic":
+        """self + sign * other for sign = 1 or -1: exact zeros here, the
+        digits in _signed_sum.
 
         Negation keeps valuation and precision, so a difference needs no
         negated copy of other: its digits enter the sum with a minus sign.
@@ -221,18 +232,41 @@ class PAdic:
             return other if sign > 0 else -other
         if other.is_exact_zero():
             return self
+        return self._signed_sum(other.valuation, other.unit_digits, other.precision, sign)
+
+    def _minus_product(self, a: "PAdic", b: "PAdic") -> "PAdic":
+        """self - a * b, with the fields of the two operations in turn.
+
+        The product's unit a.unit_digits * b.unit_digits enters the sum
+        unreduced (module docstring).  Exact zeros and zero units take the
+        operators.  The operands must share the prime; nothing checks it.
+        """
+        if self.is_exact_zero() or not (a.unit_digits and b.unit_digits):
+            return self - a * b
+        return self._signed_sum(
+            a.valuation + b.valuation, a.unit_digits * b.unit_digits, min(a.precision, b.precision), -1
+        )
+
+    def _signed_sum(self, valuation: int, unit: int, precision: int, sign: int) -> "PAdic":
+        """self + sign * p**valuation * unit, the second term known to
+        precision digits; neither term is an exact zero.
+
+        unit need not lie below p**precision: the sum is reduced modulo
+        p**(cap - lo) with cap <= valuation + precision, which discards the
+        excess (module docstring).
+        """
         # neither is an exact zero, so every field below is an int
         p = self.prime
-        va, vb = self.valuation, other.valuation
-        cap = min(va + self.precision, vb + other.precision)
+        va, vb = self.valuation, valuation
+        cap = min(va + self.precision, vb + precision)
         lo = min(va, vb)
         if cap <= lo:
             return _canonical(p, cap, 0, 0)
         total = 0
         if self.unit_digits:
             total += self.unit_digits * p ** (va - lo)
-        if other.unit_digits:
-            total += sign * other.unit_digits * p ** (vb - lo)
+        if unit:
+            total += sign * unit * p ** (vb - lo)
         total %= p ** (cap - lo)
         if total == 0:
             return _canonical(p, cap, 0, 0)
@@ -253,13 +287,13 @@ class PAdic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._signed_sum(other, -1)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other._signed_sum(self, -1)
+        return other._sum(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -64,9 +64,9 @@ def _numerators(layer: dict[Exponents, Fraction], den: int, pack) -> list[tuple[
 
 
 def _as_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise TypeError(f"coefficients must be rational, got {type(value).__name__}")
 
@@ -91,11 +91,15 @@ class MultiSeries:
                 continue
             coeff = _as_coeff(coeff)
             layer = layers.setdefault(deg, {})
-            acc = layer.get(exps, _ZERO) + coeff
+            if exps not in layer:
+                if coeff:
+                    layer[exps] = coeff
+                continue
+            acc = layer[exps] + coeff
             if acc:
                 layer[exps] = acc
             else:
-                layer.pop(exps, None)
+                del layer[exps]
         self.nvars = nvars
         self.trunc = trunc
         self._layers = {d: lay for d, lay in layers.items() if lay}
@@ -223,6 +227,13 @@ class MultiSeries:
             raise DomainError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other):
+        return self._merged(other, 1)
+
+    __radd__ = __add__
+
+    def _merged(self, other, sign: int):
+        """self + sign * other for sign = 1 or -1; a difference merges with
+        negated coefficients instead of negating other first."""
         if isinstance(other, (int, Fraction)):
             other = MultiSeries.constant(other, self.nvars, self.trunc)
         if not isinstance(other, MultiSeries):
@@ -233,16 +244,18 @@ class MultiSeries:
         for d in set(self._layers) | set(other._layers):
             if d > trunc:
                 continue
-            # a degree held by one operand alone shares its layer dict
+            # a degree held by one operand alone shares its layer dict,
+            # or takes a negated copy of a subtrahend's
             if d not in other._layers:
                 layers[d] = self._layers[d]
                 continue
             if d not in self._layers:
-                layers[d] = other._layers[d]
+                layers[d] = other._layers[d] if sign > 0 else {e: -c for e, c in other._layers[d].items()}
                 continue
             merged = dict(self._layers[d])
             for exps, c in other._layers[d].items():
-                acc = merged.get(exps, _ZERO) + c
+                acc = merged.get(exps, _ZERO)
+                acc = acc + c if sign > 0 else acc - c
                 if acc:
                     merged[exps] = acc
                 else:
@@ -251,18 +264,12 @@ class MultiSeries:
                 layers[d] = merged
         return MultiSeries._raw(self.nvars, trunc, layers)
 
-    __radd__ = __add__
-
     def __neg__(self):
         layers = {d: {e: -c for e, c in lay.items()} for d, lay in self._layers.items()}
         return MultiSeries._raw(self.nvars, self.trunc, layers)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiSeries.constant(other, self.nvars, self.trunc)
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._merged(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from padicdyn import orbit as orbit_module
+from padicdyn import ratlinalg
 from padicdyn.arith import fraction_abs
 from padicdyn.dynamics import AnalyticMap
 from padicdyn.errors import (
@@ -405,6 +407,146 @@ class TestUnionClosure:
         f = build_map([[((1, 0), 2)], [((0, 1), -2)]], 4)
         with pytest.raises(TorsionError):
             union_closure_compare(f, [(1, 1)], range(0, 10, 2), range(1, 10, 2), 2)
+
+
+def power_rows(points, degree):
+    """Monomial rows the way the probe built them before prefix parents:
+    each monomial a fresh product of coordinate powers, the constant 1 at
+    the first coordinate's precision (the largest finite one in the point
+    when that coordinate is an exact zero; 1 digit at least)."""
+    monos = graded_monomials(len(points[0]), degree)
+    rows = []
+    for pt in points:
+        if isinstance(pt[0], PAdic):
+            prec = pt[0].precision
+            if prec == INFINITY:
+                prec = max((x.precision for x in pt if x.precision != INFINITY), default=0)
+            one = PAdic.from_rational(1, pt[0].prime, prec or 1)
+        else:
+            pt, one = [Fraction(x) for x in pt], Fraction(1)
+        row = []
+        for mono in monos:
+            term = None
+            for v, e in zip(pt, mono):
+                if e:
+                    term = v**e if term is None else term * v**e
+            row.append(one if term is None else term)
+        rows.append(row)
+    return rows
+
+
+def probe_rows(points, degree):
+    """(probe, rows) where rows is the matrix relation_probe eliminated."""
+    seen = []
+
+    def capture(kernel):
+        def wrapped(rows, ncols):
+            seen.append([list(row) for row in rows])
+            return kernel(rows, ncols)
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbit_module, "_padic_kernel_basis", capture(_padic_kernel_basis))
+        patch.setattr(ratlinalg, "kernel_basis", capture(ratlinalg.kernel_basis))
+        probe = relation_probe(points, degree)
+    (rows,) = seen
+    return probe, rows
+
+
+def entry_fields(x):
+    if isinstance(x, PAdic):
+        return (x.prime, x.valuation, x.unit_digits, x.precision)
+    return (type(x), x)
+
+
+@st.composite
+def probe_inputs(draw):
+    """(points, degree): Q_p points with units, inexact and exact zeros,
+    negative valuations and unequal precisions, or rational points."""
+    nvars = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        coordinate = st.fractions(max_denominator=9).filter(lambda q: abs(q.numerator) < 50)
+        coordinate = st.one_of(coordinate, st.integers(-20, 20))
+    else:
+        p = draw(st.sampled_from([3, 5, 7]))
+        unit = st.builds(lambda v, u, n: PAdic(p, v, u, n), st.integers(-2, 3), st.integers(1, p**8), st.integers(1, 8))
+        inexact_zero = st.builds(lambda v: PAdic(p, v, 0, 0), st.integers(-2, 3))
+        coordinate = st.one_of(unit, unit, inexact_zero, st.just(PAdic.zero(p)))
+    points = draw(st.lists(st.tuples(*[coordinate] * nvars), min_size=count, max_size=count))
+    return points, degree
+
+
+class TestProbeRows:
+    """relation_probe builds each monomial from its prefix parent; the rows
+    and the kernel must equal those of per-monomial powers, entry by entry,
+    precision included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(probe_inputs())
+    @example(([(PAdic(5, 0, 7, 3), PAdic(5, 1, 2, 6))] * 2, 3))  # the first coordinate's precision is the lower
+    @example(([(PAdic(3, 1, 0, 0), PAdic(3, 0, 2, 5), PAdic(3, -1, 4, 2))], 4))  # inexact-zero first coordinate
+    @example(([(Fraction(2), Fraction(3, 5), Fraction(-7))] * 3, 3))
+    def test_rows_and_kernel_match_powers(self, case):
+        points, degree = case
+        probe, rows = probe_rows(points, degree)
+        reference = power_rows(points, degree)
+        assert [[entry_fields(x) for x in row] for row in rows] == [[entry_fields(x) for x in row] for row in reference]
+        if isinstance(points[0][0], PAdic):
+            expected = _padic_kernel_basis(reference, len(probe.monomials))
+        else:
+            expected = ratlinalg.kernel_basis(reference, len(probe.monomials))
+        assert [[entry_fields(x) for x in vec] for vec in probe.kernel] == [
+            [entry_fields(x) for x in vec] for vec in expected
+        ]
+
+    def test_exact_zero_first_coordinate(self):
+        # the constant takes the largest finite precision in the point
+        points = [(PAdic.zero(5), PAdic(5, 0, 7, 4), PAdic(5, 0, 0, 0)), (PAdic.zero(5),) * 3]
+        probe, rows = probe_rows(points, 2)
+        assert entry_fields(rows[0][0]) == (5, 0, 1, 4)
+        assert entry_fields(rows[1][0]) == (5, 0, 1, 1)
+        assert probe.rank + len(probe.kernel) == len(probe.monomials) == 10
+
+
+class TestProbePointChecks:
+    """Malformed points are refused with DomainError before any work."""
+
+    def test_shorter_point(self):
+        with pytest.raises(DomainError):
+            relation_probe([(1, 2), (3,), (5, 7), (2, 9)], 1)
+
+    def test_longer_point(self):
+        with pytest.raises(DomainError):
+            relation_probe([(1, 2), (3, 4, 5), (5, 7)], 1)
+
+    def test_negative_degree(self):
+        with pytest.raises(DomainError):
+            relation_probe([(1, 2)], -1)
+
+    def test_point_without_coordinates(self):
+        with pytest.raises(DomainError):
+            relation_probe([()], 1)
+
+    def test_fraction_in_a_padic_point(self):
+        x = PAdic.from_rational(3, 5, 8)
+        with pytest.raises(DomainError):
+            relation_probe([(x, x), (x, Fraction(1, 2))], 2)
+
+    def test_two_primes(self):
+        x, y = PAdic.from_rational(3, 5, 8), PAdic.from_rational(3, 7, 8)
+        # the check runs first, so its message, not the arithmetic's, shows
+        with pytest.raises(DomainError, match="one prime"):
+            relation_probe([(x, y)], 2)
+        # at degree 0 no arithmetic meets the second prime
+        with pytest.raises(DomainError, match="one prime"):
+            relation_probe([(x,), (y,)], 0)
+
+    def test_padic_in_a_rational_point(self):
+        with pytest.raises(DomainError):
+            relation_probe([(Fraction(1), Fraction(2)), (Fraction(3), PAdic.from_rational(3, 5, 8))], 2)
 
 
 def full_kernel_basis(rows, ncols):

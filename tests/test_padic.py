@@ -413,3 +413,39 @@ class TestStabilizingExponent:
             x = embed(b, prec=8)
             m = stabilizing_exponent(x)
             assert not padic_log(x**m).is_exact_zero() or b == 1 or (x**m - 1).is_zero()
+
+
+@st.composite
+def _row_updates(draw):
+    """(x, a, b) over one prime for the row update x - a * b: units, inexact
+    and exact zeros in each slot, valuations -3..3 and unequal precisions;
+    often x agrees with a * b in its leading digits, so the sum cancels."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    a, b = draw(_elements(p)), draw(_elements(p))
+    product = a * b
+    if product.unit_digits and draw(st.booleans()):
+        k = draw(st.integers(1, product.precision))
+        unit = product.unit_digits + p**k * draw(st.integers(0, p**8))
+        return PAdic(p, product.valuation, unit, draw(st.integers(1, 8))), a, b
+    return draw(_elements(p)), a, b
+
+
+class TestMinusProduct:
+    """x._minus_product(a, b), the fused row update, has the fields of
+    x - a * b and builds only canonical results."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_row_updates())
+    # the product's precision 2, not the larger 6, caps the sum
+    @example((PAdic(5, 0, 1, 8), PAdic(5, 0, 2, 2), PAdic(5, 0, 3, 6)))
+    # the product sits one digit above x, so its unit is shifted by p
+    @example((PAdic(5, 0, 1, 4), PAdic(5, 1, 1, 4), PAdic(5, 0, 1, 4)))
+    # an unreduced product unit 8 * 8 = 64 > 7**2, with a negative valuation
+    @example((PAdic(7, -2, 3, 5), PAdic(7, -1, 8, 2), PAdic(7, -1, 8, 3)))
+    @example((PAdic.zero(3), PAdic(3, 0, 2, 4), PAdic(3, 1, 1, 2)))  # exact zero x
+    @example((PAdic(3, 0, 2, 4), PAdic.zero(3), PAdic(3, 1, 1, 2)))  # exact zero a
+    @example((PAdic(3, 0, 2, 4), PAdic(3, 1, 1, 2), PAdic(3, 2, 0, 0)))  # inexact zero b
+    def test_equals_the_two_operations(self, case):
+        x, a, b = case
+        with checked_canonical():
+            assert _fields(x._minus_product(a, b)) == _fields(x - a * b)

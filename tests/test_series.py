@@ -355,6 +355,37 @@ class TestSharedLayers:
         assert total._layers[3] is b._layers[3]
         assert total._layers[2] is not a._layers[2] and a.layer(2) == before
 
+    def test_difference_merges_negated_coefficients(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            a, b = rand_series(rng, 2, 5, terms=8), rand_series(rng, 2, rng.randint(3, 6), terms=8)
+            diff = a - b
+            assert diff._layers == (a + (-b))._layers and diff.trunc == min(a.trunc, b.trunc)
+            assert all(type(c) is Fraction and c for lay in diff._layers.values() for c in lay.values())
+            for d in set(a._layers) - set(b._layers):
+                if d <= diff.trunc:
+                    assert diff._layers[d] is a._layers[d]
+        x, y = MultiSeries.variable(0, 2, 6), MultiSeries.variable(1, 2, 6)
+        b = x * y + y**3
+        diff = x - b
+        # a degree only the subtrahend holds is a negated copy, not its dict
+        assert diff._layers[3] == {(0, 3): -1} and b._layers[3] == {(0, 3): 1}
+        assert (b - b).is_zero() and (x - 1) == MultiSeries(2, 6, [((0, 0), -1), ((1, 0), 1)])
+
+    def test_constructor_sums_repeated_terms(self):
+        s = MultiSeries(2, 3, [
+            ((1, 0), 2), ((1, 0), Fraction(-2)), ((0, 1), 0),
+            ((1, 1), 3), ((1, 1), Fraction(1, 2)), ((0, 2), True), ((3, 1), 5),
+        ])
+        assert s._layers == {2: {(1, 1): Fraction(7, 2), (0, 2): Fraction(1)}}
+        assert all(type(c) is Fraction for lay in s._layers.values() for c in lay.values())
+
+        class Subclass(Fraction):
+            pass
+
+        (c,) = MultiSeries(1, 2, [((1,), Subclass(1, 2))])._layers[1].values()
+        assert type(c) is Fraction and c == Fraction(1, 2)
+
     def test_disjoint_sum(self):
         x, y = MultiSeries.variable(0, 2, 6), MultiSeries.variable(1, 2, 6)
         low, high = SeriesTuple([x, y]), SeriesTuple([x * y, MultiSeries.zero(2, 6)])
