@@ -520,7 +520,12 @@ class RelationProbe:
 
 
 def graded_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree <= degree, graded lexicographic."""
+    """All exponent tuples of total degree <= degree, graded lexicographic.
+
+    nvars must be at least 1; a negative degree gives no monomials.
+    """
+    if nvars < 1:
+        raise DomainError("monomials need at least one variable")
 
     def exact(prefix: tuple[int, ...], remaining: int, budget: int) -> list[tuple[int, ...]]:
         if remaining == 1:
@@ -698,6 +703,10 @@ def closure_dimension_estimate(
     turns relation directions into coordinates with multiplier +-1, whose
     sampled values are constant (or two-valued), while the independent
     directions show no relation of degree <= degree.
+
+    The independent directions are probed on their own only when there
+    are relation directions; when every direction is independent the free
+    points are the transformed points, and the one probe serves both.
     """
     lams = [Fraction(x) for x in eigenvalues]
     pt = [Fraction(x) for x in start]
@@ -740,8 +749,10 @@ def closure_dimension_estimate(
         else:  # multiplier -1: the coordinate alternates between two values
             consistent = consistent and len({abs(v) for v in values}) == 1
     if free and degree >= 1:
-        free_points = [pt_t[:free] for pt_t in transformed]
-        free_probe = relation_probe(free_points, degree)
+        if free == n:
+            free_probe = probe
+        else:
+            free_probe = relation_probe([pt_t[:free] for pt_t in transformed], degree)
         if free_probe.sufficient_points and free_probe.kernel:
             consistent = False
     estimated = lattice.rank if consistent else min(lattice.rank, n - len(probe.kernel))

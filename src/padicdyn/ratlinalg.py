@@ -1,12 +1,16 @@
 """Small exact linear algebra over the rationals: rref, kernel, det, inverse.
 
 Matrices are plain lists of lists of Fraction.  Row reduction is
-fraction-free: each row is cleared of denominators once, eliminated with
-integer row operations r_i <- (a/g) r_i - (b/g) r_piv (g = gcd(a, b)) and
-kept primitive by dividing out the gcd of its entries, and Fractions are
-formed only at the end, when each pivot row is divided by its pivot.  The
-reduced row echelon form is unique, so this gives the same rationals as
-elimination over Q without reducing a Fraction at every step.
+fraction-free and takes the rows one at a time: each row is cleared of
+denominators when it is reached, reduced against the pivot rows kept so
+far with integer row operations r <- (a/g) r - (b/g) p (g = gcd(a, b)),
+and kept primitive by dividing out the gcd of its entries.  Fractions are
+formed only at the end, when each pivot row is divided by its pivot.
+Once every column has a pivot, every later row lies in the row space, so
+elimination stops there and those rows are never read; kernel_basis,
+rank and inverse inherit this.  The reduced row echelon form is unique,
+so this gives the same rationals as elimination over Q without reducing
+a Fraction at every step.
 """
 
 from __future__ import annotations
@@ -43,37 +47,46 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    m = [_primitive_integer_row(row) for row in rows]
-    if not m:
+    """Reduced row echelon form and the pivot column indices.
+
+    Rows enter one at a time.  A row is reduced against the kept pivot
+    rows, which stay reduced against one another, so it comes out zero in
+    every pivot column.  If anything is left, its leading column becomes a
+    new pivot and is cleared from the kept rows.  Elimination stops when
+    every column has a pivot; the rows after that point are never read.
+    The echelon holds the pivot rows in column order, each divided by its
+    pivot, padded with zero rows to len(rows).
+    """
+    nrows = len(rows)
+    if not nrows:
         return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    kept: list[tuple[int, list[int]]] = []  # (pivot column, primitive row)
+    for row in rows:
+        r = _primitive_integer_row(row)
+        ncols = len(r)
+        for c, p in kept:
+            if r[c]:
+                r = _eliminated(r, p, c)
+        c = next((j for j, x in enumerate(r) if x), None)
+        if c is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        prow = m[r]
-        a = prow[c]
-        for i in range(nrows):
-            b = m[i][c]
-            if i != r and b:
-                g = gcd(a, b)
-                ag, bg = a // g, b // g
-                m[i] = _primitive([ag * x - bg * y for x, y in zip(m[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        kept = [(pc, _eliminated(p, r, c) if p[c] else p) for pc, p in kept]
+        kept.append((c, r))
+        if len(kept) == ncols:
             break
-    echelon = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    echelon += [[Fraction(0)] * ncols for _ in range(r, nrows)]
-    return echelon, pivots
+    kept.sort()  # pivot columns are distinct
+    echelon = [[Fraction(x, row[c]) for x in row] for c, row in kept]
+    echelon += [[Fraction(0)] * ncols for _ in range(len(kept), nrows)]
+    return echelon, [c for c, _ in kept]
+
+
+def _eliminated(row: list[int], prow: list[int], c: int) -> list[int]:
+    """The primitive part of a*row - b*prow with the entries at column c
+    cancelled: a = prow[c], b = row[c], both divided by their gcd."""
+    a, b = prow[c], row[c]
+    g = gcd(a, b)
+    ag, bg = a // g, b // g
+    return _primitive([ag * x - bg * y for x, y in zip(row, prow)])
 
 
 def _primitive_integer_row(row: Sequence[Fraction]) -> list[int]:

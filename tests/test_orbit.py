@@ -313,6 +313,29 @@ class TestRelationProbe:
         assert len(graded_monomials(2, 2)) == 6
         assert len(graded_monomials(3, 2)) == 10
 
+    def test_monomial_order(self):
+        # probe reports print this order as `monomials`
+        assert graded_monomials(2, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        assert graded_monomials(3, 2) == [
+            (0, 0, 0),
+            (1, 0, 0),
+            (0, 1, 0),
+            (0, 0, 1),
+            (2, 0, 0),
+            (1, 1, 0),
+            (1, 0, 1),
+            (0, 2, 0),
+            (0, 1, 1),
+            (0, 0, 2),
+        ]
+        assert graded_monomials(1, 0) == [(0,)]
+        assert graded_monomials(2, -1) == []
+
+    @pytest.mark.parametrize("nvars", [0, -1])
+    def test_monomials_need_a_variable(self, nvars):
+        with pytest.raises(DomainError):
+            graded_monomials(nvars, 2)
+
     def test_padic_points_find_relation(self):
         # orbit of (3, 3) under (2x, 4y) at p = 3: y1^2 = 3 y2 on every point
         points = []
@@ -372,6 +395,37 @@ class TestClosureDimension:
     def test_rejects_axis_point(self):
         with pytest.raises(DomainError):
             closure_dimension_estimate([Fraction(2), Fraction(3)], [0, 1], 10, 2)
+
+    @pytest.mark.parametrize(
+        "eigenvalues, degree, probes",
+        [
+            ((2, 3, 5), 4, 1),  # no relation direction: the one probe serves both
+            ((2, 3, 5), 2, 1),
+            ((2, 4, 3), 4, 2),  # 4 = 2^2: the free directions are probed apart
+        ],
+    )
+    def test_probe_count_and_explicit_free_probe(self, monkeypatch, eigenvalues, degree, probes):
+        calls = []
+
+        def counting(points, d):
+            calls.append([tuple(pt) for pt in points])
+            return relation_probe(points, d)
+
+        monkeypatch.setattr(orbit_module, "relation_probe", counting)
+        lams = [Fraction(x) for x in eigenvalues]
+        est = closure_dimension_estimate(lams, [1, 1, 1], 40, degree)
+        assert len(calls) == probes
+        transformed = calls[0]
+        assert est.probe == relation_probe(transformed, degree)
+        # the estimate with the free directions probed explicitly
+        n, free = len(lams), len(est.lattice.complement)
+        free_probe = relation_probe([pt[:free] for pt in transformed], degree)
+        consistent = all(
+            len({pt[j] if est.multipliers[j] == 1 else abs(pt[j]) for pt in transformed}) == 1
+            for j in range(free, n)
+        ) and not (free_probe.sufficient_points and free_probe.kernel)
+        estimated = est.lattice.rank if consistent else min(est.lattice.rank, n - len(est.probe.kernel))
+        assert (est.consistent, est.estimated_dimension) == (consistent, estimated)
 
 
 class TestUnionClosure:
@@ -489,6 +543,10 @@ class TestProbeRows:
     @example(([(PAdic(5, 0, 7, 3), PAdic(5, 1, 2, 6))] * 2, 3))  # the first coordinate's precision is the lower
     @example(([(PAdic(3, 1, 0, 0), PAdic(3, 0, 2, 5), PAdic(3, -1, 4, 2))], 4))  # inexact-zero first coordinate
     @example(([(Fraction(2), Fraction(3, 5), Fraction(-7))] * 3, 3))
+    # more points than monomials: elimination stops at full column rank
+    @example(([(Fraction(k, 2), Fraction(k**3, 8)) for k in range(-5, 7)], 2))
+    # tall and rank-deficient: every point lies on y = x^2
+    @example(([(Fraction(k, 3), Fraction(k * k, 9)) for k in range(-6, 6)], 2))
     def test_rows_and_kernel_match_powers(self, case):
         points, degree = case
         probe, rows = probe_rows(points, degree)
@@ -498,6 +556,8 @@ class TestProbeRows:
             expected = _padic_kernel_basis(reference, len(probe.monomials))
         else:
             expected = ratlinalg.kernel_basis(reference, len(probe.monomials))
+            # over Q the kernel vectors annihilate every row exactly
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in reference for vec in probe.kernel)
         assert [[entry_fields(x) for x in vec] for vec in probe.kernel] == [
             [entry_fields(x) for x in vec] for vec in expected
         ]

@@ -22,8 +22,9 @@ rationals = st.one_of(
 
 @st.composite
 def matrices(draw, square=False):
-    """Rational matrices, tall, wide or square, with dependent and zero rows."""
-    nrows = draw(st.integers(1, 6))
+    """Rational matrices, tall (up to 12 rows), wide or square (up to 6
+    columns), with dependent and zero rows."""
+    nrows = draw(st.integers(1, 6 if square else 12))
     ncols = nrows if square else draw(st.integers(1, 6))
     rank = draw(st.integers(0, min(nrows, ncols)))
     basis = [draw(st.lists(rationals, min_size=ncols, max_size=ncols)) for _ in range(rank)]
@@ -99,3 +100,29 @@ class TestAgainstSympy:
         assert ratlinalg.kernel_basis([], 2) == [[1, 0], [0, 1]]
         assert ratlinalg.inverse([]) == []
         assert ratlinalg.det([]) == sympy.Matrix([]).det() == 1
+
+
+class UnreadableRow:
+    """A row that fails the test if rref reads it."""
+
+    def __iter__(self):
+        raise AssertionError("a row after full column rank was read")
+
+
+class TestFullColumnRankStop:
+    """Once every column has a pivot, the remaining rows are never read."""
+
+    def test_rows_after_full_rank_are_not_read(self):
+        rows = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+        rows += [UnreadableRow(), UnreadableRow()]
+        echelon, pivots = ratlinalg.rref(rows)
+        assert pivots == [0, 1]
+        assert echelon == [[1, 0], [0, 1], [0, 0], [0, 0], [0, 0]]
+        assert_exact(echelon)
+        assert ratlinalg.rank(rows) == 2
+        assert ratlinalg.kernel_basis(rows) == []
+
+    def test_dependent_rows_are_read_until_full_rank(self):
+        rows = [[Fraction(1), Fraction(2)], [Fraction(-2), Fraction(-4)], [Fraction(1, 2), Fraction(3)], UnreadableRow()]
+        echelon, pivots = ratlinalg.rref(rows)
+        assert (echelon, pivots) == ([[1, 0], [0, 1], [0, 0], [0, 0]], [0, 1])
