@@ -28,7 +28,7 @@ from .arith import (
     is_prime,
 )
 from .errors import DomainError, IrrationalEigenvalueError
-from .series import MultiSeries, SeriesTuple
+from .series import MultiSeries, SeriesTuple, _DiagonalPowers, graded_monomials
 
 
 class Resonance(NamedTuple):
@@ -145,19 +145,20 @@ def jacobian_at_origin(f: AnalyticMap | SeriesTuple) -> list[list[Fraction]]:
     return comps.linear_matrix()
 
 
-def _char_poly(m: ratlinalg.Matrix) -> list[Fraction]:
-    """Monic characteristic polynomial, constant coefficient first."""
+def _char_poly(m: list[list], mat_mul) -> list:
+    """Monic characteristic polynomial, constant coefficient first, by the
+    Faddeev-LeVerrier recursion a_k = -tr(M_k) / k, M_(k+1) = m (M_k + a_k)
+    over any commutative ring containing Q (rationals, or series along a
+    fixed locus) whose matrix product is mat_mul; the leading 1 is a Fraction."""
     n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [row[:] for row in m]
-    a = Fraction(1)
+    coeffs = [Fraction(1)]
+    mk = m
     for k in range(1, n + 1):
         if k > 1:
-            mk = ratlinalg.mat_mul(m, [[mk[i][j] + (a if i == j else 0) for j in range(n)] for i in range(n)])
-        a = -sum(mk[i][i] for i in range(n)) / k
-        coeffs[n - k] = a
-    return coeffs
+            mk = mat_mul(m, [[x + a if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mk)])
+        a = sum((mk[i][i] for i in range(1, n)), mk[0][0]) * Fraction(-1, k)
+        coeffs.append(a)
+    return coeffs[::-1]
 
 
 def _rational_roots_monic(coeffs: list[Fraction]) -> list[Fraction] | None:
@@ -229,7 +230,7 @@ def rational_eigenvalues(matrix: Sequence[Sequence[Fraction]]) -> EigenData:
     n = len(m)
     if any(len(row) != n for row in m):
         raise DomainError("eigenvalues of a non-square matrix")
-    roots = _rational_roots_monic(_char_poly(m))
+    roots = _rational_roots_monic(_char_poly(m, ratlinalg.mat_mul))
     if roots is None:
         raise IrrationalEigenvalueError(
             "characteristic polynomial has no full set of rational roots"
@@ -249,10 +250,15 @@ def rational_eigenvalues(matrix: Sequence[Sequence[Fraction]]) -> EigenData:
 
 
 def enumerate_resonances(
-    eigenvalues: Sequence[Fraction], r: int, max_degree: int
+    eigenvalues: "Sequence[Fraction] | _DiagonalPowers", r: int, max_degree: int
 ) -> list[Resonance]:
-    """All (I, j) with lambda^I = lambda_j, I over tail variables, 2 <= |I| <= max_degree."""
-    lams = [Fraction(x) for x in eigenvalues]
+    """All (I, j) with lambda^I = lambda_j, I over tail variables, 2 <= |I| <= max_degree.
+
+    lambda^I is the power of (0, ..., 0) + I in a _DiagonalPowers table of
+    the eigenvalues; a table passed in is read and grown in place.
+    """
+    table = _DiagonalPowers.of(eigenvalues)
+    lams = table.factors
     n = len(lams)
     if not 0 <= r <= n:
         raise DomainError("fixed-locus dimension out of range")
@@ -260,24 +266,14 @@ def enumerate_resonances(
         raise DomainError("the first r eigenvalues must equal one")
     if any(x == 0 for x in lams):
         raise DomainError("eigenvalues must be nonzero")
-    tail = lams[r:]
+    t = n - r
+    if not t:
+        return []
+    head = (0,) * r
     out = []
-    # (I, lambda^I, last variable of I) over the tail monomials of one degree;
-    # each monomial of the next degree is I + e_j with j >= last(I), once,
-    # and its power is its prefix parent's power times lambda_j
-    level = [((0,) * len(tail), Fraction(1), 0)]
-    for degree in range(1, max_degree + 1):
-        level = [
-            (exps[:j] + (exps[j] + 1,) + exps[j + 1 :], value * tail[j], j)
-            for exps, value, last in level
-            for j in range(last, len(tail))
-        ]
-        if degree < 2:
-            continue
-        for exps, value, _ in level:
-            for j, lam in enumerate(lams):
-                if value == lam:
-                    out.append(Resonance(exps, j))
+    for tail in graded_monomials(t, max_degree)[1 + t :]:
+        value = table.power(head + tail)
+        out.extend(Resonance(tail, j) for j, lam in enumerate(lams) if value == lam)
     out.sort(key=lambda res: (sum(res.monomial), res.monomial, res.component))
     return out
 

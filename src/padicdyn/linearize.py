@@ -31,11 +31,12 @@ nor its diagonal substitution is formed.
 
 Each run builds one table of the eigenvalue powers lambda^I
 (series._DiagonalPowers), filled from prefix parents,
-lambda^I = lambda^(I - e_last(I)) lambda_last, as the power table of a
-composition is.  The table stands in for the eigenvalue sequence and is
-handed down wherever the eigenvalues go, so the divisors of every
-homological solve, the diagonal substitutions h o Lambda of the residuals
-and the final check all read the same powers.
+lambda^I = lambda^(I - e_last(I)) lambda_last, by the chain walk of the
+power table of a composition.  The table stands in for the eigenvalue
+sequence and is handed down wherever the eigenvalues go, so the divisors
+of every homological solve, the diagonal substitutions h o Lambda of the
+residuals, the resonance search before h^(-1) and the final check all read
+the same powers, each formed once.
 
 Before iterating, the map is rescaled by the smallest power of the working
 prime that makes the nonlinearity p-adically small; the conjugacy is
@@ -86,6 +87,7 @@ from .arith import check_odd_prime, fraction_valuation, int_valuation, prime_sup
 from .dynamics import (
     AnalyticMap,
     DiophantineParams,
+    _char_poly,
     _rational_roots_monic,
     choose_prime,
     enumerate_resonances,
@@ -788,15 +790,14 @@ def _transverse_linear_blocks(
     return block(range(r)), block(range(r, n))
 
 
-def diagonalize_normal_part(
-    f: AnalyticMap, tail_eigenvalues: Sequence[Fraction] | None = None
-) -> tuple[AnalyticMap, SeriesTuple]:
+def diagonalize_normal_part(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
     """Diagonalize the transverse linear block with locus-dependent coordinates.
 
     Requires the head-tail coupling already removed.  The block must be
     semisimple with constant eigenvalues along the locus: the
-    characteristic polynomial is computed over the series ring and must
-    have constant coefficients, and the interpolation projectors
+    characteristic polynomial is computed over the series ring, by the
+    trace recursion of dynamics._char_poly, and must have constant
+    coefficients, and the interpolation projectors
     p_i = prod_{lambda_j != lambda_i} (a'' - lambda_j) / (lambda_i - lambda_j)
     must resolve the identity.  Their columns assemble the coordinate
     change, linear in the transverse variables.
@@ -817,19 +818,15 @@ def diagonalize_normal_part(
         ]
         for i in range(t)
     ]
-    char = _series_char_poly(block, trunc)
-    const_coeffs = []
-    for coeff_series in char:
+    *lower, lead = _char_poly(block, lambda a, b: _series_matrix_mul(a, b, trunc))
+    for coeff_series in lower:
         if not coeff_series.substitute_zero(range(n)).agrees_through(coeff_series, trunc):
             raise EigenvalueVariationError(
                 "transverse eigenvalues vary along the fixed locus"
             )
-        const_coeffs.append(coeff_series.constant_term())
-    roots = _rational_roots(const_coeffs)
+    roots = _rational_roots_monic([c.constant_term() for c in lower] + [lead])
     if roots is None:
         raise IrrationalEigenvalueError("transverse eigenvalues are not rational")
-    if tail_eigenvalues is not None and sorted(roots) != sorted(Fraction(x) for x in tail_eigenvalues):
-        raise DomainError("declared transverse eigenvalues do not match the block")
     block_const = [[block[i][j].constant_term() for j in range(t)] for i in range(t)]
     collected: list[tuple[int, Fraction, list[Fraction]]] = []
     for lam in sorted(set(roots)):
@@ -907,34 +904,6 @@ def _conjugate_series_matrix(block, cmat, cinv, trunc):
     left = [[MultiSeries.constant(cinv[i][j], n, trunc) for j in range(t)] for i in range(t)]
     right = [[MultiSeries.constant(cmat[i][j], n, trunc) for j in range(t)] for i in range(t)]
     return _series_matrix_mul(_series_matrix_mul(left, block, trunc), right, trunc)
-
-
-def _series_char_poly(block: list[list[MultiSeries]], trunc: int) -> list[MultiSeries]:
-    """Characteristic polynomial coefficients (constant term first) over the
-    series ring, by the trace recursion."""
-    t = len(block)
-    n = block[0][0].nvars
-    coeffs = [MultiSeries.zero(n, trunc) for _ in range(t + 1)]
-    coeffs[t] = MultiSeries.one(n, trunc)
-    mk = [row[:] for row in block]
-    a = MultiSeries.zero(n, trunc)
-    for k in range(1, t + 1):
-        if k > 1:
-            shifted = [
-                [mk[i][j] + (a if i == j else MultiSeries.zero(n, trunc)) for j in range(t)]
-                for i in range(t)
-            ]
-            mk = _series_matrix_mul(block, shifted, trunc)
-        trace = sum((mk[i][i] for i in range(t)), MultiSeries.zero(n, trunc))
-        a = trace.scale(Fraction(-1, k))
-        coeffs[t - k] = a
-    return coeffs
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    return _rational_roots_monic(monic)
 
 
 def _verify_projectors(m1, projectors, ordered, nvars, trunc):

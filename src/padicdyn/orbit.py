@@ -43,7 +43,7 @@ from .errors import (
     TorsionError,
 )
 from .padic import INFINITY, PAdic, _canonical, padic_log, stabilizing_exponent
-from .series import MultiSeries
+from .series import MultiSeries, _parent, graded_monomials
 
 
 @dataclass(frozen=True)
@@ -519,28 +519,6 @@ class RelationProbe:
         return ratlinalg.rank(rows + [vec]) == before
 
 
-def graded_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree <= degree, graded lexicographic.
-
-    nvars must be at least 1; a negative degree gives no monomials.
-    """
-    if nvars < 1:
-        raise DomainError("monomials need at least one variable")
-
-    def exact(prefix: tuple[int, ...], remaining: int, budget: int) -> list[tuple[int, ...]]:
-        if remaining == 1:
-            return [prefix + (budget,)]
-        block: list[tuple[int, ...]] = []
-        for e in range(budget, -1, -1):
-            block.extend(exact(prefix + (e,), remaining - 1, budget - e))
-        return block
-
-    out: list[tuple[int, ...]] = []
-    for d in range(degree + 1):
-        out.extend(sorted(exact((), nvars, d), reverse=True))
-    return out
-
-
 def relation_probe(points: Sequence[Sequence], degree: int) -> RelationProbe:
     """Exact kernel of polynomial relations of degree <= degree on the points.
 
@@ -561,10 +539,11 @@ def relation_probe(points: Sequence[Sequence], degree: int) -> RelationProbe:
     point's first coordinate; when that is an exact zero, at the largest
     finite precision in the point; and at 1 digit when that precision is
     0 or there is none.  The degree-1 entries are the coordinates, and each
-    later monomial I is one product, row[I - e_j] * x_j with j the last
-    variable in I.  A p-adic product of units reduces modulo the smallest
-    precision and adds valuations, so every order of the factors gives the
-    fields of the product of powers.
+    later monomial I is one product, row[I - e_j] * x_j with (j, I - e_j)
+    from series._parent; graded_monomials lists I - e_j before I, so that
+    entry is already in the row.  A p-adic product of units reduces modulo
+    the smallest precision and adds valuations, so every order of the
+    factors gives the fields of the product of powers.
     """
     if not points:
         raise DomainError("need at least one point")
@@ -587,8 +566,8 @@ def relation_probe(points: Sequence[Sequence], degree: int) -> RelationProbe:
     # (prefix parent, variable) of each monomial above degree 1
     steps = []
     for mono in monos[1 + nvars :]:
-        j = max(i for i, e in enumerate(mono) if e)
-        steps.append((index[mono[:j] + (mono[j] - 1,) + mono[j + 1 :]], j))
+        j, parent = _parent(mono)
+        steps.append((index[parent], j))
     rows = []
     for pt in points:
         if padic_mode:
@@ -813,7 +792,10 @@ def union_closure_compare(
             current = f.components.eval(current)
     probe1 = relation_probe(union1, degree)
     probe2 = relation_probe(union2, degree)
-    equal = _same_row_space(probe1.kernel, probe2.kernel)
+    # kernel_basis reads each basis off the reduced echelon form of the rows,
+    # over the same monomials on both sides, so kernels that span one space
+    # are equal tuples
+    equal = probe1.kernel == probe2.kernel
     return UnionClosureComparison(
         equal=equal,
         first=probe1,
@@ -821,15 +803,3 @@ def union_closure_compare(
         indices_first=tuple(s1),
         indices_second=tuple(s2),
     )
-
-
-def _same_row_space(a: tuple[tuple[Fraction, ...], ...], b: tuple[tuple[Fraction, ...], ...]) -> bool:
-    if not a and not b:
-        return True
-    if bool(a) != bool(b):
-        return False
-    ra = ratlinalg.rref([list(v) for v in a])[0]
-    rb = ratlinalg.rref([list(v) for v in b])[0]
-    ra = [row for row in ra if any(row)]
-    rb = [row for row in rb if any(row)]
-    return ra == rb

@@ -29,6 +29,15 @@ each coefficient by lambda^I, read from a table of those powers
 (_DiagonalPowers) that callers may share between substitutions.  All are
 exact.
 
+Every monomial walk of the package takes one step, from a nonzero
+monomial I to its prefix parent I - e_j with j the last variable of I
+(_parent).  Both power tables build an entry from its prefix parent's
+entry; when a single power is asked for, one chain walk (_chained) goes
+down to a kept entry and builds the missing ones upwards.
+graded_monomials lists the monomials by degree, each after its prefix
+parent; the relation probes of orbit and the resonance search of
+dynamics run over it.
+
 Gauss norms sup |a_I|_p rho^|I| are returned as exact data: the p-adic
 valuation of the extremal coefficient, its degree, and the norm value as a
 rational.  They accept any prime, including 2, since no series expansion
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm, prod
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -555,18 +565,48 @@ def _parent(exps: Exponents) -> tuple[int, Exponents]:
     return j, exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
 
 
+def graded_monomials(nvars: int, degree: int) -> list[Exponents]:
+    """All exponent tuples of total degree <= degree, by degree and then in
+    descending lexicographic order (the order of their sorted variable
+    lists), so each prefix parent comes first.  nvars must be at least 1;
+    a negative degree gives no monomials.
+    """
+    if nvars < 1:
+        raise DomainError("monomials need at least one variable")
+    return [
+        tuple(chosen.count(i) for i in range(nvars))
+        for d in range(degree + 1)
+        for chosen in combinations_with_replacement(range(nvars), d)
+    ]
+
+
+def _chained(entries: dict, exps: Exponents, step):
+    """entries[I], building it and its missing prefix parents upwards from
+    the nearest kept one, each as step(j, entries[I - e_j]) with j the last
+    variable of I, and keeping them."""
+    chain = []
+    while exps not in entries:
+        j, lower = _parent(exps)
+        chain.append((exps, j))
+        exps = lower
+    value = entries[exps]
+    for mono, j in reversed(chain):
+        value = step(j, value)
+        entries[mono] = value
+    return value
+
+
 class _DiagonalPowers:
     """The monomial powers lambda^I of the factors of a diagonal map
     x_i -> lambda_i x_i, each built on first use and then kept.
 
     It stands in for the factor sequence: len, indexing and iteration give
     the lambda_i as Fractions, so one table can be handed wherever the
-    eigenvalues go.  SeriesTuple.compose_diagonal and
-    linearize.solve_homological read lambda^I from it with power.  An entry
-    is built as lambda^I = lambda^(I - e_j) lambda_j with j the last
-    variable of I, as _PowerTable builds inner^I: a missing chain of prefix
-    parents is walked down to a kept entry and built upwards, one Fraction
-    product per new entry.
+    eigenvalues go.  SeriesTuple.compose_diagonal,
+    linearize.solve_homological and dynamics.enumerate_resonances read
+    lambda^I from it with power.  An entry is built by _chained as
+    lambda^I = lambda^(I - e_j) lambda_j with j the last variable of I, as
+    _PowerTable builds inner^I: one Fraction product per new entry.
     """
 
     __slots__ = ("factors", "entries")
@@ -591,19 +631,9 @@ class _DiagonalPowers:
 
     def power(self, exps: Exponents) -> Fraction:
         """lambda^I for an exponent tuple I with one entry per factor."""
-        entries = self.entries
-        value = entries.get(exps)
-        if value is not None:
-            return value
-        chain = []
-        while exps not in entries:
-            j, lower = _parent(exps)
-            chain.append((exps, j))
-            exps = lower
-        value = entries[exps]
-        for mono, j in reversed(chain):
-            value = value * self.factors[j]
-            entries[mono] = value
+        value = self.entries.get(exps)
+        if value is None:
+            value = _chained(self.entries, exps, lambda j, lower: lower * self.factors[j])
         return value
 
 
@@ -641,35 +671,27 @@ class _PowerTable:
         """A common denominator of the products c_I inner^I over terms."""
         return lcm(1, *(c.denominator * self.den(exps) for exps, c in terms))
 
-    def _step(self, exps: Exponents, low: int = 0) -> _Packed:
-        """inner^I in the degrees >= low, from the entry of its prefix parent."""
-        j, lower = _parent(exps)
-        product = _convolve(self.entries[lower], self.factors[j], self.trunc, low)
+    def _step(self, j: int, parent: _Packed, low: int = 0) -> _Packed:
+        """inner^I in the degrees >= low, from the entry of its prefix
+        parent I - e_j."""
+        product = _convolve(parent, self.factors[j], self.trunc, low)
         return {d: list(lay.items()) for d, lay in product.items()}
 
-    def extend(self, monomials: Iterable[Exponents], low: int = 0, parents: Container[Exponents] = ()) -> None:
+    def extend(self, monomials: Iterable[Exponents], low: int, parents: Container[Exponents]) -> None:
         """Move the table up one degree, to the entries of the given monomials.
 
         An entry that is not in parents (no later entry is built from it) is
         read only by combine, so it is formed in the degrees >= low alone.
         """
-        self.entries = {exps: self._step(exps, 0 if exps in parents else low) for exps in monomials}
+        below = self.entries
+        self.entries = {}
+        for exps in monomials:
+            j, lower = _parent(exps)
+            self.entries[exps] = self._step(j, below[lower], 0 if exps in parents else low)
 
     def power(self, exps: Exponents) -> _Packed:
-        """The entry inner^I, built on first use and then kept.
-
-        A missing entry is built from its prefix parent I - e_last(I); the
-        chain of missing parents is walked down to a kept entry first and
-        then built upwards, so no recursion is needed.
-        """
-        missing = []
-        lower = exps
-        while lower not in self.entries:
-            missing.append(lower)
-            lower = _parent(lower)[1]
-        for mono in reversed(missing):
-            self.entries[mono] = self._step(mono)
-        return self.entries[exps]
+        """The entry inner^I, built by _chained on first use and then kept."""
+        return _chained(self.entries, exps, self._step)
 
     def combine(self, terms: dict[Exponents, Fraction], common: int, acc: _Sums, low: int = 0) -> None:
         """Add common * sum_I c_I inner^I over terms of the current degree,

@@ -12,6 +12,7 @@ from padicdyn.arith import factorize, int_valuation
 from padicdyn.dynamics import (
     AnalyticMap,
     Resonance,
+    _char_poly,
     _rational_roots_monic,
     choose_prime,
     enumerate_resonances,
@@ -22,7 +23,8 @@ from padicdyn.dynamics import (
     symplectic_scaling_check,
 )
 from padicdyn.errors import DomainError, IrrationalEigenvalueError
-from padicdyn.series import MultiSeries, SeriesTuple
+from padicdyn.linearize import _series_matrix_mul
+from padicdyn.series import MultiSeries, SeriesTuple, _DiagonalPowers, graded_monomials
 
 
 def poly_map(component_terms, trunc, r=0):
@@ -150,6 +152,43 @@ class TestResonances:
     def test_requires_unit_head(self):
         with pytest.raises(DomainError):
             enumerate_resonances([2, 3], 1, 4)
+
+    def test_resonance_with_a_fixed_direction(self):
+        # the tail is (4, 2): lambda^(0, 2) = 2^2 = 4 = lambda_1
+        assert enumerate_resonances([1, 4, 2], 1, 3) == [Resonance((0, 2), 1)]
+
+    def test_all_fixed_has_no_tail(self):
+        assert enumerate_resonances([1, 1], 2, 5) == []
+
+    def test_matches_brute_force_with_fixed_directions_randomized(self):
+        rng = random.Random(1717)
+        pool = [-4, -2, -1, 2, 3, 4, 8, 9, Fraction(1, 2), Fraction(1, 4), Fraction(-1, 2)]
+        for _ in range(60):
+            r = rng.choice([1, 2])
+            lams = [Fraction(1)] * r + [Fraction(rng.choice(pool)) for _ in range(rng.randint(0, 3))]
+            degree = rng.randint(-1, 6)
+            assert enumerate_resonances(lams, r, degree) == brute_force_resonances(lams, r, degree)
+
+    def test_a_table_passed_in_is_read_and_grown(self):
+        rng = random.Random(1718)
+        pool = [-2, 2, 3, 4, Fraction(1, 2), Fraction(-1, 4)]
+        for _ in range(20):
+            r = rng.randint(0, 2)
+            lams = [Fraction(1)] * r + [Fraction(rng.choice(pool)) for _ in range(rng.randint(1, 3))]
+            table = _DiagonalPowers(lams)
+            table.power((0,) * r + (1,) * (len(lams) - r))  # an entry built before
+            before = dict(table.entries)
+            got = enumerate_resonances(table, r, 5)
+            assert got == enumerate_resonances(lams, r, 5)
+            # every entry built before is kept, and the tail monomials of
+            # degree 2..5 are now entries with their true powers
+            assert before.items() <= table.entries.items()
+            for tail in graded_monomials(len(lams) - r, 5)[1 + len(lams) - r :]:
+                exps = (0,) * r + tail
+                value = Fraction(1)
+                for lam, e in zip(lams, exps):
+                    value *= lam**e
+                assert table.entries[exps] == value
 
 
 class TestRelationLattice:
@@ -327,3 +366,38 @@ class TestAgainstSympy:
             [Fraction(3, 2), Fraction(-3), Fraction(0), Fraction(-1, 2), Fraction(1)],
         ):
             assert _rational_roots_monic(monic) is None
+
+
+def random_rational_matrix(rng, n):
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+
+
+class TestCharPoly:
+    """The one trace recursion, over Q and over truncated series."""
+
+    def test_matches_sympy_charpoly(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1719)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            m = random_rational_matrix(rng, n)
+            reference = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
+            coeffs = reference.charpoly(sympy.Symbol("x")).all_coeffs()
+            expected = [Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]
+            assert _char_poly(m, ratlinalg.mat_mul) == expected
+
+    def test_series_instance_on_constant_series(self):
+        rng = random.Random(1720)
+        nvars, trunc = 2, 3
+        for _ in range(10):
+            n = rng.randint(1, 4)
+            m = random_rational_matrix(rng, n)
+            block = [[MultiSeries.constant(x, nvars, trunc) for x in row] for row in m]
+            *lower, lead = _char_poly(block, lambda a, b: _series_matrix_mul(a, b, trunc))
+            over_q = _char_poly(m, ratlinalg.mat_mul)
+            assert lead == over_q[-1] == 1
+            assert lower == [MultiSeries.constant(c, nvars, trunc) for c in over_q[:-1]]
+
+    def test_diagonal_block(self):
+        # (x - 2)(x + 3) = x^2 + x - 6
+        assert _char_poly([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(-3)]], ratlinalg.mat_mul) == [-6, 1, 1]

@@ -4,8 +4,10 @@ float except for padic.INFINITY, every entry point the benchmark tracer
 wraps still exists, shared series layers are never changed in place, only
 known call sites build p-adics through the unchecked constructor, and only
 the series code that builds, grows and decodes the integer view reads the
-packed exponent key layout, and no library function keeps process-wide
-state in a module-level container except the odd-prime memo of arith."""
+packed exponent key layout, no library function keeps process-wide
+state in a module-level container except the odd-prime memo of arith, and
+only series._parent finds the last variable of a monomial, the step of
+every prefix-parent walk."""
 
 import ast
 import importlib
@@ -500,4 +502,62 @@ def cached(x):
         ("reset", "CACHE", 33),
         ("reset", "CACHE", 34),
         ("reset", "NAMES", 31),
+    ]
+
+
+# every monomial walk steps from I to its prefix parent I - e_last(I)
+# through series._parent (series module docstring), so the last-variable
+# search max(i for i, e in enumerate(I) if e) is written there alone
+LAST_VARIABLE_SITES = {("series.py", "_parent")}
+
+
+def last_variable_searches(tree):
+    """(function, line) of each max(...) over a comprehension of enumerate
+    with a condition, such as max(i for i, e in enumerate(exps) if e);
+    module-level ones are reported as <module>."""
+    owner = {}
+    for function_name, function in functions(tree):
+        for node in ast.walk(function):
+            owner[id(node)] = function_name
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "max"):
+            continue
+        for arg in node.args:
+            if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
+                for gen in arg.generators:
+                    it = gen.iter
+                    if gen.ifs and isinstance(it, ast.Call) and isinstance(it.func, ast.Name) and it.func.id == "enumerate":
+                        yield owner.get(id(node), "<module>"), node.lineno
+
+
+def test_the_last_variable_is_found_only_in_parent():
+    found = {
+        (path.name, function)
+        for path in MODULES
+        for function, _ in last_variable_searches(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == LAST_VARIABLE_SITES
+
+
+def test_the_guard_sees_a_last_variable_search():
+    source = """
+def _parent(exps):
+    j = max(i for i, e in enumerate(exps) if e)
+    return j
+
+
+class Probe:
+    def steps(self, monos):
+        return [max([i for i, e in enumerate(m) if e > 0]) for m in monos]
+
+
+LAST = max(k for k, x in enumerate((0, 1)) if x)
+top = max(e for e in (1, 2))
+first = next(i for i, e in enumerate((0, 1)) if e)
+widest = max(i for i, e in enumerate((0, 1)))
+"""
+    assert sorted(last_variable_searches(ast.parse(source))) == [
+        ("<module>", 12),
+        ("Probe.steps", 9),
+        ("_parent", 3),
     ]

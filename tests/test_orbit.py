@@ -455,12 +455,46 @@ class TestUnionClosure:
         cmp = union_closure_compare(f, sample, range(0, 30, 2), range(1, 30, 2), 2)
         assert cmp.equal
 
+    def test_fewer_points_leave_a_larger_kernel(self):
+        # (2^k, 3^k) for k = 0, 1 meet 4 of the 6 quadratic relations; from
+        # 6 points on, 1, 2^k, 3^k, 4^k, 6^k and 9^k are independent
+        f = build_map([[((1, 0), 2)], [((0, 1), 3)]], 4)
+        cmp = union_closure_compare(f, [(Fraction(1), Fraction(1))], range(2), range(10), 2)
+        assert not cmp.equal
+        assert len(cmp.first.kernel) == 4 and cmp.second.kernel == ()
+
+    def test_kernel_equality_is_row_space_equality_randomized(self):
+        rng = random.Random(1721)
+        maps = [(2, 3), (2, 4), (3, 9), (2, 8), (4, 2), (3, 3)]
+        outcomes = set()
+        for _ in range(40):
+            a, b = rng.choice(maps)
+            f = build_map([[((1, 0), a)], [((0, 1), b)]], 4)
+            sample = [(Fraction(1), Fraction(rng.randint(1, 3))) for _ in range(rng.randint(1, 2))]
+            first = rng.sample(range(12), rng.randint(1, 8))
+            second = rng.sample(range(12), rng.randint(1, 8))
+            cmp = union_closure_compare(f, sample, first, second, 2)
+            assert cmp.equal == same_row_space(cmp.first.kernel, cmp.second.kernel)
+            outcomes.add((cmp.equal, bool(cmp.first.kernel)))
+        # equal and unequal spans both occur, equal ones with a nonzero kernel
+        assert {(True, True), (False, True)} <= outcomes
+
     def test_genuine_torsion_changes_closure(self):
         # multipliers (2, -2): even iterates live on y1 = y2 lines, odd on
         # y1 = -y2; the corollary genuinely fails, detected as torsion
         f = build_map([[((1, 0), 2)], [((0, 1), -2)]], 4)
         with pytest.raises(TorsionError):
             union_closure_compare(f, [(1, 1)], range(0, 10, 2), range(1, 10, 2), 2)
+
+
+def same_row_space(a, b):
+    """Whether two kernel bases span the same space, by their reduced
+    echelon forms."""
+    if not a or not b:
+        return not a and not b
+    ra = [row for row in ratlinalg.rref([list(v) for v in a])[0] if any(row)]
+    rb = [row for row in ratlinalg.rref([list(v) for v in b])[0] if any(row)]
+    return ra == rb
 
 
 def power_rows(points, degree):

@@ -19,6 +19,7 @@ from padicdyn.series import (
     _mul,
     _parent,
     gauss_norm,
+    graded_monomials,
     in_subspace_ar,
     invert_tuple,
 )
@@ -720,6 +721,25 @@ class TestDiagonalPowers:
         out = tup.compose_diagonal(_DiagonalPowers([5, 0]))
         assert dict(out[0].terms()) == {(1, 0): Fraction(5)}
         assert out[0].lowest_degree() == out[0].degree() == 1
+
+
+class TestGradedMonomials:
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_matches_a_sorted_brute_force(self, nvars):
+        for degree in range(-1, 7):
+            expected = sorted(
+                (e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree),
+                key=lambda e: (sum(e), [-x for x in e]),
+            )
+            assert graded_monomials(nvars, degree) == expected
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_every_prefix_parent_comes_first(self, nvars):
+        # relation_probe builds each row entry from the one of its parent
+        monos = graded_monomials(nvars, 6)
+        position = {mono: i for i, mono in enumerate(monos)}
+        for i, mono in enumerate(monos[1:], 1):
+            assert position[_parent(mono)[1]] < i
 
 
 def _product(lams, exps):
