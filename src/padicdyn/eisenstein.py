@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .arith import prime_support
 from .errors import DivisionFailureError, DomainError
-from .series import MultiSeries, SeriesTuple, _inverse_from, _mul
+from .series import MultiSeries, SeriesTuple, _inverse_from, _is_int, _mul
 
 Exponents = tuple[int, ...]
 
@@ -58,12 +58,14 @@ class XPolynomial:
         self.nvars = nvars
         cleaned: dict[int, dict[Exponents, Fraction]] = {}
         for k, poly in coeffs.items():
+            if not _is_int(k) or k < 0:
+                raise DomainError(f"bad X-power {k!r}")
             entries = {tuple(e): Fraction(c) for e, c in poly.items() if c}
             for e in entries:
-                if len(e) != nvars or any(x < 0 for x in e):
+                if len(e) != nvars or not all(_is_int(x) and x >= 0 for x in e):
                     raise DomainError(f"bad exponent tuple {e}")
             if entries:
-                cleaned[int(k)] = entries
+                cleaned[k] = entries
         if not cleaned:
             raise DomainError("zero polynomial")
         self.coeffs = cleaned
@@ -73,7 +75,7 @@ class XPolynomial:
         """Terms given as (x-exponents, X-power, coefficient)."""
         coeffs: dict[int, dict[Exponents, Fraction]] = {}
         for exps, xpow, c in terms:
-            poly = coeffs.setdefault(int(xpow), {})
+            poly = coeffs.setdefault(xpow, {})
             key = tuple(exps)
             poly[key] = poly.get(key, Fraction(0)) + Fraction(c)
         return cls(nvars, coeffs)
@@ -285,8 +287,8 @@ def _pivot_induction(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
     low = d + s forms layer d + s alone, the same as in a full evaluation,
     so a step costs about one layer of each product instead of the whole
     series.  phi grows by its new layer without copying (MultiSeries._grown):
-    the old layer dicts are shared, and its cached integer view grows with
-    it instead of being rebuilt.
+    the old layer dicts are shared with their graded-view entries, so each
+    step packs its new layer alone instead of rebuilding the view.
     """
     s = spec.vanishing_order
     divisor = _derivative_layer(spec.relation, spec.seed, s)

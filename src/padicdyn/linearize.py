@@ -60,9 +60,10 @@ powers f^I of degree d.  series._LayerStream keeps this remainder: it reads
 the one composition engine of the series module, a table of the powers f^I
 that every layer and component shares, builds a power f^I only when a
 kappa_d has the monomial I (from f^(I - e_last(I)), and keeps it), and
-holds the remainder as integer sums with one denominator per degree, so
-only the layer being solved is turned into Fractions.  Since the kappa_d
-hold disjoint degrees, k is assembled from them without a series sum.
+holds the remainder as integer sums, grouped by denominator within each
+degree, so only the layer being solved is turned into Fractions.  Since
+the kappa_d hold disjoint degrees, k is assembled from them without a
+series sum.
 Every other substitution here (the residuals f o h and the reversion
 below) reads the same engine through SeriesTuple.compose.
 If any resonance lambda^I = lambda_j exists up to the working degree, that

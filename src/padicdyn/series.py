@@ -6,19 +6,28 @@ monomials above the truncation degree are discarded, and every arithmetic
 operation truncates at the minimum truncation degree of its operands, so
 precision can only shrink, never silently grow.
 
-Each series caches one integer view: its coefficients over one common
-denominator, each exponent tuple packed once into an integer key with
-exponent i in the 16-bit field at bit 16 i.  Keys add carry-free below
-2**16, the cap on every truncation degree, so products convolve the views
-as they are; a square (both operands the same object) visits each
-unordered pair of terms once.  Composition sums
+Each series caches one graded integer view: per layer, one denominator,
+the lcm of that layer's coefficient denominators, and the numerators over
+it, each exponent tuple packed once into an integer key with exponent i in
+the 16-bit field at bit 16 i.  A layer's entry depends on that layer alone,
+so a series that shares layer dicts with another (truncated, as_polynomial,
+_grown, the one-operand degrees of a sum) shares their entries too.  Keys
+add carry-free below 2**16, the cap on every truncation degree, so products
+convolve the views as they are; a square (both operands the same object)
+visits each unordered pair of terms once.  A product is formed one output
+degree at a time: its term products are summed in groups, one per product
+of the operands' layer denominators, and the groups are merged once over
+their lcm (_merge) before the next degree, so a low layer is never
+multiplied at the width of a high one.  Composition sums
 c_I inner^I over one table of the inner map's monomial powers
-(_PowerTable), kept in integers.  It serves one substitution
-(SeriesTuple.compose), which walks the table up one degree at a time over
-the powers its outer map reads, and a stream of homogeneous layers
-(_LayerStream), which builds a power when a layer first reads it and keeps
-its running sum in integers, one denominator per degree, decoding a degree
-to Fractions only when it is read.  The product kernel _mul and both
+(_PowerTable), each power a graded view of its own.  It serves one
+substitution (SeriesTuple.compose), which walks the table up one degree at
+a time over the powers its outer map reads, and a stream of homogeneous
+layers (_LayerStream), which builds a power when a layer first reads it and
+keeps its running sum in groups too, one per layer added, merging a degree
+and decoding it to Fractions only when it is read.  A combination of
+powers puts its products over one lcm per degree, scaling each through
+its scalar multiplier alone.  The product kernel _mul and both
 substitutions take a lower bound low on the output degree: the layers
 below it are not formed, and in SeriesTuple.compose neither are those
 degrees of the table powers that only feed the result.  A caller that
@@ -47,9 +56,10 @@ of log or exp is involved.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm, prod
+from math import lcm
 from typing import Container, Iterable, Iterator, Sequence
 
 from . import ratlinalg
@@ -68,9 +78,9 @@ def _key_fields(nvars: int) -> struct.Struct:
     return struct.Struct(f"<{nvars}H")
 
 
-def _numerators(layer: dict[Exponents, Fraction], den: int, pack) -> list[tuple[int, int]]:
-    """A layer of an integer view: (packed key, numerator over den) per term."""
-    return [(int.from_bytes(pack(*e), "little"), c.numerator * (den // c.denominator)) for e, c in layer.items()]
+def _is_int(value) -> bool:
+    """True for an int proper: not a bool, not a float with an integral value."""
+    return type(value) is int
 
 
 def _as_coeff(value) -> Fraction:
@@ -84,17 +94,17 @@ def _as_coeff(value) -> Fraction:
 class MultiSeries:
     """Truncated power series; immutable by convention."""
 
-    __slots__ = ("nvars", "trunc", "_layers", "_ints")
+    __slots__ = ("nvars", "trunc", "_layers", "_view")
 
     def __init__(self, nvars: int, trunc: int, terms: Iterable[tuple[Exponents, Fraction]] = ()) -> None:
-        if nvars < 1:
-            raise DomainError("need at least one variable")
-        if not 0 <= trunc < _KEY_CAP:
-            raise DomainError(f"truncation degree {trunc} is not in [0, {_KEY_CAP - 1}]")
+        if not _is_int(nvars) or nvars < 1:
+            raise DomainError(f"need at least one variable, got {nvars!r}")
+        if not _is_int(trunc) or not 0 <= trunc < _KEY_CAP:
+            raise DomainError(f"truncation degree {trunc!r} is not an integer in [0, {_KEY_CAP - 1}]")
         layers: dict[int, dict[Exponents, Fraction]] = {}
         for exps, coeff in terms:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            if len(exps) != nvars or not all(_is_int(e) and e >= 0 for e in exps):
                 raise DomainError(f"bad exponent tuple {exps} for {nvars} variables")
             deg = sum(exps)
             if deg > trunc:
@@ -113,35 +123,52 @@ class MultiSeries:
         self.nvars = nvars
         self.trunc = trunc
         self._layers = {d: lay for d, lay in layers.items() if lay}
-        self._ints = None
+        self._view = None
 
     @classmethod
-    def _raw(cls, nvars: int, trunc: int, layers: dict[int, dict[Exponents, Fraction]]) -> "MultiSeries":
-        if trunc >= _KEY_CAP:
-            raise DomainError(f"truncation degree {trunc} is not in [0, {_KEY_CAP - 1}]")
+    def _raw(
+        cls, nvars: int, trunc: int, layers: dict[int, dict[Exponents, Fraction]], view: "_View | None" = None
+    ) -> "MultiSeries":
+        """A series of the given layer map, taken as is.  view, when given,
+        holds the graded-view entries of some of these layers, shared with
+        the series they come from."""
+        if not _is_int(trunc) or trunc >= _KEY_CAP:
+            raise DomainError(f"truncation degree {trunc!r} is not an integer below {_KEY_CAP}")
         obj = object.__new__(cls)
         obj.nvars = nvars
         obj.trunc = trunc
         obj._layers = layers
-        obj._ints = None
+        obj._view = view
         return obj
 
-    def _int_layers(self):
-        """The integer view, cached: (den, {deg: [(key, int)]}) with one
-        common denominator den and the exponents packed by _key_fields.
+    def _graded(self) -> "_View":
+        """The graded integer view, cached: {deg: (den, [(key, numerator)])}
+        with den the lcm of that layer's denominators and the exponents
+        packed by _key_fields.
 
-        Built once: instances are never mutated after construction, and
-        as_polynomial and _grown pass the view on."""
-        cached = self._ints
-        if cached is None:
-            den = 1
-            for lay in self._layers.values():
-                for c in lay.values():
-                    den = lcm(den, c.denominator)
-            pack = _key_fields(self.nvars).pack
-            cached = (den, {d: _numerators(lay, den, pack) for d, lay in self._layers.items()})
-            self._ints = cached
-        return cached
+        An entry depends on its layer alone, so a series made from another's
+        layers starts with those layers' entries, and only its other layers
+        are packed here.  truncated, as_polynomial and _grown build the
+        source's view first, so that it is kept on the source and handed on
+        from there; _merged, _disjoint_sum and _inverse_from hand on the
+        entries their operands already hold.  Built once: instances and
+        their entries are never changed after construction.
+        """
+        view = self._view
+        if view is not None and len(view) == len(self._layers):
+            return view
+        known = view or {}
+        pack = _key_fields(self.nvars).pack
+        built = dict(known)
+        for d in self._layers.keys() - known.keys():
+            layer = self._layers[d]
+            den = lcm(*(c.denominator for c in layer.values()))
+            terms = [
+                (int.from_bytes(pack(*e), "little"), c.numerator * (den // c.denominator)) for e, c in layer.items()
+            ]
+            built[d] = (den, terms)
+        self._view = built
+        return built
 
     # -- constructors --------------------------------------------------
 
@@ -251,16 +278,20 @@ class MultiSeries:
         self._check_compatible(other)
         trunc = min(self.trunc, other.trunc)
         layers: dict[int, dict[Exponents, Fraction]] = {}
+        view: _View = {}
         for d in set(self._layers) | set(other._layers):
             if d > trunc:
                 continue
-            # a degree held by one operand alone shares its layer dict,
-            # or takes a negated copy of a subtrahend's
-            if d not in other._layers:
-                layers[d] = self._layers[d]
+            # a degree held by one operand alone shares its layer dict and
+            # its view entry, or takes a negated copy of a subtrahend's
+            if d not in self._layers and sign < 0:
+                layers[d] = {e: -c for e, c in other._layers[d].items()}
                 continue
-            if d not in self._layers:
-                layers[d] = other._layers[d] if sign > 0 else {e: -c for e, c in other._layers[d].items()}
+            if d not in self._layers or d not in other._layers:
+                source = self if d in self._layers else other
+                layers[d] = source._layers[d]
+                if source._view and d in source._view:
+                    view[d] = source._view[d]
                 continue
             merged = dict(self._layers[d])
             for exps, c in other._layers[d].items():
@@ -272,7 +303,7 @@ class MultiSeries:
                     merged.pop(exps, None)
             if merged:
                 layers[d] = merged
-        return MultiSeries._raw(self.nvars, trunc, layers)
+        return MultiSeries._raw(self.nvars, trunc, layers, view)
 
     def __neg__(self):
         layers = {d: {e: -c for e, c in lay.items()} for d, lay in self._layers.items()}
@@ -318,53 +349,42 @@ class MultiSeries:
 
     def truncated(self, new_trunc: int) -> "MultiSeries":
         """Discard all terms above new_trunc; never extends the cap.  The
-        kept layer dicts are shared."""
-        if new_trunc < 0:
-            raise DomainError("truncation degree must be non-negative")
+        kept layer dicts and their view entries are shared."""
+        if not _is_int(new_trunc) or new_trunc < 0:
+            raise DomainError(f"truncation degree {new_trunc!r} is not a non-negative integer")
         if new_trunc >= self.trunc:
             return self
         layers = {d: lay for d, lay in self._layers.items() if d <= new_trunc}
-        return MultiSeries._raw(self.nvars, new_trunc, layers)
+        view = {d: v for d, v in self._graded().items() if d <= new_trunc}
+        return MultiSeries._raw(self.nvars, new_trunc, layers, view)
 
     def as_polynomial(self, trunc: int) -> "MultiSeries":
         """Reinterpret exact polynomial content at a higher truncation degree.
 
         Only meaningful when the stored terms are the whole object, e.g.
         parsed polynomial input; raising the cap on a genuinely truncated
-        series would fabricate zero coefficients.  The layer dicts and a
-        cached integer view are shared, not copied: no instance changes
-        them after construction.
+        series would fabricate zero coefficients.  The layer dicts and the
+        graded view are shared, not copied: no instance changes them after
+        construction.
         """
-        if trunc < (self.degree() or 0):
-            raise DomainError("as_polynomial cannot drop stored terms")
-        out = MultiSeries._raw(self.nvars, trunc, self._layers)
-        out._ints = self._ints
-        return out
+        if not _is_int(trunc) or trunc < (self.degree() or 0):
+            raise DomainError("as_polynomial takes an integer cap and cannot drop stored terms")
+        return MultiSeries._raw(self.nvars, trunc, self._layers, self._graded())
 
     def _grown(self, layer: dict[Exponents, Fraction]) -> "MultiSeries":
         """This polynomial with a new top layer, homogeneous of degree
         trunc + 1, at that cap, which must stay below 2**16.
 
-        The layer map is copied shallowly and its layer dicts are shared.  A
-        cached integer view grows by the new layer, packed once; when the
-        common denominator grows, the old numerators are rescaled once by
-        new_den / den instead of a new lcm pass.
+        The layer map is copied shallowly and its layer dicts are shared,
+        with their view entries: the grown series packs its new layer alone
+        when its view is first read.
         """
         degree = self.trunc + 1
         layer = {e: c for e, c in layer.items() if c}
         layers = dict(self._layers)
         if layer:
             layers[degree] = layer
-        out = MultiSeries._raw(self.nvars, degree, layers)
-        if self._ints is not None:
-            den, ints = self._ints
-            new_den = lcm(den, *(c.denominator for c in layer.values()))
-            scale = new_den // den
-            ints = {d: [(k, v * scale) for k, v in lay] for d, lay in ints.items()} if scale > 1 else dict(ints)
-            if layer:
-                ints[degree] = _numerators(layer, new_den, _key_fields(self.nvars).pack)
-            out._ints = (new_den, ints)
-        return out
+        return MultiSeries._raw(self.nvars, degree, layers, self._graded())
 
     # -- calculus and substitution ------------------------------------------
 
@@ -455,8 +475,9 @@ def _inverse_from(s: MultiSeries, y: MultiSeries) -> MultiSeries:
     A pass from correct to new = min(2 correct + 1, trunc) forms the error
     e = s y - 1, whose layers through correct vanish, in the degrees above
     correct alone, and sets y <- y - y e.  The product y e has no layer
-    through correct either, so y keeps its layers and gains the new ones:
-    each pass costs about half of the two full products of y (2 - s y).
+    through correct either, so y keeps its layers, with their view entries,
+    and gains the new ones: each pass costs about half of the two full
+    products of y (2 - s y).
     """
     correct, trunc = y.trunc, s.trunc
     while correct < trunc:
@@ -466,7 +487,7 @@ def _inverse_from(s: MultiSeries, y: MultiSeries) -> MultiSeries:
         layers = dict(y._layers)
         for d, lay in step._layers.items():
             layers[d] = {e: -c for e, c in lay.items()}
-        y = MultiSeries._raw(s.nvars, new, layers)
+        y = MultiSeries._raw(s.nvars, new, layers, y._view)
         correct = new
     return y.truncated(trunc)
 
@@ -482,77 +503,120 @@ def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSerie
     if a.is_zero() or b.is_zero():
         return MultiSeries.zero(a.nvars, trunc)
     if a is b:
-        den, ints = a._int_layers()
-        return _unpacked(_square(ints, trunc, low), den * den, a.nvars, trunc)
+        return _unpacked(_square(a._graded(), trunc, low), a.nvars, trunc)
     if a.term_count() > b.term_count():
         a, b = b, a
-    den_a, ints_a = a._int_layers()
-    den_b, ints_b = b._int_layers()
-    return _unpacked(_convolve(ints_a, ints_b, trunc, low), den_a * den_b, a.nvars, trunc)
+    return _unpacked(_convolve(a._graded(), b._graded(), trunc, low), a.nvars, trunc)
 
 
-_Packed = dict[int, list[tuple[int, int]]]
-_Sums = dict[int, dict[int, int]]
+# a graded integer view: {deg: (den, [(packed key, numerator over den)])}
+_View = dict[int, tuple[int, list[tuple[int, int]]]]
+# the products of one degree, grouped by the denominator they are over:
+# {den: {packed key: numerator}}
+_Groups = dict[int, dict[int, int]]
+# sums by degree, one denominator each: {deg: (den, {packed key: numerator})}
+_Sums = dict[int, tuple[int, dict[int, int]]]
 
 
-def _convolve(a: _Packed, b: _Packed, trunc: int, low: int = 0) -> _Sums:
-    """The product of two packed operands in degrees low..trunc, as {deg: {key: numerator}}.
+def _convolve(a: _View, b: _View, trunc: int, low: int = 0) -> _Sums:
+    """The product of two views in degrees low..trunc, one degree at a time:
+    its products grouped by the product of the two layer denominators, and
+    the groups merged (_merge) before the next degree is formed.
 
     Keys add carry-free, as no coordinate of a term of degree <= trunc
-    reaches 2**16.  Degrees of b above its top layer are never visited, so
-    the cost does not grow with trunc.
+    reaches 2**16.  Degrees above the sum of the operands' top layers are
+    never visited, so the cost does not grow with trunc.
     """
-    acc: _Sums = {}
-    top = max(b, default=-1)
-    for da, terms_a in a.items():
-        for db in range(max(low - da, 0), min(trunc - da, top) + 1):
-            terms_b = b.get(db)
-            if terms_b is None:
+    out: _Sums = {}
+    degrees = sorted(a)
+    if not degrees or not b:
+        return out
+    bottom, top = min(b), max(b)
+    for d in range(max(low, degrees[0] + bottom), min(trunc, degrees[-1] + top) + 1):
+        groups: _Groups = {}
+        for da in degrees[bisect_left(degrees, d - top) : bisect_right(degrees, d - bottom)]:
+            entry = b.get(d - da)
+            if entry is None:
                 continue
-            out = acc.setdefault(da + db, {})
-            get = out.get
+            den_a, terms_a = a[da]
+            den_b, terms_b = entry
+            group = groups.setdefault(den_a * den_b, {})
+            get = group.get
             for ea, ca in terms_a:
                 for eb, cb in terms_b:
                     key = ea + eb
-                    out[key] = get(key, 0) + ca * cb
-    return acc
+                    group[key] = get(key, 0) + ca * cb
+        if groups:
+            out[d] = _merge(groups)
+    return out
 
 
-def _square(a: _Packed, trunc: int, low: int = 0) -> _Sums:
+def _square(a: _View, trunc: int, low: int = 0) -> _Sums:
     """_convolve(a, a, trunc, low) with each unordered pair of terms visited
     once: the off-diagonal products are formed once and doubled."""
-    acc: _Sums = {}
-    top = max(a, default=-1)
-    for da, terms_a in a.items():
-        if low <= 2 * da <= trunc:
-            out = acc.setdefault(2 * da, {})
-            get = out.get
-            for i, (ea, ca) in enumerate(terms_a):
-                out[ea + ea] = get(ea + ea, 0) + ca * ca
-                twice = ca << 1
-                for eb, cb in terms_a[i + 1 :]:
-                    key = ea + eb
-                    out[key] = get(key, 0) + twice * cb
-        for db in range(max(low - da, da + 1), min(trunc - da, top) + 1):
-            terms_b = a.get(db)
-            if terms_b is None:
+    out: _Sums = {}
+    degrees = sorted(a)
+    if not degrees:
+        return out
+    bottom, top = degrees[0], degrees[-1]
+    for d in range(max(low, 2 * bottom), min(trunc, 2 * top) + 1):
+        groups: _Groups = {}
+        for da in degrees[bisect_left(degrees, d - top) : bisect_right(degrees, d // 2)]:
+            entry = a.get(d - da)
+            if entry is None:
                 continue
-            out = acc.setdefault(da + db, {})
-            get = out.get
+            den_a, terms_a = a[da]
+            den_b, terms_b = entry
+            group = groups.setdefault(den_a * den_b, {})
+            get = group.get
+            if 2 * da == d:
+                for i, (ea, ca) in enumerate(terms_a):
+                    group[ea + ea] = get(ea + ea, 0) + ca * ca
+                    twice = ca << 1
+                    for eb, cb in terms_a[i + 1 :]:
+                        key = ea + eb
+                        group[key] = get(key, 0) + twice * cb
+                continue
             for ea, ca in terms_a:
                 twice = ca << 1
                 for eb, cb in terms_b:
                     key = ea + eb
-                    out[key] = get(key, 0) + twice * cb
-    return acc
+                    group[key] = get(key, 0) + twice * cb
+        if groups:
+            out[d] = _merge(groups)
+    return out
 
 
-def _unpacked(acc: _Sums, den: int, nvars: int, trunc: int) -> MultiSeries:
-    """The series acc / den."""
+def _merge(groups: _Groups) -> tuple[int, dict[int, int]]:
+    """(den, sums): the groups of one degree summed over one denominator,
+    the lcm of theirs.  A single group is returned as it is; the groups are
+    not changed."""
+    if len(groups) == 1:
+        return next(iter(groups.items()))
+    den = lcm(*groups)
+    # the largest group is copied, the others are added to it
+    parts = sorted(groups.items(), key=lambda item: len(item[1]), reverse=True)
+    part_den, part = parts[0]
+    scale = den // part_den
+    sums = dict(part) if scale == 1 else {key: scale * v for key, v in part.items()}
+    get = sums.get
+    for part_den, part in parts[1:]:
+        scale = den // part_den
+        if scale == 1:
+            for key, v in part.items():
+                sums[key] = get(key, 0) + v
+        else:
+            for key, v in part.items():
+                sums[key] = get(key, 0) + scale * v
+    return den, sums
+
+
+def _unpacked(sums: _Sums, nvars: int, trunc: int) -> MultiSeries:
+    """The series of sums: numerator / den at each packed key."""
     fields = _key_fields(nvars)
     unpack, size = fields.unpack, fields.size
     layers: dict[int, dict[Exponents, Fraction]] = {}
-    for d, out in acc.items():
+    for d, (den, out) in sums.items():
         lay = {unpack(key.to_bytes(size, "little")): Fraction(n, den) for key, n in out.items() if n}
         if lay:
             layers[d] = lay
@@ -642,11 +706,10 @@ class _PowerTable:
 
     An entry is built as inner^I = inner^(I - e_j) inner_j with j the last
     variable of I: the baby-step table of Brent and Kung's composition.  The
-    factors are the inner series' cached integer views, and an entry holds
-    packed integer layers over the denominator prod_j den_j^(I_j) of the
-    factors' common denominators, so a table step costs integer products,
-    and a combination sum_I c_I inner^I one Fraction per output
-    coefficient.
+    factors are the inner series' graded views, and each entry is a graded
+    view too, one denominator per degree, so a table step costs integer
+    products at the width of the layers it reads, and a combination
+    sum_I c_I inner^I one Fraction per output coefficient.
 
     The table is read in one of two ways.  SeriesTuple.compose walks it up
     one degree at a time with extend, over a set of monomials it gives,
@@ -659,23 +722,14 @@ class _PowerTable:
         if any(g.constant_term() for g in inner):
             raise DomainError("non-zero constant term in composition argument")
         self.trunc = trunc
-        ints = [g._int_layers() for g in inner]
-        self.dens = [den for den, _ in ints]
-        self.factors = [layers for _, layers in ints]
-        self.entries: dict[Exponents, _Packed] = {(0,) * len(inner): {0: [(0, 1)]}}
+        self.factors = [g._graded() for g in inner]
+        self.entries: dict[Exponents, _View] = {(0,) * len(inner): {0: (1, [(0, 1)])}}
 
-    def den(self, exps: Exponents) -> int:
-        return prod(den**e for den, e in zip(self.dens, exps))
-
-    def common(self, terms: Iterable[tuple[Exponents, Fraction]]) -> int:
-        """A common denominator of the products c_I inner^I over terms."""
-        return lcm(1, *(c.denominator * self.den(exps) for exps, c in terms))
-
-    def _step(self, j: int, parent: _Packed, low: int = 0) -> _Packed:
+    def _step(self, j: int, parent: _View, low: int = 0) -> _View:
         """inner^I in the degrees >= low, from the entry of its prefix
         parent I - e_j."""
         product = _convolve(parent, self.factors[j], self.trunc, low)
-        return {d: list(lay.items()) for d, lay in product.items()}
+        return {d: (den, list(sums.items())) for d, (den, sums) in product.items()}
 
     def extend(self, monomials: Iterable[Exponents], low: int, parents: Container[Exponents]) -> None:
         """Move the table up one degree, to the entries of the given monomials.
@@ -689,22 +743,28 @@ class _PowerTable:
             j, lower = _parent(exps)
             self.entries[exps] = self._step(j, below[lower], 0 if exps in parents else low)
 
-    def power(self, exps: Exponents) -> _Packed:
+    def power(self, exps: Exponents) -> _View:
         """The entry inner^I, built by _chained on first use and then kept."""
         return _chained(self.entries, exps, self._step)
 
-    def combine(self, terms: dict[Exponents, Fraction], common: int, acc: _Sums, low: int = 0) -> None:
-        """Add common * sum_I c_I inner^I over terms of the current degree,
-        in the degrees >= low, to the accumulator acc."""
+    def combine(self, terms: dict[Exponents, Fraction], acc: dict[int, _Groups], low: int = 0) -> None:
+        """Add sum_I c_I inner^I over terms, in the degrees >= low, to the
+        accumulator acc, {degree: groups}: the products c_I inner^I of a
+        degree go into one group, over the lcm of their denominators, each
+        scaled to it through its scalar multiplier alone."""
+        products: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
         for exps, c in terms.items():
-            mult = c.numerator * (common // (c.denominator * self.den(exps)))
-            for d, lay in self.entries[exps].items():
-                if d < low:
-                    continue
-                dacc = acc.setdefault(d, {})
-                get = dacc.get
+            for d, (den, lay) in self.power(exps).items():
+                if d >= low:
+                    products.setdefault(d, []).append((c.numerator, c.denominator * den, lay))
+        for d, parts in products.items():
+            common = lcm(*(den for _, den, _ in parts))
+            out = acc.setdefault(d, {}).setdefault(common, {})
+            get = out.get
+            for num, den, lay in parts:
+                mult = num * (common // den)
                 for key, v in lay:
-                    dacc[key] = get(key, 0) + mult * v
+                    out[key] = get(key, 0) + mult * v
 
 
 class _LayerStream:
@@ -713,10 +773,10 @@ class _LayerStream:
     layer o inner = sum_I c_I inner^I over the monomials I of a homogeneous
     layer, so add reads the powers of that layer's monomials alone, from one
     _PowerTable of inner shared by every layer and component.  The sum is
-    kept in integers: per component and per degree, numerators over one
-    denominator, which grows to the lcm with the common denominator of each
-    added layer (the old numerators are rescaled then).  layer decodes one
-    degree to Fractions.
+    kept in integers, per component and degree in groups (_Groups): one for
+    the graded view of start and one per layer added by combine, so no
+    numerator kept so far is ever rescaled.  layer merges one degree and
+    decodes it to Fractions.
     """
 
     def __init__(self, inner: "SeriesTuple", start: "SeriesTuple") -> None:
@@ -728,12 +788,9 @@ class _LayerStream:
         self.table = _PowerTable(inner.components, inner.trunc)
         self.nvars, self.trunc = n, inner.trunc
         self.degree = 0
-        self.dens: list[dict[int, int]] = []
-        self.nums: list[_Sums] = []
-        for comp in start:
-            den, ints = comp._int_layers()
-            self.dens.append({d: den for d in ints if d <= self.trunc})
-            self.nums.append({d: dict(lay) for d, lay in ints.items() if d <= self.trunc})
+        self.sums: list[dict[int, _Groups]] = [
+            {d: {den: dict(terms)} for d, (den, terms) in comp._graded().items() if d <= self.trunc} for comp in start
+        ]
 
     def add(self, layer: "SeriesTuple", low: int) -> None:
         """Add layer o inner in the degrees >= low.  The layer must be
@@ -741,43 +798,20 @@ class _LayerStream:
         degree = layer.lowest_degree()
         if degree is None or degree < self.degree or any(set(c._layers) - {degree} for c in layer):
             raise DomainError("layers must be homogeneous, nonzero and of non-decreasing degree")
-        if len(layer) != len(self.nums):
+        if len(layer) != len(self.sums):
             raise DomainError("tuple size mismatch")
         self.degree = degree
-        table = self.table
-        for comp, dens, nums in zip(layer, self.dens, self.nums):
+        for comp, acc in zip(layer, self.sums):
             terms = comp._layers.get(degree)
-            if not terms:
-                continue
-            common = table.common(terms.items())
-            powers = [
-                (c.numerator * (common // (c.denominator * table.den(exps))), table.power(exps))
-                for exps, c in terms.items()
-            ]
-            for d in range(max(low, degree), self.trunc + 1):
-                parts = [(mult, power[d]) for mult, power in powers if d in power]
-                if not parts:
-                    continue
-                den = dens.get(d, 1)
-                new = lcm(den, common)
-                out = nums.get(d, {})
-                if new != den:
-                    rescale = new // den
-                    out = {key: v * rescale for key, v in out.items()}
-                get = out.get
-                scale = new // common
-                for mult, lay in parts:
-                    mult *= scale
-                    for key, v in lay:
-                        out[key] = get(key, 0) + mult * v
-                dens[d], nums[d] = new, out
+            if terms:
+                self.table.combine(terms, acc, low)
 
     def layer(self, degree: int) -> "SeriesTuple":
         """Layer degree of the sum: homogeneous components at the inner cap."""
         return SeriesTuple(
             [
-                _unpacked({degree: nums.get(degree, {})}, dens.get(degree, 1), self.nvars, self.trunc)
-                for dens, nums in zip(self.dens, self.nums)
+                _unpacked({degree: _merge(acc[degree])} if degree in acc else {}, self.nvars, self.trunc)
+                for acc in self.sums
             ]
         )
 
@@ -900,13 +934,14 @@ class SeriesTuple:
                 exps = _parent(exps)[1]
                 parents.add(exps)
         table = _PowerTable(comps, trunc)
-        commons = [table.common(t for lay in layers.values() for t in lay.items()) for layers in terms]
-        accs: list[_Sums] = [{} for _ in terms]
+        accs: list[dict[int, _Groups]] = [{} for _ in terms]
         for d in range(trunc + 1):
-            for layers, common, acc in zip(terms, commons, accs):
-                table.combine(layers.get(d, {}), common, acc, low)
+            for layers, acc in zip(terms, accs):
+                table.combine(layers.get(d, {}), acc, low)
             table.extend(closure[d + 1], low, parents)
-        return SeriesTuple([_unpacked(acc, common, comps[0].nvars, trunc) for acc, common in zip(accs, commons)])
+        return SeriesTuple(
+            [_unpacked({d: _merge(groups) for d, groups in acc.items()}, comps[0].nvars, trunc) for acc in accs]
+        )
 
     def compose_diagonal(self, factors: "Sequence[Fraction] | _DiagonalPowers") -> "SeriesTuple":
         """Substitution x_i -> factors[i] * x_i, done by coefficient scaling.
@@ -1011,7 +1046,7 @@ def _disjoint_sum(parts: Sequence[SeriesTuple]) -> SeriesTuple:
     """The sum of tuples whose components hold pairwise disjoint degrees.
 
     No coefficient is added: each component of the sum shares the layer
-    dicts of its summands.
+    dicts of its summands, and their view entries.
     """
     if len({len(part) for part in parts}) != 1:
         raise DomainError("tuple size mismatch")
@@ -1020,11 +1055,13 @@ def _disjoint_sum(parts: Sequence[SeriesTuple]) -> SeriesTuple:
         if len({(c.nvars, c.trunc) for c in comps}) != 1:
             raise DomainError("summands must share variables and truncation")
         layers: dict[int, dict[Exponents, Fraction]] = {}
+        view: _View = {}
         for comp in comps:
             if not layers.keys().isdisjoint(comp._layers):
                 raise DomainError("summands must hold disjoint degrees")
             layers.update(comp._layers)
-        out.append(MultiSeries._raw(comps[0].nvars, comps[0].trunc, layers))
+            view.update(comp._view or {})
+        out.append(MultiSeries._raw(comps[0].nvars, comps[0].trunc, layers, view))
     return SeriesTuple(out)
 
 

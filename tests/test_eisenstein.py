@@ -50,6 +50,33 @@ def kth_root_of_one_plus_x(k):
     return AlgebraicSeriesSpec.build(relation, MultiSeries.constant(1, 1, 0))
 
 
+class TestXPolynomialArguments:
+    """Exponents and X-powers must be non-negative ints, not bools: a float
+    is refused, never floored."""
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {1: {(1.5,): 1}},
+            {1: {(2.0,): 1}},
+            {1: {(True,): 1}},
+            {1.7: {(1,): 1}},
+            {2.0: {(1,): 1}},
+            {True: {(1,): 1}},
+            {"1": {(1,): 1}},
+            {-1: {(1,): 1}},
+        ],
+    )
+    def test_refused(self, coeffs):
+        with pytest.raises(DomainError):
+            XPolynomial(1, coeffs)
+
+    def test_from_terms_refuses_a_float_x_power(self):
+        with pytest.raises(DomainError):
+            XPolynomial.from_terms(1, [((1,), 1.5, 1)])
+        assert XPolynomial.from_terms(1, [((1,), 2, 1), ((0,), 0, -1)]).x_degree == 2
+
+
 class TestDetectVanishingOrder:
     def test_etale_case(self):
         relation = XPolynomial.from_terms(

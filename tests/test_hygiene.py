@@ -1,10 +1,10 @@
 """Source hygiene: every name a library module imports is used in it, no
 library module imports inside a function, no library module converts to
 float except for padic.INFINITY, every entry point the benchmark tracer
-wraps still exists, shared series layers are never changed in place, only
-known call sites build p-adics through the unchecked constructor, and only
-the series code that builds, grows and decodes the integer view reads the
-packed exponent key layout, no library function keeps process-wide
+wraps still exists, shared series layers and graded-view entries are never
+changed in place, only known call sites build p-adics through the unchecked
+constructor, and only the series code that builds and decodes the graded
+integer view reads the packed exponent key layout, no library function keeps process-wide
 state in a module-level container except the odd-prime memo of arith, and
 only series._parent finds the last variable of a monomial, the step of
 every prefix-parent walk."""
@@ -153,9 +153,17 @@ def test_every_traced_entry_point_resolves():
 
 
 # MultiSeries shares its layer map and layer dicts between instances
-# (as_polynomial, truncated, _grown), so no code may change them in place.
+# (as_polynomial, truncated, _grown, _merged), and with them the entries of
+# its cached graded view, so no code may change them in place.  Only the
+# constructors bind a layer map, and only they and the view builder bind a
+# view.
 LAYER_CONSTRUCTORS = {"MultiSeries.__init__", "MultiSeries._raw"}
-MUTATING_METHODS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__"}
+VIEW_BUILDERS = LAYER_CONSTRUCTORS | {"MultiSeries._graded"}
+MUTATING_METHODS = {
+    "pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__",
+    "append", "extend", "insert", "remove", "sort", "reverse",
+}
+SHARED_ATTRIBUTES = {"_layers", "_view"}
 
 
 def functions(tree):
@@ -171,29 +179,45 @@ def functions(tree):
 
 
 def reads_layers(node, aliases):
-    """True when node is a layer map or a layer dict: x._layers, an item or
-    .get of one, or a local name bound to one."""
+    """True when node is shared series data: x._layers, x._view or
+    x._graded(), an item or .get of one, either side of an or over one, or a
+    local name bound to one."""
     if isinstance(node, ast.Name):
         return node.id in aliases
     if isinstance(node, ast.Attribute):
-        return node.attr == "_layers"
+        return node.attr in SHARED_ATTRIBUTES
     if isinstance(node, ast.Subscript):
         return reads_layers(node.value, aliases)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
-        return reads_layers(node.func.value, aliases)
+    if isinstance(node, ast.BoolOp):
+        return any(reads_layers(value, aliases) for value in node.values)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr == "_graded":
+            return True
+        if node.func.attr == "get":
+            return reads_layers(node.func.value, aliases)
     return False
 
 
+def bound_names(target):
+    """The names a target binds, through nested tuples and lists."""
+    if isinstance(target, ast.Name):
+        return {target.id}
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return set().union(*(bound_names(elt) for elt in target.elts))
+    return set()
+
+
 def layer_aliases(function):
-    """Local names bound to a layer map or layer dict: by assignment, or as
-    the loop variable over its .values() or the value of its .items()."""
+    """Local names bound to shared series data: by assignment, also by
+    unpacking, or as the loop variables over its .values() or the value of
+    its .items()."""
     aliases = set()
     changed = True
     while changed:
         before = len(aliases)
         for node in ast.walk(function):
             if isinstance(node, ast.Assign) and reads_layers(node.value, aliases):
-                aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+                aliases |= set().union(*(bound_names(t) for t in node.targets))
             elif isinstance(node, (ast.For, ast.comprehension)):
                 it = node.iter
                 if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)):
@@ -201,28 +225,30 @@ def layer_aliases(function):
                 if not reads_layers(it.func.value, aliases):
                     continue
                 target = node.target
-                if it.func.attr == "values" and isinstance(target, ast.Name):
-                    aliases.add(target.id)
-                elif it.func.attr == "items" and isinstance(target, ast.Tuple) and isinstance(target.elts[1], ast.Name):
-                    aliases.add(target.elts[1].id)
+                if it.func.attr == "values":
+                    aliases |= bound_names(target)
+                elif it.func.attr == "items" and isinstance(target, ast.Tuple):
+                    aliases |= bound_names(target.elts[1])
         changed = len(aliases) != before
     return aliases
 
 
 def layer_mutations(tree):
-    """(function, line) of each store into, or mutating call on, a layer map
-    or layer dict, and of each rebinding of x._layers, outside the
-    MultiSeries constructors."""
+    """(function, line) of each store into, or mutating call on, a layer map,
+    a layer dict, a view or a view entry, of each rebinding of x._layers
+    outside the MultiSeries constructors, and of each rebinding of x._view
+    outside them and the view builder."""
     for name, function in functions(tree):
         if name in LAYER_CONSTRUCTORS:
             continue
         aliases = layer_aliases(function)
+        rebindable = {"_view"} if name in VIEW_BUILDERS else set()
         for node in ast.walk(function):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
                 targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
                 for target in targets:
                     if (isinstance(target, ast.Subscript) and reads_layers(target.value, aliases)) or (
-                        isinstance(target, ast.Attribute) and target.attr == "_layers"
+                        isinstance(target, ast.Attribute) and target.attr in SHARED_ATTRIBUTES - rebindable
                     ):
                         yield name, node.lineno
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -265,6 +291,39 @@ class MultiSeries:
         return {d: dict(lay) for d, lay in self._layers.items()}
 '''
     assert sorted(line for _, line in layer_mutations(ast.parse(source))) == [8, 9, 11, 13, 14, 15, 16, 17]
+
+
+def test_the_guard_sees_a_view_mutation():
+    source = '''
+class MultiSeries:
+    def _graded(self):
+        view = self._view
+        known = view or {}
+        self._view = {d: known.get(d) for d in self._layers}
+        return self._view
+
+    def bad(self, other):
+        self._view[1] = (1, [])
+        den, terms = self._graded()[2]
+        terms.append((0, 1))
+        for d, (den, lay) in other._view.items():
+            lay.sort()
+        for entry in self._graded().values():
+            entry[1].clear()
+        shared = other._view or {}
+        shared.pop(3)
+        self._view = None
+        return [terms.reverse() for _, terms in self._graded().values()]
+
+    def fine(self):
+        view = {}
+        view.update(self._view or {})
+        view[4] = (1, [(0, 1)])
+        terms = [pair for _, lay in self._graded().values() for pair in lay]
+        terms.append((0, 1))
+        return view
+'''
+    assert sorted(line for _, line in layer_mutations(ast.parse(source))) == [10, 12, 14, 16, 18, 19, 20]
 
 
 # padic._canonical stores its fields without checking them, so each call
@@ -331,12 +390,11 @@ make = _canonical
 
 
 # the packed exponent key has one layout and one cap (series module
-# docstring): the layout is read where the integer view is built, grown and
-# decoded, and the cap where a series is created
+# docstring): the layout is read where the graded view is built and where
+# product sums are decoded, and the cap where a series is created
 KEY_FORMAT_SITES = {
     "_key_fields": {
-        ("series.py", "MultiSeries._int_layers"),
-        ("series.py", "MultiSeries._grown"),
+        ("series.py", "MultiSeries._graded"),
         ("series.py", "_unpacked"),
     },
     "_KEY_CAP": {("series.py", "MultiSeries.__init__"), ("series.py", "MultiSeries._raw")},
@@ -358,7 +416,7 @@ WIDE = _KEY_CAP * 2
 
 
 class MultiSeries:
-    def _int_layers(self):
+    def _graded(self):
         return _key_fields(self.nvars)
 
 
@@ -366,7 +424,7 @@ def _convolve(a, b):
     return series._key_fields(2).pack(*a)
 '''
     tree = ast.parse(source)
-    assert sorted(name_uses(tree, "_key_fields")) == [("MultiSeries._int_layers", 9), ("_convolve", 13)]
+    assert sorted(name_uses(tree, "_key_fields")) == [("MultiSeries._graded", 9), ("_convolve", 13)]
     assert list(name_uses(tree, "_KEY_CAP")) == [("<module>", 4)]
 
 

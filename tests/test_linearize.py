@@ -455,12 +455,14 @@ class TestLayerStep:
         convolve = series._convolve
 
         def counted(a, b, trunc, low=0):
+            # each view layer is (den, terms)
             top = max(b, default=-1)
             visited.append(
                 sum(
-                    len(terms) * len(b.get(db, ()))
-                    for da, terms in a.items()
+                    len(terms) * len(b[db][1])
+                    for da, (_, terms) in a.items()
                     for db in range(max(low - da, 0), min(trunc - da, top) + 1)
+                    if db in b
                 )
             )
             return convolve(a, b, trunc, low)

@@ -245,10 +245,194 @@ class TestFixedWidthKeys:
 
     def test_a_grown_view_equals_a_fresh_one(self):
         s = MultiSeries(2, TOP - 1, [((TOP - 1, 0), Fraction(1, 3)), ((1, 2), Fraction(2))])
-        s._int_layers()
+        s._graded()
         grown = s._grown({(5535, 60000): Fraction(-2, 7)})
-        assert grown._int_layers() == MultiSeries(2, TOP, grown.terms())._int_layers()
+        assert grown._graded() == MultiSeries(2, TOP, grown.terms())._graded()
         assert (grown * grown).coefficient((2, 4)) == 4
+
+
+def fresh(s):
+    """The same series built anew from its terms, with no view handed on."""
+    return MultiSeries(s.nvars, s.trunc, s.terms())
+
+
+def same_view(a, b):
+    """Equal graded views: per degree the same denominator and the same
+    terms, in any order."""
+    return {d: (den, sorted(terms)) for d, (den, terms) in a.items()} == {
+        d: (den, sorted(terms)) for d, (den, terms) in b.items()
+    }
+
+
+def sqrt_one_plus_x(trunc):
+    """sqrt(1 + x): coefficient binomial(1/2, k) at x^k, of denominator a power of 2."""
+    coeffs, c = [], Fraction(1)
+    for k in range(trunc + 1):
+        coeffs.append(c)
+        c = c * (Fraction(1, 2) - k) / (k + 1)
+    return univariate(coeffs, trunc)
+
+
+def layered_series(rng, nvars, trunc, dens, zero_constant=False):
+    """A dense series whose layer of degree d has coefficients over a
+    denominator drawn from dens(d): the layers' lcms differ."""
+    entries = []
+    for exps in graded_monomials(nvars, trunc):
+        if zero_constant and not any(exps):
+            continue
+        if rng.random() < 0.6:
+            entries.append((exps, Fraction(rng.randint(-40, 40), rng.choice(dens(sum(exps))))))
+    return MultiSeries(nvars, trunc, entries)
+
+
+def dict_compose(outer, inner, nvars, trunc, low=0):
+    """Reference substitution outer(inner_0, ...) of {exponents: coefficient}
+    maps in the degrees low..trunc, by expanding every monomial."""
+    out = {}
+    for exps, c in outer.items():
+        term = {(0,) * nvars: c}
+        for g, e in zip(inner, exps):
+            term = dict_mul(term, dict_pow(g, e, nvars, trunc), trunc)
+        for key, v in term.items():
+            out[key] = out.get(key, 0) + v
+    return {e: c for e, c in out.items() if c and sum(e) >= low}
+
+
+# per-layer denominators: powers of 2 that grow with the degree, and
+# products of mixed primes that change from layer to layer
+LAYER_DENOMINATORS = {
+    "powers-of-2": lambda d: [2**d, 2 ** (d // 2), 1],
+    "mixed-primes": lambda d: [(2, 3, 5, 7, 11, 13)[d % 6], 3 ** (d % 4) * 5, 7 * (d + 1), 1],
+}
+
+
+class TestGradedView:
+    """Each series keeps one denominator per layer.  A view handed on to a
+    series made from another's layers equals one built afresh, and the
+    products and compositions that read views over unequal denominators
+    equal the Fraction references."""
+
+    def test_each_layer_has_its_own_denominator(self):
+        s = univariate([Fraction(1, 3), 2, Fraction(5, 4), Fraction(1, 6)], 3)
+        view = s._graded()
+        assert {d: den for d, (den, _) in view.items()} == {0: 3, 1: 1, 2: 4, 3: 6}
+        assert view[2] == (4, [(2, 5)])
+        assert s._graded() is view
+
+    def test_a_handed_on_view_equals_a_fresh_one(self):
+        rng = random.Random(23)
+        s = layered_series(rng, 2, 6, LAYER_DENOMINATORS["mixed-primes"])
+        t = MultiSeries(2, 8, [((1, 0), Fraction(5, 9)), ((1, 1), Fraction(-1, 4)), ((0, 8), Fraction(2, 5))])
+        u = MultiSeries(2, 8, [((5, 3), Fraction(1, 7)), ((0, 8), Fraction(2, 5))])
+        view = s._graded()
+        t._graded()
+        u._graded()
+        grown = s._grown({(4, 3): Fraction(3, 11), (0, 7): Fraction(-1, 2)})
+        handed = {
+            "grown": grown,
+            "grown twice": grown._grown({(8, 0): Fraction(1, 13)}),
+            "truncated": s.truncated(3),
+            "as_polynomial": s.truncated(4).as_polynomial(9),
+            "sum": s + t,
+            "difference": t - s,
+            "disjoint sum": _disjoint_sum([SeriesTuple([s.truncated(3).as_polynomial(8)]), SeriesTuple([u])])[0],
+        }
+        for name, u in handed.items():
+            assert same_view(u._graded(), fresh(u)._graded()), name
+        # the entries of the layers taken over unchanged are the same objects
+        assert set(view) == set(range(2, 7))
+        for d in view:
+            assert grown._graded()[d] is view[d]
+        assert handed["truncated"]._graded()[3] is view[3]
+        assert handed["as_polynomial"]._graded()[4] is view[4]
+        assert (s + t)._graded()[6] is view[6] and (s + t)._graded()[1] is t._graded()[1]
+        assert (t - s)._graded()[1] is t._graded()[1]
+        assert handed["disjoint sum"]._graded()[2] is view[2] and handed["disjoint sum"]._graded()[8] is u._graded()[8]
+        # nothing was changed in place by handing the view on
+        assert same_view(view, fresh(s)._graded())
+
+    def test_an_inverse_hands_on_its_kept_layers(self):
+        s = sqrt_one_plus_x(40)
+        inverse = s.inverse()
+        assert same_view(inverse._graded(), fresh(inverse)._graded())
+        assert dict((s * inverse).terms()) == {(0,): Fraction(1)}
+
+    @pytest.mark.parametrize("nvars, trunc", [(1, 14), (2, 7), (3, 5)])
+    @pytest.mark.parametrize("kind", sorted(LAYER_DENOMINATORS))
+    def test_products_over_layer_denominators(self, kind, nvars, trunc):
+        rng = random.Random(f"{kind}-{nvars}")
+        a = layered_series(rng, nvars, trunc, LAYER_DENOMINATORS[kind])
+        b = layered_series(rng, nvars, trunc, LAYER_DENOMINATORS[kind])
+        ta, tb = dict(a.terms()), dict(b.terms())
+        assert dict((a * b).terms()) == dict_mul(ta, tb, trunc)
+        for low in (0, 1, trunc // 2, trunc):
+            assert dict(_mul(a, b, trunc, low).terms()) == dict_mul(ta, tb, trunc, low)
+            assert dict(_mul(a, a, trunc, low).terms()) == dict_mul(ta, ta, trunc, low)
+
+    def test_the_dense_square_root(self):
+        trunc = 60
+        root = sqrt_one_plus_x(trunc)
+        terms = dict(root.terms())
+        assert len({den for den, _ in root._graded().values()}) > 20
+        assert dict((root * root).terms()) == {(0,): 1, (1,): 1}
+        head = root.truncated(31).as_polynomial(trunc)
+        assert dict((root * head).terms()) == dict_mul(terms, dict(head.terms()), trunc)
+        for low in (1, 30, 59):
+            assert dict(_mul(root, root, trunc, low).terms()) == dict_mul(terms, terms, trunc, low)
+        # sqrt(1 + x) o (x + x^2 / 2) against the expanded reference
+        inner = univariate([0, 1, Fraction(1, 2)], 16)
+        outer = root.truncated(16)
+        expected = dict_compose(dict(outer.terms()), [dict(inner.terms())], 1, 16)
+        assert dict(outer.compose(SeriesTuple([inner])).terms()) == expected
+
+    @pytest.mark.parametrize("nvars, trunc", [(1, 10), (2, 6), (3, 4)])
+    @pytest.mark.parametrize("kind", sorted(LAYER_DENOMINATORS))
+    def test_compositions_over_layer_denominators(self, kind, nvars, trunc):
+        rng = random.Random(f"{kind}-{nvars}-compose")
+        dens = LAYER_DENOMINATORS[kind]
+        outer = [layered_series(rng, nvars, trunc, dens) for _ in range(2)]
+        inner = [layered_series(rng, nvars, trunc, dens, zero_constant=True) for _ in range(nvars)]
+        inner_terms = [dict(g.terms()) for g in inner]
+        for low in (0, trunc - 1, trunc):
+            result = SeriesTuple(outer).compose(SeriesTuple(inner), low)
+            for comp, f in zip(result, outer):
+                assert dict(comp.terms()) == dict_compose(dict(f.terms()), inner_terms, nvars, trunc, low)
+
+
+class TestIntegerArguments:
+    """Exponents, caps and the variable count must be ints, not bools: a
+    float is refused, never floored."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MultiSeries(1, 3, [((1.7,), 1)]),
+            lambda: MultiSeries(1, 3, [((1.0,), 1)]),
+            lambda: MultiSeries(2, 3, [((True, 0), 1)]),
+            lambda: MultiSeries(2, 3, [(("1", 0), 1)]),
+            lambda: MultiSeries(1, 2.5, [((1,), 1)]),
+            lambda: MultiSeries(1, 3.0),
+            lambda: MultiSeries(1, True),
+            lambda: MultiSeries(1, "3", [((1,), 1)]),
+            lambda: MultiSeries(1.0, 3),
+            lambda: MultiSeries(True, 3),
+            lambda: MultiSeries.zero(2, 2.5),
+            lambda: MultiSeries.constant(1, 1, 1.5),
+            lambda: univariate([0, 1], 5).truncated(2.5),
+            lambda: univariate([0, 1], 5).truncated(False),
+            lambda: univariate([0, 1], 5).as_polynomial(7.0),
+            lambda: univariate([0, 1], 5).as_polynomial("7"),
+        ],
+    )
+    def test_refused(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_int_arguments_still_work(self):
+        s = MultiSeries(2, 3, [((1, 0), 1), ((0, 2), Fraction(1, 2))])
+        assert s.trunc == 3 and s.coefficient((0, 2)) == Fraction(1, 2)
+        assert s.truncated(1).trunc == 1 and s.as_polynomial(5).trunc == 5
+        assert MultiSeries(1, 0, [((0,), 2)]).constant_term() == 2
 
 
 class TestCompose:
@@ -299,8 +483,8 @@ class TestLayerStream:
         return MultiSeries(nvars, trunc, terms)
 
     def test_matches_the_fraction_sum_randomized(self):
-        # rational inner coefficients and layers, so each degree's
-        # denominator grows and the numerators kept so far are rescaled
+        # rational inner coefficients and layers, so a degree holds groups
+        # over different denominators, merged again at every read
         rng = random.Random(17)
         for nvars in (1, 2, 3, 4):
             trunc = 7 if nvars < 4 else 6
