@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .arith import prime_support
 from .errors import DivisionFailureError, DomainError
-from .series import MultiSeries, SeriesTuple, _inverse_from, _is_int, _mul
+from .series import MultiSeries, SeriesTuple, _as_coeff, _inverse_from, _is_int, _mul
 
 Exponents = tuple[int, ...]
 
@@ -60,7 +60,7 @@ class XPolynomial:
         for k, poly in coeffs.items():
             if not _is_int(k) or k < 0:
                 raise DomainError(f"bad X-power {k!r}")
-            entries = {tuple(e): Fraction(c) for e, c in poly.items() if c}
+            entries = {e: c for e, c in ((tuple(e), _as_coeff(c)) for e, c in poly.items()) if c}
             for e in entries:
                 if len(e) != nvars or not all(_is_int(x) and x >= 0 for x in e):
                     raise DomainError(f"bad exponent tuple {e}")
@@ -77,7 +77,7 @@ class XPolynomial:
         for exps, xpow, c in terms:
             poly = coeffs.setdefault(xpow, {})
             key = tuple(exps)
-            poly[key] = poly.get(key, Fraction(0)) + Fraction(c)
+            poly[key] = poly.get(key, Fraction(0)) + _as_coeff(c)
         return cls(nvars, coeffs)
 
     @property
@@ -309,7 +309,7 @@ class DenominatorSupport:
 def denominator_support(phi: MultiSeries | SeriesTuple) -> DenominatorSupport:
     """Primes dividing any coefficient denominator, and their squarefree product."""
     comps = phi.components if isinstance(phi, SeriesTuple) else (phi,)
-    primes = prime_support(coeff.denominator for comp in comps for _, coeff in comp.terms())
+    primes = prime_support(c.denominator for comp in comps for lay in comp._layers.values() for c in lay.values())
     product = 1
     for p in sorted(primes):
         product *= p

@@ -45,11 +45,14 @@ coefficient for coefficient.  The rescaling and its inverse are the same
 conjugation x -> g(c x) / c, a diagonal substitution and a scaling.
 
 Within a window the residual has order >= low and is kept through degree
-high, so g = (Dh o Lambda)^(-1) times the residual needs that series-matrix
-inverse only through degree high - low, and g has its support in layers
-low..high.  The correction e solving the
-homological equation against g keeps that support, and since Dh has a
-constant term, Dh e formed at cap high again lies in layers low..high.
+high.  g solves (Dh o Lambda) g = residual one degree at a time
+(_series_solve), with no series-matrix inverse: g_d is C^(-1) times layer
+d of the residual minus (Dh o Lambda - C) g, for C the constant part, and
+that product is formed in layer d alone from the layers of g below d.
+Since the residual has no layer below low, neither has g, and g has its
+support in layers low..high.  The correction e solving the homological
+equation against g keeps that support, and since Dh has a constant term,
+Dh e formed at cap high again lies in layers low..high.
 
 Both routes obtain h^(-1) the same way: k = h^(-1) satisfies
 k o f = Lambda o k, and with k = id + kappa each layer kappa_d solves the
@@ -84,7 +87,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratlinalg
-from .arith import check_odd_prime, fraction_valuation, int_valuation, prime_support
+from .arith import check_odd_prime, fraction_valuation, int_valuation
 from .dynamics import (
     AnalyticMap,
     DiophantineParams,
@@ -93,6 +96,7 @@ from .dynamics import (
     choose_prime,
     enumerate_resonances,
 )
+from .eisenstein import denominator_support
 from .errors import (
     DomainError,
     EigenvalueVariationError,
@@ -108,6 +112,8 @@ from .series import (
     _DiagonalPowers,
     _disjoint_sum,
     _LayerStream,
+    _mul,
+    _series_matrix_vector,
     in_subspace_ar,
     tuple_gauss_norm,
 )
@@ -287,7 +293,7 @@ def _normalized_eigenvalues(f: AnalyticMap) -> _DiagonalPowers:
 
 
 def denominator_primes_of(h: SeriesTuple) -> frozenset[int]:
-    return prime_support(c.denominator for comp in h.components for lay in comp._layers.values() for c in lay.values())
+    return denominator_support(h).primes
 
 
 def _conjugacy_inverse(
@@ -398,59 +404,49 @@ def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
     return _verified_conjugacy(h, fmap, lams, r)
 
 
-def _series_matrix_vector(mat: list[list[MultiSeries]], vec: SeriesTuple) -> SeriesTuple:
-    out = []
-    for row in mat:
-        acc = MultiSeries.zero(vec.nvars, vec.trunc)
-        for entry, comp in zip(row, vec.components):
-            if not entry.is_zero() and not comp.is_zero():
-                acc = acc + entry * comp
-        out.append(acc)
-    return SeriesTuple(out)
+def _series_solve(mat: list[list[MultiSeries]], rhs: SeriesTuple) -> SeriesTuple:
+    """The x with mat x = rhs, for a square series matrix whose constant
+    part C is invertible, through the least cap of mat and rhs.
+
+    One degree at a time: x_d = C^(-1) (rhs_d - ((mat - C) x)_d).  x holds
+    the layers below d when layer d of mat x is formed, so C never meets
+    it there, and each product is formed in that layer alone.  x then grows
+    by its new layer without copying (MultiSeries._grown).
+    """
+    n, nvars = len(rhs), rhs.nvars
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise DomainError("series solve needs a square matrix of the tuple's size")
+    cinv = ratlinalg.inverse([[entry.constant_term() for entry in row] for row in mat])
+    cap = min([rhs.trunc] + [entry.trunc for row in mat for entry in row])
+    # nothing is known yet: the cap below degree 0
+    x = [MultiSeries._raw(nvars, -1, {}) for _ in range(n)]
+    for d in range(cap + 1):
+        rest = [dict(comp._layers.get(d, {})) for comp in rhs]
+        for row, acc in zip(mat, rest):
+            for entry, comp in zip(row, x):
+                for exps, c in _mul(entry, comp, d, d)._layers.get(d, {}).items():
+                    acc[exps] = acc.get(exps, 0) - c
+        layers = []
+        for weights in cinv:
+            layer: dict[tuple[int, ...], Fraction] = {}
+            for w, acc in zip(weights, rest):
+                if w:
+                    for exps, c in acc.items():
+                        layer[exps] = layer.get(exps, 0) + w * c
+            layers.append(layer)
+        x = [comp._grown(layer) for comp, layer in zip(x, layers)]
+    return SeriesTuple(x)
 
 
 def _series_matrix_inverse(mat: list[list[MultiSeries]], trunc: int) -> list[list[MultiSeries]]:
-    """Inverse of a series matrix with invertible constant part, by the
-    geometric series around the constant inverse."""
-    n = len(mat)
-    nvars = mat[0][0].nvars
-    const = [[mat[i][j].constant_term() for j in range(n)] for i in range(n)]
-    inv0 = ratlinalg.inverse(const)
-    # nu = inv0 (mat - const); entries have zero constant term
-    nu = [
-        [
-            sum(
-                (
-                    (mat[k][j] - MultiSeries.constant(const[k][j], nvars, trunc)).scale(inv0[i][k])
-                    for k in range(n)
-                ),
-                MultiSeries.zero(nvars, trunc),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
+    """Inverse through degree trunc of a square series matrix with
+    invertible constant part: column j solves mat x = e_j (_series_solve)."""
+    n, nvars = len(mat), mat[0][0].nvars
+    columns = [
+        _series_solve(mat, SeriesTuple([MultiSeries.constant(int(i == j), nvars, trunc) for i in range(n)]))
+        for j in range(n)
     ]
-    total = [[MultiSeries.constant(1 if i == j else 0, nvars, trunc) for j in range(n)] for i in range(n)]
-    power = [row[:] for row in total]
-    for k in range(1, trunc + 1):
-        power = _series_matrix_mul(power, nu, trunc)
-        if all(entry.is_zero() for row in power for entry in row):
-            break
-        sign = -1 if k % 2 else 1
-        total = [
-            [total[i][j] + power[i][j].scale(sign) for j in range(n)] for i in range(n)
-        ]
-    # (1 + nu)^(-1) inv0
-    return [
-        [
-            sum(
-                (total[i][k].scale(inv0[k][j]) for k in range(n)),
-                MultiSeries.zero(nvars, trunc),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    return [[column[i] for column in columns] for i in range(n)]
 
 
 def _series_matrix_mul(a: list[list[MultiSeries]], b: list[list[MultiSeries]], trunc: int) -> list[list[MultiSeries]]:
@@ -525,25 +521,11 @@ def linearize_newton(
             jac = [
                 [entry.as_polynomial(high) for entry in row] for row in hd.jacobian()
             ]
-            # the residual has order >= low and only layers up to high are
-            # kept, so the inverse is needed through degree high - low only
-            jac_scaled = [
-                list(SeriesTuple([entry.truncated(high - low) for entry in row]).compose_diagonal(lams))
-                for row in jac
-            ]
-            jac_inv = [
-                [entry.as_polynomial(high) for entry in row]
-                for row in _series_matrix_inverse(jac_scaled, high - low)
-            ]
-            # g already holds only the window layers low..high (see the
-            # module docstring); its cap is raised to degree because the
-            # norm bound's horizon is read from it
-            g = SeriesTuple(
-                [
-                    comp.as_polynomial(degree)
-                    for comp in _series_matrix_vector(jac_inv, residual)
-                ]
-            )
+            g = _series_solve([list(SeriesTuple(row).compose_diagonal(lams)) for row in jac], residual)
+            # g holds only the window layers low..high (see the module
+            # docstring); its cap is raised to degree because the norm
+            # bound's horizon is read from it
+            g = SeriesTuple([comp.as_polynomial(degree) for comp in g])
             e = solve_homological(g, lams, r)
             bound = check_norm_bound(g, e, lams, rho, delta, params, prime)
             # e inherits the window support of g, and Dh has a constant

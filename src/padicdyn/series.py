@@ -84,11 +84,12 @@ def _is_int(value) -> bool:
 
 
 def _as_coeff(value) -> Fraction:
+    """value as a Fraction; an int or a Fraction, never a float."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    raise TypeError(f"coefficients must be rational, got {type(value).__name__}")
+    raise DomainError(f"coefficients must be rational, got {type(value).__name__}")
 
 
 class MultiSeries:
@@ -1028,18 +1029,24 @@ class SeriesTuple:
                 [entry.as_polynomial(contact) for entry in row]
                 for row in u.truncated(contact).jacobian()
             ]
-            correction = []
-            for i in range(n):
-                acc = MultiSeries.zero(n, contact)
-                for j in range(n):
-                    if not du[i][j].is_zero() and not residual[j].is_zero():
-                        acc = acc + du[i][j] * residual[j]
-                correction.append(acc.as_polynomial(trunc))
-            u = u - SeriesTuple(correction)
+            correction = _series_matrix_vector(du, residual)
+            u = u - SeriesTuple([comp.as_polynomial(trunc) for comp in correction])
         return u
 
     def to_records(self) -> list[list[dict]]:
         return [c.to_records() for c in self.components]
+
+
+def _series_matrix_vector(mat: Sequence[Sequence[MultiSeries]], vec: SeriesTuple) -> SeriesTuple:
+    """The product of a matrix of series with a tuple of series."""
+    out = []
+    for row in mat:
+        acc = MultiSeries.zero(vec.nvars, vec.trunc)
+        for entry, comp in zip(row, vec.components):
+            if not entry.is_zero() and not comp.is_zero():
+                acc = acc + entry * comp
+        out.append(acc)
+    return SeriesTuple(out)
 
 
 def _disjoint_sum(parts: Sequence[SeriesTuple]) -> SeriesTuple:

@@ -76,6 +76,14 @@ class TestXPolynomialArguments:
             XPolynomial.from_terms(1, [((1,), 1.5, 1)])
         assert XPolynomial.from_terms(1, [((1,), 2, 1), ((0,), 0, -1)]).x_degree == 2
 
+    @pytest.mark.parametrize("c", [0.1, 0.5, 0.0, "1/3"])
+    def test_float_coefficients_refused(self, c):
+        # Fraction(0.1) would store 3602879701896397/36028797018963968
+        with pytest.raises(DomainError, match="rational"):
+            XPolynomial(1, {1: {(1,): c}, 0: {(0,): 1}})
+        with pytest.raises(DomainError, match="rational"):
+            XPolynomial.from_terms(1, [((1,), 1, c), ((0,), 0, 1)])
+
 
 class TestDetectVanishingOrder:
     def test_etale_case(self):

@@ -7,7 +7,8 @@ constructor, and only the series code that builds and decodes the graded
 integer view reads the packed exponent key layout, no library function keeps process-wide
 state in a module-level container except the odd-prime memo of arith, and
 only series._parent finds the last variable of a monomial, the step of
-every prefix-parent walk."""
+every prefix-parent walk, and every private function is called by the
+library itself."""
 
 import ast
 import importlib
@@ -619,3 +620,66 @@ widest = max(i for i, e in enumerate((0, 1)))
         ("Probe.steps", 9),
         ("_parent", 3),
     ]
+
+
+def unreferenced_private_functions(trees):
+    """(module, name, line) of each function or method named with one
+    leading underscore that no code outside its own body loads, by name or
+    as an attribute, in any of the given {module: tree}."""
+    defined, loads = [], []  # loads: (name, ids of the enclosing functions)
+
+    def visit(node, module, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                defined.append((module, node.name, node.lineno, id(node)))
+            enclosing = enclosing | {id(node)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.append((node.id, enclosing))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.append((node.attr, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, enclosing)
+
+    for module, tree in trees.items():
+        visit(tree, module, frozenset())
+    return sorted(
+        (module, name, line)
+        for module, name, line, node in defined
+        if not any(load == name and node not in enclosing for load, enclosing in loads)
+    )
+
+
+def test_no_private_function_is_dead():
+    # a tracer target (perfbench/tracer.py) or a test does not keep a
+    # private helper alive: the library itself must call it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
+    assert unreferenced_private_functions(trees) == []
+
+
+def test_the_guard_sees_a_dead_private_function():
+    used = """
+def _helper(x):
+    return x
+
+
+def _recursive(n):
+    return _recursive(n - 1) if n else 0
+
+
+class Table:
+    def _step(self):
+        return 1
+
+    def _unused_method(self):
+        return self._step()
+
+    def __len__(self):
+        return 0
+
+
+def run():
+    return _helper(1) + Table()._step()
+"""
+    other = "from .a import _helper\n\n\ndef _dead():\n    return _helper\n"
+    found = unreferenced_private_functions({"a.py": ast.parse(used), "b.py": ast.parse(other)})
+    assert found == [("a.py", "_recursive", 6), ("a.py", "_unused_method", 14), ("b.py", "_dead", 4)]

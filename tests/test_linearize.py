@@ -1,6 +1,7 @@
 """Unit tests for the conjugacy solvers, normalizations, and norm bounds."""
 
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import linearize, series
+from padicdyn import linearize, ratlinalg, series
 from padicdyn.dynamics import AnalyticMap, DiophantineParams, enumerate_resonances
 from padicdyn.errors import (
     DomainError,
@@ -417,20 +418,23 @@ class TestNewton:
 
     @pytest.mark.parametrize("degree, windows", [(12, 3), (16, 4)])
     def test_one_window_inverse_per_window(self, monkeypatch, degree, windows):
-        # one preconditioned pass leaves at most layer high, which the
-        # layer step closes without a second window inverse
-        calls = []
-        inverse = linearize._series_matrix_inverse
+        # one preconditioned pass, one solve against Dh o Lambda, leaves at
+        # most layer high, which the layer step closes without a second
+        # solve; no window builds the inverse matrix
+        calls, inverses = [], []
+        solve = linearize._series_solve
 
-        def counted(mat, trunc):
-            calls.append(trunc)
-            return inverse(mat, trunc)
+        def counted(mat, rhs):
+            calls.append(rhs.trunc)
+            return solve(mat, rhs)
 
-        monkeypatch.setattr(linearize, "_series_matrix_inverse", counted)
+        monkeypatch.setattr(linearize, "_series_solve", counted)
+        monkeypatch.setattr(linearize, "_series_matrix_inverse", lambda mat, trunc: inverses.append(trunc))
         f = fixture_suite(degree)["independent-3d"]
         _, trace = linearize_newton(f, degree, DiophantineParams(1, 0), prime=7)
         assert len(trace.iterations) == windows
         assert len(calls) == windows
+        assert inverses == []
 
     def test_rescaling_reported(self):
         f = build_map([[((1,), 2), ((2,), Fraction(1, 3))]], 6)
@@ -444,6 +448,144 @@ class TestNewton:
         result, _ = linearize_newton(f, 6, DiophantineParams(1, 0), prime=3)
         direct = linearize_order_by_order(f, 6)
         assert result.h.agrees_through(direct.h, 6)
+
+
+def geometric_series_inverse(mat, trunc):
+    """Reference: mat^(-1) = (1 + nu)^(-1) C^(-1) with nu = C^(-1) (mat - C),
+    summed as the geometric series of nu until its power vanishes."""
+    n, nvars = len(mat), mat[0][0].nvars
+    const = [[mat[i][j].constant_term() for j in range(n)] for i in range(n)]
+    inv0 = ratlinalg.inverse(const)
+    zero = MultiSeries.zero(nvars, trunc)
+    nu = [
+        [
+            sum(((mat[k][j] - MultiSeries.constant(const[k][j], nvars, trunc)).scale(inv0[i][k]) for k in range(n)), zero)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    total = [[MultiSeries.constant(int(i == j), nvars, trunc) for j in range(n)] for i in range(n)]
+    power = [row[:] for row in total]
+    for k in range(1, trunc + 1):
+        power = linearize._series_matrix_mul(power, nu, trunc)
+        if all(entry.is_zero() for row in power for entry in row):
+            break
+        total = [[total[i][j] + power[i][j].scale((-1) ** k) for j in range(n)] for i in range(n)]
+    return [[sum((total[i][k].scale(inv0[k][j]) for k in range(n)), zero) for j in range(n)] for i in range(n)]
+
+
+def random_series(rng, nvars, trunc, low, terms):
+    monomials = [e for e in itertools.product(range(trunc + 1), repeat=nvars) if low <= sum(e) <= trunc]
+    return MultiSeries(
+        nvars, trunc, [(rng.choice(monomials), Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))) for _ in range(terms)]
+    )
+
+
+def random_series_matrix(rng, n, nvars, trunc):
+    """A square series matrix with a random invertible, non-identity
+    constant part and sparse higher terms."""
+    while True:
+        const = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5])) for _ in range(n)] for _ in range(n)]
+        if ratlinalg.det(const) and const != ratlinalg.identity(n):
+            break
+    return [
+        [MultiSeries.constant(const[i][j], nvars, trunc) + random_series(rng, nvars, trunc, 1, 3) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+class TestSeriesSolve:
+    """_series_solve solves mat x = rhs one degree at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("low", [0, 2])
+    def test_solution_satisfies_the_system(self, n, low):
+        rng = random.Random(100 * n + low)
+        for nvars, trunc in ((1, 7), (2, 5)):
+            mat = random_series_matrix(rng, n, nvars, trunc)
+            rhs = SeriesTuple([random_series(rng, nvars, trunc, low, 4) for _ in range(n)])
+            x = linearize._series_solve(mat, rhs)
+            assert x.trunc == trunc
+            assert x.lowest_degree() is None or x.lowest_degree() >= low
+            assert series._series_matrix_vector(mat, x).agrees_through(rhs, trunc)
+
+    def test_cap_is_the_least_cap(self):
+        rng = random.Random(5)
+        mat = random_series_matrix(rng, 2, 2, 4)
+        rhs = SeriesTuple([random_series(rng, 2, 6, 0, 4) for _ in range(2)])
+        x = linearize._series_solve(mat, rhs)
+        assert x.trunc == 4
+        assert series._series_matrix_vector(mat, x).agrees_through(rhs.truncated(4), 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_inverse_matches_the_geometric_series(self, n):
+        rng = random.Random(n)
+        mat = random_series_matrix(rng, n, 2, 5)
+        assert linearize._series_matrix_inverse(mat, 5) == geometric_series_inverse(mat, 5)
+
+    def test_singular_constant_part_is_refused(self):
+        x = MultiSeries.variable(0, 1, 4)
+        one = MultiSeries.one(1, 4)
+        mat = [[one + x, one], [one, one + x * x]]
+        with pytest.raises(DomainError):
+            linearize._series_solve(mat, SeriesTuple([one, one]))
+        with pytest.raises(DomainError):
+            linearize._series_matrix_inverse(mat, 4)
+
+
+def nine_fixture_maps(degree):
+    """The seven acceptance fixtures and the two sheared maps of the
+    conjugacy benchmark, each with the fixed-locus normalizations applied."""
+    maps = dict(fixture_suite(degree))
+    maps["shear-2d"] = build_map([[((1, 0), 1), ((0, 1), 1)], [((0, 1), -2), ((0, 2), 1)]], degree, r=1)
+    maps["triangular-3d"] = build_map(
+        [[((1, 0, 0), 1)], [((0, 1, 0), -2), ((1, 0, 1), 1), ((0, 2, 0), 1)], [((0, 0, 1), -3), ((0, 1, 1), 1)]],
+        degree,
+        r=1,
+    )
+    return {name: normalize_fixed_locus(f)[0] for name, f in maps.items()}
+
+
+def trace_record(trace):
+    """Every field of every window: delta_norm with its witness, and each
+    NormBoundCertificate field, RatPow values as (coeff, base, exponent)."""
+    rows = []
+    for it in trace.iterations:
+        norm = it.delta_norm
+        row = [it.index, it.window, it.delta_order, it.rho]
+        row += [norm.value, norm.valuation, norm.degree, norm.witness, norm.prime, norm.rho]
+        for field in fields(NormBoundCertificate):
+            value = getattr(it.bound, field.name)
+            row.append((value.coeff, value.base, value.exponent) if isinstance(value, RatPow) else value)
+        rows.append(row)
+    return repr((trace.rescale, trace.prime, rows))
+
+
+class TestNewtonCertificatePin:
+    """The Newton trace at degree 12 (prime 7) of the nine conjugacy
+    benchmark maps, pinned field by field; recorded before the window
+    update became a degree-by-degree solve."""
+
+    PINNED = {
+        "doubling-1d": "e1e30feb317d7226",
+        "cubic-tail-1d": "b543f41175d524db",
+        "locus-line-2d": "cd73274d1eb2ffc1",
+        "independent-3d": "ccac97b8d467a8dd",
+        "independent-2d": "7a1f848206fff395",
+        "locus-coupled-3d": "e994fa2c73da74ba",
+        "symplectic-4d": "2110a88a17abc94a",
+        "shear-2d": "e183710db92d21c3",
+        "triangular-3d": "cb11ad4aae838c91",
+    }
+
+    def test_trace_fields_are_pinned(self):
+        digests = {
+            name: hashlib.sha256(
+                trace_record(linearize_newton(g, 12, DiophantineParams(1, 0), prime=7)[1]).encode()
+            ).hexdigest()[:16]
+            for name, g in nine_fixture_maps(12).items()
+        }
+        assert digests == self.PINNED
 
 
 class TestLayerStep:

@@ -428,6 +428,22 @@ class TestIntegerArguments:
         with pytest.raises(DomainError):
             make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MultiSeries(1, 3, [((1,), 0.1)]),
+            lambda: MultiSeries(1, 3, [((1,), 0.5)]),
+            lambda: MultiSeries(1, 3, [((1,), "1/3")]),
+            lambda: MultiSeries.constant(0.5, 1, 3),
+            lambda: MultiSeries.constant(0.0, 1, 3),
+            lambda: univariate([0, 1], 5).scale(0.5),
+        ],
+    )
+    def test_float_coefficients_refused(self, make):
+        # Fraction(0.1) would store 3602879701896397/36028797018963968
+        with pytest.raises(DomainError, match="rational"):
+            make()
+
     def test_int_arguments_still_work(self):
         s = MultiSeries(2, 3, [((1, 0), 1), ((0, 2), Fraction(1, 2))])
         assert s.trunc == 3 and s.coefficient((0, 2)) == Fraction(1, 2)
