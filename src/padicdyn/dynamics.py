@@ -177,18 +177,11 @@ def _rational_roots_monic(coeffs: list[Fraction]) -> list[Fraction] | None:
             den = math.lcm(den, c.denominator)
         ints = [int(c * den) for c in work]
         lead, const = ints[-1], ints[0]
-        found = None
-        for u in _divisor_candidates(abs(const)):
-            for w in _divisor_candidates(abs(lead)):
-                for sign in (1, -1):
-                    cand = Fraction(sign * u, w)
-                    if _poly_eval(work, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        lead_divisors = _divisor_candidates(abs(lead))
+        candidates = (
+            Fraction(sign * u, w) for u in _divisor_candidates(abs(const)) for w in lead_divisors for sign in (1, -1)
+        )
+        found = next((cand for cand in candidates if _poly_eval(work, cand) == 0), None)
         if found is None:
             return None
         roots.append(found)

@@ -14,7 +14,7 @@ inverse.  A non-dividing pivot step means the seed was not a root or the
 vanishing order was wrong, and raises DivisionFailureError.
 
 When F' is a unit at the seed (s = 0), plain quadratic Hensel lifting is
-used instead; the pivot machinery stays available behind method="pivot".
+used instead.
 
 XPolynomial.evaluate sums a_k phi^k over powers built by squaring, and with
 a lower bound low forms only the layers from low up.  Both routes compute
@@ -60,10 +60,12 @@ class XPolynomial:
         for k, poly in coeffs.items():
             if not _is_int(k) or k < 0:
                 raise DomainError(f"bad X-power {k!r}")
-            entries = {e: c for e, c in ((tuple(e), _as_coeff(c)) for e, c in poly.items()) if c}
+            entries = {tuple(e): _as_coeff(c) for e, c in poly.items()}
+            # every key is checked, a zero coefficient's too, before zeros are dropped
             for e in entries:
                 if len(e) != nvars or not all(_is_int(x) and x >= 0 for x in e):
                     raise DomainError(f"bad exponent tuple {e}")
+            entries = {e: c for e, c in entries.items() if c}
             if entries:
                 cleaned[k] = entries
         if not cleaned:
@@ -223,23 +225,16 @@ def _divide_forms(
     return quotient
 
 
-def coefficients_up_to(spec: AlgebraicSeriesSpec, degree: int, method: str = "auto") -> MultiSeries:
-    """The root series through the given total degree.
-
-    method: "auto" picks Hensel lifting when the derivative is a unit at
-    the seed and the graded pivot induction otherwise; "hensel" and
-    "pivot" force the respective route.
+def coefficients_up_to(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
+    """The root series through the given total degree: by Hensel lifting
+    when the derivative is a unit at the seed (s = 0), and by the graded
+    pivot induction otherwise.
     """
-    if method not in ("auto", "hensel", "pivot"):
-        raise DomainError(f"unknown method {method!r}")
     if degree < 0:
         raise DomainError(f"degree must be non-negative, got {degree}")
     if degree < spec.seed.trunc:
         return spec.seed.truncated(degree)
-    if method == "hensel" and spec.vanishing_order != 0:
-        raise DomainError("Hensel lifting needs a unit derivative at the seed")
-    use_hensel = method == "hensel" or (method == "auto" and spec.vanishing_order == 0)
-    phi = _hensel(spec, degree) if use_hensel else _pivot_induction(spec, degree)
+    phi = _hensel(spec, degree) if spec.vanishing_order == 0 else _pivot_induction(spec, degree)
     check = spec.relation.evaluate(phi, degree + spec.vanishing_order)
     if not check.is_zero():
         raise DivisionFailureError(

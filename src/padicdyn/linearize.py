@@ -76,7 +76,15 @@ of h is computed by series reversion (SeriesTuple.invert) instead.
 Maps with a positive-dimensional fixed locus are first normalized: a shear
 removes the head-tail linear coupling, then interpolation projectors built
 from the transverse block diagonalize it with coefficients that are series
-along the locus.
+along the locus.  The projectors P_lambda are polynomials in the block B
+itself, with no change of basis: column j of the new transverse
+coordinates is P_(lambda_j)(B) v_j, for v_j the j-th eigenvector of B(0).
+That is the eigenbasis route, C times column j of P_(lambda_j)(C^(-1) B C)
+with C = (v_1 ... v_t), because a polynomial in B commutes with the
+constant similarity: P_lambda(C^(-1) B C) = C^(-1) P_lambda(B) C.  Either
+change is (x', 0) + M x'' for a matrix M of series along the locus, one
+series matrix-vector product, and the normalized map is
+change^(-1) o (f o change).
 """
 
 from __future__ import annotations
@@ -449,19 +457,14 @@ def _series_matrix_inverse(mat: list[list[MultiSeries]], trunc: int) -> list[lis
     return [[column[i] for column in columns] for i in range(n)]
 
 
-def _series_matrix_mul(a: list[list[MultiSeries]], b: list[list[MultiSeries]], trunc: int) -> list[list[MultiSeries]]:
-    n, m, cols = len(a), len(b), len(b[0])
-    nvars = b[0][0].nvars
-    return [
-        [
-            sum(
-                (a[i][k] * b[k][j] for k in range(m) if not a[i][k].is_zero()),
-                MultiSeries.zero(nvars, trunc),
-            )
-            for j in range(cols)
-        ]
-        for i in range(n)
-    ]
+def _series_matrix_mul(a: list[list[MultiSeries]], b: list[list[MultiSeries]]) -> list[list[MultiSeries]]:
+    """The product of two series matrices: column j is a times column j of b."""
+    columns = [_series_matrix_vector(a, SeriesTuple(column)) for column in zip(*b)]
+    return [list(row) for row in zip(*columns)]
+
+
+def _unit_matrix(size: int, nvars: int, trunc: int) -> list[list[MultiSeries]]:
+    return [[MultiSeries.constant(int(i == j), nvars, trunc) for j in range(size)] for i in range(size)]
 
 
 def linearize_newton(
@@ -615,21 +618,13 @@ def check_norm_bound(
     derived = _derived_c1(params, rho, delta, horizon)
     if norm_g == 0:
         minimal = RatPow(0, Fraction(1), params.beta)
-        return NormBoundCertificate(
-            passes=w.is_zero(),
-            minimal_c1=minimal,
-            derived_c1=derived,
-            norm_g=norm_g,
-            norm_w=norm_w,
-            norm_dw=norm_dw,
-            norm_dw_lambda=norm_dw_lambda,
-            rho=rho,
-            delta=delta,
-        )
-    needed = max(norm_w, norm_dw * inner, norm_dw_lambda * inner)
-    minimal = RatPow(needed / norm_g, delta / rho, params.beta)
+        passes = w.is_zero()
+    else:
+        needed = max(norm_w, norm_dw * inner, norm_dw_lambda * inner)
+        minimal = RatPow(needed / norm_g, delta / rho, params.beta)
+        passes = minimal <= derived
     return NormBoundCertificate(
-        passes=minimal <= derived,
+        passes=passes,
         minimal_c1=minimal,
         derived_c1=derived,
         norm_g=norm_g,
@@ -726,24 +721,21 @@ def normalize_mod_if2(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
         ident = SeriesTuple.identity(n, trunc)
         return f, ident
     tail_inv = _series_matrix_inverse(a_tail, trunc)
-    mix = _series_matrix_mul(a_head, tail_inv, trunc)
-    comps = []
-    for i in range(n):
-        acc = MultiSeries.variable(i, n, trunc)
-        if i < r:
-            for j in range(n - r):
-                coupling = mix[i][j]
-                if not coupling.is_zero():
-                    acc = acc + coupling * MultiSeries.variable(r + j, n, trunc)
-        comps.append(acc)
-    h = SeriesTuple(comps)
-    h_inv = h.invert()
-    g = h_inv.compose(f.components.compose(h))
-    g_map = AnalyticMap(g, r)
-    g_head, _ = _transverse_linear_blocks(g - SeriesTuple.identity(n, trunc), r)
+    g_map, h = _conjugated(f, _series_matrix_mul(a_head, tail_inv) + _unit_matrix(n - r, n, trunc))
+    g_head, _ = _transverse_linear_blocks(g_map.components - SeriesTuple.identity(n, trunc), r)
     if not all(entry.is_zero() for row in g_head for entry in row):
         raise AssertionError("shear failed to remove the head-tail coupling")
     return g_map, h
+
+
+def _conjugated(f: AnalyticMap, mat: list[list[MultiSeries]]) -> tuple[AnalyticMap, SeriesTuple]:
+    """(change^(-1) o (f o change), change) for the change (x', 0) + mat x''
+    that is linear in the transverse variables x'', with mat an n x (n - r)
+    matrix of series along the locus."""
+    r, n, trunc = f.fixed_locus_dim, f.n, f.trunc
+    moved = _series_matrix_vector(mat, SeriesTuple([MultiSeries.variable(j, n, trunc) for j in range(r, n)]))
+    change = SeriesTuple([comp + MultiSeries.variable(i, n, trunc) if i < r else comp for i, comp in enumerate(moved)])
+    return AnalyticMap(change.invert().compose(f.components.compose(change)), r), change
 
 
 def _transverse_linear_blocks(
@@ -776,14 +768,18 @@ def _transverse_linear_blocks(
 def diagonalize_normal_part(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
     """Diagonalize the transverse linear block with locus-dependent coordinates.
 
-    Requires the head-tail coupling already removed.  The block must be
-    semisimple with constant eigenvalues along the locus: the
-    characteristic polynomial is computed over the series ring, by the
-    trace recursion of dynamics._char_poly, and must have constant
+    Requires the head-tail coupling already removed.  The block
+    B = 1 + a'' must be semisimple with constant eigenvalues along the
+    locus: the characteristic polynomial is computed over the series ring,
+    by the trace recursion of dynamics._char_poly, and must have constant
     coefficients, and the interpolation projectors
-    p_i = prod_{lambda_j != lambda_i} (a'' - lambda_j) / (lambda_i - lambda_j)
-    must resolve the identity.  Their columns assemble the coordinate
-    change, linear in the transverse variables.
+    P_lambda = prod_{mu != lambda} (B - mu) / (lambda - mu) of B itself
+    must resolve the identity.  With v_j the j-th eigenvector of B(0), in
+    pivot order, and lambda_j its eigenvalue, column j of the coordinate
+    change, linear in the transverse variables, is P_(lambda_j)(B) v_j.  It
+    equals C times column j of P_(lambda_j)(C^(-1) B C) for C = (v_1 ... v_t),
+    the route through the eigenbasis, since P_lambda(C^(-1) B C) =
+    C^(-1) P_lambda(B) C in the truncated ring.
     """
     r, n, trunc = f.fixed_locus_dim, f.n, f.trunc
     t = n - r
@@ -794,14 +790,9 @@ def diagonalize_normal_part(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
     if not all(entry.is_zero() for row in a_head for entry in row):
         raise DomainError("head-tail coupling present; run normalize_mod_if2 first")
     # full transverse block of f itself: identity + a''
-    block = [
-        [
-            a_tail[i][j] + MultiSeries.constant(1 if i == j else 0, n, trunc)
-            for j in range(t)
-        ]
-        for i in range(t)
-    ]
-    *lower, lead = _char_poly(block, lambda a, b: _series_matrix_mul(a, b, trunc))
+    unit = _unit_matrix(t, n, trunc)
+    block = [[a + one for a, one in zip(a_row, unit_row)] for a_row, unit_row in zip(a_tail, unit)]
+    *lower, lead = _char_poly(block, _series_matrix_mul)
     for coeff_series in lower:
         if not coeff_series.substitute_zero(range(n)).agrees_through(coeff_series, trunc):
             raise EigenvalueVariationError(
@@ -825,92 +816,51 @@ def diagonalize_normal_part(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
     # order eigenvectors by pivot so an already-diagonal block keeps its
     # coordinate order
     collected.sort(key=lambda item: item[0])
-    basis = [vec for _, _, vec in collected]
     ordered = [lam for _, lam, _ in collected]
-    cmat = [[basis[j][i] for j in range(t)] for i in range(t)]
-    cinv = ratlinalg.inverse(cmat)
-    m1 = _conjugate_series_matrix(block, cmat, cinv, trunc)
     distinct = sorted(set(ordered))
     projectors = {}
     for lam in distinct:
-        proj = [[MultiSeries.constant(1 if i == j else 0, n, trunc) for j in range(t)] for i in range(t)]
+        proj = unit
         for other in distinct:
-            if other == lam:
-                continue
-            shift = [
-                [
-                    (m1[i][j] - MultiSeries.constant(other if i == j else 0, n, trunc)).scale(
-                        1 / (lam - other)
-                    )
-                    for j in range(t)
+            if other != lam:
+                shift = [
+                    [(entry - one.scale(other)).scale(1 / (lam - other)) for entry, one in zip(b_row, unit_row)]
+                    for b_row, unit_row in zip(block, unit)
                 ]
-                for i in range(t)
-            ]
-            proj = _series_matrix_mul(proj, shift, trunc)
+                proj = _series_matrix_mul(proj, shift)
         projectors[lam] = proj
-    _verify_projectors(m1, projectors, ordered, n, trunc)
-    pcols = []
-    for i, lam in enumerate(ordered):
-        col = [projectors[lam][k][i] for k in range(t)]
-        pcols.append(col)
-    pmat = [[pcols[j][i] for j in range(t)] for i in range(t)]
-    total = _series_matrix_mul(
-        [[MultiSeries.constant(cmat[i][j], n, trunc) for j in range(t)] for i in range(t)],
-        pmat,
-        trunc,
-    )
-    comps = [MultiSeries.variable(i, n, trunc) for i in range(r)]
-    for i in range(t):
-        acc = MultiSeries.zero(n, trunc)
-        for j in range(t):
-            if not total[i][j].is_zero():
-                acc = acc + total[i][j] * MultiSeries.variable(r + j, n, trunc)
-        comps.append(acc)
-    change = SeriesTuple(comps)
-    g = change.invert().compose(f.components.compose(change))
-    g_map = AnalyticMap(g, r)
+    _verify_projectors(block, projectors)
+    columns = [
+        _series_matrix_vector(projectors[lam], SeriesTuple([MultiSeries.constant(c, n, trunc) for c in vec]))
+        for _, lam, vec in collected
+    ]
+    zero_head = [[MultiSeries.zero(n, trunc)] * t] * r
+    g_map, change = _conjugated(f, zero_head + [list(row) for row in zip(*columns)])
     # the transverse block must now be the constant diagonal
-    _, g_tail = _transverse_linear_blocks(g - SeriesTuple.identity(n, trunc), r)
-    for i in range(t):
-        for j in range(t):
-            expected = (
-                MultiSeries.constant(ordered[i] - 1, n, trunc) if i == j else MultiSeries.zero(n, trunc)
-            )
-            if g_tail[i][j] != expected:
-                raise AssertionError("diagonalization left a non-diagonal transverse block")
+    _, g_tail = _transverse_linear_blocks(g_map.components - SeriesTuple.identity(n, trunc), r)
+    expected = [[MultiSeries.constant((lam - 1) * (i == j), n, trunc) for j in range(t)] for i, lam in enumerate(ordered)]
+    if g_tail != expected:
+        raise AssertionError("diagonalization left a non-diagonal transverse block")
     return g_map, change
 
 
-def _conjugate_series_matrix(block, cmat, cinv, trunc):
-    t = len(block)
-    n = block[0][0].nvars
-    left = [[MultiSeries.constant(cinv[i][j], n, trunc) for j in range(t)] for i in range(t)]
-    right = [[MultiSeries.constant(cmat[i][j], n, trunc) for j in range(t)] for i in range(t)]
-    return _series_matrix_mul(_series_matrix_mul(left, block, trunc), right, trunc)
-
-
-def _verify_projectors(m1, projectors, ordered, nvars, trunc):
-    t = len(m1)
-    total = [[MultiSeries.zero(nvars, trunc) for _ in range(t)] for _ in range(t)]
+def _verify_projectors(block: list[list[MultiSeries]], projectors: dict[Fraction, list[list[MultiSeries]]]) -> None:
+    """Each projector is idempotent and has block P = lambda P, and they sum
+    to the identity; none of the three changes under a constant similarity,
+    so they hold for B exactly when they hold in the eigenbasis."""
+    nvars, trunc = block[0][0].nvars, block[0][0].trunc
     for lam, proj in projectors.items():
-        sq = _series_matrix_mul(proj, proj, trunc)
-        for i in range(t):
-            for j in range(t):
-                if sq[i][j] != proj[i][j]:
-                    raise NotSemisimpleError("projector is not idempotent over the locus")
-        mp = _series_matrix_mul(m1, proj, trunc)
-        for i in range(t):
-            for j in range(t):
-                if mp[i][j] != proj[i][j].scale(lam):
-                    raise NotSemisimpleError(
-                        "transverse block is not semisimple over the locus"
-                    )
-                total[i][j] = total[i][j] + proj[i][j]
-    for i in range(t):
-        for j in range(t):
-            expected = MultiSeries.constant(1 if i == j else 0, nvars, trunc)
-            if total[i][j] != expected:
-                raise NotSemisimpleError("projectors do not resolve the identity")
+        if _series_matrix_mul(proj, proj) != proj:
+            raise NotSemisimpleError("projector is not idempotent over the locus")
+        if _series_matrix_mul(block, proj) != [[entry.scale(lam) for entry in row] for row in proj]:
+            raise NotSemisimpleError("transverse block is not semisimple over the locus")
+    # entry (i, j) of the sum adds entry (i, j) of every projector
+    total = [
+        [sum(entries, MultiSeries.zero(nvars, trunc)) for entries in zip(*rows)]
+        for rows in zip(*projectors.values())
+    ]
+    if total != _unit_matrix(len(block), nvars, trunc):
+        raise NotSemisimpleError("projectors do not resolve the identity")
 
 
 def normalize_fixed_locus(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:

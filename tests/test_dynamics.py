@@ -393,7 +393,7 @@ class TestCharPoly:
             n = rng.randint(1, 4)
             m = random_rational_matrix(rng, n)
             block = [[MultiSeries.constant(x, nvars, trunc) for x in row] for row in m]
-            *lower, lead = _char_poly(block, lambda a, b: _series_matrix_mul(a, b, trunc))
+            *lower, lead = _char_poly(block, _series_matrix_mul)
             over_q = _char_poly(m, ratlinalg.mat_mul)
             assert lead == over_q[-1] == 1
             assert lower == [MultiSeries.constant(c, nvars, trunc) for c in over_q[:-1]]

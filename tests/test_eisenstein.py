@@ -65,11 +65,17 @@ class TestXPolynomialArguments:
             {True: {(1,): 1}},
             {"1": {(1,): 1}},
             {-1: {(1,): 1}},
+            # a bad key is refused even when its coefficient is zero
+            {1: {(1.5,): 0, (1,): 1}, 0: {('a', 'b'): 0, (0,): 1}},
         ],
     )
     def test_refused(self, coeffs):
         with pytest.raises(DomainError):
             XPolynomial(1, coeffs)
+
+    def test_from_terms_refuses_a_bad_key_whose_terms_cancel(self):
+        with pytest.raises(DomainError):
+            XPolynomial.from_terms(1, [((1.5,), 1, 1), ((1.5,), 1, -1), ((0,), 0, 1)])
 
     def test_from_terms_refuses_a_float_x_power(self):
         with pytest.raises(DomainError):
@@ -174,10 +180,10 @@ class TestCoefficients:
         assert phi == expected
 
     def test_pivot_route_agrees_with_hensel(self):
+        # s = 0, so coefficients_up_to lifts by Hensel; the pivot induction
+        # is the reference
         spec = sqrt_one_plus_x()
-        hensel = coefficients_up_to(spec, 12, method="hensel")
-        pivot = coefficients_up_to(spec, 12, method="pivot")
-        assert hensel == pivot
+        assert coefficients_up_to(spec, 12) == eisenstein._pivot_induction(spec, 12)
 
     def test_positive_vanishing_order_recovers_tail(self):
         # roots x and x + x^3 + x^4; seed x + x^3 continues the second root
@@ -252,8 +258,8 @@ class TestLayerOnlyPivotInduction:
     def test_cube_root_pivot_matches_hensel_and_binomials(self):
         # X-degree 3: two full Horner products, then a layer-only one
         spec = kth_root_of_one_plus_x(3)
-        pivot = coefficients_up_to(spec, 30, method="pivot")
-        assert pivot == coefficients_up_to(spec, 30, method="hensel")
+        pivot = eisenstein._pivot_induction(spec, 30)
+        assert pivot == coefficients_up_to(spec, 30) == eisenstein._hensel(spec, 30)
         for k in range(31):
             assert pivot.coefficient((k,)) == binomial(Fraction(1, 3), k)
 
@@ -393,9 +399,9 @@ class TestRouteAgreement:
         carried = []
         inverse_from = eisenstein._inverse_from
         monkeypatch.setattr(eisenstein, "_inverse_from", lambda s, y: carried.append(y.trunc) or inverse_from(s, y))
-        hensel = coefficients_up_to(spec, degree, method="hensel")
+        hensel = coefficients_up_to(spec, degree)
         assert len(carried) >= 3
-        assert hensel == coefficients_up_to(spec, degree, method="pivot")
+        assert hensel == eisenstein._pivot_induction(spec, degree)
         xs = sympy.symbols(f"x0:{nvars}")
         root = sympy.Poly(
             sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod([x**e for x, e in zip(xs, exps)])
@@ -417,14 +423,26 @@ class TestRouteAgreement:
                 assert root == expansion
 
 
+def ramified_root():
+    """(X - x)^2 = x^6 (1 + x) from the seed x + x^3: vanishing order 3."""
+    relation = XPolynomial.from_terms(
+        1, [((0,), 2, 1), ((1,), 1, -2), ((2,), 0, 1), ((6,), 0, -1), ((7,), 0, -1)]
+    )
+    return AlgebraicSeriesSpec.build(relation, MultiSeries(1, 3, [((1,), Fraction(1)), ((3,), Fraction(1))]))
+
+
 class TestFinalCheck:
     """coefficients_up_to checks F(phi) through degree + s on whatever the
     route returns."""
 
-    @pytest.mark.parametrize("route, method", [("_hensel", "hensel"), ("_pivot_induction", "pivot")])
+    # the route, and the case whose vanishing order sends coefficients_up_to
+    # there: the cube root of 1 + x (s = 0) to Hensel, a ramified root
+    # (s = 3) to the pivot induction
+    @pytest.mark.parametrize("route, case", [("_hensel", "hensel"), ("_pivot_induction", "pivot")])
     @pytest.mark.parametrize("where", ["low", "top"])
-    def test_a_perturbed_coefficient_is_caught(self, monkeypatch, route, method, where):
-        spec = kth_root_of_one_plus_x(3)
+    def test_a_perturbed_coefficient_is_caught(self, monkeypatch, route, case, where):
+        spec = kth_root_of_one_plus_x(3) if case == "hensel" else ramified_root()
+        assert (spec.vanishing_order == 0) == (case == "hensel")
         degree = 12
         original = getattr(eisenstein, route)
 
@@ -435,14 +453,11 @@ class TestFinalCheck:
 
         monkeypatch.setattr(eisenstein, route, perturbed)
         with pytest.raises(DivisionFailureError):
-            coefficients_up_to(spec, degree, method=method)
+            coefficients_up_to(spec, degree)
 
     def test_perturbed_ramified_root_is_caught(self, monkeypatch):
-        # (X - x)^2 = x^6 (1 + x), s = 3: the top coefficient shows at degree + 3
-        relation = XPolynomial.from_terms(
-            1, [((0,), 2, 1), ((1,), 1, -2), ((2,), 0, 1), ((6,), 0, -1), ((7,), 0, -1)]
-        )
-        spec = AlgebraicSeriesSpec.build(relation, MultiSeries(1, 3, [((1,), Fraction(1)), ((3,), Fraction(1))]))
+        # s = 3: the top coefficient shows at degree + 3
+        spec = ramified_root()
         original = eisenstein._pivot_induction
         monkeypatch.setattr(
             eisenstein,
@@ -463,11 +478,11 @@ class TestAgainstSympy:
         degree = 25
         expansion = sympy.series((1 + x) ** sympy.Rational(1, k), x, 0, degree + 1).removeO()
         poly = sympy.Poly(expansion, x)
-        for method in ("hensel", "pivot"):
-            phi = coefficients_up_to(kth_root_of_one_plus_x(k), degree, method=method)
+        spec = kth_root_of_one_plus_x(k)
+        for route, phi in (("hensel", coefficients_up_to(spec, degree)), ("pivot", eisenstein._pivot_induction(spec, degree))):
             for m in range(degree + 1):
                 c = poly.coeff_monomial(x**m)
-                assert phi.coefficient((m,)) == Fraction(int(c.p), int(c.q)), (method, m)
+                assert phi.coefficient((m,)) == Fraction(int(c.p), int(c.q)), (route, m)
 
 
 class TestDenominatorSupport:

@@ -7,8 +7,8 @@ constructor, and only the series code that builds and decodes the graded
 integer view reads the packed exponent key layout, no library function keeps process-wide
 state in a module-level container except the odd-prime memo of arith, and
 only series._parent finds the last variable of a monomial, the step of
-every prefix-parent walk, and every private function is called by the
-library itself."""
+every prefix-parent walk, every private function is called by the
+library itself, and every function reads each of its parameters."""
 
 import ast
 import importlib
@@ -683,3 +683,70 @@ def run():
     other = "from .a import _helper\n\n\ndef _dead():\n    return _helper\n"
     found = unreferenced_private_functions({"a.py": ast.parse(used), "b.py": ast.parse(other)})
     assert found == [("a.py", "_recursive", 6), ("a.py", "_unused_method", 14), ("b.py", "_dead", 4)]
+
+
+def unread_parameters(trees):
+    """(module, function, parameter) for each parameter that its function's
+    body, nested functions included, never loads, in any of the given
+    {module: tree}.  Dunder methods are exempt, since their signature is
+    fixed by the protocol they implement, and so is the receiver (self or
+    cls) of every other method, which an override must keep."""
+    found = []
+
+    def visit(node, module, in_class):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                args = node.args
+                params = [a for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+                if in_class and not static:
+                    params = params[1:]
+                loaded = {
+                    n.id
+                    for stmt in node.body
+                    for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                found.extend((module, node.name, a.arg) for a in params if a.arg not in loaded)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, isinstance(node, ast.ClassDef))
+
+    for module, tree in trees.items():
+        visit(tree, module, False)
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
+    assert unread_parameters(trees) == []
+
+
+def test_the_guard_sees_an_unread_parameter():
+    source = """
+def _verify(block, projectors, ordered):
+    return [block, projectors]
+
+
+def reads_in_a_closure(x, unused=None):
+    def inner():
+        return x
+    return inner
+
+
+class Parser:
+    def error(self, message):
+        raise ValueError("usage")
+
+    @staticmethod
+    def build(spec, trunc):
+        return spec
+
+    def __exit__(self, *exc):
+        return False
+"""
+    assert unread_parameters({"a.py": ast.parse(source)}) == [
+        ("a.py", "_verify", "ordered"),
+        ("a.py", "build", "trunc"),
+        ("a.py", "error", "message"),
+        ("a.py", "reads_in_a_closure", "unused"),
+    ]

@@ -395,6 +395,159 @@ class TestNormalizePipeline:
         assert lhs.agrees_through(rhs, 6)
 
 
+def reference_matmul(a, b, trunc):
+    """The series matrix product summed entry by entry."""
+    nvars = b[0][0].nvars
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b)) if not a[i][k].is_zero()), MultiSeries.zero(nvars, trunc))
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def similarity_diagonalize(f):
+    """Reference: the transverse diagonalization through the eigenbasis.
+
+    Moves B = 1 + a'' to m1 = C^(-1) B C, builds the interpolation
+    projectors of m1, moves them back as C P, and builds the change
+    x''_i -> sum_j (C P)_ij x''_j term by term, then conjugates."""
+    r, n, trunc = f.fixed_locus_dim, f.n, f.trunc
+    t = n - r
+    _, a_tail = linearize._transverse_linear_blocks(f.components - SeriesTuple.identity(n, trunc), r)
+    block = [[a_tail[i][j] + MultiSeries.constant(int(i == j), n, trunc) for j in range(t)] for i in range(t)]
+    *lower, lead = linearize._char_poly(block, lambda a, b: reference_matmul(a, b, trunc))
+    roots = linearize._rational_roots_monic([c.constant_term() for c in lower] + [lead])
+    block_const = [[block[i][j].constant_term() for j in range(t)] for i in range(t)]
+    collected = []
+    for lam in sorted(set(roots)):
+        shifted = [[block_const[i][j] - (lam if i == j else 0) for j in range(t)] for i in range(t)]
+        for vec in ratlinalg.kernel_basis(shifted, t):
+            collected.append((next(i for i, x in enumerate(vec) if x), lam, vec))
+    assert len(collected) == t
+    collected.sort(key=lambda item: item[0])
+    ordered = [lam for _, lam, _ in collected]
+    cmat = [[collected[j][2][i] for j in range(t)] for i in range(t)]
+    cinv = ratlinalg.inverse(cmat)
+
+    def constant(mat):
+        return [[MultiSeries.constant(x, n, trunc) for x in row] for row in mat]
+
+    m1 = reference_matmul(reference_matmul(constant(cinv), block, trunc), constant(cmat), trunc)
+    distinct = sorted(set(ordered))
+    projectors = {}
+    for lam in distinct:
+        proj = constant(ratlinalg.identity(t))
+        for other in distinct:
+            if other != lam:
+                shift = [
+                    [(m1[i][j] - MultiSeries.constant(other if i == j else 0, n, trunc)).scale(1 / (lam - other))
+                     for j in range(t)]
+                    for i in range(t)
+                ]
+                proj = reference_matmul(proj, shift, trunc)
+        projectors[lam] = proj
+    pmat = [[projectors[ordered[j]][i][j] for j in range(t)] for i in range(t)]
+    total = reference_matmul(constant(cmat), pmat, trunc)
+    comps = [MultiSeries.variable(i, n, trunc) for i in range(r)]
+    for i in range(t):
+        acc = MultiSeries.zero(n, trunc)
+        for j in range(t):
+            if not total[i][j].is_zero():
+                acc = acc + total[i][j] * MultiSeries.variable(r + j, n, trunc)
+        comps.append(acc)
+    change = SeriesTuple(comps)
+    return change.invert().compose(f.components.compose(change)), change
+
+
+def sheared_maps(degree):
+    """The two maps with r = 1 that the conjugacy benchmark adds to the
+    acceptance fixtures."""
+    return {
+        "shear-2d": build_map([[((1, 0), 1), ((0, 1), 1)], [((0, 1), -2), ((0, 2), 1)]], degree, r=1),
+        "triangular-3d": build_map(
+            [[((1, 0, 0), 1)], [((0, 1, 0), -2), ((1, 0, 1), 1), ((0, 2, 0), 1)], [((0, 0, 1), -3), ((0, 1, 1), 1)]],
+            degree,
+            r=1,
+        ),
+    }
+
+
+# triangular transverse blocks whose entries depend on the locus
+# coordinates, with nonlinear transverse terms so that g differs from f;
+# all but upper-3x3-r2 are not diagonal at the point, so the eigenvectors
+# v_j are not unit vectors
+TRIANGULAR_BLOCKS = {
+    # r = 1, 2 x 2: upper and lower, distinct eigenvalues
+    "upper-2x2-r1": (1, [[((1, 0, 0), 1), ((0, 2, 0), 1)],
+                         [((0, 1, 0), -2), ((0, 0, 1), 1), ((1, 0, 1), 1), ((2, 0, 1), 3), ((0, 1, 1), 1)],
+                         [((0, 0, 1), -3), ((0, 2, 0), 1)]]),
+    "lower-2x2-r1": (1, [[((1, 0, 0), 1), ((0, 1, 1), 1)],
+                         [((0, 1, 0), 5), ((0, 2, 0), -1)],
+                         [((0, 0, 1), Fraction(1, 2)), ((0, 1, 0), 4), ((1, 1, 0), 2), ((3, 1, 0), -1), ((0, 1, 1), 1)]]),
+    # r = 1, 3 x 3: distinct, and a repeated eigenvalue
+    "upper-3x3-r1": (1, [[((1, 0, 0, 0), 1)],
+                         [((0, 1, 0, 0), -2), ((0, 0, 1, 0), 1), ((1, 0, 1, 0), 1), ((2, 0, 0, 1), -1), ((0, 2, 0, 0), 1)],
+                         [((0, 0, 1, 0), 3), ((0, 0, 0, 1), -1), ((1, 0, 0, 1), 2), ((0, 1, 1, 0), 1)],
+                         [((0, 0, 0, 1), 5), ((0, 0, 1, 1), 1)]]),
+    "repeated-3x3-r1": (1, [[((1, 0, 0, 0), 1), ((0, 1, 1, 0), 1)],
+                            [((0, 1, 0, 0), -2), ((0, 0, 0, 1), 2), ((1, 0, 0, 1), 1), ((0, 2, 0, 0), 1)],
+                            [((0, 0, 1, 0), -2), ((2, 0, 0, 1), -1), ((0, 0, 1, 1), 1)],
+                            [((0, 0, 0, 1), 3)]]),
+    "repeated-lower-3x3-r1": (1, [[((1, 0, 0, 0), 1)],
+                                  [((0, 1, 0, 0), 3), ((0, 1, 1, 0), 1)],
+                                  [((0, 0, 1, 0), -2), ((1, 1, 0, 0), 1)],
+                                  [((0, 0, 0, 1), -2), ((0, 1, 0, 0), 1), ((1, 1, 0, 0), 2), ((0, 2, 0, 0), 1)]]),
+    # r = 2: entries in x1 and x2
+    "upper-2x2-r2": (2, [[((1, 0, 0, 0), 1), ((0, 0, 2, 0), 1)],
+                         [((0, 1, 0, 0), 1), ((0, 0, 1, 1), 1)],
+                         [((0, 0, 1, 0), -2), ((0, 0, 0, 1), -1), ((1, 1, 0, 1), 1), ((0, 2, 0, 1), 2), ((0, 0, 2, 0), 1)],
+                         [((0, 0, 0, 1), 3), ((0, 0, 1, 1), -1)]]),
+    "upper-3x3-r2": (2, [[((1, 0, 0, 0, 0), 1)],
+                         [((0, 1, 0, 0, 0), 1), ((0, 0, 1, 1, 0), 1)],
+                         [((0, 0, 1, 0, 0), -2), ((1, 0, 0, 1, 0), 1), ((0, 1, 0, 0, 1), 1)],
+                         [((0, 0, 0, 1, 0), 4), ((1, 1, 0, 0, 1), -1), ((0, 0, 0, 2, 0), 1)],
+                         [((0, 0, 0, 0, 1), Fraction(-1, 3))]]),
+    "repeated-3x3-r2": (2, [[((1, 0, 0, 0, 0), 1)],
+                            [((0, 1, 0, 0, 0), 1), ((0, 0, 0, 1, 1), 1)],
+                            [((0, 0, 1, 0, 0), 2), ((1, 0, 0, 0, 1), 1), ((0, 0, 2, 0, 0), 1)],
+                            [((0, 0, 0, 1, 0), 2), ((0, 0, 0, 0, 1), 1), ((0, 1, 0, 0, 1), -1), ((1, 1, 0, 0, 1), 1)],
+                            [((0, 0, 0, 0, 1), -1)]]),
+}
+
+
+class TestProjectorsOfTheBlockItself:
+    """diagonalize_normal_part, with the projectors of B itself, returns
+    the change and g of the eigenbasis route."""
+
+    @pytest.mark.parametrize("trunc", [4, 5])
+    @pytest.mark.parametrize("name", sorted(TRIANGULAR_BLOCKS))
+    def test_matches_the_similarity_route(self, name, trunc):
+        r, terms = TRIANGULAR_BLOCKS[name]
+        f = build_map(terms, trunc, r=r)
+        g, change = diagonalize_normal_part(f)
+        ref_g, ref_change = similarity_diagonalize(f)
+        assert change == ref_change
+        assert g.components == ref_g
+        assert g.fixed_locus_dim == r
+        # the change is not a constant one: the locus coupling is solved
+        assert change != SeriesTuple.identity(f.n, trunc)
+
+    @pytest.mark.parametrize("name", ["shear-2d", "triangular-3d"])
+    def test_pipeline_matches_the_similarity_route(self, name):
+        f = sheared_maps(8)[name]
+        g, change = normalize_fixed_locus(f)
+        sheared, shear = normalize_mod_if2(f)
+        ref_g, ref_change = similarity_diagonalize(sheared)
+        assert change == shear.compose(ref_change)
+        assert g.components == ref_g
+
+    def test_locus_dependent_jordan_block_is_refused(self):
+        # B = [[-2, x1], [0, -2]]: semisimple at the point, not along the locus
+        f = build_map([[((1, 0, 0), 1)], [((0, 1, 0), -2), ((1, 0, 1), 1)], [((0, 0, 1), -2)]], 5, r=1)
+        with pytest.raises(NotSemisimpleError, match="not semisimple over the locus"):
+            diagonalize_normal_part(f)
+
+
 class TestNewton:
     def test_zero_iterations_for_linear(self):
         f = build_map([[((1, 0), 2)], [((0, 1), 3)]], 6)
@@ -467,7 +620,7 @@ def geometric_series_inverse(mat, trunc):
     total = [[MultiSeries.constant(int(i == j), nvars, trunc) for j in range(n)] for i in range(n)]
     power = [row[:] for row in total]
     for k in range(1, trunc + 1):
-        power = linearize._series_matrix_mul(power, nu, trunc)
+        power = linearize._series_matrix_mul(power, nu)
         if all(entry.is_zero() for row in power for entry in row):
             break
         total = [[total[i][j] + power[i][j].scale((-1) ** k) for j in range(n)] for i in range(n)]
@@ -536,13 +689,7 @@ class TestSeriesSolve:
 def nine_fixture_maps(degree):
     """The seven acceptance fixtures and the two sheared maps of the
     conjugacy benchmark, each with the fixed-locus normalizations applied."""
-    maps = dict(fixture_suite(degree))
-    maps["shear-2d"] = build_map([[((1, 0), 1), ((0, 1), 1)], [((0, 1), -2), ((0, 2), 1)]], degree, r=1)
-    maps["triangular-3d"] = build_map(
-        [[((1, 0, 0), 1)], [((0, 1, 0), -2), ((1, 0, 1), 1), ((0, 2, 0), 1)], [((0, 0, 1), -3), ((0, 1, 1), 1)]],
-        degree,
-        r=1,
-    )
+    maps = {**fixture_suite(degree), **sheared_maps(degree)}
     return {name: normalize_fixed_locus(f)[0] for name, f in maps.items()}
 
 
