@@ -1,8 +1,15 @@
 """Integer and rational number-theory helpers.
 
-Everything here is exact: primality is decided by a deterministic
-Miller-Rabin base set, factorization by trial division with a Pollard rho
-fallback, and integer kernels by unimodular column reduction.
+Everything here is exact: factorization is by trial division with a
+Pollard rho fallback, and integer kernels by unimodular column reduction.
+
+Primality is proven below 318665857834031151167461 (about 2**78): there the
+strong Miller-Rabin test to the twelve prime bases 2..37 is exact
+(Sorenson and Webster, Math. Comp. 86, 2017), and that bound is the least
+composite it passes.  From the bound up, a number that passes those bases
+must also pass a strong Lucas test with Selfridge's parameters, which makes
+the test Baillie-PSW.  No composite is known to pass Baillie-PSW, and none
+exists below 2**64, but above the bound it is not proven.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from typing import Iterable
 from .errors import DomainError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least composite that passes the strong test to every base in _MR_BASES
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
@@ -37,7 +46,69 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd positive n."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of an odd n >= 5, with Selfridge's parameters:
+    D the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1, P = 1
+    and Q = (1 - D)/4.
+
+    A square has no such D, so it is refused first and the search ends.
+    With n + 1 = d 2**s, n passes when U_d = 0 or V_(d 2**r) = 0 for some
+    0 <= r < s, all mod n.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    disc = 5
+    while True:
+        symbol = _jacobi(disc, n)
+        if symbol == -1:
+            break
+        if symbol == 0:
+            # the first |disc| sharing a factor with n is n's least prime
+            # factor, so n is prime exactly when that is n itself
+            return abs(disc) == n
+        disc = -disc - 2 if disc > 0 else -disc + 2
+    q = (1 - disc) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def halved(x: int) -> int:
+        # x / 2 mod n, for the odd n
+        return (x + n if x & 1 else x) // 2 % n
+
+    # U_k, V_k and Q^k mod n, from k = 1 up along the bits of d
+    u, v, qk = 1, 1, q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = halved(u + v), halved(disc * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 _ODD_PRIMES: set[int] = set()

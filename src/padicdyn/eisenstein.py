@@ -282,16 +282,16 @@ def _pivot_induction(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
     low = d + s forms layer d + s alone, the same as in a full evaluation,
     so a step costs about one layer of each product instead of the whole
     series.  phi grows by its new layer without copying (MultiSeries._grown):
-    the old layer dicts are shared with their graded-view entries, so each
-    step packs its new layer alone instead of rebuilding the view.
+    the old layer entries are shared, so each step packs its new layer
+    alone.
     """
     s = spec.vanishing_order
     divisor = _derivative_layer(spec.relation, spec.seed, s)
     phi = spec.seed
     for d in range(spec.seed.trunc + 1, degree + 1):
         numerator = spec.relation.evaluate(phi, d + s, low=d + s).layer(d + s)
-        negated = {e: -c for e, c in numerator.items()}
-        phi = phi._grown(_divide_forms(negated, divisor, spec.pivot_monomial))
+        layer = _divide_forms(numerator, divisor, spec.pivot_monomial)
+        phi = phi._grown(-MultiSeries(phi.nvars, d, layer.items()))
     return phi
 
 
@@ -304,7 +304,7 @@ class DenominatorSupport:
 def denominator_support(phi: MultiSeries | SeriesTuple) -> DenominatorSupport:
     """Primes dividing any coefficient denominator, and their squarefree product."""
     comps = phi.components if isinstance(phi, SeriesTuple) else (phi,)
-    primes = prime_support(c.denominator for comp in comps for lay in comp._layers.values() for c in lay.values())
+    primes = prime_support(c.denominator for comp in comps for _, c in comp.terms())
     product = 1
     for p in sorted(primes):
         product *= p

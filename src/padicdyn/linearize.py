@@ -64,8 +64,8 @@ the one composition engine of the series module, a table of the powers f^I
 that every layer and component shares, builds a power f^I only when a
 kappa_d has the monomial I (from f^(I - e_last(I)), and keeps it), and
 holds the remainder as integer sums, grouped by denominator within each
-degree, so only the layer being solved is turned into Fractions.  Since
-the kappa_d hold disjoint degrees, k is assembled from them without a
+degree, so only the layer being solved is merged and reduced to a series.
+Since the kappa_d hold disjoint degrees, k is assembled from them without a
 series sum.
 Every other substitution here (the residuals f o h and the reversion
 below) reads the same engine through SeriesTuple.compose.
@@ -257,17 +257,15 @@ def solve_homological(
     out = []
     for j, comp in enumerate(g.components):
         lam = lams[j]
-        layers: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for d, lay in comp._layers.items():
-            new = {}
-            for exps, coeff in lay.items():
-                divisor = power(head + exps[r:]) - lam
-                if not divisor:
-                    first = next(e for e, _ in comp.terms() if power(head + e[r:]) == lam)
-                    raise ResonantMonomialError(first, j)
-                new[exps] = coeff / divisor
-            layers[d] = new
-        out.append(MultiSeries._raw(comp.nvars, comp.trunc, layers))
+
+        def inverse_divisor(exps):
+            divisor = power(head + exps[r:]) - lam
+            if not divisor:
+                first = next(e for e, _ in comp.terms() if power(head + e[r:]) == lam)
+                raise ResonantMonomialError(first, j)
+            return 1 / divisor
+
+        out.append(comp.weighted(inverse_divisor))
     return SeriesTuple(out)
 
 
@@ -418,8 +416,9 @@ def _series_solve(mat: list[list[MultiSeries]], rhs: SeriesTuple) -> SeriesTuple
 
     One degree at a time: x_d = C^(-1) (rhs_d - ((mat - C) x)_d).  x holds
     the layers below d when layer d of mat x is formed, so C never meets
-    it there, and each product is formed in that layer alone.  x then grows
-    by its new layer without copying (MultiSeries._grown).
+    it there, and each product is formed in that layer alone.  Each step is
+    series arithmetic on homogeneous series at cap d, and x then grows by
+    its new layer without copying (MultiSeries._grown).
     """
     n, nvars = len(rhs), rhs.nvars
     if len(mat) != n or any(len(row) != n for row in mat):
@@ -427,20 +426,20 @@ def _series_solve(mat: list[list[MultiSeries]], rhs: SeriesTuple) -> SeriesTuple
     cinv = ratlinalg.inverse([[entry.constant_term() for entry in row] for row in mat])
     cap = min([rhs.trunc] + [entry.trunc for row in mat for entry in row])
     # nothing is known yet: the cap below degree 0
-    x = [MultiSeries._raw(nvars, -1, {}) for _ in range(n)]
+    x = [MultiSeries.zero(nvars, -1) for _ in range(n)]
     for d in range(cap + 1):
-        rest = [dict(comp._layers.get(d, {})) for comp in rhs]
-        for row, acc in zip(mat, rest):
+        rest = []
+        for row, acc in zip(mat, rhs.layer_tuple(d).truncated(d)):
             for entry, comp in zip(row, x):
-                for exps, c in _mul(entry, comp, d, d)._layers.get(d, {}).items():
-                    acc[exps] = acc.get(exps, 0) - c
+                if not comp.is_zero():
+                    acc = acc - _mul(entry, comp, d, d)
+            rest.append(acc)
         layers = []
         for weights in cinv:
-            layer: dict[tuple[int, ...], Fraction] = {}
+            layer = MultiSeries.zero(nvars, d)
             for w, acc in zip(weights, rest):
-                if w:
-                    for exps, c in acc.items():
-                        layer[exps] = layer.get(exps, 0) + w * c
+                if w and not acc.is_zero():
+                    layer = layer + acc.scale(w)
             layers.append(layer)
         x = [comp._grown(layer) for comp, layer in zip(x, layers)]
     return SeriesTuple(x)
@@ -576,15 +575,9 @@ def _rescale_exponent(fmap: SeriesTuple, lams: Sequence[Fraction], prime: int) -
 
 def _rescale_map(g: SeriesTuple, c: Fraction) -> SeriesTuple:
     """The conjugate x -> g(c x) / c: degree-d terms scale by c**(d - 1),
-    one product per term."""
-    out = []
-    for comp in g.components:
-        layers = {}
-        for d, lay in comp._layers.items():
-            scale = c ** (d - 1)
-            layers[d] = {exps: v * scale for exps, v in lay.items()}
-        out.append(MultiSeries._raw(comp.nvars, comp.trunc, layers))
-    return SeriesTuple(out)
+    one power per degree."""
+    scales = [c ** (d - 1) for d in range(g.trunc + 1)]
+    return SeriesTuple([comp.weighted(lambda exps: scales[sum(exps)]) for comp in g.components])
 
 
 def check_norm_bound(
@@ -657,8 +650,8 @@ def _derivative_norms(
     least: dict[int, int] = {}  # degree of the derivative -> least valuation
     least_lambda: dict[int, int] = {}
     for comp in w.components:
-        for d, lay in comp._layers.items():
-            for exps, c in lay.items():
+        for d in range(w.trunc + 1):
+            for exps, c in comp.layer(d).items():
                 v = fraction_valuation(c, prime)
                 v_power = sum(e * vl for e, vl in zip(exps, v_lams))
                 at_zero = sum(exps[k] for k in zero)

@@ -1,42 +1,48 @@
 """Truncated multivariate power series over the rationals.
 
-A series is stored densely by total degree: one sparse map per graded
-layer, sending exponent tuples to nonzero Fraction coefficients.  All
-monomials above the truncation degree are discarded, and every arithmetic
-operation truncates at the minimum truncation degree of its operands, so
-precision can only shrink, never silently grow.
+A series is stored by total degree, in one form: per graded layer, one
+denominator and the integer numerators over it, each exponent tuple packed
+once into an integer key with exponent i in the 16-bit field at bit 16 i.
+All monomials above the truncation degree are discarded, and every
+arithmetic operation truncates at the minimum truncation degree of its
+operands, so precision can only shrink, never silently grow.
 
-Each series caches one graded integer view: per layer, one denominator,
-the lcm of that layer's coefficient denominators, and the numerators over
-it, each exponent tuple packed once into an integer key with exponent i in
-the 16-bit field at bit 16 i.  A layer's entry depends on that layer alone,
-so a series that shares layer dicts with another (truncated, as_polynomial,
-_grown, the one-operand degrees of a sum) shares their entries too.  Keys
-add carry-free below 2**16, the cap on every truncation degree, so products
-convolve the views as they are; a square (both operands the same object)
-visits each unordered pair of terms once.  A product is formed one output
-degree at a time: its term products are summed in groups, one per product
-of the operands' layer denominators, and the groups are merged once over
-their lcm (_merge) before the next degree, so a low layer is never
-multiplied at the width of a high one.  Composition sums
-c_I inner^I over one table of the inner map's monomial powers
-(_PowerTable), each power a graded view of its own.  It serves one
-substitution (SeriesTuple.compose), which walks the table up one degree at
-a time over the powers its outer map reads, and a stream of homogeneous
-layers (_LayerStream), which builds a power when a layer first reads it and
-keeps its running sum in groups too, one per layer added, merging a degree
-and decoding it to Fractions only when it is read.  A combination of
-powers puts its products over one lcm per degree, scaling each through
-its scalar multiplier alone.  The product kernel _mul and both
-substitutions take a lower bound low on the output degree: the layers
-below it are not formed, and in SeriesTuple.compose neither are those
-degrees of the table powers that only feed the result.  A caller that
-needs one graded layer, such as a layer step of the linearizing
-conjugacy, then pays for that layer and for the powers the table builds
-further powers from.  A diagonal substitution x_i -> lambda_i x_i scales
-each coefficient by lambda^I, read from a table of those powers
-(_DiagonalPowers) that callers may share between substitutions.  All are
-exact.
+The form is canonical: each layer's denominator is positive and shares no
+factor with all of the layer's numerators, no numerator is zero and no
+layer is empty, so two series are equal exactly when their layer maps are.
+Every kernel reads and writes this form, and brings its sums to it with
+one gcd chain per layer (_reduced): the least denominator of
+N_1 / D, ..., N_k / D is D / gcd(D, N_1, ..., N_k).  Fractions are built
+only where a coefficient is handed out: terms, layer, coefficient,
+constant_term, to_records, eval and repr.  A layer's entry depends on that
+layer alone and is never changed after construction, so a series made from
+another's layers (truncated, as_polynomial, _grown, the one-operand degrees
+of a sum) shares their entries.
+
+Keys add carry-free below 2**16, the cap on every truncation degree, so
+products convolve the layers as they are; a square (both operands the same
+object) visits each unordered pair of terms once.  A product is formed one
+output degree at a time: its term products are summed in groups, one per
+product of the operands' layer denominators, and the groups are merged once
+over their lcm (_merge) before the next degree, so a low layer is never
+multiplied at the width of a high one.  Composition sums c_I inner^I over
+one table of the inner map's monomial powers (_PowerTable), each power in
+the same graded integer form, not reduced.  It serves one substitution
+(SeriesTuple.compose), which walks the table up one degree at a time over
+the powers its outer map reads, and a stream of homogeneous layers
+(_LayerStream), which builds a power when a layer first reads it and keeps
+its running sum in groups too, one per layer added, merging and reducing a
+degree only when it is read.  A combination of powers puts its products
+over one lcm per degree, scaling each through its scalar multiplier alone.
+The product kernel _mul and both substitutions take a lower bound low on
+the output degree: the layers below it are not formed, and in
+SeriesTuple.compose neither are those degrees of the table powers that only
+feed the result.  A caller that needs one graded layer, such as a layer
+step of the linearizing conjugacy, then pays for that layer and for the
+powers the table builds further powers from.  A diagonal substitution
+x_i -> lambda_i x_i scales each coefficient by lambda^I (weighted), read
+from a table of those powers (_DiagonalPowers) that callers may share
+between substitutions.  All are exact.
 
 Every monomial walk of the package takes one step, from a nonzero
 monomial I to its prefix parent I - e_j with j the last variable of I
@@ -59,11 +65,11 @@ import struct
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
-from typing import Container, Iterable, Iterator, Sequence
+from math import gcd, lcm
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from . import ratlinalg
-from .arith import fraction_valuation, is_prime
+from .arith import int_valuation, is_prime
 from .errors import DomainError
 
 Exponents = tuple[int, ...]
@@ -76,6 +82,19 @@ def _key_fields(nvars: int) -> struct.Struct:
     """The layout of a packed key: exponent i in the little-endian unsigned
     16-bit field i, so the key is sum_i e_i 2**(16 i)."""
     return struct.Struct(f"<{nvars}H")
+
+
+def _packer(nvars: int) -> Callable[[Exponents], int]:
+    """The packed key of an exponent tuple of nvars entries below 2**16."""
+    pack = _key_fields(nvars).pack
+    return lambda exps: int.from_bytes(pack(*exps), "little")
+
+
+def _unpacker(nvars: int) -> Callable[[int], Exponents]:
+    """The exponent tuple of a packed key."""
+    fields = _key_fields(nvars)
+    unpack, size = fields.unpack, fields.size
+    return lambda key: unpack(key.to_bytes(size, "little"))
 
 
 def _is_int(value) -> bool:
@@ -95,14 +114,15 @@ def _as_coeff(value) -> Fraction:
 class MultiSeries:
     """Truncated power series; immutable by convention."""
 
-    __slots__ = ("nvars", "trunc", "_layers", "_view")
+    __slots__ = ("nvars", "trunc", "_packed")
 
     def __init__(self, nvars: int, trunc: int, terms: Iterable[tuple[Exponents, Fraction]] = ()) -> None:
         if not _is_int(nvars) or nvars < 1:
             raise DomainError(f"need at least one variable, got {nvars!r}")
         if not _is_int(trunc) or not 0 <= trunc < _KEY_CAP:
             raise DomainError(f"truncation degree {trunc!r} is not an integer in [0, {_KEY_CAP - 1}]")
-        layers: dict[int, dict[Exponents, Fraction]] = {}
+        pack = _packer(nvars)
+        layers: dict[int, dict[int, Fraction]] = {}
         for exps, coeff in terms:
             exps = tuple(exps)
             if len(exps) != nvars or not all(_is_int(e) and e >= 0 for e in exps):
@@ -111,65 +131,30 @@ class MultiSeries:
             if deg > trunc:
                 continue
             coeff = _as_coeff(coeff)
-            layer = layers.setdefault(deg, {})
-            if exps not in layer:
-                if coeff:
-                    layer[exps] = coeff
-                continue
-            acc = layer[exps] + coeff
-            if acc:
-                layer[exps] = acc
-            else:
-                del layer[exps]
+            layer, key = layers.setdefault(deg, {}), pack(exps)
+            layer[key] = layer[key] + coeff if key in layer else coeff
+        packed: _Packed = {}
+        for d, layer in layers.items():
+            # the lcm of reduced denominators is the least one of the layer
+            den = lcm(*(c.denominator for c in layer.values() if c))
+            nums = {key: c.numerator * (den // c.denominator) for key, c in layer.items() if c}
+            if nums:
+                packed[d] = (den, nums)
         self.nvars = nvars
         self.trunc = trunc
-        self._layers = {d: lay for d, lay in layers.items() if lay}
-        self._view = None
+        self._packed = packed
 
     @classmethod
-    def _raw(
-        cls, nvars: int, trunc: int, layers: dict[int, dict[Exponents, Fraction]], view: "_View | None" = None
-    ) -> "MultiSeries":
-        """A series of the given layer map, taken as is.  view, when given,
-        holds the graded-view entries of some of these layers, shared with
-        the series they come from."""
+    def _raw(cls, nvars: int, trunc: int, packed: "_Packed") -> "MultiSeries":
+        """A series of the given layer map, taken as is: it must be in the
+        canonical form of the module docstring."""
         if not _is_int(trunc) or trunc >= _KEY_CAP:
             raise DomainError(f"truncation degree {trunc!r} is not an integer below {_KEY_CAP}")
         obj = object.__new__(cls)
         obj.nvars = nvars
         obj.trunc = trunc
-        obj._layers = layers
-        obj._view = view
+        obj._packed = packed
         return obj
-
-    def _graded(self) -> "_View":
-        """The graded integer view, cached: {deg: (den, [(key, numerator)])}
-        with den the lcm of that layer's denominators and the exponents
-        packed by _key_fields.
-
-        An entry depends on its layer alone, so a series made from another's
-        layers starts with those layers' entries, and only its other layers
-        are packed here.  truncated, as_polynomial and _grown build the
-        source's view first, so that it is kept on the source and handed on
-        from there; _merged, _disjoint_sum and _inverse_from hand on the
-        entries their operands already hold.  Built once: instances and
-        their entries are never changed after construction.
-        """
-        view = self._view
-        if view is not None and len(view) == len(self._layers):
-            return view
-        known = view or {}
-        pack = _key_fields(self.nvars).pack
-        built = dict(known)
-        for d in self._layers.keys() - known.keys():
-            layer = self._layers[d]
-            den = lcm(*(c.denominator for c in layer.values()))
-            terms = [
-                (int.from_bytes(pack(*e), "little"), c.numerator * (den // c.denominator)) for e, c in layer.items()
-            ]
-            built[d] = (den, terms)
-        self._view = built
-        return built
 
     # -- constructors --------------------------------------------------
 
@@ -182,7 +167,7 @@ class MultiSeries:
         c = _as_coeff(value)
         if not c:
             return cls.zero(nvars, trunc)
-        return cls._raw(nvars, trunc, {0: {(0,) * nvars: c}})
+        return cls._raw(nvars, trunc, {0: (c.denominator, {_packer(nvars)((0,) * nvars): c.numerator})})
 
     @classmethod
     def one(cls, nvars: int, trunc: int) -> "MultiSeries":
@@ -195,37 +180,49 @@ class MultiSeries:
         if trunc < 1:
             return cls.zero(nvars, trunc)
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._raw(nvars, trunc, {1: {exps: Fraction(1)}})
+        return cls._raw(nvars, trunc, {1: (1, {_packer(nvars)(exps): 1})})
 
     # -- views -----------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """All stored terms in graded lexicographic order."""
-        for d in sorted(self._layers):
-            for exps in sorted(self._layers[d], reverse=True):
-                yield exps, self._layers[d][exps]
+        unpack = _unpacker(self.nvars)
+        for d in sorted(self._packed):
+            den, nums = self._packed[d]
+            for exps, n in sorted(zip(map(unpack, nums), nums.values()), reverse=True):
+                yield exps, _fraction(n, den)
 
     def layer(self, degree: int) -> dict[Exponents, Fraction]:
-        return dict(self._layers.get(degree, {}))
+        """Layer degree as a fresh map of exponent tuples to Fractions."""
+        if degree not in self._packed:
+            return {}
+        den, nums = self._packed[degree]
+        unpack = _unpacker(self.nvars)
+        return {unpack(key): _fraction(n, den) for key, n in nums.items()}
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         exps = tuple(exps)
-        return self._layers.get(sum(exps), {}).get(exps, _ZERO)
+        entry = self._packed.get(sum(exps))
+        if entry is None or len(exps) != self.nvars or not all(isinstance(e, int) and e >= 0 for e in exps):
+            return _ZERO
+        den, nums = entry
+        n = nums.get(_packer(self.nvars)(exps))
+        return _ZERO if n is None else _fraction(n, den)
 
     def constant_term(self) -> Fraction:
-        return self._layers.get(0, {}).get((0,) * self.nvars, _ZERO)
+        return self.coefficient((0,) * self.nvars)
 
     def is_zero(self) -> bool:
-        return not self._layers
+        return not self._packed
 
     def lowest_degree(self) -> int | None:
-        return min(self._layers) if self._layers else None
+        return min(self._packed) if self._packed else None
 
     def degree(self) -> int | None:
-        return max(self._layers) if self._layers else None
+        return max(self._packed) if self._packed else None
 
     def term_count(self) -> int:
-        return sum(len(lay) for lay in self._layers.values())
+        return sum(len(nums) for _, nums in self._packed.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiSeries):
@@ -233,7 +230,7 @@ class MultiSeries:
         return (
             self.nvars == other.nvars
             and self.trunc == other.trunc
-            and self._layers == other._layers
+            and self._packed == other._packed
         )
 
     __hash__ = None
@@ -242,10 +239,7 @@ class MultiSeries:
         """Equality of all terms of total degree <= degree."""
         if self.nvars != other.nvars:
             return False
-        for d in range(degree + 1):
-            if self._layers.get(d, {}) != other._layers.get(d, {}):
-                return False
-        return True
+        return all(self._packed.get(d) == other._packed.get(d) for d in range(degree + 1))
 
     def __repr__(self) -> str:
         parts = []
@@ -271,44 +265,38 @@ class MultiSeries:
 
     def _merged(self, other, sign: int):
         """self + sign * other for sign = 1 or -1; a difference merges with
-        negated coefficients instead of negating other first."""
+        negated numerators instead of negating other first."""
         if isinstance(other, (int, Fraction)):
             other = MultiSeries.constant(other, self.nvars, self.trunc)
         if not isinstance(other, MultiSeries):
             return NotImplemented
         self._check_compatible(other)
         trunc = min(self.trunc, other.trunc)
-        layers: dict[int, dict[Exponents, Fraction]] = {}
-        view: _View = {}
-        for d in set(self._layers) | set(other._layers):
+        mine, theirs = self._packed, other._packed
+        sums: _Packed = {}
+        shared: _Packed = {}
+        for d in mine.keys() | theirs.keys():
             if d > trunc:
                 continue
-            # a degree held by one operand alone shares its layer dict and
-            # its view entry, or takes a negated copy of a subtrahend's
-            if d not in self._layers and sign < 0:
-                layers[d] = {e: -c for e, c in other._layers[d].items()}
+            # a degree held by one operand alone shares its entry, but a
+            # subtrahend's is merged into nothing: a negated copy
+            if d not in theirs or (d not in mine and sign > 0):
+                shared[d] = mine.get(d) or theirs[d]
                 continue
-            if d not in self._layers or d not in other._layers:
-                source = self if d in self._layers else other
-                layers[d] = source._layers[d]
-                if source._view and d in source._view:
-                    view[d] = source._view[d]
-                continue
-            merged = dict(self._layers[d])
-            for exps, c in other._layers[d].items():
-                acc = merged.get(exps, _ZERO)
-                acc = acc + c if sign > 0 else acc - c
-                if acc:
-                    merged[exps] = acc
-                else:
-                    merged.pop(exps, None)
-            if merged:
-                layers[d] = merged
-        return MultiSeries._raw(self.nvars, trunc, layers, view)
+            (den_a, nums_a), (den_b, nums_b) = mine.get(d, (1, {})), theirs[d]
+            den = lcm(den_a, den_b)
+            scale_a, scale_b = den // den_a, sign * (den // den_b)
+            out = dict(nums_a) if scale_a == 1 else {key: scale_a * v for key, v in nums_a.items()}
+            get = out.get
+            for key, v in nums_b.items():
+                out[key] = get(key, 0) + scale_b * v
+            sums[d] = (den, out)
+        packed = _reduced(sums)
+        packed.update(shared)
+        return MultiSeries._raw(self.nvars, trunc, packed)
 
     def __neg__(self):
-        layers = {d: {e: -c for e, c in lay.items()} for d, lay in self._layers.items()}
-        return MultiSeries._raw(self.nvars, self.trunc, layers)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self._merged(other, -1)
@@ -318,10 +306,25 @@ class MultiSeries:
 
     def scale(self, value) -> "MultiSeries":
         c = _as_coeff(value)
-        if not c:
-            return MultiSeries.zero(self.nvars, self.trunc)
-        layers = {d: {e: c * v for e, v in lay.items()} for d, lay in self._layers.items()}
-        return MultiSeries._raw(self.nvars, self.trunc, layers)
+        num, den = c.numerator, c.denominator
+        sums = {d: (den * d_den, {key: num * v for key, v in nums.items()}) for d, (d_den, nums) in self._packed.items()}
+        return MultiSeries._raw(self.nvars, self.trunc, _reduced(sums))
+
+    def weighted(self, weight: Callable[[Exponents], Fraction]) -> "MultiSeries":
+        """The series with each coefficient c_I times the rational weight(I);
+        a term of weight 0 is dropped.  weight meets the monomials in no
+        fixed order."""
+        unpack = _unpacker(self.nvars)
+        sums: _Packed = {}
+        for d, (den, nums) in self._packed.items():
+            scaled = []
+            for key, v in nums.items():
+                w = weight(unpack(key))
+                if w:
+                    scaled.append((key, v * w.numerator, w.denominator))
+            common = lcm(*(q for _, _, q in scaled))
+            sums[d] = (den * common, {key: v * (common // q) for key, v, q in scaled})
+        return MultiSeries._raw(self.nvars, self.trunc, _reduced(sums))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -350,42 +353,38 @@ class MultiSeries:
 
     def truncated(self, new_trunc: int) -> "MultiSeries":
         """Discard all terms above new_trunc; never extends the cap.  The
-        kept layer dicts and their view entries are shared."""
+        kept layer entries are shared."""
         if not _is_int(new_trunc) or new_trunc < 0:
             raise DomainError(f"truncation degree {new_trunc!r} is not a non-negative integer")
         if new_trunc >= self.trunc:
             return self
-        layers = {d: lay for d, lay in self._layers.items() if d <= new_trunc}
-        view = {d: v for d, v in self._graded().items() if d <= new_trunc}
-        return MultiSeries._raw(self.nvars, new_trunc, layers, view)
+        packed = {d: entry for d, entry in self._packed.items() if d <= new_trunc}
+        return MultiSeries._raw(self.nvars, new_trunc, packed)
 
     def as_polynomial(self, trunc: int) -> "MultiSeries":
         """Reinterpret exact polynomial content at a higher truncation degree.
 
         Only meaningful when the stored terms are the whole object, e.g.
         parsed polynomial input; raising the cap on a genuinely truncated
-        series would fabricate zero coefficients.  The layer dicts and the
-        graded view are shared, not copied: no instance changes them after
-        construction.
+        series would fabricate zero coefficients.  The layer map is shared,
+        not copied: no instance changes it after construction.
         """
         if not _is_int(trunc) or trunc < (self.degree() or 0):
             raise DomainError("as_polynomial takes an integer cap and cannot drop stored terms")
-        return MultiSeries._raw(self.nvars, trunc, self._layers, self._graded())
+        return MultiSeries._raw(self.nvars, trunc, self._packed)
 
-    def _grown(self, layer: dict[Exponents, Fraction]) -> "MultiSeries":
-        """This polynomial with a new top layer, homogeneous of degree
-        trunc + 1, at that cap, which must stay below 2**16.
+    def _grown(self, top: "MultiSeries") -> "MultiSeries":
+        """This polynomial with the layer of top of degree trunc + 1 added,
+        at that cap, which must stay below 2**16.
 
-        The layer map is copied shallowly and its layer dicts are shared,
-        with their view entries: the grown series packs its new layer alone
-        when its view is first read.
+        The layer map is copied shallowly: the grown series shares the
+        entries of this one and of top.
         """
         degree = self.trunc + 1
-        layer = {e: c for e, c in layer.items() if c}
-        layers = dict(self._layers)
-        if layer:
-            layers[degree] = layer
-        return MultiSeries._raw(self.nvars, degree, layers, self._graded())
+        packed = dict(self._packed)
+        if degree in top._packed:
+            packed[degree] = top._packed[degree]
+        return MultiSeries._raw(self.nvars, degree, packed)
 
     # -- calculus and substitution ------------------------------------------
 
@@ -394,30 +393,25 @@ class MultiSeries:
         if not 0 <= index < self.nvars:
             raise DomainError(f"variable index {index} out of range")
         trunc = max(self.trunc - 1, 0)
-        layers: dict[int, dict[Exponents, Fraction]] = {}
-        for d, lay in self._layers.items():
+        unpack = _unpacker(self.nvars)
+        # keys add carry-free, so lowering exponent index by one subtracts its unit key
+        unit = _packer(self.nvars)(tuple(int(i == index) for i in range(self.nvars)))
+        sums: _Packed = {}
+        for d, (den, nums) in self._packed.items():
             if d == 0 or d - 1 > trunc:
                 continue
-            out: dict[Exponents, Fraction] = {}
-            for exps, c in lay.items():
-                e = exps[index]
-                if e == 0:
-                    continue
-                shifted = exps[:index] + (e - 1,) + exps[index + 1 :]
-                out[shifted] = c * e
-            if out:
-                layers[d - 1] = out
-        return MultiSeries._raw(self.nvars, trunc, layers)
+            out = {}
+            for key, v in nums.items():
+                e = unpack(key)[index]
+                if e:
+                    out[key - unit] = v * e
+            sums[d - 1] = (den, out)
+        return MultiSeries._raw(self.nvars, trunc, _reduced(sums))
 
     def substitute_zero(self, indices: Iterable[int]) -> "MultiSeries":
         """Set the given variables to zero, keeping the ambient variable count."""
         idx = set(indices)
-        layers: dict[int, dict[Exponents, Fraction]] = {}
-        for d, lay in self._layers.items():
-            out = {e: c for e, c in lay.items() if all(e[i] == 0 for i in idx)}
-            if out:
-                layers[d] = out
-        return MultiSeries._raw(self.nvars, self.trunc, layers)
+        return self.weighted(lambda exps: 0 if any(exps[i] for i in idx) else 1)
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         """Exact evaluation, treating the stored terms as a polynomial."""
@@ -425,8 +419,8 @@ class MultiSeries:
             raise DomainError("point dimension mismatch")
         vals = [Fraction(v) for v in point]
         total = Fraction(0)
-        for d in sorted(self._layers):
-            for exps, c in self._layers[d].items():
+        for d in sorted(self._packed):
+            for exps, c in self.layer(d).items():
                 term = c
                 for v, e in zip(vals, exps):
                     if e:
@@ -461,12 +455,20 @@ class MultiSeries:
     def from_records(cls, records: Sequence[dict], nvars: int, trunc: int) -> "MultiSeries":
         terms = []
         for rec in records:
-            coeff = Fraction(int(rec["numerator"]), int(rec.get("denominator", 1)))
-            terms.append((tuple(rec["exponents"]), coeff))
+            num, den = rec["numerator"], rec.get("denominator", 1)
+            if not (_is_int(num) and _is_int(den) and den):
+                raise DomainError(f"record coefficients must be integers over a nonzero integer, got {num!r}/{den!r}")
+            terms.append((tuple(rec["exponents"]), Fraction(num, den)))
         return cls(nvars, trunc, terms)
 
 
 _ZERO = Fraction(0)
+
+
+def _fraction(n: int, den: int) -> Fraction:
+    """n / den; Fraction skips its gcd for an integer, the common case of a
+    map's coefficients."""
+    return Fraction(n) if den == 1 else Fraction(n, den)
 
 
 def _inverse_from(s: MultiSeries, y: MultiSeries) -> MultiSeries:
@@ -476,19 +478,17 @@ def _inverse_from(s: MultiSeries, y: MultiSeries) -> MultiSeries:
     A pass from correct to new = min(2 correct + 1, trunc) forms the error
     e = s y - 1, whose layers through correct vanish, in the degrees above
     correct alone, and sets y <- y - y e.  The product y e has no layer
-    through correct either, so y keeps its layers, with their view entries,
-    and gains the new ones: each pass costs about half of the two full
-    products of y (2 - s y).
+    through correct either, so y keeps its layer entries and gains the new
+    ones: each pass costs about half of the two full products of y (2 - s y).
     """
     correct, trunc = y.trunc, s.trunc
     while correct < trunc:
         new = min(2 * correct + 1, trunc)
         error = _mul(s, y, new, correct + 1)
         step = _mul(y, error, new, correct + 1)
-        layers = dict(y._layers)
-        for d, lay in step._layers.items():
-            layers[d] = {e: -c for e, c in lay.items()}
-        y = MultiSeries._raw(s.nvars, new, layers, y._view)
+        packed = dict(y._packed)
+        packed.update((-step)._packed)
+        y = MultiSeries._raw(s.nvars, new, packed)
         correct = new
     return y.truncated(trunc)
 
@@ -504,31 +504,31 @@ def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSerie
     if a.is_zero() or b.is_zero():
         return MultiSeries.zero(a.nvars, trunc)
     if a is b:
-        return _unpacked(_square(a._graded(), trunc, low), a.nvars, trunc)
+        return MultiSeries._raw(a.nvars, trunc, _reduced(_square(a._packed, trunc, low)))
     if a.term_count() > b.term_count():
         a, b = b, a
-    return _unpacked(_convolve(a._graded(), b._graded(), trunc, low), a.nvars, trunc)
+    return MultiSeries._raw(a.nvars, trunc, _reduced(_convolve(a._packed, b._packed, trunc, low)))
 
 
-# a graded integer view: {deg: (den, [(packed key, numerator over den)])}
-_View = dict[int, tuple[int, list[tuple[int, int]]]]
+# layers by degree, one denominator each: {deg: (den, {packed key: numerator})};
+# the storage of a series in canonical form, and the sums of the kernels
+_Packed = dict[int, tuple[int, dict[int, int]]]
 # the products of one degree, grouped by the denominator they are over:
 # {den: {packed key: numerator}}
 _Groups = dict[int, dict[int, int]]
-# sums by degree, one denominator each: {deg: (den, {packed key: numerator})}
-_Sums = dict[int, tuple[int, dict[int, int]]]
 
 
-def _convolve(a: _View, b: _View, trunc: int, low: int = 0) -> _Sums:
-    """The product of two views in degrees low..trunc, one degree at a time:
-    its products grouped by the product of the two layer denominators, and
-    the groups merged (_merge) before the next degree is formed.
+def _convolve(a: _Packed, b: _Packed, trunc: int, low: int = 0) -> _Packed:
+    """The product of two layer maps in degrees low..trunc, one degree at a
+    time: its products grouped by the product of the two layer
+    denominators, and the groups merged (_merge) before the next degree is
+    formed.  The sums are not reduced.
 
     Keys add carry-free, as no coordinate of a term of degree <= trunc
     reaches 2**16.  Degrees above the sum of the operands' top layers are
     never visited, so the cost does not grow with trunc.
     """
-    out: _Sums = {}
+    out: _Packed = {}
     degrees = sorted(a)
     if not degrees or not b:
         return out
@@ -543,8 +543,9 @@ def _convolve(a: _View, b: _View, trunc: int, low: int = 0) -> _Sums:
             den_b, terms_b = entry
             group = groups.setdefault(den_a * den_b, {})
             get = group.get
-            for ea, ca in terms_a:
-                for eb, cb in terms_b:
+            pairs_b = terms_b.items()
+            for ea, ca in terms_a.items():
+                for eb, cb in pairs_b:
                     key = ea + eb
                     group[key] = get(key, 0) + ca * cb
         if groups:
@@ -552,14 +553,18 @@ def _convolve(a: _View, b: _View, trunc: int, low: int = 0) -> _Sums:
     return out
 
 
-def _square(a: _View, trunc: int, low: int = 0) -> _Sums:
+def _square(a: _Packed, trunc: int, low: int = 0) -> _Packed:
     """_convolve(a, a, trunc, low) with each unordered pair of terms visited
     once: the off-diagonal products are formed once and doubled."""
-    out: _Sums = {}
+    out: _Packed = {}
     degrees = sorted(a)
     if not degrees:
         return out
     bottom, top = degrees[0], degrees[-1]
+    # the layers read, each as a list of (key, numerator) pairs: the loops
+    # read a layer many times, and a list is read faster than a dict, most
+    # of all in one variable, where a layer holds one term
+    a = {d: (den, list(nums.items())) for d, (den, nums) in a.items() if low - top <= d <= trunc - bottom}
     for d in range(max(low, 2 * bottom), min(trunc, 2 * top) + 1):
         groups: _Groups = {}
         for da in degrees[bisect_left(degrees, d - top) : bisect_right(degrees, d // 2)]:
@@ -612,16 +617,18 @@ def _merge(groups: _Groups) -> tuple[int, dict[int, int]]:
     return den, sums
 
 
-def _unpacked(sums: _Sums, nvars: int, trunc: int) -> MultiSeries:
-    """The series of sums: numerator / den at each packed key."""
-    fields = _key_fields(nvars)
-    unpack, size = fields.unpack, fields.size
-    layers: dict[int, dict[Exponents, Fraction]] = {}
-    for d, (den, out) in sums.items():
-        lay = {unpack(key.to_bytes(size, "little")): Fraction(n, den) for key, n in out.items() if n}
-        if lay:
-            layers[d] = lay
-    return MultiSeries._raw(nvars, trunc, layers)
+def _reduced(sums: _Packed) -> _Packed:
+    """The canonical form of sums over positive denominators, in fresh
+    dicts: each layer over D / g for g = gcd(D, N_1, ..., N_k), its
+    numerators divided by g, zero numerators and empty layers dropped.
+    The gcd chain stops early once it reaches 1."""
+    out: _Packed = {}
+    for d, (den, nums) in sums.items():
+        g = gcd(den, *nums.values())
+        kept = {key: v for key, v in nums.items() if v} if g == 1 else {key: v // g for key, v in nums.items() if v}
+        if kept:
+            out[d] = (den // g, kept)
+    return out
 
 
 def _parent(exps: Exponents) -> tuple[int, Exponents]:
@@ -707,10 +714,10 @@ class _PowerTable:
 
     An entry is built as inner^I = inner^(I - e_j) inner_j with j the last
     variable of I: the baby-step table of Brent and Kung's composition.  The
-    factors are the inner series' graded views, and each entry is a graded
-    view too, one denominator per degree, so a table step costs integer
-    products at the width of the layers it reads, and a combination
-    sum_I c_I inner^I one Fraction per output coefficient.
+    factors are the inner series' layer maps, and each entry is a layer map
+    too, one denominator per degree and not reduced, so a table step costs
+    integer products at the width of the layers it reads, and a combination
+    sum_I c_I inner^I one multiply-add per term of each power it reads.
 
     The table is read in one of two ways.  SeriesTuple.compose walks it up
     one degree at a time with extend, over a set of monomials it gives,
@@ -723,14 +730,14 @@ class _PowerTable:
         if any(g.constant_term() for g in inner):
             raise DomainError("non-zero constant term in composition argument")
         self.trunc = trunc
-        self.factors = [g._graded() for g in inner]
-        self.entries: dict[Exponents, _View] = {(0,) * len(inner): {0: (1, [(0, 1)])}}
+        self.unpack = _unpacker(len(inner))
+        self.factors = [g._packed for g in inner]
+        self.entries: dict[Exponents, _Packed] = {(0,) * len(inner): {0: (1, {0: 1})}}
 
-    def _step(self, j: int, parent: _View, low: int = 0) -> _View:
+    def _step(self, j: int, parent: _Packed, low: int = 0) -> _Packed:
         """inner^I in the degrees >= low, from the entry of its prefix
         parent I - e_j."""
-        product = _convolve(parent, self.factors[j], self.trunc, low)
-        return {d: (den, list(sums.items())) for d, (den, sums) in product.items()}
+        return _convolve(parent, self.factors[j], self.trunc, low)
 
     def extend(self, monomials: Iterable[Exponents], low: int, parents: Container[Exponents]) -> None:
         """Move the table up one degree, to the entries of the given monomials.
@@ -744,27 +751,29 @@ class _PowerTable:
             j, lower = _parent(exps)
             self.entries[exps] = self._step(j, below[lower], 0 if exps in parents else low)
 
-    def power(self, exps: Exponents) -> _View:
+    def power(self, exps: Exponents) -> _Packed:
         """The entry inner^I, built by _chained on first use and then kept."""
         return _chained(self.entries, exps, self._step)
 
-    def combine(self, terms: dict[Exponents, Fraction], acc: dict[int, _Groups], low: int = 0) -> None:
-        """Add sum_I c_I inner^I over terms, in the degrees >= low, to the
-        accumulator acc, {degree: groups}: the products c_I inner^I of a
-        degree go into one group, over the lcm of their denominators, each
-        scaled to it through its scalar multiplier alone."""
-        products: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
-        for exps, c in terms.items():
-            for d, (den, lay) in self.power(exps).items():
+    def combine(self, entry: tuple[int, dict[int, int]], acc: dict[int, _Groups], low: int = 0) -> None:
+        """Add sum_I (n_I / den) inner^I over a layer entry (den, {I: n_I}),
+        in the degrees >= low, to the accumulator acc, {degree: groups}: the
+        products n_I inner^I of a degree go into one group, over den times
+        the lcm of the powers' denominators, each scaled to it through its
+        scalar multiplier alone."""
+        den, nums = entry
+        products: dict[int, list[tuple[int, int, dict[int, int]]]] = {}
+        for key, num in nums.items():
+            for d, (power_den, lay) in self.power(self.unpack(key)).items():
                 if d >= low:
-                    products.setdefault(d, []).append((c.numerator, c.denominator * den, lay))
+                    products.setdefault(d, []).append((num, power_den, lay))
         for d, parts in products.items():
-            common = lcm(*(den for _, den, _ in parts))
-            out = acc.setdefault(d, {}).setdefault(common, {})
+            common = lcm(*(power_den for _, power_den, _ in parts))
+            out = acc.setdefault(d, {}).setdefault(den * common, {})
             get = out.get
-            for num, den, lay in parts:
-                mult = num * (common // den)
-                for key, v in lay:
+            for num, power_den, lay in parts:
+                mult = num * (common // power_den)
+                for key, v in lay.items():
                     out[key] = get(key, 0) + mult * v
 
 
@@ -775,9 +784,8 @@ class _LayerStream:
     layer, so add reads the powers of that layer's monomials alone, from one
     _PowerTable of inner shared by every layer and component.  The sum is
     kept in integers, per component and degree in groups (_Groups): one for
-    the graded view of start and one per layer added by combine, so no
-    numerator kept so far is ever rescaled.  layer merges one degree and
-    decodes it to Fractions.
+    the layer of start and one per layer added by combine, so no numerator
+    kept so far is ever rescaled.  layer merges and reduces one degree.
     """
 
     def __init__(self, inner: "SeriesTuple", start: "SeriesTuple") -> None:
@@ -789,29 +797,29 @@ class _LayerStream:
         self.table = _PowerTable(inner.components, inner.trunc)
         self.nvars, self.trunc = n, inner.trunc
         self.degree = 0
+        # combine adds into these groups, so start's numerators are copied
         self.sums: list[dict[int, _Groups]] = [
-            {d: {den: dict(terms)} for d, (den, terms) in comp._graded().items() if d <= self.trunc} for comp in start
+            {d: {den: dict(nums)} for d, (den, nums) in comp._packed.items() if d <= self.trunc} for comp in start
         ]
 
     def add(self, layer: "SeriesTuple", low: int) -> None:
         """Add layer o inner in the degrees >= low.  The layer must be
         homogeneous and nonzero, of no lower degree than the layers before."""
         degree = layer.lowest_degree()
-        if degree is None or degree < self.degree or any(set(c._layers) - {degree} for c in layer):
+        if degree is None or degree < self.degree or any(c._packed.keys() - {degree} for c in layer):
             raise DomainError("layers must be homogeneous, nonzero and of non-decreasing degree")
         if len(layer) != len(self.sums):
             raise DomainError("tuple size mismatch")
         self.degree = degree
         for comp, acc in zip(layer, self.sums):
-            terms = comp._layers.get(degree)
-            if terms:
-                self.table.combine(terms, acc, low)
+            if degree in comp._packed:
+                self.table.combine(comp._packed[degree], acc, low)
 
     def layer(self, degree: int) -> "SeriesTuple":
         """Layer degree of the sum: homogeneous components at the inner cap."""
         return SeriesTuple(
             [
-                _unpacked({degree: _merge(acc[degree])} if degree in acc else {}, self.nvars, self.trunc)
+                MultiSeries._raw(self.nvars, self.trunc, _reduced({degree: _merge(acc[degree])} if degree in acc else {}))
                 for acc in self.sums
             ]
         )
@@ -926,10 +934,11 @@ class SeriesTuple:
             if g.nvars != comps[0].nvars:
                 raise DomainError("inner series disagree on variable count")
         trunc = min([self.trunc] + [g.trunc for g in comps])
-        terms = [{d: lay for d, lay in c._layers.items() if d <= trunc} for c in self.components]
+        terms = [{d: entry for d, entry in c._packed.items() if d <= trunc} for c in self.components]
         closure: list[set[Exponents]] = [set() for _ in range(trunc + 2)]  # by degree, one spare
         parents: set[Exponents] = set()
-        for exps in {e for layers in terms for lay in layers.values() for e in lay}:
+        unpack = _unpacker(self.nvars)
+        for exps in {unpack(key) for layers in terms for _, nums in layers.values() for key in nums}:
             while any(exps) and exps not in closure[sum(exps)]:
                 closure[sum(exps)].add(exps)
                 exps = _parent(exps)[1]
@@ -938,10 +947,14 @@ class SeriesTuple:
         accs: list[dict[int, _Groups]] = [{} for _ in terms]
         for d in range(trunc + 1):
             for layers, acc in zip(terms, accs):
-                table.combine(layers.get(d, {}), acc, low)
+                if d in layers:
+                    table.combine(layers[d], acc, low)
             table.extend(closure[d + 1], low, parents)
         return SeriesTuple(
-            [_unpacked({d: _merge(groups) for d, groups in acc.items()}, comps[0].nvars, trunc) for acc in accs]
+            [
+                MultiSeries._raw(comps[0].nvars, trunc, _reduced({d: _merge(groups) for d, groups in acc.items()}))
+                for acc in accs
+            ]
         )
 
     def compose_diagonal(self, factors: "Sequence[Fraction] | _DiagonalPowers") -> "SeriesTuple":
@@ -957,19 +970,7 @@ class SeriesTuple:
         if len(factors) != self.nvars:
             raise DomainError("diagonal size mismatch")
         power = _DiagonalPowers.of(factors).power
-        out = []
-        for comp in self.components:
-            layers: dict[int, dict[Exponents, Fraction]] = {}
-            for d, lay in comp._layers.items():
-                new = {}
-                for exps, c in lay.items():
-                    scale = power(exps)
-                    if scale:
-                        new[exps] = c * scale
-                if new:
-                    layers[d] = new
-            out.append(MultiSeries._raw(comp.nvars, comp.trunc, layers))
-        return SeriesTuple(out)
+        return SeriesTuple([comp.weighted(power) for comp in self.components])
 
     def eval(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return tuple(c.eval(point) for c in self.components)
@@ -977,13 +978,11 @@ class SeriesTuple:
     def linear_matrix(self) -> list[list[Fraction]]:
         """Degree-one coefficients as a len(self) x nvars matrix."""
         n = self.nvars
+        units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
         mat = []
         for comp in self.components:
-            row = []
-            for j in range(n):
-                exps = tuple(1 if i == j else 0 for i in range(n))
-                row.append(comp.coefficient(exps))
-            mat.append(row)
+            layer = comp.layer(1)
+            mat.append([layer.get(exps, _ZERO) for exps in units])
         return mat
 
     def jacobian(self) -> list[list[MultiSeries]]:
@@ -993,9 +992,8 @@ class SeriesTuple:
         """The homogeneous part of each component at the given total degree."""
         out = []
         for comp in self.components:
-            lay = comp._layers.get(degree)
-            layers = {degree: dict(lay)} if lay else {}
-            out.append(MultiSeries._raw(comp.nvars, comp.trunc, layers))
+            packed = {degree: comp._packed[degree]} if degree in comp._packed else {}
+            out.append(MultiSeries._raw(comp.nvars, comp.trunc, packed))
         return SeriesTuple(out)
 
     def invert(self) -> "SeriesTuple":
@@ -1053,7 +1051,7 @@ def _disjoint_sum(parts: Sequence[SeriesTuple]) -> SeriesTuple:
     """The sum of tuples whose components hold pairwise disjoint degrees.
 
     No coefficient is added: each component of the sum shares the layer
-    dicts of its summands, and their view entries.
+    entries of its summands.
     """
     if len({len(part) for part in parts}) != 1:
         raise DomainError("tuple size mismatch")
@@ -1061,14 +1059,12 @@ def _disjoint_sum(parts: Sequence[SeriesTuple]) -> SeriesTuple:
     for comps in zip(*(part.components for part in parts)):
         if len({(c.nvars, c.trunc) for c in comps}) != 1:
             raise DomainError("summands must share variables and truncation")
-        layers: dict[int, dict[Exponents, Fraction]] = {}
-        view: _View = {}
+        packed: _Packed = {}
         for comp in comps:
-            if not layers.keys().isdisjoint(comp._layers):
+            if not packed.keys().isdisjoint(comp._packed):
                 raise DomainError("summands must hold disjoint degrees")
-            layers.update(comp._layers)
-            view.update(comp._view or {})
-        out.append(MultiSeries._raw(comps[0].nvars, comps[0].trunc, layers, view))
+            packed.update(comp._packed)
+        out.append(MultiSeries._raw(comps[0].nvars, comps[0].trunc, packed))
     return SeriesTuple(out)
 
 
@@ -1115,9 +1111,15 @@ def gauss_norm(phi: MultiSeries, rho, prime: int) -> GaussNorm:
     if not is_prime(prime):
         raise DomainError(f"{prime} is not a prime")
     best = None  # (value, key, valuation, degree, witness)
-    for d, lay in phi._layers.items():
-        # rho^d is common to the layer: its least valuation wins, graded-lex first
-        val, key, exps = min((fraction_valuation(c, prime), tuple(-e for e in exps), exps) for exps, c in lay.items())
+    unpack = _unpacker(phi.nvars)
+    for d, (den, nums) in phi._packed.items():
+        # rho^d and the denominator are common to the layer: its least
+        # numerator valuation wins, graded-lex first
+        val, key, exps = min(
+            (int_valuation(n, prime), tuple(-e for e in exps), exps)
+            for exps, n in zip(map(unpack, nums), nums.values())
+        )
+        val -= int_valuation(den, prime)
         value = rho**d * Fraction(prime) ** -val
         key = (d,) + key
         if best is None or value > best[0] or (value == best[0] and key < best[1]):
@@ -1141,4 +1143,5 @@ def in_subspace_ar(phi: MultiSeries, r: int) -> bool:
     """True iff every monomial has total degree >= 2 in the last nvars - r variables."""
     if not 0 <= r <= phi.nvars:
         raise DomainError(f"fixed-locus dimension {r} out of range")
-    return all(sum(exps[r:]) >= 2 for lay in phi._layers.values() for exps in lay)
+    unpack = _unpacker(phi.nvars)
+    return all(sum(unpack(key)[r:]) >= 2 for _, nums in phi._packed.values() for key in nums)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicdyn import ratlinalg
-from padicdyn.arith import factorize, int_valuation
+from padicdyn import arith
+from padicdyn.arith import factorize, int_valuation, is_prime
 from padicdyn.dynamics import (
     AnalyticMap,
     Resonance,
@@ -370,6 +371,49 @@ class TestAgainstSympy:
 
 def random_rational_matrix(rng, n):
     return [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+
+
+ODD_NUMBERS_79_TO_130_BITS = (
+    st.integers(79, 130).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1)).map(lambda n: n | 1)
+)
+
+
+class TestIsPrime:
+    """Primality below and above 318665857834031151167461, the least
+    composite that passes the strong Miller-Rabin test to the bases 2..37."""
+
+    def test_the_least_pseudoprime_to_the_twelve_bases_is_composite(self):
+        n = 318665857834031151167461
+        assert n == 399165290221 * 798330580441
+        assert not is_prime(n)
+        assert factorize(7919 * n) == {7919: 1, 399165290221: 1, 798330580441: 1}
+
+    def test_mersenne_numbers(self):
+        assert all(is_prime(2**k - 1) for k in (89, 107, 127))
+        assert not any(is_prime(2**k - 1) for k in (83, 97, 101, 103, 109, 113))
+
+    def test_the_strong_lucas_test_alone(self):
+        # every odd prime from 5 passes it, and of the odd composites below
+        # 26000 exactly the strong Lucas pseudoprimes with Selfridge's
+        # parameters (OEIS A217255)
+        pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199}
+        passing = {n for n in range(5, 26000, 2) if arith._is_strong_lucas_probable_prime(n)}
+        assert passing == {n for n in range(5, 26000, 2) if is_prime(n)} | pseudoprimes
+        assert not arith._is_strong_lucas_probable_prime(1000003**2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ODD_NUMBERS_79_TO_130_BITS)
+    def test_odd_numbers_match_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(n) == sympy.isprime(n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(ODD_NUMBERS_79_TO_130_BITS, min_size=2, max_size=2))
+    def test_primes_and_their_products_match_sympy(self, starts):
+        sympy = pytest.importorskip("sympy")
+        p, q = (int(sympy.nextprime(n)) for n in starts)
+        assert is_prime(p) and is_prime(q)
+        assert not is_prime(p * q) and not is_prime(p * p)
 
 
 class TestCharPoly:

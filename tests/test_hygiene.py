@@ -1,10 +1,10 @@
 """Source hygiene: every name a library module imports is used in it, no
 library module imports inside a function, no library module converts to
 float except for padic.INFINITY, every entry point the benchmark tracer
-wraps still exists, shared series layers and graded-view entries are never
-changed in place, only known call sites build p-adics through the unchecked
-constructor, and only the series code that builds and decodes the graded
-integer view reads the packed exponent key layout, no library function keeps process-wide
+wraps still exists, shared series layer entries are never changed in place
+and are read by the series module alone, only known call sites build
+p-adics through the unchecked constructor, and only the series code that
+packs and unpacks exponent keys reads their layout, no library function keeps process-wide
 state in a module-level container except the odd-prime memo of arith, and
 only series._parent finds the last variable of a monomial, the step of
 every prefix-parent walk, every private function is called by the
@@ -153,18 +153,16 @@ def test_every_traced_entry_point_resolves():
     assert not missing, f"traced entry points not found: {', '.join(missing)}"
 
 
-# MultiSeries shares its layer map and layer dicts between instances
-# (as_polynomial, truncated, _grown, _merged), and with them the entries of
-# its cached graded view, so no code may change them in place.  Only the
-# constructors bind a layer map, and only they and the view builder bind a
-# view.
+# MultiSeries shares its layer map and its layer entries, (den, {key:
+# numerator}), between instances (as_polynomial, truncated, _grown, _merged),
+# so no code may change them in place.  Only the constructors bind a layer
+# map.
 LAYER_CONSTRUCTORS = {"MultiSeries.__init__", "MultiSeries._raw"}
-VIEW_BUILDERS = LAYER_CONSTRUCTORS | {"MultiSeries._graded"}
 MUTATING_METHODS = {
     "pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__",
     "append", "extend", "insert", "remove", "sort", "reverse",
 }
-SHARED_ATTRIBUTES = {"_layers", "_view"}
+SHARED_ATTRIBUTES = {"_packed"}
 
 
 def functions(tree):
@@ -180,9 +178,9 @@ def functions(tree):
 
 
 def reads_layers(node, aliases):
-    """True when node is shared series data: x._layers, x._view or
-    x._graded(), an item or .get of one, either side of an or over one, or a
-    local name bound to one."""
+    """True when node is shared series data: x._packed, an item or .get of
+    one, either side of an or over one, a tuple holding one, or a local name
+    bound to one."""
     if isinstance(node, ast.Name):
         return node.id in aliases
     if isinstance(node, ast.Attribute):
@@ -191,11 +189,10 @@ def reads_layers(node, aliases):
         return reads_layers(node.value, aliases)
     if isinstance(node, ast.BoolOp):
         return any(reads_layers(value, aliases) for value in node.values)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr == "_graded":
-            return True
-        if node.func.attr == "get":
-            return reads_layers(node.func.value, aliases)
+    if isinstance(node, ast.Tuple):
+        return any(reads_layers(elt, aliases) for elt in node.elts)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+        return reads_layers(node.func.value, aliases)
     return False
 
 
@@ -236,20 +233,18 @@ def layer_aliases(function):
 
 def layer_mutations(tree):
     """(function, line) of each store into, or mutating call on, a layer map,
-    a layer dict, a view or a view entry, of each rebinding of x._layers
-    outside the MultiSeries constructors, and of each rebinding of x._view
-    outside them and the view builder."""
+    a layer entry or its numerator dict, and of each rebinding of x._packed,
+    outside the MultiSeries constructors."""
     for name, function in functions(tree):
         if name in LAYER_CONSTRUCTORS:
             continue
         aliases = layer_aliases(function)
-        rebindable = {"_view"} if name in VIEW_BUILDERS else set()
         for node in ast.walk(function):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
                 targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
                 for target in targets:
                     if (isinstance(target, ast.Subscript) and reads_layers(target.value, aliases)) or (
-                        isinstance(target, ast.Attribute) and target.attr in SHARED_ATTRIBUTES - rebindable
+                        isinstance(target, ast.Attribute) and target.attr in SHARED_ATTRIBUTES
                     ):
                         yield name, node.lineno
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -269,62 +264,76 @@ def test_no_layer_is_mutated_outside_the_constructors():
 def test_the_guard_sees_a_layer_mutation():
     source = '''
 class MultiSeries:
-    def __init__(self, layers):
-        self._layers = layers
-        self._layers[0] = {}
+    def __init__(self, packed):
+        self._packed = packed
+        self._packed[0] = (1, {})
 
     def bad(self, other):
-        self._layers[1] = {}
-        other._layers[2][(2,)] = 1
-        lay = self._layers.get(3, {})
-        lay[(3,)] += 1
-        for d, layer in self._layers.items():
-            layer.pop((d,), None)
-        del self._layers[4]
-        self._layers.get(5).update({})
-        self._layers = {}
-        return [row.clear() for row in other._layers.values()]
-
-    def fine(self):
-        copy = dict(self._layers.get(0, {}))
-        copy[(0,)] = 1
-        copy.update(self._layers)
-        return {d: dict(lay) for d, lay in self._layers.items()}
-'''
-    assert sorted(line for _, line in layer_mutations(ast.parse(source))) == [8, 9, 11, 13, 14, 15, 16, 17]
-
-
-def test_the_guard_sees_a_view_mutation():
-    source = '''
-class MultiSeries:
-    def _graded(self):
-        view = self._view
-        known = view or {}
-        self._view = {d: known.get(d) for d in self._layers}
-        return self._view
-
-    def bad(self, other):
-        self._view[1] = (1, [])
-        den, terms = self._graded()[2]
-        terms.append((0, 1))
-        for d, (den, lay) in other._view.items():
-            lay.sort()
-        for entry in self._graded().values():
+        self._packed[1] = (1, {})
+        other._packed[2][1][7] = 1
+        den, nums = self._packed.get(3, (1, {}))
+        nums[3] += 1
+        for d, (den, nums) in self._packed.items():
+            nums.pop(d, None)
+        del self._packed[4]
+        self._packed.get(5)[1].update({})
+        self._packed = {}
+        for entry in other._packed.values():
             entry[1].clear()
-        shared = other._view or {}
+        shared = other._packed or {}
         shared.pop(3)
-        self._view = None
-        return [terms.reverse() for _, terms in self._graded().values()]
+        mine, theirs = self._packed, other._packed
+        (_, left), right = mine[1], theirs[2]
+        left[0] = 1
+        return [nums.popitem() for _, nums in other._packed.values()] + [right[1].clear()]
 
     def fine(self):
-        view = {}
-        view.update(self._view or {})
-        view[4] = (1, [(0, 1)])
-        terms = [pair for _, lay in self._graded().values() for pair in lay]
-        terms.append((0, 1))
-        return view
+        copy = dict(self._packed)
+        copy[0] = (1, {0: 1})
+        copy.update(self._packed)
+        den, nums = self._packed[1]
+        fresh = {key: -v for key, v in nums.items()}
+        fresh[0] = den
+        return {d: (den, dict(nums)) for d, (den, nums) in self._packed.items()}
 '''
-    assert sorted(line for _, line in layer_mutations(ast.parse(source))) == [10, 12, 14, 16, 18, 19, 20]
+    assert sorted(line for _, line in layer_mutations(ast.parse(source))) == [8, 9, 11, 13, 14, 15, 16, 18, 20, 23, 24, 24]
+
+
+def test_only_the_series_module_reads_the_layer_map():
+    # the storage format of a series is series.py's business alone: other
+    # modules go through its readers, constructors and kernels
+    found = [
+        f"{path.name}:{line} ({name})"
+        for path in MODULES
+        if path.name != "series.py"
+        for attribute in SHARED_ATTRIBUTES
+        for name, line in name_uses(ast.parse(path.read_text(encoding="utf-8")), attribute)
+    ]
+    assert not found, f"series storage read outside series.py: {', '.join(found)}"
+
+
+def test_the_guard_sees_a_layer_map_read():
+    source = '''
+from .series import MultiSeries
+
+
+def denominators(phi):
+    return [den for den, _ in phi._packed.values()]
+
+
+class Solver:
+    def step(self, comp):
+        entry = comp._packed.get(2)
+        return entry
+
+
+FIRST = MultiSeries.zero(1, 1)._packed
+'''
+    assert sorted(name_uses(ast.parse(source), "_packed")) == [
+        ("<module>", 15),
+        ("Solver.step", 11),
+        ("denominators", 6),
+    ]
 
 
 # padic._canonical stores its fields without checking them, so each call
@@ -391,12 +400,12 @@ make = _canonical
 
 
 # the packed exponent key has one layout and one cap (series module
-# docstring): the layout is read where the graded view is built and where
-# product sums are decoded, and the cap where a series is created
+# docstring): the layout is read where exponent tuples are packed and
+# unpacked, and the cap where a series is created
 KEY_FORMAT_SITES = {
     "_key_fields": {
-        ("series.py", "MultiSeries._graded"),
-        ("series.py", "_unpacked"),
+        ("series.py", "_packer"),
+        ("series.py", "_unpacker"),
     },
     "_KEY_CAP": {("series.py", "MultiSeries.__init__"), ("series.py", "MultiSeries._raw")},
 }
@@ -417,7 +426,7 @@ WIDE = _KEY_CAP * 2
 
 
 class MultiSeries:
-    def _graded(self):
+    def _packer(self):
         return _key_fields(self.nvars)
 
 
@@ -425,7 +434,7 @@ def _convolve(a, b):
     return series._key_fields(2).pack(*a)
 '''
     tree = ast.parse(source)
-    assert sorted(name_uses(tree, "_key_fields")) == [("MultiSeries._graded", 9), ("_convolve", 13)]
+    assert sorted(name_uses(tree, "_key_fields")) == [("MultiSeries._packer", 9), ("_convolve", 13)]
     assert list(name_uses(tree, "_KEY_CAP")) == [("<module>", 4)]
 
 

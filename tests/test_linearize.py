@@ -10,7 +10,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicdyn import linearize, ratlinalg, series
@@ -126,7 +126,7 @@ class TestSolveHomological:
         first = MultiSeries(3, 4, [((2, 1, 0), 1), ((1, 1, 1), 3), ((0, 1, 1), -1)])
         last = MultiSeries(3, 4, [((1, 1, 1), 2), ((2, 0, 0), 5)])
         g = SeriesTuple([first, MultiSeries(3, 4, [((0, 0, 2), 1)]), last])
-        assert list(first._layers) == [3, 2]
+        assert list(first._packed) == [3, 2]
         assert self.outcome(solve_homological, g, lams, 0) == ((0, 1, 1), 0)
         g = SeriesTuple([MultiSeries(3, 4, [((1, 1, 1), 3)]), MultiSeries.zero(3, 4), last])
         assert self.outcome(solve_homological, g, lams, 0) == ((2, 0, 0), 2)
@@ -846,15 +846,15 @@ class TestNewtonMatchesOrderByOrder:
 
 
 @st.composite
-def normalized_maps(draw):
-    """(components, r) of a random normalized map in 3-4 variables.
+def normalized_maps(draw, sizes=st.integers(3, 4)):
+    """(components, r) of a random normalized map in 3-4 variables (sizes).
 
     The tail eigenvalues come from +-{2, 3, 5}, so lambda^I = lambda_j has
     no solution with |I| >= 2 and h^(-1) comes from the power table.  Every
     nonlinear term has transverse degree >= 2, with 7 or 49 in some
     denominators.
     """
-    n = draw(st.integers(3, 4))
+    n = draw(sizes)
     r = draw(st.integers(0, 1))
     tail = draw(st.lists(st.sampled_from([2, 3, 5, -2, -3, -5]), min_size=n - r, max_size=n - r))
     lams = [1] * r + tail
@@ -903,6 +903,102 @@ class TestInverseFromPowerTable:
         assert newton.h_inverse == direct.h_inverse
         assert direct.h_inverse == direct.h.invert()
         assert direct.h.compose(direct.h_inverse) == SeriesTuple.identity(f.n, degree)
+
+
+def graded_dict(poly, trunc):
+    """{degree: {exponents: coefficient}} of a dict polynomial through trunc."""
+    out = {}
+    for exps, c in poly.items():
+        if sum(exps) <= trunc and c:
+            out.setdefault(sum(exps), {})[exps] = c
+    return out
+
+
+def graded_dict_mul(a, b, trunc):
+    """The product of two graded dict polynomials through trunc."""
+    out = {}
+    for da, terms_a in a.items():
+        for db, terms_b in b.items():
+            if da + db > trunc:
+                continue
+            acc = out.setdefault(da + db, {})
+            for ea, ca in terms_a.items():
+                for eb, cb in terms_b.items():
+                    key = tuple(x + y for x, y in zip(ea, eb))
+                    acc[key] = acc.get(key, 0) + ca * cb
+    return out
+
+
+def dict_substitute(outer, inner, trunc):
+    """outer_i(inner_0, ..., inner_(n-1)) through trunc for dict
+    polynomials over Fraction, each power inner^I kept once, as
+    inner^(I - e_j) inner_j for the last variable j of I."""
+    n = len(inner)
+    inner = [graded_dict(g, trunc) for g in inner]
+    powers = {(0,) * n: {0: {(0,) * n: Fraction(1)}}}
+
+    def power(exps):
+        if exps not in powers:
+            j = max(i for i, e in enumerate(exps) if e)
+            powers[exps] = graded_dict_mul(power(exps[:j] + (exps[j] - 1,) + exps[j + 1 :]), inner[j], trunc)
+        return powers[exps]
+
+    out = []
+    for poly in outer:
+        acc = {}
+        for exps, c in poly.items():
+            for terms in power(exps).values() if sum(exps) <= trunc else ():
+                for e, v in terms.items():
+                    acc[e] = acc.get(e, 0) + c * v
+        out.append({e: c for e, c in acc.items() if c})
+    return out
+
+
+class TestConjugacyOracle:
+    """f o h = h o Lambda and h o h^(-1) = id at degree 16, recomputed with
+    dict polynomials over Fraction that share no code with the series
+    module; Newton and order-by-order agree on the same maps."""
+
+    DEGREE = 16
+
+    def check(self, f):
+        degree, n = self.DEGREE, f.n
+        direct = linearize_order_by_order(f, degree)
+        newton = newton_route(f, degree)
+        assert newton.h == direct.h and newton.h_inverse == direct.h_inverse
+        fmap = [dict(c.terms()) for c in f.components]
+        h = [dict(c.terms()) for c in direct.h]
+        h_inverse = [dict(c.terms()) for c in direct.h_inverse]
+        units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        # the map is normalized: its linear part is the diagonal Lambda
+        lams = [poly.get(unit, 0) for poly, unit in zip(fmap, units)]
+        residual = dict_substitute(fmap, h, degree)
+        for acc, comp in zip(residual, h):
+            for exps, c in comp.items():
+                for lam, e in zip(lams, exps):
+                    c *= lam**e
+                acc[exps] = acc.get(exps, 0) - c
+        assert all(not any(acc.values()) for acc in residual)
+        round_trip = dict_substitute(h, h_inverse, degree)
+        for acc, unit in zip(round_trip, units):
+            acc[unit] = acc.get(unit, 0) - 1
+        assert all(not any(acc.values()) for acc in round_trip)
+        return direct
+
+    @pytest.mark.parametrize("name", ["shear-2d", "triangular-3d"])
+    def test_sheared_maps_after_normalization(self, name):
+        g, _ = normalize_fixed_locus(sheared_maps(self.DEGREE)[name])
+        result = self.check(g)
+        # the normalized map is no normal form of itself: h is not linear
+        assert any(c.degree() > 1 for c in result.h)
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(normalized_maps(st.just(3)))
+    def test_random_normalized_maps(self, data):
+        comps, r = data
+        # nonlinear terms in two components at least, so h couples them
+        assume(sum(len(terms) > 1 for terms in comps) >= 2)
+        self.check(build_map(comps, self.DEGREE, r=r))
 
 
 class TestInverseStream:

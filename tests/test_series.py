@@ -1,6 +1,7 @@
 """Unit tests for the truncated series algebra and Gauss norms."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from padicdyn.series import (
     SeriesTuple,
     _DiagonalPowers,
     _disjoint_sum,
+    _inverse_from,
     _LayerStream,
     _mul,
     _parent,
@@ -237,31 +239,36 @@ class TestFixedWidthKeys:
             lambda: MultiSeries.zero(2, 2**16),
             lambda: MultiSeries.variable(0, 2, 2**16),
             lambda: univariate([0, 1], 5).as_polynomial(2**16),
-            lambda: univariate([0, 1], TOP)._grown({(2**16,): Fraction(1)}),
+            lambda: univariate([0, 1], TOP)._grown(univariate([0, 1], TOP)),
         ):
             with pytest.raises(DomainError):
                 make()
         assert MultiSeries.variable(0, 2, TOP).trunc == univariate([0, 1], 5).as_polynomial(TOP).trunc == TOP
 
-    def test_a_grown_view_equals_a_fresh_one(self):
+    def test_a_series_grown_to_the_top_is_canonical(self):
         s = MultiSeries(2, TOP - 1, [((TOP - 1, 0), Fraction(1, 3)), ((1, 2), Fraction(2))])
-        s._graded()
-        grown = s._grown({(5535, 60000): Fraction(-2, 7)})
-        assert grown._graded() == MultiSeries(2, TOP, grown.terms())._graded()
+        grown = s._grown(MultiSeries(2, TOP, [((5535, 60000), Fraction(-2, 7))]))
+        assert_canonical(grown)
+        assert grown.coefficient((5535, 60000)) == Fraction(-2, 7) and grown.trunc == TOP
         assert (grown * grown).coefficient((2, 4)) == 4
 
 
 def fresh(s):
-    """The same series built anew from its terms, with no view handed on."""
+    """The same series built anew from its terms."""
     return MultiSeries(s.nvars, s.trunc, s.terms())
 
 
-def same_view(a, b):
-    """Equal graded views: per degree the same denominator and the same
-    terms, in any order."""
-    return {d: (den, sorted(terms)) for d, (den, terms) in a.items()} == {
-        d: (den, sorted(terms)) for d, (den, terms) in b.items()
-    }
+def assert_canonical(s):
+    """s is stored in the canonical form of the series module: per layer a
+    positive denominator sharing no factor with all of the layer's
+    numerators, no zero numerator and no empty layer, every key of the
+    layer's degree; and s equals the series built afresh from its terms."""
+    for d, (den, nums) in s._packed.items():
+        assert 0 <= d <= s.trunc
+        assert den > 0 and nums and all(nums.values()), d
+        assert math.gcd(den, *nums.values()) == 1, d
+        assert all(sum(exps) == d for exps in s.layer(d)), d
+    assert s == fresh(s)
 
 
 def sqrt_one_plus_x(trunc):
@@ -307,54 +314,50 @@ LAYER_DENOMINATORS = {
 
 
 class TestGradedView:
-    """Each series keeps one denominator per layer.  A view handed on to a
-    series made from another's layers equals one built afresh, and the
-    products and compositions that read views over unequal denominators
-    equal the Fraction references."""
+    """Each series keeps one denominator per layer.  A series made from
+    another's layers shares their entries, and the products and
+    compositions over unequal layer denominators equal the Fraction
+    references."""
 
     def test_each_layer_has_its_own_denominator(self):
         s = univariate([Fraction(1, 3), 2, Fraction(5, 4), Fraction(1, 6)], 3)
-        view = s._graded()
-        assert {d: den for d, (den, _) in view.items()} == {0: 3, 1: 1, 2: 4, 3: 6}
-        assert view[2] == (4, [(2, 5)])
-        assert s._graded() is view
+        assert {d: den for d, (den, _) in s._packed.items()} == {0: 3, 1: 1, 2: 4, 3: 6}
+        assert s._packed[2] == (4, {2: 5})
 
-    def test_a_handed_on_view_equals_a_fresh_one(self):
+    def test_a_series_made_from_layers_shares_their_entries(self):
         rng = random.Random(23)
         s = layered_series(rng, 2, 6, LAYER_DENOMINATORS["mixed-primes"])
         t = MultiSeries(2, 8, [((1, 0), Fraction(5, 9)), ((1, 1), Fraction(-1, 4)), ((0, 8), Fraction(2, 5))])
         u = MultiSeries(2, 8, [((5, 3), Fraction(1, 7)), ((0, 8), Fraction(2, 5))])
-        view = s._graded()
-        t._graded()
-        u._graded()
-        grown = s._grown({(4, 3): Fraction(3, 11), (0, 7): Fraction(-1, 2)})
-        handed = {
+        before = fresh(s)
+        grown = s._grown(MultiSeries(2, 7, [((4, 3), Fraction(3, 11)), ((0, 7), Fraction(-1, 2))]))
+        made = {
             "grown": grown,
-            "grown twice": grown._grown({(8, 0): Fraction(1, 13)}),
+            "grown twice": grown._grown(MultiSeries(2, 8, [((8, 0), Fraction(1, 13))])),
             "truncated": s.truncated(3),
             "as_polynomial": s.truncated(4).as_polynomial(9),
             "sum": s + t,
             "difference": t - s,
             "disjoint sum": _disjoint_sum([SeriesTuple([s.truncated(3).as_polynomial(8)]), SeriesTuple([u])])[0],
         }
-        for name, u in handed.items():
-            assert same_view(u._graded(), fresh(u)._graded()), name
+        for name, series in made.items():
+            assert_canonical(series)
         # the entries of the layers taken over unchanged are the same objects
-        assert set(view) == set(range(2, 7))
-        for d in view:
-            assert grown._graded()[d] is view[d]
-        assert handed["truncated"]._graded()[3] is view[3]
-        assert handed["as_polynomial"]._graded()[4] is view[4]
-        assert (s + t)._graded()[6] is view[6] and (s + t)._graded()[1] is t._graded()[1]
-        assert (t - s)._graded()[1] is t._graded()[1]
-        assert handed["disjoint sum"]._graded()[2] is view[2] and handed["disjoint sum"]._graded()[8] is u._graded()[8]
-        # nothing was changed in place by handing the view on
-        assert same_view(view, fresh(s)._graded())
+        assert set(s._packed) == set(range(2, 7))
+        for d in s._packed:
+            assert grown._packed[d] is s._packed[d]
+        assert made["truncated"]._packed[3] is s._packed[3]
+        assert made["as_polynomial"]._packed[4] is s._packed[4]
+        assert (s + t)._packed[6] is s._packed[6] and (s + t)._packed[1] is t._packed[1]
+        assert (t - s)._packed[1] is t._packed[1]
+        assert made["disjoint sum"]._packed[2] is s._packed[2] and made["disjoint sum"]._packed[8] is u._packed[8]
+        # nothing was changed in place by sharing
+        assert s == before and s._packed == before._packed
 
-    def test_an_inverse_hands_on_its_kept_layers(self):
+    def test_an_inverse_is_canonical(self):
         s = sqrt_one_plus_x(40)
         inverse = s.inverse()
-        assert same_view(inverse._graded(), fresh(inverse)._graded())
+        assert_canonical(inverse)
         assert dict((s * inverse).terms()) == {(0,): Fraction(1)}
 
     @pytest.mark.parametrize("nvars, trunc", [(1, 14), (2, 7), (3, 5)])
@@ -373,7 +376,7 @@ class TestGradedView:
         trunc = 60
         root = sqrt_one_plus_x(trunc)
         terms = dict(root.terms())
-        assert len({den for den, _ in root._graded().values()}) > 20
+        assert len({den for den, _ in root._packed.values()}) > 20
         assert dict((root * root).terms()) == {(0,): 1, (1,): 1}
         head = root.truncated(31).as_polynomial(trunc)
         assert dict((root * head).terms()) == dict_mul(terms, dict(head.terms()), trunc)
@@ -529,7 +532,7 @@ class TestLayerStream:
                     for d in range(trunc + 1):
                         for comp, exact in zip(stream.layer(d), expected):
                             assert comp.trunc == trunc
-                            assert set(comp._layers) <= {d}
+                            assert set(comp._packed) <= {d}
                             assert comp.layer(d) == exact.layer(d)
 
     def test_rejects_falling_or_mixed_degrees(self):
@@ -552,25 +555,25 @@ class TestSharedLayers:
         before = a.layer(2)
         total = a + b
         assert total == MultiSeries(2, 6, [((1, 0), 1), ((1, 1), 2), ((0, 3), 1)])
-        assert total._layers[1] is a._layers[1]
-        assert total._layers[3] is b._layers[3]
-        assert total._layers[2] is not a._layers[2] and a.layer(2) == before
+        assert total._packed[1] is a._packed[1]
+        assert total._packed[3] is b._packed[3]
+        assert total._packed[2] is not a._packed[2] and a.layer(2) == before
 
     def test_difference_merges_negated_coefficients(self):
         rng = random.Random(41)
         for _ in range(40):
             a, b = rand_series(rng, 2, 5, terms=8), rand_series(rng, 2, rng.randint(3, 6), terms=8)
             diff = a - b
-            assert diff._layers == (a + (-b))._layers and diff.trunc == min(a.trunc, b.trunc)
-            assert all(type(c) is Fraction and c for lay in diff._layers.values() for c in lay.values())
-            for d in set(a._layers) - set(b._layers):
+            assert diff._packed == (a + (-b))._packed and diff.trunc == min(a.trunc, b.trunc)
+            assert_canonical(diff)
+            for d in set(a._packed) - set(b._packed):
                 if d <= diff.trunc:
-                    assert diff._layers[d] is a._layers[d]
+                    assert diff._packed[d] is a._packed[d]
         x, y = MultiSeries.variable(0, 2, 6), MultiSeries.variable(1, 2, 6)
         b = x * y + y**3
         diff = x - b
-        # a degree only the subtrahend holds is a negated copy, not its dict
-        assert diff._layers[3] == {(0, 3): -1} and b._layers[3] == {(0, 3): 1}
+        # a degree only the subtrahend holds is a negated copy, not its entry
+        assert diff.layer(3) == {(0, 3): -1} and b.layer(3) == {(0, 3): 1}
         assert (b - b).is_zero() and (x - 1) == MultiSeries(2, 6, [((0, 0), -1), ((1, 0), 1)])
 
     def test_constructor_sums_repeated_terms(self):
@@ -578,13 +581,14 @@ class TestSharedLayers:
             ((1, 0), 2), ((1, 0), Fraction(-2)), ((0, 1), 0),
             ((1, 1), 3), ((1, 1), Fraction(1, 2)), ((0, 2), True), ((3, 1), 5),
         ])
-        assert s._layers == {2: {(1, 1): Fraction(7, 2), (0, 2): Fraction(1)}}
-        assert all(type(c) is Fraction for lay in s._layers.values() for c in lay.values())
+        assert list(s._packed) == [2] and s.layer(2) == {(1, 1): Fraction(7, 2), (0, 2): Fraction(1)}
+        assert all(type(c) is Fraction for _, c in s.terms())
+        assert_canonical(s)
 
         class Subclass(Fraction):
             pass
 
-        (c,) = MultiSeries(1, 2, [((1,), Subclass(1, 2))])._layers[1].values()
+        (c,) = MultiSeries(1, 2, [((1,), Subclass(1, 2))]).layer(1).values()
         assert type(c) is Fraction and c == Fraction(1, 2)
 
     def test_disjoint_sum(self):
@@ -592,11 +596,94 @@ class TestSharedLayers:
         low, high = SeriesTuple([x, y]), SeriesTuple([x * y, MultiSeries.zero(2, 6)])
         total = _disjoint_sum([low, high])
         assert total == low + high
-        assert total[0]._layers[2] is high[0]._layers[2]
+        assert total[0]._packed[2] is high[0]._packed[2]
         with pytest.raises(DomainError):
             _disjoint_sum([low, low])
         with pytest.raises(DomainError):
             _disjoint_sum([low, high.truncated(5)])
+
+
+# denominators that give layers of unequal denominators, and sums that
+# cancel some of them: powers of 2 and products of mixed primes
+MIXED_DENOMINATORS = [1, 2, 4, 8, 64, 3, 5, 6, 10, 15, 21, 35, 49, 105]
+
+
+@st.composite
+def mixed_series(draw, nvars, trunc, zero_constant=False):
+    term = st.tuples(
+        st.tuples(*[st.integers(0, trunc)] * nvars),
+        st.builds(Fraction, st.integers(-12, 12), st.sampled_from(MIXED_DENOMINATORS)),
+    )
+    return MultiSeries(nvars, trunc, [(e, c) for e, c in draw(st.lists(term, max_size=10)) if any(e) or not zero_constant])
+
+
+@st.composite
+def kernel_operands(draw):
+    """(a, b, part, inner, scalar, low): two series in 1-3 variables, some
+    of a's terms (part), an inner map without constant terms, a rational
+    and a lower bound."""
+    nvars, trunc = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    a, b = draw(mixed_series(nvars, trunc)), draw(mixed_series(nvars, trunc))
+    keep = draw(st.lists(st.booleans(), min_size=a.term_count(), max_size=a.term_count()))
+    part = MultiSeries(nvars, trunc, [term for term, kept in zip(a.terms(), keep) if kept])
+    inner = SeriesTuple([draw(mixed_series(nvars, trunc, zero_constant=True)) for _ in range(nvars)])
+    scalar = draw(st.builds(Fraction, st.integers(-30, 30), st.sampled_from(MIXED_DENOMINATORS)))
+    return a, b, part, inner, scalar, draw(st.integers(0, trunc + 1))
+
+
+class TestCanonicalForm:
+    """Every series that a constructor or a kernel returns is stored in the
+    canonical form and equals the series built afresh from its terms
+    (assert_canonical), over layers of mixed denominators and sums that
+    cancel single terms and whole layers."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_operands())
+    def test_every_kernel_returns_the_canonical_form(self, case):
+        a, b, part, inner, scalar, low = case
+        nvars, trunc, k = a.nvars, a.trunc, a.trunc // 2
+        unit = b + (1 - b.constant_term())
+        results = {
+            "constructor": a,
+            "sum": a + b,
+            "difference": a - b,
+            "cancelled terms": a - part,
+            "cancelled layers": a - a.truncated(k).as_polynomial(trunc),
+            "negation": -a,
+            "product": a * b,
+            "square": a * a,
+            "product from low": _mul(a, b, trunc, low),
+            "square from low": _mul(a, a, trunc, low),
+            "scale": a.scale(scalar),
+            "scalar product": scalar * a,
+            "partial": a.partial(nvars - 1),
+            "substitute zero": a.substitute_zero([0]),
+            "truncated": a.truncated(k),
+            "as_polynomial": a.truncated(k).as_polynomial(trunc + 3),
+            "grown": a.truncated(k)._grown(b),
+            "inverse": unit.inverse(),
+            "continued inverse": _inverse_from(unit, unit.truncated(k).inverse()),
+            "disjoint sum": _disjoint_sum(
+                [SeriesTuple([a.truncated(k).as_polynomial(trunc)]), SeriesTuple([b - b.truncated(k).as_polynomial(trunc)])]
+            )[0],
+        }
+        outer = SeriesTuple([a, b])
+        for i, comp in enumerate(outer.compose(inner)):
+            results[f"compose {i}"] = comp
+        for i, comp in enumerate(outer.compose(inner, low)):
+            results[f"compose from low {i}"] = comp
+        factors = [scalar or 1, Fraction(0), Fraction(-5, 4)][:nvars]
+        results["diagonal substitution"] = SeriesTuple([a]).compose_diagonal(factors)[0]
+        stream = _LayerStream(inner, SeriesTuple([b] * nvars))
+        if a.degree():
+            stream.add(SeriesTuple([a] * nvars).layer_tuple(a.degree()), low)
+        for d in range(trunc + 1):
+            results[f"stream layer {d}"] = stream.layer(d)[0]
+        for name, series in results.items():
+            try:
+                assert_canonical(series)
+            except AssertionError as exc:
+                raise AssertionError(name) from exc
 
 
 class TestInvertTuple:
@@ -877,6 +964,22 @@ class TestCalculusHelpers:
         phi = rand_series(rng, 3, 5)
         back = MultiSeries.from_records(phi.to_records(), 3, 5)
         assert back == phi
+
+    def test_records_refuse_a_float_numerator(self):
+        with pytest.raises(DomainError, match="got 1.5/1"):
+            MultiSeries.from_records([{"exponents": [1], "numerator": 1.5, "denominator": 1}], 1, 3)
+
+    def test_records_refuse_a_bool_denominator(self):
+        with pytest.raises(DomainError, match="got 3/True"):
+            MultiSeries.from_records([{"exponents": [1], "numerator": 3, "denominator": True}], 1, 3)
+
+    def test_records_refuse_a_string_numerator(self):
+        with pytest.raises(DomainError, match="got '7'/1"):
+            MultiSeries.from_records([{"exponents": [1], "numerator": "7"}], 1, 3)
+
+    def test_records_refuse_a_zero_denominator(self):
+        with pytest.raises(DomainError, match="got 1/0"):
+            MultiSeries.from_records([{"exponents": [1], "numerator": 1, "denominator": 0}], 1, 3)
 
     def test_compose_diagonal_matches_compose(self):
         rng = random.Random(33)
