@@ -47,11 +47,9 @@ from .linearize import (
     ConjugacyResult,
     NewtonTrace,
     check_norm_bound,
-    diagonalize_normal_part,
     linearize_newton,
     linearize_order_by_order,
     normalize_fixed_locus,
-    normalize_mod_if2,
     solve_homological,
 )
 from .orbit import (

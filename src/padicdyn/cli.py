@@ -95,14 +95,19 @@ def _prime(value: Any, path: str) -> int:
     return value
 
 
-def _at_least(value: int, minimum: int, path: str) -> None:
-    """An integer flag checked against its range; below it is a document error."""
-    if value < minimum:
+def _integer(value: Any, path: str, minimum: int | None = None) -> int:
+    """An integer flag or document field, at least minimum when one is
+    given; anything else is a document error.  A bool is refused: JSON true
+    and false are no integers, though Python counts them as 1 and 0."""
+    if type(value) is not int:
+        raise DocumentError(path, "expected an integer")
+    if minimum is not None and value < minimum:
         raise DocumentError(path, f"expected an integer >= {minimum}, got {value}")
+    return value
 
 
 # smallest accepted value of each integer flag; --degree depends on the command
-_FLAG_MINIMUMS = {"steps": 0, "points": 1, "smax": 1, "level": 1}
+_FLAG_MINIMUMS = {"steps": 0, "points": 1, "smax": 1, "level": 1, "precision": 1}
 _DEGREE_MINIMUMS = {"analyze": 2, "linearize": 2, "newton": 2, "eisenstein": 0, "probe": 1}
 _FLAG_HELP = {"prime": "odd working prime", "precision": "p-adic digits", "degree": "working degree"}
 
@@ -183,17 +188,14 @@ def _term_record(record: Any, where: str, n: int) -> tuple[tuple[int, ...], Frac
     if not isinstance(record, dict):
         raise DocumentError(where, "expected a term record")
     exps = record.get("exponents")
-    if not isinstance(exps, list) or len(exps) != n or any(
-        not isinstance(e, int) or e < 0 for e in exps
-    ):
+    if not isinstance(exps, list) or len(exps) != n:
         raise DocumentError(f"{where}.exponents", f"expected {n} non-negative integers")
-    num = record.get("numerator")
-    if not isinstance(num, int):
-        raise DocumentError(f"{where}.numerator", "expected an integer")
-    den = record.get("denominator", 1)
-    if not isinstance(den, int) or den == 0:
+    exps = tuple(_integer(e, f"{where}.exponents", 0) for e in exps)
+    num = _integer(record.get("numerator"), f"{where}.numerator")
+    den = _integer(record.get("denominator", 1), f"{where}.denominator")
+    if den == 0:
         raise DocumentError(f"{where}.denominator", "expected a nonzero integer")
-    return tuple(exps), Fraction(num, den)
+    return exps, Fraction(num, den)
 
 
 def parse_map_document(data: Any, series_at_truncation: bool = False) -> MapDocument:
@@ -205,18 +207,14 @@ def parse_map_document(data: Any, series_at_truncation: bool = False) -> MapDocu
         raise DocumentError("$", "document must be a JSON object")
     if "dimension" not in data:
         raise DocumentError("dimension", "missing")
-    n = data["dimension"]
-    if not isinstance(n, int) or n < 1:
-        raise DocumentError("dimension", "must be a positive integer")
+    n = _integer(data["dimension"], "dimension", 1)
     variables = data.get("variables", [f"x{i + 1}" for i in range(n)])
     if not isinstance(variables, list) or len(variables) != n:
         raise DocumentError("variables", f"expected {n} names")
-    r = data.get("fixed_locus_dim", 0)
-    if not isinstance(r, int) or not 0 <= r <= n:
-        raise DocumentError("fixed_locus_dim", f"must be an integer in [0, {n}]")
-    trunc = data.get("truncation_degree", DEFAULT_TRUNCATION)
-    if not isinstance(trunc, int) or trunc < 1:
-        raise DocumentError("truncation_degree", "must be a positive integer")
+    r = _integer(data.get("fixed_locus_dim", 0), "fixed_locus_dim", 0)
+    if r > n:
+        raise DocumentError("fixed_locus_dim", f"expected an integer <= {n}, got {r}")
+    trunc = _integer(data.get("truncation_degree", DEFAULT_TRUNCATION), "truncation_degree", 1)
     if series_at_truncation:
         _check_series_degree(n, trunc, "truncation_degree")
     components = data.get("components")
@@ -231,9 +229,7 @@ def parse_map_document(data: Any, series_at_truncation: bool = False) -> MapDocu
     prime = data.get("prime")
     if prime is not None:
         _prime(prime, "prime")
-    precision = data.get("precision", DEFAULT_PRECISION)
-    if not isinstance(precision, int) or precision < 1:
-        raise DocumentError("precision", "expected a positive integer")
+    precision = _integer(data.get("precision", DEFAULT_PRECISION), "precision", 1)
     form = None
     if "symplectic_form" in data:
         raw = data["symplectic_form"]
@@ -399,9 +395,7 @@ def cmd_eisenstein(args) -> dict:
     data = _load_json(args.document)
     if not isinstance(data, dict):
         raise DocumentError("$", "document must be a JSON object")
-    nvars = data.get("num_vars")
-    if not isinstance(nvars, int) or nvars < 1:
-        raise DocumentError("num_vars", "expected a positive integer")
+    nvars = _integer(data.get("num_vars"), "num_vars", 1)
     raw_terms = data.get("relation")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise DocumentError("relation", "expected a nonempty list of term records")
@@ -409,17 +403,13 @@ def cmd_eisenstein(args) -> dict:
     for t, record in enumerate(raw_terms):
         where = f"relation[{t}]"
         exps, coeff = _term_record(record, where, nvars)
-        xpow = record.get("x_power", 0)
-        if not isinstance(xpow, int) or xpow < 0:
-            raise DocumentError(f"{where}.x_power", "expected a non-negative integer")
+        xpow = _integer(record.get("x_power", 0), f"{where}.x_power", 0)
         terms.append((exps, xpow, coeff))
     relation = XPolynomial.from_terms(nvars, terms)
     seed_records = data.get("seed", [])
     if not isinstance(seed_records, list):
         raise DocumentError("seed", "expected a list of term records")
-    seed_degree = data.get("seed_degree", 0)
-    if not isinstance(seed_degree, int) or seed_degree < 0:
-        raise DocumentError("seed_degree", "expected a non-negative integer")
+    seed_degree = _integer(data.get("seed_degree", 0), "seed_degree", 0)
     seed = MultiSeries(
         nvars, seed_degree, [_term_record(record, f"seed[{t}]", nvars) for t, record in enumerate(seed_records)]
     )
@@ -440,7 +430,7 @@ def cmd_eisenstein(args) -> dict:
 
 def _check_orbit_work(steps: int, dim: int, precision: int, precision_path: str) -> None:
     """Refuse an orbit above ORBIT_MAX_DIGITS digits before it is iterated."""
-    if precision < 1 or (steps + 1) * dim * precision <= ORBIT_MAX_DIGITS:
+    if (steps + 1) * dim * precision <= ORBIT_MAX_DIGITS:
         return
     ceiling = f"the ceiling of {ORBIT_MAX_DIGITS} digits"
     largest = ORBIT_MAX_DIGITS // (dim * precision) - 1
@@ -460,8 +450,8 @@ def _check_orbit_work(steps: int, dim: int, precision: int, precision_path: str)
 def cmd_orbit(args) -> dict:
     doc = parse_map_document(_load_json(args.document))
     f = doc.map
-    precision = args.precision or doc.precision
-    _check_orbit_work(args.steps, f.n, precision, "--precision" if args.precision else "precision")
+    precision = args.precision if args.precision is not None else doc.precision
+    _check_orbit_work(args.steps, f.n, precision, "--precision" if args.precision is not None else "precision")
     prime = args.prime or doc.prime or choose_prime(f)
     start = _parse_point(args.start, f.n)
     nbhd = Neighbourhood(prime=prime, level=args.level, dim=f.n)
@@ -542,7 +532,10 @@ def cmd_vanishing(args) -> dict:
     a = [_rational(x, f"coefficients[{i}]") for i, x in enumerate(raw_a)]
     b = [_rational(x, f"units[{i}]") for i, x in enumerate(raw_b)]
     prime = args.prime or _prime(data.get("prime"), "prime")
-    precision = args.precision or data.get("precision", DEFAULT_PRECISION)
+    if args.precision is not None:
+        precision = args.precision
+    else:
+        precision = _integer(data.get("precision", DEFAULT_PRECISION), "precision", 1)
     inst = VanishingSumInstance(a, b, prime, precision)
     report = vanishing_exponents(inst, args.smax)
     cert = report.certificate
@@ -681,7 +674,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         for name, minimum in minimums.items():
             value = getattr(args, name, None)
             if value is not None:
-                _at_least(value, minimum, f"--{name}")
+                _integer(value, f"--{name}", minimum)
         report = _COMMANDS[args.command](args)
         payload = {
             "schema_version": SCHEMA_VERSION,

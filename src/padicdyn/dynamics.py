@@ -369,7 +369,7 @@ def standard_symplectic_form(n: int) -> list[list[Fraction]]:
     return s
 
 
-def choose_prime(f: AnalyticMap, eigenvalues: Sequence[Fraction] | None = None, start: int = 3) -> int:
+def choose_prime(f: AnalyticMap, eigenvalues: Sequence[Fraction] | None = None) -> int:
     """Smallest odd prime at which all eigenvalues are units and all map
     coefficients are integral."""
     lams = list(eigenvalues) if eigenvalues is not None else None
@@ -381,7 +381,7 @@ def choose_prime(f: AnalyticMap, eigenvalues: Sequence[Fraction] | None = None, 
     if any(lam == 0 for lam in lams):
         raise DomainError("a zero eigenvalue is a unit at no prime")
     coeffs = [c for comp in f.components for _, c in comp.terms()]
-    p = start if start % 2 == 1 else start + 1
+    p = 3
     while True:
         if is_prime(p):
             ok = all(fraction_valuation(lam, p) == 0 for lam in lams)

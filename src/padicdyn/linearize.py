@@ -73,17 +73,20 @@ If any resonance lambda^I = lambda_j exists up to the working degree, that
 solution is only unique up to resonant terms, and the compositional inverse
 of h is computed by series reversion (SeriesTuple.invert) instead.
 
-Maps with a positive-dimensional fixed locus are first normalized: a shear
-removes the head-tail linear coupling, then interpolation projectors built
-from the transverse block diagonalize it with coefficients that are series
-along the locus.  The projectors P_lambda are polynomials in the block B
-itself, with no change of basis: column j of the new transverse
-coordinates is P_(lambda_j)(B) v_j, for v_j the j-th eigenvector of B(0).
-That is the eigenbasis route, C times column j of P_(lambda_j)(C^(-1) B C)
-with C = (v_1 ... v_t), because a polynomial in B commutes with the
-constant similarity: P_lambda(C^(-1) B C) = C^(-1) P_lambda(B) C.  Either
-change is (x', 0) + M x'' for a matrix M of series along the locus, one
-series matrix-vector product, and the normalized map is
+Maps with a positive-dimensional fixed locus are first normalized, in one
+conjugation, by a change linear in the transverse variables:
+(x', 0) + [M C; C] x'', with M and C matrices of series along the locus.
+Its head part M = a' (a'')^(-1) is the paper's shear modulo I_F^2, which
+removes the head-tail linear coupling of f = (x' + a' x''; x'' + a'' x'').
+That shear leaves the transverse block B = 1 + a'' as it is, so C is read
+from f's own blocks: interpolation projectors built from B diagonalize it
+with coefficients that are series along the locus.  The projectors
+P_lambda are polynomials in B itself, with no change of basis: column j of
+C is P_(lambda_j)(B) v_j, for v_j the j-th eigenvector of B(0).  That is
+the eigenbasis route, C0 times column j of P_(lambda_j)(C0^(-1) B C0) with
+C0 = (v_1 ... v_t), because a polynomial in B commutes with the constant
+similarity: P_lambda(C0^(-1) B C0) = C0^(-1) P_lambda(B) C0.  The change is
+one series matrix-vector product, and the normalized map is
 change^(-1) o (f o change).
 """
 
@@ -462,8 +465,8 @@ def _series_matrix_mul(a: list[list[MultiSeries]], b: list[list[MultiSeries]]) -
     return [list(row) for row in zip(*columns)]
 
 
-def _unit_matrix(size: int, nvars: int, trunc: int) -> list[list[MultiSeries]]:
-    return [[MultiSeries.constant(int(i == j), nvars, trunc) for j in range(size)] for i in range(size)]
+def _diagonal_matrix(values: Sequence[Fraction], nvars: int, trunc: int) -> list[list[MultiSeries]]:
+    return [[MultiSeries.constant(x * (i == j), nvars, trunc) for j in range(len(values))] for i, x in enumerate(values)]
 
 
 def linearize_newton(
@@ -688,39 +691,6 @@ def _derived_c1(params: DiophantineParams, rho: Fraction, delta: Fraction, horiz
     return RatPow(best.coeff / params.C, best.base * delta / rho, params.beta)
 
 
-def normalize_mod_if2(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
-    """Shear away the head-tail linear coupling along the fixed locus.
-
-    Writes f = (x' + a' x''; x'' + a'' x'') to second transverse order,
-    with a', a'' matrices of series in the locus coordinates x', and
-    conjugates by h = (x' + a' (a'')^(-1) x''; x'') so the head components
-    of the result are x' modulo second transverse order.
-    """
-    r, n, trunc = f.fixed_locus_dim, f.n, f.trunc
-    if r < 1:
-        raise DomainError("needs a positive-dimensional fixed locus")
-    if r == n:
-        ident = SeriesTuple.identity(n, trunc)
-        return f, ident
-    shifted = f.components - SeriesTuple.identity(n, trunc)
-    a_head, a_tail = _transverse_linear_blocks(shifted, r)
-    tail_const = [[a_tail[i][j].constant_term() for j in range(n - r)] for i in range(n - r)]
-    if ratlinalg.det(tail_const) == 0:
-        raise SingularBlockError(
-            "transverse block of Df - 1 is singular at the fixed point "
-            "(the eigenvalue-one count does not match the locus dimension)"
-        )
-    if all(entry.is_zero() for row in a_head for entry in row):
-        ident = SeriesTuple.identity(n, trunc)
-        return f, ident
-    tail_inv = _series_matrix_inverse(a_tail, trunc)
-    g_map, h = _conjugated(f, _series_matrix_mul(a_head, tail_inv) + _unit_matrix(n - r, n, trunc))
-    g_head, _ = _transverse_linear_blocks(g_map.components - SeriesTuple.identity(n, trunc), r)
-    if not all(entry.is_zero() for row in g_head for entry in row):
-        raise AssertionError("shear failed to remove the head-tail coupling")
-    return g_map, h
-
-
 def _conjugated(f: AnalyticMap, mat: list[list[MultiSeries]]) -> tuple[AnalyticMap, SeriesTuple]:
     """(change^(-1) o (f o change), change) for the change (x', 0) + mat x''
     that is linear in the transverse variables x'', with mat an n x (n - r)
@@ -736,58 +706,38 @@ def _transverse_linear_blocks(
 ) -> tuple[list[list[MultiSeries]], list[list[MultiSeries]]]:
     """Blocks a', a'' of terms of transverse degree exactly one, as matrices
     of series in the locus coordinates (stored with full-width exponents)."""
-    n = shifted.nvars
-    trunc = shifted.trunc
-    t = n - r
-
-    def block(rows: range) -> list[list[MultiSeries]]:
-        out = []
-        for i in rows:
-            row = []
-            for j in range(t):
-                terms = []
-                for exps, coeff in shifted[i].terms():
-                    tail = exps[r:]
-                    if sum(tail) == 1 and tail[j] == 1:
-                        head_exps = exps[:r] + (0,) * t
-                        terms.append((head_exps, coeff))
-                row.append(MultiSeries(n, trunc, terms))
-            out.append(row)
-        return out
-
-    return block(range(r)), block(range(r, n))
+    n, trunc, t = shifted.nvars, shifted.trunc, shifted.nvars - r
+    entries: list[list[list]] = [[[] for _ in range(t)] for _ in range(n)]
+    for row, comp in zip(entries, shifted):
+        for exps, coeff in comp.terms():
+            if sum(exps[r:]) == 1:
+                row[exps.index(1, r) - r].append((exps[:r] + (0,) * t, coeff))
+    rows = [[MultiSeries(n, trunc, terms) for terms in row] for row in entries]
+    return rows[:r], rows[r:]
 
 
-def diagonalize_normal_part(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
-    """Diagonalize the transverse linear block with locus-dependent coordinates.
+def _diagonalizing_matrix(a_tail: list[list[MultiSeries]]) -> tuple[list[Fraction], list[list[MultiSeries]]]:
+    """The eigenvalues lambda_j of the transverse block B = 1 + a'', in pivot
+    order, and the matrix C of series along the locus whose column j is
+    P_(lambda_j)(B) v_j.
 
-    Requires the head-tail coupling already removed.  The block
-    B = 1 + a'' must be semisimple with constant eigenvalues along the
-    locus: the characteristic polynomial is computed over the series ring,
-    by the trace recursion of dynamics._char_poly, and must have constant
+    B must be semisimple with constant eigenvalues along the locus: the
+    characteristic polynomial is computed over the series ring, by the
+    trace recursion of dynamics._char_poly, and must have constant
     coefficients, and the interpolation projectors
     P_lambda = prod_{mu != lambda} (B - mu) / (lambda - mu) of B itself
-    must resolve the identity.  With v_j the j-th eigenvector of B(0), in
-    pivot order, and lambda_j its eigenvalue, column j of the coordinate
-    change, linear in the transverse variables, is P_(lambda_j)(B) v_j.  It
-    equals C times column j of P_(lambda_j)(C^(-1) B C) for C = (v_1 ... v_t),
-    the route through the eigenbasis, since P_lambda(C^(-1) B C) =
-    C^(-1) P_lambda(B) C in the truncated ring.
+    must resolve the identity.  v_j is the j-th eigenvector of B(0), in
+    pivot order, and lambda_j its eigenvalue.  Column j equals C0 times
+    column j of P_(lambda_j)(C0^(-1) B C0) for C0 = (v_1 ... v_t), the
+    route through the eigenbasis, since P_lambda(C0^(-1) B C0) =
+    C0^(-1) P_lambda(B) C0 in the truncated ring.
     """
-    r, n, trunc = f.fixed_locus_dim, f.n, f.trunc
-    t = n - r
-    if t == 0:
-        return f, SeriesTuple.identity(n, trunc)
-    shifted = f.components - SeriesTuple.identity(n, trunc)
-    a_head, a_tail = _transverse_linear_blocks(shifted, r)
-    if not all(entry.is_zero() for row in a_head for entry in row):
-        raise DomainError("head-tail coupling present; run normalize_mod_if2 first")
-    # full transverse block of f itself: identity + a''
-    unit = _unit_matrix(t, n, trunc)
+    t, nvars, trunc = len(a_tail), a_tail[0][0].nvars, a_tail[0][0].trunc
+    unit = _diagonal_matrix([1] * t, nvars, trunc)
     block = [[a + one for a, one in zip(a_row, unit_row)] for a_row, unit_row in zip(a_tail, unit)]
     *lower, lead = _char_poly(block, _series_matrix_mul)
     for coeff_series in lower:
-        if not coeff_series.substitute_zero(range(n)).agrees_through(coeff_series, trunc):
+        if not coeff_series.substitute_zero(range(nvars)).agrees_through(coeff_series, trunc):
             raise EigenvalueVariationError(
                 "transverse eigenvalues vary along the fixed locus"
             )
@@ -824,17 +774,10 @@ def diagonalize_normal_part(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
         projectors[lam] = proj
     _verify_projectors(block, projectors)
     columns = [
-        _series_matrix_vector(projectors[lam], SeriesTuple([MultiSeries.constant(c, n, trunc) for c in vec]))
+        _series_matrix_vector(projectors[lam], SeriesTuple([MultiSeries.constant(c, nvars, trunc) for c in vec]))
         for _, lam, vec in collected
     ]
-    zero_head = [[MultiSeries.zero(n, trunc)] * t] * r
-    g_map, change = _conjugated(f, zero_head + [list(row) for row in zip(*columns)])
-    # the transverse block must now be the constant diagonal
-    _, g_tail = _transverse_linear_blocks(g_map.components - SeriesTuple.identity(n, trunc), r)
-    expected = [[MultiSeries.constant((lam - 1) * (i == j), n, trunc) for j in range(t)] for i, lam in enumerate(ordered)]
-    if g_tail != expected:
-        raise AssertionError("diagonalization left a non-diagonal transverse block")
-    return g_map, change
+    return ordered, [list(row) for row in zip(*columns)]
 
 
 def _verify_projectors(block: list[list[MultiSeries]], projectors: dict[Fraction, list[list[MultiSeries]]]) -> None:
@@ -852,19 +795,43 @@ def _verify_projectors(block: list[list[MultiSeries]], projectors: dict[Fraction
         [sum(entries, MultiSeries.zero(nvars, trunc)) for entries in zip(*rows)]
         for rows in zip(*projectors.values())
     ]
-    if total != _unit_matrix(len(block), nvars, trunc):
+    if total != _diagonal_matrix([1] * len(block), nvars, trunc):
         raise NotSemisimpleError("projectors do not resolve the identity")
 
 
 def normalize_fixed_locus(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
-    """Run both fixed-locus normalizations; returns (g, change) with
-    g = change^(-1) o f o change."""
-    n, trunc = f.n, f.trunc
-    if f.fixed_locus_dim == 0:
-        m = f.components.linear_matrix()
-        if ratlinalg.is_diagonal(m):
-            return f, SeriesTuple.identity(n, trunc)
-        return diagonalize_normal_part(f)
-    g1, h1 = normalize_mod_if2(f)
-    g2, h2 = diagonalize_normal_part(g1)
-    return g2, h1.compose(h2)
+    """(g, change) with g = change^(-1) o f o change: the head-tail linear
+    coupling along the fixed locus removed and the transverse linear block
+    made constant diagonal, in one conjugation.
+
+    Writes f = (x' + a' x''; x'' + a'' x'') to second transverse order,
+    with a', a'' matrices of series in the locus coordinates x'.  The change
+    is (x', 0) + [M C; C] x'' (_conjugated).  Its head part M = a' (a'')^(-1)
+    is the shear that makes f the identity on x' modulo I_F^2; the shear
+    leaves the transverse block B = 1 + a'' unchanged, so C, which
+    diagonalizes B (_diagonalizing_matrix), is read from f itself.  A map
+    with no coupling and a constant diagonal B is returned with the
+    identity.
+    """
+    r, n, trunc = f.fixed_locus_dim, f.n, f.trunc
+    identity = SeriesTuple.identity(n, trunc)
+    a_head, a_tail = _transverse_linear_blocks(f.components - identity, r)
+    if r and ratlinalg.det([[entry.constant_term() for entry in row] for row in a_tail]) == 0:
+        raise SingularBlockError(
+            "transverse block of Df - 1 is singular at the fixed point "
+            "(the eigenvalue-one count does not match the locus dimension)"
+        )
+    coupled = any(not entry.is_zero() for row in a_head for entry in row)
+    if not coupled and a_tail == _diagonal_matrix([row[i].constant_term() for i, row in enumerate(a_tail)], n, trunc):
+        return f, identity
+    ordered, tail = _diagonalizing_matrix(a_tail)
+    # an uncoupled map has a' = 0, and then M C = 0 as well
+    head = a_head
+    if coupled:
+        head = _series_matrix_mul(_series_matrix_mul(a_head, _series_matrix_inverse(a_tail, trunc)), tail)
+    g_map, change = _conjugated(f, head + tail)
+    g_head, g_tail = _transverse_linear_blocks(g_map.components - identity, r)
+    expected = _diagonal_matrix([lam - 1 for lam in ordered], n, trunc)
+    if any(not entry.is_zero() for row in g_head for entry in row) or g_tail != expected:
+        raise AssertionError("normalization left a head-tail coupling or a non-diagonal transverse block")
+    return g_map, change

@@ -92,6 +92,11 @@ def tall_orbit_document():
     }
 
 
+def vanishing_document():
+    """3 * 2^s - 2 * 3^s at p = 5: it vanishes at s = 1 alone."""
+    return {"coefficients": [3, -2], "units": [2, 3], "prime": 5}
+
+
 def readme_map_document():
     """The example map document of the README's "Map documents" section."""
     text = README.read_text(encoding="utf-8")
@@ -176,8 +181,13 @@ class TestAnalyze:
         "record, message",
         [
             (5, "components[1][0]: expected a term record"),
-            ({"exponents": [0, -1], "numerator": 1}, "components[1][0].exponents: expected 2 non-negative integers"),
+            ({"exponents": [0, 1, 0], "numerator": 1}, "components[1][0].exponents: expected 2 non-negative integers"),
+            ({"exponents": [0, -1], "numerator": 1}, "components[1][0].exponents: expected an integer >= 0, got -1"),
             ({"exponents": [0, 1], "numerator": "1"}, "components[1][0].numerator: expected an integer"),
+            # JSON true is no integer, though Python counts it as 1
+            ({"exponents": [0, True], "numerator": 1}, "components[1][0].exponents: expected an integer"),
+            ({"exponents": [0, 1], "numerator": True}, "components[1][0].numerator: expected an integer"),
+            ({"exponents": [0, 1], "numerator": 1, "denominator": True}, "components[1][0].denominator: expected an integer"),
             ({"exponents": [0, 1], "numerator": 1, "denominator": 0}, "components[1][0].denominator: expected a nonzero integer"),
         ],
     )
@@ -641,6 +651,8 @@ class TestIntegerArguments:
             (["probe", doc, "--start", "3", "--points", "0"], "--points"),
             (["probe", doc, "--start", "3", "--degree", "0"], "--degree"),
             (["vanishing", vanishing, "--smax", "0"], "--smax"),
+            (["orbit", doc, "--start", "3", "--precision", "0"], "--precision"),
+            (["vanishing", vanishing, "--precision", "-5"], "--precision"),
         ]
         for arguments, location in cases:
             code, data = run_bounded(tmp_path, arguments)
@@ -682,7 +694,7 @@ class TestIntegerArguments:
         doc = write_json(tmp_path, "map.json", doubling_document())
         sqrt = write_json(tmp_path, "sqrt.json", sqrt_document())
         cases = [
-            ["orbit", doc, "--start", "3", "--steps", "0", "--level", "1"],
+            ["orbit", doc, "--start", "3", "--steps", "0", "--level", "1", "--precision", "1"],
             ["eisenstein", sqrt, "--degree", "0"],
             ["linearize", doc, "--degree", "2"],
         ]
@@ -691,7 +703,37 @@ class TestIntegerArguments:
             assert code == 0, arguments
 
 
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            ("analyze", "dimension"),
+            ("analyze", "fixed_locus_dim"),
+            ("analyze", "truncation_degree"),
+            ("orbit", "precision"),
+            ("eisenstein", "num_vars"),
+            ("eisenstein", "seed_degree"),
+            ("vanishing", "precision"),
+        ],
+    )
+    def test_a_boolean_document_field_is_not_an_integer(self, tmp_path, command, field):
+        document = {"eisenstein": sqrt_document, "vanishing": vanishing_document}.get(command, doubling_document)()
+        document[field] = True
+        arguments = [command, write_json(tmp_path, "doc.json", document)]
+        code, data = run_bounded(tmp_path, arguments + (["--start", "3"] if command == "orbit" else []))
+        assert code == 1
+        assert data["error"]["location"] == field
+        assert data["error"]["message"] == f"{field}: expected an integer"
+
+
 class TestVanishing:
+    @pytest.mark.parametrize("value", ["x", 2.5, -3, 0])
+    def test_document_precision_is_checked(self, tmp_path, value):
+        doc = write_json(tmp_path, "inst.json", dict(vanishing_document(), precision=value))
+        code, data = run_bounded(tmp_path, ["vanishing", doc, "--smax", "10"])
+        assert code == 1
+        assert data["error"]["kind"] == "document"
+        assert data["error"]["location"] == "precision"
+
     def test_planted_instance(self, tmp_path):
         doc = write_json(
             tmp_path,

@@ -25,11 +25,9 @@ from padicdyn.linearize import (
     NormBoundCertificate,
     RatPow,
     check_norm_bound,
-    diagonalize_normal_part,
     linearize_newton,
     linearize_order_by_order,
     normalize_fixed_locus,
-    normalize_mod_if2,
     solve_homological,
 )
 from padicdyn.series import MultiSeries, SeriesTuple, gauss_norm, tuple_gauss_norm
@@ -280,10 +278,10 @@ class TestOrderByOrder:
         assert result.h == SeriesTuple.identity(2, 4)
 
 
-class TestNormalizeModIF2:
+class TestNormalizeFixedLocus:
     def test_shear_example(self):
         f = build_map([[((1, 0), 1), ((0, 1), 1)], [((0, 1), -2)]], 5, r=1)
-        g, h = normalize_mod_if2(f)
+        g, h = normalize_fixed_locus(f)
         assert h[0] == MultiSeries(2, 5, [((1, 0), Fraction(1)), ((0, 1), Fraction(-1, 3))])
         assert h[1] == MultiSeries.variable(1, 2, 5)
         expected = build_map([[((1, 0), 1)], [((0, 1), -2)]], 5, r=1)
@@ -291,19 +289,14 @@ class TestNormalizeModIF2:
 
     def test_block_diagonal_untouched(self):
         f = build_map([[((1, 0), 1), ((0, 2), 1)], [((0, 1), -2)]], 5, r=1)
-        g, h = normalize_mod_if2(f)
+        g, h = normalize_fixed_locus(f)
         assert h == SeriesTuple.identity(2, 5)
         assert g.components == f.components
-
-    def test_nonlinear_tail_untouched(self):
-        f = build_map([[((1, 0), 1)], [((0, 1), -2), ((1, 1), 1)]], 5, r=1)
-        g, h = normalize_mod_if2(f)
-        assert h == SeriesTuple.identity(2, 5)
 
     def test_singular_tail_block(self):
         f = build_map([[((1, 0), 1), ((0, 1), 1)], [((0, 1), 1), ((0, 2), 1)]], 5, r=1)
         with pytest.raises(SingularBlockError):
-            normalize_mod_if2(f)
+            normalize_fixed_locus(f)
 
     def test_conjugation_identity(self):
         f = build_map(
@@ -311,18 +304,10 @@ class TestNormalizeModIF2:
             5,
             r=1,
         )
-        g, h = normalize_mod_if2(f)
+        g, h = normalize_fixed_locus(f)
         lhs = f.components.compose(h)
         rhs = h.compose(g.components)
         assert lhs.agrees_through(rhs, 5)
-
-
-class TestDiagonalizeNormalPart:
-    def test_already_diagonal(self):
-        f = build_map([[((1, 0), 1), ((0, 2), 1)], [((0, 1), -2)]], 5, r=1)
-        g, change = diagonalize_normal_part(f)
-        assert change == SeriesTuple.identity(2, 5)
-        assert g.components == f.components
 
     def test_upper_triangular_with_locus_coupling(self):
         # transverse block [[-2, x1],[0, -3]]: projectors (a''+3), -(a''+2)
@@ -335,7 +320,7 @@ class TestDiagonalizeNormalPart:
             5,
             r=1,
         )
-        g, change = diagonalize_normal_part(f)
+        g, change = normalize_fixed_locus(f)
         m = g.components.linear_matrix()
         assert m == [[1, 0, 0], [0, -2, 0], [0, 0, -3]]
         # transverse block of the result is constant diagonal: no x1 coupling left
@@ -349,7 +334,7 @@ class TestDiagonalizeNormalPart:
             5,
             r=1,
         )
-        g, change = diagonalize_normal_part(f)
+        g, change = normalize_fixed_locus(f)
         assert change == SeriesTuple.identity(3, 5)
 
     def test_eigenvalue_variation_rejected(self):
@@ -366,7 +351,7 @@ class TestDiagonalizeNormalPart:
             r=1,
         )
         with pytest.raises(EigenvalueVariationError):
-            diagonalize_normal_part(f)
+            normalize_fixed_locus(f)
 
     def test_jordan_block_rejected(self):
         f = build_map(
@@ -379,10 +364,8 @@ class TestDiagonalizeNormalPart:
             r=1,
         )
         with pytest.raises(NotSemisimpleError):
-            diagonalize_normal_part(f)
+            normalize_fixed_locus(f)
 
-
-class TestNormalizePipeline:
     def test_full_pipeline_enables_solve(self):
         f = build_map([[((1, 0), 1), ((0, 1), 1)], [((0, 1), -2), ((0, 2), 1)]], 6, r=1)
         g, change = normalize_fixed_locus(f)
@@ -393,6 +376,30 @@ class TestNormalizePipeline:
         lhs = f.components.compose(total)
         rhs = total.compose_diagonal(lams)
         assert lhs.agrees_through(rhs, 6)
+
+    @pytest.mark.parametrize(
+        "name, conjugations", [("shear-2d", 1), ("locus-line-2d", 0), ("coupled-triangular-3d", 1)]
+    )
+    def test_one_conjugation(self, monkeypatch, name, conjugations):
+        # the shear and the diagonalization are one change: one reversion
+        # and one conjugation at most, and the blocks are read from f and
+        # in the final check; a map already normalized is not conjugated
+        counts = Counter()
+
+        def counted(key, function):
+            def call(*args):
+                counts[key] += 1
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(SeriesTuple, "invert", counted("invert", SeriesTuple.invert))
+        monkeypatch.setattr(linearize, "_conjugated", counted("conjugated", linearize._conjugated))
+        monkeypatch.setattr(
+            linearize, "_transverse_linear_blocks", counted("blocks", linearize._transverse_linear_blocks)
+        )
+        f = {**fixture_suite(8), **sheared_maps(8), "coupled-triangular-3d": coupled_triangular(8)}[name]
+        normalize_fixed_locus(f)
+        assert counts == Counter(invert=conjugations, conjugated=conjugations, blocks=1 + conjugations)
 
 
 def reference_matmul(a, b, trunc):
@@ -472,6 +479,32 @@ def sheared_maps(degree):
     }
 
 
+def coupled_triangular(degree):
+    """triangular-3d with the head x1 + x3: coupled to the tail, and with a
+    transverse block that is not diagonal at the point, so the change has
+    head rows M C with C not the identity."""
+    return build_map(
+        [[((1, 0, 0), 1), ((0, 0, 1), 1)], [((0, 1, 0), -2), ((1, 0, 1), 1), ((0, 2, 0), 1)], [((0, 0, 1), -3), ((0, 1, 1), 1)]],
+        degree,
+        r=1,
+    )
+
+
+def reference_shear(f):
+    """Reference: the shear modulo I_F^2 alone, (x' + a' (a'')^(-1) x''; x''),
+    with (a'')^(-1) summed as a geometric series, and the conjugate of f by it."""
+    r, n, trunc = f.fixed_locus_dim, f.n, f.trunc
+    a_head, a_tail = linearize._transverse_linear_blocks(f.components - SeriesTuple.identity(n, trunc), r)
+    shear = reference_matmul(a_head, geometric_series_inverse(a_tail, trunc), trunc)
+    comps = [MultiSeries.variable(i, n, trunc) for i in range(n)]
+    for i in range(r):
+        for j in range(n - r):
+            if not shear[i][j].is_zero():
+                comps[i] = comps[i] + shear[i][j] * MultiSeries.variable(r + j, n, trunc)
+    change = SeriesTuple(comps)
+    return AnalyticMap(change.invert().compose(f.components.compose(change)), r), change
+
+
 # triangular transverse blocks whose entries depend on the locus
 # coordinates, with nonlinear transverse terms so that g differs from f;
 # all but upper-3x3-r2 are not diagonal at the point, so the eigenvectors
@@ -516,15 +549,15 @@ TRIANGULAR_BLOCKS = {
 
 
 class TestProjectorsOfTheBlockItself:
-    """diagonalize_normal_part, with the projectors of B itself, returns
-    the change and g of the eigenbasis route."""
+    """normalize_fixed_locus, with the projectors of B itself, returns the
+    change and g of the eigenbasis route, after the shear when f is coupled."""
 
     @pytest.mark.parametrize("trunc", [4, 5])
     @pytest.mark.parametrize("name", sorted(TRIANGULAR_BLOCKS))
     def test_matches_the_similarity_route(self, name, trunc):
         r, terms = TRIANGULAR_BLOCKS[name]
         f = build_map(terms, trunc, r=r)
-        g, change = diagonalize_normal_part(f)
+        g, change = normalize_fixed_locus(f)
         ref_g, ref_change = similarity_diagonalize(f)
         assert change == ref_change
         assert g.components == ref_g
@@ -532,20 +565,25 @@ class TestProjectorsOfTheBlockItself:
         # the change is not a constant one: the locus coupling is solved
         assert change != SeriesTuple.identity(f.n, trunc)
 
-    @pytest.mark.parametrize("name", ["shear-2d", "triangular-3d"])
-    def test_pipeline_matches_the_similarity_route(self, name):
-        f = sheared_maps(8)[name]
+    @pytest.mark.parametrize("trunc", [5, 8])
+    @pytest.mark.parametrize("name", ["shear-2d", "triangular-3d", "coupled-triangular-3d"])
+    def test_one_change_matches_the_two_step_route(self, name, trunc):
+        f = {**sheared_maps(trunc), "coupled-triangular-3d": coupled_triangular(trunc)}[name]
         g, change = normalize_fixed_locus(f)
-        sheared, shear = normalize_mod_if2(f)
+        sheared, shear = reference_shear(f)
         ref_g, ref_change = similarity_diagonalize(sheared)
         assert change == shear.compose(ref_change)
         assert g.components == ref_g
+        if name == "coupled-triangular-3d":
+            # both steps act: the head rows are M C with C not the identity
+            identity = SeriesTuple.identity(f.n, trunc)
+            assert shear != identity and ref_change != identity
 
     def test_locus_dependent_jordan_block_is_refused(self):
         # B = [[-2, x1], [0, -2]]: semisimple at the point, not along the locus
         f = build_map([[((1, 0, 0), 1)], [((0, 1, 0), -2), ((1, 0, 1), 1)], [((0, 0, 1), -2)]], 5, r=1)
         with pytest.raises(NotSemisimpleError, match="not semisimple over the locus"):
-            diagonalize_normal_part(f)
+            normalize_fixed_locus(f)
 
 
 class TestNewton:
