@@ -146,7 +146,12 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer as {prime: exponent}."""
+    """Prime factorization of a positive integer as {prime: exponent}.
+
+    The cofactor left after 2, 3 and 5 is tested for primality before any
+    trial division: a prime cofactor, the common case for denominator
+    primes, is returned at once, where trial division would run to 10**5.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -154,6 +159,9 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    if is_prime(n):
+        out[n] = 1
+        return out
     f = 7
     increments = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30
     i = 0

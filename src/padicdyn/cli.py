@@ -209,7 +209,7 @@ def parse_map_document(data: Any, series_at_truncation: bool = False) -> MapDocu
         raise DocumentError("dimension", "missing")
     n = _integer(data["dimension"], "dimension", 1)
     variables = data.get("variables", [f"x{i + 1}" for i in range(n)])
-    if not isinstance(variables, list) or len(variables) != n:
+    if not isinstance(variables, list) or len(variables) != n or not all(isinstance(v, str) for v in variables):
         raise DocumentError("variables", f"expected {n} names")
     r = _integer(data.get("fixed_locus_dim", 0), "fixed_locus_dim", 0)
     if r > n:

@@ -5,7 +5,10 @@ sends the polydisc of points with all coordinate valuations >= s into
 itself, and every iterate is certified to stay there and to be congruent
 to the start modulo p**s.  When the linear part has unit determinant the
 map is a p-adic isometry near the fixed point, checked on sampled pairs
-through valuations of differences.
+through valuations of differences.  The unit test reads the linear
+coefficients' residues mod p: every coefficient has been checked to be
+p-integral, and reduction Z_(p) -> F_p is a ring map, so det J is a p-adic
+unit exactly when the determinant of those residues is nonzero mod p.
 
 Vanishing sums sum a_i b_i^s are evaluated at working precision; a
 candidate zero counts only if it also vanishes at doubled precision.  The
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from . import ratlinalg
@@ -144,25 +147,50 @@ def iterate_in_neighbourhood(
     if any(_residue_valuation(x, p, precision) < s for x in point):
         raise DomainError("starting point is outside the neighbourhood")
 
-    det = ratlinalg.det(jacobian_at_origin(f))
-    unit_jacobian = det != 0 and fraction_valuation(det, p) == 0
+    # det J is a p-adic unit exactly when the linear residues have a
+    # determinant prime to p (module docstring)
+    linear = [[0] * n for _ in range(n)]
+    for row, terms in zip(linear, components):
+        for factors, c in terms:
+            if len(factors) == 1 and factors[0][1] == 1:
+                row[factors[0][0]] = c % p
+    unit_jacobian = ratlinalg.det(linear) % p != 0
 
     orbit = [point]
     for _ in range(steps):
         point = _evaluate_residues(components, top, point, modulus)
         orbit.append(point)
 
-    stripped = [[_stripped(x, p, precision) for x in pt] for pt in orbit]
-    stays = all(v >= s for pt in stripped for v, _ in pt)
-    level_mod = p**s
-    constant = all(
-        (x - x0) % level_mod == 0 for pt in orbit for x, x0 in zip(pt, orbit[0])
-    )
+    # each residue x = p**v * unit splits into canonical fields: the unit is
+    # prime to p and below p**(precision - v), 0 has v = precision, and the
+    # neighbourhood has checked the prime
+    points = []
+    lowest = precision
+    for pt in orbit:
+        coords = []
+        for x in pt:
+            v, unit = (0, x) if x else (precision, 0)
+            while unit and unit % p == 0:
+                unit //= p
+                v += 1
+            if v < lowest:
+                lowest = v
+            coords.append(_canonical(p, v, unit, precision - v))
+        points.append(tuple(coords))
+    # the start is 0 mod p**s, so a point agrees with it mod p**s exactly
+    # when its coordinates have valuation >= s: the two flags are one
+    stays = lowest >= s
 
     checked = skipped = 0
     if unit_jacobian:
-        # the gap of each consecutive pair is the image gap of the pair before
-        gaps = [_pair_valuation(a, b, p, precision) for a, b in zip(orbit, orbit[1:])]
+        # the gap of a pair, the least valuation of its coordinate
+        # differences, is that of their gcd, which is below p**precision in
+        # absolute value; the gap of each consecutive pair is the image gap
+        # of the pair before
+        gaps = [
+            _residue_valuation(gcd(*(x - y for x, y in zip(a, b))), p, precision)
+            for a, b in zip(orbit, orbit[1:])
+        ]
         for gap, image_gap in zip(gaps, gaps[1:]):
             if gap >= precision:
                 skipped += 1
@@ -173,14 +201,11 @@ def iterate_in_neighbourhood(
                 )
             checked += 1
 
-    points = tuple(
-        tuple(_residue_to_padic(v, unit, p, precision) for v, unit in pt) for pt in stripped
-    )
     return OrbitResult(
-        points=points,
+        points=tuple(points),
         neighbourhood=neighbourhood,
         stays_in_neighbourhood=stays,
-        constant_mod_level=constant,
+        constant_mod_level=stays,
         unit_jacobian=unit_jacobian,
         isometry_pairs_checked=checked,
         isometry_pairs_skipped=skipped,
@@ -215,32 +240,6 @@ def _evaluate_residues(components: list, top: list[int], point: tuple[int, ...],
 def _residue_valuation(x: int, p: int, precision: int) -> int:
     """Valuation of x, capped at precision; requires |x| < p**precision."""
     return precision if x == 0 else int_valuation(x, p)
-
-
-def _pair_valuation(a: tuple[int, ...], b: tuple[int, ...], p: int, precision: int) -> int:
-    return min(_residue_valuation(x - y, p, precision) for x, y in zip(a, b))
-
-
-def _stripped(x: int, p: int, precision: int) -> tuple[int, int]:
-    """(v, unit) with x = p**v * unit and unit prime to p, for a residue
-    0 <= x < p**precision; (precision, 0) for x = 0."""
-    if x == 0:
-        return precision, 0
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v, x
-
-
-def _residue_to_padic(v: int, unit: int, p: int, precision: int) -> PAdic:
-    """The residue p**v * unit mod p**precision, as _stripped splits it, as
-    a p-adic."""
-    # unit < p**(precision - v) is prime to p, so these fields are
-    # canonical, and the neighbourhood has checked the prime
-    if v == precision:
-        return _canonical(p, precision, 0, 0)
-    return _canonical(p, v, unit, precision - v)
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,21 @@ class TestAnalyze:
         assert data["error"]["kind"] == "document"
         assert data["error"]["message"] == message
 
+    @pytest.mark.parametrize("variables", [[7], [None], ["x", "y"], "x"])
+    def test_variables_must_be_n_names(self, tmp_path, variables):
+        document = doubling_document()
+        document["variables"] = variables
+        code, data = run_to_file(tmp_path, ["analyze", write_json(tmp_path, "bad.json", document)])
+        assert code == 1
+        assert data["error"]["kind"] == "document"
+        assert (data["error"]["location"], data["error"]["message"]) == ("variables", "variables: expected 1 names")
+
+    def test_named_variables_are_accepted(self, tmp_path):
+        document = doubling_document()
+        document["variables"] = ["t"]
+        code, _ = run_to_file(tmp_path, ["analyze", write_json(tmp_path, "map.json", document)])
+        assert code == 0
+
     def test_all_zero_symplectic_form_exit_one(self, tmp_path):
         document = symplectic_document()
         document["symplectic_form"] = [[0] * 4 for _ in range(4)]

@@ -369,6 +369,51 @@ class TestAgainstSympy:
             assert _rational_roots_monic(monic) is None
 
 
+class TestFactorize:
+    def test_factorize_matches_trial_division_first(self):
+        # factorize tests the cofactor for primality before trial division;
+        # the dict and its order are those of trial division first
+        def reference(n):
+            out = {}
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+            f, increments, i = 7, (4, 2, 4, 2, 4, 6, 2, 6), 0
+            while f * f <= n and f < 100000:
+                while n % f == 0:
+                    out[f] = out.get(f, 0) + 1
+                    n //= f
+                f += increments[i]
+                i = (i + 1) % 8
+            stack = [n] if n > 1 else []
+            while stack:
+                m = stack.pop()
+                if is_prime(m):
+                    out[m] = out.get(m, 0) + 1
+                else:
+                    d = arith._pollard_rho(m)
+                    stack += [d, m // d]
+            return out
+
+        def prime(rng, lo, hi):
+            n = rng.randrange(lo, hi) | 1
+            while not is_prime(n):
+                n += 2
+            return n
+
+        rng = random.Random(2329)
+        inputs = [1, 2, 7, 30, 7 * 30, 99991, 100003, 2**31 - 1]
+        for _ in range(60):
+            smooth = 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2) * 5 ** rng.randint(0, 2)
+            large = prime(rng, 2**28, 2**42)
+            small = prime(rng, 7, 10**5)
+            medium = prime(rng, 10**5, 2**20)
+            inputs += [smooth * large, smooth * small * large, small ** rng.randint(2, 5), medium ** rng.randint(2, 3)]
+        for n in inputs:
+            assert list(factorize(n).items()) == list(reference(n).items()), n
+
+
 def random_rational_matrix(rng, n):
     return [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
 

@@ -343,7 +343,7 @@ CANONICAL_CALL_SITES = {
     ("padic.py", "PAdic.__neg__"),
     ("padic.py", "PAdic.__mul__"),
     ("padic.py", "PAdic.__truediv__"),
-    ("orbit.py", "_residue_to_padic"),
+    ("orbit.py", "iterate_in_neighbourhood"),
 }
 
 

@@ -3,6 +3,8 @@
 import random
 import threading
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 
 from padicdyn import orbit as orbit_module
 from padicdyn import ratlinalg
-from padicdyn.arith import fraction_abs
-from padicdyn.dynamics import AnalyticMap
+from padicdyn.arith import fraction_abs, fraction_valuation
+from padicdyn.dynamics import AnalyticMap, jacobian_at_origin
 from padicdyn.errors import (
     DomainError,
     IntegralityError,
@@ -48,6 +50,119 @@ def doubling_map(trunc=4):
     return build_map([[((1,), 2), ((2,), 1)]], trunc)
 
 
+def leibniz_det(m):
+    """Determinant over Q as the signed sum over permutations."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(m)) for j in range(i + 1, len(m)))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(len(m)))
+    return total
+
+
+def orbit_oracle(prime, level, precision, comps, start, steps):
+    """Every OrbitResult field but the neighbourhood, by plain integer
+    iteration mod p**precision and a Leibniz determinant over Q; each point
+    is given as the (prime, valuation, unit_digits, precision) fields of its
+    coordinates."""
+    mod = prime**precision
+
+    def residue(q):
+        return q.numerator * pow(q.denominator, -1, mod) % mod
+
+    pts = [tuple(residue(x) for x in start)]
+    for _ in range(steps):
+        x = pts[-1]
+        pts.append(tuple(
+            sum(residue(c) * prod(pow(xi, e, mod) for xi, e in zip(x, exps)) for exps, c in terms) % mod
+            for terms in comps
+        ))
+
+    def valuation(x):
+        x %= mod
+        if x == 0:
+            return precision
+        v = 0
+        while x % prime == 0:
+            x //= prime
+            v += 1
+        return v
+
+    def fields(x):
+        v = valuation(x)
+        return (prime, v, x // prime**v, precision - v) if x else (prime, precision, 0, 0)
+
+    n = len(comps)
+    linear = [[Fraction(dict(terms).get(tuple(int(k == j) for k in range(n)), 0)) for j in range(n)] for terms in comps]
+    det = leibniz_det(linear)
+    unit = det != 0 and det.numerator % prime != 0 and det.denominator % prime != 0
+    checked = skipped = 0
+    if unit:
+        for a, b in zip(pts, pts[1:-1]):
+            if min(valuation(x - y) for x, y in zip(a, b)) >= precision:
+                skipped += 1
+            else:
+                checked += 1
+    return (
+        [tuple(fields(x) for x in pt) for pt in pts],
+        all(x % prime**level == 0 for pt in pts for x in pt),
+        all((x - x0) % prime**level == 0 for pt in pts for x, x0 in zip(pt, pts[0])),
+        unit,
+        checked,
+        skipped,
+    )
+
+
+def random_orbit_case(rng):
+    """(prime, level, precision, comps, start, steps) for a random p-integral
+    map whose linear part is general, triangular with determinant p times a
+    unit, triangular with unit/2 on the diagonal, or the identity; with the
+    identity every nonlinear term has a factor x_0, and x_0 = 0 at the
+    start, so the orbit is a fixed point.  Coefficient denominators are prime to
+    p, and some starts have zero coordinates."""
+    prime = rng.choice((3, 5, 7))
+    n = rng.randint(1, 3)
+    level = rng.choice((1, 1, 2))
+    precision = rng.choice((level, level + 2, 12, 40))
+    dens = [d for d in (1, 2, 4, 7, 8, 11) if d % prime]
+
+    def coeff():
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+    def unit():
+        return Fraction(rng.choice([c for c in range(1, 3 * prime) if c % prime]), rng.choice(dens))
+
+    kind = rng.choice(("general", "p-times-unit", "halved", "fixed"))
+    if kind == "general":
+        linear = [[coeff() for _ in range(n)] for _ in range(n)]
+    elif kind == "fixed":
+        linear = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    else:
+        # lower triangular, so det is the product of the diagonal
+        linear = [[coeff() if j < i else Fraction(0) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            linear[i][i] = unit() if kind == "p-times-unit" else unit() / 2
+        if kind == "p-times-unit":
+            row = rng.randrange(n)
+            linear[row][row] *= prime
+    comps = []
+    for i in range(n):
+        terms = {tuple(int(k == j) for k in range(n)): linear[i][j] for j in range(n) if linear[i][j]}
+        for _ in range(rng.randint(0, 3)):
+            exps = [rng.randint(0, 2) for _ in range(n)]
+            if kind == "fixed":
+                exps[0] = max(exps[0], 1)
+            if 2 <= sum(exps) <= 3:
+                terms[tuple(exps)] = coeff() or Fraction(1)
+        comps.append(sorted(terms.items()))
+    start = [
+        Fraction(prime**level * rng.randint(-20, 20), rng.choice(dens)) if rng.random() < 0.7 else Fraction(0)
+        for _ in range(n)
+    ]
+    if kind == "fixed":
+        start[0] = Fraction(0)
+    return prime, level, precision, comps, start, rng.randint(0, 10)
+
+
 class TestIterateInNeighbourhood:
     def test_integer_iteration_oracle(self):
         # direct integer iteration of 2x + x^2 from 3
@@ -59,6 +174,33 @@ class TestIterateInNeighbourhood:
             assert result.points[step][0].residue(40) == value % 3**40
         assert result.stays_in_neighbourhood
         assert result.constant_mod_level
+
+    def test_every_field_matches_an_integer_oracle(self):
+        rng = random.Random(2323)
+        seen = {"denominator": 0, "p-times-unit": 0, "checked": 0, "skipped": 0}
+        for _ in range(300):
+            prime, level, precision, comps, start, steps = random_orbit_case(rng)
+            n = len(comps)
+            f = build_map(comps, 3)
+            nbhd = Neighbourhood(prime=prime, level=level, dim=n)
+            result = iterate_in_neighbourhood(f, start, steps, nbhd, precision=precision)
+            fields = [tuple((x.prime, x.valuation, x.unit_digits, x.precision) for x in pt) for pt in result.points]
+            got = (
+                fields,
+                result.stays_in_neighbourhood,
+                result.constant_mod_level,
+                result.unit_jacobian,
+                result.isometry_pairs_checked,
+                result.isometry_pairs_skipped,
+            )
+            assert got == orbit_oracle(prime, level, precision, comps, start, steps)
+            assert result.neighbourhood == nbhd
+            det = ratlinalg.det(jacobian_at_origin(f))
+            seen["denominator"] += result.unit_jacobian and det.denominator > 1
+            seen["p-times-unit"] += det != 0 and fraction_valuation(det, prime) == 1
+            seen["checked"] += result.isometry_pairs_checked > 0
+            seen["skipped"] += result.isometry_pairs_skipped > 0
+        assert min(seen.values()) >= 10, seen
 
     def test_fixed_point_orbit(self):
         nbhd = Neighbourhood(prime=5, level=1, dim=1)
