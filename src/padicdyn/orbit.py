@@ -45,7 +45,7 @@ from .errors import (
     PrecisionError,
     TorsionError,
 )
-from .padic import INFINITY, PAdic, _canonical, padic_log, stabilizing_exponent
+from .padic import INFINITY, PAdic, _canonical, _minus_multiple, _Powers, padic_log, stabilizing_exponent
 from .series import MultiSeries, _parent, graded_monomials
 
 
@@ -117,12 +117,28 @@ def iterate_in_neighbourhood(
 ) -> OrbitResult:
     """Iterate a p-integral map and certify invariance of the polydisc.
 
+    steps must be an int >= 0 and precision an int, else DomainError (a
+    bool is no int); a precision below the level is a PrecisionError.
+
     Every iterate is checked to keep all coordinate valuations >= level and
     to agree with the starting point modulo p**level.  With a unit Jacobian
     determinant, valuations of differences of consecutive distinct points
     are checked to be preserved (local isometry evidence); pairs that are
     indistinguishable at the working precision are skipped and counted.
+
+    On every input accepted here these checks hold, by the polydisc theorem
+    (module docstring).  The map has p-integral coefficients and fixes the
+    origin, so it sends the level-s polydisc into itself:
+    ``stays_in_neighbourhood`` and ``constant_mod_level`` are always True.
+    With a unit Jacobian, f(a) - f(b) is J(a - b) plus terms of valuation
+    at least v(a - b) + s, and v(J(a - b)) = v(a - b), so every gap below
+    the precision is preserved and the isometry check cannot fail.  The
+    flags record the certificate; they never reject an orbit.
     """
+    if type(steps) is not int or steps < 0:
+        raise DomainError(f"steps must be an int >= 0, got {steps!r}")
+    if type(precision) is not int:
+        raise DomainError(f"precision must be an int, got {precision!r}")
     p, s, n = neighbourhood.prime, neighbourhood.level, neighbourhood.dim
     if n != f.n:
         raise DomainError("neighbourhood dimension does not match the map")
@@ -528,8 +544,8 @@ def relation_probe(points: Sequence[Sequence], degree: int) -> RelationProbe:
     and the result is flagged, not an error.
 
     The degree and the points are checked before any work: the degree is
-    non-negative, and each point has the first point's dimension, at least
-    one.  When the first point has a PAdic coordinate,
+    an int >= 0 (a bool is no int), and each point has the first point's
+    dimension, at least one.  When the first point has a PAdic coordinate,
     every coordinate of every point must be a PAdic of one prime;
     otherwise none may be, and the coordinates are read as Fractions.
 
@@ -546,8 +562,8 @@ def relation_probe(points: Sequence[Sequence], degree: int) -> RelationProbe:
     """
     if not points:
         raise DomainError("need at least one point")
-    if degree < 0:
-        raise DomainError("degree must be non-negative")
+    if type(degree) is not int or degree < 0:
+        raise DomainError(f"degree must be an int >= 0, got {degree!r}")
     nvars = len(points[0])
     if nvars == 0:
         raise DomainError("points need at least one coordinate")
@@ -606,11 +622,14 @@ def _padic_kernel_basis(rows: list[list[PAdic]], ncols: int) -> list[list[PAdic]
     work rows hold just the free columns found so far and the columns not
     yet reached, in their original order, and a pivot step drops column c
     from every row.  Each kept entry goes through exactly the operations of
-    the full elimination, so the basis is the same.  A row update
-    x - factor * y is one PAdic._minus_product, which gives the fields of
-    the two operations without building the product (padic module
-    docstring); every entry stays a canonical PAdic of one prime.
+    the full elimination, so the basis is the same.  A row update is one
+    padic._minus_multiple call, which gives each entry the fields of
+    x - factor * y (padic module docstring), reading the factor once and
+    the powers of p from one table for the whole elimination; every entry
+    stays a canonical PAdic of one prime.
     """
+    prime = rows[0][0].prime
+    powers = _Powers(prime)
     work = [list(row) for row in rows]
     nrows = len(work)
     pivots: list[int] = []
@@ -635,12 +654,11 @@ def _padic_kernel_basis(rows: list[list[PAdic]], ncols: int) -> list[list[PAdic]
                 row = work[i]
                 factor = row.pop(k)
                 if not factor.is_zero():
-                    work[i] = [x._minus_product(factor, y) for x, y in zip(row, pivot_row)]
+                    work[i] = _minus_multiple(row, factor, pivot_row, powers)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    prime = rows[0][0].prime
     prec = max(int(x.precision) for x in rows[0] if x.precision != INFINITY)
     one = PAdic.from_rational(1, prime, max(prec, 1))
     zero = PAdic.zero(prime)

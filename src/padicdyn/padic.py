@@ -32,15 +32,22 @@ a sum strips its own factors of p), so it builds the result with
 ``_canonical``, which stores the fields without checking or reducing them
 again.  Only code that has just established the form may call it.
 
-One row update of an elimination, x - a * b, is a single operation,
-``_minus_product``: it hands the product's fields (valuation
-v_a + v_b, unit u_a * u_b, precision N = min(N_a, N_b)) to
-``_signed_sum``, the digit routine of + and -, without reducing the unit
-modulo p**N and without building the product.  Reducing it would change
-the unit by a multiple of p**N, which enters the sum times
-p**(v_a + v_b - lo), lo the lower valuation.  The sum is reduced modulo
-p**(cap - lo), and its absolute precision cap is at most v_a + v_b + N,
-so that modulus divides the change: the fields are those of x - (a * b).
+One row update of an elimination, [x - f * y for x, y in zip(row,
+pivot_row)], is one call, ``_minus_multiple``.  It reads f's fields once
+and takes p**k from one table per elimination, ``_Powers``.  Where x is
+not an exact zero and f and y have nonzero units, the entry runs the digit
+step of ``_signed_sum`` inline on the fields of the product (valuation
+v_f + v_y, unit u_f * u_y, precision N = min(N_f, N_y)) without building
+it; every other entry takes the operators.  Two shortcuts leave the fields
+of x - (f * y) as they are.  The product's unit is not reduced modulo
+p**N: that would change it by a multiple of p**N, which enters the sum
+times p**(v_f + v_y - lo), lo the lower valuation.  The sum is reduced
+modulo p**(cap - lo), and its absolute precision cap is at most
+v_f + v_y + N, so that modulus divides the change.  And a term whose shift
+above lo reaches cap - lo is a multiple of p**(cap - lo), which the
+reduction would discard, so it is skipped.  cap - lo is at most the
+precision of one of the two terms, so no power above the largest precision
+in the matrix is read.
 """
 
 from __future__ import annotations
@@ -234,19 +241,6 @@ class PAdic:
             return self
         return self._signed_sum(other.valuation, other.unit_digits, other.precision, sign)
 
-    def _minus_product(self, a: "PAdic", b: "PAdic") -> "PAdic":
-        """self - a * b, with the fields of the two operations in turn.
-
-        The product's unit a.unit_digits * b.unit_digits enters the sum
-        unreduced (module docstring).  Exact zeros and zero units take the
-        operators.  The operands must share the prime; nothing checks it.
-        """
-        if self.is_exact_zero() or not (a.unit_digits and b.unit_digits):
-            return self - a * b
-        return self._signed_sum(
-            a.valuation + b.valuation, a.unit_digits * b.unit_digits, min(a.precision, b.precision), -1
-        )
-
     def _signed_sum(self, valuation: int, unit: int, precision: int, sign: int) -> "PAdic":
         """self + sign * p**valuation * unit, the second term known to
         precision digits; neither term is an exact zero.
@@ -384,6 +378,73 @@ def _canonical(prime: int, valuation: int, unit_digits: int, precision: int) -> 
     _set_unit_digits(x, unit_digits)
     _set_precision(x, precision)
     return x
+
+
+class _Powers(dict):
+    """p**k for k >= 0, each computed on first use.  An elimination reads
+    few distinct k, while a list up to its largest precision N would hold
+    about N**2 / 2 * log2(p) bits."""
+
+    __slots__ = ("prime",)
+
+    def __init__(self, prime: int) -> None:
+        super().__init__()
+        self.prime = prime
+
+    def __missing__(self, k: int) -> int:
+        value = self[k] = self.prime**k
+        return value
+
+
+def _minus_multiple(row: list[PAdic], factor: PAdic, pivot_row: list[PAdic], powers: list[int]) -> list[PAdic]:
+    """[x - factor * y for x, y in zip(row, pivot_row)], entry by entry with
+    the fields of those operations.
+
+    powers[k] is p**k for every k up to the largest precision of the
+    entries, as a _Powers table gives it.  The inline digit step and its two shortcuts are those of the
+    module docstring.  All entries share the prime; nothing checks it.
+    """
+    fu = factor.unit_digits
+    if not fu:
+        return [x - factor * y for x, y in zip(row, pivot_row)]
+    p, fv, fn = factor.prime, factor.valuation, factor.precision
+    out = []
+    for x, y in zip(row, pivot_row):
+        yu = y.unit_digits
+        va = x.valuation
+        if not yu or va == INFINITY:
+            out.append(x - factor * y)
+            continue
+        # x is no exact zero and both units are nonzero: every field is an int
+        vb = fv + y.valuation
+        nb = y.precision
+        if fn < nb:
+            nb = fn
+        cap = va + x.precision
+        if vb + nb < cap:
+            cap = vb + nb
+        lo = va if va < vb else vb
+        width = cap - lo
+        if width <= 0:
+            out.append(_canonical(p, cap, 0, 0))
+            continue
+        total = 0
+        xu = x.unit_digits
+        if xu and va - lo < width:
+            total = xu * powers[va - lo]
+        if vb - lo < width:
+            total -= fu * yu * powers[vb - lo]
+        total %= powers[width]
+        if not total:
+            out.append(_canonical(p, cap, 0, 0))
+            continue
+        # dividing out p**shift leaves the unit below p**(width - shift)
+        shift = 0
+        while total % p == 0:
+            total //= p
+            shift += 1
+        out.append(_canonical(p, lo + shift, total, width - shift))
+    return out
 
 
 def padic_log(u: PAdic) -> PAdic:

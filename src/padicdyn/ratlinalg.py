@@ -10,7 +10,8 @@ Once every column has a pivot, every later row lies in the row space, so
 elimination stops there and those rows are never read; kernel_basis,
 rank and inverse inherit this.  The reduced row echelon form is unique,
 so this gives the same rationals as elimination over Q without reducing
-a Fraction at every step.
+a Fraction at every step.  det clears denominators the same way and runs
+Bareiss's fraction-free elimination on the integers.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
         return [], []
     kept: list[tuple[int, list[int]]] = []  # (pivot column, primitive row)
     for row in rows:
-        r = _primitive_integer_row(row)
+        r = _primitive(_integer_row(row)[0])
         ncols = len(r)
         for c, p in kept:
             if r[c]:
@@ -89,11 +90,11 @@ def _eliminated(row: list[int], prow: list[int], c: int) -> list[int]:
     return _primitive([ag * x - bg * y for x, y in zip(row, prow)])
 
 
-def _primitive_integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row times the lcm of its denominators, divided by its content."""
-    row = [Fraction(x) for x in row]
+def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -123,30 +124,40 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    m = [list(map(Fraction, row)) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DomainError("determinant of a non-square matrix")
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Each row is cleared of denominators, which scales the determinant by
+    their product.  Step c replaces each entry x of a row below the pivot
+    row by (pivot * x - b * y) / prev: b is the row's entry in column c, y
+    the pivot row's entry in x's column and prev the pivot of step c - 1.
+    The division is exact, as each entry is then a minor of the cleared
+    matrix, and the last pivot is its determinant.  A row swap that brings
+    a nonzero pivot up flips the sign.
+    """
+    n = len(rows)
+    m = []
+    scale = 1
+    for row in rows:
+        r, d = _integer_row(row)
+        if len(r) != n:
+            raise DomainError("determinant of a non-square matrix")
+        m.append(r)
+        scale *= d
     sign = 1
-    out = Fraction(1)
+    prev = 1
     for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
             sign = -sign
-        out *= m[c][c]
-        inv = 1 / m[c][c]
+        pivot, top = m[c][c], m[c]
         for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out * sign
+            b = m[i][c]
+            m[i] = [(pivot * x - b * y) // prev for x, y in zip(m[i], top)]
+        prev = pivot
+    return Fraction(sign * prev, scale)
 
 
 def inverse(rows: Sequence[Sequence[Fraction]]) -> Matrix:

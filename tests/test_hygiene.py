@@ -340,6 +340,7 @@ FIRST = MultiSeries.zero(1, 1)._packed
 # site must already hold a canonical result (padic module docstring)
 CANONICAL_CALL_SITES = {
     ("padic.py", "PAdic._signed_sum"),
+    ("padic.py", "_minus_multiple"),
     ("padic.py", "PAdic.__neg__"),
     ("padic.py", "PAdic.__mul__"),
     ("padic.py", "PAdic.__truediv__"),

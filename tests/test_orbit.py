@@ -194,6 +194,8 @@ class TestIterateInNeighbourhood:
                 result.isometry_pairs_skipped,
             )
             assert got == orbit_oracle(prime, level, precision, comps, start, steps)
+            # the polydisc theorem: the invariance flags hold on every accepted input
+            assert result.stays_in_neighbourhood and result.constant_mod_level
             assert result.neighbourhood == nbhd
             det = ratlinalg.det(jacobian_at_origin(f))
             seen["denominator"] += result.unit_jacobian and det.denominator > 1
@@ -223,6 +225,26 @@ class TestIterateInNeighbourhood:
         nbhd = Neighbourhood(prime=3, level=4, dim=1)
         with pytest.raises(PrecisionError):
             iterate_in_neighbourhood(doubling_map(), [Fraction(81)], 2, nbhd, precision=2)
+
+    @pytest.mark.parametrize("steps", [-3, -1, True, False, 2.0, "2", None])
+    def test_steps_must_be_an_int_at_least_zero(self, steps):
+        nbhd = Neighbourhood(prime=3, level=1, dim=1)
+        with pytest.raises(DomainError, match="steps"):
+            iterate_in_neighbourhood(doubling_map(), [Fraction(3)], steps, nbhd)
+
+    @pytest.mark.parametrize("precision", [True, 2.5, 40.0, "40", None])
+    def test_precision_must_be_an_int(self, precision):
+        nbhd = Neighbourhood(prime=3, level=1, dim=1)
+        with pytest.raises(DomainError, match="precision"):
+            iterate_in_neighbourhood(doubling_map(), [Fraction(3)], 2, nbhd, precision=precision)
+
+    def test_zero_steps_and_an_integer_precision_below_the_level(self):
+        nbhd = Neighbourhood(prime=3, level=2, dim=1)
+        result = iterate_in_neighbourhood(doubling_map(), [Fraction(9)], 0, nbhd, precision=2)
+        assert len(result.points) == 1
+        for precision in (1, 0, -4):
+            with pytest.raises(PrecisionError):
+                iterate_in_neighbourhood(doubling_map(), [Fraction(9)], 2, nbhd, precision=precision)
 
     def test_randomized_invariance(self):
         rng = random.Random(83)
@@ -762,6 +784,13 @@ class TestProbePointChecks:
         with pytest.raises(DomainError):
             relation_probe([(1, 2)], -1)
 
+    @pytest.mark.parametrize("degree", [True, False, 2.0, "2", None])
+    def test_degree_must_be_an_int(self, degree):
+        with pytest.raises(DomainError, match="degree"):
+            relation_probe([(1, 2)], degree)
+        with pytest.raises(DomainError, match="degree"):
+            relation_probe([(PAdic.from_rational(3, 5, 8),)], degree)
+
     def test_point_without_coordinates(self):
         with pytest.raises(DomainError):
             relation_probe([()], 1)
@@ -892,3 +921,48 @@ class TestPrunedElimination:
         (vec,) = _padic_kernel_basis(rows, 3)
         # column 1 is free; row 0's entry there, 2, lost a digit to the pivot 5
         assert basis_fields([vec])[0][0] == (0, 5**3 - 2, 3)
+
+    def test_seeded_matrices_match_full_elimination(self):
+        # every kernel entry's prime, valuation, unit digits and precision;
+        # rows are rational combinations of fewer basis rows than columns,
+        # embedded at unequal precisions, with p in some denominators and
+        # some entries replaced by inexact or exact zeros
+        rng = random.Random(2424)
+        seen = {"nonempty": 0, "tall": 0, "negative": 0, "inexact zero": 0, "exact zero": 0}
+        for _ in range(240):
+            p = rng.choice((3, 5, 7))
+            ncols = rng.randint(2, 7)
+            rank = rng.randint(1, ncols - 1)
+            nrows = rng.randint(1, ncols + 4)
+
+            def rational():
+                if rng.random() < 0.15:
+                    return Fraction(0)
+                return Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, p, p * p)))
+
+            basis = [[rational() for _ in range(ncols)] for _ in range(rank)]
+            rows = []
+            for _ in range(nrows):
+                weights = [rational() for _ in basis]
+                row = []
+                for j in range(ncols):
+                    value = sum((w * b[j] for w, b in zip(weights, basis)), Fraction(0))
+                    x = PAdic.from_rational(value, p, rng.randint(1, 12))
+                    if rng.random() < 0.08:
+                        x = PAdic(p, rng.randint(-2, 3), 0, 0)
+                    row.append(x)
+                rows.append(row)
+            if all(x.is_exact_zero() for x in rows[0]):
+                continue
+            got = _padic_kernel_basis(rows, ncols)
+            expected = full_kernel_basis(rows, ncols)
+            assert [[entry_fields(x) for x in vec] for vec in got] == [
+                [entry_fields(x) for x in vec] for vec in expected
+            ]
+            entries = [x for row in rows for x in row]
+            seen["nonempty"] += bool(got)
+            seen["tall"] += nrows > ncols
+            seen["negative"] += any(x.valuation < 0 for x in entries if not x.is_exact_zero())
+            seen["inexact zero"] += any(x.is_zero() and not x.is_exact_zero() for x in entries)
+            seen["exact zero"] += any(x.is_exact_zero() for x in entries)
+        assert min(seen.values()) >= 40, seen

@@ -415,24 +415,48 @@ class TestStabilizingExponent:
             assert not padic_log(x**m).is_exact_zero() or b == 1 or (x**m - 1).is_zero()
 
 
-@st.composite
-def _row_updates(draw):
-    """(x, a, b) over one prime for the row update x - a * b: units, inexact
-    and exact zeros in each slot, valuations -3..3 and unequal precisions;
-    often x agrees with a * b in its leading digits, so the sum cancels."""
-    p = draw(st.sampled_from([3, 5, 7]))
-    a, b = draw(_elements(p)), draw(_elements(p))
+def _update_entry(draw, p, a):
+    """(x, b) for the update x - a * b: units, inexact and exact zeros in
+    each slot, valuations -3..3 and unequal precisions; often x agrees with
+    a * b in its leading digits, so the sum cancels."""
+    b = draw(_elements(p))
     product = a * b
     if product.unit_digits and draw(st.booleans()):
         k = draw(st.integers(1, product.precision))
         unit = product.unit_digits + p**k * draw(st.integers(0, p**8))
-        return PAdic(p, product.valuation, unit, draw(st.integers(1, 8))), a, b
-    return draw(_elements(p)), a, b
+        return PAdic(p, product.valuation, unit, draw(st.integers(1, 8))), b
+    return draw(_elements(p)), b
+
+
+@st.composite
+def _row_updates(draw):
+    """(x, a, b) over one prime for one entry of a row update."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    a = draw(_elements(p))
+    x, b = _update_entry(draw, p, a)
+    return x, a, b
+
+
+@st.composite
+def _update_rows(draw):
+    """(xs, a, ys), rows of 1 to 8 entries over one prime for the update
+    xs - a * ys; entries of the inline digit step and of the operators mix."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    a = draw(_elements(p))
+    pairs = [_update_entry(draw, p, a) for _ in range(draw(st.integers(1, 8)))]
+    return [x for x, _ in pairs], a, [b for _, b in pairs]
+
+
+def _minus_multiple(xs, a, ys):
+    """padic._minus_multiple with the powers of p up to the largest precision
+    of the entries, and no further."""
+    top = max((e.precision for e in (*xs, a, *ys) if e.precision != INFINITY), default=0)
+    return padic._minus_multiple(xs, a, ys, [a.prime**k for k in range(top + 1)])
 
 
 class TestMinusProduct:
-    """x._minus_product(a, b), the fused row update, has the fields of
-    x - a * b and builds only canonical results."""
+    """padic._minus_multiple, the row update of an elimination, gives each
+    entry the fields of x - a * b and builds only canonical results."""
 
     @settings(max_examples=500, deadline=None)
     @given(_row_updates())
@@ -448,4 +472,26 @@ class TestMinusProduct:
     def test_equals_the_two_operations(self, case):
         x, a, b = case
         with checked_canonical():
-            assert _fields(x._minus_product(a, b)) == _fields(x - a * b)
+            (got,) = _minus_multiple([x], a, [b])
+            assert _fields(got) == _fields(x - a * b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_update_rows())
+    # in order: inline; exact zero x; zero-unit b (inexact, then exact);
+    # an inexact zero x, inline; the product's term shifted past the cap;
+    # x's term shifted past the cap; leading digits that cancel
+    @example((
+        [PAdic(5, 0, 1, 6), PAdic.zero(5), PAdic(5, 1, 3, 4), PAdic(5, 0, 7, 5), PAdic(5, 2, 0, 0),
+         PAdic(5, -1, 3, 2), PAdic(5, 6, 1, 4), PAdic(5, 0, 31, 4)],
+        PAdic(5, 0, 2, 4),
+        [PAdic(5, 0, 3, 3), PAdic(5, 1, 1, 2), PAdic(5, 1, 0, 0), PAdic.zero(5), PAdic(5, 0, 4, 4),
+         PAdic(5, 3, 1, 4), PAdic(5, 0, 1, 2), PAdic(5, 0, 3, 4)],
+    ))
+    def test_rows_equal_the_operations_entry_by_entry(self, case):
+        xs, a, ys = case
+        with checked_canonical():
+            expected = [_fields(x - a * y) for x, y in zip(xs, ys)]
+            assert [_fields(x) for x in _minus_multiple(xs, a, ys)] == expected
+            # the elimination's table, which computes each power on first use
+            got = padic._minus_multiple(xs, a, ys, padic._Powers(a.prime))
+            assert [_fields(x) for x in got] == expected

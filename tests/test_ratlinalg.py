@@ -1,6 +1,9 @@
 """Differential tests of the exact linear algebra against sympy (test-only)."""
 
+import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +103,60 @@ class TestAgainstSympy:
         assert ratlinalg.kernel_basis([], 2) == [[1, 0], [0, 1]]
         assert ratlinalg.inverse([]) == []
         assert ratlinalg.det([]) == sympy.Matrix([]).det() == 1
+
+
+def leibniz_det(rows):
+    """Determinant over Q as the signed sum over permutations."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod((rows[i][perm[i]] for i in range(n)), start=Fraction(1))
+    return total
+
+
+class TestDetAgainstLeibniz:
+    def test_random_rational_matrices(self):
+        # up to 5x5 with zero entries, mixed denominators and negative signs;
+        # a third are singular through a zero row, a repeated column or a
+        # row that combines two others, and some need a row swap
+        rng = random.Random(4224)
+        singular = swapped = 0
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12))) if rng.random() < 0.8 else Fraction(0)
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            kind = rng.choice(("general", "general", "zero row", "repeated column", "combined row"))
+            if n >= 3 and kind == "zero row":
+                rows[rng.randrange(n)] = [Fraction(0)] * n
+            elif n >= 3 and kind == "repeated column":
+                i, j = rng.sample(range(n), 2)
+                for row in rows:
+                    row[j] = row[i] * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            elif n >= 3 and kind == "combined row":
+                i, j, k = rng.sample(range(n), 3)
+                a, b = Fraction(rng.randint(-4, 4), rng.randint(1, 5)), Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+            got = ratlinalg.det(rows)
+            assert type(got) is Fraction
+            assert got == leibniz_det(rows)
+            singular += n >= 3 and got == 0
+            swapped += n >= 2 and rows[0][0] == 0 and got != 0
+        assert singular >= 40 and swapped >= 10, (singular, swapped)
+
+    def test_integer_and_string_entries(self):
+        # ints pass without conversion; other entries go through Fraction
+        assert ratlinalg.det([[2, 1], [7, 4]]) == Fraction(1)
+        assert ratlinalg.det([["1/2", 1], [3, "-4"]]) == Fraction(-5)
+
+    def test_non_square(self):
+        with pytest.raises(DomainError):
+            ratlinalg.det([[Fraction(1), Fraction(2)]])
+        with pytest.raises(DomainError):
+            ratlinalg.det([[Fraction(1)], [Fraction(2), Fraction(3)]])
 
 
 class UnreadableRow:
