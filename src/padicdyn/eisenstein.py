@@ -304,7 +304,7 @@ class DenominatorSupport:
 def denominator_support(phi: MultiSeries | SeriesTuple) -> DenominatorSupport:
     """Primes dividing any coefficient denominator, and their squarefree product."""
     comps = phi.components if isinstance(phi, SeriesTuple) else (phi,)
-    primes = prime_support(c.denominator for comp in comps for _, c in comp.terms())
+    primes = prime_support(q for comp in comps for q in comp.denominators())
     product = 1
     for p in sorted(primes):
         product *= p

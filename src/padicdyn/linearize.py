@@ -29,6 +29,22 @@ c I_j lambda^(I - e_j) in (d_j w_i) o Lambda, of valuation
 v(c) + v_p(I_j) + sum_k (I - e_j)_k v(lambda_k).  So neither the Jacobian
 nor its diagonal substitution is formed.
 
+The order-by-order run keeps one table of the powers h^I over the prefix
+closure of f's support (series._GrowingPowerTable) from its first layer
+step to its final check.  The step at degree d takes h's layers below d as
+final, forms layer d of every power of degree >= 2 from its prefix parent's
+layers and h_j's layers below d, and combines layer d of f o h; the final
+check f o h = h o Lambda combines every layer from the same powers, so the
+run forms each power layer once, about one composition in all.  The check
+is exactly as strong as one that composes afresh.  Before it reads a
+power, the table compares the layers of h it has kept with those of the h
+it is handed, and on any difference it composes afresh.  So f o h is that
+of the returned h either way: every kept layer was formed from layers
+equal to the returned h's.  Each step also asserts that it adds its own
+layer alone.  Newton composes afresh, in its windows and in its final
+check: a window sets the layers low..high of h together, and those above
+low are not final when the window's residual is formed.
+
 Each run builds one table of the eigenvalue powers lambda^I
 (series._DiagonalPowers), filled from prefix parents,
 lambda^I = lambda^(I - e_last(I)) lambda_last, by the chain walk of the
@@ -67,8 +83,9 @@ holds the remainder as integer sums, grouped by denominator within each
 degree, so only the layer being solved is merged and reduced to a series.
 Since the kappa_d hold disjoint degrees, k is assembled from them without a
 series sum.
-Every other substitution here (the residuals f o h and the reversion
-below) reads the same engine through SeriesTuple.compose.
+The residuals f o h of the order-by-order run read it through the power
+table of h above; every other substitution here (Newton's residuals and
+the reversion below) reads it through SeriesTuple.compose.
 If any resonance lambda^I = lambda_j exists up to the working degree, that
 solution is only unique up to resonant terms, and the compositional inverse
 of h is computed by series reversion (SeriesTuple.invert) instead.
@@ -122,6 +139,7 @@ from .series import (
     SeriesTuple,
     _DiagonalPowers,
     _disjoint_sum,
+    _GrowingPowerTable,
     _LayerStream,
     _mul,
     _series_matrix_vector,
@@ -337,10 +355,19 @@ def _conjugacy_inverse(
 
 
 def _verified_conjugacy(
-    h: SeriesTuple, fmap: SeriesTuple, lams: Sequence[Fraction], r: int
+    h: SeriesTuple, composed: SeriesTuple, fmap: SeriesTuple, lams: Sequence[Fraction], r: int
 ) -> ConjugacyResult:
-    """Check fmap o h = h o Lambda through h.trunc and assemble the result."""
-    residual = fmap.compose(h) - h.compose_diagonal(lams)
+    """Check composed = h o Lambda through h.trunc, for composed = fmap o h
+    as the caller formed it, and assemble the result.
+
+    Newton hands in a fresh fmap.compose(h).  The order-by-order run hands
+    in the composition of its power table (series._GrowingPowerTable), and
+    the check is exactly as strong: the table returns fmap o h for the h it
+    is given, either from kept power layers, each formed from layers of h
+    that equal the returned h's (they are compared before any power is
+    read), or, on any difference, afresh.
+    """
+    residual = composed - h.compose_diagonal(lams)
     if not residual.is_zero():
         raise AssertionError("conjugacy residual failed to vanish")
     return ConjugacyResult(
@@ -354,19 +381,23 @@ def _verified_conjugacy(
 
 
 def _layer_step(
-    h: SeriesTuple, fmap: SeriesTuple, lams: Sequence[Fraction], r: int, d: int
+    h: SeriesTuple, fmap: SeriesTuple | _GrowingPowerTable, lams: Sequence[Fraction], r: int, d: int
 ) -> SeriesTuple:
     """h with layer d of the residual fmap o h - h o Lambda solved away.
 
     The caller guarantees that the residual vanishes below d.  Only layer d
     of the residual is formed: layer d of fmap o h at cap d, minus the
-    diagonal substitution of h's layer d alone.  The layers below d are
-    never formed, so a step cannot see them; they are checked by the full
-    f o h = h o Lambda check of _verified_conjugacy at the end of either
-    route, and in Newton also by the next window's residual.  Since
-    fmap - Lambda has order >= 2, adding a layer-d term w changes the
+    diagonal substitution of h's layer d alone.  fmap is the map itself
+    (Newton), which composes afresh, or the power table of an
+    order-by-order run, which takes h's layers below d as final, forms
+    layer d of each power it keeps from them, and combines.  The layers
+    below d are never formed, so a step cannot see them; they are checked
+    by the full f o h = h o Lambda check of _verified_conjugacy at the end
+    of either route, and in Newton also by the next window's residual.
+    Since fmap - Lambda has order >= 2, adding a layer-d term w changes the
     residual at degree d by Lambda w - w o Lambda alone, so the homological
-    equation solves it.
+    equation solves it.  The step adds layer d alone, and asserts it: the
+    table keeps every layer of h below the next step's degree as final.
     """
     # composition truncates at the least cap, here d
     hd = h.truncated(d)
@@ -374,6 +405,8 @@ def _layer_step(
     if residual.is_zero():
         return h
     w = solve_homological(residual, lams, r)
+    if w.layer_tuple(d) != w:
+        raise AssertionError(f"the layer step at degree {d} added a layer other than its own")
     return h + SeriesTuple([comp.as_polynomial(h.trunc) for comp in w.components])
 
 
@@ -407,10 +440,14 @@ def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
     lams = _normalized_eigenvalues(f)
     r = f.fixed_locus_dim
     fmap = f.components.truncated(degree)
+    table = _GrowingPowerTable(fmap)
     h = SeriesTuple.identity(n, degree)
     for d in range(2, degree + 1):
-        h = _layer_step(h, fmap, lams, r, d)
-    return _verified_conjugacy(h, fmap, lams, r)
+        h = _layer_step(h, table, lams, r, d)
+    composed = table.compose(h)
+    # h^(-1) does not read the table: let its kept layers go first
+    del table
+    return _verified_conjugacy(h, composed, fmap, lams, r)
 
 
 def _series_solve(mat: list[list[MultiSeries]], rhs: SeriesTuple) -> SeriesTuple:
@@ -555,7 +592,8 @@ def linearize_newton(
             )
         low = 2 * low
 
-    result = _verified_conjugacy(_rescale_map(h, u), fmap, lams, r)
+    h = _rescale_map(h, u)
+    result = _verified_conjugacy(h, fmap.compose(h), fmap, lams, r)
     trace = NewtonTrace(iterations=tuple(iterations), rescale=u, prime=prime)
     return result, trace
 

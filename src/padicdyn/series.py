@@ -29,17 +29,24 @@ multiplied at the width of a high one.  Composition sums c_I inner^I over
 one table of the inner map's monomial powers (_PowerTable), each power in
 the same graded integer form, not reduced.  It serves one substitution
 (SeriesTuple.compose), which walks the table up one degree at a time over
-the powers its outer map reads, and a stream of homogeneous layers
+the powers its outer map reads; a stream of homogeneous layers
 (_LayerStream), which builds a power when a layer first reads it and keeps
 its running sum in groups too, one per layer added, merging and reducing a
-degree only when it is read.  A combination of powers puts its products
-over one lcm per degree, scaling each through its scalar multiplier alone.
-The product kernel _mul and both substitutions take a lower bound low on
-the output degree: the layers below it are not formed, and in
+degree only when it is read; and the substitution of an inner map whose
+layers become final one at a time (_GrowingPowerTable), which keeps every
+power it forms and grows each by one layer when the inner map gains one, so
+the layer steps of an order-by-order conjugacy run and its final check
+f o h = h o Lambda read one table between them.  That table compares the
+inner layers it has kept with the ones it is handed before it reads a power,
+and composes afresh on any difference, so every reader gets the
+substitution exactly.  A combination of powers puts its products over one
+lcm per degree, scaling each through its scalar multiplier alone.  The
+product kernel _mul and the substitutions take a lower bound low on the
+output degree: the layers below it are not formed, and in
 SeriesTuple.compose neither are those degrees of the table powers that only
-feed the result.  A caller that needs one graded layer, such as a layer
-step of the linearizing conjugacy, then pays for that layer and for the
-powers the table builds further powers from.  A diagonal substitution
+feed the result.  A caller that needs one graded layer, such as a Newton
+window's layer step, then pays for that layer and for the powers the table
+builds further powers from.  A diagonal substitution
 x_i -> lambda_i x_i scales each coefficient by lambda^I (weighted), read
 from a table of those powers (_DiagonalPowers) that callers may share
 between substitutions.  All are exact.
@@ -191,6 +198,15 @@ class MultiSeries:
             den, nums = self._packed[d]
             for exps, n in sorted(zip(map(unpack, nums), nums.values()), reverse=True):
                 yield exps, _fraction(n, den)
+
+    def denominators(self) -> Iterator[int]:
+        """The reduced denominator of each stored term, in no fixed order.
+
+        A canonical layer has den > 0 and no zero numerator, so
+        den // gcd(n, den) is Fraction(n, den).denominator, with no Fraction
+        built."""
+        for den, nums in self._packed.values():
+            yield from (den // gcd(n, den) for n in nums.values())
 
     def layer(self, degree: int) -> dict[Exponents, Fraction]:
         """Layer degree as a fresh map of exponent tuples to Fractions."""
@@ -719,20 +735,24 @@ class _PowerTable:
     integer products at the width of the layers it reads, and a combination
     sum_I c_I inner^I one multiply-add per term of each power it reads.
 
-    The table is read in one of two ways.  SeriesTuple.compose walks it up
-    one degree at a time with extend, over a set of monomials it gives,
+    The table is read in one of three ways.  SeriesTuple.compose walks it
+    up one degree at a time with extend, over a set of monomials it gives,
     and keeps that degree's entries alone.  _LayerStream asks for single
     powers with power, which builds a missing power (and its missing prefix
-    parents) on demand and keeps every power it builds.
+    parents) on demand and keeps every power it builds.  _GrowingPowerTable
+    keeps every power of the prefix closure of its outer map's support and
+    grows them by layers rather than by monomials.
     """
 
-    def __init__(self, inner: Sequence[MultiSeries], trunc: int) -> None:
-        if any(g.constant_term() for g in inner):
+    def __init__(self, factors: list[_Packed], trunc: int) -> None:
+        """factors: the layer maps of the inner series, one per variable."""
+        # a canonical layer map holds no empty layer: layer 0 is a constant term
+        if any(0 in layers for layers in factors):
             raise DomainError("non-zero constant term in composition argument")
         self.trunc = trunc
-        self.unpack = _unpacker(len(inner))
-        self.factors = [g._packed for g in inner]
-        self.entries: dict[Exponents, _Packed] = {(0,) * len(inner): {0: (1, {0: 1})}}
+        self.unpack = _unpacker(len(factors))
+        self.factors = factors
+        self.entries: dict[Exponents, _Packed] = {(0,) * len(factors): {0: (1, {0: 1})}}
 
     def _step(self, j: int, parent: _Packed, low: int = 0) -> _Packed:
         """inner^I in the degrees >= low, from the entry of its prefix
@@ -777,6 +797,78 @@ class _PowerTable:
                     out[key] = get(key, 0) + mult * v
 
 
+class _GrowingPowerTable(_PowerTable):
+    """outer o h for a square inner map h whose layers become final one at
+    a time, from one table of the powers h^I kept for the whole run.
+
+    The table holds the powers h^I over the prefix closure of outer's
+    support, each a layer map the table owns, and, as the degree-one
+    entries, the layers of the h_j it has taken.  Those below degree are
+    final; layer degree is the one the last call read, and nothing kept was
+    formed from it.  compose(inner, low) first compares the final layers
+    with inner's.  If they differ, or inner's cap is below degree, it
+    composes afresh (SeriesTuple.compose), so either way it returns
+    outer o inner.  Otherwise it takes inner's layers below the cap as
+    final and moves degree up to the cap: each new layer k of a power of
+    degree >= 2 is formed from its prefix parent's layers and h_j's layers
+    below k, which are final, and the rest of the powers' layers are the
+    ones kept.  Only the combination sum_I c_I h^I is formed anew.
+    """
+
+    def __init__(self, outer: "SeriesTuple") -> None:
+        n = outer.nvars
+        super().__init__([{} for _ in range(n)], outer.trunc)
+        self.outer = outer
+        # the constant terms of h, zero, are final from the start
+        self.degree = 1
+        self.entries.update((tuple(int(i == j) for i in range(n)), factor) for j, factor in enumerate(self.factors))
+        # (I, j, I - e_j) for each power of degree >= 2
+        self.steps: list[tuple[Exponents, int, Exponents]] = []
+        for exps in {self.unpack(key) for comp in outer for _, nums in comp._packed.values() for key in nums}:
+            while exps not in self.entries:
+                j, lower = _parent(exps)
+                self.entries[exps] = {}
+                self.steps.append((exps, j, lower))
+                exps = lower
+
+    def compose(self, inner: "SeriesTuple", low: int = 0) -> "SeriesTuple":
+        """outer o inner in the degrees >= low, as SeriesTuple.compose
+        gives it; see the class docstring."""
+        n = len(self.factors)
+        if len(inner) != n or inner.nvars != n:
+            raise DomainError(f"the inner map must be {n} series in {n} variables")
+        cap = min(self.trunc, inner.trunc)
+        layers = [g._packed for g in inner]
+        if cap < self.degree or any(
+            mine.get(k) != factor.get(k) for mine, factor in zip(layers, self.factors) for k in range(self.degree)
+        ):
+            return self.outer.compose(inner, low)
+        for k in range(self.degree, cap + 1):
+            # layer k of h: final below the cap, read for this call at it
+            for mine, factor in zip(layers, self.factors):
+                if k in mine:
+                    factor[k] = mine[k]
+                else:
+                    factor.pop(k, None)
+            if k < cap:
+                # layer k + 1 of a power of degree >= 2 reads layers <= k alone
+                for exps, j, lower in self.steps:
+                    grown = _convolve(self.entries[lower], self.factors[j], k + 1, k + 1)
+                    if grown:
+                        self.entries[exps][k + 1] = grown[k + 1]
+        self.degree = cap
+        accs: list[dict[int, _Groups]] = []
+        for comp in self.outer:
+            acc: dict[int, _Groups] = {}
+            for d, entry in comp._packed.items():
+                if d <= cap:
+                    self.combine(entry, acc, low)
+            accs.append(acc)
+        return SeriesTuple(
+            [MultiSeries._raw(n, cap, _reduced({d: _merge(groups) for d, groups in acc.items()})) for acc in accs]
+        )
+
+
 class _LayerStream:
     """The running sum start + sum_k layer_k o inner, read one degree at a time.
 
@@ -794,7 +886,7 @@ class _LayerStream:
             raise DomainError("the inner map must be square")
         if start.nvars != n:
             raise DomainError("the start must have the inner map's variables")
-        self.table = _PowerTable(inner.components, inner.trunc)
+        self.table = _PowerTable([g._packed for g in inner], inner.trunc)
         self.nvars, self.trunc = n, inner.trunc
         self.degree = 0
         # combine adds into these groups, so start's numerators are copied
@@ -943,7 +1035,7 @@ class SeriesTuple:
                 closure[sum(exps)].add(exps)
                 exps = _parent(exps)[1]
                 parents.add(exps)
-        table = _PowerTable(comps, trunc)
+        table = _PowerTable([g._packed for g in comps], trunc)
         accs: list[dict[int, _Groups]] = [{} for _ in terms]
         for d in range(trunc + 1):
             for layers, acc in zip(terms, accs):

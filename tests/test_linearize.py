@@ -845,6 +845,89 @@ class TestLayerStep:
         assert caught.traceback[-1].name == check
 
 
+def counted_convolve(monkeypatch, visited):
+    """Record in visited the term pairs each _convolve call visits, the
+    pairs whose degrees add up to low..trunc: a work count, not a timing."""
+    convolve = series._convolve
+
+    def counted(a, b, trunc, low=0):
+        top = max(b, default=-1)
+        visited.append(
+            sum(
+                len(terms) * len(b[db][1])
+                for da, (_, terms) in a.items()
+                for db in range(max(low - da, 0), min(trunc - da, top) + 1)
+                if db in b
+            )
+        )
+        return convolve(a, b, trunc, low)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+
+
+def seeded_normalized_map(rng, n, r, degree):
+    """A random normalized map in n variables with an r-dimensional fixed
+    locus: tail eigenvalues from +-{2, 3, 5}, and nonlinear terms of total
+    degree 2 or 3 and transverse degree >= 2, some over 7 or 49."""
+    lams = [1] * r + [rng.choice([2, 3, 5, -2, -3, -5]) for _ in range(n - r)]
+    comps = [[(tuple(int(i == j) for i in range(n)), lams[j])] for j in range(n)]
+    monomials = [e for e in itertools.product(range(4), repeat=n) if 2 <= sum(e) <= 3 and sum(e[r:]) >= 2]
+    for _ in range(rng.randint(4, 7)):
+        comps[rng.randrange(n)].append((rng.choice(monomials), Fraction(rng.choice([-7, -3, -1, 1, 2, 7]), rng.choice([1, 7, 49]))))
+    return build_map(comps, degree, r=r)
+
+
+class TestOnePowerTable:
+    """An order-by-order run keeps one table of the powers h^I: its layer
+    steps grow it and its final check reads fmap o h from it."""
+
+    def test_the_run_costs_at_most_one_composition(self, monkeypatch):
+        # the layer steps and the final check, without the h^(-1) stream
+        visited = []
+        counted_convolve(monkeypatch, visited)
+        monkeypatch.setattr(linearize, "_conjugacy_inverse", lambda h, fmap, lams, r: h)
+        degree = 12
+        f = fixture_suite(degree)["independent-3d"]
+        h = linearize_order_by_order(f, degree).h
+        run = sum(visited)
+        visited.clear()
+        f.components.truncated(degree).compose(h)
+        assert run <= 1.1 * sum(visited)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, r", [(3, 0), (4, 0), (3, 1), (4, 1), (3, 2), (4, 2)])
+    def test_matches_the_loop_that_composes_afresh(self, monkeypatch, seed, n, r):
+        rng = random.Random(f"{seed}-{n}-{r}")
+        degree = rng.randint(8, 16)
+        f = seeded_normalized_map(rng, n, r, degree)
+        # the old loop: every step composes the map itself
+        lams = linearize._normalized_eigenvalues(f)
+        fmap = f.components.truncated(degree)
+        h = SeriesTuple.identity(n, degree)
+        for d in range(2, degree + 1):
+            h = linearize._layer_step(h, fmap, lams, r, d)
+        monkeypatch.setattr(linearize, "_verified_conjugacy", lambda h, composed, fmap, lams, r: (h, composed))
+        table_h, composed = linearize_order_by_order(f, degree)
+        assert any(c.degree() > 1 for c in h)
+        assert table_h == h
+        assert composed == fmap.compose(h)
+
+    @pytest.mark.parametrize("offset", [-1, 1, 3])
+    def test_a_step_that_adds_another_layer_raises(self, monkeypatch, offset):
+        solve = linearize.solve_homological
+
+        def stray(g, lams, r):
+            # w at the cap of h, with a term of another degree in component 0
+            w = [comp.as_polynomial(12) for comp in solve(g, lams, r)]
+            degree = g.lowest_degree() + offset
+            w[0] = w[0] + MultiSeries(g.nvars, 12, [((0, 0, degree), Fraction(1, 5))])
+            return SeriesTuple(w)
+
+        monkeypatch.setattr(linearize, "solve_homological", stray)
+        with pytest.raises(AssertionError, match="other than its own"):
+            linearize_order_by_order(fixture_suite(12)["independent-3d"], 12)
+
+
 class TestNewtonMatchesOrderByOrder:
     """Newton and order-by-order give the same h on random non-resonant maps.
 

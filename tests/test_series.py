@@ -16,6 +16,7 @@ from padicdyn.series import (
     SeriesTuple,
     _DiagonalPowers,
     _disjoint_sum,
+    _GrowingPowerTable,
     _inverse_from,
     _LayerStream,
     _mul,
@@ -546,6 +547,77 @@ class TestLayerStream:
             stream.add(SeriesTuple([x * y * y, y * y]), 3)
         with pytest.raises(DomainError):
             _LayerStream(SeriesTuple([x + 1, y]), start)
+
+
+class TestGrowingPowerTable:
+    """One power table of an inner map whose layers become final one at a
+    time gives outer o inner exactly as SeriesTuple.compose does, whatever
+    inner it is handed."""
+
+    @staticmethod
+    def grown(rng, target, cap):
+        """target's layers below cap, and a random layer cap of degree cap
+        that a later call replaces by target's."""
+        nvars = target.nvars
+        return SeriesTuple(
+            [
+                comp.truncated(cap - 1).as_polynomial(cap) + TestLayerStream.homogeneous(rng, nvars, cap, cap)
+                for comp in target
+            ]
+        )
+
+    def test_grown_one_layer_at_a_time_randomized(self):
+        rng = random.Random(43)
+        for nvars in (1, 2, 3):
+            trunc = 8 if nvars < 3 else 6
+            for _ in range(3):
+                outer = SeriesTuple([rand_series(rng, nvars, trunc, terms=5) for _ in range(nvars)])
+                target = SeriesTuple([rand_series(rng, nvars, trunc, terms=6, zero_constant=True) for _ in range(nvars)])
+                table = _GrowingPowerTable(outer)
+                for cap in range(1, trunc + 1):
+                    inner = self.grown(rng, target, cap)
+                    low = rng.randint(0, cap)
+                    assert table.compose(inner, low) == outer.compose(inner, low)
+                assert table.compose(target) == outer.compose(target)
+
+    def test_a_changed_final_layer_composes_afresh(self):
+        rng = random.Random(44)
+        nvars, trunc = 2, 7
+        outer = SeriesTuple([rand_series(rng, nvars, trunc, terms=6) for _ in range(nvars)])
+        target = SeriesTuple([rand_series(rng, nvars, trunc, terms=8, zero_constant=True) for _ in range(nvars)])
+        table = _GrowingPowerTable(outer)
+        for cap in range(1, 5):
+            table.compose(self.grown(rng, target, cap))
+        # layer 2 was final at cap 4; a lower cap cannot be served either
+        changed = SeriesTuple([target[0] + MultiSeries(nvars, trunc, [((1, 1), Fraction(1, 3))]), target[1]])
+        for inner in (changed, changed.truncated(5), target.truncated(3)):
+            assert table.compose(inner) == outer.compose(inner)
+        # the kept layers are those of target, and the table goes on from them
+        for cap in range(5, trunc + 1):
+            inner = self.grown(rng, target, cap)
+            assert table.compose(inner, cap) == outer.compose(inner, cap)
+        assert table.compose(target) == outer.compose(target)
+
+    def test_rejects_a_constant_term_or_a_non_square_map(self):
+        x, y = MultiSeries.variable(0, 2, 4), MultiSeries.variable(1, 2, 4)
+        table = _GrowingPowerTable(SeriesTuple([x * y, y + x * x]))
+        with pytest.raises(DomainError):
+            table.compose(SeriesTuple([x + 1, y]))
+        with pytest.raises(DomainError):
+            table.compose(SeriesTuple([x]))
+
+
+class TestDenominators:
+    def test_each_term_reduced_denominator_randomized(self):
+        # negative numerators, denominator 1 and unequal layer denominators
+        rng = random.Random(47)
+        for nvars in (1, 2, 3):
+            for dens in LAYER_DENOMINATORS.values():
+                s = layered_series(rng, nvars, 6, dens)
+                assert sorted(s.denominators()) == sorted(c.denominator for _, c in s.terms())
+        integral = MultiSeries(2, 3, [((1, 0), -4), ((0, 2), 6)])
+        assert list(integral.denominators()) == [1, 1]
+        assert list(MultiSeries.zero(2, 3).denominators()) == []
 
 
 class TestSharedLayers:
