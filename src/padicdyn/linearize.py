@@ -29,21 +29,20 @@ c I_j lambda^(I - e_j) in (d_j w_i) o Lambda, of valuation
 v(c) + v_p(I_j) + sum_k (I - e_j)_k v(lambda_k).  So neither the Jacobian
 nor its diagonal substitution is formed.
 
-The order-by-order run keeps one table of the powers h^I over the prefix
-closure of f's support (series._GrowingPowerTable) from its first layer
-step to its final check.  The step at degree d takes h's layers below d as
-final, forms layer d of every power of degree >= 2 from its prefix parent's
-layers and h_j's layers below d, and combines layer d of f o h; the final
-check f o h = h o Lambda combines every layer from the same powers, so the
-run forms each power layer once, about one composition in all.  The check
-is exactly as strong as one that composes afresh.  Before it reads a
-power, the table compares the layers of h it has kept with those of the h
-it is handed, and on any difference it composes afresh.  So f o h is that
-of the returned h either way: every kept layer was formed from layers
-equal to the returned h's.  Each step also asserts that it adds its own
-layer alone.  Newton composes afresh, in its windows and in its final
-check: a window sets the layers low..high of h together, and those above
-low are not final when the window's residual is formed.
+Each run keeps one table of the powers h^I (series._PowerTable) and reads
+every f o h from it, its final check's included.  Layer k of a power of
+degree >= 2 reads only the layers of h below k, so before each read the
+table forms again every power layer above the first layer of h that
+differs from the h it read last.  Every power layer it reads was thus
+formed from layers equal to the current h's, and each check is exactly as
+strong as one that composes afresh.  An order-by-order step at degree d
+reads an h changed in layer d - 1 alone, so that run forms each power
+layer once, about one composition in all.  A Newton window [low, high]
+forms the power layers above low - 1 for its residual, and those above low
+again after its correction; the final check reads h mapped back to the
+original coordinates, which differs from the rescaled h from layer 2 up
+unless the rescaling is trivial.  Each layer step also asserts that it
+adds its own layer alone.
 
 Each run builds one table of the eigenvalue powers lambda^I
 (series._DiagonalPowers), filled from prefix parents,
@@ -75,17 +74,16 @@ k o f = Lambda o k, and with k = id + kappa each layer kappa_d solves the
 homological equation against the running remainder f - Lambda +
 kappa_<d o f - Lambda kappa_<d, with the same divisors.  Each step adds
 kappa_d o f = sum_I kappa_(d,I) f^I, a linear combination over the monomial
-powers f^I of degree d.  series._LayerStream keeps this remainder: it reads
-the one composition engine of the series module, a table of the powers f^I
-that every layer and component shares, builds a power f^I only when a
-kappa_d has the monomial I (from f^(I - e_last(I)), and keeps it), and
-holds the remainder as integer sums, grouped by denominator within each
-degree, so only the layer being solved is merged and reduced to a series.
-Since the kappa_d hold disjoint degrees, k is assembled from them without a
-series sum.
-The residuals f o h of the order-by-order run read it through the power
-table of h above; every other substitution here (Newton's residuals and
-the reversion below) reads it through SeriesTuple.compose.
+powers f^I of degree d.  series._LayerStream keeps this remainder: it
+reads one power table of f (series._PowerTable, the kind a run keeps of
+h), shared by every layer and component, which builds a power f^I only
+when a kappa_d has the monomial I (from f^(I - e_last(I)), and keeps it),
+and it holds the remainder as integer sums, grouped by denominator within
+each degree, so only the layer being solved is merged and reduced to a
+series.  Since the kappa_d hold disjoint degrees, k is assembled from them
+without a series sum.  The normalization and the reversion below
+substitute through SeriesTuple.compose, which keeps one degree of powers
+at a time.
 If any resonance lambda^I = lambda_j exists up to the working degree, that
 solution is only unique up to resonant terms, and the compositional inverse
 of h is computed by series reversion (SeriesTuple.invert) instead.
@@ -139,9 +137,9 @@ from .series import (
     SeriesTuple,
     _DiagonalPowers,
     _disjoint_sum,
-    _GrowingPowerTable,
     _LayerStream,
     _mul,
+    _PowerTable,
     _series_matrix_vector,
     in_subspace_ar,
     tuple_gauss_norm,
@@ -358,14 +356,13 @@ def _verified_conjugacy(
     h: SeriesTuple, composed: SeriesTuple, fmap: SeriesTuple, lams: Sequence[Fraction], r: int
 ) -> ConjugacyResult:
     """Check composed = h o Lambda through h.trunc, for composed = fmap o h
-    as the caller formed it, and assemble the result.
+    as the run's power table (series._PowerTable) returned it, and assemble
+    the result.
 
-    Newton hands in a fresh fmap.compose(h).  The order-by-order run hands
-    in the composition of its power table (series._GrowingPowerTable), and
-    the check is exactly as strong: the table returns fmap o h for the h it
-    is given, either from kept power layers, each formed from layers of h
-    that equal the returned h's (they are compared before any power is
-    read), or, on any difference, afresh.
+    The check is exactly as strong as one that composes afresh: before the
+    table combines, it drops every power layer above the first layer of h
+    that differs from the h it read last, so every power layer it reads was
+    formed from layers equal to the returned h's.
     """
     residual = composed - h.compose_diagonal(lams)
     if not residual.is_zero():
@@ -381,27 +378,25 @@ def _verified_conjugacy(
 
 
 def _layer_step(
-    h: SeriesTuple, fmap: SeriesTuple | _GrowingPowerTable, lams: Sequence[Fraction], r: int, d: int
+    h: SeriesTuple, fmap: SeriesTuple, table: _PowerTable, lams: Sequence[Fraction], r: int, d: int
 ) -> SeriesTuple:
     """h with layer d of the residual fmap o h - h o Lambda solved away.
 
     The caller guarantees that the residual vanishes below d.  Only layer d
-    of the residual is formed: layer d of fmap o h at cap d, minus the
-    diagonal substitution of h's layer d alone.  fmap is the map itself
-    (Newton), which composes afresh, or the power table of an
-    order-by-order run, which takes h's layers below d as final, forms
-    layer d of each power it keeps from them, and combines.  The layers
-    below d are never formed, so a step cannot see them; they are checked
-    by the full f o h = h o Lambda check of _verified_conjugacy at the end
-    of either route, and in Newton also by the next window's residual.
-    Since fmap - Lambda has order >= 2, adding a layer-d term w changes the
-    residual at degree d by Lambda w - w o Lambda alone, so the homological
-    equation solves it.  The step adds layer d alone, and asserts it: the
-    table keeps every layer of h below the next step's degree as final.
+    of the residual is formed: layer d of fmap o h at cap d, combined from
+    the run's power table, minus the diagonal substitution of h's layer d
+    alone.  The layers below d are never combined, so a step cannot see
+    them; they are checked by the full f o h = h o Lambda check of
+    _verified_conjugacy at the end of either route, and in Newton also by
+    the next window's residual.  Since fmap - Lambda has order >= 2, adding
+    a layer-d term w changes the residual at degree d by
+    Lambda w - w o Lambda alone, so the homological equation solves it.
+    The step adds layer d alone, and asserts it: a change to a lower layer
+    of h would make the table form every power layer above it again.
     """
     # composition truncates at the least cap, here d
     hd = h.truncated(d)
-    residual = fmap.compose(hd, d) - hd.layer_tuple(d).compose_diagonal(lams)
+    residual = table.compose(fmap, hd, d) - hd.layer_tuple(d).compose_diagonal(lams)
     if residual.is_zero():
         return h
     w = solve_homological(residual, lams, r)
@@ -440,11 +435,11 @@ def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
     lams = _normalized_eigenvalues(f)
     r = f.fixed_locus_dim
     fmap = f.components.truncated(degree)
-    table = _GrowingPowerTable(fmap)
+    table = _PowerTable(n, degree)
     h = SeriesTuple.identity(n, degree)
     for d in range(2, degree + 1):
-        h = _layer_step(h, table, lams, r, d)
-    composed = table.compose(h)
+        h = _layer_step(h, fmap, table, lams, r, d)
+    composed = table.compose(fmap, h)
     # h^(-1) does not read the table: let its kept layers go first
     del table
     return _verified_conjugacy(h, composed, fmap, lams, r)
@@ -544,13 +539,14 @@ def linearize_newton(
     u = Fraction(1, prime**scale_exp)
     scaled = _rescale_map(fmap, 1 / u)
 
+    table = _PowerTable(n, degree)
     h = SeriesTuple.identity(n, degree)
     iterations: list[NewtonIteration] = []
     low = 2
     while low <= degree:
         high = min(2 * low - 1, degree)
         hd = h.truncated(high)
-        residual = scaled.compose(hd) - hd.compose_diagonal(lams)
+        residual = table.compose(scaled, hd) - hd.compose_diagonal(lams)
         res_low = residual.lowest_degree()
         if res_low is not None and res_low <= high:
             if res_low < low:
@@ -577,7 +573,7 @@ def linearize_newton(
             # (Dh o Lambda)^(-1) is a right inverse up to order 2 low - 1, so
             # the pass leaves a residual in layer high at most, which the
             # layer step solves; the next window's residual checks the rest
-            refined = _layer_step(refined, scaled, lams, r, high)
+            refined = _layer_step(refined, scaled, table, lams, r, high)
             step = refined - h
             h = refined
             iterations.append(
@@ -593,7 +589,9 @@ def linearize_newton(
         low = 2 * low
 
     h = _rescale_map(h, u)
-    result = _verified_conjugacy(h, fmap.compose(h), fmap, lams, r)
+    composed = table.compose(fmap, h)
+    del table
+    result = _verified_conjugacy(h, composed, fmap, lams, r)
     trace = NewtonTrace(iterations=tuple(iterations), rescale=u, prime=prime)
     return result, trace
 

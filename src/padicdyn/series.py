@@ -26,30 +26,23 @@ output degree at a time: its term products are summed in groups, one per
 product of the operands' layer denominators, and the groups are merged once
 over their lcm (_merge) before the next degree, so a low layer is never
 multiplied at the width of a high one.  Composition sums c_I inner^I over
-one table of the inner map's monomial powers (_PowerTable), each power in
-the same graded integer form, not reduced.  It serves one substitution
-(SeriesTuple.compose), which walks the table up one degree at a time over
-the powers its outer map reads; a stream of homogeneous layers
-(_LayerStream), which builds a power when a layer first reads it and keeps
-its running sum in groups too, one per layer added, merging and reducing a
-degree only when it is read; and the substitution of an inner map whose
-layers become final one at a time (_GrowingPowerTable), which keeps every
-power it forms and grows each by one layer when the inner map gains one, so
-the layer steps of an order-by-order conjugacy run and its final check
-f o h = h o Lambda read one table between them.  That table compares the
-inner layers it has kept with the ones it is handed before it reads a power,
-and composes afresh on any difference, so every reader gets the
-substitution exactly.  A combination of powers puts its products over one
-lcm per degree, scaling each through its scalar multiplier alone.  The
-product kernel _mul and the substitutions take a lower bound low on the
-output degree: the layers below it are not formed, and in
-SeriesTuple.compose neither are those degrees of the table powers that only
-feed the result.  A caller that needs one graded layer, such as a Newton
-window's layer step, then pays for that layer and for the powers the table
-builds further powers from.  A diagonal substitution
-x_i -> lambda_i x_i scales each coefficient by lambda^I (weighted), read
-from a table of those powers (_DiagonalPowers) that callers may share
-between substitutions.  All are exact.
+the inner map's monomial powers, each built from its prefix parent as
+inner^I = inner^(I - e_j) inner_j (the baby-step table of Brent and Kung)
+in the same graded integer form, not reduced; one routine (_combine) adds
+such a combination to a running sum, the products of a degree over one
+lcm.  A one-shot substitution (SeriesTuple.compose) walks the powers up one
+degree at a time and keeps one degree of them.  A kept table (_PowerTable)
+holds every power it builds while its inner map changes between reads, as
+h does in a conjugacy run (linearize): it forms again only the power
+layers above the first inner layer that changed, and every read is exact.
+The stream of homogeneous layers of h^(-1) (_LayerStream) reads one table
+of a fixed inner map, and keeps its running sum in groups, one per layer
+added, merging and reducing a degree only when it is read.  The product
+kernel _mul and the substitutions take a lower bound low on the output
+degree, below which a product forms no layer and a substitution combines
+none.  A diagonal substitution x_i -> lambda_i x_i scales each coefficient
+by lambda^I (weighted), read from a table of those powers (_DiagonalPowers)
+that callers may share between substitutions.  All are exact.
 
 Every monomial walk of the package takes one step, from a nonzero
 monomial I to its prefix parent I - e_j with j the last variable of I
@@ -73,7 +66,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ratlinalg
 from .arith import int_valuation, is_prime
@@ -725,148 +718,118 @@ class _DiagonalPowers:
         return value
 
 
+def _combine(
+    entry: tuple[int, dict[int, int]], power: Callable[[int], _Packed], acc: dict[int, _Groups], low: int = 0
+) -> None:
+    """Add sum_I (n_I / den) inner^I over a layer entry (den, {I: n_I}), in
+    the degrees >= low, to the accumulator acc, {degree: groups}, with
+    power(I) the layer map of inner^I for a packed key I.  The products
+    n_I inner^I of a degree go into one group, over den times the lcm of the
+    powers' denominators, each scaled to it through its scalar multiplier
+    alone."""
+    den, nums = entry
+    products: dict[int, list[tuple[int, int, dict[int, int]]]] = {}
+    for key, num in nums.items():
+        for d, (power_den, lay) in power(key).items():
+            if d >= low:
+                products.setdefault(d, []).append((num, power_den, lay))
+    for d, parts in products.items():
+        common = lcm(*(power_den for _, power_den, _ in parts))
+        out = acc.setdefault(d, {}).setdefault(den * common, {})
+        get = out.get
+        for num, power_den, lay in parts:
+            mult = num * (common // power_den)
+            for key, v in lay.items():
+                out[key] = get(key, 0) + mult * v
+
+
+def _summed(accs: list[dict[int, _Groups]], nvars: int, trunc: int) -> "SeriesTuple":
+    """The tuple of the accumulators' sums, each degree merged and reduced."""
+    sums = [_reduced({d: _merge(groups) for d, groups in acc.items()}) for acc in accs]
+    return SeriesTuple([MultiSeries._raw(nvars, trunc, packed) for packed in sums])
+
+
 class _PowerTable:
-    """The monomial powers inner^I of a fixed inner map.
+    """The monomial powers inner^I of a square inner map that may change
+    between reads, each built on first read and then kept.
 
     An entry is built as inner^I = inner^(I - e_j) inner_j with j the last
-    variable of I: the baby-step table of Brent and Kung's composition.  The
-    factors are the inner series' layer maps, and each entry is a layer map
-    too, one denominator per degree and not reduced, so a table step costs
-    integer products at the width of the layers it reads, and a combination
-    sum_I c_I inner^I one multiply-add per term of each power it reads.
+    variable of I (power, through _chained), up to the table's degree, the
+    least of its cap and the last inner map's.  Each entry is a layer map,
+    one denominator per degree and not reduced.  The degree-one entries are
+    the inner map's own layers, in dicts the table owns.
 
-    The table is read in one of three ways.  SeriesTuple.compose walks it
-    up one degree at a time with extend, over a set of monomials it gives,
-    and keeps that degree's entries alone.  _LayerStream asks for single
-    powers with power, which builds a missing power (and its missing prefix
-    parents) on demand and keeps every power it builds.  _GrowingPowerTable
-    keeps every power of the prefix closure of its outer map's support and
-    grows them by layers rather than by monomials.
+    take(inner) makes inner the inner map.  Layer k of a power of degree
+    >= 2 reads only the inner layers below k, so take finds the first inner
+    layer m that differs from the one it took last, drops every power layer
+    above m, and forms them again from inner's layers, each power after its
+    prefix parent, up to the new degree.  Every kept power layer was thus
+    formed from inner layers equal to the current inner's, and
+    compose(outer, inner, low) returns outer o inner exactly, for any inner.
     """
 
-    def __init__(self, factors: list[_Packed], trunc: int) -> None:
-        """factors: the layer maps of the inner series, one per variable."""
-        # a canonical layer map holds no empty layer: layer 0 is a constant term
-        if any(0 in layers for layers in factors):
-            raise DomainError("non-zero constant term in composition argument")
+    def __init__(self, nvars: int, trunc: int) -> None:
         self.trunc = trunc
-        self.unpack = _unpacker(len(factors))
-        self.factors = factors
-        self.entries: dict[Exponents, _Packed] = {(0,) * len(factors): {0: (1, {0: 1})}}
+        self.unpack = _unpacker(nvars)
+        self.degree = 0
+        self.factors: list[_Packed] = [{} for _ in range(nvars)]
+        self.entries: dict[Exponents, _Packed] = {(0,) * nvars: {0: (1, {0: 1})}}
+        self.entries.update((tuple(int(i == j) for i in range(nvars)), factor) for j, factor in enumerate(self.factors))
+        # (inner^I, inner^(I - e_j), inner_j) for each power of degree >= 2,
+        # each after its prefix parent
+        self.steps: list[tuple[_Packed, _Packed, _Packed]] = []
 
-    def _step(self, j: int, parent: _Packed, low: int = 0) -> _Packed:
-        """inner^I in the degrees >= low, from the entry of its prefix
+    def _step(self, j: int, parent: _Packed) -> _Packed:
+        """inner^I through the table's degree, from the entry of its prefix
         parent I - e_j."""
-        return _convolve(parent, self.factors[j], self.trunc, low)
+        factor = self.factors[j]
+        power = _convolve(parent, factor, self.degree)
+        self.steps.append((power, parent, factor))
+        return power
 
-    def extend(self, monomials: Iterable[Exponents], low: int, parents: Container[Exponents]) -> None:
-        """Move the table up one degree, to the entries of the given monomials.
+    def power(self, key: int) -> _Packed:
+        """The entry inner^I of a packed key I."""
+        return _chained(self.entries, self.unpack(key), self._step)
 
-        An entry that is not in parents (no later entry is built from it) is
-        read only by combine, so it is formed in the degrees >= low alone.
-        """
-        below = self.entries
-        self.entries = {}
-        for exps in monomials:
-            j, lower = _parent(exps)
-            self.entries[exps] = self._step(j, below[lower], 0 if exps in parents else low)
-
-    def power(self, exps: Exponents) -> _Packed:
-        """The entry inner^I, built by _chained on first use and then kept."""
-        return _chained(self.entries, exps, self._step)
-
-    def combine(self, entry: tuple[int, dict[int, int]], acc: dict[int, _Groups], low: int = 0) -> None:
-        """Add sum_I (n_I / den) inner^I over a layer entry (den, {I: n_I}),
-        in the degrees >= low, to the accumulator acc, {degree: groups}: the
-        products n_I inner^I of a degree go into one group, over den times
-        the lcm of the powers' denominators, each scaled to it through its
-        scalar multiplier alone."""
-        den, nums = entry
-        products: dict[int, list[tuple[int, int, dict[int, int]]]] = {}
-        for key, num in nums.items():
-            for d, (power_den, lay) in self.power(self.unpack(key)).items():
-                if d >= low:
-                    products.setdefault(d, []).append((num, power_den, lay))
-        for d, parts in products.items():
-            common = lcm(*(power_den for _, power_den, _ in parts))
-            out = acc.setdefault(d, {}).setdefault(den * common, {})
-            get = out.get
-            for num, power_den, lay in parts:
-                mult = num * (common // power_den)
-                for key, v in lay.items():
-                    out[key] = get(key, 0) + mult * v
-
-
-class _GrowingPowerTable(_PowerTable):
-    """outer o h for a square inner map h whose layers become final one at
-    a time, from one table of the powers h^I kept for the whole run.
-
-    The table holds the powers h^I over the prefix closure of outer's
-    support, each a layer map the table owns, and, as the degree-one
-    entries, the layers of the h_j it has taken.  Those below degree are
-    final; layer degree is the one the last call read, and nothing kept was
-    formed from it.  compose(inner, low) first compares the final layers
-    with inner's.  If they differ, or inner's cap is below degree, it
-    composes afresh (SeriesTuple.compose), so either way it returns
-    outer o inner.  Otherwise it takes inner's layers below the cap as
-    final and moves degree up to the cap: each new layer k of a power of
-    degree >= 2 is formed from its prefix parent's layers and h_j's layers
-    below k, which are final, and the rest of the powers' layers are the
-    ones kept.  Only the combination sum_I c_I h^I is formed anew.
-    """
-
-    def __init__(self, outer: "SeriesTuple") -> None:
-        n = outer.nvars
-        super().__init__([{} for _ in range(n)], outer.trunc)
-        self.outer = outer
-        # the constant terms of h, zero, are final from the start
-        self.degree = 1
-        self.entries.update((tuple(int(i == j) for i in range(n)), factor) for j, factor in enumerate(self.factors))
-        # (I, j, I - e_j) for each power of degree >= 2
-        self.steps: list[tuple[Exponents, int, Exponents]] = []
-        for exps in {self.unpack(key) for comp in outer for _, nums in comp._packed.values() for key in nums}:
-            while exps not in self.entries:
-                j, lower = _parent(exps)
-                self.entries[exps] = {}
-                self.steps.append((exps, j, lower))
-                exps = lower
-
-    def compose(self, inner: "SeriesTuple", low: int = 0) -> "SeriesTuple":
-        """outer o inner in the degrees >= low, as SeriesTuple.compose
-        gives it; see the class docstring."""
+    def take(self, inner: "SeriesTuple") -> int:
+        """Make inner the inner map and return the table's new degree; see
+        the class docstring."""
         n = len(self.factors)
         if len(inner) != n or inner.nvars != n:
             raise DomainError(f"the inner map must be {n} series in {n} variables")
-        cap = min(self.trunc, inner.trunc)
         layers = [g._packed for g in inner]
-        if cap < self.degree or any(
-            mine.get(k) != factor.get(k) for mine, factor in zip(layers, self.factors) for k in range(self.degree)
-        ):
-            return self.outer.compose(inner, low)
-        for k in range(self.degree, cap + 1):
-            # layer k of h: final below the cap, read for this call at it
-            for mine, factor in zip(layers, self.factors):
-                if k in mine:
-                    factor[k] = mine[k]
-                else:
-                    factor.pop(k, None)
-            if k < cap:
-                # layer k + 1 of a power of degree >= 2 reads layers <= k alone
-                for exps, j, lower in self.steps:
-                    grown = _convolve(self.entries[lower], self.factors[j], k + 1, k + 1)
-                    if grown:
-                        self.entries[exps][k + 1] = grown[k + 1]
+        # a canonical layer map holds no empty layer: layer 0 is a constant term
+        if any(0 in mine for mine in layers):
+            raise DomainError("non-zero constant term in composition argument")
+        cap = min(self.trunc, inner.trunc)
+        top = min(self.degree, cap)
+        kept = next(
+            (k for k in range(1, top + 1) if any(mine.get(k) != old.get(k) for mine, old in zip(layers, self.factors))),
+            top,
+        )
+        for mine, factor in zip(layers, self.factors):
+            factor.clear()
+            factor.update((d, entry) for d, entry in mine.items() if d <= cap)
+        for power, parent, factor in self.steps:
+            for k in range(kept + 1, self.degree + 1):
+                power.pop(k, None)
+            power.update(_convolve(parent, factor, cap, kept + 1))
         self.degree = cap
-        accs: list[dict[int, _Groups]] = []
-        for comp in self.outer:
-            acc: dict[int, _Groups] = {}
+        return cap
+
+    def compose(self, outer: "SeriesTuple", inner: "SeriesTuple", low: int = 0) -> "SeriesTuple":
+        """outer o inner in the degrees >= low, as outer.compose(inner, low)
+        gives it, from the kept powers."""
+        n = len(self.factors)
+        if outer.nvars != n:
+            raise DomainError(f"composition needs {outer.nvars} inner series, got {n}")
+        cap = self.take(inner)
+        accs: list[dict[int, _Groups]] = [{} for _ in outer]
+        for comp, acc in zip(outer, accs):
             for d, entry in comp._packed.items():
                 if d <= cap:
-                    self.combine(entry, acc, low)
-            accs.append(acc)
-        return SeriesTuple(
-            [MultiSeries._raw(n, cap, _reduced({d: _merge(groups) for d, groups in acc.items()})) for acc in accs]
-        )
+                    _combine(entry, self.power, acc, low)
+        return _summed(accs, n, cap).truncated(outer.trunc)
 
 
 class _LayerStream:
@@ -876,20 +839,18 @@ class _LayerStream:
     layer, so add reads the powers of that layer's monomials alone, from one
     _PowerTable of inner shared by every layer and component.  The sum is
     kept in integers, per component and degree in groups (_Groups): one for
-    the layer of start and one per layer added by combine, so no numerator
+    the layer of start and one per layer added (_combine), so no numerator
     kept so far is ever rescaled.  layer merges and reduces one degree.
     """
 
     def __init__(self, inner: "SeriesTuple", start: "SeriesTuple") -> None:
         n = inner.nvars
-        if len(inner) != n:
-            raise DomainError("the inner map must be square")
         if start.nvars != n:
             raise DomainError("the start must have the inner map's variables")
-        self.table = _PowerTable([g._packed for g in inner], inner.trunc)
-        self.nvars, self.trunc = n, inner.trunc
+        self.table = _PowerTable(n, inner.trunc)
+        self.nvars, self.trunc = n, self.table.take(inner)
         self.degree = 0
-        # combine adds into these groups, so start's numerators are copied
+        # _combine adds into these groups, so start's numerators are copied
         self.sums: list[dict[int, _Groups]] = [
             {d: {den: dict(nums)} for d, (den, nums) in comp._packed.items() if d <= self.trunc} for comp in start
         ]
@@ -905,16 +866,11 @@ class _LayerStream:
         self.degree = degree
         for comp, acc in zip(layer, self.sums):
             if degree in comp._packed:
-                self.table.combine(comp._packed[degree], acc, low)
+                _combine(comp._packed[degree], self.table.power, acc, low)
 
     def layer(self, degree: int) -> "SeriesTuple":
         """Layer degree of the sum: homogeneous components at the inner cap."""
-        return SeriesTuple(
-            [
-                MultiSeries._raw(self.nvars, self.trunc, _reduced({degree: _merge(acc[degree])} if degree in acc else {}))
-                for acc in self.sums
-            ]
-        )
+        return _summed([{degree: acc[degree]} if degree in acc else {} for acc in self.sums], self.nvars, self.trunc)
 
 
 class SeriesTuple:
@@ -1007,17 +963,13 @@ class SeriesTuple:
         degrees >= low; each g_i must have zero constant term, and the cap is
         the least of all caps.
 
-        One _PowerTable of the g_i serves every component.  It moves up over
-        the prefix closure (I -> I - e_last(I)) of their joint support, so a
-        sparse outer map computes only the powers it reads; each degree adds
-        one combination per component to that component's accumulator.
-
-        With low > 0 the layers below low are absent from the result, not
-        zero, as for _mul: callers that need only the top layer (the layer
-        steps of linearize) pass low = cap.  The leaves of the closure, the
-        powers no other power is built from, are then formed in the degrees
-        >= low alone; the powers they are built from are still formed in
-        full.
+        The powers of the g_i are walked up one degree at a time over the
+        prefix closure (I -> I - e_last(I)) of the components' joint
+        support, so a sparse outer map computes only the powers it reads,
+        and only one degree of them is kept at a time; each degree adds one
+        combination (_combine) per component to that component's
+        accumulator.  With low > 0 the layers below low are absent from the
+        result, not zero, as for _mul; the powers are still formed in full.
         """
         comps = tuple(inner)
         if len(comps) != self.nvars:
@@ -1025,29 +977,29 @@ class SeriesTuple:
         for g in comps:
             if g.nvars != comps[0].nvars:
                 raise DomainError("inner series disagree on variable count")
+        factors = [g._packed for g in comps]
+        if any(0 in layers for layers in factors):
+            raise DomainError("non-zero constant term in composition argument")
         trunc = min([self.trunc] + [g.trunc for g in comps])
         terms = [{d: entry for d, entry in c._packed.items() if d <= trunc} for c in self.components]
         closure: list[set[Exponents]] = [set() for _ in range(trunc + 2)]  # by degree, one spare
-        parents: set[Exponents] = set()
         unpack = _unpacker(self.nvars)
         for exps in {unpack(key) for layers in terms for _, nums in layers.values() for key in nums}:
             while any(exps) and exps not in closure[sum(exps)]:
                 closure[sum(exps)].add(exps)
                 exps = _parent(exps)[1]
-                parents.add(exps)
-        table = _PowerTable([g._packed for g in comps], trunc)
+        entries: dict[Exponents, _Packed] = {(0,) * self.nvars: {0: (1, {0: 1})}}
         accs: list[dict[int, _Groups]] = [{} for _ in terms]
         for d in range(trunc + 1):
             for layers, acc in zip(terms, accs):
                 if d in layers:
-                    table.combine(layers[d], acc, low)
-            table.extend(closure[d + 1], low, parents)
-        return SeriesTuple(
-            [
-                MultiSeries._raw(comps[0].nvars, trunc, _reduced({d: _merge(groups) for d, groups in acc.items()}))
-                for acc in accs
-            ]
-        )
+                    _combine(layers[d], lambda key: entries[unpack(key)], acc, low)
+            below, entries = entries, {}
+            for exps in closure[d + 1]:
+                j, lower = _parent(exps)
+                entries[exps] = _convolve(below[lower], factors[j], trunc)
+            del below
+        return _summed(accs, comps[0].nvars, trunc)
 
     def compose_diagonal(self, factors: "Sequence[Fraction] | _DiagonalPowers") -> "SeriesTuple":
         """Substitution x_i -> factors[i] * x_i, done by coefficient scaling.

@@ -799,9 +799,10 @@ class TestLayerStep:
         lams = linearize._normalized_eigenvalues(f)
         fmap = f.components.truncated(degree)
         h = SeriesTuple.identity(f.n, degree)
+        table = series._PowerTable(f.n, degree)
         monkeypatch.setattr(series, "_convolve", counted)
         for d in range(2, degree + 1):
-            h = linearize._layer_step(h, fmap, lams, 0, d)
+            h = linearize._layer_step(h, fmap, table, lams, 0, d)
         loop = sum(visited)
         visited.clear()
         fmap.compose(h)
@@ -813,8 +814,8 @@ class TestLayerStep:
         below the layer it solves, where the step itself no longer looks."""
         step = linearize._layer_step
 
-        def perturbed(h, fmap, lams, r, d):
-            h = step(h, fmap, lams, r, d)
+        def perturbed(h, fmap, table, lams, r, d):
+            h = step(h, fmap, table, lams, r, d)
             if d == at:
                 # x2 x3 in the first component: lambda^I = 15 != 2 = lambda_1,
                 # so the residual sees it
@@ -878,8 +879,8 @@ def seeded_normalized_map(rng, n, r, degree):
 
 
 class TestOnePowerTable:
-    """An order-by-order run keeps one table of the powers h^I: its layer
-    steps grow it and its final check reads fmap o h from it."""
+    """A conjugacy run keeps one table of the powers h^I: its layer steps
+    and Newton windows grow it and its final check reads fmap o h from it."""
 
     def test_the_run_costs_at_most_one_composition(self, monkeypatch):
         # the layer steps and the final check, without the h^(-1) stream
@@ -900,17 +901,37 @@ class TestOnePowerTable:
         rng = random.Random(f"{seed}-{n}-{r}")
         degree = rng.randint(8, 16)
         f = seeded_normalized_map(rng, n, r, degree)
-        # the old loop: every step composes the map itself
+        # the loop with a fresh table for every step
         lams = linearize._normalized_eigenvalues(f)
         fmap = f.components.truncated(degree)
         h = SeriesTuple.identity(n, degree)
         for d in range(2, degree + 1):
-            h = linearize._layer_step(h, fmap, lams, r, d)
+            h = linearize._layer_step(h, fmap, series._PowerTable(n, degree), lams, r, d)
         monkeypatch.setattr(linearize, "_verified_conjugacy", lambda h, composed, fmap, lams, r: (h, composed))
         table_h, composed = linearize_order_by_order(f, degree)
         assert any(c.degree() > 1 for c in h)
         assert table_h == h
         assert composed == fmap.compose(h)
+
+    def test_newton_keeps_one_table_across_its_windows(self, monkeypatch):
+        # the windows, their layer steps and the final check, without the
+        # h^(-1) stream, against the same run with a fresh table per call
+        visited = []
+        counted_convolve(monkeypatch, visited)
+        monkeypatch.setattr(linearize, "_conjugacy_inverse", lambda h, fmap, lams, r: h)
+        degree = 16
+        f = fixture_suite(degree)["independent-3d"]
+        kept = newton_route(f, degree).h
+        run = sum(visited)
+        visited.clear()
+
+        class Fresh(series._PowerTable):
+            def compose(self, outer, inner, low=0):
+                return series._PowerTable(len(self.factors), self.trunc).compose(outer, inner, low)
+
+        monkeypatch.setattr(linearize, "_PowerTable", Fresh)
+        assert newton_route(f, degree).h == kept
+        assert run <= 0.75 * sum(visited)
 
     @pytest.mark.parametrize("offset", [-1, 1, 3])
     def test_a_step_that_adds_another_layer_raises(self, monkeypatch, offset):
@@ -1169,8 +1190,9 @@ class TestInverseStream:
                         j = max(i for i, e in enumerate(exps) if e)
                         exps = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
         (stream,) = streams
-        built = set(stream.table.entries) - {(0, 0, 0, 0)}
-        assert built <= closure
+        # the degree-one entries are fmap's own layers, built by no step
+        built = {exps for exps in stream.table.entries if sum(exps) >= 2}
+        assert built == {exps for exps in closure if sum(exps) >= 2}
         # every monomial of degree 1..11 in four variables would be 1364
         assert len(closure) == 255
 

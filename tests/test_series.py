@@ -16,16 +16,17 @@ from padicdyn.series import (
     SeriesTuple,
     _DiagonalPowers,
     _disjoint_sum,
-    _GrowingPowerTable,
     _inverse_from,
     _LayerStream,
     _mul,
     _parent,
+    _PowerTable,
     gauss_norm,
     graded_monomials,
     in_subspace_ar,
     invert_tuple,
 )
+from test_linearize import counted_convolve
 
 
 def univariate(coeffs, trunc):
@@ -399,6 +400,7 @@ class TestGradedView:
         inner_terms = [dict(g.terms()) for g in inner]
         for low in (0, trunc - 1, trunc):
             result = SeriesTuple(outer).compose(SeriesTuple(inner), low)
+            assert _PowerTable(nvars, trunc).compose(SeriesTuple(outer), SeriesTuple(inner), low) == result
             for comp, f in zip(result, outer):
                 assert dict(comp.terms()) == dict_compose(dict(f.terms()), inner_terms, nvars, trunc, low)
 
@@ -549,10 +551,9 @@ class TestLayerStream:
             _LayerStream(SeriesTuple([x + 1, y]), start)
 
 
-class TestGrowingPowerTable:
-    """One power table of an inner map whose layers become final one at a
-    time gives outer o inner exactly as SeriesTuple.compose does, whatever
-    inner it is handed."""
+class TestPowerTable:
+    """One kept power table gives outer o inner exactly as
+    SeriesTuple.compose does, whatever inner it is handed."""
 
     @staticmethod
     def grown(rng, target, cap):
@@ -573,38 +574,60 @@ class TestGrowingPowerTable:
             for _ in range(3):
                 outer = SeriesTuple([rand_series(rng, nvars, trunc, terms=5) for _ in range(nvars)])
                 target = SeriesTuple([rand_series(rng, nvars, trunc, terms=6, zero_constant=True) for _ in range(nvars)])
-                table = _GrowingPowerTable(outer)
+                table = _PowerTable(nvars, trunc)
                 for cap in range(1, trunc + 1):
                     inner = self.grown(rng, target, cap)
                     low = rng.randint(0, cap)
-                    assert table.compose(inner, low) == outer.compose(inner, low)
-                assert table.compose(target) == outer.compose(target)
+                    assert table.compose(outer, inner, low) == outer.compose(inner, low)
+                assert table.compose(outer, target) == outer.compose(target)
 
-    def test_a_changed_final_layer_composes_afresh(self):
+    def test_a_changed_layer_or_a_lower_cap_is_served_exactly(self):
         rng = random.Random(44)
         nvars, trunc = 2, 7
         outer = SeriesTuple([rand_series(rng, nvars, trunc, terms=6) for _ in range(nvars)])
         target = SeriesTuple([rand_series(rng, nvars, trunc, terms=8, zero_constant=True) for _ in range(nvars)])
-        table = _GrowingPowerTable(outer)
+        table = _PowerTable(nvars, trunc)
         for cap in range(1, 5):
-            table.compose(self.grown(rng, target, cap))
-        # layer 2 was final at cap 4; a lower cap cannot be served either
+            table.compose(outer, self.grown(rng, target, cap))
+        # layer 2 was taken at cap 4; then a lower cap, then target's own
         changed = SeriesTuple([target[0] + MultiSeries(nvars, trunc, [((1, 1), Fraction(1, 3))]), target[1]])
         for inner in (changed, changed.truncated(5), target.truncated(3)):
-            assert table.compose(inner) == outer.compose(inner)
-        # the kept layers are those of target, and the table goes on from them
+            assert table.compose(outer, inner) == outer.compose(inner)
+        # the table goes on from the layers it took last
         for cap in range(5, trunc + 1):
             inner = self.grown(rng, target, cap)
-            assert table.compose(inner, cap) == outer.compose(inner, cap)
-        assert table.compose(target) == outer.compose(target)
+            assert table.compose(outer, inner, cap) == outer.compose(inner, cap)
+        assert table.compose(outer, target) == outer.compose(target)
+
+    @pytest.mark.parametrize("changed", [2, 3, 4, 5])
+    def test_a_change_at_layer_m_keeps_the_power_layers_up_to_m(self, monkeypatch, changed):
+        rng = random.Random(45)
+        nvars, trunc = 2, 7
+        outer = SeriesTuple([layered_series(rng, nvars, trunc, lambda d: [1, 2, 3]) for _ in range(nvars)])
+        target = SeriesTuple(
+            [layered_series(rng, nvars, trunc, lambda d: [1, 5], zero_constant=True) for _ in range(nvars)]
+        )
+        table = _PowerTable(nvars, trunc)
+        table.compose(outer, target)
+        bump = MultiSeries(nvars, trunc, [((changed, 0), Fraction(1, 7))])
+        inner = SeriesTuple([target[0] + bump, target[1]])
+        visited = []
+        counted_convolve(monkeypatch, visited)
+        kept = table.compose(outer, inner)
+        kept_pairs = sum(visited)
+        visited.clear()
+        fresh = _PowerTable(nvars, trunc).compose(outer, inner)
+        assert kept == fresh == outer.compose(inner)
+        assert kept_pairs < sum(visited)
 
     def test_rejects_a_constant_term_or_a_non_square_map(self):
         x, y = MultiSeries.variable(0, 2, 4), MultiSeries.variable(1, 2, 4)
-        table = _GrowingPowerTable(SeriesTuple([x * y, y + x * x]))
+        outer = SeriesTuple([x * y, y + x * x])
+        table = _PowerTable(2, 4)
         with pytest.raises(DomainError):
-            table.compose(SeriesTuple([x + 1, y]))
+            table.compose(outer, SeriesTuple([x + 1, y]))
         with pytest.raises(DomainError):
-            table.compose(SeriesTuple([x]))
+            table.compose(outer, SeriesTuple([x]))
 
 
 class TestDenominators:
@@ -744,6 +767,10 @@ class TestCanonicalForm:
             results[f"compose {i}"] = comp
         for i, comp in enumerate(outer.compose(inner, low)):
             results[f"compose from low {i}"] = comp
+        tabled = _PowerTable(nvars, trunc).compose(outer, inner, low)
+        assert tabled == outer.compose(inner, low)
+        for i, comp in enumerate(tabled):
+            results[f"table compose from low {i}"] = comp
         factors = [scalar or 1, Fraction(0), Fraction(-5, 4)][:nvars]
         results["diagonal substitution"] = SeriesTuple([a]).compose_diagonal(factors)[0]
         stream = _LayerStream(inner, SeriesTuple([b] * nvars))
@@ -908,6 +935,10 @@ class TestComposeAgainstSympy:
             for c in outer
         ]
         singles = [c.compose(inner) for c in outer]
+        if len(inner) == inner[0].nvars:
+            # the kept table serves square maps of one cap
+            square = SeriesTuple([g.truncated(trunc) for g in inner])
+            assert _PowerTable(len(inner), trunc).compose(outer, square, low) == outer.compose(inner, low)
         for comp, single, part, want in zip(outer.compose(inner), singles, outer.compose(inner, low), expected):
             assert comp.trunc == single.trunc == part.trunc == trunc
             assert comp.nvars == single.nvars == part.nvars == inner[0].nvars
