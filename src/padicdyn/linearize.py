@@ -80,10 +80,13 @@ h), shared by every layer and component, which builds a power f^I only
 when a kappa_d has the monomial I (from f^(I - e_last(I)), and keeps it),
 and it holds the remainder as integer sums, grouped by denominator within
 each degree, so only the layer being solved is merged and reduced to a
-series.  Since the kappa_d hold disjoint degrees, k is assembled from them
-without a series sum.  The normalization and the reversion below
-substitute through SeriesTuple.compose, which keeps one degree of powers
-at a time.
+series.  The stream starts from f, which agrees with f - Lambda in every
+layer of degree >= 2, and adds kappa_d o f above degree d alone: layer d
+of the remainder is solved by kappa_d and never read again, and
+Lambda kappa_d lies in layer d.  Since the kappa_d hold disjoint degrees,
+k is assembled from them without a series sum.  The normalization and the
+reversion below substitute through SeriesTuple.compose, which keeps one
+degree of powers at a time.
 If any resonance lambda^I = lambda_j exists up to the working degree, that
 solution is only unique up to resonant terms, and the compositional inverse
 of h is computed by series reversion (SeriesTuple.invert) instead.
@@ -102,7 +105,9 @@ the eigenbasis route, C0 times column j of P_(lambda_j)(C0^(-1) B C0) with
 C0 = (v_1 ... v_t), because a polynomial in B commutes with the constant
 similarity: P_lambda(C0^(-1) B C0) = C0^(-1) P_lambda(B) C0.  The change is
 one series matrix-vector product, and the normalized map is
-change^(-1) o (f o change).
+change^(-1) o (f o change).  A map fixing every point (r = n) is the
+identity and runs the same routes: every residual vanishes, and
+h = h^(-1) = id.
 """
 
 from __future__ import annotations
@@ -335,7 +340,7 @@ def _conjugacy_inverse(
     # Lambda is linear, so fmap - Lambda and fmap agree in every layer read
     # here, the layers of degree >= 2
     fmap = fmap.truncated(degree)
-    remainder = _LayerStream(fmap, fmap)
+    remainder = _LayerStream(fmap)
     parts = [SeriesTuple.identity(h.nvars, degree)]
     for d in range(2, degree + 1):
         layer = remainder.layer(d)
@@ -343,11 +348,11 @@ def _conjugacy_inverse(
             continue
         kappa = solve_homological(-layer, lams, r)
         parts.append(kappa)
-        # layer d of the remainder is now solved and never read again, so
-        # only the layers of kappa o fmap above d (where Lambda kappa has
-        # none) are added
+        # layer d of the remainder is now solved and never read again; the
+        # stream adds only the layers of kappa o fmap above d, where Lambda
+        # kappa has none, and at the cap there are none to add
         if d < degree:
-            remainder.add(kappa, d + 1)
+            remainder.add(kappa)
     # k = id + sum_d kappa_d, each kappa_d homogeneous of its own degree
     return _disjoint_sum(parts)
 
@@ -405,6 +410,14 @@ def _layer_step(
     return h + SeriesTuple([comp.as_polynomial(h.trunc) for comp in w.components])
 
 
+def _check_degree(f: AnalyticMap, degree: int) -> None:
+    """Refuse a conjugacy degree that is not an int >= 2 within f's truncation."""
+    if type(degree) is not int or degree < 2:
+        raise DomainError(f"conjugacy degree must be an integer of at least 2, got {degree!r}")
+    if f.trunc < degree:
+        raise DomainError(f"map truncation {f.trunc} cannot support degree {degree}")
+
+
 def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
     """Solve f o h = h o Lambda one graded layer at a time, exactly.
 
@@ -415,27 +428,11 @@ def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
     vanishes to second transverse order, so h restricted to the fixed
     locus is the identity.
     """
-    if degree < 2:
-        raise DomainError("conjugacy degree must be at least 2")
-    if f.trunc < degree:
-        raise DomainError(
-            f"map truncation {f.trunc} cannot support degree {degree}"
-        )
-    n = f.n
-    if f.fixed_locus_dim == n:
-        ident = SeriesTuple.identity(n, degree)
-        return ConjugacyResult(
-            h=ident,
-            h_inverse=ident,
-            verified_degree=degree,
-            residual=SeriesTuple.zero(n, n, degree),
-            denominator_primes=frozenset(),
-            eigenvalues=tuple(Fraction(1) for _ in range(n)),
-        )
+    _check_degree(f, degree)
     lams = _normalized_eigenvalues(f)
-    r = f.fixed_locus_dim
+    n, r = f.n, f.fixed_locus_dim
     fmap = f.components.truncated(degree)
-    table = _PowerTable(n, degree)
+    table = _PowerTable(n)
     h = SeriesTuple.identity(n, degree)
     for d in range(2, degree + 1):
         h = _layer_step(h, fmap, table, lams, r, d)
@@ -515,19 +512,8 @@ def linearize_newton(
     prime power making the nonlinearity p-adically small, and h is mapped
     back afterwards.
     """
-    if degree < 2:
-        raise DomainError("conjugacy degree must be at least 2")
-    if f.trunc < degree:
-        raise DomainError(
-            f"map truncation {f.trunc} cannot support degree {degree}"
-        )
+    _check_degree(f, degree)
     n, r = f.n, f.fixed_locus_dim
-    if r == n:
-        result = linearize_order_by_order(f, degree)
-        trace = NewtonTrace(
-            iterations=(), rescale=Fraction(1), prime=prime if prime is not None else 3
-        )
-        return result, trace
     lams = _normalized_eigenvalues(f)
     if prime is None:
         prime = choose_prime(f, lams)
@@ -539,7 +525,7 @@ def linearize_newton(
     u = Fraction(1, prime**scale_exp)
     scaled = _rescale_map(fmap, 1 / u)
 
-    table = _PowerTable(n, degree)
+    table = _PowerTable(n)
     h = SeriesTuple.identity(n, degree)
     iterations: list[NewtonIteration] = []
     low = 2

@@ -38,10 +38,12 @@ layers above the first inner layer that changed, and every read is exact.
 The stream of homogeneous layers of h^(-1) (_LayerStream) reads one table
 of a fixed inner map, and keeps its running sum in groups, one per layer
 added, merging and reducing a degree only when it is read.  The product
-kernel _mul and the substitutions take a lower bound low on the output
-degree, below which a product forms no layer and a substitution combines
-none.  A diagonal substitution x_i -> lambda_i x_i scales each coefficient
-by lambda^I (weighted), read from a table of those powers (_DiagonalPowers)
+kernel _mul and the kept table's compose take a lower bound low on the
+output degree, below which a product forms no layer and a substitution
+combines none, and the stream adds each layer's substitution above that
+layer's own degree alone; a one-shot substitution forms every layer.  A
+diagonal substitution x_i -> lambda_i x_i scales each coefficient by
+lambda^I (weighted), read from a table of those powers (_DiagonalPowers)
 that callers may share between substitutions.  All are exact.
 
 Every monomial walk of the package takes one step, from a nonzero
@@ -755,9 +757,9 @@ class _PowerTable:
 
     An entry is built as inner^I = inner^(I - e_j) inner_j with j the last
     variable of I (power, through _chained), up to the table's degree, the
-    least of its cap and the last inner map's.  Each entry is a layer map,
-    one denominator per degree and not reduced.  The degree-one entries are
-    the inner map's own layers, in dicts the table owns.
+    cap of the last inner map.  Each entry is a layer map, one denominator
+    per degree and not reduced.  The degree-one entries are the inner map's
+    own layers, in dicts the table owns.
 
     take(inner) makes inner the inner map.  Layer k of a power of degree
     >= 2 reads only the inner layers below k, so take finds the first inner
@@ -765,11 +767,11 @@ class _PowerTable:
     above m, and forms them again from inner's layers, each power after its
     prefix parent, up to the new degree.  Every kept power layer was thus
     formed from inner layers equal to the current inner's, and
-    compose(outer, inner, low) returns outer o inner exactly, for any inner.
+    compose(outer, inner, low) returns the layers >= low of
+    outer.compose(inner) exactly, for any inner.
     """
 
-    def __init__(self, nvars: int, trunc: int) -> None:
-        self.trunc = trunc
+    def __init__(self, nvars: int) -> None:
         self.unpack = _unpacker(nvars)
         self.degree = 0
         self.factors: list[_Packed] = [{} for _ in range(nvars)]
@@ -801,7 +803,7 @@ class _PowerTable:
         # a canonical layer map holds no empty layer: layer 0 is a constant term
         if any(0 in mine for mine in layers):
             raise DomainError("non-zero constant term in composition argument")
-        cap = min(self.trunc, inner.trunc)
+        cap = inner.trunc
         top = min(self.degree, cap)
         kept = next(
             (k for k in range(1, top + 1) if any(mine.get(k) != old.get(k) for mine, old in zip(layers, self.factors))),
@@ -809,7 +811,7 @@ class _PowerTable:
         )
         for mine, factor in zip(layers, self.factors):
             factor.clear()
-            factor.update((d, entry) for d, entry in mine.items() if d <= cap)
+            factor.update(mine)
         for power, parent, factor in self.steps:
             for k in range(kept + 1, self.degree + 1):
                 power.pop(k, None)
@@ -818,8 +820,8 @@ class _PowerTable:
         return cap
 
     def compose(self, outer: "SeriesTuple", inner: "SeriesTuple", low: int = 0) -> "SeriesTuple":
-        """outer o inner in the degrees >= low, as outer.compose(inner, low)
-        gives it, from the kept powers."""
+        """The layers >= low of outer.compose(inner), from the kept powers;
+        the layers below low are absent, not zero, as for _mul."""
         n = len(self.factors)
         if outer.nvars != n:
             raise DomainError(f"composition needs {outer.nvars} inner series, got {n}")
@@ -833,31 +835,31 @@ class _PowerTable:
 
 
 class _LayerStream:
-    """The running sum start + sum_k layer_k o inner, read one degree at a time.
+    """The running sum inner + sum_k layer_k o inner, read one degree at a
+    time, where each homogeneous layer_k o inner enters only in the degrees
+    above layer_k's own: the degrees up to it are read before it is added.
 
     layer o inner = sum_I c_I inner^I over the monomials I of a homogeneous
     layer, so add reads the powers of that layer's monomials alone, from one
     _PowerTable of inner shared by every layer and component.  The sum is
     kept in integers, per component and degree in groups (_Groups): one for
-    the layer of start and one per layer added (_combine), so no numerator
+    the layer of inner and one per layer added (_combine), so no numerator
     kept so far is ever rescaled.  layer merges and reduces one degree.
     """
 
-    def __init__(self, inner: "SeriesTuple", start: "SeriesTuple") -> None:
-        n = inner.nvars
-        if start.nvars != n:
-            raise DomainError("the start must have the inner map's variables")
-        self.table = _PowerTable(n, inner.trunc)
-        self.nvars, self.trunc = n, self.table.take(inner)
+    def __init__(self, inner: "SeriesTuple") -> None:
+        self.table = _PowerTable(inner.nvars)
+        self.nvars, self.trunc = inner.nvars, self.table.take(inner)
         self.degree = 0
-        # _combine adds into these groups, so start's numerators are copied
+        # _combine adds into these groups, so inner's numerators are copied
         self.sums: list[dict[int, _Groups]] = [
-            {d: {den: dict(nums)} for d, (den, nums) in comp._packed.items() if d <= self.trunc} for comp in start
+            {d: {den: dict(nums)} for d, (den, nums) in comp._packed.items()} for comp in inner
         ]
 
-    def add(self, layer: "SeriesTuple", low: int) -> None:
-        """Add layer o inner in the degrees >= low.  The layer must be
-        homogeneous and nonzero, of no lower degree than the layers before."""
+    def add(self, layer: "SeriesTuple") -> None:
+        """Add layer o inner in the degrees above the layer's own.  The layer
+        must be homogeneous and nonzero, of no lower degree than the layers
+        before."""
         degree = layer.lowest_degree()
         if degree is None or degree < self.degree or any(c._packed.keys() - {degree} for c in layer):
             raise DomainError("layers must be homogeneous, nonzero and of non-decreasing degree")
@@ -866,7 +868,7 @@ class _LayerStream:
         self.degree = degree
         for comp, acc in zip(layer, self.sums):
             if degree in comp._packed:
-                _combine(comp._packed[degree], self.table.power, acc, low)
+                _combine(comp._packed[degree], self.table.power, acc, degree + 1)
 
     def layer(self, degree: int) -> "SeriesTuple":
         """Layer degree of the sum: homogeneous components at the inner cap."""
@@ -958,18 +960,16 @@ class SeriesTuple:
             a.agrees_through(b, degree) for a, b in zip(self.components, other.components)
         )
 
-    def compose(self, inner: "SeriesTuple | Sequence[MultiSeries]", low: int = 0) -> "SeriesTuple":
-        """Substitution c(g_0, ..., g_{n-1}) into every component c, in the
-        degrees >= low; each g_i must have zero constant term, and the cap is
-        the least of all caps.
+    def compose(self, inner: "SeriesTuple | Sequence[MultiSeries]") -> "SeriesTuple":
+        """Substitution c(g_0, ..., g_{n-1}) into every component c; each g_i
+        must have zero constant term, and the cap is the least of all caps.
 
         The powers of the g_i are walked up one degree at a time over the
         prefix closure (I -> I - e_last(I)) of the components' joint
         support, so a sparse outer map computes only the powers it reads,
         and only one degree of them is kept at a time; each degree adds one
         combination (_combine) per component to that component's
-        accumulator.  With low > 0 the layers below low are absent from the
-        result, not zero, as for _mul; the powers are still formed in full.
+        accumulator.
         """
         comps = tuple(inner)
         if len(comps) != self.nvars:
@@ -993,7 +993,7 @@ class SeriesTuple:
         for d in range(trunc + 1):
             for layers, acc in zip(terms, accs):
                 if d in layers:
-                    _combine(layers[d], lambda key: entries[unpack(key)], acc, low)
+                    _combine(layers[d], lambda key: entries[unpack(key)], acc)
             below, entries = entries, {}
             for exps in closure[d + 1]:
                 j, lower = _parent(exps)

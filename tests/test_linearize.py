@@ -267,15 +267,39 @@ class TestOrderByOrder:
         with pytest.raises(DomainError):
             linearize_order_by_order(doubling_map(4), 1)
 
+    @pytest.mark.parametrize("degree", ["4", 2.5, 4.0, True, Fraction(5)])
+    def test_degree_must_be_an_int(self, degree):
+        # a bool, float, string or Fraction is refused, never compared or floored
+        f = doubling_map(8)
+        with pytest.raises(DomainError):
+            linearize_order_by_order(f, degree)
+        with pytest.raises(DomainError):
+            linearize_newton(f, degree, DiophantineParams(1, 0), prime=3)
+
     def test_resonance_propagates(self):
         f = build_map([[((1, 0), 4), ((0, 2), 1)], [((0, 1), 2)]], 4)
         with pytest.raises(ResonantMonomialError):
             linearize_order_by_order(f, 4)
 
-    def test_identity_on_full_locus(self):
-        f = build_map([[((1, 0), 1)], [((0, 1), 1)]], 4, r=2)
-        result = linearize_order_by_order(f, 4)
-        assert result.h == SeriesTuple.identity(2, 4)
+    @pytest.mark.parametrize("degree", [2, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_on_full_locus(self, n, degree):
+        # a map fixing every point is the identity; both routes run their
+        # general loops on it, and Newton checks its prime as for any map
+        f = build_map([[(tuple(int(i == j) for j in range(n)), 1)] for i in range(n)], 6, r=n)
+        ident = SeriesTuple.identity(n, degree)
+        direct = linearize_order_by_order(f, degree)
+        result, trace = linearize_newton(f, degree, DiophantineParams(1, 0))
+        for res in (direct, result):
+            assert res.h == res.h_inverse == ident
+            assert res.residual == SeriesTuple.zero(n, n, degree)
+            assert res.verified_degree == degree
+            assert res.denominator_primes == frozenset()
+            assert res.eigenvalues == (1,) * n
+        assert (trace.iterations, trace.rescale, trace.prime) == ((), 1, 3)
+        for prime in (2, 4, 9):
+            with pytest.raises(DomainError):
+                linearize_newton(f, degree, DiophantineParams(1, 0), prime=prime)
 
 
 class TestNormalizeFixedLocus:
@@ -799,7 +823,7 @@ class TestLayerStep:
         lams = linearize._normalized_eigenvalues(f)
         fmap = f.components.truncated(degree)
         h = SeriesTuple.identity(f.n, degree)
-        table = series._PowerTable(f.n, degree)
+        table = series._PowerTable(f.n)
         monkeypatch.setattr(series, "_convolve", counted)
         for d in range(2, degree + 1):
             h = linearize._layer_step(h, fmap, table, lams, 0, d)
@@ -906,7 +930,7 @@ class TestOnePowerTable:
         fmap = f.components.truncated(degree)
         h = SeriesTuple.identity(n, degree)
         for d in range(2, degree + 1):
-            h = linearize._layer_step(h, fmap, series._PowerTable(n, degree), lams, r, d)
+            h = linearize._layer_step(h, fmap, series._PowerTable(n), lams, r, d)
         monkeypatch.setattr(linearize, "_verified_conjugacy", lambda h, composed, fmap, lams, r: (h, composed))
         table_h, composed = linearize_order_by_order(f, degree)
         assert any(c.degree() > 1 for c in h)
@@ -927,7 +951,7 @@ class TestOnePowerTable:
 
         class Fresh(series._PowerTable):
             def compose(self, outer, inner, low=0):
-                return series._PowerTable(len(self.factors), self.trunc).compose(outer, inner, low)
+                return series._PowerTable(len(self.factors)).compose(outer, inner, low)
 
         monkeypatch.setattr(linearize, "_PowerTable", Fresh)
         assert newton_route(f, degree).h == kept
@@ -1153,13 +1177,13 @@ class TestInverseStream:
         streams, added = [], []
 
         class Recording(series._LayerStream):
-            def __init__(self, inner, start):
-                super().__init__(inner, start)
+            def __init__(self, inner):
+                super().__init__(inner)
                 streams.append(self)
 
-            def add(self, layer, low):
+            def add(self, layer):
                 added.append(layer)
-                super().add(layer, low)
+                super().add(layer)
 
         counts = Counter()
 

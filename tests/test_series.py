@@ -307,6 +307,12 @@ def dict_compose(outer, inner, nvars, trunc, low=0):
     return {e: c for e, c in out.items() if c and sum(e) >= low}
 
 
+def from_low(tup, low):
+    """The layers >= low of a series tuple, those below absent: what a kept
+    table's compose from low returns."""
+    return SeriesTuple([MultiSeries(c.nvars, c.trunc, [(e, v) for e, v in c.terms() if sum(e) >= low]) for c in tup])
+
+
 # per-layer denominators: powers of 2 that grow with the degree, and
 # products of mixed primes that change from layer to layer
 LAYER_DENOMINATORS = {
@@ -398,9 +404,12 @@ class TestGradedView:
         outer = [layered_series(rng, nvars, trunc, dens) for _ in range(2)]
         inner = [layered_series(rng, nvars, trunc, dens, zero_constant=True) for _ in range(nvars)]
         inner_terms = [dict(g.terms()) for g in inner]
+        full = SeriesTuple(outer).compose(SeriesTuple(inner))
+        for comp, f in zip(full, outer):
+            assert dict(comp.terms()) == dict_compose(dict(f.terms()), inner_terms, nvars, trunc)
         for low in (0, trunc - 1, trunc):
-            result = SeriesTuple(outer).compose(SeriesTuple(inner), low)
-            assert _PowerTable(nvars, trunc).compose(SeriesTuple(outer), SeriesTuple(inner), low) == result
+            result = _PowerTable(nvars).compose(SeriesTuple(outer), SeriesTuple(inner), low)
+            assert result == from_low(full, low)
             for comp, f in zip(result, outer):
                 assert dict(comp.terms()) == dict_compose(dict(f.terms()), inner_terms, nvars, trunc, low)
 
@@ -492,8 +501,9 @@ class TestCompose:
 
 
 class TestLayerStream:
-    """The integer running sum start + sum_k layer_k o inner equals the
-    Fraction sum of SeriesTuple.compose, layer by layer."""
+    """The integer running sum inner + sum_k layer_k o inner, each term above
+    its layer's degree, equals the Fraction sum of SeriesTuple.compose,
+    layer by layer."""
 
     @staticmethod
     def homogeneous(rng, nvars, trunc, degree):
@@ -514,9 +524,8 @@ class TestLayerStream:
                 inner = SeriesTuple(
                     [rand_series(rng, nvars, trunc, terms=4, zero_constant=True) for _ in range(nvars)]
                 )
-                start = SeriesTuple([rand_series(rng, nvars, trunc, terms=5) for _ in range(nvars)])
-                stream = _LayerStream(inner, start)
-                expected = start
+                stream = _LayerStream(inner)
+                expected = inner
                 # non-decreasing degrees, with gaps and repeats
                 degrees = sorted(rng.choice(range(1, trunc + 1)) for _ in range(4))
                 for degree in degrees:
@@ -524,14 +533,8 @@ class TestLayerStream:
                     if nvars > 1:
                         comps[rng.randrange(nvars)] = MultiSeries.zero(nvars, trunc)
                     layer = SeriesTuple(comps)
-                    low = rng.randint(degree, trunc + 1)
-                    stream.add(layer, low)
-                    expected = expected + SeriesTuple(
-                        [
-                            MultiSeries(nvars, trunc, [(e, c) for e, c in comp.terms() if sum(e) >= low])
-                            for comp in layer.compose(inner)
-                        ]
-                    )
+                    stream.add(layer)
+                    expected = expected + from_low(layer.compose(inner), degree + 1)
                     for d in range(trunc + 1):
                         for comp, exact in zip(stream.layer(d), expected):
                             assert comp.trunc == trunc
@@ -540,15 +543,14 @@ class TestLayerStream:
 
     def test_rejects_falling_or_mixed_degrees(self):
         x, y = MultiSeries.variable(0, 2, 5), MultiSeries.variable(1, 2, 5)
-        start = SeriesTuple.zero(2, 2, 5)
-        stream = _LayerStream(SeriesTuple([x + y * y, y]), start)
-        stream.add(SeriesTuple([x * y, y * y]), 2)
+        stream = _LayerStream(SeriesTuple([x + y * y, y]))
+        stream.add(SeriesTuple([x * y, y * y]))
         with pytest.raises(DomainError):
-            stream.add(SeriesTuple([x, y]), 1)
+            stream.add(SeriesTuple([x, y]))
         with pytest.raises(DomainError):
-            stream.add(SeriesTuple([x * y * y, y * y]), 3)
+            stream.add(SeriesTuple([x * y * y, y * y]))
         with pytest.raises(DomainError):
-            _LayerStream(SeriesTuple([x + 1, y]), start)
+            _LayerStream(SeriesTuple([x + 1, y]))
 
 
 class TestPowerTable:
@@ -574,11 +576,11 @@ class TestPowerTable:
             for _ in range(3):
                 outer = SeriesTuple([rand_series(rng, nvars, trunc, terms=5) for _ in range(nvars)])
                 target = SeriesTuple([rand_series(rng, nvars, trunc, terms=6, zero_constant=True) for _ in range(nvars)])
-                table = _PowerTable(nvars, trunc)
+                table = _PowerTable(nvars)
                 for cap in range(1, trunc + 1):
                     inner = self.grown(rng, target, cap)
                     low = rng.randint(0, cap)
-                    assert table.compose(outer, inner, low) == outer.compose(inner, low)
+                    assert table.compose(outer, inner, low) == from_low(outer.compose(inner), low)
                 assert table.compose(outer, target) == outer.compose(target)
 
     def test_a_changed_layer_or_a_lower_cap_is_served_exactly(self):
@@ -586,7 +588,7 @@ class TestPowerTable:
         nvars, trunc = 2, 7
         outer = SeriesTuple([rand_series(rng, nvars, trunc, terms=6) for _ in range(nvars)])
         target = SeriesTuple([rand_series(rng, nvars, trunc, terms=8, zero_constant=True) for _ in range(nvars)])
-        table = _PowerTable(nvars, trunc)
+        table = _PowerTable(nvars)
         for cap in range(1, 5):
             table.compose(outer, self.grown(rng, target, cap))
         # layer 2 was taken at cap 4; then a lower cap, then target's own
@@ -596,7 +598,7 @@ class TestPowerTable:
         # the table goes on from the layers it took last
         for cap in range(5, trunc + 1):
             inner = self.grown(rng, target, cap)
-            assert table.compose(outer, inner, cap) == outer.compose(inner, cap)
+            assert table.compose(outer, inner, cap) == from_low(outer.compose(inner), cap)
         assert table.compose(outer, target) == outer.compose(target)
 
     @pytest.mark.parametrize("changed", [2, 3, 4, 5])
@@ -607,7 +609,7 @@ class TestPowerTable:
         target = SeriesTuple(
             [layered_series(rng, nvars, trunc, lambda d: [1, 5], zero_constant=True) for _ in range(nvars)]
         )
-        table = _PowerTable(nvars, trunc)
+        table = _PowerTable(nvars)
         table.compose(outer, target)
         bump = MultiSeries(nvars, trunc, [((changed, 0), Fraction(1, 7))])
         inner = SeriesTuple([target[0] + bump, target[1]])
@@ -616,14 +618,14 @@ class TestPowerTable:
         kept = table.compose(outer, inner)
         kept_pairs = sum(visited)
         visited.clear()
-        fresh = _PowerTable(nvars, trunc).compose(outer, inner)
+        fresh = _PowerTable(nvars).compose(outer, inner)
         assert kept == fresh == outer.compose(inner)
         assert kept_pairs < sum(visited)
 
     def test_rejects_a_constant_term_or_a_non_square_map(self):
         x, y = MultiSeries.variable(0, 2, 4), MultiSeries.variable(1, 2, 4)
         outer = SeriesTuple([x * y, y + x * x])
-        table = _PowerTable(2, 4)
+        table = _PowerTable(2)
         with pytest.raises(DomainError):
             table.compose(outer, SeriesTuple([x + 1, y]))
         with pytest.raises(DomainError):
@@ -765,17 +767,15 @@ class TestCanonicalForm:
         outer = SeriesTuple([a, b])
         for i, comp in enumerate(outer.compose(inner)):
             results[f"compose {i}"] = comp
-        for i, comp in enumerate(outer.compose(inner, low)):
-            results[f"compose from low {i}"] = comp
-        tabled = _PowerTable(nvars, trunc).compose(outer, inner, low)
-        assert tabled == outer.compose(inner, low)
+        tabled = _PowerTable(nvars).compose(outer, inner, low)
+        assert tabled == from_low(outer.compose(inner), low)
         for i, comp in enumerate(tabled):
             results[f"table compose from low {i}"] = comp
         factors = [scalar or 1, Fraction(0), Fraction(-5, 4)][:nvars]
         results["diagonal substitution"] = SeriesTuple([a]).compose_diagonal(factors)[0]
-        stream = _LayerStream(inner, SeriesTuple([b] * nvars))
+        stream = _LayerStream(inner)
         if a.degree():
-            stream.add(SeriesTuple([a] * nvars).layer_tuple(a.degree()), low)
+            stream.add(SeriesTuple([a] * nvars).layer_tuple(a.degree()))
         for d in range(trunc + 1):
             results[f"stream layer {d}"] = stream.layer(d)[0]
         for name, series in results.items():
@@ -877,7 +877,7 @@ def compositions(draw):
     supports; the inner series have their own variable count and caps.  The
     first component may hold a monomial I beside I + e_last, whose power is
     built from inner^I, so one table power is both read and extended.  low
-    runs from 0 to one above the cap.
+    runs from 0 to one above the cap; the kept table reads it on square maps.
     """
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     outer_trunc = draw(st.integers(0, 5))
@@ -935,19 +935,19 @@ class TestComposeAgainstSympy:
             for c in outer
         ]
         singles = [c.compose(inner) for c in outer]
-        if len(inner) == inner[0].nvars:
-            # the kept table serves square maps of one cap
-            square = SeriesTuple([g.truncated(trunc) for g in inner])
-            assert _PowerTable(len(inner), trunc).compose(outer, square, low) == outer.compose(inner, low)
-        for comp, single, part, want in zip(outer.compose(inner), singles, outer.compose(inner, low), expected):
-            assert comp.trunc == single.trunc == part.trunc == trunc
-            assert comp.nvars == single.nvars == part.nvars == inner[0].nvars
+        composed = outer.compose(inner)
+        for comp, single, want in zip(composed, singles, expected):
+            assert comp.trunc == single.trunc == trunc
+            assert comp.nvars == single.nvars == inner[0].nvars
             assert dict(comp.terms()) == dict(single.terms()) == want
-            # the layers from low up are those of the full substitution, and
-            # none below low is formed
-            assert {d: part.layer(d) for d in range(trunc + 1) if part.layer(d)} == {
-                d: comp.layer(d) for d in range(low, trunc + 1) if comp.layer(d)
-            }
+        if len(inner) == inner[0].nvars:
+            # the kept table serves square maps of one cap: the layers from
+            # low up are those of the full substitution, and none below low
+            # is formed
+            square = SeriesTuple([g.truncated(trunc) for g in inner])
+            part = _PowerTable(len(inner)).compose(outer, square, low)
+            assert part == from_low(composed, low)
+            assert all(c.trunc == trunc and c.nvars == inner[0].nvars for c in part)
 
 
 class TestGaussNorm:
