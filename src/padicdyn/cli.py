@@ -274,6 +274,25 @@ def cmd_analyze(args) -> dict:
     if args.degree is not None:
         _check_series_degree(f.n, depth, "--degree")
     jac = jacobian_at_origin(f)
+    symplectic = None
+    if doc.symplectic_form is not None:
+        # the form is part of the document: a bad one is refused before any
+        # obstruction; the parser refused an all-zero form, so mu exists
+        sigma = doc.symplectic_form
+        m = ratlinalg.as_matrix(jac)
+        lhs = ratlinalg.mat_mul(ratlinalg.mat_mul(ratlinalg.transpose(m), ratlinalg.as_matrix(sigma)), m)
+        mu = next(lhs[i][j] / x for i, row in enumerate(sigma) for j, x in enumerate(row) if x)
+        try:
+            check = symplectic_scaling_check(jac, sigma, mu)
+        except DomainError as exc:
+            raise DocumentError("symplectic_form", str(exc)) from exc
+        symplectic = {
+            "scaling": _encode_rational(mu),
+            "holds": check.holds,
+            "pairs": None
+            if check.pairs is None
+            else [[_encode_rational(a), _encode_rational(b)] for a, b in check.pairs],
+        }
     eigen = rational_eigenvalues(jac)
     lams = list(eigen.eigenvalues)
     resonances = enumerate_resonances(lams, f.fixed_locus_dim, depth) if all(
@@ -301,26 +320,8 @@ def cmd_analyze(args) -> dict:
         },
         "default_prime": prime,
     }
-    if doc.symplectic_form is not None:
-        sigma = doc.symplectic_form
-        mu = None
-        m = ratlinalg.as_matrix(jac)
-        lhs = ratlinalg.mat_mul(ratlinalg.mat_mul(ratlinalg.transpose(m), ratlinalg.as_matrix(sigma)), m)
-        for i in range(f.n):
-            for j in range(f.n):
-                if sigma[i][j]:
-                    mu = lhs[i][j] / sigma[i][j]
-                    break
-            if mu is not None:
-                break
-        check = symplectic_scaling_check(jac, sigma, mu)
-        report["symplectic"] = {
-            "scaling": _encode_rational(mu),
-            "holds": check.holds,
-            "pairs": None
-            if check.pairs is None
-            else [[_encode_rational(a), _encode_rational(b)] for a, b in check.pairs],
-        }
+    if symplectic is not None:
+        report["symplectic"] = symplectic
     return report
 
 
@@ -455,7 +456,12 @@ def cmd_orbit(args) -> dict:
     prime = args.prime or doc.prime or choose_prime(f)
     start = _parse_point(args.start, f.n)
     nbhd = Neighbourhood(prime=prime, level=args.level, dim=f.n)
-    result = iterate_in_neighbourhood(f, start, args.steps, nbhd, precision=precision)
+    try:
+        result = iterate_in_neighbourhood(f, start, args.steps, nbhd, precision=precision)
+    except DomainError as exc:
+        # steps, precision and the neighbourhood are checked above, so what
+        # is refused is the point: not integral, or outside the neighbourhood
+        raise DocumentError("--start", str(exc)) from exc
     return {
         "prime": prime,
         "level": args.level,

@@ -97,14 +97,17 @@ conjugation, by a change linear in the transverse variables:
 Its head part M = a' (a'')^(-1) is the paper's shear modulo I_F^2, which
 removes the head-tail linear coupling of f = (x' + a' x''; x'' + a'' x'').
 That shear leaves the transverse block B = 1 + a'' as it is, so C is read
-from f's own blocks: interpolation projectors built from B diagonalize it
-with coefficients that are series along the locus.  The projectors
-P_lambda are polynomials in B itself, with no change of basis: column j of
-C is P_(lambda_j)(B) v_j, for v_j the j-th eigenvector of B(0).  That is
-the eigenbasis route, C0 times column j of P_(lambda_j)(C0^(-1) B C0) with
-C0 = (v_1 ... v_t), because a polynomial in B commutes with the constant
-similarity: P_lambda(C0^(-1) B C0) = C0^(-1) P_lambda(B) C0.  The change is
-one series matrix-vector product, and the normalized map is
+from f's own blocks, and it diagonalizes B with coefficients that are
+series along the locus.  Column j of C is P_(lambda_j)(B) v_j, for v_j the
+j-th eigenvector of B(0) and P_lambda the interpolation projector, a
+polynomial in B itself: it is formed from v_j by one matrix-vector step
+per other eigenvalue, and no projector matrix is formed.  One check,
+B C = C D for D = diag(lambda_j), accepts exactly the blocks that are
+semisimple along the locus.  Column j is the eigenbasis route, C0 times
+column j of P_(lambda_j)(C0^(-1) B C0) with C0 = (v_1 ... v_t), because a
+polynomial in B commutes with the constant similarity:
+P_lambda(C0^(-1) B C0) = C0^(-1) P_lambda(B) C0.  The change is one series
+matrix-vector product, and the normalized map is
 change^(-1) o (f o change).  A map fixing every point (r = n) is the
 identity and runs the same routes: every residual vanishes, and
 h = h^(-1) = id.
@@ -746,17 +749,24 @@ def _diagonalizing_matrix(a_tail: list[list[MultiSeries]]) -> tuple[list[Fractio
     B must be semisimple with constant eigenvalues along the locus: the
     characteristic polynomial is computed over the series ring, by the
     trace recursion of dynamics._char_poly, and must have constant
-    coefficients, and the interpolation projectors
-    P_lambda = prod_{mu != lambda} (B - mu) / (lambda - mu) of B itself
-    must resolve the identity.  v_j is the j-th eigenvector of B(0), in
-    pivot order, and lambda_j its eigenvalue.  Column j equals C0 times
-    column j of P_(lambda_j)(C0^(-1) B C0) for C0 = (v_1 ... v_t), the
-    route through the eigenbasis, since P_lambda(C0^(-1) B C0) =
+    coefficients, and B C = C D must hold for D = diag(lambda_j).  v_j is
+    the j-th eigenvector of B(0), in pivot order, and lambda_j its
+    eigenvalue.  Column j is formed from v_j by one matrix-vector step per
+    factor (B - mu) / (lambda_j - mu) of the interpolation projector
+    P_lambda = prod_{mu != lambda} (B - mu) / (lambda - mu); no projector
+    matrix is formed.  C(0) = (v_1 ... v_t) is invertible, so B C = C D
+    holds exactly when B = C D C^(-1), that is when B P_lambda =
+    lambda P_lambda for every lambda.  That makes each P_lambda idempotent,
+    and the P_lambda sum to the identity for every B, so the one check is
+    as strong as checking the projectors.  Column j equals C0 times column
+    j of P_(lambda_j)(C0^(-1) B C0) for C0 = (v_1 ... v_t), the route
+    through the eigenbasis, since P_lambda(C0^(-1) B C0) =
     C0^(-1) P_lambda(B) C0 in the truncated ring.
     """
     t, nvars, trunc = len(a_tail), a_tail[0][0].nvars, a_tail[0][0].trunc
-    unit = _diagonal_matrix([1] * t, nvars, trunc)
-    block = [[a + one for a, one in zip(a_row, unit_row)] for a_row, unit_row in zip(a_tail, unit)]
+    block = [
+        [a + MultiSeries.constant(int(i == j), nvars, trunc) for j, a in enumerate(row)] for i, row in enumerate(a_tail)
+    ]
     *lower, lead = _char_poly(block, _series_matrix_mul)
     for coeff_series in lower:
         if not coeff_series.substitute_zero(range(nvars)).agrees_through(coeff_series, trunc):
@@ -783,42 +793,17 @@ def _diagonalizing_matrix(a_tail: list[list[MultiSeries]]) -> tuple[list[Fractio
     collected.sort(key=lambda item: item[0])
     ordered = [lam for _, lam, _ in collected]
     distinct = sorted(set(ordered))
-    projectors = {}
-    for lam in distinct:
-        proj = unit
+    columns = []
+    for _, lam, vec in collected:
+        column = SeriesTuple([MultiSeries.constant(c, nvars, trunc) for c in vec])
         for other in distinct:
             if other != lam:
-                shift = [
-                    [(entry - one.scale(other)).scale(1 / (lam - other)) for entry, one in zip(b_row, unit_row)]
-                    for b_row, unit_row in zip(block, unit)
-                ]
-                proj = _series_matrix_mul(proj, shift)
-        projectors[lam] = proj
-    _verify_projectors(block, projectors)
-    columns = [
-        _series_matrix_vector(projectors[lam], SeriesTuple([MultiSeries.constant(c, nvars, trunc) for c in vec]))
-        for _, lam, vec in collected
-    ]
-    return ordered, [list(row) for row in zip(*columns)]
-
-
-def _verify_projectors(block: list[list[MultiSeries]], projectors: dict[Fraction, list[list[MultiSeries]]]) -> None:
-    """Each projector is idempotent and has block P = lambda P, and they sum
-    to the identity; none of the three changes under a constant similarity,
-    so they hold for B exactly when they hold in the eigenbasis."""
-    nvars, trunc = block[0][0].nvars, block[0][0].trunc
-    for lam, proj in projectors.items():
-        if _series_matrix_mul(proj, proj) != proj:
-            raise NotSemisimpleError("projector is not idempotent over the locus")
-        if _series_matrix_mul(block, proj) != [[entry.scale(lam) for entry in row] for row in proj]:
+                image = _series_matrix_vector(block, column)
+                column = SeriesTuple([(b - c.scale(other)).scale(1 / (lam - other)) for b, c in zip(image, column)])
+        if _series_matrix_vector(block, column) != SeriesTuple([c.scale(lam) for c in column]):
             raise NotSemisimpleError("transverse block is not semisimple over the locus")
-    # entry (i, j) of the sum adds entry (i, j) of every projector
-    total = [
-        [sum(entries, MultiSeries.zero(nvars, trunc)) for entries in zip(*rows)]
-        for rows in zip(*projectors.values())
-    ]
-    if total != _diagonal_matrix([1] * len(block), nvars, trunc):
-        raise NotSemisimpleError("projectors do not resolve the identity")
+        columns.append(column)
+    return ordered, [list(row) for row in zip(*columns)]
 
 
 def normalize_fixed_locus(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
@@ -831,9 +816,10 @@ def normalize_fixed_locus(f: AnalyticMap) -> tuple[AnalyticMap, SeriesTuple]:
     is (x', 0) + [M C; C] x'' (_conjugated).  Its head part M = a' (a'')^(-1)
     is the shear that makes f the identity on x' modulo I_F^2; the shear
     leaves the transverse block B = 1 + a'' unchanged, so C, which
-    diagonalizes B (_diagonalizing_matrix), is read from f itself.  A map
-    with no coupling and a constant diagonal B is returned with the
-    identity.
+    diagonalizes B (_diagonalizing_matrix), is read from f itself: it is
+    built column by column from the eigenvectors of B(0) and accepted only
+    if B C = C D.  A map with no coupling and a constant diagonal B is
+    returned with the identity.
     """
     r, n, trunc = f.fixed_locus_dim, f.n, f.trunc
     identity = SeriesTuple.identity(n, trunc)

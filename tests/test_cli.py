@@ -224,6 +224,20 @@ class TestAnalyze:
         assert data["error"]["kind"] == "document"
         assert data["error"]["location"] == "symplectic_form"
 
+    @pytest.mark.parametrize(
+        "make_document, form, message",
+        [
+            (readme_map_document, [[1, 0], [0, 0]], "form is not antisymmetric"),
+            (symplectic_document, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], "form is degenerate"),
+            (doubling_document, [[1]], "symplectic form needs even dimension"),
+        ],
+    )
+    def test_bad_symplectic_form_exit_one(self, tmp_path, make_document, form, message):
+        document = dict(make_document(), symplectic_form=form)
+        code, data = run_to_file(tmp_path, ["analyze", write_json(tmp_path, "map.json", document)])
+        assert code == 1
+        assert data["error"] == {"kind": "document", "location": "symplectic_form", "message": f"symplectic_form: {message}"}
+
     def test_usage_error_exit_one(self):
         assert run(["analyze"]) == 1
         assert run(["no-such-command", "x"]) == 1
@@ -351,6 +365,16 @@ class TestOrbit:
         assert report["constant_mod_level"]
         first = report["points"][0][0]
         assert first.endswith("e1")  # valuation of 3 at p = 3
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [("1", "starting point is outside the neighbourhood"), ("1/3", "coordinate 0 is not integral")],
+    )
+    def test_refused_start_exit_one(self, tmp_path, start, message):
+        doc = write_json(tmp_path, "map.json", doubling_document())
+        code, data = run_to_file(tmp_path, ["orbit", doc, "--start", start, "--steps", "3", "--prime", "3"])
+        assert code == 1
+        assert data["error"] == {"kind": "document", "location": "--start", "message": f"--start: {message}"}
 
     def test_non_integral_map_exit_two(self, tmp_path):
         doc = write_json(

@@ -573,8 +573,11 @@ TRIANGULAR_BLOCKS = {
 
 
 class TestProjectorsOfTheBlockItself:
-    """normalize_fixed_locus, with the projectors of B itself, returns the
-    change and g of the eigenbasis route, after the shear when f is coupled."""
+    """normalize_fixed_locus, whose columns P_(lambda_j)(B) v_j are formed
+    from B itself by matrix-vector steps and accepted by the one check
+    B C = C D, returns the change and g of the eigenbasis route (whose
+    projector matrices are formed in full), after the shear when f is
+    coupled, and refuses a block that is semisimple at the point only."""
 
     @pytest.mark.parametrize("trunc", [4, 5])
     @pytest.mark.parametrize("name", sorted(TRIANGULAR_BLOCKS))
@@ -603,9 +606,23 @@ class TestProjectorsOfTheBlockItself:
             identity = SeriesTuple.identity(f.n, trunc)
             assert shear != identity and ref_change != identity
 
-    def test_locus_dependent_jordan_block_is_refused(self):
-        # B = [[-2, x1], [0, -2]]: semisimple at the point, not along the locus
-        f = build_map([[((1, 0, 0), 1)], [((0, 1, 0), -2), ((1, 0, 1), 1)], [((0, 0, 1), -2)]], 5, r=1)
+    @pytest.mark.parametrize(
+        "r, terms",
+        [
+            # B = [[-2, x1], [0, -2]]: semisimple at the point, not along the locus
+            (1, [[((1, 0, 0), 1)], [((0, 1, 0), -2), ((1, 0, 1), 1)], [((0, 0, 1), -2)]]),
+            # B = [[-2, x1, 0], [0, -2, 0], [0, 0, -3]]: the Jordan part lies in
+            # a repeated eigenspace beside a distinct eigenvalue
+            (1, [[((1, 0, 0, 0), 1)], [((0, 1, 0, 0), -2), ((1, 0, 1, 0), 1)], [((0, 0, 1, 0), -2)],
+                 [((0, 0, 0, 1), -3)]]),
+            # B = [[2, x1 + x2, 0], [0, 2, 0], [0, 0, -1]] along a plane
+            (2, [[((1, 0, 0, 0, 0), 1)], [((0, 1, 0, 0, 0), 1)],
+                 [((0, 0, 1, 0, 0), 2), ((1, 0, 0, 1, 0), 1), ((0, 1, 0, 1, 0), 1)], [((0, 0, 0, 1, 0), 2)],
+                 [((0, 0, 0, 0, 1), -1)]]),
+        ],
+    )
+    def test_locus_dependent_jordan_block_is_refused(self, r, terms):
+        f = build_map(terms, 5, r=r)
         with pytest.raises(NotSemisimpleError, match="not semisimple over the locus"):
             normalize_fixed_locus(f)
 
