@@ -39,10 +39,10 @@ strong as one that composes afresh.  An order-by-order step at degree d
 reads an h changed in layer d - 1 alone, so that run forms each power
 layer once, about one composition in all.  A Newton window [low, high]
 forms the power layers above low - 1 for its residual, and those above low
-again after its correction; the final check reads h mapped back to the
-original coordinates, which differs from the rescaled h from layer 2 up
-unless the rescaling is trivial.  Each layer step also asserts that it
-adds its own layer alone.
+again after its correction.  Newton iterates on f itself, so its final
+check reads the h of its last layer step, changed in the top layer alone,
+which no power layer reads: it forms none.  Each layer step also asserts
+that it adds its own layer alone.
 
 Each run builds one table of the eigenvalue powers lambda^I
 (series._DiagonalPowers), filled from prefix parents,
@@ -53,11 +53,13 @@ of every homological solve, the diagonal substitutions h o Lambda of the
 residuals, the resonance search before h^(-1) and the final check all read
 the same powers, each formed once.
 
-Before iterating, the map is rescaled by the smallest power of the working
-prime that makes the nonlinearity p-adically small; the conjugacy is
-mapped back to the original coordinates afterwards, so both routes agree
-coefficient for coefficient.  The rescaling and its inverse are the same
-conjugation x -> g(c x) / c, a diagonal substitution and a scaling.
+The norm estimates need the nonlinearity p-adically small, so the
+certificates read the conjugate u f(x / u), for u the least power of the
+working prime that makes it so (_rescale_exponent).  That conjugation,
+x -> g(c x) / c (SeriesTuple.rescaled), commutes with composition, the
+Jacobian solve, the divisors and the layer step, so Newton iterates on f
+and h themselves and conjugates by c = 1/u only the certificates' inputs:
+g, e and the step.  Every trace field is that of the rescaled iteration.
 
 Within a window the residual has order >= low and is kept through degree
 high.  g solves (Dh o Lambda) g = residual one degree at a time
@@ -511,9 +513,11 @@ def linearize_newton(
 
     Produces exactly the conjugacy of linearize_order_by_order (the
     normalized solution is unique); correction orders are 2, 4, 8, ...
-    The iteration runs on the rescaled map u f(x / u) with u the smallest
-    prime power making the nonlinearity p-adically small, and h is mapped
-    back afterwards.
+    The iteration runs on f and h themselves, with one power table through
+    the final check.  Only the certificate inputs, g, e and the step, are
+    conjugated to the coordinates of u f(x / u), with u the smallest prime
+    power making the nonlinearity p-adically small, so the trace holds the
+    norms of the rescaled iteration.
     """
     _check_degree(f, degree)
     n, r = f.n, f.fixed_locus_dim
@@ -524,9 +528,8 @@ def linearize_newton(
         check_odd_prime(prime)
 
     fmap = f.components.truncated(degree)
-    scale_exp = _rescale_exponent(fmap, lams, prime)
-    u = Fraction(1, prime**scale_exp)
-    scaled = _rescale_map(fmap, 1 / u)
+    # the certificates read g, e and the step in the coordinates of u f(x / u), u = 1 / scale
+    scale = prime ** _rescale_exponent(fmap, prime)
 
     table = _PowerTable(n)
     h = SeriesTuple.identity(n, degree)
@@ -535,7 +538,7 @@ def linearize_newton(
     while low <= degree:
         high = min(2 * low - 1, degree)
         hd = h.truncated(high)
-        residual = table.compose(scaled, hd) - hd.compose_diagonal(lams)
+        residual = table.compose(fmap, hd) - hd.compose_diagonal(lams)
         res_low = residual.lowest_degree()
         if res_low is not None and res_low <= high:
             if res_low < low:
@@ -554,7 +557,7 @@ def linearize_newton(
             # bound's horizon is read from it
             g = SeriesTuple([comp.as_polynomial(degree) for comp in g])
             e = solve_homological(g, lams, r)
-            bound = check_norm_bound(g, e, lams, rho, delta, params, prime)
+            bound = check_norm_bound(g.rescaled(scale), e.rescaled(scale), lams, rho, delta, params, prime)
             # e inherits the window support of g, and Dh has a constant
             # term, so Dh e formed at cap high has its layers in low..high
             correction = _series_matrix_vector(jac, e.truncated(high))
@@ -562,7 +565,7 @@ def linearize_newton(
             # (Dh o Lambda)^(-1) is a right inverse up to order 2 low - 1, so
             # the pass leaves a residual in layer high at most, which the
             # layer step solves; the next window's residual checks the rest
-            refined = _layer_step(refined, scaled, table, lams, r, high)
+            refined = _layer_step(refined, fmap, table, lams, r, high)
             step = refined - h
             h = refined
             iterations.append(
@@ -570,42 +573,27 @@ def linearize_newton(
                     index=index,
                     window=(low, high),
                     delta_order=step.lowest_degree(),
-                    delta_norm=tuple_gauss_norm(step, rho, prime),
+                    delta_norm=tuple_gauss_norm(step.rescaled(scale), rho, prime),
                     rho=rho,
                     bound=bound,
                 )
             )
         low = 2 * low
 
-    h = _rescale_map(h, u)
+    # the last table read was the closing layer step's, on this h but for
+    # its top layer, which no power layer reads: the check forms none
     composed = table.compose(fmap, h)
     del table
     result = _verified_conjugacy(h, composed, fmap, lams, r)
-    trace = NewtonTrace(iterations=tuple(iterations), rescale=u, prime=prime)
+    trace = NewtonTrace(iterations=tuple(iterations), rescale=Fraction(1, scale), prime=prime)
     return result, trace
 
 
-def _rescale_exponent(fmap: SeriesTuple, lams: Sequence[Fraction], prime: int) -> int:
-    """Smallest k >= 0 with all rescaled nonlinear coefficients of norm <= 1/p."""
-    k = 0
-    for comp, lam in zip(fmap.components, lams):
-        for exps, coeff in comp.terms():
-            d = sum(exps)
-            if d < 2:
-                continue
-            v = fraction_valuation(coeff, prime)
-            # after rescaling: valuation v + k (d - 1); need >= 1
-            need = 1 - v
-            if need > 0:
-                k = max(k, math.ceil(Fraction(need, d - 1)))
-    return k
-
-
-def _rescale_map(g: SeriesTuple, c: Fraction) -> SeriesTuple:
-    """The conjugate x -> g(c x) / c: degree-d terms scale by c**(d - 1),
-    one power per degree."""
-    scales = [c ** (d - 1) for d in range(g.trunc + 1)]
-    return SeriesTuple([comp.weighted(lambda exps: scales[sum(exps)]) for comp in g.components])
+def _rescale_exponent(fmap: SeriesTuple, prime: int) -> int:
+    """Smallest k >= 0 with all rescaled nonlinear coefficients of norm <= 1/p:
+    a term of degree d and valuation v has valuation v + k (d - 1) after the
+    rescaling, so k >= (1 - v) / (d - 1)."""
+    return max([0] + [-((v - 1) // (d - 1)) for comp in fmap for d, _, v in comp.valuations(prime) if d >= 2])
 
 
 def check_norm_bound(
@@ -661,7 +649,8 @@ def _derivative_norms(
     w: SeriesTuple, lams: Sequence[Fraction], rho: Fraction, prime: int
 ) -> tuple[Fraction, Fraction]:
     """max_(i,j) |d_j w_i|_rho and max_(i,j) |(d_j w_i) o Lambda|_rho, from
-    one valuation per coefficient of w.
+    one valuation per coefficient of w, read off its packed layers
+    (MultiSeries.valuations).
 
     A term c x^I of w_i gives the term c I_j x^(I - e_j) of d_j w_i, times
     lambda^(I - e_j) after the diagonal substitution.  No two terms of w_i
@@ -678,20 +667,18 @@ def _derivative_norms(
     least: dict[int, int] = {}  # degree of the derivative -> least valuation
     least_lambda: dict[int, int] = {}
     for comp in w.components:
-        for d in range(w.trunc + 1):
-            for exps, c in comp.layer(d).items():
-                v = fraction_valuation(c, prime)
-                v_power = sum(e * vl for e, vl in zip(exps, v_lams))
-                at_zero = sum(exps[k] for k in zero)
-                for j, e in enumerate(exps):
-                    if not e:
-                        continue
-                    v_term = v + v_exps[e]
-                    least[d - 1] = min(v_term, least.get(d - 1, v_term))
-                    # lambda^(I - e_j) is nonzero when no zero lambda_k is left in it
-                    if at_zero == (j in zero):
-                        v_term += v_power - v_lams[j]
-                        least_lambda[d - 1] = min(v_term, least_lambda.get(d - 1, v_term))
+        for d, exps, v in comp.valuations(prime):
+            v_power = sum(e * vl for e, vl in zip(exps, v_lams))
+            at_zero = sum(exps[k] for k in zero)
+            for j, e in enumerate(exps):
+                if not e:
+                    continue
+                v_term = v + v_exps[e]
+                least[d - 1] = min(v_term, least.get(d - 1, v_term))
+                # lambda^(I - e_j) is nonzero when no zero lambda_k is left in it
+                if at_zero == (j in zero):
+                    v_term += v_power - v_lams[j]
+                    least_lambda[d - 1] = min(v_term, least_lambda.get(d - 1, v_term))
     p = Fraction(prime)
     return tuple(
         max((rho**d * p**-v for d, v in table.items()), default=Fraction(0))
@@ -705,14 +692,18 @@ def _derived_c1(params: DiophantineParams, rho: Fraction, delta: Fraction, horiz
     The per-coefficient divisor bound |lambda^I - lambda_j| >= C m^(-beta)
     gives |w_I| <= |g_I| m^beta / C; weighting by (rho-delta)^m / rho^m and
     maximizing over the degrees the truncation can hold yields this
-    constant, compared exactly by clearing the rational exponent.
+    constant, compared exactly by clearing the rational exponent.  For
+    0 < x < 1 and beta >= 0, m^beta x^m is log-concave in m, so the scan
+    stops at the first m whose candidate is not larger; a tie keeps the
+    first m.
     """
     x = (rho - delta) / rho
     best = RatPow(x**2, Fraction(2), params.beta)
     for m in range(3, horizon + 1):
         cand = RatPow(x**m, Fraction(m), params.beta)
-        if best < cand:
-            best = cand
+        if not best < cand:
+            break
+        best = cand
     return RatPow(best.coeff / params.C, best.base * delta / rho, params.beta)
 
 

@@ -44,7 +44,9 @@ combines none, and the stream adds each layer's substitution above that
 layer's own degree alone; a one-shot substitution forms every layer.  A
 diagonal substitution x_i -> lambda_i x_i scales each coefficient by
 lambda^I (weighted), read from a table of those powers (_DiagonalPowers)
-that callers may share between substitutions.  All are exact.
+that callers may share between substitutions; the conjugation by a scalar
+x -> c x (SeriesTuple.rescaled) scales each layer by one power of c.  All
+are exact.
 
 Every monomial walk of the package takes one step, from a nonzero
 monomial I to its prefix parent I - e_j with j the last variable of I
@@ -203,6 +205,16 @@ class MultiSeries:
         for den, nums in self._packed.values():
             yield from (den // gcd(n, den) for n in nums.values())
 
+    def valuations(self, prime: int) -> Iterator[tuple[int, Exponents, int]]:
+        """(degree, exponents, p-adic valuation) of each stored term, in no
+        fixed order: v_p(n) - v_p(den) over its layer's denominator, with no
+        Fraction built."""
+        unpack = _unpacker(self.nvars)
+        for d, (den, nums) in self._packed.items():
+            v_den = int_valuation(den, prime)
+            for key, n in nums.items():
+                yield d, unpack(key), int_valuation(n, prime) - v_den
+
     def layer(self, degree: int) -> dict[Exponents, Fraction]:
         """Layer degree as a fresh map of exponent tuples to Fractions."""
         if degree not in self._packed:
@@ -317,8 +329,15 @@ class MultiSeries:
 
     def scale(self, value) -> "MultiSeries":
         c = _as_coeff(value)
-        num, den = c.numerator, c.denominator
-        sums = {d: (den * d_den, {key: num * v for key, v in nums.items()}) for d, (d_den, nums) in self._packed.items()}
+        return self._layers_scaled(lambda d: c)
+
+    def _layers_scaled(self, factor: Callable[[int], Fraction]) -> "MultiSeries":
+        """The series with layer d times the rational factor(d): one
+        multiplication per numerator and one gcd chain per layer."""
+        sums: _Packed = {}
+        for d, (den, nums) in self._packed.items():
+            c = factor(d)
+            sums[d] = (den * c.denominator, {key: c.numerator * v for key, v in nums.items()})
         return MultiSeries._raw(self.nvars, self.trunc, _reduced(sums))
 
     def weighted(self, weight: Callable[[Exponents], Fraction]) -> "MultiSeries":
@@ -1015,6 +1034,14 @@ class SeriesTuple:
             raise DomainError("diagonal size mismatch")
         power = _DiagonalPowers.of(factors).power
         return SeriesTuple([comp.weighted(power) for comp in self.components])
+
+    def rescaled(self, c) -> "SeriesTuple":
+        """The conjugate x -> self(c x) / c by a nonzero rational c: layer d
+        times c**(d - 1), one scalar per layer."""
+        c = _as_coeff(c)
+        if not c:
+            raise DomainError("a rescaling needs a nonzero factor")
+        return SeriesTuple([comp._layers_scaled(lambda d: c ** (d - 1)) for comp in self])
 
     def eval(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return tuple(c.eval(point) for c in self.components)

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicdyn import linearize, ratlinalg, series
+from padicdyn.arith import fraction_valuation
 from padicdyn.dynamics import AnalyticMap, DiophantineParams, enumerate_resonances
 from padicdyn.errors import (
     DomainError,
@@ -972,7 +973,28 @@ class TestOnePowerTable:
 
         monkeypatch.setattr(linearize, "_PowerTable", Fresh)
         assert newton_route(f, degree).h == kept
-        assert run <= 0.75 * sum(visited)
+        assert run <= 0.55 * sum(visited)
+
+    @pytest.mark.parametrize("degree, pairs", [(12, 10_600), (16, 41_000)])
+    def test_the_newton_final_check_forms_no_power_layer(self, monkeypatch, degree, pairs):
+        # Newton iterates on f itself, so the final check reads the h of the
+        # last layer step, which differs from the h the table read last in
+        # its top layer alone, and no power layer reads that one
+        visited, reads = [], []
+        counted_convolve(monkeypatch, visited)
+        monkeypatch.setattr(linearize, "_conjugacy_inverse", lambda h, fmap, lams, r: h)
+
+        class Counted(series._PowerTable):
+            def compose(self, outer, inner, low=0):
+                start = len(visited)
+                composed = super().compose(outer, inner, low)
+                reads.append(sum(visited[start:]))
+                return composed
+
+        monkeypatch.setattr(linearize, "_PowerTable", Counted)
+        newton_route(fixture_suite(degree)["independent-3d"], degree)
+        assert len(reads) > 1 and reads[-1] == 0
+        assert sum(visited) <= pairs
 
     @pytest.mark.parametrize("offset", [-1, 1, 3])
     def test_a_step_that_adds_another_layer_raises(self, monkeypatch, offset):
@@ -988,6 +1010,108 @@ class TestOnePowerTable:
         monkeypatch.setattr(linearize, "solve_homological", stray)
         with pytest.raises(AssertionError, match="other than its own"):
             linearize_order_by_order(fixture_suite(12)["independent-3d"], 12)
+
+
+def weighted_rescale(g, c):
+    """The conjugate x -> g(c x) / c by one Fraction weight per term."""
+    scales = [c ** (d - 1) for d in range(g.trunc + 1)]
+    return SeriesTuple([comp.weighted(lambda exps: scales[sum(exps)]) for comp in g.components])
+
+
+def rescaled_newton(f, degree, params, prime):
+    """The Newton loop run on the rescaled map u f(x / u), with h mapped
+    back to the original coordinates before the final check: the route
+    linearize_newton took before it iterated on f itself."""
+    n, r = f.n, f.fixed_locus_dim
+    lams = linearize._normalized_eigenvalues(f)
+    fmap = f.components.truncated(degree)
+    k = 0
+    for comp in fmap:
+        for exps, coeff in comp.terms():
+            if sum(exps) >= 2 and fraction_valuation(coeff, prime) < 1:
+                k = max(k, math.ceil(Fraction(1 - fraction_valuation(coeff, prime), sum(exps) - 1)))
+    u = Fraction(1, prime**k)
+    scaled = weighted_rescale(fmap, 1 / u)
+    table = series._PowerTable(n)
+    h = SeriesTuple.identity(n, degree)
+    iterations = []
+    low = 2
+    while low <= degree:
+        high = min(2 * low - 1, degree)
+        hd = h.truncated(high)
+        residual = table.compose(scaled, hd) - hd.compose_diagonal(lams)
+        res_low = residual.lowest_degree()
+        if res_low is not None and res_low <= high:
+            assert res_low >= low
+            index = len(iterations)
+            rho = Fraction(1, 2) + Fraction(1, 2 ** (index + 1))
+            delta = Fraction(1, 2 ** (index + 2))
+            jac = [[entry.as_polynomial(high) for entry in row] for row in hd.jacobian()]
+            g = linearize._series_solve([list(SeriesTuple(row).compose_diagonal(lams)) for row in jac], residual)
+            g = SeriesTuple([comp.as_polynomial(degree) for comp in g])
+            e = solve_homological(g, lams, r)
+            bound = check_norm_bound(g, e, lams, rho, delta, params, prime)
+            correction = series._series_matrix_vector(jac, e.truncated(high))
+            refined = h + SeriesTuple([comp.as_polynomial(degree) for comp in correction])
+            refined = linearize._layer_step(refined, scaled, table, lams, r, high)
+            step = refined - h
+            h = refined
+            iterations.append(
+                linearize.NewtonIteration(
+                    index=index,
+                    window=(low, high),
+                    delta_order=step.lowest_degree(),
+                    delta_norm=tuple_gauss_norm(step, rho, prime),
+                    rho=rho,
+                    bound=bound,
+                )
+            )
+        low = 2 * low
+    h = weighted_rescale(h, u)
+    result = linearize._verified_conjugacy(h, fmap.compose(h), fmap, lams, r)
+    return result, linearize.NewtonTrace(iterations=tuple(iterations), rescale=u, prime=prime)
+
+
+class TestNewtonOnTheMapItself:
+    """linearize_newton iterates on f and conjugates only the certificate
+    inputs; it matches the loop on the rescaled map field by field."""
+
+    @staticmethod
+    def assert_same_route(f, degree, prime):
+        params = DiophantineParams(1, 0)
+        result, trace = linearize_newton(f, degree, params, prime=prime)
+        expected, expected_trace = rescaled_newton(f, degree, params, prime)
+        assert result.h == expected.h
+        assert result.h_inverse == expected.h_inverse
+        assert result.denominator_primes == expected.denominator_primes
+        assert trace_record(trace) == trace_record(expected_trace)
+        return trace
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n, r", [(3, 0), (4, 0), (3, 1), (4, 2)])
+    def test_seeded_normalized_maps(self, seed, n, r):
+        rng = random.Random(f"newton-{seed}-{n}-{r}")
+        degree = rng.randint(8, 12)
+        trace = self.assert_same_route(seeded_normalized_map(rng, n, r, degree), degree, 7)
+        assert trace.iterations
+
+    @pytest.mark.parametrize(
+        "den, scale",
+        # every nonlinear coefficient divisible by 7; integral; over 7; over 49
+        [(Fraction(1, 7), 0), (1, 1), (7, 2), (49, 3)],
+    )
+    def test_each_rescaling_exponent(self, den, scale):
+        f = build_map(
+            [
+                [((1, 0, 0), 2), ((2, 0, 0), Fraction(3, den)), ((0, 1, 1), Fraction(-1, den))],
+                [((0, 1, 0), 3), ((1, 1, 0), Fraction(5, den)), ((0, 0, 3), Fraction(2, den))],
+                [((0, 0, 1), -5), ((2, 1, 0), Fraction(1, den)), ((0, 2, 0), Fraction(-4, den))],
+            ],
+            10,
+        )
+        trace = self.assert_same_route(f, 10, 7)
+        assert trace.rescale == Fraction(1, 7**scale)
+        assert len(trace.iterations) == 3
 
 
 class TestNewtonMatchesOrderByOrder:
@@ -1432,6 +1556,48 @@ class TestNormBoundFromValuations:
         w = SeriesTuple([MultiSeries(1, 4, [((2,), 1)])])
         with pytest.raises(DomainError):
             check_norm_bound(w, w, [Fraction(2), Fraction(3)], Fraction(1), Fraction(1, 2), DiophantineParams(1, 0), 3)
+
+
+class TestDerivedC1:
+    """_derived_c1 stops its scan at the maximum of m^beta x^m."""
+
+    @staticmethod
+    def full_scan(params, rho, delta, horizon):
+        x = (rho - delta) / rho
+        best = RatPow(x**2, Fraction(2), params.beta)
+        for m in range(3, horizon + 1):
+            cand = RatPow(x**m, Fraction(m), params.beta)
+            if best < cand:
+                best = cand
+        return RatPow(best.coeff / params.C, best.base * delta / rho, params.beta)
+
+    @staticmethod
+    def fields(value):
+        return value.coeff, value.base, value.exponent
+
+    def test_matches_the_full_scan_randomized(self):
+        rng = random.Random(2903)
+        interior = 0
+        for _ in range(400):
+            params = DiophantineParams(
+                Fraction(rng.randint(1, 20), rng.randint(1, 20)), Fraction(rng.randint(0, 30), rng.randint(1, 4))
+            )
+            rho = Fraction(rng.randint(1, 30), rng.randint(1, 10))
+            delta = rho * Fraction(rng.randint(1, 19), 20)
+            horizon = rng.randint(2, 40)
+            got = linearize._derived_c1(params, rho, delta, horizon)
+            want = self.full_scan(params, rho, delta, horizon)
+            assert self.fields(got) == self.fields(want)
+            interior += 2 * delta / rho < got.base < horizon * delta / rho
+        assert interior >= 50
+
+    def test_a_tie_keeps_the_first_degree(self):
+        # beta = 1 and x = 2/3: 2 x^2 = 3 x^3 = 8/9, above 4 x^4
+        params = DiophantineParams(1, 1)
+        rho, delta = Fraction(3), Fraction(1)
+        got = linearize._derived_c1(params, rho, delta, 10)
+        assert self.fields(got) == self.fields(self.full_scan(params, rho, delta, 10))
+        assert got.base == 2 * delta / rho
 
 
 def _true_divisor_bound(lams, horizon, prime):

@@ -26,7 +26,7 @@ from padicdyn.series import (
     in_subspace_ar,
     invert_tuple,
 )
-from test_linearize import counted_convolve
+from test_linearize import counted_convolve, weighted_rescale
 
 
 def univariate(coeffs, trunc):
@@ -643,6 +643,42 @@ class TestDenominators:
         integral = MultiSeries(2, 3, [((1, 0), -4), ((0, 2), 6)])
         assert list(integral.denominators()) == [1, 1]
         assert list(MultiSeries.zero(2, 3).denominators()) == []
+
+
+class TestValuations:
+    def test_each_term_valuation_randomized(self):
+        rng = random.Random(2901)
+        for nvars in (1, 2, 3):
+            for dens in LAYER_DENOMINATORS.values():
+                s = layered_series(rng, nvars, 6, dens)
+                for prime in (2, 3, 7):
+                    expected = [(sum(e), e, fraction_valuation(c, prime)) for e, c in s.terms()]
+                    assert sorted(s.valuations(prime)) == sorted(expected)
+        assert list(MultiSeries.zero(2, 3).valuations(3)) == []
+
+
+class TestRescaled:
+    def test_matches_the_per_term_weights_randomized(self):
+        rng = random.Random(2902)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            dens = rng.choice(list(LAYER_DENOMINATORS.values()))
+            tup = SeriesTuple([layered_series(rng, n, 7, dens) for _ in range(n)])
+            c = Fraction(rng.choice((-7, -2, 1, 3, 49)), rng.choice((1, 2, 9)))
+            out = tup.rescaled(c)
+            assert out == weighted_rescale(tup, c)
+            for comp in out:
+                assert_canonical(comp)
+            assert out.rescaled(1 / c) == tup
+
+    def test_one_is_the_identity_and_zero_is_refused(self):
+        tup = SeriesTuple([MultiSeries(2, 4, [((1, 0), 1), ((1, 1), Fraction(2, 3))])])
+        assert tup.rescaled(1) == tup
+        assert tup.rescaled(Fraction(1, 3))[0].coefficient((1, 1)) == Fraction(2, 9)
+        with pytest.raises(DomainError):
+            tup.rescaled(0)
+        with pytest.raises(DomainError):
+            tup.rescaled(0.5)
 
 
 class TestSharedLayers:
