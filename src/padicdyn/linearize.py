@@ -51,15 +51,20 @@ power table of a composition.  The table stands in for the eigenvalue
 sequence and is handed down wherever the eigenvalues go, so the divisors
 of every homological solve, the diagonal substitutions h o Lambda of the
 residuals, the resonance search before h^(-1) and the final check all read
-the same powers, each formed once.
+the same powers, each formed once.  The solves and the substitutions read
+them as integer pairs keyed by the packed monomial, lambda^I and the
+reduced inverse divisors 1 / (lambda^I - lambda_j), so no Fraction is built
+per term.
 
 The norm estimates need the nonlinearity p-adically small, so the
-certificates read the conjugate u f(x / u), for u the least power of the
-working prime that makes it so (_rescale_exponent).  That conjugation,
-x -> g(c x) / c (SeriesTuple.rescaled), commutes with composition, the
-Jacobian solve, the divisors and the layer step, so Newton iterates on f
-and h themselves and conjugates by c = 1/u only the certificates' inputs:
-g, e and the step.  Every trace field is that of the rescaled iteration.
+certificates read the conjugate R(g) = u g(x / u), for u = p^(-k) the least
+power of the working prime that makes it so (_rescale_exponent).  That
+conjugation commutes with composition, the Jacobian solve, the divisors
+and the layer step, so Newton iterates on f and h themselves.  Nor are
+R(g), R(e) and R(step) formed: R multiplies a coefficient of degree d by
+p^(k (d - 1)), so a Gauss norm of R(s) at rho is p^k times that of s at
+rho / p^k, with the same witness (_rescaled_certificates).  Every trace
+field is that of the rescaled iteration.
 
 Within a window the residual has order >= low and is kept through degree
 high.  g solves (Dh o Lambda) g = residual one degree at a time
@@ -118,7 +123,7 @@ h = h^(-1) = id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -138,7 +143,6 @@ from .errors import (
     EigenvalueVariationError,
     IrrationalEigenvalueError,
     NotSemisimpleError,
-    ResonantMonomialError,
     SingularBlockError,
 )
 from .series import (
@@ -265,12 +269,14 @@ def solve_homological(
     transversally.
 
     Coefficientwise w_I^(j) = g_I^(j) / (lambda^I - lambda_j), where
-    lambda^I runs over the transverse variables alone and is read from a
-    _DiagonalPowers table (eigenvalues itself when it is one); the
-    normalization (w and its transverse derivatives vanish on the locus) is
-    automatic because w inherits the monomial support of g.  A vanishing
-    divisor raises ResonantMonomialError for the first component that has
-    one, at its lowest-degree, graded-lex first resonant monomial.
+    lambda^I runs over the transverse variables alone.  The inverse
+    divisors are integer pairs read from a _DiagonalPowers table
+    (eigenvalues itself when it is one), keyed by the packed transverse
+    part of I (_DiagonalPowers.divided); the normalization (w and its
+    transverse derivatives vanish on the locus) is automatic because w
+    inherits the monomial support of g.  A vanishing divisor raises
+    ResonantMonomialError for the first component that has one, at its
+    lowest-degree, graded-lex first resonant monomial.
     """
     lams = _DiagonalPowers.of(eigenvalues)
     n = len(lams)
@@ -281,21 +287,7 @@ def solve_homological(
             raise DomainError(
                 f"component {j} has a monomial of transverse degree < 2"
             )
-    head = (0,) * r
-    power = lams.power
-    out = []
-    for j, comp in enumerate(g.components):
-        lam = lams[j]
-
-        def inverse_divisor(exps):
-            divisor = power(head + exps[r:]) - lam
-            if not divisor:
-                first = next(e for e, _ in comp.terms() if power(head + e[r:]) == lam)
-                raise ResonantMonomialError(first, j)
-            return 1 / divisor
-
-        out.append(comp.weighted(inverse_divisor))
-    return SeriesTuple(out)
+    return SeriesTuple([lams.divided(comp, j, r) for j, comp in enumerate(g.components)])
 
 
 def _normalized_eigenvalues(f: AnalyticMap) -> _DiagonalPowers:
@@ -514,10 +506,12 @@ def linearize_newton(
     Produces exactly the conjugacy of linearize_order_by_order (the
     normalized solution is unique); correction orders are 2, 4, 8, ...
     The iteration runs on f and h themselves, with one power table through
-    the final check.  Only the certificate inputs, g, e and the step, are
-    conjugated to the coordinates of u f(x / u), with u the smallest prime
-    power making the nonlinearity p-adically small, so the trace holds the
-    norms of the rescaled iteration.
+    the final check.  The trace holds the norms of the rescaled iteration,
+    in the coordinates of u f(x / u), with u the smallest prime power making
+    the nonlinearity p-adically small.  The certificates read the norms of
+    R(g), R(e) and R(step), for R the conjugation s -> u s(x / u), at rho
+    as those of g, e and the step at rho / c, c = 1 / u, without forming
+    the conjugates (_rescaled_certificates).
     """
     _check_degree(f, degree)
     n, r = f.n, f.fixed_locus_dim
@@ -528,8 +522,8 @@ def linearize_newton(
         check_odd_prime(prime)
 
     fmap = f.components.truncated(degree)
-    # the certificates read g, e and the step in the coordinates of u f(x / u), u = 1 / scale
-    scale = prime ** _rescale_exponent(fmap, prime)
+    # the certificates read g, e and the step in the coordinates of u f(x / u), u = p^(-k)
+    k = _rescale_exponent(fmap, prime)
 
     table = _PowerTable(n)
     h = SeriesTuple.identity(n, degree)
@@ -557,7 +551,6 @@ def linearize_newton(
             # bound's horizon is read from it
             g = SeriesTuple([comp.as_polynomial(degree) for comp in g])
             e = solve_homological(g, lams, r)
-            bound = check_norm_bound(g.rescaled(scale), e.rescaled(scale), lams, rho, delta, params, prime)
             # e inherits the window support of g, and Dh has a constant
             # term, so Dh e formed at cap high has its layers in low..high
             correction = _series_matrix_vector(jac, e.truncated(high))
@@ -568,12 +561,13 @@ def linearize_newton(
             refined = _layer_step(refined, fmap, table, lams, r, high)
             step = refined - h
             h = refined
+            bound, delta_norm = _rescaled_certificates(g, e, step, lams, rho, delta, params, prime, k)
             iterations.append(
                 NewtonIteration(
                     index=index,
                     window=(low, high),
                     delta_order=step.lowest_degree(),
-                    delta_norm=tuple_gauss_norm(step.rescaled(scale), rho, prime),
+                    delta_norm=delta_norm,
                     rho=rho,
                     bound=bound,
                 )
@@ -585,8 +579,32 @@ def linearize_newton(
     composed = table.compose(fmap, h)
     del table
     result = _verified_conjugacy(h, composed, fmap, lams, r)
-    trace = NewtonTrace(iterations=tuple(iterations), rescale=Fraction(1, scale), prime=prime)
+    trace = NewtonTrace(iterations=tuple(iterations), rescale=Fraction(1, prime**k), prime=prime)
     return result, trace
+
+
+def _rescaled_certificates(
+    g: SeriesTuple, e: SeriesTuple, step: SeriesTuple, lams: Sequence[Fraction], rho: Fraction, delta: Fraction,
+    params: DiophantineParams, prime: int, k: int,
+) -> tuple[NormBoundCertificate, GaussNorm]:
+    """The norm bound of R(g), R(e) at rho, delta and the Gauss norm of
+    R(step) at rho, for R(s) = x -> s(c x) / c with c = p^k, read on g, e
+    and step themselves at rho / c.
+
+    R multiplies a coefficient of degree d by c^(d - 1), of norm
+    (1/c)^(d - 1), so a Gauss norm at rho is c times the one at rho / c,
+    with the same witness and degree and the valuation raised by k (d - 1).
+    A derivative term of degree d - 1 comes from a coefficient of degree d,
+    so the derivative norms are the same at both radii, and C1 and the pass
+    read the norms, rho and delta only through ratios that c leaves as they
+    are.
+    """
+    c = prime**k
+    bound = check_norm_bound(g, e, lams, rho / c, delta / c, params, prime)
+    bound = replace(bound, norm_g=c * bound.norm_g, norm_w=c * bound.norm_w, rho=rho, delta=delta)
+    norm = tuple_gauss_norm(step, rho / c, prime)
+    valuation = None if norm.witness is None else norm.valuation + k * (norm.degree - 1)
+    return bound, GaussNorm(c * norm.value, valuation, norm.degree, norm.witness, prime, rho)
 
 
 def _rescale_exponent(fmap: SeriesTuple, prime: int) -> int:

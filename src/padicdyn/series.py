@@ -42,11 +42,13 @@ kernel _mul and the kept table's compose take a lower bound low on the
 output degree, below which a product forms no layer and a substitution
 combines none, and the stream adds each layer's substitution above that
 layer's own degree alone; a one-shot substitution forms every layer.  A
-diagonal substitution x_i -> lambda_i x_i scales each coefficient by
-lambda^I (weighted), read from a table of those powers (_DiagonalPowers)
-that callers may share between substitutions; the conjugation by a scalar
-x -> c x (SeriesTuple.rescaled) scales each layer by one power of c.  All
-are exact.
+diagonal substitution x_i -> lambda_i x_i multiplies each coefficient by
+lambda^I, and the homological solve of linearize divides it by
+lambda^I - lambda_j; both read integer pairs, keyed by the packed key, from
+one table per run (_DiagonalPowers) that callers share, so each layer is
+scaled over one lcm of the pairs' denominators with no Fraction built per
+term (_times_pairs).  The conjugation by a scalar x -> c x
+(SeriesTuple.rescaled) scales each layer by one power of c.  All are exact.
 
 Every monomial walk of the package takes one step, from a nonzero
 monomial I to its prefix parent I - e_j with j the last variable of I
@@ -74,7 +76,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ratlinalg
 from .arith import int_valuation, is_prime
-from .errors import DomainError
+from .errors import DomainError, ResonantMonomialError
 
 Exponents = tuple[int, ...]
 
@@ -340,22 +342,6 @@ class MultiSeries:
             sums[d] = (den * c.denominator, {key: c.numerator * v for key, v in nums.items()})
         return MultiSeries._raw(self.nvars, self.trunc, _reduced(sums))
 
-    def weighted(self, weight: Callable[[Exponents], Fraction]) -> "MultiSeries":
-        """The series with each coefficient c_I times the rational weight(I);
-        a term of weight 0 is dropped.  weight meets the monomials in no
-        fixed order."""
-        unpack = _unpacker(self.nvars)
-        sums: _Packed = {}
-        for d, (den, nums) in self._packed.items():
-            scaled = []
-            for key, v in nums.items():
-                w = weight(unpack(key))
-                if w:
-                    scaled.append((key, v * w.numerator, w.denominator))
-            common = lcm(*(q for _, _, q in scaled))
-            sums[d] = (den * common, {key: v * (common // q) for key, v, q in scaled})
-        return MultiSeries._raw(self.nvars, self.trunc, _reduced(sums))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -439,9 +425,17 @@ class MultiSeries:
         return MultiSeries._raw(self.nvars, trunc, _reduced(sums))
 
     def substitute_zero(self, indices: Iterable[int]) -> "MultiSeries":
-        """Set the given variables to zero, keeping the ambient variable count."""
+        """Set the given variables to zero, keeping the ambient variable count:
+        the terms whose key has a nonzero field at one of them are dropped, by
+        one mask, and each layer is reduced by one gcd chain."""
         idx = set(indices)
-        return self.weighted(lambda exps: 0 if any(exps[i] for i in idx) else 1)
+        if not idx <= set(range(self.nvars)):
+            raise DomainError(f"variable indices {sorted(idx)} out of range")
+        mask = _packer(self.nvars)(tuple(0xFFFF if i in idx else 0 for i in range(self.nvars)))
+        sums = {
+            d: (den, {key: v for key, v in nums.items() if not key & mask}) for d, (den, nums) in self._packed.items()
+        }
+        return MultiSeries._raw(self.nvars, self.trunc, _reduced(sums))
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         """Exact evaluation, treating the stored terms as a polynomial."""
@@ -704,18 +698,27 @@ class _DiagonalPowers:
 
     It stands in for the factor sequence: len, indexing and iteration give
     the lambda_i as Fractions, so one table can be handed wherever the
-    eigenvalues go.  SeriesTuple.compose_diagonal,
-    linearize.solve_homological and dynamics.enumerate_resonances read
-    lambda^I from it with power.  An entry is built by _chained as
+    eigenvalues go.  dynamics.enumerate_resonances reads lambda^I from it
+    with power.  An entry is built by _chained as
     lambda^I = lambda^(I - e_j) lambda_j with j the last variable of I, as
     _PowerTable builds inner^I: one Fraction product per new entry.
+
+    The kernels substituted and divided read two more tables, keyed by
+    packed keys and each entry built on its first read: lambda^I as a
+    reduced integer pair, and per component j the inverse divisors
+    1 / (lambda^I - lambda_j) as reduced pairs with a positive denominator,
+    keyed by the transverse key (the fixed-locus fields cleared), so one
+    entry serves every fixed-locus dimension.  A zero divisor is never
+    kept.
     """
 
-    __slots__ = ("factors", "entries")
+    __slots__ = ("factors", "entries", "pairs", "divisors")
 
     def __init__(self, factors: Iterable[Fraction]) -> None:
         self.factors = tuple(Fraction(x) for x in factors)
         self.entries: dict[Exponents, Fraction] = {(0,) * len(self.factors): Fraction(1)}
+        self.pairs: dict[int, tuple[int, int]] = {}
+        self.divisors: dict[int, dict[int, tuple[int, int]]] = {}
 
     @classmethod
     def of(cls, factors: "Sequence[Fraction] | _DiagonalPowers") -> "_DiagonalPowers":
@@ -737,6 +740,54 @@ class _DiagonalPowers:
         if value is None:
             value = _chained(self.entries, exps, lambda j, lower: lower * self.factors[j])
         return value
+
+    def substituted(self, comp: MultiSeries) -> MultiSeries:
+        """comp(lambda_0 x_0, ..., lambda_(n-1) x_(n-1)): each coefficient
+        c_I times lambda^I, a term whose power vanishes dropped."""
+        unpack = _unpacker(len(self.factors))
+
+        def power_pair(key: int) -> tuple[int, int]:
+            value = self.power(unpack(key))
+            pair = self.pairs[key] = (value.numerator, value.denominator)
+            return pair
+
+        return _times_pairs(comp, self.pairs, power_pair, -1)
+
+    def divided(self, comp: MultiSeries, j: int, r: int) -> MultiSeries:
+        """comp with each coefficient c_I divided by lambda^I' - lambda_j, for
+        I' the transverse part of I: its first r exponents set to zero.
+
+        A vanishing divisor raises ResonantMonomialError at comp's
+        lowest-degree, graded-lex first monomial with one."""
+        n, lam = len(self.factors), self.factors[j]
+        table, unpack = self.divisors.setdefault(j, {}), _unpacker(n)
+
+        def inverse_divisor(key: int) -> tuple[int, int]:
+            divisor = self.power(unpack(key)) - lam
+            if not divisor:
+                first = next(exps for exps, _ in comp.terms() if self.power((0,) * r + exps[r:]) == lam)
+                raise ResonantMonomialError(first, j)
+            inverse = 1 / divisor
+            pair = table[key] = (inverse.numerator, inverse.denominator)
+            return pair
+
+        return _times_pairs(comp, table, inverse_divisor, _packer(n)((0,) * r + (0xFFFF,) * (n - r)))
+
+
+def _times_pairs(comp: MultiSeries, table: dict, build: Callable[[int], tuple[int, int]], mask: int) -> MultiSeries:
+    """comp with each coefficient c_I times a / b, b > 0, for (a, b) the entry
+    of I & mask in table, or build(I & mask) where it has none.  Each layer
+    goes over den times the lcm of its b, with one gcd chain."""
+    get = table.get
+    sums: _Packed = {}
+    for d, (den, nums) in comp._packed.items():
+        scaled = []
+        for key, v in nums.items():
+            a, b = get(key & mask) or build(key & mask)
+            scaled.append((key, v * a, b))
+        common = lcm(*(b for _, _, b in scaled))
+        sums[d] = (den * common, {key: v * (common // b) for key, v, b in scaled})
+    return MultiSeries._raw(comp.nvars, comp.trunc, _reduced(sums))
 
 
 def _combine(
@@ -1023,17 +1074,17 @@ class SeriesTuple:
     def compose_diagonal(self, factors: "Sequence[Fraction] | _DiagonalPowers") -> "SeriesTuple":
         """Substitution x_i -> factors[i] * x_i, done by coefficient scaling.
 
-        The coefficient at x^I is multiplied by lambda^I, read from a
-        _DiagonalPowers table of the factors.  A table passed in is read and
-        grown in place, so calls that share one (every call of a conjugacy
-        run in linearize) form each lambda^I once; a plain sequence gets a
-        table of its own.  Terms whose power vanishes (a zero factor) are
-        dropped.
+        The coefficient at x^I is multiplied by lambda^I, read as an integer
+        pair from a _DiagonalPowers table of the factors
+        (_DiagonalPowers.substituted).  A table passed in is read and grown
+        in place, so calls that share one (every call of a conjugacy run in
+        linearize) form each lambda^I once; a plain sequence gets a table of
+        its own.  Terms whose power vanishes (a zero factor) are dropped.
         """
         if len(factors) != self.nvars:
             raise DomainError("diagonal size mismatch")
-        power = _DiagonalPowers.of(factors).power
-        return SeriesTuple([comp.weighted(power) for comp in self.components])
+        table = _DiagonalPowers.of(factors)
+        return SeriesTuple([table.substituted(comp) for comp in self.components])
 
     def rescaled(self, c) -> "SeriesTuple":
         """The conjugate x -> self(c x) / c by a nonzero rational c: layer d

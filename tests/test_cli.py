@@ -1,11 +1,16 @@
 """End-to-end tests of the command line front end."""
 
+import itertools
 import json
 import shlex
 import threading
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padicdyn.arith import check_odd_prime
 from padicdyn.cli import (
@@ -801,3 +806,77 @@ class TestDeterminism:
         captured = capsys.readouterr()
         assert code == 0
         assert "eigenvalues" in captured.out
+
+
+@st.composite
+def conjugacy_documents(draw):
+    """Map documents in 1-3 variables with small rational coefficients: a
+    diagonal, resonant, zero or non-diagonal linear part, a fixed locus of
+    any dimension, and nonlinear terms that keep the locus fixed."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(["diagonal", "resonant", "zero", "non-diagonal"]))
+    pool = [2, 3, -2, -5, Fraction(1, 2), Fraction(-3, 7)]
+    tail = [draw(st.sampled_from(pool)) for _ in range(n - r)]
+    if tail and kind == "resonant":
+        # lambda_0^2 = lambda_1, or (-1)^3 = -1 with one transverse variable
+        tail[:2] = [Fraction(2), Fraction(4)] if len(tail) > 1 else [Fraction(-1)]
+    if tail and kind == "zero":
+        tail[draw(st.integers(0, len(tail) - 1))] = Fraction(0)
+    lams = [Fraction(1)] * r + [Fraction(x) for x in tail]
+    unit = [[int(i == j) for i in range(n)] for j in range(n)]
+    components = [
+        [{"exponents": unit[j], "numerator": lam.numerator, "denominator": lam.denominator}] if lam else []
+        for j, lam in enumerate(lams)
+    ]
+    if kind == "non-diagonal" and r < n and n > 1:
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(r, n - 1).filter(lambda j: j != i))
+        components[i].append({"exponents": unit[j], "numerator": draw(st.integers(1, 3))})
+    # a term moves no point of the locus when it has a transverse variable
+    monomials = [e for e in itertools.product(range(4), repeat=n) if 2 <= sum(e) <= 4 and sum(e[r:]) >= 1]
+    if monomials:
+        for _ in range(draw(st.integers(0, 4))):
+            components[draw(st.integers(0, n - 1))].append(
+                {
+                    "exponents": list(draw(st.sampled_from(monomials))),
+                    "numerator": draw(st.integers(-4, 4)),
+                    "denominator": draw(st.sampled_from([1, 2, 3, 7])),
+                }
+            )
+    return {
+        "dimension": n,
+        "fixed_locus_dim": r,
+        "truncation_degree": draw(st.integers(2, 8)),
+        "components": components,
+    }
+
+
+class TestConjugacyCommandsFuzz:
+    """linearize and newton end every drawn document in one JSON payload,
+    with exit 0, 1 or 2, in bounded time."""
+
+    @settings(
+        max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        document=conjugacy_documents(),
+        command=st.sampled_from(["linearize", "newton"]),
+        degree=st.integers(2, 6),
+        prime=st.sampled_from([None, 2, 3, 7, 9]),
+    )
+    def test_every_document_ends_in_one_payload(self, tmp_path, document, command, degree, prime):
+        doc = write_json(tmp_path, "fuzz.json", document)
+        # linearize takes no --prime
+        arguments = [command, doc, "--degree", str(degree)]
+        if prime is not None and command == "newton":
+            arguments += ["--prime", str(prime)]
+        out = tmp_path / "fuzz-out.json"
+        out.unlink(missing_ok=True)
+        started = time.perf_counter()
+        code = run(arguments + ["--out", str(out)])
+        assert time.perf_counter() - started < 10
+        assert code in (0, 1, 2)
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["command"] == command
+        assert ("report" in payload) == (code == 0) and ("error" in payload) == (code != 0)

@@ -31,7 +31,7 @@ from padicdyn.linearize import (
     normalize_fixed_locus,
     solve_homological,
 )
-from padicdyn.series import MultiSeries, SeriesTuple, gauss_norm, tuple_gauss_norm
+from padicdyn.series import GaussNorm, MultiSeries, SeriesTuple, gauss_norm, tuple_gauss_norm
 from test_acceptance import fixture_suite
 
 
@@ -1013,9 +1013,12 @@ class TestOnePowerTable:
 
 
 def weighted_rescale(g, c):
-    """The conjugate x -> g(c x) / c by one Fraction weight per term."""
+    """The conjugate x -> g(c x) / c by one Fraction product per term,
+    rebuilt from the terms."""
     scales = [c ** (d - 1) for d in range(g.trunc + 1)]
-    return SeriesTuple([comp.weighted(lambda exps: scales[sum(exps)]) for comp in g.components])
+    return SeriesTuple(
+        [MultiSeries(comp.nvars, comp.trunc, [(e, a * scales[sum(e)]) for e, a in comp.terms()]) for comp in g]
+    )
 
 
 def rescaled_newton(f, degree, params, prime):
@@ -1112,6 +1115,77 @@ class TestNewtonOnTheMapItself:
         trace = self.assert_same_route(f, 10, 7)
         assert trace.rescale == Fraction(1, 7**scale)
         assert len(trace.iterations) == 3
+
+
+class TestCertificatesAtTheScaledRadius:
+    """Newton reads the norms of R(g), R(e) and R(step), for R the conjugate
+    x -> s(c x) / c with c = p^k, on g, e and step themselves at rho / c."""
+
+    @staticmethod
+    def windows():
+        """(g, e, step, lams, rho, delta) of every Newton window of seeded maps."""
+        seen = []
+        certify = linearize._rescaled_certificates
+
+        def recording(g, e, step, lams, rho, delta, params, prime, k):
+            seen.append((g, e, step, lams, rho, delta))
+            return certify(g, e, step, lams, rho, delta, params, prime, k)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linearize, "_rescaled_certificates", recording)
+            for seed, (n, r) in enumerate([(3, 0), (2, 0), (3, 1)]):
+                rng = random.Random(f"certificates-{seed}")
+                linearize_newton(seeded_normalized_map(rng, n, r, 9), 9, DiophantineParams(1, 0), prime=7)
+        return seen
+
+    @staticmethod
+    def assert_identities(g, e, step, lams, rho, delta, params, k):
+        c = 7**k
+        bound, norm = linearize._rescaled_certificates(g, e, step, lams, rho, delta, params, 7, k)
+        expected = check_norm_bound(weighted_rescale(g, c), weighted_rescale(e, c), lams, rho, delta, params, 7)
+        expected_norm = tuple_gauss_norm(weighted_rescale(step, c), rho, 7)
+        for field in fields(NormBoundCertificate):
+            mine, theirs = getattr(bound, field.name), getattr(expected, field.name)
+            if isinstance(theirs, RatPow):
+                mine, theirs = (mine.coeff, mine.base, mine.exponent), (theirs.coeff, theirs.base, theirs.exponent)
+            assert mine == theirs, field.name
+        for name in GaussNorm.__slots__:
+            assert getattr(norm, name) == getattr(expected_norm, name), name
+        return norm
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_both_identities_on_seeded_windows(self, k):
+        params = DiophantineParams(Fraction(1, 3), Fraction(1, 2))
+        seen = self.windows()
+        assert len(seen) >= 6
+        for g, e, step, lams, rho, delta in seen:
+            self.assert_identities(g, e, step, lams, rho, delta, params, k)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_a_tie_between_two_degrees_keeps_its_witness(self, k):
+        # at rho = 7 the terms x0^2 and 7 x0^2 x1 of R(step) both have norm
+        # 49, and so have those of step at 7 / c: the lower degree wins
+        c = 7**k
+        tied = MultiSeries(2, 4, [((2, 1), Fraction(7, c**2)), ((2, 0), Fraction(1, c))])
+        step = SeriesTuple([tied, MultiSeries.zero(2, 4)])
+        g = SeriesTuple([MultiSeries(2, 4, [((0, 2), 1)]), MultiSeries(2, 4, [((1, 1), Fraction(1, 7))])])
+        lams = [Fraction(2), Fraction(3)]
+        e = solve_homological(g, lams, 0)
+        norm = self.assert_identities(g, e, step, lams, Fraction(7), Fraction(1), DiophantineParams(1, 0), k)
+        assert (norm.value, norm.witness, norm.degree, norm.valuation) == (49, (2, 0), 2, 0)
+        assert gauss_norm(step[0], Fraction(7, c), 7).witness == (2, 0)
+
+    def test_newton_forms_no_rescaled_copy(self, monkeypatch):
+        def refused(self, c):
+            raise AssertionError("a rescaled copy was formed")
+
+        f = build_map([[((1, 0), 2), ((2, 0), Fraction(1, 49))], [((0, 1), 3), ((1, 1), Fraction(5, 7))]], 10)
+        expected = trace_record(linearize_newton(f, 10, DiophantineParams(1, 0), prime=7)[1])
+        monkeypatch.setattr(SeriesTuple, "rescaled", refused)
+        result, trace = linearize_newton(f, 10, DiophantineParams(1, 0), prime=7)
+        assert trace.rescale == Fraction(1, 7**3) and trace.iterations
+        assert trace_record(trace) == expected
+        assert result.residual.is_zero()
 
 
 class TestNewtonMatchesOrderByOrder:

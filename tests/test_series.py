@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicdyn.arith import fraction_abs, fraction_valuation
-from padicdyn.errors import DomainError
+from padicdyn.errors import DomainError, ResonantMonomialError
+from padicdyn.linearize import solve_homological
 from padicdyn.series import (
     MultiSeries,
     SeriesTuple,
@@ -1084,6 +1085,13 @@ class TestCalculusHelpers:
     def test_substitute_zero(self):
         phi = MultiSeries(2, 4, [((2, 0), Fraction(1)), ((1, 1), Fraction(4))])
         assert phi.substitute_zero([1]) == MultiSeries(2, 4, [((2, 0), Fraction(1))])
+        # the dropped term leaves the layer over one reduced denominator
+        half = MultiSeries(2, 4, [((1, 1), Fraction(1, 2)), ((2, 0), Fraction(4, 3))])
+        assert half.substitute_zero([1]) == MultiSeries(2, 4, [((2, 0), Fraction(4, 3))])
+        assert phi.substitute_zero([0, 1]).is_zero() and phi.substitute_zero([]) == phi
+        for indices in ([2], [-1]):
+            with pytest.raises(DomainError, match="out of range"):
+                phi.substitute_zero(indices)
 
     def test_eval(self):
         phi = MultiSeries(2, 4, [((2, 0), Fraction(1)), ((0, 1), Fraction(1, 2))])
@@ -1163,6 +1171,119 @@ class TestDiagonalPowers:
         out = tup.compose_diagonal(_DiagonalPowers([5, 0]))
         assert dict(out[0].terms()) == {(1, 0): Fraction(5)}
         assert out[0].lowest_degree() == out[0].degree() == 1
+
+
+class TestPackedTables:
+    """The packed lambda^I and inverse-divisor tables of _DiagonalPowers
+    against a per-term Fraction reference, one table shared by calls of
+    every fixed-locus dimension."""
+
+    # negative, non-unit, sharing the primes 2 and 3, and -1 (resonant at
+    # even degrees against an eigenvalue 1)
+    POOL = [Fraction(x) for x in (-1, 2, -2, 4, -6, 9, 12)] + [Fraction(2, 3), Fraction(-3, 4), Fraction(8, 9)]
+
+    @staticmethod
+    def substituted(tup, lams):
+        return SeriesTuple(
+            [MultiSeries(c.nvars, c.trunc, [(e, a * _product(lams, e)) for e, a in c.terms()]) for c in tup]
+        )
+
+    @staticmethod
+    def divided(g, lams, r):
+        """(monomial, component) of the first resonance in graded-lex scan
+        order, or the solution, one Fraction divisor per term."""
+        out = []
+        for j, comp in enumerate(g):
+            terms = []
+            for e, a in comp.terms():
+                divisor = _product(lams, (0,) * r + e[r:]) - lams[j]
+                if not divisor:
+                    return e, j
+                terms.append((e, a / divisor))
+            out.append(MultiSeries(comp.nvars, comp.trunc, terms))
+        return SeriesTuple(out)
+
+    @staticmethod
+    def solved(g, lams, r):
+        try:
+            return solve_homological(g, lams, r)
+        except ResonantMonomialError as err:
+            return err.monomial, err.component
+
+    @staticmethod
+    def homological_data(rng, n, r, trunc=6):
+        """Random components of transverse degree >= 2 for every r' <= r."""
+        comps = []
+        for _ in range(n):
+            terms = []
+            for _ in range(rng.randint(0, 7)):
+                exps = tuple(rng.randint(0, 3) for _ in range(n))
+                if sum(exps[r:]) >= 2 and sum(exps) <= trunc:
+                    terms.append((exps, Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+            comps.append(MultiSeries(n, trunc, terms))
+        return SeriesTuple(comps)
+
+    def assert_reduced(self, table):
+        for a, b in table.pairs.values():
+            assert b > 0 and math.gcd(a, b) == 1
+        for divisors in table.divisors.values():
+            for a, b in divisors.values():
+                assert a and b > 0 and math.gcd(a, b) == 1
+
+    def test_solve_and_substitution_match_the_reference_randomized(self):
+        rng = random.Random(3001)
+        resonant = 0
+        for trial in range(60):
+            # eigenvalue 1 on a locus of up to two variables
+            n = rng.randint(2, 4)
+            lams = [Fraction(1)] * 2 + [rng.choice(self.POOL) for _ in range(n - 2)]
+            lams = lams[:n]
+            top = min(2, n - 1)
+            g = self.homological_data(rng, n, top)
+            tup = SeriesTuple([rand_series(rng, n, 6) for _ in range(n)])
+            order = list(range(top + 1))
+            # one table read by calls of every r, in both orders
+            table = _DiagonalPowers(lams)
+            for r in order if trial % 2 else order[::-1]:
+                expected = self.divided(g, lams, r)
+                resonant += isinstance(expected, tuple)
+                assert self.solved(g, table, r) == expected
+                assert self.solved(g, _DiagonalPowers(lams), r) == expected
+                assert tup.compose_diagonal(table) == self.substituted(tup, lams)
+            self.assert_reduced(table)
+        assert resonant >= 10
+
+    def test_a_resonance_is_named_alike_by_a_fresh_and_a_warm_table(self):
+        # lambda = (1, -1, 2): x1^2 is resonant in component 0 (r = 1), and
+        # x0 x1^2 shares its transverse key
+        lams = [Fraction(1), Fraction(-1), Fraction(2)]
+        g = SeriesTuple(
+            [
+                MultiSeries(3, 5, [((0, 1, 2), 3), ((1, 2, 0), Fraction(1, 2)), ((0, 2, 0), 5)]),
+                MultiSeries(3, 5, [((0, 0, 2), 1)]),
+                MultiSeries.zero(3, 5),
+            ]
+        )
+        expected = ((0, 2, 0), 0)
+        assert self.divided(g, lams, 1) == expected
+        assert self.solved(g, _DiagonalPowers(lams), 1) == expected
+        warm = _DiagonalPowers(lams)
+        assert self.solved(g, warm, 1) == expected
+        # the other keys of g read, the resonant one tried before
+        others = SeriesTuple([MultiSeries(3, 5, [((0, 1, 2), 3)]), g[1], g[2]])
+        assert self.solved(others, warm, 1) == self.divided(others, lams, 1)
+        assert self.solved(g, warm, 1) == expected
+        self.assert_reduced(warm)
+        # a zero divisor is never kept: x1^2 has the key 2 << 16
+        assert (2 << 16) not in warm.divisors[0]
+        assert warm.divisors[0] and warm.divisors[1]
+
+    def test_one_entry_serves_every_locus_dimension(self):
+        table = _DiagonalPowers([1, 1, Fraction(-3, 2)])
+        g = SeriesTuple([MultiSeries(3, 4, [((0, 0, 2), 1)]), MultiSeries.zero(3, 4), MultiSeries.zero(3, 4)])
+        for r in (0, 1, 2):
+            assert solve_homological(g, table, r)[0].coefficient((0, 0, 2)) == 1 / (Fraction(9, 4) - 1)
+        assert table.divisors[0] == {2 << 32: (4, 5)}
 
 
 class TestGradedMonomials:
