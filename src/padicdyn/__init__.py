@@ -70,7 +70,6 @@ from .series import (
     SeriesTuple,
     gauss_norm,
     in_subspace_ar,
-    invert_tuple,
     tuple_gauss_norm,
 )
 

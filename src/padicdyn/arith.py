@@ -217,6 +217,20 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
+def _is_int(value) -> bool:
+    """True for an int proper: not a bool, not a float with an integral value."""
+    return type(value) is int
+
+
+def _as_rational(value, what: str = "coefficients") -> Fraction:
+    """value as a Fraction; an int or a Fraction, never a float."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise DomainError(f"{what} must be rational, got {type(value).__name__}")
+
+
 def int_valuation(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer; p must be at least 2."""
     if n == 0:

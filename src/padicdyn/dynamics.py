@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 
 from . import ratlinalg
 from .arith import (
+    _as_rational,
     divisors,
     factorize,
     fraction_valuation,
@@ -50,8 +51,8 @@ class DiophantineParams:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "C", Fraction(self.C))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "C", _as_rational(self.C, "C"))
+        object.__setattr__(self, "beta", _as_rational(self.beta, "beta"))
         if self.C <= 0:
             raise DomainError("C must be positive")
         if self.beta < 0:

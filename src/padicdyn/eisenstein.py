@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import prime_support
+from .arith import _as_rational, _is_int, prime_support
 from .errors import DivisionFailureError, DomainError
-from .series import MultiSeries, SeriesTuple, _as_coeff, _inverse_from, _is_int, _mul
+from .series import MultiSeries, SeriesTuple, _inverse_from, _mul
 
 Exponents = tuple[int, ...]
 
@@ -60,7 +60,7 @@ class XPolynomial:
         for k, poly in coeffs.items():
             if not _is_int(k) or k < 0:
                 raise DomainError(f"bad X-power {k!r}")
-            entries = {tuple(e): _as_coeff(c) for e, c in poly.items()}
+            entries = {tuple(e): _as_rational(c) for e, c in poly.items()}
             # every key is checked, a zero coefficient's too, before zeros are dropped
             for e in entries:
                 if len(e) != nvars or not all(_is_int(x) and x >= 0 for x in e):
@@ -79,7 +79,7 @@ class XPolynomial:
         for exps, xpow, c in terms:
             poly = coeffs.setdefault(xpow, {})
             key = tuple(exps)
-            poly[key] = poly.get(key, Fraction(0)) + _as_coeff(c)
+            poly[key] = poly.get(key, Fraction(0)) + _as_rational(c)
         return cls(nvars, coeffs)
 
     @property

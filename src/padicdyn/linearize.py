@@ -128,7 +128,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratlinalg
-from .arith import check_odd_prime, fraction_valuation, int_valuation
+from .arith import _as_rational, check_odd_prime, fraction_valuation, int_valuation
 from .dynamics import (
     AnalyticMap,
     DiophantineParams,
@@ -630,8 +630,8 @@ def check_norm_bound(
     whether that minimum stays below the constant derived from the supplied
     diophantine parameters.
     """
-    rho = Fraction(rho)
-    delta = Fraction(delta)
+    rho = _as_rational(rho, "radius")
+    delta = _as_rational(delta, "radius margin")
     if delta >= rho or delta <= 0:
         raise DomainError("need 0 < delta < rho")
     lams = [Fraction(x) for x in eigenvalues]

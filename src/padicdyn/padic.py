@@ -18,7 +18,8 @@ process: a prime that passed the primality test is remembered, while 2,
 1 and composites are rejected on every call.
 
 Every element is stored in one canonical form, which ``PAdic(...)``
-establishes from any fields:
+establishes from int fields, or from valuation INFINITY and unit 0 for an
+exact zero (any other field, a float or a bool, is refused):
 
 * the prime is an odd prime;
 * a nonzero element has an int valuation, an int precision >= 1 and a
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import check_odd_prime, divisors, int_valuation
+from .arith import _as_rational, _is_int, check_odd_prime, divisors, int_valuation
 from .errors import DomainError, PrecisionError
 
 INFINITY = float("inf")
@@ -90,28 +91,30 @@ class PAdic:
 
     def __init__(self, prime: int, valuation, unit_digits: int, precision) -> None:
         check_odd_prime(prime)
-        if unit_digits == 0:
-            # exact zero (valuation infinite) or inexact zero O(p**bound)
-            if valuation == INFINITY:
-                precision = INFINITY
-            else:
-                valuation = int(valuation) + max(int(precision), 0)
-                precision = 0
-            unit_digits = 0
+        if unit_digits == 0 and valuation == INFINITY:
+            # exact zero
+            unit_digits, precision = 0, INFINITY
+        elif not (_is_int(valuation) and _is_int(unit_digits) and _is_int(precision)):
+            raise DomainError(
+                f"p-adic fields must be integers, got {valuation!r}, {unit_digits!r}, {precision!r}"
+            )
+        elif unit_digits == 0:
+            # inexact zero O(p**bound)
+            valuation, precision = valuation + max(precision, 0), 0
         elif precision <= 0:
             # nothing known beyond "lies in p**(valuation) Z_p"
-            valuation, unit_digits, precision = int(valuation + precision), 0, 0
+            valuation, unit_digits, precision = valuation + precision, 0, 0
         else:
             unit_digits %= prime**precision
             if unit_digits == 0:
-                valuation, precision = int(valuation + precision), 0
+                valuation, precision = valuation + precision, 0
             else:
                 # dividing out p**shift leaves the unit below p**(precision - shift)
                 shift = 0
                 while unit_digits % prime == 0:
                     unit_digits //= prime
                     shift += 1
-                valuation, precision = int(valuation + shift), precision - shift
+                valuation, precision = valuation + shift, precision - shift
         _set_prime(self, prime)
         _set_valuation(self, valuation)
         _set_unit_digits(self, unit_digits)
@@ -130,9 +133,9 @@ class PAdic:
     def from_rational(cls, value, prime: int, precision: int) -> "PAdic":
         """Image of a rational in Q_p truncated to `precision` digits."""
         check_odd_prime(prime)
-        if precision <= 0:
-            raise DomainError("precision must be positive")
-        value = Fraction(value)
+        if not _is_int(precision) or precision <= 0:
+            raise DomainError(f"precision must be a positive integer, got {precision!r}")
+        value = _as_rational(value, "p-adic values")
         if value == 0:
             return cls.zero(prime)
         vnum = int_valuation(value.numerator, prime)

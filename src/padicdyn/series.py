@@ -47,8 +47,7 @@ lambda^I, and the homological solve of linearize divides it by
 lambda^I - lambda_j; both read integer pairs, keyed by the packed key, from
 one table per run (_DiagonalPowers) that callers share, so each layer is
 scaled over one lcm of the pairs' denominators with no Fraction built per
-term (_times_pairs).  The conjugation by a scalar x -> c x
-(SeriesTuple.rescaled) scales each layer by one power of c.  All are exact.
+term (_times_pairs).  Both are exact.
 
 Every monomial walk of the package takes one step, from a nonzero
 monomial I to its prefix parent I - e_j with j the last variable of I
@@ -70,12 +69,12 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ratlinalg
-from .arith import int_valuation, is_prime
+from .arith import _as_rational, _is_int, int_valuation, is_prime
 from .errors import DomainError, ResonantMonomialError
 
 Exponents = tuple[int, ...]
@@ -103,20 +102,6 @@ def _unpacker(nvars: int) -> Callable[[int], Exponents]:
     return lambda key: unpack(key.to_bytes(size, "little"))
 
 
-def _is_int(value) -> bool:
-    """True for an int proper: not a bool, not a float with an integral value."""
-    return type(value) is int
-
-
-def _as_coeff(value) -> Fraction:
-    """value as a Fraction; an int or a Fraction, never a float."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise DomainError(f"coefficients must be rational, got {type(value).__name__}")
-
-
 class MultiSeries:
     """Truncated power series; immutable by convention."""
 
@@ -136,7 +121,7 @@ class MultiSeries:
             deg = sum(exps)
             if deg > trunc:
                 continue
-            coeff = _as_coeff(coeff)
+            coeff = _as_rational(coeff)
             layer, key = layers.setdefault(deg, {}), pack(exps)
             layer[key] = layer[key] + coeff if key in layer else coeff
         packed: _Packed = {}
@@ -170,7 +155,7 @@ class MultiSeries:
 
     @classmethod
     def constant(cls, value, nvars: int, trunc: int) -> "MultiSeries":
-        c = _as_coeff(value)
+        c = _as_rational(value)
         if not c:
             return cls.zero(nvars, trunc)
         return cls._raw(nvars, trunc, {0: (c.denominator, {_packer(nvars)((0,) * nvars): c.numerator})})
@@ -226,9 +211,13 @@ class MultiSeries:
         return {unpack(key): _fraction(n, den) for key, n in nums.items()}
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
+        """The coefficient of x^exps: 0 for a tuple that names no monomial
+        (a wrong length, a negative or non-int entry, a bool included)."""
         exps = tuple(exps)
+        if len(exps) != self.nvars or not all(_is_int(e) and e >= 0 for e in exps):
+            return _ZERO
         entry = self._packed.get(sum(exps))
-        if entry is None or len(exps) != self.nvars or not all(isinstance(e, int) and e >= 0 for e in exps):
+        if entry is None:
             return _ZERO
         den, nums = entry
         n = nums.get(_packer(self.nvars)(exps))
@@ -330,16 +319,13 @@ class MultiSeries:
         return (-self) + other
 
     def scale(self, value) -> "MultiSeries":
-        c = _as_coeff(value)
-        return self._layers_scaled(lambda d: c)
-
-    def _layers_scaled(self, factor: Callable[[int], Fraction]) -> "MultiSeries":
-        """The series with layer d times the rational factor(d): one
-        multiplication per numerator and one gcd chain per layer."""
-        sums: _Packed = {}
-        for d, (den, nums) in self._packed.items():
-            c = factor(d)
-            sums[d] = (den * c.denominator, {key: c.numerator * v for key, v in nums.items()})
+        """The series times a rational: one multiplication per numerator and
+        one gcd chain per layer."""
+        c = _as_rational(value)
+        num, den_c = c.numerator, c.denominator
+        sums: _Packed = {
+            d: (den * den_c, {key: num * v for key, v in nums.items()}) for d, (den, nums) in self._packed.items()
+        }
         return MultiSeries._raw(self.nvars, self.trunc, _reduced(sums))
 
     def __mul__(self, other):
@@ -834,11 +820,14 @@ class _PowerTable:
     take(inner) makes inner the inner map.  Layer k of a power of degree
     >= 2 reads only the inner layers below k, so take finds the first inner
     layer m that differs from the one it took last, drops every power layer
-    above m, and forms them again from inner's layers, each power after its
-    prefix parent, up to the new degree.  Every kept power layer was thus
-    formed from inner layers equal to the current inner's, and
-    compose(outer, inner, low) returns the layers >= low of
-    outer.compose(inner) exactly, for any inner.
+    above m, and forms them again from inner's layers, up to the new degree.
+    It walks the entries in the order they were inserted, which puts each
+    power after its prefix parent: the constructor inserts degree 0 and
+    then the degree-one factors, and _chained inserts a missing parent
+    before its child.  Every kept power layer was thus formed from inner
+    layers equal to the current inner's, and compose(outer, inner, low)
+    returns the layers >= low of outer.compose(inner) exactly, for any
+    inner.
     """
 
     def __init__(self, nvars: int) -> None:
@@ -847,17 +836,11 @@ class _PowerTable:
         self.factors: list[_Packed] = [{} for _ in range(nvars)]
         self.entries: dict[Exponents, _Packed] = {(0,) * nvars: {0: (1, {0: 1})}}
         self.entries.update((tuple(int(i == j) for i in range(nvars)), factor) for j, factor in enumerate(self.factors))
-        # (inner^I, inner^(I - e_j), inner_j) for each power of degree >= 2,
-        # each after its prefix parent
-        self.steps: list[tuple[_Packed, _Packed, _Packed]] = []
 
     def _step(self, j: int, parent: _Packed) -> _Packed:
         """inner^I through the table's degree, from the entry of its prefix
         parent I - e_j."""
-        factor = self.factors[j]
-        power = _convolve(parent, factor, self.degree)
-        self.steps.append((power, parent, factor))
-        return power
+        return _convolve(parent, self.factors[j], self.degree)
 
     def power(self, key: int) -> _Packed:
         """The entry inner^I of a packed key I."""
@@ -882,10 +865,13 @@ class _PowerTable:
         for mine, factor in zip(layers, self.factors):
             factor.clear()
             factor.update(mine)
-        for power, parent, factor in self.steps:
+        entries = self.entries
+        # the powers of degree >= 2, each after its prefix parent
+        for exps, power in islice(entries.items(), n + 1, None):
+            j, lower = _parent(exps)
             for k in range(kept + 1, self.degree + 1):
                 power.pop(k, None)
-            power.update(_convolve(parent, factor, cap, kept + 1))
+            power.update(_convolve(entries[lower], self.factors[j], cap, kept + 1))
         self.degree = cap
         return cap
 
@@ -1086,14 +1072,6 @@ class SeriesTuple:
         table = _DiagonalPowers.of(factors)
         return SeriesTuple([table.substituted(comp) for comp in self.components])
 
-    def rescaled(self, c) -> "SeriesTuple":
-        """The conjugate x -> self(c x) / c by a nonzero rational c: layer d
-        times c**(d - 1), one scalar per layer."""
-        c = _as_coeff(c)
-        if not c:
-            raise DomainError("a rescaling needs a nonzero factor")
-        return SeriesTuple([comp._layers_scaled(lambda d: c ** (d - 1)) for comp in self])
-
     def eval(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return tuple(c.eval(point) for c in self.components)
 
@@ -1190,11 +1168,6 @@ def _disjoint_sum(parts: Sequence[SeriesTuple]) -> SeriesTuple:
     return SeriesTuple(out)
 
 
-def invert_tuple(g: SeriesTuple) -> SeriesTuple:
-    """Compositional inverse with compose(g, invert_tuple(g)) = identity."""
-    return g.invert()
-
-
 class GaussNorm:
     """Value and witness of sup_I |a_I|_p rho^|I| over the stored terms.
 
@@ -1227,7 +1200,7 @@ class GaussNorm:
 
 def gauss_norm(phi: MultiSeries, rho, prime: int) -> GaussNorm:
     """Gauss norm of a rational-coefficient series read p-adically."""
-    rho = Fraction(rho)
+    rho = _as_rational(rho, "radius")
     if rho <= 0:
         raise DomainError("radius must be positive")
     if not is_prime(prime):

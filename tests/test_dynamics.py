@@ -12,6 +12,7 @@ from padicdyn import arith
 from padicdyn.arith import factorize, int_valuation, is_prime
 from padicdyn.dynamics import (
     AnalyticMap,
+    DiophantineParams,
     Resonance,
     _char_poly,
     _rational_roots_monic,
@@ -128,6 +129,13 @@ def brute_force_resonances(lams, r, max_degree):
 
     walk([], max_degree)
     return sorted(out, key=lambda res: (sum(res.monomial), res.monomial, res.component))
+
+
+class TestDiophantineParams:
+    @pytest.mark.parametrize("c, beta", [(0.1, 0), (1, 0.5), (2.0, 1), ("1", 0)])
+    def test_a_float_parameter_is_refused(self, c, beta):
+        with pytest.raises(DomainError, match="rational"):
+            DiophantineParams(c, beta)
 
 
 class TestResonances:

@@ -56,6 +56,17 @@ class TestFromRational:
         with pytest.raises(DomainError):
             PAdic.from_rational(1, 5, 0)
 
+    @pytest.mark.parametrize("precision", [2.5, 4.0, True, "4", None])
+    def test_rejects_a_non_int_precision(self, precision):
+        with pytest.raises(DomainError):
+            PAdic.from_rational(1, 5, precision)
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, 2.0, "1/3"])
+    def test_rejects_a_float_value(self, value):
+        # Fraction(0.1) would embed 3602879701896397/36028797018963968
+        with pytest.raises(DomainError, match="rational"):
+            PAdic.from_rational(value, 5, 4)
+
     def test_small_rational_round_trip(self):
         for num in range(-20, 21):
             for den in (1, 2, 3, 7):
@@ -73,6 +84,26 @@ class TestConstructor:
         for bad in (9, 2, 1, 9, 2, 1):
             with pytest.raises(DomainError):
                 PAdic(bad, 0, 1, 4)
+
+    @pytest.mark.parametrize(
+        "valuation, unit, precision",
+        [
+            (0, 3, 2.5),
+            (0.5, 3, 4),
+            (0, 3, 4.0),
+            (1.0, 0, 0),
+            (0, 0, 2.5),
+            (True, 3, 4),
+            (0, 3, True),
+            (0, 3.0, 4),
+            (INFINITY, 3, 4),
+            (2, 0, INFINITY),
+            ("1", 3, 4),
+        ],
+    )
+    def test_rejects_fields_outside_the_canonical_form(self, valuation, unit, precision):
+        with pytest.raises(DomainError):
+            PAdic(5, valuation, unit, precision)
 
     def test_immutable(self):
         x = PAdic(5, 0, 1, 4)

@@ -25,9 +25,9 @@ from padicdyn.series import (
     gauss_norm,
     graded_monomials,
     in_subspace_ar,
-    invert_tuple,
+    tuple_gauss_norm,
 )
-from test_linearize import counted_convolve, weighted_rescale
+from test_linearize import counted_convolve
 
 
 def univariate(coeffs, trunc):
@@ -460,6 +460,22 @@ class TestIntegerArguments:
         with pytest.raises(DomainError, match="rational"):
             make()
 
+    def test_a_float_radius_is_refused(self):
+        phi = SeriesTuple([MultiSeries(1, 3, [((1,), 3)])])
+        for rho in (0.1, 0.5):
+            with pytest.raises(DomainError, match="rational"):
+                gauss_norm(phi[0], rho, 3)
+            with pytest.raises(DomainError, match="rational"):
+                tuple_gauss_norm(phi, rho, 3)
+
+    @pytest.mark.parametrize(
+        "exps",
+        [(True, False), (False, True), ("a", 0), (1.0, 0), (0, 1.0), (-1, 2), (1,), (1, 0, 0), (None, 1), (70000, 0)],
+    )
+    def test_a_tuple_that_names_no_monomial_has_coefficient_zero(self, exps):
+        s = MultiSeries(2, 3, [((1, 0), 5), ((0, 1), 7), ((0, 0), 2)])
+        assert s.coefficient(exps) == 0
+
     def test_int_arguments_still_work(self):
         s = MultiSeries(2, 3, [((1, 0), 1), ((0, 2), Fraction(1, 2))])
         assert s.trunc == 3 and s.coefficient((0, 2)) == Fraction(1, 2)
@@ -582,7 +598,18 @@ class TestPowerTable:
                     inner = self.grown(rng, target, cap)
                     low = rng.randint(0, cap)
                     assert table.compose(outer, inner, low) == from_low(outer.compose(inner), low)
+                    self.assert_parents_first(table)
                 assert table.compose(outer, target) == outer.compose(target)
+
+    @staticmethod
+    def assert_parents_first(table):
+        """table.entries holds degree 0, then the degree-one factors, then
+        each power after its prefix parent: the order take walks."""
+        nvars = len(table.factors)
+        keys = list(table.entries)
+        assert keys[: nvars + 1] == [(0,) * nvars] + [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+        for index, exps in enumerate(keys[nvars + 1 :], nvars + 1):
+            assert sum(exps) >= 2 and keys.index(_parent(exps)[1]) < index, exps
 
     def test_a_changed_layer_or_a_lower_cap_is_served_exactly(self):
         rng = random.Random(44)
@@ -658,28 +685,26 @@ class TestValuations:
         assert list(MultiSeries.zero(2, 3).valuations(3)) == []
 
 
-class TestRescaled:
-    def test_matches_the_per_term_weights_randomized(self):
+class TestScale:
+    def test_matches_the_per_term_products_randomized(self):
         rng = random.Random(2902)
         for _ in range(60):
             n = rng.randint(1, 3)
             dens = rng.choice(list(LAYER_DENOMINATORS.values()))
-            tup = SeriesTuple([layered_series(rng, n, 7, dens) for _ in range(n)])
+            s = layered_series(rng, n, 7, dens)
             c = Fraction(rng.choice((-7, -2, 1, 3, 49)), rng.choice((1, 2, 9)))
-            out = tup.rescaled(c)
-            assert out == weighted_rescale(tup, c)
-            for comp in out:
-                assert_canonical(comp)
-            assert out.rescaled(1 / c) == tup
+            out = s.scale(c)
+            assert out == MultiSeries(n, 7, [(e, a * c) for e, a in s.terms()])
+            assert_canonical(out)
+            assert out.scale(1 / c) == s
 
-    def test_one_is_the_identity_and_zero_is_refused(self):
-        tup = SeriesTuple([MultiSeries(2, 4, [((1, 0), 1), ((1, 1), Fraction(2, 3))])])
-        assert tup.rescaled(1) == tup
-        assert tup.rescaled(Fraction(1, 3))[0].coefficient((1, 1)) == Fraction(2, 9)
+    def test_one_is_the_identity_zero_gives_zero_and_a_float_is_refused(self):
+        s = MultiSeries(2, 4, [((1, 0), 1), ((1, 1), Fraction(2, 3))])
+        assert s.scale(1) == s
+        assert s.scale(Fraction(1, 3)).coefficient((1, 1)) == Fraction(2, 9)
+        assert s.scale(0) == MultiSeries.zero(2, 4)
         with pytest.raises(DomainError):
-            tup.rescaled(0)
-        with pytest.raises(DomainError):
-            tup.rescaled(0.5)
+            s.scale(0.5)
 
 
 class TestSharedLayers:
@@ -823,15 +848,17 @@ class TestCanonicalForm:
 
 
 class TestInvertTuple:
+    """SeriesTuple.invert, the compositional inverse."""
+
     def test_linear(self):
         g = SeriesTuple([univariate([0, 2], 4)])
-        inv = invert_tuple(g)
+        inv = g.invert()
         assert inv == SeriesTuple([univariate([0, Fraction(1, 2)], 4)])
 
     def test_quadratic(self):
         # oracle: term-by-term solve of g(h) = x for g = x + x^2
         g = SeriesTuple([univariate([0, 1, 1], 3)])
-        assert invert_tuple(g) == SeriesTuple([univariate([0, 1, -1, 2], 3)])
+        assert g.invert() == SeriesTuple([univariate([0, 1, -1, 2], 3)])
 
     def test_round_trip_randomized(self):
         rng = random.Random(9)
@@ -845,17 +872,17 @@ class TestInvertTuple:
             if not g.linear_matrix() or g.linear_matrix()[0][0] == 0:
                 continue
             try:
-                ginv = invert_tuple(g)
+                ginv = g.invert()
             except DomainError:
                 continue
-            assert invert_tuple(ginv).agrees_through(g, 6)
+            assert ginv.invert().agrees_through(g, 6)
             assert g.compose(ginv).agrees_through(SeriesTuple.identity(2, 6), 6)
             assert ginv.compose(g).agrees_through(SeriesTuple.identity(2, 6), 6)
 
     def test_singular_linear_part(self):
         g = SeriesTuple([univariate([0, 0, 1], 3)])
         with pytest.raises(DomainError):
-            invert_tuple(g)
+            g.invert()
 
 
 def as_sympy(sympy, xs, phi):
