@@ -29,7 +29,7 @@ from .arith import (
     is_prime,
 )
 from .errors import DomainError, IrrationalEigenvalueError
-from .series import MultiSeries, SeriesTuple, _DiagonalPowers, graded_monomials
+from .series import MultiSeries, SeriesTuple, _DiagonalPowers, _packer, graded_monomials
 
 
 class Resonance(NamedTuple):
@@ -248,8 +248,11 @@ def enumerate_resonances(
 ) -> list[Resonance]:
     """All (I, j) with lambda^I = lambda_j, I over tail variables, 2 <= |I| <= max_degree.
 
-    lambda^I is the power of (0, ..., 0) + I in a _DiagonalPowers table of
-    the eigenvalues; a table passed in is read and grown in place.
+    lambda^I is the reduced integer pair of (0, ..., 0) + I in a
+    _DiagonalPowers table of the eigenvalues, compared with the pairs
+    (n_j, d_j) of the lambda_j, so no Fraction is built; a table passed in
+    is read and grown in place.  The list is sorted by degree, monomial and
+    component.
     """
     table = _DiagonalPowers.of(eigenvalues)
     lams = table.factors
@@ -263,11 +266,11 @@ def enumerate_resonances(
     t = n - r
     if not t:
         return []
-    head = (0,) * r
+    head, pack = (0,) * r, _packer(n)
     out = []
     for tail in graded_monomials(t, max_degree)[1 + t :]:
-        value = table.power(head + tail)
-        out.extend(Resonance(tail, j) for j, lam in enumerate(lams) if value == lam)
+        value = table.pair(pack(head + tail))
+        out.extend(Resonance(tail, j) for j, ratio in enumerate(table.ratios) if value == ratio)
     out.sort(key=lambda res: (sum(res.monomial), res.monomial, res.component))
     return out
 

@@ -51,10 +51,10 @@ power table of a composition.  The table stands in for the eigenvalue
 sequence and is handed down wherever the eigenvalues go, so the divisors
 of every homological solve, the diagonal substitutions h o Lambda of the
 residuals, the resonance search before h^(-1) and the final check all read
-the same powers, each formed once.  The solves and the substitutions read
-them as integer pairs keyed by the packed monomial, lambda^I and the
-reduced inverse divisors 1 / (lambda^I - lambda_j), so no Fraction is built
-per term.
+the same powers, each formed once.  It keeps each lambda^I as a reduced
+integer pair keyed by the packed monomial, and the solves read the reduced
+inverse divisors 1 / (lambda^I - lambda_j) as pairs formed from it, so no
+Fraction is built per power, per divisor or per term.
 
 The norm estimates need the nonlinearity p-adically small, so the
 certificates read the conjugate R(g) = u g(x / u), for u = p^(-k) the least
@@ -634,7 +634,7 @@ def check_norm_bound(
     delta = _as_rational(delta, "radius margin")
     if delta >= rho or delta <= 0:
         raise DomainError("need 0 < delta < rho")
-    lams = [Fraction(x) for x in eigenvalues]
+    lams = [_as_rational(x, "eigenvalues") for x in eigenvalues]
     inner = rho - delta
     norm_g = tuple_gauss_norm(g, rho, prime).value
     norm_w = tuple_gauss_norm(w, inner, prime).value

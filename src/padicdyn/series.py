@@ -47,13 +47,18 @@ lambda^I, and the homological solve of linearize divides it by
 lambda^I - lambda_j; both read integer pairs, keyed by the packed key, from
 one table per run (_DiagonalPowers) that callers share, so each layer is
 scaled over one lcm of the pairs' denominators with no Fraction built per
-term (_times_pairs).  Both are exact.
+term (_times_pairs).  The table keeps lambda^I itself as a reduced integer
+pair, so neither a power, a divisor nor the resonance search of dynamics
+builds a Fraction.  Both are exact.
 
 Every monomial walk of the package takes one step, from a nonzero
 monomial I to its prefix parent I - e_j with j the last variable of I
-(_parent).  Both power tables build an entry from its prefix parent's
-entry; when a single power is asked for, one chain walk (_chained) goes
-down to a kept entry and builds the missing ones upwards.
+(_parent).  Both power tables key their entries by the packed key and
+build an entry from its prefix parent's entry, so a read of a kept power
+is one dict read; on a miss one chain walk (_chained) finds j from the
+unpacked key, steps down to the key I - e_j by subtracting the unit key of
+j, as MultiSeries.partial lowers an exponent, until it reaches a kept
+entry, and builds the missing ones upwards.
 graded_monomials lists the monomials by degree, each after its prefix
 parent; the relation probes of orbit and the resonance search of
 dynamics run over it.
@@ -166,7 +171,7 @@ class MultiSeries:
 
     @classmethod
     def variable(cls, index: int, nvars: int, trunc: int) -> "MultiSeries":
-        if not 0 <= index < nvars:
+        if not _is_int(index) or not 0 <= index < nvars:
             raise DomainError(f"variable index {index} out of range")
         if trunc < 1:
             return cls.zero(nvars, trunc)
@@ -392,12 +397,12 @@ class MultiSeries:
 
     def partial(self, index: int) -> "MultiSeries":
         """Partial derivative; the truncation degree drops by one."""
-        if not 0 <= index < self.nvars:
+        if not _is_int(index) or not 0 <= index < self.nvars:
             raise DomainError(f"variable index {index} out of range")
         trunc = max(self.trunc - 1, 0)
         unpack = _unpacker(self.nvars)
-        # keys add carry-free, so lowering exponent index by one subtracts its unit key
-        unit = _packer(self.nvars)(tuple(int(i == index) for i in range(self.nvars)))
+        # lowering exponent index by one subtracts its unit key
+        unit = _unit_keys(self.nvars)[index]
         sums: _Packed = {}
         for d, (den, nums) in self._packed.items():
             if d == 0 or d - 1 > trunc:
@@ -427,7 +432,7 @@ class MultiSeries:
         """Exact evaluation, treating the stored terms as a polynomial."""
         if len(point) != self.nvars:
             raise DomainError("point dimension mismatch")
-        vals = [Fraction(v) for v in point]
+        vals = [_as_rational(v, "point coordinates") for v in point]
         total = Fraction(0)
         for d in sorted(self._packed):
             for exps, c in self.layer(d).items():
@@ -662,18 +667,29 @@ def graded_monomials(nvars: int, degree: int) -> list[Exponents]:
     ]
 
 
-def _chained(entries: dict, exps: Exponents, step):
-    """entries[I], building it and its missing prefix parents upwards from
-    the nearest kept one, each as step(j, entries[I - e_j]) with j the last
-    variable of I, and keeping them."""
+def _unit_keys(nvars: int) -> list[int]:
+    """The packed keys of e_0, ..., e_(nvars - 1).  Keys add carry-free, so
+    I - e_j has the key of I minus that of e_j when I_j > 0."""
+    pack = _packer(nvars)
+    return [pack(tuple(int(i == j) for i in range(nvars))) for j in range(nvars)]
+
+
+def _chained(table, key: int):
+    """table.entries[key], building it and its missing prefix parents
+    upwards from the nearest kept one, each as table._step(j, parent) for
+    parent the entry of I - e_j, j the last variable of I, and keeping them.
+
+    table holds entries keyed by packed keys, the unpack of its keys and
+    the unit keys of its variables (_unit_keys)."""
+    entries, unpack, units = table.entries, table.unpack, table.units
     chain = []
-    while exps not in entries:
-        j, lower = _parent(exps)
-        chain.append((exps, j))
-        exps = lower
-    value = entries[exps]
+    while key not in entries:
+        j = _parent(unpack(key))[0]
+        chain.append((key, j))
+        key -= units[j]
+    value = entries[key]
     for mono, j in reversed(chain):
-        value = step(j, value)
+        value = table._step(j, value)
         entries[mono] = value
     return value
 
@@ -684,26 +700,33 @@ class _DiagonalPowers:
 
     It stands in for the factor sequence: len, indexing and iteration give
     the lambda_i as Fractions, so one table can be handed wherever the
-    eigenvalues go.  dynamics.enumerate_resonances reads lambda^I from it
-    with power.  An entry is built by _chained as
-    lambda^I = lambda^(I - e_j) lambda_j with j the last variable of I, as
-    _PowerTable builds inner^I: one Fraction product per new entry.
+    eigenvalues go.  The factors must be rational: an int or a Fraction.
 
-    The kernels substituted and divided read two more tables, keyed by
-    packed keys and each entry built on its first read: lambda^I as a
-    reduced integer pair, and per component j the inverse divisors
-    1 / (lambda^I - lambda_j) as reduced pairs with a positive denominator,
-    keyed by the transverse key (the fixed-locus fields cleared), so one
-    entry serves every fixed-locus dimension.  A zero divisor is never
-    kept.
+    entries maps the packed key of I to lambda^I as a reduced integer pair
+    (a, b) with b > 0.  pair(key) reads it, and on a miss _chained builds it
+    from its prefix parent's pair as (a n_j, b d_j) over their gcd, for
+    lambda_j = n_j / d_j and j the last variable of I, as _PowerTable builds
+    inner^I: no Fraction per entry.  power(I) is the Fraction view of an
+    entry, for the tests and the error path of divided.
+    dynamics.enumerate_resonances compares the pairs with those of the
+    factors (ratios).
+
+    divided reads one more table per component j, each entry built on its
+    first read: the inverse divisors 1 / (lambda^I - lambda_j), as reduced
+    pairs with a positive denominator, keyed by the transverse key (the
+    fixed-locus fields cleared), so one entry serves every fixed-locus
+    dimension.  A zero divisor is never kept.
     """
 
-    __slots__ = ("factors", "entries", "pairs", "divisors")
+    __slots__ = ("factors", "ratios", "unpack", "units", "entries", "divisors")
 
     def __init__(self, factors: Iterable[Fraction]) -> None:
-        self.factors = tuple(Fraction(x) for x in factors)
-        self.entries: dict[Exponents, Fraction] = {(0,) * len(self.factors): Fraction(1)}
-        self.pairs: dict[int, tuple[int, int]] = {}
+        self.factors = tuple(_as_rational(x, "eigenvalues") for x in factors)
+        self.ratios = [(x.numerator, x.denominator) for x in self.factors]
+        n = len(self.factors)
+        self.unpack = _unpacker(n)
+        self.units = _unit_keys(n)
+        self.entries: dict[int, tuple[int, int]] = {0: (1, 1)}
         self.divisors: dict[int, dict[int, tuple[int, int]]] = {}
 
     @classmethod
@@ -720,41 +743,51 @@ class _DiagonalPowers:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.factors)
 
+    def _step(self, j: int, parent: tuple[int, int]) -> tuple[int, int]:
+        """lambda^I as a reduced pair, from the pair of I - e_j."""
+        num, den = self.ratios[j]
+        a, b = parent[0] * num, parent[1] * den
+        g = gcd(a, b)
+        return a // g, b // g
+
+    def pair(self, key: int) -> tuple[int, int]:
+        """lambda^I as a reduced pair (a, b), b > 0, for a packed key I."""
+        value = self.entries.get(key)
+        return _chained(self, key) if value is None else value
+
     def power(self, exps: Exponents) -> Fraction:
-        """lambda^I for an exponent tuple I with one entry per factor."""
-        value = self.entries.get(exps)
-        if value is None:
-            value = _chained(self.entries, exps, lambda j, lower: lower * self.factors[j])
-        return value
+        """lambda^I as a Fraction, for an exponent tuple I with one entry per
+        factor."""
+        return Fraction(*self.pair(_packer(len(self.factors))(exps)))
 
     def substituted(self, comp: MultiSeries) -> MultiSeries:
         """comp(lambda_0 x_0, ..., lambda_(n-1) x_(n-1)): each coefficient
         c_I times lambda^I, a term whose power vanishes dropped."""
-        unpack = _unpacker(len(self.factors))
-
-        def power_pair(key: int) -> tuple[int, int]:
-            value = self.power(unpack(key))
-            pair = self.pairs[key] = (value.numerator, value.denominator)
-            return pair
-
-        return _times_pairs(comp, self.pairs, power_pair, -1)
+        return _times_pairs(comp, self.entries, self.pair, -1)
 
     def divided(self, comp: MultiSeries, j: int, r: int) -> MultiSeries:
         """comp with each coefficient c_I divided by lambda^I' - lambda_j, for
         I' the transverse part of I: its first r exponents set to zero.
 
-        A vanishing divisor raises ResonantMonomialError at comp's
+        For lambda^I' = a / b and lambda_j = n / d the inverse divisor is
+        b d / (a d - n b), reduced with its denominator made positive.  A
+        vanishing divisor raises ResonantMonomialError at comp's
         lowest-degree, graded-lex first monomial with one."""
-        n, lam = len(self.factors), self.factors[j]
-        table, unpack = self.divisors.setdefault(j, {}), _unpacker(n)
+        n = len(self.factors)
+        num, den = self.ratios[j]
+        table = self.divisors.setdefault(j, {})
 
         def inverse_divisor(key: int) -> tuple[int, int]:
-            divisor = self.power(unpack(key)) - lam
-            if not divisor:
-                first = next(exps for exps, _ in comp.terms() if self.power((0,) * r + exps[r:]) == lam)
+            a, b = self.pair(key)
+            bottom = a * den - num * b
+            if not bottom:
+                first = next(exps for exps, _ in comp.terms() if self.power((0,) * r + exps[r:]) == self.factors[j])
                 raise ResonantMonomialError(first, j)
-            inverse = 1 / divisor
-            pair = table[key] = (inverse.numerator, inverse.denominator)
+            top = b * den
+            g = gcd(top, bottom)
+            if bottom < 0:
+                g = -g
+            pair = table[key] = (top // g, bottom // g)
             return pair
 
         return _times_pairs(comp, table, inverse_divisor, _packer(n)((0,) * r + (0xFFFF,) * (n - r)))
@@ -811,10 +844,11 @@ class _PowerTable:
     """The monomial powers inner^I of a square inner map that may change
     between reads, each built on first read and then kept.
 
-    An entry is built as inner^I = inner^(I - e_j) inner_j with j the last
-    variable of I (power, through _chained), up to the table's degree, the
-    cap of the last inner map.  Each entry is a layer map, one denominator
-    per degree and not reduced.  The degree-one entries are the inner map's
+    entries maps the packed key of I to inner^I, a layer map with one
+    denominator per degree, not reduced, up to the table's degree, the cap
+    of the last inner map.  power(key) is one dict read for a kept entry;
+    on a miss _chained builds it as inner^I = inner^(I - e_j) inner_j with
+    j the last variable of I.  The degree-one entries are the inner map's
     own layers, in dicts the table owns.
 
     take(inner) makes inner the inner map.  Layer k of a power of degree
@@ -832,10 +866,11 @@ class _PowerTable:
 
     def __init__(self, nvars: int) -> None:
         self.unpack = _unpacker(nvars)
+        self.units = _unit_keys(nvars)
         self.degree = 0
         self.factors: list[_Packed] = [{} for _ in range(nvars)]
-        self.entries: dict[Exponents, _Packed] = {(0,) * nvars: {0: (1, {0: 1})}}
-        self.entries.update((tuple(int(i == j) for i in range(nvars)), factor) for j, factor in enumerate(self.factors))
+        self.entries: dict[int, _Packed] = {0: {0: (1, {0: 1})}}
+        self.entries.update(zip(self.units, self.factors))
 
     def _step(self, j: int, parent: _Packed) -> _Packed:
         """inner^I through the table's degree, from the entry of its prefix
@@ -844,7 +879,8 @@ class _PowerTable:
 
     def power(self, key: int) -> _Packed:
         """The entry inner^I of a packed key I."""
-        return _chained(self.entries, self.unpack(key), self._step)
+        entry = self.entries.get(key)
+        return _chained(self, key) if entry is None else entry
 
     def take(self, inner: "SeriesTuple") -> int:
         """Make inner the inner map and return the table's new degree; see
@@ -867,11 +903,11 @@ class _PowerTable:
             factor.update(mine)
         entries = self.entries
         # the powers of degree >= 2, each after its prefix parent
-        for exps, power in islice(entries.items(), n + 1, None):
-            j, lower = _parent(exps)
+        for key, power in islice(entries.items(), n + 1, None):
+            j = _parent(self.unpack(key))[0]
             for k in range(kept + 1, self.degree + 1):
                 power.pop(k, None)
-            power.update(_convolve(entries[lower], self.factors[j], cap, kept + 1))
+            power.update(_convolve(entries[key - self.units[j]], self.factors[j], cap, kept + 1))
         self.degree = cap
         return cap
 

@@ -26,7 +26,7 @@ from padicdyn.dynamics import (
 )
 from padicdyn.errors import DomainError, IrrationalEigenvalueError
 from padicdyn.linearize import _series_matrix_mul
-from padicdyn.series import MultiSeries, SeriesTuple, _DiagonalPowers, graded_monomials
+from padicdyn.series import MultiSeries, SeriesTuple, _DiagonalPowers, _packer, graded_monomials
 
 
 def poly_map(component_terms, trunc, r=0):
@@ -185,19 +185,21 @@ class TestResonances:
             r = rng.randint(0, 2)
             lams = [Fraction(1)] * r + [Fraction(rng.choice(pool)) for _ in range(rng.randint(1, 3))]
             table = _DiagonalPowers(lams)
+            pack = _packer(len(lams))
             table.power((0,) * r + (1,) * (len(lams) - r))  # an entry built before
             before = dict(table.entries)
             got = enumerate_resonances(table, r, 5)
             assert got == enumerate_resonances(lams, r, 5)
             # every entry built before is kept, and the tail monomials of
-            # degree 2..5 are now entries with their true powers
+            # degree 2..5 are now entries, under their packed keys, with
+            # their true powers as reduced pairs
             assert before.items() <= table.entries.items()
             for tail in graded_monomials(len(lams) - r, 5)[1 + len(lams) - r :]:
                 exps = (0,) * r + tail
                 value = Fraction(1)
                 for lam, e in zip(lams, exps):
                     value *= lam**e
-                assert table.entries[exps] == value
+                assert table.entries[pack(exps)] == (value.numerator, value.denominator)
 
 
 class TestRelationLattice:

@@ -1430,7 +1430,8 @@ class TestInverseStream:
                         exps = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
         (stream,) = streams
         # the degree-one entries are fmap's own layers, built by no step
-        built = {exps for exps in stream.table.entries if sum(exps) >= 2}
+        unpack = series._unpacker(fmap.nvars)
+        built = {exps for exps in map(unpack, stream.table.entries) if sum(exps) >= 2}
         assert built == {exps for exps in closure if sum(exps) >= 2}
         # every monomial of degree 1..11 in four variables would be 1364
         assert len(closure) == 255
@@ -1448,6 +1449,27 @@ class TestInverseStream:
         linearize_order_by_order(f, 12)
         linearize_newton(f, 12, DiophantineParams(1, 0), prime=7)
         assert made == [(2, 3, 5), (2, 3, 5)]
+
+    def test_each_eigenvalue_power_is_built_once(self, monkeypatch):
+        tables, steps = [], []
+        init, step = series._DiagonalPowers.__init__, series._DiagonalPowers._step
+
+        def recorded(self, factors):
+            init(self, factors)
+            tables.append(self)
+
+        def counted(self, j, parent):
+            steps.append(j)
+            return step(self, j, parent)
+
+        monkeypatch.setattr(series._DiagonalPowers, "__init__", recorded)
+        monkeypatch.setattr(series._DiagonalPowers, "_step", counted)
+        linearize_order_by_order(fixture_suite(12)["independent-3d"], 12)
+        monkeypatch.undo()
+        (table,) = tables
+        # each step builds one entry, kept under its own key: every entry
+        # but lambda^0 comes from one step
+        assert len(steps) == len(table.entries) - 1 == 454
 
     def test_the_conjugacy_routes_leave_no_cyclic_garbage(self):
         f = fixture_suite(12)["independent-3d"]
@@ -1532,6 +1554,12 @@ class TestCheckNormBound:
         g = SeriesTuple([MultiSeries(1, 4, [((2,), Fraction(1))])])
         with pytest.raises(DomainError, match="rational"):
             check_norm_bound(g, g, [Fraction(2)], rho, delta, DiophantineParams(1, 0), 3)
+
+    def test_a_float_eigenvalue_is_refused(self):
+        # Fraction(0.1) would read 3602879701896397/36028797018963968
+        g = SeriesTuple([MultiSeries(1, 4, [((2,), Fraction(1))])])
+        with pytest.raises(DomainError, match="rational"):
+            check_norm_bound(g, g, [0.1], Fraction(1), Fraction(1, 2), DiophantineParams(1, 0), 3)
 
     def test_batch_minimal_c1_bounded(self):
         # randomized transverse data for eigenvalues (1, -2, -2) at p = 3

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicdyn.arith import fraction_abs, fraction_valuation
+from padicdyn.dynamics import Resonance, enumerate_resonances
 from padicdyn.errors import DomainError, ResonantMonomialError
 from padicdyn.linearize import solve_homological
 from padicdyn.series import (
@@ -20,13 +21,16 @@ from padicdyn.series import (
     _inverse_from,
     _LayerStream,
     _mul,
+    _packer,
     _parent,
     _PowerTable,
+    _unpacker,
     gauss_norm,
     graded_monomials,
     in_subspace_ar,
     tuple_gauss_norm,
 )
+from test_dynamics import brute_force_resonances
 from test_linearize import counted_convolve
 
 
@@ -460,6 +464,28 @@ class TestIntegerArguments:
         with pytest.raises(DomainError, match="rational"):
             make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SeriesTuple([univariate([0, 1, 2], 4)]).compose_diagonal([0.1]),
+            lambda: univariate([0, 1, 2], 4).eval([0.1]),
+            lambda: solve_homological(SeriesTuple([univariate([0, 0, 1], 4)]), [0.1], 0),
+            lambda: _DiagonalPowers([2, 0.5]),
+        ],
+    )
+    def test_float_eigenvalues_and_points_refused(self, make):
+        # Fraction(0.1) would read 3602879701896397/36028797018963968
+        with pytest.raises(DomainError, match="rational"):
+            make()
+
+    @pytest.mark.parametrize("index", [0.5, 1.0, True, False, "0", None])
+    def test_a_variable_index_must_be_an_int(self, index):
+        # variable(0.5, 2, 3) once stored the constant monomial in layer 1
+        with pytest.raises(DomainError, match="variable index"):
+            MultiSeries.variable(index, 2, 3)
+        with pytest.raises(DomainError, match="variable index"):
+            MultiSeries(2, 3, [((1, 1), 1), ((2, 0), 3)]).partial(index)
+
     def test_a_float_radius_is_refused(self):
         phi = SeriesTuple([MultiSeries(1, 3, [((1,), 3)])])
         for rho in (0.1, 0.5):
@@ -604,9 +630,10 @@ class TestPowerTable:
     @staticmethod
     def assert_parents_first(table):
         """table.entries holds degree 0, then the degree-one factors, then
-        each power after its prefix parent: the order take walks."""
+        each power after its prefix parent, under packed keys: the order
+        take walks."""
         nvars = len(table.factors)
-        keys = list(table.entries)
+        keys = list(map(_unpacker(nvars), table.entries))
         assert keys[: nvars + 1] == [(0,) * nvars] + [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
         for index, exps in enumerate(keys[nvars + 1 :], nvars + 1):
             assert sum(exps) >= 2 and keys.index(_parent(exps)[1]) < index, exps
@@ -1176,14 +1203,18 @@ class TestDiagonalPowers:
             n = rng.randint(1, 4)
             lams = [rng.choice(pool) for _ in range(n)]
             table = _DiagonalPowers(lams)
+            pack, unpack = _packer(n), _unpacker(n)
             for _ in range(25):
                 exps = tuple(rng.randint(0, 6) for _ in range(n))
                 assert table.power(exps) == _product(lams, exps)
-            # the prefix parents built on the way are kept, and right too
-            for exps, value in table.entries.items():
-                assert value == _product(lams, exps)
+            # the prefix parents built on the way are kept under their
+            # packed keys, and right too, as reduced pairs
+            for key, value in table.entries.items():
+                exps = unpack(key)
+                expected = _product(lams, exps)
+                assert value == (expected.numerator, expected.denominator)
                 if any(exps):
-                    assert _parent(exps)[1] in table.entries
+                    assert pack(_parent(exps)[1]) in table.entries
 
     def test_stands_in_for_the_factor_sequence(self):
         table = _DiagonalPowers([2, Fraction(1, 3)])
@@ -1251,7 +1282,7 @@ class TestPackedTables:
         return SeriesTuple(comps)
 
     def assert_reduced(self, table):
-        for a, b in table.pairs.values():
+        for a, b in table.entries.values():
             assert b > 0 and math.gcd(a, b) == 1
         for divisors in table.divisors.values():
             for a, b in divisors.values():
@@ -1311,6 +1342,117 @@ class TestPackedTables:
         for r in (0, 1, 2):
             assert solve_homological(g, table, r)[0].coefficient((0, 0, 2)) == 1 / (Fraction(9, 4) - 1)
         assert table.divisors[0] == {2 << 32: (4, 5)}
+
+
+def count_fractions(monkeypatch):
+    """The argument tuples of every Fraction.__new__ call from now until
+    monkeypatch.undo()."""
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return made
+
+
+class TestIntegerTable:
+    """lambda^I kept as reduced integer pairs under packed keys, read by the
+    substitutions, the solves and the resonance search, against Fraction
+    references, for random rational eigenvalues: negative, 1/2, -1/4, and
+    ones on a fixed locus of dimension 0, 1 or 2."""
+
+    POOL = [Fraction(x) for x in (-1, 2, -2, 3, -4)] + [Fraction(1, 2), Fraction(-1, 4), Fraction(-3, 2)]
+
+    def draw(self, rng):
+        r = rng.randint(0, 2)
+        return [Fraction(1)] * r + [rng.choice(self.POOL) for _ in range(rng.randint(1, 3))], r
+
+    def test_every_entry_and_divisor_is_the_fraction_reference_randomized(self):
+        rng = random.Random(3201)
+        entries = divisors = 0
+        for _ in range(40):
+            lams, r = self.draw(rng)
+            n = len(lams)
+            table = _DiagonalPowers(lams)
+            for locus in range(r + 1):
+                TestPackedTables.solved(TestPackedTables.homological_data(rng, n, locus), table, locus)
+            SeriesTuple([rand_series(rng, n, 6) for _ in range(n)]).compose_diagonal(table)
+            enumerate_resonances(table, r, 5)
+            unpack = _unpacker(n)
+            for key, pair in table.entries.items():
+                value = _product(lams, unpack(key))
+                assert pair == (value.numerator, value.denominator)
+            for j, kept in table.divisors.items():
+                for key, pair in kept.items():
+                    inverse = 1 / (_product(lams, unpack(key)) - lams[j])
+                    assert pair == (inverse.numerator, inverse.denominator)
+            entries += len(table.entries)
+            divisors += sum(map(len, table.divisors.values()))
+        assert entries >= 1000 and divisors >= 200, (entries, divisors)
+
+    def test_resonances_match_brute_force_on_a_fresh_and_a_warm_table_randomized(self):
+        rng = random.Random(3202)
+        found = 0
+        for _ in range(40):
+            lams, r = self.draw(rng)
+            degree = rng.randint(1, 6)
+            expected = brute_force_resonances(lams, r, degree)
+            found += len(expected)
+            assert enumerate_resonances(lams, r, degree) == expected
+            warm = _DiagonalPowers(lams)
+            SeriesTuple([rand_series(rng, len(lams), 6) for _ in lams]).compose_diagonal(warm)
+            assert enumerate_resonances(warm, r, degree) == expected
+            assert enumerate_resonances(warm, r, degree) == expected
+        assert found >= 20
+
+    def test_a_resonant_solve_names_one_monomial_on_a_fresh_and_a_warm_table_randomized(self):
+        rng = random.Random(3203)
+        resonant = 0
+        for _ in range(240):
+            lams, r = self.draw(rng)
+            n = len(lams)
+            g = TestPackedTables.homological_data(rng, n, r)
+            expected = TestPackedTables.divided(g, lams, r)
+            if not isinstance(expected, tuple):
+                continue
+            resonant += 1
+            assert TestPackedTables.solved(g, _DiagonalPowers(lams), r) == expected
+            # warmed by the other reads of a run: substitutions, the
+            # resonance search and solves of other data
+            warm = _DiagonalPowers(lams)
+            SeriesTuple([rand_series(rng, n, 6) for _ in lams]).compose_diagonal(warm)
+            enumerate_resonances(warm, r, 6)
+            TestPackedTables.solved(TestPackedTables.homological_data(rng, n, r), warm, r)
+            assert TestPackedTables.solved(g, warm, r) == expected
+            assert TestPackedTables.solved(g, warm, r) == expected
+        assert resonant >= 15
+
+    def test_a_cold_table_builds_no_fraction(self, monkeypatch):
+        # the one resonance: lambda_1^2 = lambda_2
+        lams, r = [Fraction(1), Fraction(-1, 2), Fraction(1, 4), Fraction(5)], 1
+        rng = random.Random(3204)
+        g = SeriesTuple(
+            [
+                MultiSeries(4, 8, [(e, c) for e, c in comp.terms() if (j, e[1:]) != (2, (2, 0, 0))])
+                for j, comp in enumerate(TestPackedTables.homological_data(rng, 4, r, trunc=8))
+            ]
+        )
+        tup = SeriesTuple([rand_series(rng, 4, 8, terms=12) for _ in lams])
+        expected = (TestPackedTables.divided(g, lams, r), TestPackedTables.substituted(tup, lams))
+        table = _DiagonalPowers(lams)
+        made = count_fractions(monkeypatch)
+        got = (solve_homological(g, table, r), tup.compose_diagonal(table))
+        resonances = enumerate_resonances(table, r, 8)
+        built = list(made)
+        Fraction(1, 3)
+        monkeypatch.undo()
+        assert built == [] and made == [(1, 3)]
+        assert got == expected
+        assert resonances == brute_force_resonances(lams, r, 8) == [Resonance((2, 0, 0), 2)]
+        assert len(table.entries) > 100
 
 
 class TestGradedMonomials:
