@@ -277,7 +277,7 @@ def enumerate_resonances(
 
 def relation_lattice(eigenvalues: Sequence[Fraction]) -> RelationLattice:
     """Exact multiplicative-relation lattice via prime-factorization linear algebra."""
-    lams = [Fraction(x) for x in eigenvalues]
+    lams = [_as_rational(x, "eigenvalues") for x in eigenvalues]
     if any(x == 0 for x in lams):
         raise DomainError("eigenvalues must be nonzero")
     n = len(lams)
@@ -324,7 +324,7 @@ def symplectic_scaling_check(
     """
     m = ratlinalg.as_matrix(matrix)
     s = ratlinalg.as_matrix(sigma)
-    mu = Fraction(mu)
+    mu = _as_rational(mu, "mu")
     n = len(s)
     if n % 2 != 0:
         raise DomainError("symplectic form needs even dimension")

@@ -45,9 +45,9 @@ which no power layer reads: it forms none.  Each layer step also asserts
 that it adds its own layer alone.
 
 Each run builds one table of the eigenvalue powers lambda^I
-(series._DiagonalPowers), filled from prefix parents,
-lambda^I = lambda^(I - e_last(I)) lambda_last, by the chain walk of the
-power table of a composition.  The table stands in for the eigenvalue
+(series._DiagonalPowers), filled from kept parents,
+lambda^I = lambda^(I - e_j) lambda_j, by the chain walk of the power
+table of a composition.  The table stands in for the eigenvalue
 sequence and is handed down wherever the eigenvalues go, so the divisors
 of every homological solve, the diagonal substitutions h o Lambda of the
 residuals, the resonance search before h^(-1) and the final check all read
@@ -84,7 +84,8 @@ kappa_d o f = sum_I kappa_(d,I) f^I, a linear combination over the monomial
 powers f^I of degree d.  series._LayerStream keeps this remainder: it
 reads one power table of f (series._PowerTable, the kind a run keeps of
 h), shared by every layer and component, which builds a power f^I only
-when a kappa_d has the monomial I (from f^(I - e_last(I)), and keeps it),
+when a kappa_d has the monomial I (from a kept f^(I - e_j) where there is
+one, else down the prefix parents, and keeps it),
 and it holds the remainder as integer sums, grouped by denominator within
 each degree, so only the layer being solved is merged and reduced to a
 series.  The stream starts from f, which agrees with f - Lambda in every

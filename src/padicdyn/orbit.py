@@ -30,7 +30,7 @@ from math import comb, gcd, lcm
 from typing import Sequence
 
 from . import ratlinalg
-from .arith import check_odd_prime, fraction_abs, fraction_valuation, int_valuation
+from .arith import _as_rational, check_odd_prime, fraction_abs, fraction_valuation, int_valuation
 from .dynamics import (
     AnalyticMap,
     RelationLattice,
@@ -154,7 +154,7 @@ def iterate_in_neighbourhood(
                 raise DomainError("point prime does not match the neighbourhood")
             value = x.residue(precision)
         else:
-            q = Fraction(x)
+            q = _as_rational(x, "start point")
             if q != 0 and fraction_valuation(q, p) < 0:
                 raise DomainError(f"coordinate {i} is not integral")
             value = _residue(q, modulus)
@@ -286,7 +286,7 @@ def separating_polynomial(
     The level is raised until the supplied units are pairwise distinct
     modulo p**level, so the construction never fails.
     """
-    bs = [Fraction(b) for b in units]
+    bs = [_as_rational(b, "units") for b in units]
     if not 0 <= target_index < len(bs):
         raise DomainError("target index out of range")
     for b in bs:
@@ -363,8 +363,8 @@ class VanishingSumInstance:
         precision: int = 24,
     ) -> None:
         check_odd_prime(prime)
-        a = [Fraction(x) for x in a]
-        b = [Fraction(x) for x in b]
+        a = [_as_rational(x, "coefficients") for x in a]
+        b = [_as_rational(x, "units") for x in b]
         if not a or len(a) != len(b):
             raise DomainError("need matching nonempty coefficient and unit vectors")
         if any(x == 0 for x in a):
@@ -592,7 +592,7 @@ def relation_probe(points: Sequence[Sequence], degree: int) -> RelationProbe:
             vals = list(pt)
             row = [PAdic.from_rational(1, prime, prec or 1)]
         else:
-            vals = [Fraction(x) for x in pt]
+            vals = [_as_rational(x, "points") for x in pt]
             row = [Fraction(1)]
         if degree:
             # graded_monomials lists the degree-1 block as x_0, ..., x_(n-1)
@@ -704,8 +704,8 @@ def closure_dimension_estimate(
     are relation directions; when every direction is independent the free
     points are the transformed points, and the one probe serves both.
     """
-    lams = [Fraction(x) for x in eigenvalues]
-    pt = [Fraction(x) for x in start]
+    lams = [_as_rational(x, "eigenvalues") for x in eigenvalues]
+    pt = [_as_rational(x, "start point") for x in start]
     n = len(lams)
     if len(pt) != n:
         raise DomainError("start dimension mismatch")
@@ -800,7 +800,7 @@ def union_closure_compare(
     union1 = []
     union2 = []
     for pt in sample_points:
-        current = tuple(Fraction(x) for x in pt)
+        current = tuple(_as_rational(x, "sample points") for x in pt)
         for i in range(horizon + 1):
             if i in s1:
                 union1.append(current)

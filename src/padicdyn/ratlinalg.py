@@ -20,13 +20,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .arith import _as_rational
 from .errors import DomainError
 
 Matrix = list[list[Fraction]]
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+    return [[_as_rational(x, "matrix entries") for x in row] for row in rows]
 
 
 def identity(n: int) -> Matrix:

@@ -26,7 +26,7 @@ output degree at a time: its term products are summed in groups, one per
 product of the operands' layer denominators, and the groups are merged once
 over their lcm (_merge) before the next degree, so a low layer is never
 multiplied at the width of a high one.  Composition sums c_I inner^I over
-the inner map's monomial powers, each built from its prefix parent as
+the inner map's monomial powers, each built from a parent as
 inner^I = inner^(I - e_j) inner_j (the baby-step table of Brent and Kung)
 in the same graded integer form, not reduced; one routine (_combine) adds
 such a combination to a running sum, the products of a degree over one
@@ -51,17 +51,22 @@ term (_times_pairs).  The table keeps lambda^I itself as a reduced integer
 pair, so neither a power, a divisor nor the resonance search of dynamics
 builds a Fraction.  Both are exact.
 
-Every monomial walk of the package takes one step, from a nonzero
-monomial I to its prefix parent I - e_j with j the last variable of I
-(_parent).  Both power tables key their entries by the packed key and
-build an entry from its prefix parent's entry, so a read of a kept power
-is one dict read; on a miss one chain walk (_chained) finds j from the
-unpacked key, steps down to the key I - e_j by subtracting the unit key of
-j, as MultiSeries.partial lowers an exponent, until it reaches a kept
-entry, and builds the missing ones upwards.
-graded_monomials lists the monomials by degree, each after its prefix
-parent; the relation probes of orbit and the resonance search of
-dynamics run over it.
+The monomial walks of the package step from a nonzero monomial I to a
+parent I - e_j.  A walk over fixed monomials takes the prefix parent, j
+the last variable of I (_parent): graded_monomials lists the monomials by
+degree, each after its prefix parent, and the relation probes of orbit,
+the resonance search of dynamics and the one-shot substitution run over
+it.  Both power tables key their entries by the packed key and build an
+entry from a kept parent's entry, so a read of a kept power is one dict
+read.  On a miss one chain walk (_chained) steps from the kept parent
+I - e_j with the largest j, reached by subtracting the unit key of j as
+MultiSeries.partial lowers an exponent; only where no parent is kept does
+it step down to the prefix parent and look again there.  It builds the
+missing powers upwards and records each one's j (parents), so a kept
+table re-forms a power from the parent it was built from, with no search.
+A table read at scattered monomials, as the stream of h^(-1) reads those
+of its layers, thus builds no more powers than their prefix closure, and
+often fewer.
 
 Gauss norms sup |a_I|_p rho^|I| are returned as exact data: the p-adic
 valuation of the extremal coefficient, its degree, and the norm value as a
@@ -675,22 +680,33 @@ def _unit_keys(nvars: int) -> list[int]:
 
 
 def _chained(table, key: int):
-    """table.entries[key], building it and its missing prefix parents
-    upwards from the nearest kept one, each as table._step(j, parent) for
-    parent the entry of I - e_j, j the last variable of I, and keeping them.
+    """table.entries[key], building it and its missing parents upwards from
+    kept ones, each as table._step(j, parent) for parent the entry of
+    I - e_j, and keeping them; table.parents records each built entry's j.
 
-    table holds entries keyed by packed keys, the unpack of its keys and
-    the unit keys of its variables (_unit_keys)."""
+    For a missing I the step is from the kept parent I - e_j with the
+    largest j, where I has one; only where no parent of I is kept does the
+    walk go down to I - e_j with j the last variable of I (_parent) and
+    look again there.  Every chain gives the same exact power, and each
+    entry is inserted after its parent.
+
+    table holds entries keyed by packed keys, their parents, the unpack of
+    its keys and the unit keys of its variables (_unit_keys)."""
     entries, unpack, units = table.entries, table.unpack, table.units
     chain = []
     while key not in entries:
-        j = _parent(unpack(key))[0]
+        exps = unpack(key)
+        j = next((i for i in reversed(range(len(exps))) if exps[i] and key - units[i] in entries), None)
+        if j is None:
+            j = _parent(exps)[0]
         chain.append((key, j))
         key -= units[j]
     value = entries[key]
+    parents = table.parents
     for mono, j in reversed(chain):
         value = table._step(j, value)
         entries[mono] = value
+        parents[mono] = j
     return value
 
 
@@ -704,10 +720,12 @@ class _DiagonalPowers:
 
     entries maps the packed key of I to lambda^I as a reduced integer pair
     (a, b) with b > 0.  pair(key) reads it, and on a miss _chained builds it
-    from its prefix parent's pair as (a n_j, b d_j) over their gcd, for
-    lambda_j = n_j / d_j and j the last variable of I, as _PowerTable builds
-    inner^I: no Fraction per entry.  power(I) is the Fraction view of an
-    entry, for the tests and the error path of divided.
+    from a kept parent's pair as (a n_j, b d_j) over their gcd, for
+    lambda_j = n_j / d_j and I - e_j that parent, as _PowerTable builds
+    inner^I, and records j in parents: no Fraction per entry.  A graded
+    walk, as the resonance search makes, finds the prefix parent kept.
+    power(I) is the Fraction view of an entry, for the tests and the error
+    path of divided.
     dynamics.enumerate_resonances compares the pairs with those of the
     factors (ratios).
 
@@ -718,7 +736,7 @@ class _DiagonalPowers:
     dimension.  A zero divisor is never kept.
     """
 
-    __slots__ = ("factors", "ratios", "unpack", "units", "entries", "divisors")
+    __slots__ = ("factors", "ratios", "unpack", "units", "entries", "parents", "divisors")
 
     def __init__(self, factors: Iterable[Fraction]) -> None:
         self.factors = tuple(_as_rational(x, "eigenvalues") for x in factors)
@@ -727,6 +745,7 @@ class _DiagonalPowers:
         self.unpack = _unpacker(n)
         self.units = _unit_keys(n)
         self.entries: dict[int, tuple[int, int]] = {0: (1, 1)}
+        self.parents: dict[int, int] = {}
         self.divisors: dict[int, dict[int, tuple[int, int]]] = {}
 
     @classmethod
@@ -847,17 +866,20 @@ class _PowerTable:
     entries maps the packed key of I to inner^I, a layer map with one
     denominator per degree, not reduced, up to the table's degree, the cap
     of the last inner map.  power(key) is one dict read for a kept entry;
-    on a miss _chained builds it as inner^I = inner^(I - e_j) inner_j with
-    j the last variable of I.  The degree-one entries are the inner map's
-    own layers, in dicts the table owns.
+    on a miss _chained builds it as inner^I = inner^(I - e_j) inner_j from
+    a kept parent I - e_j where there is one, and records j in parents.
+    Every chain gives the same power, exactly, though not the same
+    unreduced layers: a reader reduces its sums.  The degree-one entries
+    are the inner map's own layers, in dicts the table owns.
 
     take(inner) makes inner the inner map.  Layer k of a power of degree
     >= 2 reads only the inner layers below k, so take finds the first inner
     layer m that differs from the one it took last, drops every power layer
     above m, and forms them again from inner's layers, up to the new degree.
     It walks the entries in the order they were inserted, which puts each
-    power after its prefix parent: the constructor inserts degree 0 and
-    then the degree-one factors, and _chained inserts a missing parent
+    power after the parent it was built from, and re-forms it from that
+    parent, I - e_j for j = parents[I]: the constructor inserts degree 0
+    and then the degree-one factors, and _chained inserts a missing parent
     before its child.  Every kept power layer was thus formed from inner
     layers equal to the current inner's, and compose(outer, inner, low)
     returns the layers >= low of outer.compose(inner) exactly, for any
@@ -871,6 +893,7 @@ class _PowerTable:
         self.factors: list[_Packed] = [{} for _ in range(nvars)]
         self.entries: dict[int, _Packed] = {0: {0: (1, {0: 1})}}
         self.entries.update(zip(self.units, self.factors))
+        self.parents: dict[int, int] = {}
 
     def _step(self, j: int, parent: _Packed) -> _Packed:
         """inner^I through the table's degree, from the entry of its prefix
@@ -902,9 +925,10 @@ class _PowerTable:
             factor.clear()
             factor.update(mine)
         entries = self.entries
-        # the powers of degree >= 2, each after its prefix parent
+        # the powers of degree >= 2, each after its recorded parent
+        parents = self.parents
         for key, power in islice(entries.items(), n + 1, None):
-            j = _parent(self.unpack(key))[0]
+            j = parents[key]
             for k in range(kept + 1, self.degree + 1):
                 power.pop(k, None)
             power.update(_convolve(entries[key - self.units[j]], self.factors[j], cap, kept + 1))
@@ -1245,14 +1269,14 @@ def gauss_norm(phi: MultiSeries, rho, prime: int) -> GaussNorm:
     unpack = _unpacker(phi.nvars)
     for d, (den, nums) in phi._packed.items():
         # rho^d and the denominator are common to the layer: its least
-        # numerator valuation wins, graded-lex first
-        val, key, exps = min(
-            (int_valuation(n, prime), tuple(-e for e in exps), exps)
-            for exps, n in zip(map(unpack, nums), nums.values())
-        )
+        # numerator valuation wins, graded-lex first (the greatest exponent
+        # tuple) among the keys tied at it, which alone are unpacked
+        vals = [(int_valuation(n, prime), key) for key, n in nums.items()]
+        val = min(v for v, _ in vals)
+        exps = max(unpack(key) for v, key in vals if v == val)
         val -= int_valuation(den, prime)
         value = rho**d * Fraction(prime) ** -val
-        key = (d,) + key
+        key = (d,) + tuple(-e for e in exps)
         if best is None or value > best[0] or (value == best[0] and key < best[1]):
             best = (value, key, val, d, exps)
     if best is None:

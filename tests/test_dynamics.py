@@ -80,6 +80,11 @@ class TestJacobian:
 
 
 class TestRationalEigenvalues:
+    def test_a_float_entry_is_refused(self):
+        # 0.1 would read as 3602879701896397/36028797018963968
+        with pytest.raises(DomainError):
+            rational_eigenvalues([[0.1, 0], [0, 2]])
+
     def test_diagonal(self):
         data = rational_eigenvalues([[2, 0], [0, 3]])
         assert data.eigenvalues == (2, 3)
@@ -203,6 +208,10 @@ class TestResonances:
 
 
 class TestRelationLattice:
+    def test_a_float_eigenvalue_is_refused(self):
+        with pytest.raises(DomainError):
+            relation_lattice([0.5, 4])
+
     def test_independent(self):
         lat = relation_lattice([2, 3])
         assert lat.basis == ()
@@ -275,6 +284,13 @@ class TestRelationLattice:
 
 
 class TestSymplecticScaling:
+    def test_a_float_mu_or_entry_is_refused(self):
+        sigma = standard_symplectic_form(2)
+        with pytest.raises(DomainError):
+            symplectic_scaling_check(ratlinalg.identity(2), sigma, 1.0)
+        with pytest.raises(DomainError):
+            symplectic_scaling_check([[1.0, 0], [0, 1]], sigma, 1)
+
     def test_fixture(self):
         sigma = standard_symplectic_form(4)
         m = ratlinalg.as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]])

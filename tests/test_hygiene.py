@@ -574,9 +574,11 @@ def cached(x):
     ]
 
 
-# every monomial walk steps from I to its prefix parent I - e_last(I)
-# through series._parent (series module docstring), so the last-variable
-# search max(i for i, e in enumerate(I) if e) is written there alone
+# a walk over fixed monomials steps from I to its prefix parent
+# I - e_last(I) through series._parent, and the chain walk of the power
+# tables steps there where no parent of I is kept (series module
+# docstring), so the last-variable search max(i for i, e in enumerate(I)
+# if e) is written there alone
 LAST_VARIABLE_SITES = {("series.py", "_parent")}
 
 

@@ -1419,22 +1419,50 @@ class TestInverseStream:
         assert k == result.h_inverse
         # at most the sum that forms fmap - Lambda, once per component
         assert sum(counts.values()) <= len(fmap), counts
-        # the prefix closure (I -> I - e_last(I)) of the composed supports
-        closure = set()
-        for layer in added:
-            for comp in layer:
-                for exps, _ in comp.terms():
-                    while any(exps) and exps not in closure:
-                        closure.add(exps)
-                        j = max(i for i, e in enumerate(exps) if e)
-                        exps = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+        composed = {exps for layer in added for comp in layer for exps, _ in comp.terms()}
         (stream,) = streams
-        # the degree-one entries are fmap's own layers, built by no step
+        table = stream.table
+        # the degree-one entries are fmap's own layers, built by no step;
+        # each power of degree >= 2 was built by one step from its recorded
+        # parent, and is a composed monomial or the parent of a built one
         unpack = series._unpacker(fmap.nvars)
-        built = {exps for exps in map(unpack, stream.table.entries) if sum(exps) >= 2}
-        assert built == {exps for exps in closure if sum(exps) >= 2}
-        # every monomial of degree 1..11 in four variables would be 1364
-        assert len(closure) == 255
+        built = {unpack(key) for key in table.entries if sum(unpack(key)) >= 2}
+        assert {unpack(key) for key in table.parents} == built
+        parents = {unpack(key - table.units[j]) for key, j in table.parents.items()}
+        assert built <= composed | parents
+        # here every composed monomial has a composed parent, so the kept
+        # powers of degree >= 2 are exactly the 192 composed monomials
+        assert built == composed and len(built) == 192
+
+    def test_the_stream_steps_from_kept_parents(self, monkeypatch):
+        # work pins of the seed-0 independent-3d h^(-1) at degree 12, the
+        # order-by-order route: a power steps from a kept parent where it
+        # has one, where last-variable parents alone took 341 steps, 8 876
+        # term pairs and 345 kept powers
+        f = fixture_suite(12)["independent-3d"]
+        result = linearize_order_by_order(f, 12)
+        streams, steps, visited = [], [], []
+        step = series._PowerTable._step
+
+        class Recording(series._LayerStream):
+            def __init__(self, inner):
+                super().__init__(inner)
+                streams.append(self)
+
+        def counted(self, j, parent):
+            steps.append(j)
+            return step(self, j, parent)
+
+        monkeypatch.setattr(linearize, "_LayerStream", Recording)
+        monkeypatch.setattr(series._PowerTable, "_step", counted)
+        counted_convolve(monkeypatch, visited)
+        k = linearize._conjugacy_inverse(result.h, f.components, result.eigenvalues, f.fixed_locus_dim)
+        monkeypatch.undo()
+        assert k == result.h_inverse
+        (stream,) = streams
+        assert len(steps) <= 269
+        assert sum(visited) <= 6965
+        assert len(stream.table.entries) <= 273
 
     def test_one_eigenvalue_table_per_run(self, monkeypatch):
         made = []

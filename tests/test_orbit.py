@@ -164,6 +164,11 @@ def random_orbit_case(rng):
 
 
 class TestIterateInNeighbourhood:
+    def test_a_float_start_is_refused(self):
+        nbhd = Neighbourhood(prime=3, level=1, dim=1)
+        with pytest.raises(DomainError):
+            iterate_in_neighbourhood(doubling_map(), [0.75], 5, nbhd, precision=40)
+
     def test_integer_iteration_oracle(self):
         # direct integer iteration of 2x + x^2 from 3
         nbhd = Neighbourhood(prime=3, level=1, dim=1)
@@ -287,6 +292,12 @@ class TestNeighbourhoodMembership:
 
 
 class TestVanishingSum:
+    def test_a_float_coefficient_or_unit_is_refused(self):
+        with pytest.raises(DomainError):
+            VanishingSumInstance([3.0, -2], [2, 3], prime=5)
+        with pytest.raises(DomainError):
+            VanishingSumInstance([3, -2], [2, 0.5], prime=5)
+
     def test_planted_solution(self):
         inst = VanishingSumInstance([3, -2], [2, 3], prime=5)
         report = vanishing_exponents(inst, 50)
@@ -357,6 +368,10 @@ class TestVanishingSum:
 
 
 class TestSeparatingPolynomial:
+    def test_a_float_unit_is_refused(self):
+        with pytest.raises(DomainError):
+            separating_polynomial([Fraction(1), 2.0], 0, 1, 5)
+
     def test_level_one_example(self):
         # P(x) = x (x-2) (x-3) (x-4) separates 1 from 2 at p = 5
         sep = separating_polynomial([Fraction(1), Fraction(2)], 0, 1, 5)
@@ -436,6 +451,10 @@ class TestInterpolationReduction:
 
 
 class TestRelationProbe:
+    def test_a_float_point_is_refused(self):
+        with pytest.raises(DomainError):
+            relation_probe([(1, 1), (2, 0.5)], 1)
+
     def test_parabola_found(self):
         points = []
         x, y = Fraction(1), Fraction(1)
@@ -538,6 +557,12 @@ class TestRelationProbe:
 
 
 class TestClosureDimension:
+    def test_a_float_eigenvalue_or_start_is_refused(self):
+        with pytest.raises(DomainError):
+            closure_dimension_estimate([2.0, 3], [1, 1], 10, 2)
+        with pytest.raises(DomainError):
+            closure_dimension_estimate([2, 3], [1, 0.5], 10, 2)
+
     def test_independent_multipliers(self):
         est = closure_dimension_estimate([Fraction(2), Fraction(3)], [1, 1], 50, 4)
         assert est.lower_bound == 2
@@ -593,6 +618,11 @@ class TestClosureDimension:
 
 
 class TestUnionClosure:
+    def test_a_float_sample_point_is_refused(self):
+        f = build_map([[((1, 0), 2)], [((0, 1), 3)]], 4)
+        with pytest.raises(DomainError):
+            union_closure_compare(f, [(1, 0.5)], range(4), range(1, 4), 2)
+
     def test_even_vs_odd_diagonal(self):
         f = build_map([[((1, 0), 2)], [((0, 1), 3)]], 4)
         sample = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))]

@@ -56,6 +56,12 @@ def assert_exact(rows):
     assert all(type(x) is Fraction for row in rows for x in row)
 
 
+def test_as_matrix_refuses_a_float_entry():
+    assert ratlinalg.as_matrix([[1, Fraction(1, 2)]]) == [[Fraction(1), Fraction(1, 2)]]
+    with pytest.raises(DomainError):
+        ratlinalg.as_matrix([[1, 0.5]])
+
+
 class TestAgainstSympy:
     @settings(max_examples=150, deadline=None)
     @given(matrices())

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padicdyn import series
 from padicdyn.arith import fraction_abs, fraction_valuation
 from padicdyn.dynamics import Resonance, enumerate_resonances
 from padicdyn.errors import DomainError, ResonantMonomialError
@@ -630,13 +631,20 @@ class TestPowerTable:
     @staticmethod
     def assert_parents_first(table):
         """table.entries holds degree 0, then the degree-one factors, then
-        each power after its prefix parent, under packed keys: the order
-        take walks."""
+        each power after its recorded parent key - units[parents[key]],
+        under packed keys: the order take walks."""
         nvars = len(table.factors)
-        keys = list(map(_unpacker(nvars), table.entries))
-        assert keys[: nvars + 1] == [(0,) * nvars] + [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
-        for index, exps in enumerate(keys[nvars + 1 :], nvars + 1):
-            assert sum(exps) >= 2 and keys.index(_parent(exps)[1]) < index, exps
+        unpack = _unpacker(nvars)
+        keys = list(table.entries)
+        assert list(map(unpack, keys[: nvars + 1])) == [(0,) * nvars] + [
+            tuple(int(i == j) for i in range(nvars)) for j in range(nvars)
+        ]
+        assert set(table.parents) == set(keys[nvars + 1 :])
+        for index, key in enumerate(keys[nvars + 1 :], nvars + 1):
+            j = table.parents[key]
+            exps = unpack(key)
+            assert sum(exps) >= 2 and exps[j] >= 1, exps
+            assert keys.index(key - table.units[j]) < index, exps
 
     def test_a_changed_layer_or_a_lower_cap_is_served_exactly(self):
         rng = random.Random(44)
@@ -676,6 +684,31 @@ class TestPowerTable:
         fresh = _PowerTable(nvars).compose(outer, inner)
         assert kept == fresh == outer.compose(inner)
         assert kept_pairs < sum(visited)
+
+    def test_a_take_finds_no_last_variable(self, monkeypatch):
+        # take re-forms each kept power from its recorded parent: a changed
+        # inner map costs convolutions but no _parent call
+        rng = random.Random(46)
+        nvars, trunc = 3, 6
+        outer = SeriesTuple([rand_series(rng, nvars, trunc, terms=8) for _ in range(nvars)])
+        target = SeriesTuple([rand_series(rng, nvars, trunc, terms=8, zero_constant=True) for _ in range(nvars)])
+        table = _PowerTable(nvars)
+        table.compose(outer, target)
+        calls, visited = [], []
+        parent = series._parent
+
+        def counted(exps):
+            calls.append(exps)
+            return parent(exps)
+
+        monkeypatch.setattr(series, "_parent", counted)
+        counted_convolve(monkeypatch, visited)
+        changed = SeriesTuple([target[0] + MultiSeries(nvars, trunc, [((1, 1, 0), Fraction(2, 3))])] + list(target)[1:])
+        table.take(changed)
+        assert len(table.entries) > nvars + 1 and sum(visited) > 0
+        assert calls == []
+        monkeypatch.undo()
+        assert table.compose(outer, changed) == outer.compose(changed)
 
     def test_rejects_a_constant_term_or_a_non_square_map(self):
         x, y = MultiSeries.variable(0, 2, 4), MultiSeries.variable(1, 2, 4)
@@ -1094,6 +1127,37 @@ class TestGaussNorm:
             else:
                 assert (norm.value, norm.witness, norm.valuation, norm.degree) == best
 
+    def test_matches_a_brute_force_reference_with_ties_randomized(self):
+        # coefficients +-p^k u with few k and units u, so many terms of a
+        # layer tie at its least valuation, and at rho = 1 layers tie too;
+        # the reference scans every term in graded-lex order, keeping the
+        # first of the greatest value
+        rng = random.Random(26)
+        ties = 0
+        for _ in range(150):
+            p = rng.choice((2, 3, 5))
+            nvars, trunc = rng.randint(1, 4), rng.randint(1, 5)
+            rho = rng.choice((Fraction(1), Fraction(1, p), Fraction(p), Fraction(2, 3)))
+            units = (1, -1, p + 1, 1 - 2 * p)
+            terms = [
+                (exps, Fraction(rng.choice(units) * p ** rng.randint(0, 2), rng.choice((1, p))))
+                for exps in graded_monomials(nvars, trunc)
+                if rng.random() < 0.7
+            ]
+            phi = MultiSeries(nvars, trunc, terms)
+            best = None
+            for exps, c in sorted(phi.terms(), key=lambda t: (sum(t[0]), tuple(-e for e in t[0]))):
+                value = fraction_abs(c, p) * rho ** sum(exps)
+                if best is None or value > best[0]:
+                    best = (value, fraction_valuation(c, p), sum(exps), exps)
+            norm = gauss_norm(phi, rho, p)
+            if best is None:
+                assert (norm.value, norm.witness) == (0, None)
+                continue
+            assert (norm.value, norm.valuation, norm.degree, norm.witness) == best
+            ties += sum(fraction_abs(c, p) * rho ** sum(e) == best[0] for e, c in phi.terms()) > 1
+        assert ties > 50
+
     def test_ultrametric_randomized(self):
         rng = random.Random(23)
         for _ in range(100):
@@ -1207,14 +1271,18 @@ class TestDiagonalPowers:
             for _ in range(25):
                 exps = tuple(rng.randint(0, 6) for _ in range(n))
                 assert table.power(exps) == _product(lams, exps)
-            # the prefix parents built on the way are kept under their
-            # packed keys, and right too, as reduced pairs
+            # the parents built on the way are kept under their packed
+            # keys, and right too, as reduced pairs; every entry but
+            # lambda^0 records the parent it was built from, which is kept
+            assert set(table.parents) == set(table.entries) - {0}
             for key, value in table.entries.items():
                 exps = unpack(key)
                 expected = _product(lams, exps)
                 assert value == (expected.numerator, expected.denominator)
                 if any(exps):
-                    assert pack(_parent(exps)[1]) in table.entries
+                    j = table.parents[key]
+                    assert exps[j] >= 1 and key - table.units[j] in table.entries
+                    assert pack(exps[:j] + (exps[j] - 1,) + exps[j + 1 :]) == key - table.units[j]
 
     def test_stands_in_for_the_factor_sequence(self):
         table = _DiagonalPowers([2, Fraction(1, 3)])
@@ -1229,6 +1297,81 @@ class TestDiagonalPowers:
         out = tup.compose_diagonal(_DiagonalPowers([5, 0]))
         assert dict(out[0].terms()) == {(1, 0): Fraction(5)}
         assert out[0].lowest_degree() == out[0].degree() == 1
+
+
+def power_terms(entry):
+    """A power table entry as {packed key: Fraction}: its unreduced layers
+    read as rationals, zero numerators dropped."""
+    return {key: Fraction(v, den) for den, nums in entry.values() for key, v in nums.items() if v}
+
+
+class TestRecordedParents:
+    """Both power tables read in random key orders, so that a missing power
+    steps from a kept parent other than its last-variable one: every entry
+    is still the exact power, and every composition is exact."""
+
+    @staticmethod
+    def other_parents(table):
+        """The number of entries built from a parent other than the
+        last-variable one."""
+        unpack = table.unpack
+        return sum(j != _parent(unpack(key))[0] for key, j in table.parents.items())
+
+    def test_power_table_in_random_orders_randomized(self):
+        rng = random.Random(3301)
+        others = 0
+        for nvars in (2, 3, 4):
+            trunc = 6 if nvars < 4 else 5
+            pack = _packer(nvars)
+            monos = [pack(exps) for exps in graded_monomials(nvars, trunc) if sum(exps) >= 2]
+            for _ in range(3):
+                outer = SeriesTuple([rand_series(rng, nvars, trunc, terms=6) for _ in range(nvars)])
+                target = SeriesTuple(
+                    [rand_series(rng, nvars, trunc, terms=6, zero_constant=True) for _ in range(nvars)]
+                )
+                table = _PowerTable(nvars)
+                for cap in range(1, trunc + 1):
+                    # the inner map changes between takes
+                    inner = TestPowerTable.grown(rng, target, cap)
+                    table.take(inner)
+                    for key in rng.sample(monos, len(monos) // 3):
+                        table.power(key)
+                    TestPowerTable.assert_parents_first(table)
+                    # a fresh table read in graded order steps from the
+                    # last-variable parents alone
+                    fresh = _PowerTable(nvars)
+                    fresh.take(inner)
+                    for key in monos:
+                        fresh.power(key)
+                    assert self.other_parents(fresh) == 0
+                    for key, entry in table.entries.items():
+                        assert power_terms(entry) == power_terms(fresh.entries[key])
+                    low = rng.randint(0, cap)
+                    assert table.compose(outer, inner, low) == from_low(outer.compose(inner), low)
+                others += self.other_parents(table)
+                assert table.compose(outer, target) == outer.compose(target)
+        assert others > 0
+
+    def test_diagonal_powers_in_random_orders_randomized(self):
+        rng = random.Random(3302)
+        pool = [Fraction(x) for x in (1, -1, 2, -3, 7)] + [Fraction(2, 9), Fraction(-5, 4)]
+        others = 0
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            trunc = 6 if n < 4 else 5
+            lams = [rng.choice(pool) for _ in range(n)]
+            table = _DiagonalPowers(lams)
+            pack, unpack = _packer(n), _unpacker(n)
+            monos = [pack(exps) for exps in graded_monomials(n, trunc)]
+            for key in rng.sample(monos, len(monos) // 2):
+                table.pair(key)
+            for key, value in table.entries.items():
+                expected = _product(lams, unpack(key))
+                assert value == (expected.numerator, expected.denominator)
+            others += self.other_parents(table)
+            tup = SeriesTuple([rand_series(rng, n, trunc, terms=8) for _ in range(n)])
+            assert tup.compose_diagonal(table) == tup.compose(SeriesTuple.diagonal(lams, trunc))
+        assert others > 0
 
 
 class TestPackedTables:
