@@ -21,6 +21,7 @@ from typing import NamedTuple, Sequence
 from . import ratlinalg
 from .arith import (
     _as_rational,
+    _is_int,
     divisors,
     factorize,
     fraction_valuation,
@@ -257,8 +258,10 @@ def enumerate_resonances(
     table = _DiagonalPowers.of(eigenvalues)
     lams = table.factors
     n = len(lams)
-    if not 0 <= r <= n:
+    if not _is_int(r) or not 0 <= r <= n:
         raise DomainError("fixed-locus dimension out of range")
+    if not _is_int(max_degree):
+        raise DomainError(f"max_degree must be an int, got {max_degree!r}")
     if any(lams[i] != 1 for i in range(r)):
         raise DomainError("the first r eigenvalues must equal one")
     if any(x == 0 for x in lams):

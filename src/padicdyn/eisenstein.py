@@ -10,20 +10,24 @@ F'(phi) at the seed.  The division of homogeneous forms is performed by
 long division in a rank-n monomial valuation (later variables infinitely
 heavier), pivoting on the valuation-minimal monomial of the divisor, so
 every coefficient lands in the ring generated by the inputs and the pivot
-inverse.  A non-dividing pivot step means the seed was not a root or the
-vanishing order was wrong, and raises DivisionFailureError.
+inverse.  The layers stay in the packed integer form of series: the
+division (series._pivot_quotient) reads each lead as the least packed
+key, which is the valuation order, and builds no Fraction.  A
+non-dividing pivot step means the seed was not a root or the vanishing
+order was wrong, and raises DivisionFailureError.
 
 When F' is a unit at the seed (s = 0), plain quadratic Hensel lifting is
 used instead.
 
 XPolynomial.evaluate sums a_k phi^k over powers built by squaring, and with
-a lower bound low forms only the layers from low up.  Both routes compute
-only what each step reads.  The pivot induction needs one layer of F(phi)
-per degree, so it evaluates with low equal to that degree, and phi grows
-by one layer per degree without copying.  A Hensel step reads F(phi) only
-above the previous degree, and 1/F'(phi) only through the new degree minus
-the order of F(phi); the slope inverse continues the previous step's
-Newton doubling.  The dropped terms never reach a kept coefficient, and a
+a lower bound low forms only the layers from low up; each a_k is packed
+once per relation, and every evaluation reads it truncated.  Both routes
+compute only what each step reads.  The pivot induction needs one layer
+of F(phi) per degree, so it evaluates with low equal to that degree, and
+phi grows by one layer per degree without copying.  A Hensel step reads
+F(phi) only above the previous degree, and 1/F'(phi) only through the new
+degree minus the order of F(phi); the slope inverse continues the
+previous step's Newton doubling.  The dropped terms never reach a kept coefficient, and a
 truncated inverse is unique, so the outputs are those of full evaluations;
 the final check of F(phi) through degree + s still runs over the whole
 series.
@@ -41,7 +45,7 @@ from typing import Sequence
 
 from .arith import _as_rational, _is_int, prime_support
 from .errors import DivisionFailureError, DomainError
-from .series import MultiSeries, SeriesTuple, _inverse_from, _mul
+from .series import MultiSeries, SeriesTuple, _inverse_from, _mul, _pivot_quotient
 
 Exponents = tuple[int, ...]
 
@@ -50,9 +54,11 @@ class XPolynomial:
     """A polynomial in x_1..x_n and a distinguished variable X.
 
     Stored as a map X-power -> polynomial coefficient in the x variables.
+    Each coefficient is also kept as a series (coefficient_series), packed
+    on first read, not here.
     """
 
-    __slots__ = ("nvars", "coeffs")
+    __slots__ = ("nvars", "coeffs", "_series")
 
     def __init__(self, nvars: int, coeffs: dict[int, dict[Exponents, Fraction]]) -> None:
         self.nvars = nvars
@@ -71,6 +77,7 @@ class XPolynomial:
         if not cleaned:
             raise DomainError("zero polynomial")
         self.coeffs = cleaned
+        self._series: dict[int, MultiSeries] = {}
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Sequence[tuple[Exponents, int, Fraction]]) -> "XPolynomial":
@@ -97,8 +104,20 @@ class XPolynomial:
         return XPolynomial(self.nvars, out)
 
     def coefficient_series(self, k: int, trunc: int) -> MultiSeries:
-        poly = self.coeffs.get(k, {})
-        return MultiSeries(self.nvars, trunc, poly.items())
+        """a_k as a series truncated at trunc.
+
+        a_k is packed once, at the first cap read, and again at a higher cap
+        only while some of its terms lie above the kept one; every read
+        truncates the kept series or reads it as a polynomial, sharing its
+        layers.
+        """
+        poly = self.coeffs.get(k)
+        if poly is None:
+            return MultiSeries.zero(self.nvars, trunc)
+        kept = self._series.get(k)
+        if kept is None or (kept.trunc < trunc and kept.term_count() < len(poly)):
+            kept = self._series[k] = MultiSeries(self.nvars, trunc, poly.items())
+        return kept.truncated(trunc) if trunc <= kept.trunc else kept.as_polynomial(trunc)
 
     def evaluate(self, phi: MultiSeries, trunc: int, low: int = 0) -> MultiSeries:
         """F(x, phi(x)) = sum_k a_k phi^k truncated at the given degree.
@@ -163,7 +182,7 @@ class AlgebraicSeriesSpec:
                 "seed is not a root to the required order "
                 f"(failure at degree {value.lowest_degree()})"
             )
-        pivot_form = _derivative_layer(relation, seed, s)
+        pivot_form = _pivot_form(relation, seed, s).layer(s)
         pivot_mono = min(pivot_form, key=_valuation_key)
         return cls(
             relation=relation,
@@ -187,42 +206,15 @@ def detect_vanishing_order(relation: XPolynomial, seed: MultiSeries) -> int:
     return low
 
 
-def _derivative_layer(relation: XPolynomial, seed: MultiSeries, s: int) -> dict[Exponents, Fraction]:
+def _pivot_form(relation: XPolynomial, seed: MultiSeries, s: int) -> MultiSeries:
     """Homogeneous degree-s part of F'(phi_{s+1}): the division pivot form."""
-    return relation.derivative_in_x_big().evaluate(seed, s, low=s).layer(s)
+    return relation.derivative_in_x_big().evaluate(seed, s, low=s)
 
 
 def _valuation_key(exps: Exponents) -> tuple[int, ...]:
-    """Rank-n valuation: the last variable dominates, then the one before, ..."""
+    """Rank-n valuation: the last variable dominates, then the one before,
+    ...; the order of the packed keys of series."""
     return tuple(reversed(exps))
-
-
-def _divide_forms(
-    numerator: dict[Exponents, Fraction],
-    divisor: dict[Exponents, Fraction],
-    pivot: Exponents,
-) -> dict[Exponents, Fraction]:
-    """Exact division of homogeneous forms by valuation-ordered long division."""
-    pivot_coeff = divisor[pivot]
-    remainder = dict(numerator)
-    quotient: dict[Exponents, Fraction] = {}
-    while remainder:
-        lead = min(remainder, key=_valuation_key)
-        shift = tuple(a - b for a, b in zip(lead, pivot))
-        if any(x < 0 for x in shift):
-            raise DivisionFailureError(
-                f"pivot {pivot} does not divide {lead}; wrong vanishing order or bad seed"
-            )
-        factor = remainder[lead] / pivot_coeff
-        quotient[shift] = quotient.get(shift, Fraction(0)) + factor
-        for mono, coeff in divisor.items():
-            key = tuple(a + b for a, b in zip(shift, mono))
-            acc = remainder.get(key, Fraction(0)) - factor * coeff
-            if acc:
-                remainder[key] = acc
-            else:
-                remainder.pop(key, None)
-    return quotient
 
 
 def coefficients_up_to(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
@@ -281,17 +273,17 @@ def _pivot_induction(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
     Each degree reads one layer of F(x, phi): XPolynomial.evaluate with
     low = d + s forms layer d + s alone, the same as in a full evaluation,
     so a step costs about one layer of each product instead of the whole
-    series.  phi grows by its new layer without copying (MultiSeries._grown):
-    the old layer entries are shared, so each step packs its new layer
-    alone.
+    series.  series._pivot_quotient divides that layer by the pivot form
+    in integers and returns the negated quotient as a homogeneous series,
+    and phi grows by it without copying (MultiSeries._grown): the old layer
+    entries are shared.  A step builds no series from terms and no
+    Fraction.
     """
     s = spec.vanishing_order
-    divisor = _derivative_layer(spec.relation, spec.seed, s)
+    divisor = _pivot_form(spec.relation, spec.seed, s)
     phi = spec.seed
     for d in range(spec.seed.trunc + 1, degree + 1):
-        numerator = spec.relation.evaluate(phi, d + s, low=d + s).layer(d + s)
-        layer = _divide_forms(numerator, divisor, spec.pivot_monomial)
-        phi = phi._grown(-MultiSeries(phi.nvars, d, layer.items()))
+        phi = phi._grown(_pivot_quotient(spec.relation.evaluate(phi, d + s, low=d + s), divisor))
     return phi
 
 

@@ -30,7 +30,7 @@ from math import comb, gcd, lcm
 from typing import Sequence
 
 from . import ratlinalg
-from .arith import _as_rational, check_odd_prime, fraction_abs, fraction_valuation, int_valuation
+from .arith import _as_rational, _is_int, check_odd_prime, fraction_abs, fraction_valuation, int_valuation
 from .dynamics import (
     AnalyticMap,
     RelationLattice,
@@ -287,8 +287,12 @@ def separating_polynomial(
     modulo p**level, so the construction never fails.
     """
     bs = [_as_rational(b, "units") for b in units]
-    if not 0 <= target_index < len(bs):
+    if not _is_int(target_index) or not 0 <= target_index < len(bs):
         raise DomainError("target index out of range")
+    if not _is_int(level):
+        raise DomainError(f"level must be an int, got {level!r}")
+    if not _is_int(prime) or prime < 2:
+        raise DomainError(f"prime must be an int of at least 2, got {prime!r}")
     for b in bs:
         if b == 0 or fraction_valuation(b, prime) != 0:
             raise DomainError(f"{b} is not a unit at {prime}")
@@ -420,6 +424,8 @@ def vanishing_exponents(inst: VanishingSumInstance, s_max: int) -> VanishingRepo
     A candidate counts as zero only if the sum vanishes at the working
     precision and again at doubled precision.
     """
+    if not _is_int(s_max):
+        raise DomainError(f"horizon must be an int, got {s_max!r}")
     if s_max < 1:
         raise DomainError("horizon must be at least 1")
     p, prec = inst.prime, inst.precision
@@ -711,6 +717,8 @@ def closure_dimension_estimate(
         raise DomainError("start dimension mismatch")
     if any(x == 0 for x in pt):
         raise DomainError("start must avoid the coordinate hyperplanes")
+    if not _is_int(samples):
+        raise DomainError(f"samples must be an int, got {samples!r}")
     if samples < 2:
         raise DomainError("need at least two samples")
     lattice = relation_lattice(lams)
@@ -792,10 +800,10 @@ def union_closure_compare(
         raise TorsionError(
             "eigenvalues generate a group with torsion; replace the map by its square"
         )
-    s1 = sorted(set(int(i) for i in indices_first))
-    s2 = sorted(set(int(i) for i in indices_second))
-    if not s1 or not s2 or min(s1) < 0 or min(s2) < 0:
+    s1, s2 = list(indices_first), list(indices_second)
+    if not s1 or not s2 or not all(_is_int(i) and i >= 0 for i in s1 + s2):
         raise DomainError("index sets must be nonempty sets of non-negative integers")
+    s1, s2 = sorted(set(s1)), sorted(set(s2))
     horizon = max(s1 + s2)
     union1 = []
     union2 = []

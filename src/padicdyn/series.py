@@ -51,6 +51,13 @@ term (_times_pairs).  The table keeps lambda^I itself as a reduced integer
 pair, so neither a power, a divisor nor the resonance search of dynamics
 builds a Fraction.  Both are exact.
 
+The pivot induction of eisenstein divides one layer by a homogeneous form
+per degree (_pivot_quotient): long division on the integer numerators,
+each lead the remainder's least packed key, since key order is the
+valuation order there (the last variable weighs most), with the leads
+drawn from a heap and the remainder and quotient scaled by the pivot
+coefficient where it does not divide a lead, so no Fraction is built.
+
 The monomial walks of the package step from a nonzero monomial I to a
 parent I - e_j.  A walk over fixed monomials takes the prefix parent, j
 the last variable of I (_parent): graded_monomials lists the monomials by
@@ -79,13 +86,14 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, islice
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ratlinalg
 from .arith import _as_rational, _is_int, int_valuation, is_prime
-from .errors import DomainError, ResonantMonomialError
+from .errors import DivisionFailureError, DomainError, ResonantMonomialError
 
 Exponents = tuple[int, ...]
 
@@ -172,7 +180,8 @@ class MultiSeries:
 
     @classmethod
     def one(cls, nvars: int, trunc: int) -> "MultiSeries":
-        return cls.constant(1, nvars, trunc)
+        # the monomial 1 has key 0; no Fraction is built
+        return cls._raw(nvars, trunc, {0: (1, {0: 1})})
 
     @classmethod
     def variable(cls, index: int, nvars: int, trunc: int) -> "MultiSeries":
@@ -649,6 +658,72 @@ def _reduced(sums: _Packed) -> _Packed:
         if kept:
             out[d] = (den // g, kept)
     return out
+
+
+def _pivot_quotient(numerator: MultiSeries, divisor: MultiSeries) -> MultiSeries:
+    """-N / V for N the layer of numerator at its cap and V the nonzero form
+    divisor, homogeneous of degree s: a homogeneous series of degree
+    numerator.trunc - s at that cap.
+
+    Long division pivots on the least key P of V.  Packed-key order is the
+    valuation order of the pivot induction (the last variable weighs most,
+    then the one before), so the lead of the remainder is its least key,
+    and every term a step adds lies above the lead, at shift + K for a key
+    K > P of V: a heap of the remainder's keys, a cancelled key left in
+    place until it is popped, gives the leads in order.  A lead that P does
+    not divide (a field of lead - P negative) raises DivisionFailureError.
+
+    The division runs on integer numerators.  V's numerators are divided
+    by their content first; where the pivot coefficient b then does not
+    divide the lead numerator c, the remainder and the quotient are scaled
+    by |b| / gcd(b, c), so every quotient numerator is an integer over the
+    running scale, and one gcd chain (_reduced) brings the result to
+    canonical form.
+    """
+    nvars, degree = numerator.nvars, numerator.trunc
+    [(s, (den_v, nums_v))] = divisor._packed.items()
+    trunc = degree - s
+    entry = numerator._packed.get(degree)
+    if entry is None:
+        return MultiSeries.zero(nvars, trunc)
+    den_n, nums_n = entry
+    content = gcd(*nums_v.values())
+    pivot = min(nums_v)
+    b = nums_v[pivot] // content
+    rest = [(key, v // content) for key, v in nums_v.items() if key != pivot]
+    unpack = _unpacker(nvars)
+    pivot_exps = unpack(pivot)
+    remainder = dict(nums_n)
+    heap = list(remainder)
+    heapify(heap)
+    quotient: dict[int, int] = {}
+    scale = 1
+    while heap:
+        lead = heappop(heap)
+        c = remainder.pop(lead)
+        if not c:
+            continue
+        exps = unpack(lead)
+        if any(e < p for e, p in zip(exps, pivot_exps)):
+            raise DivisionFailureError(f"pivot {pivot_exps} does not divide {exps}; wrong vanishing order or bad seed")
+        if c % b:
+            m = abs(b) // gcd(b, c)
+            scale *= m
+            c *= m
+            remainder = {key: m * v for key, v in remainder.items()}
+            quotient = {key: m * v for key, v in quotient.items()}
+        f = c // b
+        shift = lead - pivot
+        quotient[shift] = f
+        for key, v in rest:
+            key += shift
+            if key in remainder:
+                remainder[key] -= f * v
+            else:
+                remainder[key] = -f * v
+                heappush(heap, key)
+    nums = {key: -den_v * v for key, v in quotient.items()}
+    return MultiSeries._raw(nvars, trunc, _reduced({trunc: (den_n * content * scale, nums)}))
 
 
 def _parent(exps: Exponents) -> tuple[int, Exponents]:

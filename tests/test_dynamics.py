@@ -144,6 +144,11 @@ class TestDiophantineParams:
 
 
 class TestResonances:
+    @pytest.mark.parametrize("r, max_degree", [(0, 4.5), (0, 4.0), (0.5, 4), (False, 4)])
+    def test_a_non_int_dimension_or_degree_is_refused(self, r, max_degree):
+        with pytest.raises(DomainError):
+            enumerate_resonances([1, 3], r, max_degree)
+
     def test_square_relation(self):
         assert enumerate_resonances([4, 2], 0, 3) == [Resonance((0, 2), 0)]
 

@@ -1,6 +1,8 @@
 """Unit tests for the algebraic-series recursion and denominator analysis."""
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from padicdyn.eisenstein import (
     detect_vanishing_order,
 )
 from padicdyn.errors import DivisionFailureError, DomainError
-from padicdyn.series import MultiSeries
+from padicdyn.series import MultiSeries, _pivot_quotient
 
 
 def sqrt_one_plus_x():
@@ -284,28 +286,63 @@ class TestLayerOnlyPivotInduction:
         assert dict(phi.terms()) == {e: c for e, c in expected.items() if c}
 
     def test_two_variable_ramified_root_at_degree_24(self):
-        # (X - x1)^2 = x2^4 (1 + x1 + x2), seed x1 + x2^2, s = 2
-        relation = XPolynomial.from_terms(
-            2,
-            [
-                ((0, 0), 2, 1),
-                ((1, 0), 1, -2),
-                ((2, 0), 0, 1),
-                ((0, 4), 0, -1),
-                ((1, 4), 0, -1),
-                ((0, 5), 0, -1),
-            ],
-        )
-        seed = MultiSeries(2, 2, [((1, 0), Fraction(1)), ((0, 2), Fraction(1))])
-        spec = AlgebraicSeriesSpec.build(relation, seed)
+        spec = two_variable_ramified_root()
         assert spec.vanishing_order == 2
         phi = coefficients_up_to(spec, 24)
         expected = {(1, 0): Fraction(1)}
-        for a in range(23):
-            for b in range(23 - a):
-                multinomial = math.comb(a + b, a)
-                expected[(a, b + 2)] = binomial(Fraction(1, 2), a + b) * multinomial
+        for (a, b), c in sqrt_of_one_plus_sum(22).items():
+            expected[(a, b + 2)] = c
         assert dict(phi.terms()) == {e: c for e, c in expected.items() if c}
+
+    def test_a_two_term_pivot_form(self):
+        # (X - x1)^2 = u^2 (1 + x1 + x2) for u = x1 x2 + x2^2, seed x1 + u:
+        # F' = 2 (X - x1) is 2 x1 x2 + 2 x2^2 at the seed, so s = 2 and each
+        # step divides by both terms, pivoting on x1 x2
+        x1, x2 = (MultiSeries.variable(i, 2, 5) for i in range(2))
+        u = x1 * x2 + x2 * x2
+        rhs = u * u * (MultiSeries.one(2, 5) + x1 + x2)
+        terms = [((0, 0), 2, 1), ((1, 0), 1, -2), ((2, 0), 0, 1)]
+        terms += [(e, 0, -c) for e, c in rhs.terms()]
+        relation = XPolynomial.from_terms(2, terms)
+        seed = MultiSeries(2, 2, [((1, 0), Fraction(1)), ((1, 1), Fraction(1)), ((0, 2), Fraction(1))])
+        spec = AlgebraicSeriesSpec.build(relation, seed)
+        assert (spec.vanishing_order, spec.pivot_monomial, spec.pivot_coefficient) == (2, (1, 1), 2)
+        degree = 14
+        phi = coefficients_up_to(spec, degree)
+        # x1 + u sqrt(1 + x1 + x2), the square root by multinomials
+        expected = Counter({(1, 0): Fraction(1)})
+        for (a, b), c in sqrt_of_one_plus_sum(degree - 2).items():
+            expected[(a + 1, b + 1)] += c
+            expected[(a, b + 2)] += c
+        assert dict(phi.terms()) == {e: c for e, c in expected.items() if c and sum(e) <= degree}
+
+    def test_no_series_or_fraction_is_built_per_degree(self, monkeypatch):
+        # the relation's coefficient series are packed once per relation, by
+        # the first run; a second run at degree 24 then builds no more
+        # series and Fractions than one that grows no layer
+        spec = two_variable_ramified_root()
+        phi = coefficients_up_to(spec, 24)
+        made = Counter()
+        fraction_new, series_init = Fraction.__new__, MultiSeries.__init__
+
+        def counted_new(cls, *args, **kwargs):
+            made["Fraction"] += 1
+            return fraction_new(cls, *args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            made["MultiSeries"] += 1
+            series_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        monkeypatch.setattr(MultiSeries, "__init__", counted_init)
+        assert eisenstein._pivot_induction(spec, spec.seed.trunc) == spec.seed
+        outside = Counter(made)
+        made.clear()
+        grown = eisenstein._pivot_induction(spec, 24)
+        monkeypatch.undo()
+        assert grown == phi
+        assert outside["MultiSeries"] > 0
+        assert made == outside
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -325,6 +362,114 @@ class TestLayerOnlyPivotInduction:
         if phi.trunc < degree:
             phi = phi.as_polynomial(degree)
         assert relation.evaluate(phi, degree, low=degree).layer(degree) == relation.evaluate(phi, degree).layer(degree)
+
+
+def two_variable_ramified_root():
+    """(X - x1)^2 = x2^4 (1 + x1 + x2) from the seed x1 + x2^2: s = 2."""
+    relation = XPolynomial.from_terms(
+        2,
+        [((0, 0), 2, 1), ((1, 0), 1, -2), ((2, 0), 0, 1), ((0, 4), 0, -1), ((1, 4), 0, -1), ((0, 5), 0, -1)],
+    )
+    return AlgebraicSeriesSpec.build(relation, MultiSeries(2, 2, [((1, 0), Fraction(1)), ((0, 2), Fraction(1))]))
+
+
+def sqrt_of_one_plus_sum(degree):
+    """{(a, b): coefficient} of sqrt(1 + x1 + x2) through the degree, from
+    C(1/2, a + b) and the multinomial (a + b)! / (a! b!)."""
+    return {
+        (a, b): binomial(Fraction(1, 2), a + b) * math.comb(a + b, a)
+        for a in range(degree + 1)
+        for b in range(degree + 1 - a)
+    }
+
+
+def valuation_key(exps):
+    return tuple(reversed(exps))
+
+
+def divide_forms(numerator, divisor, pivot):
+    """Reference: exact division of homogeneous forms of Fraction
+    coefficients by valuation-ordered long division, each lead the
+    remainder's least monomial in the reversed-tuple order."""
+    pivot_coeff = divisor[pivot]
+    remainder = dict(numerator)
+    quotient = {}
+    while remainder:
+        lead = min(remainder, key=valuation_key)
+        shift = tuple(a - b for a, b in zip(lead, pivot))
+        if any(x < 0 for x in shift):
+            raise DivisionFailureError(
+                f"pivot {pivot} does not divide {lead}; wrong vanishing order or bad seed"
+            )
+        factor = remainder[lead] / pivot_coeff
+        quotient[shift] = quotient.get(shift, Fraction(0)) + factor
+        for mono, coeff in divisor.items():
+            key = tuple(a + b for a, b in zip(shift, mono))
+            acc = remainder.get(key, Fraction(0)) - factor * coeff
+            if acc:
+                remainder[key] = acc
+            else:
+                remainder.pop(key, None)
+    return quotient
+
+
+def random_form(rng, nvars, degree, count):
+    """A homogeneous form of up to count terms with small rational
+    coefficients, as {exponents: Fraction}."""
+    pool = [Fraction(x) for x in (1, -1, 2, -2, 3, 6, -4)] + [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    form = {}
+    for _ in range(count):
+        cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+        exps = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        form[exps] = rng.choice(pool)
+    return form
+
+
+def multiply_forms(a, b):
+    out = Counter()
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+class TestPivotQuotient:
+    """series._pivot_quotient against the Fraction long division it
+    replaced, on random multi-term divisors."""
+
+    def test_matches_the_fraction_reference_randomized(self):
+        rng = random.Random(3402)
+        exact = failed = 0  # exact divisions by more than one term, failures
+        for _ in range(400):
+            nvars = rng.choice((1, 2, 2, 3, 3))
+            s, t = rng.choice((0, 1, 2, 2, 3, 3)), rng.randint(0, 4)
+            divisor = random_form(rng, nvars, s, rng.randint(1, 4))
+            numerator = multiply_forms(divisor, random_form(rng, nvars, t, rng.randint(1, 5)))
+            if rng.random() < 0.3:
+                # one more monomial: dividing only where the divisor is one
+                # monomial that divides it
+                for e, c in random_form(rng, nvars, s + t, 1).items():
+                    numerator[e] = numerator.get(e, 0) + c
+                numerator = {e: c for e, c in numerator.items() if c}
+            pivot = min(divisor, key=valuation_key)
+            got_series = MultiSeries(nvars, s + t, numerator.items())
+            divisor_series = MultiSeries(nvars, s, divisor.items())
+            try:
+                want = divide_forms(numerator, divisor, pivot)
+            except DivisionFailureError as reference_error:
+                with pytest.raises(DivisionFailureError) as error:
+                    _pivot_quotient(got_series, divisor_series)
+                assert str(error.value) == str(reference_error)
+                failed += 1
+                continue
+            got = _pivot_quotient(got_series, divisor_series)
+            assert got == -MultiSeries(nvars, t, want.items())
+            exact += len(divisor) > 1
+        assert exact > 80 and failed > 30
+
+    def test_a_zero_layer_has_a_zero_quotient(self):
+        divisor = MultiSeries(2, 1, [((1, 0), Fraction(2)), ((0, 1), Fraction(1))])
+        assert _pivot_quotient(MultiSeries.zero(2, 4), divisor) == MultiSeries.zero(2, 3)
 
 
 def horner(relation, phi, trunc):

@@ -298,6 +298,12 @@ class TestVanishingSum:
         with pytest.raises(DomainError):
             VanishingSumInstance([3, -2], [2, 0.5], prime=5)
 
+    @pytest.mark.parametrize("s_max", [50.5, 50.0, True])
+    def test_a_non_int_horizon_is_refused(self, s_max):
+        inst = VanishingSumInstance([3, -2], [2, 3], prime=5)
+        with pytest.raises(DomainError):
+            vanishing_exponents(inst, s_max)
+
     def test_planted_solution(self):
         inst = VanishingSumInstance([3, -2], [2, 3], prime=5)
         report = vanishing_exponents(inst, 50)
@@ -371,6 +377,11 @@ class TestSeparatingPolynomial:
     def test_a_float_unit_is_refused(self):
         with pytest.raises(DomainError):
             separating_polynomial([Fraction(1), 2.0], 0, 1, 5)
+
+    @pytest.mark.parametrize("target_index, level, prime", [(0, 1.5, 5), (0.0, 1, 5), (True, 1, 5), (0, 1, 5.0), (0, 1, 1)])
+    def test_a_non_int_index_level_or_prime_is_refused(self, target_index, level, prime):
+        with pytest.raises(DomainError):
+            separating_polynomial([1, 2], target_index, level, prime)
 
     def test_level_one_example(self):
         # P(x) = x (x-2) (x-3) (x-4) separates 1 from 2 at p = 5
@@ -563,6 +574,11 @@ class TestClosureDimension:
         with pytest.raises(DomainError):
             closure_dimension_estimate([2, 3], [1, 0.5], 10, 2)
 
+    @pytest.mark.parametrize("samples", [10.5, 10.0, True])
+    def test_a_non_int_sample_count_is_refused(self, samples):
+        with pytest.raises(DomainError):
+            closure_dimension_estimate([2, 3], [1, 1], samples, 2)
+
     def test_independent_multipliers(self):
         est = closure_dimension_estimate([Fraction(2), Fraction(3)], [1, 1], 50, 4)
         assert est.lower_bound == 2
@@ -622,6 +638,13 @@ class TestUnionClosure:
         f = build_map([[((1, 0), 2)], [((0, 1), 3)]], 4)
         with pytest.raises(DomainError):
             union_closure_compare(f, [(1, 0.5)], range(4), range(1, 4), 2)
+
+    @pytest.mark.parametrize("first, second", [([0.5, 2.7], [1, 2]), ([0, 2], [True, 2]), (["1", 2], [1, 2]), ([0, 2.0], [1])])
+    def test_a_non_int_index_is_refused(self, first, second):
+        # int(i) would floor 0.5 and 2.7 to 0 and 2
+        f = build_map([[((1, 0), 2)], [((0, 1), 3)]], 4)
+        with pytest.raises(DomainError):
+            union_closure_compare(f, [(1, 1), (1, 2)], first, second, 2)
 
     def test_even_vs_odd_diagonal(self):
         f = build_map([[((1, 0), 2)], [((0, 1), 3)]], 4)
