@@ -25,12 +25,12 @@ once per relation, and every evaluation reads it truncated.  Both routes
 compute only what each step reads.  The pivot induction needs one layer
 of F(phi) per degree, so it evaluates with low equal to that degree, and
 phi grows by one layer per degree without copying.  A Hensel step reads
-F(phi) only above the previous degree, and 1/F'(phi) only through the new
-degree minus the order of F(phi); the slope inverse continues the
-previous step's Newton doubling.  The dropped terms never reach a kept coefficient, and a
-truncated inverse is unique, so the outputs are those of full evaluations;
-the final check of F(phi) through degree + s still runs over the whole
-series.
+F(phi) only above the previous degree, and F'(phi) only through the new
+degree minus the order of F(phi), and divides the one by the other in a
+single degree-by-degree solve (series._series_solve).  The dropped terms
+never reach a kept coefficient, and a truncated quotient is unique, so the
+outputs are those of full evaluations; the final check of F(phi) through
+degree + s still runs over the whole series.
 
 Denominator support reports the primes dividing any coefficient
 denominator, certifying that the series lives in Z[1/N][[x]] up to the
@@ -45,7 +45,7 @@ from typing import Sequence
 
 from .arith import _as_rational, _is_int, prime_support
 from .errors import DivisionFailureError, DomainError
-from .series import MultiSeries, SeriesTuple, _inverse_from, _mul, _pivot_quotient
+from .series import MultiSeries, SeriesTuple, _mul, _pivot_quotient, _series_solve
 
 Exponents = tuple[int, ...]
 
@@ -241,18 +241,15 @@ def _hensel(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
     A step from a root through degree prev to one through known reads
     F(phi) only above prev: its layers through prev vanish by construction,
     so it is evaluated with low = prev + 1, and the final check in
-    coefficients_up_to still covers them.  The step reads the slope inverse
-    only through known - ord F(phi), since the product F(phi) / F'(phi) is
-    kept through known alone; the slope is evaluated at that cap.  Its
-    inverse continues the previous step's by Newton doubling: the previous
-    slope agrees with this one through the previous cap, and a truncated
-    inverse is unique, so one doubling pass per step gives the same series
-    as a fresh inverse (Brent and Kung, J. ACM 25, 1978).
+    coefficients_up_to still covers them.  The quotient q = F(phi) / F'(phi)
+    is the 1 x 1 solve F'(phi) q = F(phi) at cap known (series._series_solve).
+    q has no layer below ord F(phi), so layer d of F'(phi) q reads the slope
+    only through d - ord F(phi) <= known - ord F(phi): the slope is
+    evaluated at that cap and read as a polynomial, which is exact.
     """
     derivative = spec.relation.derivative_in_x_big()
     known = spec.seed.trunc
     phi = spec.seed
-    inverse = None
     while known < degree:
         prev, known = known, min(2 * known + 1, degree)
         work = phi.as_polynomial(known)
@@ -261,9 +258,8 @@ def _hensel(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
         if order is None:
             phi = work
             continue
-        slope = derivative.evaluate(work, known - order)
-        inverse = slope.inverse() if inverse is None else _inverse_from(slope, inverse)
-        phi = work - value * inverse.as_polynomial(known)
+        slope = derivative.evaluate(work, known - order).as_polynomial(known)
+        phi = work - _series_solve([[slope]], SeriesTuple([value]))[0]
     return phi.truncated(degree)
 
 

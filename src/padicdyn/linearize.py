@@ -68,9 +68,10 @@ field is that of the rescaled iteration.
 
 Within a window the residual has order >= low and is kept through degree
 high.  g solves (Dh o Lambda) g = residual one degree at a time
-(_series_solve), with no series-matrix inverse: g_d is C^(-1) times layer
-d of the residual minus (Dh o Lambda - C) g, for C the constant part, and
-that product is formed in layer d alone from the layers of g below d.
+(series._series_solve), with no series-matrix inverse: g_d is C^(-1)
+times layer d of the residual minus (Dh o Lambda - C) g, for C the
+constant part, and that product is formed in layer d alone from the
+layers of g below d.
 Since the residual has no layer below low, neither has g, and g has its
 support in layers low..high.  The correction e solving the homological
 equation against g keeps that support, and since Dh has a constant term,
@@ -153,9 +154,9 @@ from .series import (
     _DiagonalPowers,
     _disjoint_sum,
     _LayerStream,
-    _mul,
     _PowerTable,
     _series_matrix_vector,
+    _series_solve,
     in_subspace_ar,
     tuple_gauss_norm,
 )
@@ -183,9 +184,9 @@ class RatPow:
     __slots__ = ("coeff", "base", "exponent")
 
     def __init__(self, coeff, base=Fraction(1), exponent=Fraction(0)):
-        self.coeff = Fraction(coeff)
-        self.base = Fraction(base)
-        self.exponent = Fraction(exponent)
+        self.coeff = _as_rational(coeff, "power coefficient")
+        self.base = _as_rational(base, "power base")
+        self.exponent = _as_rational(exponent, "power exponent")
         if self.base <= 0:
             raise DomainError("power base must be positive")
         if self.coeff < 0:
@@ -440,44 +441,9 @@ def linearize_order_by_order(f: AnalyticMap, degree: int) -> ConjugacyResult:
     return _verified_conjugacy(h, composed, fmap, lams, r)
 
 
-def _series_solve(mat: list[list[MultiSeries]], rhs: SeriesTuple) -> SeriesTuple:
-    """The x with mat x = rhs, for a square series matrix whose constant
-    part C is invertible, through the least cap of mat and rhs.
-
-    One degree at a time: x_d = C^(-1) (rhs_d - ((mat - C) x)_d).  x holds
-    the layers below d when layer d of mat x is formed, so C never meets
-    it there, and each product is formed in that layer alone.  Each step is
-    series arithmetic on homogeneous series at cap d, and x then grows by
-    its new layer without copying (MultiSeries._grown).
-    """
-    n, nvars = len(rhs), rhs.nvars
-    if len(mat) != n or any(len(row) != n for row in mat):
-        raise DomainError("series solve needs a square matrix of the tuple's size")
-    cinv = ratlinalg.inverse([[entry.constant_term() for entry in row] for row in mat])
-    cap = min([rhs.trunc] + [entry.trunc for row in mat for entry in row])
-    # nothing is known yet: the cap below degree 0
-    x = [MultiSeries.zero(nvars, -1) for _ in range(n)]
-    for d in range(cap + 1):
-        rest = []
-        for row, acc in zip(mat, rhs.layer_tuple(d).truncated(d)):
-            for entry, comp in zip(row, x):
-                if not comp.is_zero():
-                    acc = acc - _mul(entry, comp, d, d)
-            rest.append(acc)
-        layers = []
-        for weights in cinv:
-            layer = MultiSeries.zero(nvars, d)
-            for w, acc in zip(weights, rest):
-                if w and not acc.is_zero():
-                    layer = layer + acc.scale(w)
-            layers.append(layer)
-        x = [comp._grown(layer) for comp, layer in zip(x, layers)]
-    return SeriesTuple(x)
-
-
 def _series_matrix_inverse(mat: list[list[MultiSeries]], trunc: int) -> list[list[MultiSeries]]:
     """Inverse through degree trunc of a square series matrix with
-    invertible constant part: column j solves mat x = e_j (_series_solve)."""
+    invertible constant part: column j solves mat x = e_j (series._series_solve)."""
     n, nvars = len(mat), mat[0][0].nvars
     columns = [
         _series_solve(mat, SeriesTuple([MultiSeries.constant(int(i == j), nvars, trunc) for i in range(n)]))

@@ -469,7 +469,11 @@ def interpolation_reduction(
     sum a_i b_i^(s0) (c_i / M)^m up to m!, which is what forces class sums
     to vanish when the sum vanishes on an infinite set.
     """
-    nodes = sorted(set(int(j) for j in samples), reverse=True)
+    if not all(_is_int(j) for j in samples):
+        raise DomainError(f"sample exponents must be ints, got {list(samples)!r}")
+    if not _is_int(order):
+        raise DomainError(f"derivative order must be an int, got {order!r}")
+    nodes = sorted(set(samples), reverse=True)
     if len(nodes) != len(samples):
         raise DomainError("sample exponents must be distinct")
     if order < 0:
@@ -527,14 +531,15 @@ class RelationProbe:
 
     def contains_relation(self, candidate: dict[tuple[int, ...], Fraction]) -> bool:
         """Whether the candidate polynomial lies in the kernel span."""
+        coeffs = {mono: _as_rational(coeff) for mono, coeff in candidate.items()}
         if not self.kernel:
-            return not candidate
+            return not coeffs
         index = {m: i for i, m in enumerate(self.monomials)}
         vec = [Fraction(0)] * len(self.monomials)
-        for mono, coeff in candidate.items():
+        for mono, coeff in coeffs.items():
             if mono not in index:
                 return False
-            vec[index[mono]] = Fraction(coeff)
+            vec[index[mono]] = coeff
         rows = [list(v) for v in self.kernel]
         before = ratlinalg.rank(rows)
         return ratlinalg.rank(rows + [vec]) == before

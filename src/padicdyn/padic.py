@@ -167,6 +167,8 @@ class PAdic:
     def digits(self, count: int | None = None) -> list[int]:
         """Base-p digits of the unit part, least significant first: count of
         them (zeros above the unit's own digits), by default precision."""
+        if count is not None and not (_is_int(count) and count >= 0):
+            raise DomainError(f"digit count must be a non-negative int, got {count!r}")
         if self.unit_digits == 0:
             return []
         return _digits(self.unit_digits, self.prime, count if count is not None else self.precision)
@@ -182,6 +184,8 @@ class PAdic:
 
     def residue(self, k: int) -> int:
         """Integer value modulo p**k; requires valuation >= 0 and k digits known."""
+        if not (_is_int(k) and k >= 0):
+            raise DomainError(f"residue digit count must be a non-negative int, got {k!r}")
         if self.is_exact_zero():
             return 0
         if self.valuation < 0:

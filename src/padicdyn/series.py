@@ -51,6 +51,11 @@ term (_times_pairs).  The table keeps lambda^I itself as a reduced integer
 pair, so neither a power, a divisor nor the resonance search of dynamics
 builds a Fraction.  Both are exact.
 
+A division by a series, or a square matrix of series, whose constant part
+is invertible has one route, the degree-by-degree solve _series_solve: it
+serves MultiSeries.inverse, the Hensel steps of eisenstein, and the Newton
+windows and the shear of linearize.
+
 The pivot induction of eisenstein divides one layer by a homogeneous form
 per degree (_pivot_quotient): long division on the integer numerators,
 each lead the remainder's least packed key, since key order is the
@@ -464,13 +469,11 @@ class MultiSeries:
     def inverse(self) -> "MultiSeries":
         """Multiplicative inverse; requires an invertible constant term.
 
-        Newton doubling from the inverse of the constant term; see
-        _inverse_from.
+        The 1 x 1 solve self y = 1, one degree at a time; see _series_solve.
         """
-        c0 = self.constant_term()
-        if not c0:
+        if not self.constant_term():
             raise DomainError("series inverse needs a unit constant term")
-        return _inverse_from(self, MultiSeries.constant(1 / c0, self.nvars, 0))
+        return _series_solve([[self]], SeriesTuple([MultiSeries.one(self.nvars, self.trunc)]))[0]
 
     # -- serialization ----------------------------------------------------
 
@@ -498,28 +501,6 @@ def _fraction(n: int, den: int) -> Fraction:
     """n / den; Fraction skips its gcd for an integer, the common case of a
     map's coefficients."""
     return Fraction(n) if den == 1 else Fraction(n, den)
-
-
-def _inverse_from(s: MultiSeries, y: MultiSeries) -> MultiSeries:
-    """1/s through s.trunc by Newton doubling, continued from y, the inverse
-    of s through y.trunc; a y with a higher cap is truncated.
-
-    A pass from correct to new = min(2 correct + 1, trunc) forms the error
-    e = s y - 1, whose layers through correct vanish, in the degrees above
-    correct alone, and sets y <- y - y e.  The product y e has no layer
-    through correct either, so y keeps its layer entries and gains the new
-    ones: each pass costs about half of the two full products of y (2 - s y).
-    """
-    correct, trunc = y.trunc, s.trunc
-    while correct < trunc:
-        new = min(2 * correct + 1, trunc)
-        error = _mul(s, y, new, correct + 1)
-        step = _mul(y, error, new, correct + 1)
-        packed = dict(y._packed)
-        packed.update((-step)._packed)
-        y = MultiSeries._raw(s.nvars, new, packed)
-        correct = new
-    return y.truncated(trunc)
 
 
 def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSeries:
@@ -1280,6 +1261,41 @@ def _series_matrix_vector(mat: Sequence[Sequence[MultiSeries]], vec: SeriesTuple
                 acc = acc + entry * comp
         out.append(acc)
     return SeriesTuple(out)
+
+
+def _series_solve(mat: list[list[MultiSeries]], rhs: SeriesTuple) -> SeriesTuple:
+    """The x with mat x = rhs, for a square series matrix whose constant
+    part C is invertible, through the least cap of mat and rhs.
+
+    One degree at a time: x_d = C^(-1) (rhs_d - ((mat - C) x)_d).  x holds
+    the layers below d when layer d of mat x is formed, so C never meets
+    it there, and each product is formed in that layer alone.  Each step is
+    series arithmetic on homogeneous series at cap d, and x then grows by
+    its new layer without copying (MultiSeries._grown).
+    """
+    n, nvars = len(rhs), rhs.nvars
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise DomainError("series solve needs a square matrix of the tuple's size")
+    cinv = ratlinalg.inverse([[entry.constant_term() for entry in row] for row in mat])
+    cap = min([rhs.trunc] + [entry.trunc for row in mat for entry in row])
+    # nothing is known yet: the cap below degree 0
+    x = [MultiSeries.zero(nvars, -1) for _ in range(n)]
+    for d in range(cap + 1):
+        rest = []
+        for row, acc in zip(mat, rhs.layer_tuple(d).truncated(d)):
+            for entry, comp in zip(row, x):
+                if not comp.is_zero():
+                    acc = acc - _mul(entry, comp, d, d)
+            rest.append(acc)
+        layers = []
+        for weights in cinv:
+            layer = MultiSeries.zero(nvars, d)
+            for w, acc in zip(weights, rest):
+                if w and not acc.is_zero():
+                    layer = layer + acc.scale(w)
+            layers.append(layer)
+        x = [comp._grown(layer) for comp, layer in zip(x, layers)]
+    return SeriesTuple(x)
 
 
 def _disjoint_sum(parts: Sequence[SeriesTuple]) -> SeriesTuple:

@@ -541,11 +541,26 @@ class TestRouteAgreement:
         relation = relation_from(nvars, coeffs)
         spec = AlgebraicSeriesSpec.build(relation, MultiSeries.constant(1, nvars, 0))
         assert spec.vanishing_order == 0
-        carried = []
-        inverse_from = eisenstein._inverse_from
-        monkeypatch.setattr(eisenstein, "_inverse_from", lambda s, y: carried.append(y.trunc) or inverse_from(s, y))
+        # each Hensel step divides F(phi) by F'(phi) in one 1 x 1 solve at
+        # its cap, and no step forms a series inverse
+        solved = []
+        solve = eisenstein._series_solve
+
+        def counted(mat, rhs):
+            assert len(mat) == len(mat[0]) == len(rhs) == 1 and not rhs[0].is_zero()
+            solved.append(rhs.trunc)
+            return solve(mat, rhs)
+
+        def no_inverse(self):
+            raise AssertionError("a Hensel step formed a series inverse")
+
+        monkeypatch.setattr(eisenstein, "_series_solve", counted)
+        monkeypatch.setattr(MultiSeries, "inverse", no_inverse)
         hensel = coefficients_up_to(spec, degree)
-        assert len(carried) >= 3
+        caps = [1]
+        while caps[-1] < degree:
+            caps.append(min(2 * caps[-1] + 1, degree))
+        assert solved == caps
         assert hensel == eisenstein._pivot_induction(spec, degree)
         xs = sympy.symbols(f"x0:{nvars}")
         root = sympy.Poly(

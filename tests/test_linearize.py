@@ -1547,6 +1547,15 @@ class TestRatPow:
         b = RatPow(Fraction(6), Fraction(1), Fraction(1, 2))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "args",
+        # RatPow(0.5, 2.0, 1.5) was built as 1/2 * 2^3/2
+        [(0.5, 2.0, 1.5), (1, 2.0), (1, 2, 1.5), (0.5,), ("1", 2, 1)],
+    )
+    def test_non_rational_arguments_refused(self, args):
+        with pytest.raises(DomainError, match="rational"):
+            RatPow(*args)
+
 
 class TestCheckNormBound:
     def test_zero_g_passes(self):

@@ -460,6 +460,16 @@ class TestInterpolationReduction:
         with pytest.raises(DomainError):
             interpolation_reduction(inst, [9, 5], 2)
 
+    @pytest.mark.parametrize(
+        "samples, order",
+        # [1.5, 4.5, 7.5] ran on the samples 1, 4, 7
+        [([1.5, 4.5, 7.5], 1), ([7.0, 4, 1], 1), ([True, 4, 7], 1), ([7, 4, 1], 1.0), ([7, 4, 1], True)],
+    )
+    def test_rejects_non_int_samples_and_order(self, samples, order):
+        inst = VanishingSumInstance([3, -2], [2, 3], prime=5)
+        with pytest.raises(DomainError, match="int"):
+            interpolation_reduction(inst, samples, order)
+
 
 class TestRelationProbe:
     def test_a_float_point_is_refused(self):
@@ -476,6 +486,18 @@ class TestRelationProbe:
         # y2 - y1^2 vanishes on the orbit of (1,1) under (2x, 4y)
         candidate = {(0, 1): Fraction(1), (2, 0): Fraction(-1)}
         assert probe.contains_relation(candidate)
+
+    def test_a_float_candidate_is_refused(self):
+        # the orbit of (1, 1) under (2x, 2y) lies on x = y; read through
+        # Fraction(coeff), 0.1 x - 0.1 y was accepted as a relation
+        points = [(Fraction(2**t), Fraction(2**t)) for t in range(6)]
+        probe = relation_probe(points, 1)
+        assert probe.contains_relation({(1, 0): Fraction(1), (0, 1): Fraction(-1)})
+        for candidate in ({(1, 0): 0.1, (0, 1): -0.1}, {(1, 0): 1, (0, 1): -1.0}):
+            with pytest.raises(DomainError):
+                probe.contains_relation(candidate)
+        with pytest.raises(DomainError):
+            relation_probe([(Fraction(1), Fraction(2)), (Fraction(3), Fraction(5))], 2).contains_relation({(1, 0): 0.5})
 
     def test_independent_orbit_empty_kernel(self):
         points = []

@@ -134,6 +134,19 @@ class TestDigits:
         count = data.draw(st.none() | st.integers(0, 2 * precision + 70))
         assert x.digits(count) == _digits_by_divmod(unit, p, precision if count is None else count)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, -1])
+    def test_a_bad_digit_count_is_refused(self, count):
+        with pytest.raises(DomainError, match="int"):
+            PAdic(3, 0, 5, 4).digits(count)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, -1])
+    def test_a_bad_residue_count_is_refused(self, k):
+        # residue(1.5) returned the float 5.0, residue(-1) the residue 0
+        for x in (PAdic(3, 0, 5, 4), PAdic.from_rational(0, 3, 4)):
+            with pytest.raises(DomainError, match="int"):
+                x.residue(k)
+        assert PAdic(3, 0, 5, 4).residue(2) == 5
+
     def test_long_digit_string_in_bounded_time(self):
         # -1 at p = 3 is 2 in every digit; one divmod per digit took seconds
         x = PAdic.from_rational(-1, 3, 200_000)

@@ -19,12 +19,12 @@ from padicdyn.series import (
     SeriesTuple,
     _DiagonalPowers,
     _disjoint_sum,
-    _inverse_from,
     _LayerStream,
     _mul,
     _packer,
     _parent,
     _PowerTable,
+    _series_solve,
     _unpacker,
     gauss_norm,
     graded_monomials,
@@ -418,6 +418,45 @@ class TestGradedView:
             assert result == from_low(full, low)
             for comp, f in zip(result, outer):
                 assert dict(comp.terms()) == dict_compose(dict(f.terms()), inner_terms, nvars, trunc, low)
+
+
+def inverse_from(s, y):
+    """Reference: 1/s through s.trunc by Newton doubling, continued from y,
+    the inverse of s through y.trunc.  A pass from correct to
+    new = min(2 correct + 1, trunc) forms the error e = s y - 1 above
+    correct alone and sets y <- y - y e, keeping y's layers through correct."""
+    correct, trunc = y.trunc, s.trunc
+    while correct < trunc:
+        new = min(2 * correct + 1, trunc)
+        error = _mul(s, y, new, correct + 1)
+        step = _mul(y, error, new, correct + 1)
+        packed = dict(y._packed)
+        packed.update((-step)._packed)
+        y = MultiSeries._raw(s.nvars, new, packed)
+        correct = new
+    return y.truncated(trunc)
+
+
+class TestInverseAgainstNewtonDoubling:
+    """MultiSeries.inverse, a 1 x 1 _series_solve, against Newton doubling
+    on units whose layers have unequal denominators."""
+
+    @pytest.mark.parametrize("nvars, trunc", [(1, 14), (2, 7), (3, 5)])
+    @pytest.mark.parametrize("kind", sorted(LAYER_DENOMINATORS))
+    def test_matches_the_doubling_reference(self, kind, nvars, trunc):
+        rng = random.Random(f"{kind}-{nvars}-inverse")
+        for c0 in (1, -2, Fraction(3, 5)):
+            unit = layered_series(rng, nvars, trunc, LAYER_DENOMINATORS[kind])
+            unit = unit + (c0 - unit.constant_term())
+            assert len({den for den, _ in unit._packed.values()}) > 1
+            want = inverse_from(unit, MultiSeries.constant(1 / unit.constant_term(), nvars, 0))
+            got = unit.inverse()
+            assert_canonical(got)
+            assert got == want
+            assert dict((unit * got).terms()) == {(0,) * nvars: 1}
+            # continued from a truncated inverse, the doubling gives the same series
+            for k in (0, trunc // 2, trunc - 1):
+                assert inverse_from(unit, unit.truncated(k).inverse()) == want
 
 
 class TestIntegerArguments:
@@ -881,7 +920,7 @@ class TestCanonicalForm:
             "as_polynomial": a.truncated(k).as_polynomial(trunc + 3),
             "grown": a.truncated(k)._grown(b),
             "inverse": unit.inverse(),
-            "continued inverse": _inverse_from(unit, unit.truncated(k).inverse()),
+            "solve quotient": _series_solve([[unit]], SeriesTuple([a]))[0],
             "disjoint sum": _disjoint_sum(
                 [SeriesTuple([a.truncated(k).as_polynomial(trunc)]), SeriesTuple([b - b.truncated(k).as_polynomial(trunc)])]
             )[0],
