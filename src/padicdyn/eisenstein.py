@@ -19,18 +19,21 @@ order was wrong, and raises DivisionFailureError.
 When F' is a unit at the seed (s = 0), plain quadratic Hensel lifting is
 used instead.
 
-XPolynomial.evaluate sums a_k phi^k over powers built by squaring, and with
-a lower bound low forms only the layers from low up; each a_k is packed
-once per relation, and every evaluation reads it truncated.  Both routes
-compute only what each step reads.  The pivot induction needs one layer
-of F(phi) per degree, so it evaluates with low equal to that degree, and
-phi grows by one layer per degree without copying.  A Hensel step reads
-F(phi) only above the previous degree, and F'(phi) only through the new
-degree minus the order of F(phi), and divides the one by the other in a
-single degree-by-degree solve (series._series_solve).  The dropped terms
-never reach a kept coefficient, and a truncated quotient is unique, so the
+XPolynomial.evaluate sums a_k phi^k over powers built by squaring, and
+with a lower bound low forms only the layers from low up; each a_k is
+packed once per relation, and every read takes it truncated.  Both routes
+compute only what each step reads.  The pivot induction needs one layer of
+F(phi) per degree, and does not evaluate F for it: series._graded_root
+keeps phi^j for 2 <= j < m, m the X-degree, grows each by every new layer
+of phi, and forms layer d + s of sum_k a_k phi^k alone, the top power
+there only, from phi^(m-1) phi.  So the induction is quadratic in the
+degree in one variable at every X-degree.  A Hensel step reads F(phi) only
+above the previous degree, and F'(phi) only through the new degree minus
+the order of F(phi), and divides the one by the other in a single
+degree-by-degree solve (series._series_solve).  The dropped terms never
+reach a kept coefficient, and a truncated quotient is unique, so the
 outputs are those of full evaluations; the final check of F(phi) through
-degree + s still runs over the whole series.
+degree + s still evaluates F over the whole series.
 
 Denominator support reports the primes dividing any coefficient
 denominator, certifying that the series lives in Z[1/N][[x]] up to the
@@ -45,7 +48,7 @@ from typing import Sequence
 
 from .arith import _as_rational, _is_int, prime_support
 from .errors import DivisionFailureError, DomainError
-from .series import MultiSeries, SeriesTuple, _mul, _pivot_quotient, _series_solve
+from .series import MultiSeries, SeriesTuple, _graded_root, _mul, _series_solve
 
 Exponents = tuple[int, ...]
 
@@ -266,21 +269,16 @@ def _hensel(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
 def _pivot_induction(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
     """Graded induction phi_(d) = -F(phi_d)_(d+s) / F'(phi_{s+1})_(s).
 
-    Each degree reads one layer of F(x, phi): XPolynomial.evaluate with
-    low = d + s forms layer d + s alone, the same as in a full evaluation,
-    so a step costs about one layer of each product instead of the whole
-    series.  series._pivot_quotient divides that layer by the pivot form
-    in integers and returns the negated quotient as a homogeneous series,
-    and phi grows by it without copying (MultiSeries._grown): the old layer
-    entries are shared.  A step builds no series from terms and no
-    Fraction.
+    series._graded_root runs it on the relation's coefficients, each
+    packed once and read at cap degree + s: per degree it forms layer d + s
+    of F(x, phi) alone, from powers of phi kept and grown by each new
+    layer, and series._pivot_quotient divides that layer by the pivot form
+    in integers.  A step builds no series from terms and no Fraction.
     """
     s = spec.vanishing_order
-    divisor = _pivot_form(spec.relation, spec.seed, s)
-    phi = spec.seed
-    for d in range(spec.seed.trunc + 1, degree + 1):
-        phi = phi._grown(_pivot_quotient(spec.relation.evaluate(phi, d + s, low=d + s), divisor))
-    return phi
+    relation = spec.relation
+    coeffs = [relation.coefficient_series(k, degree + s) for k in range(relation.x_degree + 1)]
+    return _graded_root(coeffs, spec.seed, _pivot_form(relation, spec.seed, s), degree)
 
 
 @dataclass(frozen=True)

@@ -530,8 +530,11 @@ class RelationProbe:
         ]
 
     def contains_relation(self, candidate: dict[tuple[int, ...], Fraction]) -> bool:
-        """Whether the candidate polynomial lies in the kernel span."""
+        """Whether the candidate polynomial lies in the kernel span.  Every
+        coefficient is read, and the zero ones are then dropped: the zero
+        polynomial lies in every span, however it is written."""
         coeffs = {mono: _as_rational(coeff) for mono, coeff in candidate.items()}
+        coeffs = {mono: coeff for mono, coeff in coeffs.items() if coeff}
         if not self.kernel:
             return not coeffs
         index = {m: i for i, m in enumerate(self.monomials)}

@@ -56,12 +56,14 @@ is invertible has one route, the degree-by-degree solve _series_solve: it
 serves MultiSeries.inverse, the Hensel steps of eisenstein, and the Newton
 windows and the shear of linearize.
 
-The pivot induction of eisenstein divides one layer by a homogeneous form
-per degree (_pivot_quotient): long division on the integer numerators,
-each lead the remainder's least packed key, since key order is the
-valuation order there (the last variable weighs most), with the leads
-drawn from a heap and the remainder and quotient scaled by the pivot
-coefficient where it does not divide a lead, so no Fraction is built.
+The pivot induction of eisenstein (_graded_root) forms one layer of
+F(phi) = sum_k a_k phi^k per degree from powers of phi that it keeps and
+grows by each new layer, and divides that layer by a homogeneous form
+(_pivot_quotient): long division on the integer numerators, each lead the
+remainder's least packed key, since key order is the valuation order
+there (the last variable weighs most), with the leads drawn from a heap
+and the remainder and quotient scaled by the pivot coefficient where it
+does not divide a lead, so no Fraction is built.
 
 The monomial walks of the package step from a nonzero monomial I to a
 parent I - e_j.  A walk over fixed monomials takes the prefix parent, j
@@ -93,8 +95,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, islice
-from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from math import comb, gcd, lcm
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import ratlinalg
 from .arith import _as_rational, _is_int, int_valuation, is_prime
@@ -507,9 +509,9 @@ def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSerie
     """Product truncated at trunc, computing only the layers of degree >= low.
 
     With low > 0 the layers below low are absent from the result, not
-    zero: callers that need one graded layer of a product (the pivot
-    induction) pass low = trunc and read that layer alone.  A square (a is
-    b) visits each unordered pair of terms once.
+    zero: callers that need one graded layer of a product (the series
+    solve) pass low = trunc and read that layer alone.  A square (a is b)
+    visits each unordered pair of terms once.
     """
     if a.is_zero() or b.is_zero():
         return MultiSeries.zero(a.nvars, trunc)
@@ -559,7 +561,7 @@ def _convolve(a: _Packed, b: _Packed, trunc: int, low: int = 0) -> _Packed:
                     key = ea + eb
                     group[key] = get(key, 0) + ca * cb
         if groups:
-            out[d] = _merge(groups)
+            out[d] = _merge(groups.items())
     return out
 
 
@@ -571,10 +573,14 @@ def _square(a: _Packed, trunc: int, low: int = 0) -> _Packed:
     if not degrees:
         return out
     bottom, top = degrees[0], degrees[-1]
-    # the layers read, each as a list of (key, numerator) pairs: the loops
-    # read a layer many times, and a list is read faster than a dict, most
-    # of all in one variable, where a layer holds one term
-    a = {d: (den, list(nums.items())) for d, (den, nums) in a.items() if low - top <= d <= trunc - bottom}
+    # a square of several degrees reads a layer at many of them, so it lists
+    # each layer it reads once, as (key, numerator) pairs: a list is read
+    # faster than a dict, most of all in one variable, where a layer holds
+    # one term.  A square of one degree reads each layer once, from its
+    # dict, and lists only the middle one, which it pairs with itself
+    listed = low < trunc
+    if listed:
+        a = {d: (den, list(nums.items())) for d, (den, nums) in a.items() if low - top <= d <= trunc - bottom}
     for d in range(max(low, 2 * bottom), min(trunc, 2 * top) + 1):
         groups: _Groups = {}
         for da in degrees[bisect_left(degrees, d - top) : bisect_right(degrees, d // 2)]:
@@ -583,6 +589,9 @@ def _square(a: _Packed, trunc: int, low: int = 0) -> _Packed:
                 continue
             den_a, terms_a = a[da]
             den_b, terms_b = entry
+            if not listed:
+                terms_a = list(terms_a.items()) if 2 * da == d else terms_a.items()
+                terms_b = terms_b.items()
             group = groups.setdefault(den_a * den_b, {})
             get = group.get
             if 2 * da == d:
@@ -599,19 +608,19 @@ def _square(a: _Packed, trunc: int, low: int = 0) -> _Packed:
                     key = ea + eb
                     group[key] = get(key, 0) + twice * cb
         if groups:
-            out[d] = _merge(groups)
+            out[d] = _merge(groups.items())
     return out
 
 
-def _merge(groups: _Groups) -> tuple[int, dict[int, int]]:
-    """(den, sums): the groups of one degree summed over one denominator,
-    the lcm of theirs.  A single group is returned as it is; the groups are
-    not changed."""
-    if len(groups) == 1:
-        return next(iter(groups.items()))
-    den = lcm(*groups)
-    # the largest group is copied, the others are added to it
-    parts = sorted(groups.items(), key=lambda item: len(item[1]), reverse=True)
+def _merge(parts: Collection[tuple[int, dict[int, int]]]) -> tuple[int, dict[int, int]]:
+    """(den, sums): the parts (den, {key: numerator}) of one degree summed
+    over one denominator, the lcm of theirs; two parts may share one.  A
+    single part is returned as it is; the parts are not changed."""
+    if len(parts) == 1:
+        return next(iter(parts))
+    den = lcm(*[part_den for part_den, _ in parts])
+    # the largest part is copied, the others are added to it
+    parts = sorted(parts, key=lambda item: len(item[1]), reverse=True)
     part_den, part = parts[0]
     scale = den // part_den
     sums = dict(part) if scale == 1 else {key: scale * v for key, v in part.items()}
@@ -705,6 +714,69 @@ def _pivot_quotient(numerator: MultiSeries, divisor: MultiSeries) -> MultiSeries
                 heappush(heap, key)
     nums = {key: -den_v * v for key, v in quotient.items()}
     return MultiSeries._raw(nvars, trunc, _reduced({trunc: (den_n * content * scale, nums)}))
+
+
+def _graded_root(coeffs: Sequence[MultiSeries], seed: MultiSeries, divisor: MultiSeries, degree: int) -> MultiSeries:
+    """The root phi of F = sum_k a_k X^k through degree >= seed.trunc,
+    continued from seed one layer at a time: layer d of phi is
+    _pivot_quotient of layer d + s of F(phi), phi known below d, by the
+    form divisor of degree s.  coeffs lists a_k for k = 0..m, m >= 1 the
+    X-degree, zeros included, each at cap degree + s.
+
+    A degree forms layer n = d + s of sum_k a_k phi^k from the packed
+    layers alone.  phi^j for 2 <= j < m is kept at the cap, and each new
+    layer delta of degree d adds sum_{i=1..j} C(j, i) phi^(j-i) delta^i to
+    it, from the top j down, so every phi^(j-i) read is the old one; each
+    term is a product with the homogeneous delta^i, which vanishes above
+    the cap once i d does, and only the layers it reaches are replaced.
+    phi^m is formed at n alone, from n less the top degree of a_m read
+    there, as phi^(m-1) phi: a square when m = 2.  So a degree costs about
+    one product with a layer per kept power, and the whole is quadratic in
+    the degree in one variable at every m.  phi grows by each delta in
+    place and shares the layer entries of seed.
+    """
+    nvars, [s] = seed.nvars, divisor._packed
+    cap = degree + s
+    a = [c._packed for c in coeffs]
+    m = len(a) - 1
+    one: _Packed = {0: (1, {0: 1})}
+    phi = dict(seed._packed)
+    powers = [one, phi]
+    for _ in range(2, m):
+        powers.append(_reduced(_convolve(powers[-1], phi, cap)))
+    for d in range(seed.trunc + 1, degree + 1):
+        n = d + s
+        parts = [a[0][n]] if n in a[0] else []
+        for k in range(1, m):
+            parts += _convolve(a[k], powers[k], n, n).values()
+        span = max((e for e in a[m] if e <= n), default=None)
+        if span is not None:
+            top = _square(phi, n, n - span) if m == 2 else _convolve(powers[m - 1], phi, n, n - span)
+            parts += _convolve(a[m], top, n, n).values()
+        numerator = MultiSeries._raw(nvars, n, _reduced({n: _merge(parts)}) if parts else {})
+        delta = _pivot_quotient(numerator, divisor)._packed.get(d)
+        if delta is None:
+            continue
+        # delta^i for each i < m with i d <= cap
+        rises = [one, {d: delta}]
+        while len(rises) < m and len(rises) * d <= cap:
+            rises.append(_reduced(_convolve(rises[-1], rises[1], cap)))
+        for j in range(m - 1, 1, -1):
+            # the layers of phi^j that the terms reach, each merged once
+            reached: dict[int, list[tuple[int, dict[int, int]]]] = {}
+            for i in range(1, min(j, len(rises) - 1) + 1):
+                [(den, nums)] = rises[i].values()
+                c = comb(j, i)
+                term = {i * d: (den, {key: c * v for key, v in nums.items()})}
+                for e, entry in _convolve(term, powers[j - i], cap).items():
+                    reached.setdefault(e, []).append(entry)
+            kept = powers[j]
+            for e, entries in reached.items():
+                if e in kept:
+                    entries.append(kept.pop(e))
+            kept.update(_reduced({e: _merge(entries) for e, entries in reached.items()}))
+        phi[d] = delta
+    return MultiSeries._raw(nvars, degree, phi)
 
 
 def _parent(exps: Exponents) -> tuple[int, Exponents]:
@@ -911,7 +983,7 @@ def _combine(
 
 def _summed(accs: list[dict[int, _Groups]], nvars: int, trunc: int) -> "SeriesTuple":
     """The tuple of the accumulators' sums, each degree merged and reduced."""
-    sums = [_reduced({d: _merge(groups) for d, groups in acc.items()}) for acc in accs]
+    sums = [_reduced({d: _merge(groups.items()) for d, groups in acc.items()}) for acc in accs]
     return SeriesTuple([MultiSeries._raw(nvars, trunc, packed) for packed in sums])
 
 

@@ -880,3 +880,67 @@ class TestConjugacyCommandsFuzz:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["command"] == command
         assert ("report" in payload) == (code == 0) and ("error" in payload) == (code != 0)
+
+
+@st.composite
+def eisenstein_documents(draw):
+    """Root documents in 1-2 variables: a relation of X-degree 1-4 with small
+    coefficients, and a seed of degree <= 3 read at a drawn seed degree.
+    Half the relations are drawn term by term; the other half are
+    (X - psi) G(X) for the seed polynomial psi and a drawn G, so that the
+    seed starts a root, or its truncation is close to one."""
+    n = draw(st.integers(1, 2))
+    monomials = [e for e in itertools.product(range(4), repeat=n) if sum(e) <= 3]
+    coefficients = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+    def polynomial(max_terms):
+        terms = draw(st.lists(st.tuples(st.sampled_from(monomials), coefficients), max_size=max_terms))
+        return {e: c for e, c in terms if c}
+
+    top = draw(st.integers(1, 4))
+    psi = polynomial(4)
+    if draw(st.booleans()):
+        # (X - psi) G(X) with G of X-degree top - 1 and a nonzero lead
+        g = {k: polynomial(3) for k in range(top)}
+        g[top - 1][(0,) * n] = g[top - 1].get((0,) * n, 0) + 1
+        relation = {}
+        for k, poly in g.items():
+            for e, c in poly.items():
+                relation[(e, k + 1)] = relation.get((e, k + 1), 0) + c
+                for f, p in psi.items():
+                    key = (tuple(a + b for a, b in zip(e, f)), k)
+                    relation[key] = relation.get(key, 0) - c * p
+    else:
+        relation = {(e, k): c for k in range(top + 1) for e, c in polynomial(3).items()}
+        relation[((0,) * n, top)] = draw(st.integers(1, 3))
+
+    def record(exps, c):
+        return {"exponents": list(exps), "numerator": c.numerator, "denominator": c.denominator}
+
+    return {
+        "num_vars": n,
+        "relation": [dict(record(e, c), x_power=k) for (e, k), c in relation.items()],
+        "seed": [record(e, c) for e, c in psi.items()],
+        "seed_degree": draw(st.integers(0, 4)),
+    }
+
+
+class TestEisensteinCommandFuzz:
+    """eisenstein ends every drawn document in one JSON payload, with exit
+    0, 1 or 2, in bounded time."""
+
+    @settings(
+        max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(document=eisenstein_documents(), degree=st.integers(0, 12))
+    def test_every_document_ends_in_one_payload(self, tmp_path, document, degree):
+        doc = write_json(tmp_path, "fuzz.json", document)
+        out = tmp_path / "fuzz-out.json"
+        out.unlink(missing_ok=True)
+        started = time.perf_counter()
+        code = run(["eisenstein", doc, "--degree", str(degree), "--out", str(out)])
+        assert time.perf_counter() - started < 10
+        assert code in (0, 1, 2)
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["command"] == "eisenstein"
+        assert ("report" in payload) == (code == 0) and ("error" in payload) == (code != 0)

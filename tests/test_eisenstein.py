@@ -364,6 +364,95 @@ class TestLayerOnlyPivotInduction:
         assert relation.evaluate(phi, degree, low=degree).layer(degree) == relation.evaluate(phi, degree).layer(degree)
 
 
+def kth_power_root(k):
+    """(X - x)^k = x^(3k) (1 + x), the seed exact through degree 3(k - 1):
+    the root x + x^3 (1 + x)^(1/k), of vanishing order 3(k - 1)."""
+    terms = [((k - i,), i, math.comb(k, i) * (-1) ** (k - i)) for i in range(k + 1)]
+    terms += [((3 * k,), 0, -1), ((3 * k + 1,), 0, -1)]
+    top = 3 * (k - 1)
+    seed = MultiSeries(1, top, [((1,), Fraction(1))] + [((m + 3,), binomial(Fraction(1, k), m)) for m in range(top - 2)])
+    return AlgebraicSeriesSpec.build(XPolynomial.from_terms(1, terms), seed)
+
+
+def induction_by_evaluation(spec, degree):
+    """Reference: the graded induction with one evaluation of F per degree,
+    layer d + s alone, and nothing kept between degrees."""
+    s = spec.vanishing_order
+    divisor = eisenstein._pivot_form(spec.relation, spec.seed, s)
+    phi = spec.seed
+    for d in range(spec.seed.trunc + 1, degree + 1):
+        phi = phi._grown(_pivot_quotient(spec.relation.evaluate(phi, d + s, low=d + s), divisor))
+    return phi
+
+
+def product_relation(nvars, unit, roots):
+    """u(x) prod_i (X - r_i) for polynomials u and r_i given as
+    {exponents: coefficient}, as an XPolynomial."""
+    poly = {(e, 0): c for e, c in unit.items()}
+    for root in roots:
+        out = Counter()
+        for (e, k), c in poly.items():
+            out[(e, k + 1)] += c
+            for f, r in root.items():
+                out[(tuple(a + b for a, b in zip(e, f)), k)] -= c * r
+        poly = out
+    return XPolynomial.from_terms(nvars, [(e, k, c) for (e, k), c in poly.items() if c])
+
+
+class TestKeptPowers:
+    """The pivot induction at X-degree 3 and 4, where it keeps phi^j for
+    2 <= j < m and grows them by each new layer."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_binomial_oracle_at_degree_60(self, k):
+        spec = kth_power_root(k)
+        assert (spec.relation.x_degree, spec.vanishing_order) == (k, 3 * (k - 1))
+        phi = coefficients_up_to(spec, 60)
+        expected = {(1,): Fraction(1)}
+        expected.update({(m + 3,): binomial(Fraction(1, k), m) for m in range(58)})
+        assert dict(phi.terms()) == {e: c for e, c in expected.items() if c}
+        assert phi == induction_by_evaluation(spec, 60)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_against_sympy_at_degree_12(self, k):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        phi = coefficients_up_to(kth_power_root(k), 12)
+        root = sum(sympy.Rational(c.numerator, c.denominator) * x ** e for (e,), c in phi.terms())
+        expansion = sympy.series(x + x**3 * (1 + x) ** sympy.Rational(1, k), x, 0, 13).removeO()
+        assert sympy.expand(root - expansion) == 0
+        value = sympy.Poly(sympy.expand((root - x) ** k - x ** (3 * k) * (1 + x)), x)
+        assert all(e > 12 + 3 * (k - 1) for (e,), c in value.terms() if c)
+
+    def test_matches_an_evaluation_per_degree_randomized(self):
+        # u (X - r_1) ... (X - r_m) with r_2 = r_1 + a form of degree t + 1:
+        # the seed r_1 through degree s picks the root r_1, a polynomial, and
+        # each degree up to and past its top divides a layer of F(phi)
+        rng = random.Random(3604)
+        pool = [Fraction(x) for x in (1, -1, 2, -3)] + [Fraction(1, 2), Fraction(-2, 3)]
+        checked = Counter()
+        for _ in range(40):
+            nvars, m = rng.choice((1, 1, 2)), rng.randint(2, 4)
+            t = rng.randint(0, 2)
+            r1 = Counter({(0,) * nvars: rng.choice(pool)})
+            for _ in range(rng.randint(1, 4)):
+                r1[tuple(rng.randint(0, 3) for _ in range(nvars))] += rng.choice(pool)
+            r2 = Counter(r1)
+            r2.update(random_form(rng, nvars, t + 1, rng.randint(1, 2)))
+            others = [{(0,) * nvars: Fraction(5 + i)} | random_form(rng, nvars, 1, 1) for i in range(m - 2)]
+            unit = {(0,) * nvars: Fraction(1)} | random_form(rng, nvars, rng.randint(1, 2), 2)
+            relation = product_relation(nvars, unit, [r1, r2] + others)
+            spec = AlgebraicSeriesSpec.build(relation, MultiSeries(nvars, 4, r1.items()))
+            s = spec.vanishing_order
+            assert 1 <= s <= 4
+            degree = rng.randint(4, 9)
+            phi = eisenstein._pivot_induction(spec, degree)
+            assert phi == MultiSeries(nvars, degree, r1.items())
+            assert phi == induction_by_evaluation(spec, degree)
+            checked[m] += 1
+        assert min(checked[m] for m in (2, 3, 4)) >= 5
+
+
 def two_variable_ramified_root():
     """(X - x1)^2 = x2^4 (1 + x1 + x2) from the seed x1 + x2^2: s = 2."""
     relation = XPolynomial.from_terms(

@@ -499,6 +499,20 @@ class TestRelationProbe:
         with pytest.raises(DomainError):
             relation_probe([(Fraction(1), Fraction(2)), (Fraction(3), Fraction(5))], 2).contains_relation({(1, 0): 0.5})
 
+    @pytest.mark.parametrize("candidate", [{}, {(1, 0): Fraction(0)}, {(5, 5): 0}])
+    @pytest.mark.parametrize("points", ["generic", "diagonal"])
+    def test_the_zero_polynomial_is_in_every_span(self, points, candidate):
+        # four generic points leave the degree-1 kernel empty; the orbit of
+        # (1, 1) under (2x, 2y) spans x - y.  A zero coefficient, on a listed
+        # monomial or not, writes the zero polynomial all the same
+        if points == "generic":
+            probe = relation_probe([(Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)), (Fraction(7), Fraction(11)), (Fraction(2), Fraction(9))], 1)
+            assert probe.kernel == ()
+        else:
+            probe = relation_probe([(Fraction(2**t), Fraction(2**t)) for t in range(6)], 1)
+            assert len(probe.kernel) == 1
+        assert probe.contains_relation(candidate)
+
     def test_independent_orbit_empty_kernel(self):
         points = []
         x, y = Fraction(1), Fraction(1)
