@@ -30,10 +30,11 @@ there only, from phi^(m-1) phi.  So the induction is quadratic in the
 degree in one variable at every X-degree.  A Hensel step reads F(phi) only
 above the previous degree, and F'(phi) only through the new degree minus
 the order of F(phi), and divides the one by the other in a single
-degree-by-degree solve (series._series_solve).  The dropped terms never
-reach a kept coefficient, and a truncated quotient is unique, so the
-outputs are those of full evaluations; the final check of F(phi) through
-degree + s still evaluates F over the whole series.
+degree-by-degree solve on packed layers (series._series_solve), which
+builds no series per degree.  The dropped terms never reach a kept
+coefficient, and a truncated quotient is unique, so the outputs are those
+of full evaluations; the final check of F(phi) through degree + s still
+evaluates F over the whole series.
 
 Denominator support reports the primes dividing any coefficient
 denominator, certifying that the series lives in Z[1/N][[x]] up to the
@@ -244,8 +245,8 @@ def _hensel(spec: AlgebraicSeriesSpec, degree: int) -> MultiSeries:
     A step from a root through degree prev to one through known reads
     F(phi) only above prev: its layers through prev vanish by construction,
     so it is evaluated with low = prev + 1, and the final check in
-    coefficients_up_to still covers them.  The quotient q = F(phi) / F'(phi)
-    is the 1 x 1 solve F'(phi) q = F(phi) at cap known (series._series_solve).
+    coefficients_up_to still covers them.  q = F(phi) / F'(phi) is the 1 x 1
+    solve F'(phi) q = F(phi) at cap known, on packed layers (_series_solve).
     q has no layer below ord F(phi), so layer d of F'(phi) q reads the slope
     only through d - ord F(phi) <= known - ord F(phi): the slope is
     evaluated at that cap and read as a polynomial, which is exact.

@@ -70,8 +70,8 @@ Within a window the residual has order >= low and is kept through degree
 high.  g solves (Dh o Lambda) g = residual one degree at a time
 (series._series_solve), with no series-matrix inverse: g_d is C^(-1)
 times layer d of the residual minus (Dh o Lambda - C) g, for C the
-constant part, and that product is formed in layer d alone from the
-layers of g below d.
+constant part, that product formed in layer d alone from the layers of
+g below d, on packed layer maps that are bound as g once.
 Since the residual has no layer below low, neither has g, and g has its
 support in layers low..high.  The correction e solving the homological
 equation against g keeps that support, and since Dh has a constant term,

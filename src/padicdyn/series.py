@@ -16,8 +16,8 @@ N_1 / D, ..., N_k / D is D / gcd(D, N_1, ..., N_k).  Fractions are built
 only where a coefficient is handed out: terms, layer, coefficient,
 constant_term, to_records, eval and repr.  A layer's entry depends on that
 layer alone and is never changed after construction, so a series made from
-another's layers (truncated, as_polynomial, _grown, the one-operand degrees
-of a sum) shares their entries.
+another's layers (truncated, as_polynomial, the one-operand degrees of a
+sum) shares their entries.
 
 Keys add carry-free below 2**16, the cap on every truncation degree, so
 products convolve the layers as they are; a square (both operands the same
@@ -54,7 +54,8 @@ builds a Fraction.  Both are exact.
 A division by a series, or a square matrix of series, whose constant part
 is invertible has one route, the degree-by-degree solve _series_solve: it
 serves MultiSeries.inverse, the Hensel steps of eisenstein, and the Newton
-windows and the shear of linearize.
+windows and the shear of linearize.  It runs on layer maps and binds no
+series until the solution is complete.
 
 The pivot induction of eisenstein (_graded_root) forms one layer of
 F(phi) = sum_k a_k phi^k per degree from powers of phi that it keeps and
@@ -401,19 +402,6 @@ class MultiSeries:
             raise DomainError("as_polynomial takes an integer cap and cannot drop stored terms")
         return MultiSeries._raw(self.nvars, trunc, self._packed)
 
-    def _grown(self, top: "MultiSeries") -> "MultiSeries":
-        """This polynomial with the layer of top of degree trunc + 1 added,
-        at that cap, which must stay below 2**16.
-
-        The layer map is copied shallowly: the grown series shares the
-        entries of this one and of top.
-        """
-        degree = self.trunc + 1
-        packed = dict(self._packed)
-        if degree in top._packed:
-            packed[degree] = top._packed[degree]
-        return MultiSeries._raw(self.nvars, degree, packed)
-
     # -- calculus and substitution ------------------------------------------
 
     def partial(self, index: int) -> "MultiSeries":
@@ -509,9 +497,9 @@ def _mul(a: MultiSeries, b: MultiSeries, trunc: int, low: int = 0) -> MultiSerie
     """Product truncated at trunc, computing only the layers of degree >= low.
 
     With low > 0 the layers below low are absent from the result, not
-    zero: callers that need one graded layer of a product (the series
-    solve) pass low = trunc and read that layer alone.  A square (a is b)
-    visits each unordered pair of terms once.
+    zero: callers that read a product from some degree up (the evaluation
+    of an algebraic relation in eisenstein) pass that degree as low.  A
+    square (a is b) visits each unordered pair of terms once.
     """
     if a.is_zero() or b.is_zero():
         return MultiSeries.zero(a.nvars, trunc)
@@ -1339,35 +1327,41 @@ def _series_solve(mat: list[list[MultiSeries]], rhs: SeriesTuple) -> SeriesTuple
     """The x with mat x = rhs, for a square series matrix whose constant
     part C is invertible, through the least cap of mat and rhs.
 
-    One degree at a time: x_d = C^(-1) (rhs_d - ((mat - C) x)_d).  x holds
-    the layers below d when layer d of mat x is formed, so C never meets
-    it there, and each product is formed in that layer alone.  Each step is
-    series arithmetic on homogeneous series at cap d, and x then grows by
-    its new layer without copying (MultiSeries._grown).
+    One degree at a time, on layer maps: x_d = C^(-1) (rhs_d + ((C - mat) x)_d),
+    each product formed in layer d alone from the layers of x below d, so C
+    never meets it, and C^(-1) applied as integer pairs with one gcd chain
+    per component and degree.  x is bound as series only at the end.
     """
     n, nvars = len(rhs), rhs.nvars
     if len(mat) != n or any(len(row) != n for row in mat):
         raise DomainError("series solve needs a square matrix of the tuple's size")
+    for entry in (entry for row in mat for entry in row):
+        entry._check_compatible(rhs[0])
     cinv = ratlinalg.inverse([[entry.constant_term() for entry in row] for row in mat])
+    weights = [[(w.numerator, w.denominator) for w in row] for row in cinv]
     cap = min([rhs.trunc] + [entry.trunc for row in mat for entry in row])
-    # nothing is known yet: the cap below degree 0
-    x = [MultiSeries.zero(nvars, -1) for _ in range(n)]
+    tails = [  # C - mat: each entry's non-constant part, negated
+        [{d: (den, {key: -v for key, v in nums.items()}) for d, (den, nums) in e._packed.items() if d} for e in row]
+        for row in mat
+    ]
+    x: list[_Packed] = [{} for _ in range(n)]
     for d in range(cap + 1):
-        rest = []
-        for row, acc in zip(mat, rhs.layer_tuple(d).truncated(d)):
-            for entry, comp in zip(row, x):
-                if not comp.is_zero():
-                    acc = acc - _mul(entry, comp, d, d)
-            rest.append(acc)
-        layers = []
-        for weights in cinv:
-            layer = MultiSeries.zero(nvars, d)
-            for w, acc in zip(weights, rest):
-                if w and not acc.is_zero():
-                    layer = layer + acc.scale(w)
-            layers.append(layer)
-        x = [comp._grown(layer) for comp, layer in zip(x, layers)]
-    return SeriesTuple(x)
+        sums = []
+        for row, comp in zip(tails, rhs):
+            parts = [comp._packed[d]] if d in comp._packed else []
+            for entry, known in zip(row, x):
+                if entry and known:
+                    parts.extend(_convolve(entry, known, d, d).values())
+            sums.append(_merge(parts) if parts else (1, {}))
+        for row, known in zip(weights, x):
+            parts = [
+                (den * w_den, nums if w == 1 else {key: w * v for key, v in nums.items()})
+                for (w, w_den), (den, nums) in zip(row, sums)
+                if w and nums
+            ]
+            if parts:
+                known.update(_reduced({d: _merge(parts)}))
+    return SeriesTuple([MultiSeries._raw(nvars, cap, known) for known in x])
 
 
 def _disjoint_sum(parts: Sequence[SeriesTuple]) -> SeriesTuple:

@@ -381,7 +381,7 @@ def induction_by_evaluation(spec, degree):
     divisor = eisenstein._pivot_form(spec.relation, spec.seed, s)
     phi = spec.seed
     for d in range(spec.seed.trunc + 1, degree + 1):
-        phi = phi._grown(_pivot_quotient(spec.relation.evaluate(phi, d + s, low=d + s), divisor))
+        phi = phi.as_polynomial(d) + _pivot_quotient(spec.relation.evaluate(phi, d + s, low=d + s), divisor)
     return phi
 
 

@@ -154,7 +154,7 @@ def test_every_traced_entry_point_resolves():
 
 
 # MultiSeries shares its layer map and its layer entries, (den, {key:
-# numerator}), between instances (as_polynomial, truncated, _grown, _merged),
+# numerator}), between instances (as_polynomial, truncated, _merged),
 # so no code may change them in place.  Only the constructors bind a layer
 # map.
 LAYER_CONSTRUCTORS = {"MultiSeries.__init__", "MultiSeries._raw"}

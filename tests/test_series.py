@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicdyn import series
+from padicdyn import ratlinalg, series
 from padicdyn.arith import fraction_abs, fraction_valuation
 from padicdyn.dynamics import Resonance, enumerate_resonances
 from padicdyn.errors import DomainError, ResonantMonomialError
@@ -24,6 +24,7 @@ from padicdyn.series import (
     _packer,
     _parent,
     _PowerTable,
+    _series_matrix_vector,
     _series_solve,
     _unpacker,
     gauss_norm,
@@ -247,18 +248,20 @@ class TestFixedWidthKeys:
             lambda: MultiSeries.zero(2, 2**16),
             lambda: MultiSeries.variable(0, 2, 2**16),
             lambda: univariate([0, 1], 5).as_polynomial(2**16),
-            lambda: univariate([0, 1], TOP)._grown(univariate([0, 1], TOP)),
         ):
             with pytest.raises(DomainError):
                 make()
         assert MultiSeries.variable(0, 2, TOP).trunc == univariate([0, 1], 5).as_polynomial(TOP).trunc == TOP
 
     def test_a_series_grown_to_the_top_is_canonical(self):
-        s = MultiSeries(2, TOP - 1, [((TOP - 1, 0), Fraction(1, 3)), ((1, 2), Fraction(2))])
-        grown = s._grown(MultiSeries(2, TOP, [((5535, 60000), Fraction(-2, 7))]))
-        assert_canonical(grown)
-        assert grown.coefficient((5535, 60000)) == Fraction(-2, 7) and grown.trunc == TOP
-        assert (grown * grown).coefficient((2, 4)) == 4
+        # (3 + y^(TOP - 3)) x = rhs, solved one layer per degree through the top
+        unit = MultiSeries(2, TOP, [((0, 0), 3), ((0, TOP - 3), 1)])
+        rhs = MultiSeries(2, TOP, [((TOP - 1, 0), Fraction(1, 3)), ((1, 2), 2), ((5535, 60000), Fraction(-2, 7))])
+        x = _series_solve([[unit]], SeriesTuple([rhs]))[0]
+        assert_canonical(x)
+        assert x.trunc == TOP and x.term_count() == 4
+        assert x.coefficient((5535, 60000)) == Fraction(-2, 21) and x.coefficient((1, TOP - 1)) == Fraction(-2, 9)
+        assert (x * x).coefficient((2, 4)) == Fraction(4, 9)
 
 
 def fresh(s):
@@ -344,10 +347,11 @@ class TestGradedView:
         t = MultiSeries(2, 8, [((1, 0), Fraction(5, 9)), ((1, 1), Fraction(-1, 4)), ((0, 8), Fraction(2, 5))])
         u = MultiSeries(2, 8, [((5, 3), Fraction(1, 7)), ((0, 8), Fraction(2, 5))])
         before = fresh(s)
-        grown = s._grown(MultiSeries(2, 7, [((4, 3), Fraction(3, 11)), ((0, 7), Fraction(-1, 2))]))
+        # grown by a layer of the next degree: a sum of disjoint degrees
+        grown = s.as_polynomial(7) + MultiSeries(2, 7, [((4, 3), Fraction(3, 11)), ((0, 7), Fraction(-1, 2))])
         made = {
             "grown": grown,
-            "grown twice": grown._grown(MultiSeries(2, 8, [((8, 0), Fraction(1, 13))])),
+            "grown twice": grown.as_polynomial(8) + MultiSeries(2, 8, [((8, 0), Fraction(1, 13))]),
             "truncated": s.truncated(3),
             "as_polynomial": s.truncated(4).as_polynomial(9),
             "sum": s + t,
@@ -457,6 +461,95 @@ class TestInverseAgainstNewtonDoubling:
             # continued from a truncated inverse, the doubling gives the same series
             for k in (0, trunc // 2, trunc - 1):
                 assert inverse_from(unit, unit.truncated(k).inverse()) == want
+
+
+def solve_by_series(mat, rhs):
+    """Reference: the degree-by-degree solve in series arithmetic.  Layer d
+    of x is C^(-1) (rhs_d - ((mat - C) x)_d), each step on homogeneous
+    series at cap d, and x grows by a sum with its new layer."""
+    nvars = rhs.nvars
+    cinv = ratlinalg.inverse([[entry.constant_term() for entry in row] for row in mat])
+    cap = min([rhs.trunc] + [entry.trunc for row in mat for entry in row])
+    x = [MultiSeries.zero(nvars, 0) for _ in rhs]
+    for d in range(cap + 1):
+        rest = []
+        for row, acc in zip(mat, rhs.layer_tuple(d).truncated(d)):
+            for entry, comp in zip(row, x):
+                if not comp.is_zero():
+                    acc = acc - _mul(entry, comp, d, d)
+            rest.append(acc)
+        layers = []
+        for weights in cinv:
+            layer = MultiSeries.zero(nvars, d)
+            for w, acc in zip(weights, rest):
+                if w and not acc.is_zero():
+                    layer = layer + acc.scale(w)
+            layers.append(layer)
+        x = [comp.as_polynomial(d) + layer for comp, layer in zip(x, layers)]
+    return SeriesTuple(x)
+
+
+def random_system(rng, n, nvars, rhs_offset):
+    """A seeded n x n system mat x = rhs: C^(-1) has a negative and a
+    non-integer entry, the entries' caps may differ, rhs's cap is rhs_offset
+    above the least of them (at least 0), and rhs has empty layers."""
+    while True:
+        const = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        try:
+            weights = [w for row in ratlinalg.inverse(const) for w in row]
+        except DomainError:
+            continue
+        if any(w < 0 for w in weights) and any(w.denominator > 1 for w in weights):
+            break
+    trunc = rng.randint(2, 8 if nvars == 1 else 5)
+    mat = []
+    for consts in const:
+        row = [rand_series(rng, nvars, trunc + rng.randint(0, 2), terms=6) for _ in consts]
+        mat.append([entry + (c - entry.constant_term()) for entry, c in zip(row, consts)])
+    cap = max(trunc + rhs_offset, 0)
+    kept = {d for d in range(cap + 1) if rng.random() < 0.7} - {rng.randint(0, cap)}
+    monomials = [exps for exps in graded_monomials(nvars, cap) if sum(exps) in kept]
+    rhs = []
+    for _ in range(n):
+        terms = [(e, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for e in monomials if rng.random() < 0.6]
+        rhs.append(MultiSeries(nvars, cap, terms))
+    return mat, SeriesTuple(rhs)
+
+
+class TestSeriesSolveReference:
+    """_series_solve on layer maps against the same solve in series
+    arithmetic, term for term."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_matches_the_series_loop(self, n, nvars):
+        rng = random.Random(f"solve-{n}-{nvars}")
+        for rhs_offset in (-2, -1, 0, 1, 3):
+            mat, rhs = random_system(rng, n, nvars, rhs_offset)
+            got = _series_solve(mat, rhs)
+            want = solve_by_series(mat, rhs)
+            assert got.trunc == want.trunc == min([rhs.trunc] + [entry.trunc for row in mat for entry in row])
+            assert [comp._packed for comp in got] == [comp._packed for comp in want]
+            for comp in got:
+                assert_canonical(comp)
+            assert _series_matrix_vector(mat, got).agrees_through(rhs.truncated(got.trunc), got.trunc)
+
+    def test_a_quotient_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x0:1")
+        den = univariate([Fraction(-3, 2), 1, 0, Fraction(2, 7)], 30)
+        num = univariate([2, Fraction(1, 5), -1], 30)
+        q = _series_solve([[den]], SeriesTuple([num]))[0]
+        expansion = sympy.series(as_sympy(sympy, xs, num) / as_sympy(sympy, xs, den), xs[0], 0, 31).removeO()
+        assert q.trunc == 30 and dict(q.terms()) == sympy_terms(sympy, xs, expansion, 30)
+
+    def test_a_variable_count_mismatch_is_refused(self):
+        two = MultiSeries(2, 4, [((0, 0), 1), ((1, 0), 2), ((0, 1), 3), ((2, 0), 1), ((1, 1), -1), ((0, 2), 5)])
+        with pytest.raises(DomainError, match="variable count mismatch"):
+            _series_solve([[two]], SeriesTuple([univariate([1, 1], 4)]))
+        rhs = MultiSeries(2, 4, [((0, 0), 1), ((1, 1), 1)])
+        with pytest.raises(DomainError, match="variable count mismatch"):
+            _series_solve([[MultiSeries.constant(2, 1, 4)]], SeriesTuple([rhs]))
 
 
 class TestIntegerArguments:
@@ -918,7 +1011,7 @@ class TestCanonicalForm:
             "substitute zero": a.substitute_zero([0]),
             "truncated": a.truncated(k),
             "as_polynomial": a.truncated(k).as_polynomial(trunc + 3),
-            "grown": a.truncated(k)._grown(b),
+            "grown": a.truncated(k).as_polynomial(k + 1) + SeriesTuple([b]).layer_tuple(k + 1)[0],
             "inverse": unit.inverse(),
             "solve quotient": _series_solve([[unit]], SeriesTuple([a]))[0],
             "disjoint sum": _disjoint_sum(

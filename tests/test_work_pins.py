@@ -3,8 +3,9 @@
 A count of term pairs is exact and takes seconds, where a timing needs many
 alternating runs to show a change.  Each pin counts, through a test-local
 wrapper, the term pairs that the product kernels series._convolve and
-series._square visit.  Pair counts are not time: coefficient size drives
-cost too.
+series._square visit, and the series solve's pin also counts the series
+it binds (MultiSeries._raw).  Pair counts are not time: coefficient size
+drives cost too.
 """
 
 import pytest
@@ -45,6 +46,19 @@ def counted_products(monkeypatch):
     return visited
 
 
+def counted_series(monkeypatch):
+    """Count in the returned list the series bound by MultiSeries._raw."""
+    built = [0]
+    raw = series.MultiSeries._raw.__func__
+
+    def counted_raw(cls, nvars, trunc, packed):
+        built[0] += 1
+        return raw(cls, nvars, trunc, packed)
+
+    monkeypatch.setattr(series.MultiSeries, "_raw", classmethod(counted_raw))
+    return built
+
+
 class TestPivotInductionWork:
     """The pivot induction keeps phi^j for 2 <= j < m and grows them by each
     new layer, so a root of X-degree m costs about one product with a layer
@@ -75,3 +89,25 @@ class TestPivotInductionWork:
             coefficients_up_to(spec, degree)
             pairs.append(visited[0])
         assert pairs[1] < 5 * pairs[0]
+
+
+class TestSeriesSolveWork:
+    """The series solve runs on layer maps and binds x as series only at
+    the end, so the series it builds do not grow with the degree.  Layer d
+    of (mat - C) x pairs each non-constant layer of mat with the layer of x
+    that completes degree d, as a solve in series arithmetic did."""
+
+    def test_no_series_is_built_per_degree(self, monkeypatch):
+        # 1 / (1 + x + x^2) = (1 - x) / (1 - x^3): 2 series at both degrees,
+        # where a series per step and degree built 373 and 1 473
+        built = counted_series(monkeypatch)
+        visited = counted_products(monkeypatch)
+        counts, pairs = {}, {}
+        for degree in (50, 200):
+            unit = series.MultiSeries(1, degree, [((0,), 1), ((1,), 1), ((2,), 1)])
+            built[0] = visited[0] = 0
+            inverse = unit.inverse()
+            counts[degree], pairs[degree] = built[0], visited[0]
+            assert dict(inverse.terms()) == {(k,): (1, -1, 0)[k % 3] for k in range(degree + 1) if k % 3 < 2}
+        assert counts[50] == counts[200]
+        assert pairs == {50: 67, 200: 267}
