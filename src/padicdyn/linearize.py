@@ -86,16 +86,18 @@ powers f^I of degree d.  series._LayerStream keeps this remainder: it
 reads one power table of f (series._PowerTable, the kind a run keeps of
 h), shared by every layer and component, which builds a power f^I only
 when a kappa_d has the monomial I (from a kept f^(I - e_j) where there is
-one, else down the prefix parents, and keeps it),
-and it holds the remainder as integer sums, grouped by denominator within
-each degree, so only the layer being solved is merged and reduced to a
+one, else down the prefix parents).  After kappa_d the table keeps the
+powers of degrees d - 1 and d alone, where the later layers find their
+parents, so its memory does not grow with the working degree.  The stream
+holds the remainder as integer sums, grouped by denominator within each
+degree, so only the layer being solved is merged and reduced to a
 series.  The stream starts from f, which agrees with f - Lambda in every
 layer of degree >= 2, and adds kappa_d o f above degree d alone: layer d
 of the remainder is solved by kappa_d and never read again, and
 Lambda kappa_d lies in layer d.  Since the kappa_d hold disjoint degrees,
 k is assembled from them without a series sum.  The normalization and the
-reversion below substitute through SeriesTuple.compose, which keeps one
-degree of powers at a time.
+reversion below substitute through SeriesTuple.compose, a fresh power
+table that drops the powers below each degree once it has combined it.
 If any resonance lambda^I = lambda_j exists up to the working degree, that
 solution is only unique up to resonant terms, and the compositional inverse
 of h is computed by series reversion (SeriesTuple.invert) instead.

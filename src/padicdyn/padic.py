@@ -332,8 +332,8 @@ class PAdic:
         return coerced / self
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
+        if not _is_int(n):
+            raise DomainError(f"p-adic powers take integer exponents, got {n!r}")
         if self.is_exact_zero():
             if n == 0:
                 return PAdic.from_rational(1, self.prime, 1)

@@ -30,14 +30,15 @@ the inner map's monomial powers, each built from a parent as
 inner^I = inner^(I - e_j) inner_j (the baby-step table of Brent and Kung)
 in the same graded integer form, not reduced; one routine (_combine) adds
 such a combination to a running sum, the products of a degree over one
-lcm.  A one-shot substitution (SeriesTuple.compose) walks the powers up one
-degree at a time and keeps one degree of them.  A kept table (_PowerTable)
-holds every power it builds while its inner map changes between reads, as
-h does in a conjugacy run (linearize): it forms again only the power
-layers above the first inner layer that changed, and every read is exact.
-The stream of homogeneous layers of h^(-1) (_LayerStream) reads one table
-of a fixed inner map, and keeps its running sum in groups, one per layer
-added, merging and reducing a degree only when it is read.  The product
+lcm.  One table (_PowerTable) builds every such power, for any inner map.
+A kept table holds every power it builds while its inner map changes
+between reads, as h does in a conjugacy run (linearize): it forms again
+only the power layers above the first inner layer that changed, and every
+read is exact.  A table of a fixed inner map may drop the powers below a
+degree (release): a one-shot substitution (SeriesTuple.compose) keeps one
+degree of them, and the stream of homogeneous layers of h^(-1)
+(_LayerStream) two.  The stream keeps its running sum in groups, one per
+layer added, merging and reducing a degree only when it is read.  The product
 kernel _mul and the kept table's compose take a lower bound low on the
 output degree, below which a product forms no layer and a substitution
 combines none, and the stream adds each layer's substitution above that
@@ -69,19 +70,18 @@ does not divide a lead, so no Fraction is built.
 The monomial walks of the package step from a nonzero monomial I to a
 parent I - e_j.  A walk over fixed monomials takes the prefix parent, j
 the last variable of I (_parent): graded_monomials lists the monomials by
-degree, each after its prefix parent, and the relation probes of orbit,
-the resonance search of dynamics and the one-shot substitution run over
-it.  Both power tables key their entries by the packed key and build an
-entry from a kept parent's entry, so a read of a kept power is one dict
-read.  On a miss one chain walk (_chained) steps from the kept parent
+degree, each after its prefix parent, and the relation probes of orbit
+and the resonance search of dynamics run over it.  Both power tables key
+their entries by the packed key and build an entry from a kept parent's
+entry, so a read of a kept power is one dict read.  On a miss one chain
+walk (_chained) steps from the kept parent
 I - e_j with the largest j, reached by subtracting the unit key of j as
 MultiSeries.partial lowers an exponent; only where no parent is kept does
 it step down to the prefix parent and look again there.  It builds the
 missing powers upwards and records each one's j (parents), so a kept
 table re-forms a power from the parent it was built from, with no search.
-A table read at scattered monomials, as the stream of h^(-1) reads those
-of its layers, thus builds no more powers than their prefix closure, and
-often fewer.
+A table read at scattered monomials thus builds no more powers than their
+prefix closure, and often fewer, unless it released some.
 
 Gauss norms sup |a_I|_p rho^|I| are returned as exact data: the p-adic
 valuation of the extremal coefficient, its degree, and the norm value as a
@@ -369,7 +369,7 @@ class MultiSeries:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise DomainError("series powers take non-negative integer exponents")
         result = MultiSeries.one(self.nvars, self.trunc)
         base = self
@@ -976,8 +976,9 @@ def _summed(accs: list[dict[int, _Groups]], nvars: int, trunc: int) -> "SeriesTu
 
 
 class _PowerTable:
-    """The monomial powers inner^I of a square inner map that may change
-    between reads, each built on first read and then kept.
+    """The monomial powers inner^I of an inner map that may change between
+    reads, each built on first read and then kept; the keys I are over
+    len(inner) variables, the power layers over inner.nvars.
 
     entries maps the packed key of I to inner^I, a layer map with one
     denominator per degree, not reduced, up to the table's degree, the cap
@@ -1025,8 +1026,8 @@ class _PowerTable:
         """Make inner the inner map and return the table's new degree; see
         the class docstring."""
         n = len(self.factors)
-        if len(inner) != n or inner.nvars != n:
-            raise DomainError(f"the inner map must be {n} series in {n} variables")
+        if len(inner) != n:
+            raise DomainError(f"the inner map must be {n} series, got {len(inner)}")
         layers = [g._packed for g in inner]
         # a canonical layer map holds no empty layer: layer 0 is a constant term
         if any(0 in mine for mine in layers):
@@ -1051,6 +1052,15 @@ class _PowerTable:
         self.degree = cap
         return cap
 
+    def release(self, below: int) -> None:
+        """Drop the powers of degree 2..below - 1 of a fixed inner map; a
+        later read builds a dropped power again (_chained).  A table whose
+        inner map changes never releases: take re-forms each power from its
+        recorded parent."""
+        entries, parents, unpack = self.entries, self.parents, self.unpack
+        for key in [key for key in islice(entries, len(self.factors) + 1, None) if sum(unpack(key)) < below]:
+            del entries[key], parents[key]
+
     def compose(self, outer: "SeriesTuple", inner: "SeriesTuple", low: int = 0) -> "SeriesTuple":
         """The layers >= low of outer.compose(inner), from the kept powers;
         the layers below low are absent, not zero, as for _mul."""
@@ -1063,7 +1073,7 @@ class _PowerTable:
             for d, entry in comp._packed.items():
                 if d <= cap:
                     _combine(entry, self.power, acc, low)
-        return _summed(accs, n, cap).truncated(outer.trunc)
+        return _summed(accs, inner.nvars, cap).truncated(outer.trunc)
 
 
 class _LayerStream:
@@ -1073,14 +1083,16 @@ class _LayerStream:
 
     layer o inner = sum_I c_I inner^I over the monomials I of a homogeneous
     layer, so add reads the powers of that layer's monomials alone, from one
-    _PowerTable of inner shared by every layer and component.  The sum is
-    kept in integers, per component and degree in groups (_Groups): one for
-    the layer of inner and one per layer added (_combine), so no numerator
-    kept so far is ever rescaled.  layer merges and reduces one degree.
+    _PowerTable of inner shared by every layer and component, which keeps
+    the powers of degrees d - 1 and d alone after a layer of degree d.  The
+    sum is kept in integers, per component and degree in groups (_Groups):
+    one for the layer of inner and one per layer added (_combine), so no
+    numerator kept so far is ever rescaled.  layer merges and reduces one
+    degree.
     """
 
     def __init__(self, inner: "SeriesTuple") -> None:
-        self.table = _PowerTable(inner.nvars)
+        self.table = _PowerTable(len(inner))
         self.nvars, self.trunc = inner.nvars, self.table.take(inner)
         self.degree = 0
         # _combine adds into these groups, so inner's numerators are copied
@@ -1101,6 +1113,7 @@ class _LayerStream:
         for comp, acc in zip(layer, self.sums):
             if degree in comp._packed:
                 _combine(comp._packed[degree], self.table.power, acc, degree + 1)
+        self.table.release(degree - 1)
 
     def layer(self, degree: int) -> "SeriesTuple":
         """Layer degree of the sum: homogeneous components at the inner cap."""
@@ -1196,12 +1209,9 @@ class SeriesTuple:
         """Substitution c(g_0, ..., g_{n-1}) into every component c; each g_i
         must have zero constant term, and the cap is the least of all caps.
 
-        The powers of the g_i are walked up one degree at a time over the
-        prefix closure (I -> I - e_last(I)) of the components' joint
-        support, so a sparse outer map computes only the powers it reads,
-        and only one degree of them is kept at a time; each degree adds one
-        combination (_combine) per component to that component's
-        accumulator.
+        One fresh _PowerTable of the g_i serves every component: each degree
+        adds one combination (_combine) per component to its accumulator,
+        and the table then releases the powers below that degree.
         """
         comps = tuple(inner)
         if len(comps) != self.nvars:
@@ -1209,28 +1219,15 @@ class SeriesTuple:
         for g in comps:
             if g.nvars != comps[0].nvars:
                 raise DomainError("inner series disagree on variable count")
-        factors = [g._packed for g in comps]
-        if any(0 in layers for layers in factors):
-            raise DomainError("non-zero constant term in composition argument")
         trunc = min([self.trunc] + [g.trunc for g in comps])
-        terms = [{d: entry for d, entry in c._packed.items() if d <= trunc} for c in self.components]
-        closure: list[set[Exponents]] = [set() for _ in range(trunc + 2)]  # by degree, one spare
-        unpack = _unpacker(self.nvars)
-        for exps in {unpack(key) for layers in terms for _, nums in layers.values() for key in nums}:
-            while any(exps) and exps not in closure[sum(exps)]:
-                closure[sum(exps)].add(exps)
-                exps = _parent(exps)[1]
-        entries: dict[Exponents, _Packed] = {(0,) * self.nvars: {0: (1, {0: 1})}}
-        accs: list[dict[int, _Groups]] = [{} for _ in terms]
+        table = _PowerTable(self.nvars)
+        table.take(SeriesTuple([g.truncated(trunc) for g in comps]))
+        accs: list[dict[int, _Groups]] = [{} for _ in self]
         for d in range(trunc + 1):
-            for layers, acc in zip(terms, accs):
-                if d in layers:
-                    _combine(layers[d], lambda key: entries[unpack(key)], acc)
-            below, entries = entries, {}
-            for exps in closure[d + 1]:
-                j, lower = _parent(exps)
-                entries[exps] = _convolve(below[lower], factors[j], trunc)
-            del below
+            for comp, acc in zip(self, accs):
+                if d in comp._packed:
+                    _combine(comp._packed[d], table.power, acc)
+            table.release(d)
         return _summed(accs, comps[0].nvars, trunc)
 
     def compose_diagonal(self, factors: "Sequence[Fraction] | _DiagonalPowers") -> "SeriesTuple":

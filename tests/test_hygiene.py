@@ -7,8 +7,9 @@ p-adics through the unchecked constructor, and only the series code that
 packs and unpacks exponent keys reads their layout, no library function keeps process-wide
 state in a module-level container except the odd-prime memo of arith, and
 only series._parent finds the last variable of a monomial, the step of
-every prefix-parent walk, every private function is called by the
-library itself, and every function reads each of its parameters."""
+every prefix-parent walk, only known series functions call the product
+kernel _convolve, every private function is called by the library itself,
+and every function reads each of its parameters."""
 
 import ast
 import importlib
@@ -398,6 +399,48 @@ make = _canonical
         ("PAdic.__mul__", 12),
         ("PAdic.lift", 16),
     ]
+
+
+# only these functions call the product kernel _convolve: the product, the
+# pivot induction, the series solve, and the power table, which builds every
+# monomial power of an inner map (series module docstring), so a second
+# power walk cannot return unnoticed
+CONVOLVE_CALL_SITES = {
+    ("series.py", "_mul"),
+    ("series.py", "_graded_root"),
+    ("series.py", "_PowerTable._step"),
+    ("series.py", "_PowerTable.take"),
+    ("series.py", "_series_solve"),
+}
+
+
+def test_convolve_is_called_only_at_known_sites():
+    found = {
+        (path.name, name)
+        for path in MODULES
+        for name, _ in name_uses(ast.parse(path.read_text(encoding="utf-8")), "_convolve")
+    }
+    assert found == CONVOLVE_CALL_SITES
+
+
+def test_the_guard_sees_a_convolve_call():
+    source = '''
+from .series import _convolve
+from . import series
+
+
+class SeriesTuple:
+    def compose(self, inner):
+        entries = {}
+        for key, (j, lower) in self.walk():
+            entries[key] = _convolve(entries[lower], inner[j], self.trunc)
+        return entries
+
+
+def powers(a, n):
+    return [series._convolve(a, a, n)]
+'''
+    assert sorted(name_uses(ast.parse(source), "_convolve")) == [("SeriesTuple.compose", 10), ("powers", 15)]
 
 
 # the packed exponent key has one layout and one cap (series module

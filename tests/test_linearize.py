@@ -908,6 +908,22 @@ def counted_convolve(monkeypatch, visited):
     monkeypatch.setattr(series, "_convolve", counted)
 
 
+def recorded_powers(monkeypatch, built):
+    """Record in built, as (key, j), each power a series._PowerTable builds
+    and the parent's j it records: _chained inserts them after the kept
+    entries, in the order it builds them."""
+    chained = series._chained
+
+    def recorded(table, key):
+        before = len(table.entries)
+        value = chained(table, key)
+        if isinstance(table, series._PowerTable):
+            built.extend((new, table.parents[new]) for new in list(table.entries)[before:])
+        return value
+
+    monkeypatch.setattr(series, "_chained", recorded)
+
+
 def seeded_normalized_map(rng, n, r, degree):
     """A random normalized map in n variables with an r-dimensional fixed
     locus: tail eigenvalues from +-{2, 3, 5}, and nonlinear terms of total
@@ -1389,7 +1405,8 @@ class TestInverseStream:
         f = fixture_suite(12)["symplectic-4d"]
         result = linearize_order_by_order(f, 12)
         fmap, lams = f.components, result.eigenvalues
-        streams, added = [], []
+        unpack = series._unpacker(fmap.nvars)
+        streams, added, built, kept_degrees = [], [], [], []
 
         class Recording(series._LayerStream):
             def __init__(self, inner):
@@ -1399,6 +1416,11 @@ class TestInverseStream:
             def add(self, layer):
                 added.append(layer)
                 super().add(layer)
+                # a released power takes its recorded parent with it
+                table = self.table
+                powers = list(table.entries)[len(table.factors) + 1 :]
+                assert set(table.parents) == set(powers)
+                kept_degrees.append({sum(unpack(key)) for key in powers})
 
         counts = Counter()
 
@@ -1412,6 +1434,7 @@ class TestInverseStream:
             return wrapper
 
         monkeypatch.setattr(linearize, "_LayerStream", Recording)
+        recorded_powers(monkeypatch, built)
         monkeypatch.setattr(MultiSeries, "__add__", counted("__add__"))
         monkeypatch.setattr(MultiSeries, "__sub__", counted("__sub__"))
         k = linearize._conjugacy_inverse(result.h, fmap, lams, f.fixed_locus_dim)
@@ -1419,20 +1442,21 @@ class TestInverseStream:
         assert k == result.h_inverse
         # at most the sum that forms fmap - Lambda, once per component
         assert sum(counts.values()) <= len(fmap), counts
+        # the table keeps the powers of at most two degrees >= 2 at a time
+        assert kept_degrees and all(len(degrees) <= 2 for degrees in kept_degrees), kept_degrees
         composed = {exps for layer in added for comp in layer for exps, _ in comp.terms()}
         (stream,) = streams
-        table = stream.table
-        # the degree-one entries are fmap's own layers, built by no step;
+        units = stream.table.units
         # each power of degree >= 2 was built by one step from its recorded
         # parent, and is a composed monomial or the parent of a built one
-        unpack = series._unpacker(fmap.nvars)
-        built = {unpack(key) for key in table.entries if sum(unpack(key)) >= 2}
-        assert {unpack(key) for key in table.parents} == built
-        parents = {unpack(key - table.units[j]) for key, j in table.parents.items()}
-        assert built <= composed | parents
-        # here every composed monomial has a composed parent, so the kept
-        # powers of degree >= 2 are exactly the 192 composed monomials
-        assert built == composed and len(built) == 192
+        powers = {unpack(key) for key, _ in built}
+        assert all(sum(exps) >= 2 for exps in powers)
+        parents = {unpack(key - units[j]) for key, j in built}
+        assert powers <= composed | parents
+        # here every composed monomial has a composed parent, so the powers
+        # of degree >= 2 built are exactly the 192 composed monomials, each
+        # built once: none was released before its last read
+        assert powers == composed and len(built) == 192
 
     def test_the_stream_steps_from_kept_parents(self, monkeypatch):
         # work pins of the seed-0 independent-3d h^(-1) at degree 12, the

@@ -387,6 +387,19 @@ class TestArithmetic:
             assert fa + fb == PAdic.from_rational(a + b, p, 12)
             assert fa * fb == PAdic.from_rational(a * b, p, 12)
 
+    @pytest.mark.parametrize("exponent", [True, False, 2.0, 0.5, Fraction(2), "2", None])
+    def test_powers_refuse_a_non_int_exponent(self, exponent):
+        # a bool was taken as 1 or 0, and a float ended in a TypeError
+        with pytest.raises(DomainError):
+            PAdic.from_rational(2, 3, 5) ** exponent
+        with pytest.raises(DomainError):
+            PAdic.from_rational(0, 3, 5) ** exponent
+
+    @pytest.mark.parametrize("exponent", [0, 1, 3, -2])
+    def test_powers_take_an_int_exponent(self, exponent):
+        x = PAdic.from_rational(2, 3, 5)
+        assert x**exponent == PAdic.from_rational(Fraction(2) ** exponent, 3, 5)
+
     def test_division_tracks_valuation(self):
         x = embed(5, prec=6)
         y = embed(25, prec=6)

@@ -33,7 +33,7 @@ from padicdyn.series import (
     tuple_gauss_norm,
 )
 from test_dynamics import brute_force_resonances
-from test_linearize import counted_convolve
+from test_linearize import counted_convolve, recorded_powers
 
 
 def univariate(coeffs, trunc):
@@ -316,6 +316,18 @@ def dict_compose(outer, inner, nvars, trunc, low=0):
     return {e: c for e, c in out.items() if c and sum(e) >= low}
 
 
+def reference_compose(outer, inner, low=0):
+    """outer o inner for a series tuple outer and a sequence of inner series,
+    from dict_compose at the least cap, the layers below low absent: an
+    oracle that builds no power table."""
+    trunc = min([outer.trunc] + [g.trunc for g in inner])
+    nvars = inner[0].nvars
+    inner_terms = [dict(g.terms()) for g in inner]
+    return SeriesTuple(
+        [MultiSeries(nvars, trunc, dict_compose(dict(c.terms()), inner_terms, nvars, trunc, low).items()) for c in outer]
+    )
+
+
 def from_low(tup, low):
     """The layers >= low of a series tuple, those below absent: what a kept
     table's compose from low returns."""
@@ -581,6 +593,12 @@ class TestIntegerArguments:
         with pytest.raises(DomainError):
             make()
 
+    @pytest.mark.parametrize("exponent", [True, False, 2.0, Fraction(2), "2", -1])
+    def test_powers_refuse_a_non_int_exponent(self, exponent):
+        # x ** True was x and x ** False was 1
+        with pytest.raises(DomainError):
+            univariate([0, 1, 1], 5) ** exponent
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -675,11 +693,45 @@ class TestCompose:
             rhs = phi.compose(g.compose(k))
             assert lhs == rhs
 
+    @pytest.mark.parametrize("outer_vars, inner_vars", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 3)])
+    def test_sparse_outer_maps_randomized(self, monkeypatch, outer_vars, inner_vars):
+        # supports that skip degrees, such as x^2, x^5 y and x^7 at cap 12:
+        # the table releases the powers below each degree, so a read above
+        # a gap builds a released power again; inner maps need not be square
+        # and their caps differ
+        rng = random.Random(f"sparse-{outer_vars}-{inner_vars}")
+        cap = 12
+        built = []
+
+        def monomial(degree):
+            cuts = sorted(rng.choices(range(degree + 1), k=outer_vars - 1))
+            return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+        gapped = [(2, 0, 0), (5, 1, 0), (7, 0, 0)] if outer_vars > 1 else [(2,), (5,), (7,)]
+        recorded_powers(monkeypatch, built)
+        for _ in range(3):
+            comps = [MultiSeries(outer_vars, cap, [(e[:outer_vars], Fraction(rng.randint(1, 9), 2)) for e in gapped])]
+            for _ in range(2):
+                degrees = sorted(rng.sample(range(cap + 1), 3))
+                terms = {monomial(d): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)) for d in degrees}
+                comps.append(MultiSeries(outer_vars, cap, terms.items()))
+            outer = SeriesTuple(comps)
+            inner = [
+                rand_series(rng, inner_vars, rng.choice((cap, 10, 9)), terms=3, zero_constant=True)
+                for _ in range(outer_vars)
+            ]
+            built.clear()
+            composed = outer.compose(inner)
+            assert composed == reference_compose(outer, inner)
+            assert composed.trunc == min(g.trunc for g in inner) and composed.nvars == inner_vars
+            # x^2 was released before x^5 y (or x^5) and x^7 read it again
+            assert len(built) > len({key for key, _ in built})
+
 
 class TestLayerStream:
     """The integer running sum inner + sum_k layer_k o inner, each term above
-    its layer's degree, equals the Fraction sum of SeriesTuple.compose,
-    layer by layer."""
+    its layer's degree, equals the sum of the expanded substitutions
+    (dict_compose), layer by layer."""
 
     @staticmethod
     def homogeneous(rng, nvars, trunc, degree):
@@ -710,7 +762,7 @@ class TestLayerStream:
                         comps[rng.randrange(nvars)] = MultiSeries.zero(nvars, trunc)
                     layer = SeriesTuple(comps)
                     stream.add(layer)
-                    expected = expected + from_low(layer.compose(inner), degree + 1)
+                    expected = expected + reference_compose(layer, inner, degree + 1)
                     for d in range(trunc + 1):
                         for comp, exact in zip(stream.layer(d), expected):
                             assert comp.trunc == trunc
@@ -730,8 +782,8 @@ class TestLayerStream:
 
 
 class TestPowerTable:
-    """One kept power table gives outer o inner exactly as
-    SeriesTuple.compose does, whatever inner it is handed."""
+    """One kept power table gives outer o inner exactly as the expanded
+    substitution (dict_compose) does, whatever inner it is handed."""
 
     @staticmethod
     def grown(rng, target, cap):
@@ -756,9 +808,9 @@ class TestPowerTable:
                 for cap in range(1, trunc + 1):
                     inner = self.grown(rng, target, cap)
                     low = rng.randint(0, cap)
-                    assert table.compose(outer, inner, low) == from_low(outer.compose(inner), low)
+                    assert table.compose(outer, inner, low) == reference_compose(outer, inner, low)
                     self.assert_parents_first(table)
-                assert table.compose(outer, target) == outer.compose(target)
+                assert table.compose(outer, target) == reference_compose(outer, target)
 
     @staticmethod
     def assert_parents_first(table):
@@ -789,12 +841,12 @@ class TestPowerTable:
         # layer 2 was taken at cap 4; then a lower cap, then target's own
         changed = SeriesTuple([target[0] + MultiSeries(nvars, trunc, [((1, 1), Fraction(1, 3))]), target[1]])
         for inner in (changed, changed.truncated(5), target.truncated(3)):
-            assert table.compose(outer, inner) == outer.compose(inner)
+            assert table.compose(outer, inner) == reference_compose(outer, inner)
         # the table goes on from the layers it took last
         for cap in range(5, trunc + 1):
             inner = self.grown(rng, target, cap)
-            assert table.compose(outer, inner, cap) == from_low(outer.compose(inner), cap)
-        assert table.compose(outer, target) == outer.compose(target)
+            assert table.compose(outer, inner, cap) == reference_compose(outer, inner, cap)
+        assert table.compose(outer, target) == reference_compose(outer, target)
 
     @pytest.mark.parametrize("changed", [2, 3, 4, 5])
     def test_a_change_at_layer_m_keeps_the_power_layers_up_to_m(self, monkeypatch, changed):
@@ -814,7 +866,7 @@ class TestPowerTable:
         kept_pairs = sum(visited)
         visited.clear()
         fresh = _PowerTable(nvars).compose(outer, inner)
-        assert kept == fresh == outer.compose(inner)
+        assert kept == fresh == reference_compose(outer, inner)
         assert kept_pairs < sum(visited)
 
     def test_a_take_finds_no_last_variable(self, monkeypatch):
@@ -840,7 +892,7 @@ class TestPowerTable:
         assert len(table.entries) > nvars + 1 and sum(visited) > 0
         assert calls == []
         monkeypatch.undo()
-        assert table.compose(outer, changed) == outer.compose(changed)
+        assert table.compose(outer, changed) == reference_compose(outer, changed)
 
     def test_rejects_a_constant_term_or_a_non_square_map(self):
         x, y = MultiSeries.variable(0, 2, 4), MultiSeries.variable(1, 2, 4)
@@ -1196,14 +1248,13 @@ class TestComposeAgainstSympy:
             assert comp.trunc == single.trunc == trunc
             assert comp.nvars == single.nvars == inner[0].nvars
             assert dict(comp.terms()) == dict(single.terms()) == want
-        if len(inner) == inner[0].nvars:
-            # the kept table serves square maps of one cap: the layers from
-            # low up are those of the full substitution, and none below low
-            # is formed
-            square = SeriesTuple([g.truncated(trunc) for g in inner])
-            part = _PowerTable(len(inner)).compose(outer, square, low)
-            assert part == from_low(composed, low)
-            assert all(c.trunc == trunc and c.nvars == inner[0].nvars for c in part)
+        # the kept table serves inner maps of one cap, square or not: the
+        # layers from low up are those of the full substitution, and none
+        # below low is formed
+        capped = SeriesTuple([g.truncated(trunc) for g in inner])
+        part = _PowerTable(len(inner)).compose(outer, capped, low)
+        assert part == from_low(composed, low)
+        assert all(c.trunc == trunc and c.nvars == inner[0].nvars for c in part)
 
 
 class TestGaussNorm:
@@ -1479,9 +1530,9 @@ class TestRecordedParents:
                     for key, entry in table.entries.items():
                         assert power_terms(entry) == power_terms(fresh.entries[key])
                     low = rng.randint(0, cap)
-                    assert table.compose(outer, inner, low) == from_low(outer.compose(inner), low)
+                    assert table.compose(outer, inner, low) == reference_compose(outer, inner, low)
                 others += self.other_parents(table)
-                assert table.compose(outer, target) == outer.compose(target)
+                assert table.compose(outer, target) == reference_compose(outer, target)
         assert others > 0
 
     def test_diagonal_powers_in_random_orders_randomized(self):

@@ -3,16 +3,19 @@
 A count of term pairs is exact and takes seconds, where a timing needs many
 alternating runs to show a change.  Each pin counts, through a test-local
 wrapper, the term pairs that the product kernels series._convolve and
-series._square visit, and the series solve's pin also counts the series
-it binds (MultiSeries._raw).  Pair counts are not time: coefficient size
-drives cost too.
+series._square visit; the series solve's pin also counts the series it
+binds (MultiSeries._raw), and the composition pins the power steps of the
+power table (_PowerTable._step).  Pair counts are not time: coefficient
+size drives cost too.
 """
 
 import pytest
 
-from padicdyn import series
+from padicdyn import linearize, series
 from padicdyn.eisenstein import coefficients_up_to
+from padicdyn.linearize import linearize_order_by_order
 
+from test_acceptance import fixture_suite
 from test_eisenstein import kth_power_root
 
 
@@ -44,6 +47,20 @@ def counted_products(monkeypatch):
     monkeypatch.setattr(series, "_convolve", counted_convolve)
     monkeypatch.setattr(series, "_square", counted_square)
     return visited
+
+
+def counted_steps(monkeypatch):
+    """Count in the returned list the powers the power tables build, one
+    _PowerTable._step each."""
+    steps = [0]
+    step = series._PowerTable._step
+
+    def counted_step(self, j, parent):
+        steps[0] += 1
+        return step(self, j, parent)
+
+    monkeypatch.setattr(series._PowerTable, "_step", counted_step)
+    return steps
 
 
 def counted_series(monkeypatch):
@@ -111,3 +128,40 @@ class TestSeriesSolveWork:
             assert dict(inverse.terms()) == {(k,): (1, -1, 0)[k % 3] for k in range(degree + 1) if k % 3 < 2}
         assert counts[50] == counts[200]
         assert pairs == {50: 67, 200: 267}
+
+
+class TestCompositionWork:
+    """Every substitution builds its powers in one power table.  A one-shot
+    SeriesTuple.compose steps each power from a kept parent, the largest j
+    where there is one, and releases the powers below each degree; the
+    stream of h^(-1) keeps two degrees of them."""
+
+    def test_h_after_its_inverse(self, monkeypatch):
+        # seed-0 independent-3d at degree 12: 351 steps and 56 265 pairs,
+        # where the prefix-closure walk took 429 steps and 62 587 pairs
+        f = fixture_suite(12)["independent-3d"]
+        result = linearize_order_by_order(f, 12)
+        steps, visited = counted_steps(monkeypatch), counted_products(monkeypatch)
+        composed = result.h.compose(result.h_inverse)
+        assert composed == series.SeriesTuple.identity(3, 12)
+        assert steps[0] <= 351 and visited[0] <= 56_265
+
+    def test_the_inverse_stream_keeps_two_degrees(self, monkeypatch):
+        # seed-0 independent-3d h^(-1) at degree 16: 608 steps and 29 721
+        # pairs, the counts of a stream that kept every power it built
+        f = fixture_suite(16)["independent-3d"]
+        result = linearize_order_by_order(f, 16)
+        kept_degrees = []
+
+        class Recording(series._LayerStream):
+            def add(self, layer):
+                super().add(layer)
+                unpack = self.table.unpack
+                kept_degrees.append({sum(unpack(key)) for key in self.table.entries} - {0, 1})
+
+        monkeypatch.setattr(linearize, "_LayerStream", Recording)
+        steps, visited = counted_steps(monkeypatch), counted_products(monkeypatch)
+        k = linearize._conjugacy_inverse(result.h, f.components, result.eigenvalues, f.fixed_locus_dim)
+        assert k == result.h_inverse
+        assert steps[0] <= 608 and visited[0] <= 29_721
+        assert kept_degrees and max(map(len, kept_degrees)) <= 2
