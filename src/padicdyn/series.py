@@ -35,8 +35,8 @@ A kept table holds every power it builds while its inner map changes
 between reads, as h does in a conjugacy run (linearize): it forms again
 only the power layers above the first inner layer that changed, and every
 read is exact.  A table of a fixed inner map may drop the powers below a
-degree (release): a one-shot substitution (SeriesTuple.compose) keeps one
-degree of them, and the stream of homogeneous layers of h^(-1)
+degree (release): a one-shot substitution (SeriesTuple.compose) keeps the
+powers of the last degree it read, the stream of homogeneous h^(-1) layers
 (_LayerStream) two.  The stream keeps its running sum in groups, one per
 layer added, merging and reducing a degree only when it is read.  The product
 kernel _mul and the kept table's compose take a lower bound low on the
@@ -1209,9 +1209,10 @@ class SeriesTuple:
         """Substitution c(g_0, ..., g_{n-1}) into every component c; each g_i
         must have zero constant term, and the cap is the least of all caps.
 
-        One fresh _PowerTable of the g_i serves every component: each degree
-        adds one combination (_combine) per component to its accumulator,
-        and the table then releases the powers below that degree.
+        One fresh _PowerTable of the g_i serves every component.  Each degree
+        some component reads adds one combination (_combine) per reading
+        component to its accumulator and then releases the powers below it,
+        so an odd outer map steps each power once from the last degree read.
         """
         comps = tuple(inner)
         if len(comps) != self.nvars:
@@ -1223,7 +1224,7 @@ class SeriesTuple:
         table = _PowerTable(self.nvars)
         table.take(SeriesTuple([g.truncated(trunc) for g in comps]))
         accs: list[dict[int, _Groups]] = [{} for _ in self]
-        for d in range(trunc + 1):
+        for d in sorted({d for comp in self for d in comp._packed if d <= trunc}):
             for comp, acc in zip(self, accs):
                 if d in comp._packed:
                     _combine(comp._packed[d], table.power, acc)

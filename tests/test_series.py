@@ -694,21 +694,19 @@ class TestCompose:
             assert lhs == rhs
 
     @pytest.mark.parametrize("outer_vars, inner_vars", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 3)])
-    def test_sparse_outer_maps_randomized(self, monkeypatch, outer_vars, inner_vars):
+    def test_sparse_outer_maps_randomized(self, outer_vars, inner_vars):
         # supports that skip degrees, such as x^2, x^5 y and x^7 at cap 12:
-        # the table releases the powers below each degree, so a read above
-        # a gap builds a released power again; inner maps need not be square
-        # and their caps differ
+        # the table releases the powers below each degree it reads, so a
+        # read above a gap may build a released power again; inner maps need
+        # not be square and their caps differ
         rng = random.Random(f"sparse-{outer_vars}-{inner_vars}")
         cap = 12
-        built = []
 
         def monomial(degree):
             cuts = sorted(rng.choices(range(degree + 1), k=outer_vars - 1))
             return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
 
         gapped = [(2, 0, 0), (5, 1, 0), (7, 0, 0)] if outer_vars > 1 else [(2,), (5,), (7,)]
-        recorded_powers(monkeypatch, built)
         for _ in range(3):
             comps = [MultiSeries(outer_vars, cap, [(e[:outer_vars], Fraction(rng.randint(1, 9), 2)) for e in gapped])]
             for _ in range(2):
@@ -720,12 +718,24 @@ class TestCompose:
                 rand_series(rng, inner_vars, rng.choice((cap, 10, 9)), terms=3, zero_constant=True)
                 for _ in range(outer_vars)
             ]
-            built.clear()
             composed = outer.compose(inner)
             assert composed == reference_compose(outer, inner)
             assert composed.trunc == min(g.trunc for g in inner) and composed.nvars == inner_vars
-            # x^2 was released before x^5 y (or x^5) and x^7 read it again
-            assert len(built) > len({key for key, _ in built})
+
+    def test_an_odd_outer_map_builds_each_power_once(self, monkeypatch):
+        # x + x^3 + ... + x^39 at cap 40, the shape of h^(-1) for an odd h:
+        # no power is released at the even degrees the map skips, so each of
+        # x^2 .. x^39 is stepped once from the one below, as the prefix-closure
+        # walk did (38 steps)
+        x = MultiSeries.variable(0, 1, 40)
+        outer = SeriesTuple([MultiSeries(1, 40, [((k,), Fraction(1, k)) for k in range(1, 40, 2)])])
+        inner = [x + (x * x).scale(Fraction(1, 3))]
+        built = []
+        recorded_powers(monkeypatch, built)
+        composed = outer.compose(inner)
+        assert len(built) == len({key for key, _ in built}) == 38
+        monkeypatch.undo()
+        assert composed == reference_compose(outer, inner)
 
 
 class TestLayerStream:
@@ -894,7 +904,7 @@ class TestPowerTable:
         monkeypatch.undo()
         assert table.compose(outer, changed) == reference_compose(outer, changed)
 
-    def test_rejects_a_constant_term_or_a_non_square_map(self):
+    def test_rejects_a_constant_term_or_a_wrong_size_map(self):
         x, y = MultiSeries.variable(0, 2, 4), MultiSeries.variable(1, 2, 4)
         outer = SeriesTuple([x * y, y + x * x])
         table = _PowerTable(2)
